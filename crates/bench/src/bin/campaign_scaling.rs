@@ -1,29 +1,40 @@
-//! Campaign throughput scaling: wall-clock of a token-ring campaign under
-//! the parallel experiment executor, per worker count.
+//! Campaign throughput scaling: the streaming [`CampaignPipeline`] — the
+//! path every campaign runs — swept over worker counts.
 //!
-//! Runs a ≥100-experiment fault-injection campaign on the token-ring
-//! application once per worker count (1, 2, 4, …, up to the machine's
-//! available parallelism), prints the wall-clock and speedup of each run,
-//! and verifies that every configuration produces byte-identical
-//! experiment data and identical post-analysis verdicts — the parallel
-//! executor must be unobservable in the results.
+//! Runs a token-ring fault-injection campaign once per worker count (1, 2,
+//! 4, …, up to the machine's available parallelism), prints experiments
+//! per second, speed-up over one worker and the CPU-seconds each run cost
+//! (a speed-up bought with more than its share of CPU is a pool burning a
+//! core on hand-off), and verifies that every configuration produces
+//! identical compact results — the worker pool must be unobservable in the
+//! results.
 //!
 //! ```text
 //! cargo run --release --bin campaign_scaling [experiments]
 //! ```
 
-use loki_analysis::{analyze, AnalysisOptions};
 use loki_apps::token_ring::{ring_factory, ring_study, RingConfig};
 use loki_core::fault::{FaultExpr, Trigger};
 use loki_core::study::Study;
-use loki_runtime::harness::{run_study_with_workers, SimHarnessConfig};
+use loki_runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use std::time::Instant;
+
+/// User + system CPU-seconds of this process so far, all threads
+/// (`/proc/self/stat`, 10 ms ticks); `None` where there is no procfs.
+fn cpu_seconds() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesised command name; utime and stime are
+    // fields 14 and 15 of the line, i.e. 12 and 13 after the name.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    let ticks = fields.next()?.parse::<f64>().ok()? + fields.next()?.parse::<f64>().ok()?;
+    Some(ticks / 100.0)
+}
 
 fn main() {
     let experiments: u32 = std::env::args()
         .nth(1)
         .and_then(|v| v.parse().ok())
-        .unwrap_or(120);
+        .unwrap_or(2000);
     let seed = 0x10C1;
 
     let def = ring_study("scaling", 3).fault(
@@ -33,7 +44,11 @@ fn main() {
         Trigger::Once,
     );
     let study = Study::compile_arc(&def).expect("valid study");
-    let cfg = SimHarnessConfig::three_hosts(seed);
+    let pipeline = CampaignPipeline::new(
+        study,
+        ring_factory(RingConfig::default()),
+        SimHarnessConfig::three_hosts(seed),
+    );
 
     let max_workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -53,54 +68,52 @@ fn main() {
          available parallelism {max_workers}"
     );
     println!(
-        "{:>8}  {:>12}  {:>8}  {:>10}  {:>9}",
-        "workers", "wall-clock", "speedup", "completed", "accepted"
+        "{:>8}  {:>10}  {:>8}  {:>8}  {:>10}  {:>9}",
+        "workers", "exp/s", "speedup", "cpu-s", "completed", "accepted"
     );
 
-    let mut baseline_secs = None;
-    let mut baseline: Option<(Vec<_>, Vec<bool>)> = None;
+    let mut baseline_rate = None;
+    let mut baseline = None;
     for &workers in &worker_counts {
+        let mut results = Vec::with_capacity(experiments as usize);
+        let cpu_before = cpu_seconds();
         let start = Instant::now();
-        let data = run_study_with_workers(
-            &study,
-            ring_factory(RingConfig::default()),
-            &cfg,
-            experiments,
-            workers,
-        )
-        .expect("valid campaign config");
+        // The tap rides a raw-side witness (records per experiment) along
+        // with each compact result, so the comparison below covers what
+        // the workers saw before they dropped it.
+        let summary = pipeline
+            .run_tapped_with_workers(
+                experiments,
+                workers,
+                |data| {
+                    data.timelines
+                        .iter()
+                        .map(|t| t.records.len())
+                        .sum::<usize>()
+                },
+                |analyzed, records| results.push((analyzed, records)),
+            )
+            .expect("valid campaign config");
         let elapsed = start.elapsed().as_secs_f64();
-
-        let completed = data
-            .iter()
-            .filter(|d| d.end == loki_core::campaign::ExperimentEnd::Completed)
-            .count();
-        let analyzed = analyze(&study, data.clone(), &AnalysisOptions::default());
-        let verdicts: Vec<bool> = analyzed.iter().map(|a| a.accepted()).collect();
-        let accepted = verdicts.iter().filter(|v| **v).count();
-
-        let speedup = match baseline_secs {
-            None => {
-                baseline_secs = Some(elapsed);
-                1.0
-            }
-            Some(base) => base / elapsed,
+        let cpu = match (cpu_before, cpu_seconds()) {
+            (Some(before), Some(after)) => format!("{:.2}", after - before),
+            _ => "n/a".to_owned(),
         };
-        println!("{workers:>8}  {elapsed:>11.3}s  {speedup:>7.2}x  {completed:>10}  {accepted:>9}");
+
+        let rate = f64::from(experiments) / elapsed;
+        let speedup = rate / *baseline_rate.get_or_insert(rate);
+        println!(
+            "{workers:>8}  {rate:>10.0}  {speedup:>7.2}x  {cpu:>8}  {:>10}  {:>9}",
+            summary.completed, summary.accepted
+        );
 
         match &baseline {
-            None => baseline = Some((data, verdicts)),
-            Some((base_data, base_verdicts)) => {
-                assert_eq!(
-                    *base_data, data,
-                    "worker count {workers} changed experiment data"
-                );
-                assert_eq!(
-                    *base_verdicts, verdicts,
-                    "worker count {workers} changed verdicts"
-                );
-            }
+            None => baseline = Some(results),
+            Some(base) => assert!(
+                *base == results,
+                "worker count {workers} changed the campaign's results"
+            ),
         }
     }
-    println!("all worker counts produced identical experiment data and verdicts");
+    println!("all worker counts produced identical results");
 }

@@ -938,6 +938,9 @@ pub struct PipelineSummary {
     /// `workers × batch`, by construction. This is the bounded retention
     /// the streaming design exists for; tests assert on it.
     pub peak_raw_retained: usize,
+    /// High-water mark of the reorder buffer: compact results that had
+    /// finished but were still waiting for a lower index to commit.
+    pub peak_reorder_depth: usize,
     /// Actor spawns served from the recycled-hull pool instead of a fresh
     /// box (0 on the threads backend and in the per-experiment baseline
     /// mode, which retire their contexts after every experiment).
@@ -972,12 +975,16 @@ pub struct PipelineSummary {
 /// overhead when experiments are tiny.
 struct Reorder<V> {
     pending: Vec<(u32, V)>,
+    /// Most entries ever buffered at once
+    /// ([`PipelineSummary::peak_reorder_depth`]).
+    peak: usize,
 }
 
 impl<V> Reorder<V> {
     fn new() -> Self {
         Reorder {
             pending: Vec::new(),
+            peak: 0,
         }
     }
 
@@ -985,6 +992,7 @@ impl<V> Reorder<V> {
     fn insert(&mut self, k: u32, value: V) {
         let at = self.pending.partition_point(|&(index, _)| index > k);
         self.pending.insert(at, (k, value));
+        self.peak = self.peak.max(self.pending.len());
     }
 
     /// Removes and returns experiment `next`'s result, if buffered.
@@ -998,7 +1006,10 @@ impl<V> Reorder<V> {
 
 /// The pipeline's retention gauge: counts in-flight experiments and
 /// remembers the high-water mark that
-/// [`PipelineSummary::peak_raw_retained`] reports.
+/// [`PipelineSummary::peak_raw_retained`] reports. Plain statistics —
+/// they publish no other data, and read-modify-writes on one atomic are
+/// totally ordered under any ordering — so `Relaxed` throughout; the
+/// scope join orders the final `peak` read after every worker.
 struct RetentionGauge {
     live: AtomicUsize,
     peak: AtomicUsize,
@@ -1013,16 +1024,16 @@ impl RetentionGauge {
     }
 
     fn inc(&self) {
-        let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak.fetch_max(live, Ordering::SeqCst);
+        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak.fetch_max(live, Ordering::Relaxed);
     }
 
     fn dec(&self) {
-        self.live.fetch_sub(1, Ordering::SeqCst);
+        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn peak(&self) -> usize {
-        self.peak.load(Ordering::SeqCst)
+        self.peak.load(Ordering::Relaxed)
     }
 }
 
@@ -1058,8 +1069,8 @@ impl PoolStats {
 ///
 /// Worlds and their slabs persist across chunks — after the first chunk a
 /// worker's steady state allocates almost nothing per experiment.
-/// `process` returns `false` to stop the worker early (the coordinator
-/// hung up); the current chunk is abandoned without claiming more.
+/// `process` returns `false` to stop the worker early (the caller hung
+/// up); the current chunk is abandoned without claiming more.
 ///
 /// # Failure containment
 ///
@@ -1273,6 +1284,20 @@ fn drive_chunked(
 /// counts *and batch sizes* and identical to the batch `run_study` +
 /// `analyze` path.
 ///
+/// # Caller-runs pool
+///
+/// `workers − 1` threads are spawned; the calling thread is the last
+/// worker *and* the only thread that touches the sink. It puts its own
+/// finished results straight into the reorder buffer, drains the channel
+/// after each of them, and blocks on the channel only once every index is
+/// claimed — W workers are W threads, and no result hand-off wakes a
+/// parked coordinator. The channel holds `2 × workers × batch` results,
+/// so a spawned worker parks only behind a slow sink. The trade-off: the
+/// caller drains at its own experiment boundaries only, so a very long
+/// experiment *on the caller* can fill the channel and park the other
+/// workers until it ends — memory stays bounded in that case, where a
+/// full-time coordinator's reorder buffer would grow without bound.
+///
 /// # Examples
 ///
 /// ```no_run
@@ -1289,7 +1314,7 @@ fn drive_chunked(
 ///         }
 ///     })
 ///     .expect("valid campaign config");
-/// assert!(summary.peak_raw_retained <= summary.workers);
+/// assert!(summary.peak_raw_retained <= summary.workers * summary.batch);
 /// # }
 /// ```
 pub struct CampaignPipeline {
@@ -1299,7 +1324,7 @@ pub struct CampaignPipeline {
     analysis: AnalysisOptions,
     per_experiment: bool,
     /// Deduplicated per-run failure reports: one line per distinct
-    /// [`ExperimentFailure`] kind, recorded on the coordinator as results
+    /// [`ExperimentFailure`] kind, recorded on the calling thread as results
     /// commit in index order (so "first experiment" is deterministic).
     failure_log: Mutex<WarningSink>,
 }
@@ -1356,8 +1381,8 @@ impl CampaignPipeline {
         self.run_with_workers(experiments, resolve_workers(&self.cfg, experiments)?, sink)
     }
 
-    /// [`CampaignPipeline::run`] with an explicit worker count
-    /// (`workers == 1` runs entirely on the calling thread);
+    /// [`CampaignPipeline::run`] with an explicit worker count, the calling
+    /// thread included (`workers == 1` spawns nothing);
     /// `workers == 0` is [`CampaignError::Workers`].
     pub fn run_with_workers(
         &self,
@@ -1391,8 +1416,9 @@ impl CampaignPipeline {
     /// [`CampaignPipeline::run`] and [`CampaignPipeline::run_tapped`].
     ///
     /// Returns a typed [`CampaignError`] on any campaign
-    /// misconfiguration; still panics if a *sink* or coordinator-side
-    /// closure panics (worker-side panics are contained per experiment).
+    /// misconfiguration; still panics if the *sink* panics (it runs on the
+    /// calling thread; the spawned workers then fail their next send and
+    /// exit). Worker-side panics are contained per experiment.
     pub fn run_tapped_with_workers<T: Send>(
         &self,
         experiments: u32,
@@ -1508,7 +1534,7 @@ impl CampaignPipeline {
             }
             if let Some(failure) = analyzed.end.failure() {
                 summary.failed += 1;
-                // Runs on the coordinator in strictly increasing index
+                // Runs on the calling thread in strictly increasing index
                 // order, so "first exhibiting experiment" is
                 // deterministic. One report per failure kind per run.
                 let k = analyzed.experiment;
@@ -1522,126 +1548,98 @@ impl CampaignPipeline {
             summary.injections += analyzed.injections;
         };
 
+        // One driver for every worker count: `workers − 1` spawned threads
+        // plus the calling thread run the same worker body — a
+        // work-stealing claim loop on a shared atomic index counter
+        // (chunks of `batch` experiments through `drive_chunked` on the
+        // simulation backend, single experiments otherwise), so a
+        // heavy-tailed study keeps the whole pool busy and no core is
+        // spent on a parked coordinator. Spawned workers send compact
+        // results, tagged with their index, through one bounded channel;
+        // the caller puts its own straight into the reorder buffer, drains
+        // the channel after each of them, and commits to the sink in
+        // strictly increasing index order (`delivered` doubles as the
+        // next index to commit). The channel holds twice the in-flight
+        // window — what the others finish while the caller runs a chunk
+        // of its own fits — so a spawned worker parks only when the sink
+        // is the bottleneck. The reorder buffer holds only *compact*
+        // results whose predecessors are still running (a slow experiment
+        // on a spawned worker is the skew it exists to absorb); raw data
+        // never crosses a channel and stays O(workers × batch) regardless.
         let mut delivered = 0u32;
-        if workers == 1 {
-            if let Some(sim_study) = &sim_study {
-                // A chunk completes in event-time order, not index order,
-                // so even the single-worker path reorders before the
-                // sink. `delivered` doubles as the next index to commit —
-                // commits are strictly in index order.
-                let next_claim = AtomicU32::new(0);
-                let mut reorder: Reorder<(AnalyzedExperiment, T)> = Reorder::new();
-                drive_chunked(
-                    sim_study,
-                    experiments,
-                    batch,
-                    &next_claim,
-                    &gauge,
-                    &stats,
-                    |k, data, ctx| {
-                        reorder.insert(k, finish(data, ctx));
-                        while let Some((analyzed, tapped)) = reorder.pop(delivered) {
-                            account(&mut summary, &analyzed);
-                            sink(analyzed, tapped);
-                            delivered += 1;
-                        }
-                        true
-                    },
-                );
-            } else {
-                for k in 0..experiments {
-                    let (analyzed, tapped) = one(k);
+        let next_claim = AtomicU32::new(0);
+        let mut reorder: Reorder<(AnalyzedExperiment, T)> = Reorder::new();
+        // `emit` returns `false` once nobody will commit the result
+        // (the caller unwound): stop claiming and bail out.
+        let work = |emit: &mut dyn FnMut(u32, (AnalyzedExperiment, T)) -> bool| match &sim_study {
+            Some(sim_study) => drive_chunked(
+                sim_study,
+                experiments,
+                batch,
+                &next_claim,
+                &gauge,
+                &stats,
+                |k, data, ctx| emit(k, finish(data, ctx)),
+            ),
+            None => loop {
+                // Relaxed suffices: the claim is the only shared
+                // state, and the hand-off orders the result.
+                let k = next_claim.fetch_add(1, Ordering::Relaxed);
+                if k >= experiments || !emit(k, one(k)) {
+                    return;
+                }
+            },
+        };
+        std::thread::scope(|scope| {
+            let (tx, rx) =
+                mpsc::sync_channel::<(u32, (AnalyzedExperiment, T))>(2 * workers * batch);
+            for _ in 1..workers {
+                let (tx, work) = (tx.clone(), &work);
+                scope.spawn(move || work(&mut |k, result| tx.send((k, result)).is_ok()));
+            }
+            // All senders are worker-owned; the final `recv` loop must
+            // observe disconnect once they finish or die.
+            drop(tx);
+            // Buffers one result, commits whatever became committable, and
+            // returns the next index to commit.
+            let mut commit = |k: u32, result: (AnalyzedExperiment, T)| {
+                reorder.insert(k, result);
+                while let Some((analyzed, tapped)) = reorder.pop(delivered) {
                     account(&mut summary, &analyzed);
                     sink(analyzed, tapped);
                     delivered += 1;
                 }
-            }
-        } else {
-            // Work-stealing claim: every worker loops on a shared atomic
-            // index counter — claiming chunks of `batch` experiments on
-            // the simulation backend, single experiments otherwise — so a
-            // heavy-tailed study keeps the whole pool busy. Compact
-            // results flow through one bounded channel (capacity =
-            // workers, real backpressure) tagged with their index; the
-            // coordinator commits them to the sink in strictly increasing
-            // index order via a reorder buffer. The buffer holds only
-            // *compact* results whose predecessors are still running — in
-            // the worst case (one experiment monopolizing a worker while
-            // the others finish everything else) that is the skew the
-            // stealing exists to absorb; raw data never crosses a channel
-            // and stays O(workers × batch) regardless.
-            let next_claim = AtomicU32::new(0);
-            std::thread::scope(|scope| {
-                let one = &one;
-                let finish = &finish;
-                let gauge = &gauge;
-                let stats = &stats;
-                let sim_study = sim_study.as_ref();
-                let next_claim = &next_claim;
-                let (tx, rx) = mpsc::sync_channel::<(u32, (AnalyzedExperiment, T))>(workers);
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    match sim_study {
-                        Some(sim_study) => {
-                            scope.spawn(move || {
-                                drive_chunked(
-                                    sim_study,
-                                    experiments,
-                                    batch,
-                                    next_claim,
-                                    gauge,
-                                    stats,
-                                    // A failed send means the coordinator
-                                    // is gone (sink or sibling panicked):
-                                    // stop claiming and bail out.
-                                    |k, data, ctx| tx.send((k, finish(data, ctx))).is_ok(),
-                                );
-                            });
-                        }
-                        None => {
-                            scope.spawn(move || loop {
-                                // Relaxed suffices: the claim is the only
-                                // shared state, and the channel send
-                                // orders the result.
-                                let k = next_claim.fetch_add(1, Ordering::Relaxed);
-                                if k >= experiments {
-                                    return;
-                                }
-                                let result = one(k);
-                                if tx.send((k, result)).is_err() {
-                                    return; // coordinator gone
-                                }
-                            });
-                        }
+                delivered
+            };
+            // Claims are `batch`-aligned, so `k / chunk` names the chunk
+            // the caller is driving. While the next index to commit is an
+            // unfinished experiment of that very chunk nothing in the
+            // channel can commit: leave it there, as back-pressure, rather
+            // than pile it into the reorder buffer.
+            let chunk = batch as u32;
+            work(&mut |k, result| {
+                let mut next = commit(k, result);
+                while next / chunk != k / chunk {
+                    match rx.try_recv() {
+                        Ok((k, result)) => next = commit(k, result),
+                        Err(_) => break,
                     }
                 }
-                // All senders are worker-owned; the coordinator's recv
-                // loop must observe disconnect once they finish or die.
-                drop(tx);
-                let mut reorder: Reorder<(AnalyzedExperiment, T)> = Reorder::new();
-                let mut next_commit = 0u32;
-                while delivered < experiments {
-                    match rx.recv() {
-                        Ok((k, result)) => {
-                            reorder.insert(k, result);
-                            while let Some((analyzed, tapped)) = reorder.pop(next_commit) {
-                                account(&mut summary, &analyzed);
-                                sink(analyzed, tapped);
-                                next_commit += 1;
-                                delivered += 1;
-                            }
-                        }
-                        // A worker died mid-experiment; stop and let the
-                        // scope propagate its panic.
-                        Err(mpsc::RecvError) => break,
-                    }
-                }
+                true
             });
-        }
+            // Every index is claimed; what is still missing is in flight
+            // on a spawned worker. The channel disconnects when the last
+            // of them finishes — or dies, and the scope propagates its
+            // panic.
+            while let Ok((k, result)) = rx.recv() {
+                commit(k, result);
+            }
+        });
         // After the scope: a worker panic has already propagated, so an
         // undelivered experiment here is a genuine pipeline bug.
         assert_eq!(delivered, experiments, "pipeline lost experiments");
         summary.peak_raw_retained = gauge.peak();
+        summary.peak_reorder_depth = reorder.peak;
         summary.actor_reuses = stats.actor_reuses.load(Ordering::Relaxed);
         summary.timeline_reuses = stats.timeline_reuses.load(Ordering::Relaxed);
         summary.events = stats.events.load(Ordering::Relaxed);

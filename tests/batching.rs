@@ -125,6 +125,57 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
     }
 }
 
+#[test]
+fn caller_runs_driver_is_byte_identical_at_ragged_shapes() {
+    // One driver serves every worker count: `workers − 1` spawned threads
+    // plus the calling thread. Pin the shapes where it could miscount —
+    // fewer experiments than workers (the pool clamps, spawned workers may
+    // claim nothing), a last chunk shorter than K, and an odd worker
+    // count — against the one-worker, K = 1 run of the same driver.
+    let (study, factory) = ring_campaign();
+    let cfg = SimHarnessConfig::three_hosts(0xCA11);
+    let run = |experiments: u32, workers: usize, k: usize| {
+        let mut cfg = cfg.clone();
+        cfg.batch = Some(k);
+        let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg);
+        run_collect(&pipeline, experiments, workers)
+    };
+    for experiments in [3u32, 13] {
+        let (reference, reference_summary) = run(experiments, 1, 1);
+        assert_eq!(reference.len(), experiments as usize);
+        assert_eq!(reference_summary.workers, 1);
+        for k in [1usize, 8] {
+            for workers in [1usize, 2, 3, 4] {
+                let (streamed, summary) = run(experiments, workers, k);
+                assert_eq!(
+                    streamed, reference,
+                    "experiments={experiments} K={k} workers={workers}: results diverged"
+                );
+                assert_eq!(summary.workers, workers.min(experiments as usize));
+                assert_eq!(summary.accepted, reference_summary.accepted);
+                assert_eq!(summary.injections, reference_summary.injections);
+                assert!(
+                    (1..=summary.workers * k).contains(&summary.peak_raw_retained),
+                    "experiments={experiments} K={k} workers={workers}: peak retention {}",
+                    summary.peak_raw_retained
+                );
+                // Every result passes through the reorder buffer; a lone
+                // worker only ever reorders within its own chunk.
+                let deepest = if workers == 1 {
+                    k
+                } else {
+                    experiments as usize
+                };
+                assert!(
+                    (1..=deepest).contains(&summary.peak_reorder_depth),
+                    "experiments={experiments} K={k} workers={workers}: reorder depth {}",
+                    summary.peak_reorder_depth
+                );
+            }
+        }
+    }
+}
+
 /// The cascading-failure study with a lossy link layered on top: the
 /// network fault plane (partition, heal, probabilistic link faults) plus
 /// the retry storm pushing heavy traffic through it. Every drop / dup /
