@@ -18,13 +18,37 @@
 //! definitely-true region. The check is deliberately conservative: an
 //! injection it cannot prove correct is treated as incorrect and the whole
 //! experiment is discarded (§2.5).
+//!
+//! # Cost
+//!
+//! With `always` faults (§3.5.5) an experiment carries hundreds of
+//! injections, so nothing that depends on the timeline alone is computed
+//! per injection. [`check_experiment`] keeps one index per call, local to
+//! it, each part built at its first query: a machine's state-setting
+//! records (`StateChange`, `Restart`) as a `(record_index, state)` list in
+//! record order — one pass over the events, at the machine's first
+//! own-state question — and a distinct atom's [`Truth`] — one pass over the
+//! intervals, at the atom's first use, then shared by every injection and
+//! by the missing-injection pass. After that an injection pays one binary
+//! search per atom of its expression: `partition_point` over its machine's
+//! records for an atom about itself, over the atom's disjoint spans
+//! ([`IntervalSet::contains_interval`], [`IntervalSet::overlaps`]) for an
+//! atom about another machine. With `E` events, `N` intervals, `M`
+//! injecting machines, `A` distinct atoms and `I` injections that is
+//! `O(M·E + A·N + I·log)` where per-injection recomputation was
+//! `O(I·(E + N))`. An experiment without injections builds nothing, and one
+//! whose injections only ask about other machines never reads the events.
+//! `tests/prop_checker.rs` holds the per-injection algorithm as the
+//! reference the indexed one is compared against.
 
-use crate::global::GlobalTimeline;
+use crate::global::{GlobalEvent, GlobalEventKind, GlobalTimeline};
 use crate::intervals::IntervalSet;
 use loki_core::fault::{CompiledExpr, Trigger};
 use loki_core::ids::{FaultId, SmId, StateId};
 use loki_core::study::Study;
 use loki_core::time::TimeBounds;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Truth regions of an expression: definite and possible interval sets.
 #[derive(Clone, Debug)]
@@ -57,34 +81,154 @@ fn atom_truth(gt: &GlobalTimeline, sm: SmId, state: StateId, window: (f64, f64))
     }
 }
 
-/// Computes the truth regions of a compiled fault expression.
-pub fn expr_truth(gt: &GlobalTimeline, expr: &CompiledExpr, window: (f64, f64)) -> Truth {
-    match expr {
-        CompiledExpr::Atom(sm, state) => atom_truth(gt, *sm, *state, window),
-        CompiledExpr::And(a, b) => {
-            let ta = expr_truth(gt, a, window);
-            let tb = expr_truth(gt, b, window);
-            Truth {
-                definite: ta.definite.intersect(&tb.definite),
-                possible: ta.possible.intersect(&tb.possible),
-            }
+/// What the check derives from one timeline alone, each part built on its
+/// first query (see the module's "Cost" section).
+struct TimelineIndex<'a> {
+    gt: &'a GlobalTimeline,
+    window: (f64, f64),
+    /// Per machine queried so far: its state-setting records as
+    /// `(record_index, state entered)`, ascending by record index.
+    own: BTreeMap<SmId, Vec<(usize, StateId)>>,
+    /// The truth regions of every atom queried so far.
+    atoms: BTreeMap<(SmId, StateId), Rc<Truth>>,
+}
+
+impl<'a> TimelineIndex<'a> {
+    fn new(gt: &'a GlobalTimeline, window: (f64, f64)) -> Self {
+        TimelineIndex {
+            gt,
+            window,
+            own: BTreeMap::new(),
+            atoms: BTreeMap::new(),
         }
-        CompiledExpr::Or(a, b) => {
-            let ta = expr_truth(gt, a, window);
-            let tb = expr_truth(gt, b, window);
-            Truth {
-                definite: ta.definite.union(&tb.definite),
-                possible: ta.possible.union(&tb.possible),
+    }
+
+    /// The truth regions of the atom `(sm:state)`, computed once.
+    fn atom(&mut self, sm: SmId, state: StateId) -> &Rc<Truth> {
+        let (gt, window) = (self.gt, self.window);
+        self.atoms
+            .entry((sm, state))
+            .or_insert_with(|| Rc::new(atom_truth(gt, sm, state, window)))
+    }
+
+    /// The truth regions of a compiled fault expression.
+    fn expr_truth(&mut self, expr: &CompiledExpr) -> Rc<Truth> {
+        let window = self.window;
+        match expr {
+            CompiledExpr::Atom(sm, state) => Rc::clone(self.atom(*sm, *state)),
+            CompiledExpr::And(a, b) => {
+                let ta = self.expr_truth(a);
+                let tb = self.expr_truth(b);
+                Rc::new(Truth {
+                    definite: ta.definite.intersect(&tb.definite),
+                    possible: ta.possible.intersect(&tb.possible),
+                })
             }
-        }
-        CompiledExpr::Not(a) => {
-            let ta = expr_truth(gt, a, window);
-            Truth {
-                definite: ta.possible.complement(window.0, window.1),
-                possible: ta.definite.complement(window.0, window.1),
+            CompiledExpr::Or(a, b) => {
+                let ta = self.expr_truth(a);
+                let tb = self.expr_truth(b);
+                Rc::new(Truth {
+                    definite: ta.definite.union(&tb.definite),
+                    possible: ta.possible.union(&tb.possible),
+                })
+            }
+            CompiledExpr::Not(a) => {
+                let ta = self.expr_truth(a);
+                Rc::new(Truth {
+                    definite: ta.possible.complement(window.0, window.1),
+                    possible: ta.definite.complement(window.0, window.1),
+                })
             }
         }
     }
+
+    /// The state machine `sm` occupied immediately before its record
+    /// `record_index`, from its own, totally-ordered timeline: the state
+    /// set by its last state-setting record below `record_index`, `BEGIN`
+    /// when there is none (so also for a machine the study does not
+    /// define). Record order decides, whatever order the machine's events
+    /// have on the global timeline.
+    fn own_state_at_record(&mut self, study: &Study, sm: SmId, record_index: usize) -> StateId {
+        let gt = self.gt;
+        let records = self.own.entry(sm).or_insert_with(|| {
+            let mut records: Vec<(usize, StateId)> = gt
+                .events
+                .iter()
+                .filter(|e| e.sm == sm)
+                .filter_map(|e| match e.kind {
+                    GlobalEventKind::StateChange { new_state, .. } => {
+                        Some((e.record_index, new_state))
+                    }
+                    GlobalEventKind::Restart { .. } => Some((e.record_index, study.reserved.begin)),
+                    _ => None,
+                })
+                .collect();
+            // The merge in `make_global` keeps a machine's events in record
+            // order; only its sort fallback (a clock stepping backwards) or
+            // a hand-built timeline needs the sort.
+            if !records.is_sorted_by_key(|&(r, _)| r) {
+                records.sort_by_key(|&(r, _)| r);
+            }
+            records
+        });
+        let before = records.partition_point(|&(r, _)| r < record_index);
+        records[..before]
+            .last()
+            .map_or(study.reserved.begin, |&(_, state)| state)
+    }
+
+    /// Whether `expr` provably held at the instant of `injection`.
+    ///
+    /// Atoms about the *injecting machine itself* are decided exactly from
+    /// record order: the machine's own timeline orders its state changes
+    /// and its injections on one clock, so "was I in state S when I
+    /// injected?" has a definite answer regardless of clock-bound widths.
+    /// Atoms about *other* machines fall back to the interval comparison of
+    /// §2.5: definitely true iff the injection's whole bound interval lies
+    /// within `[state-entry upper bound, state-exit lower bound]`,
+    /// definitely false iff it misses every possible occupancy interval,
+    /// unknown otherwise — and unknown is conservatively not-correct.
+    fn holds_at(&mut self, study: &Study, injection: &GlobalEvent, expr: &CompiledExpr) -> Tri {
+        match expr {
+            CompiledExpr::Atom(sm, state) => {
+                if *sm == injection.sm {
+                    // Same process: decide by record order on one clock.
+                    let current = self.own_state_at_record(study, *sm, injection.record_index);
+                    if current == *state {
+                        Tri::True
+                    } else {
+                        Tri::False
+                    }
+                } else {
+                    let truth = self.atom(*sm, *state);
+                    let (lo, hi) = (injection.bounds.lo.as_f64(), injection.bounds.hi.as_f64());
+                    if truth.definite.contains_interval(lo, hi) {
+                        Tri::True
+                    } else if !truth.possible.overlaps(lo, hi) {
+                        Tri::False
+                    } else {
+                        Tri::Unknown
+                    }
+                }
+            }
+            CompiledExpr::And(a, b) => self
+                .holds_at(study, injection, a)
+                .and(self.holds_at(study, injection, b)),
+            CompiledExpr::Or(a, b) => self
+                .holds_at(study, injection, a)
+                .or(self.holds_at(study, injection, b)),
+            CompiledExpr::Not(a) => self.holds_at(study, injection, a).not(),
+        }
+    }
+}
+
+/// Computes the truth regions of a compiled fault expression.
+pub fn expr_truth(gt: &GlobalTimeline, expr: &CompiledExpr, window: (f64, f64)) -> Truth {
+    let mut index = TimelineIndex::new(gt, window);
+    let truth = index.expr_truth(expr);
+    // A bare atom is still shared with the memo; let go of it first.
+    drop(index);
+    Rc::unwrap_or_clone(truth)
 }
 
 /// The verdict for one recorded injection.
@@ -149,7 +293,9 @@ impl ExperimentVerdict {
 ///
 /// The experiment is accepted iff **all** recorded injections are provably
 /// correct and (under [`MissingPolicy::Fail`]) no injection provably went
-/// missing.
+/// missing. An injection of a fault the study does not define cannot be
+/// proven correct either: it is reported as [`Verdict::Incorrect`] and the
+/// experiment is not accepted.
 pub fn check_experiment(
     study: &Study,
     gt: &GlobalTimeline,
@@ -158,24 +304,37 @@ pub fn check_experiment(
     // Pad the window so complements extend beyond the last event: a state
     // held at the end remains definitely-true at the final instants.
     let window = (gt.start.as_f64() - 1.0, gt.end.as_f64() + 1.0);
+    let mut index = TimelineIndex::new(gt, window);
 
     let mut checks = Vec::new();
+    // Indexed by `FaultId`, like `study.faults`.
     let mut injected_counts: Vec<u32> = vec![0; study.faults.len()];
     for (event, fault_id) in gt.injections() {
-        injected_counts[fault_id.index()] += 1;
-        let fault = &study.faults[fault_id.index()];
-        let correct =
-            injection_definitely_correct(study, gt, event, &fault.expr, window) == Tri::True;
-        let verdict = if correct {
-            Verdict::Correct
-        } else {
-            Verdict::Incorrect {
-                reason: format!(
-                    "injection bounds {} not provably within a true region of `{}`",
-                    event.bounds,
-                    study.fault_names.name(fault_id)
-                ),
+        let known = study
+            .faults
+            .get(fault_id.index())
+            .zip(injected_counts.get_mut(fault_id.index()));
+        let verdict = match known {
+            Some((fault, injected)) => {
+                *injected += 1;
+                if index.holds_at(study, event, &fault.expr) == Tri::True {
+                    Verdict::Correct
+                } else {
+                    Verdict::Incorrect {
+                        reason: format!(
+                            "injection bounds {} not provably within a true region of `{}`",
+                            event.bounds, fault.name
+                        ),
+                    }
+                }
             }
+            None => Verdict::Incorrect {
+                reason: format!(
+                    "injection bounds {} carry fault #{}, which the study does not define",
+                    event.bounds,
+                    fault_id.raw()
+                ),
+            },
         };
         checks.push(InjectionCheck {
             fault: fault_id,
@@ -190,8 +349,8 @@ pub fn check_experiment(
     // provable false→true edge the runtime should have acted on.
     let mut missing = Vec::new();
     if policy == MissingPolicy::Fail {
-        for fault in &study.faults {
-            let truth = expr_truth(gt, &fault.expr, window);
+        for (fault, &injected) in study.faults.iter().zip(&injected_counts) {
+            let truth = index.expr_truth(&fault.expr);
             let definitely_false = truth.possible.complement(window.0, window.1);
             // A false→true edge provably occurred before a definite-true
             // span iff the expression was provably false at some point
@@ -209,7 +368,7 @@ pub fn check_experiment(
                 Trigger::Once => provable_edges.min(1),
                 Trigger::Always => provable_edges,
             };
-            if (injected_counts[fault.id.index()] as usize) < expected {
+            if (injected as usize) < expected {
                 missing.push(fault.id);
             }
         }
@@ -255,83 +414,6 @@ impl Tri {
     }
 }
 
-/// Whether the expression provably held at the instant of `injection`.
-///
-/// Atoms about the *injecting machine itself* are decided exactly from
-/// record order: the machine's own timeline orders its state changes and
-/// its injections on one clock, so "was I in state S when I injected?" has
-/// a definite answer regardless of clock-bound widths. Atoms about *other*
-/// machines fall back to the interval comparison of §2.5: definitely true
-/// iff the injection's whole bound interval lies within
-/// `[state-entry upper bound, state-exit lower bound]`, definitely false
-/// iff it misses every possible occupancy interval, unknown otherwise —
-/// and unknown is conservatively not-correct.
-fn injection_definitely_correct(
-    study: &Study,
-    gt: &GlobalTimeline,
-    injection: &crate::global::GlobalEvent,
-    expr: &CompiledExpr,
-    window: (f64, f64),
-) -> Tri {
-    match expr {
-        CompiledExpr::Atom(sm, state) => {
-            if *sm == injection.sm {
-                // Same process: decide by record order on one clock.
-                let current = own_state_at_record(study, gt, injection.sm, injection.record_index);
-                if current == *state {
-                    Tri::True
-                } else {
-                    Tri::False
-                }
-            } else {
-                let truth = atom_truth(gt, *sm, *state, window);
-                let (lo, hi) = (injection.bounds.lo.as_f64(), injection.bounds.hi.as_f64());
-                if truth.definite.contains_interval(lo, hi) {
-                    Tri::True
-                } else if !truth.possible.overlaps(lo, hi) {
-                    Tri::False
-                } else {
-                    Tri::Unknown
-                }
-            }
-        }
-        CompiledExpr::And(a, b) => injection_definitely_correct(study, gt, injection, a, window)
-            .and(injection_definitely_correct(
-                study, gt, injection, b, window,
-            )),
-        CompiledExpr::Or(a, b) => injection_definitely_correct(study, gt, injection, a, window).or(
-            injection_definitely_correct(study, gt, injection, b, window),
-        ),
-        CompiledExpr::Not(a) => injection_definitely_correct(study, gt, injection, a, window).not(),
-    }
-}
-
-/// The state machine `sm` occupied immediately before its record
-/// `record_index` (from its own, totally-ordered timeline).
-fn own_state_at_record(
-    study: &Study,
-    gt: &GlobalTimeline,
-    sm: SmId,
-    record_index: usize,
-) -> StateId {
-    let mut current = study.reserved.begin;
-    for e in &gt.events {
-        if e.sm != sm || e.record_index >= record_index {
-            continue;
-        }
-        match &e.kind {
-            crate::global::GlobalEventKind::StateChange { new_state, .. } => {
-                current = *new_state;
-            }
-            crate::global::GlobalEventKind::Restart { .. } => {
-                current = study.reserved.begin;
-            }
-            _ => {}
-        }
-    }
-    current
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,7 +423,7 @@ mod tests {
     use loki_core::ids::{HostId, SymbolTable};
     use loki_core::recorder::Recorder;
     use loki_core::spec::{StateMachineSpec, StudyDef};
-    use loki_core::time::LocalNanos;
+    use loki_core::time::{GlobalNanos, LocalNanos};
     use std::sync::Arc;
 
     /// The non-reference host every test machine runs on (`h1`, id 0, is
@@ -726,5 +808,118 @@ mod tests {
         let data = make(5); // in INIT: ~(a:WORK) definitely true
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         assert!(check_experiment(&study, &gt, MissingPolicy::Ignore).accepted);
+    }
+
+    /// `GlobalTimeline`'s fields are public, so a timeline can name a fault
+    /// the study never defined. That injection cannot be proven correct:
+    /// it is reported, by raw id, and the experiment is rejected.
+    #[test]
+    fn injection_of_an_undefined_fault_is_incorrect() {
+        let study = study(Trigger::Once);
+        let data = experiment(&study, 10, 20, 30);
+        let mut gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
+        assert!(check_experiment(&study, &gt, MissingPolicy::Ignore).accepted);
+        for e in &mut gt.events {
+            if let GlobalEventKind::Injection { fault } = &mut e.kind {
+                *fault = FaultId::from_raw(7);
+            }
+        }
+        let verdict = check_experiment(&study, &gt, MissingPolicy::Ignore);
+        assert_eq!(verdict.checks.len(), 1);
+        assert_eq!(verdict.checks[0].fault, FaultId::from_raw(7));
+        match &verdict.checks[0].verdict {
+            Verdict::Incorrect { reason } => assert!(reason.contains("#7"), "{reason}"),
+            Verdict::Correct => panic!("an undefined fault was accepted"),
+        }
+        assert!(!verdict.accepted);
+        // The defined fault lost its only injection, so it is missing too.
+        let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
+        assert_eq!(
+            verdict.missing,
+            vec![study.fault_names.lookup("f").unwrap()]
+        );
+    }
+
+    /// A machine id beyond `study.sms` has no records of its own: asked
+    /// about itself it is in `BEGIN`, asked about others it is checked by
+    /// its bounds like anyone else.
+    #[test]
+    fn injection_by_an_undefined_machine_is_checked_not_a_panic() {
+        let mut study = study(Trigger::Once);
+        let stranger = SmId::from_raw(9);
+        let data = experiment(&study, 10, 20, 30);
+        let mut gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
+        for e in &mut gt.events {
+            if matches!(e.kind, GlobalEventKind::Injection { .. }) {
+                e.sm = stranger;
+            }
+        }
+        let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
+        assert_eq!(verdict.checks[0].sm, stranger);
+        assert!(verdict.accepted, "{:?}", verdict.checks);
+
+        let work = study.states.lookup("WORK").unwrap();
+        study.faults[0].expr = CompiledExpr::Atom(stranger, study.reserved.begin);
+        assert!(check_experiment(&study, &gt, MissingPolicy::Ignore).accepted);
+        study.faults[0].expr = CompiledExpr::Atom(stranger, work);
+        assert!(!check_experiment(&study, &gt, MissingPolicy::Ignore).accepted);
+    }
+
+    /// A machine's own state is read off its record order even when its
+    /// events sit out of that order on the global timeline (a clock that
+    /// stepped backwards sends `make_global` down its sort fallback).
+    #[test]
+    fn own_state_follows_record_order_not_global_order() {
+        let def = StudyDef::new("s")
+            .machine(
+                StateMachineSpec::builder("a")
+                    .states(&["INIT", "WORK"])
+                    .events(&["GO"])
+                    .state("INIT", &[], &[("GO", "WORK")])
+                    .state("WORK", &[], &[("GO", "INIT")])
+                    .build(),
+            )
+            .fault("a", "own", FaultExpr::atom("a", "INIT"), Trigger::Always);
+        let study = Study::compile(&def).unwrap();
+        let a = study.sm_id("a").unwrap();
+        let go = study.events.lookup("GO").unwrap();
+        let init = study.states.lookup("INIT").unwrap();
+        let work = study.states.lookup("WORK").unwrap();
+        let own = study.fault_names.lookup("own").unwrap();
+        let at = |t: f64| TimeBounds::point(GlobalNanos(t));
+        let change = |record_index: usize, t: f64, from_state, new_state| GlobalEvent {
+            sm: a,
+            kind: GlobalEventKind::StateChange {
+                event: go,
+                from_state,
+                new_state,
+            },
+            bounds: at(t),
+            record_index,
+        };
+        // Records 0..=3 in order: →INIT, →WORK, →INIT (stamped *before*
+        // record 1), injection. By midpoint record 2 sorts ahead of record 1.
+        let gt = GlobalTimeline {
+            events: vec![
+                change(0, 1.0, study.reserved.begin, init),
+                change(2, 10.0, work, init),
+                change(1, 20.0, init, work),
+                GlobalEvent {
+                    sm: a,
+                    kind: GlobalEventKind::Injection { fault: own },
+                    bounds: at(30.0),
+                    record_index: 3,
+                },
+            ],
+            intervals: Vec::new(),
+            start: GlobalNanos(1.0),
+            end: GlobalNanos(30.0),
+            alpha_beta: Vec::new(),
+            reference_host: HostId::from_raw(0),
+            symbols: Arc::new(SymbolTable::for_hosts(["h1"])),
+            recycle: None,
+        };
+        let verdict = check_experiment(&study, &gt, MissingPolicy::Ignore);
+        assert!(verdict.accepted, "{:?}", verdict.checks);
     }
 }

@@ -63,14 +63,24 @@ impl IntervalSet {
         self.spans.len()
     }
 
+    /// The first span ending at or after `t`, the only one that can hold
+    /// `t` or anything right of it: spans are disjoint and sorted, so both
+    /// their starts and their ends ascend and a binary search on the ends
+    /// finds it.
+    fn first_ending_at_or_after(&self, t: f64) -> Option<(f64, f64)> {
+        let idx = self.spans.partition_point(|&(_, hi)| hi < t);
+        self.spans.get(idx).copied()
+    }
+
     /// Whether `t` lies in the set.
     pub fn contains(&self, t: f64) -> bool {
-        self.spans.iter().any(|&(lo, hi)| lo <= t && t <= hi)
+        self.contains_interval(t, t)
     }
 
     /// Whether the whole interval `[lo, hi]` lies within a single span.
     pub fn contains_interval(&self, lo: f64, hi: f64) -> bool {
-        self.spans.iter().any(|&(a, b)| a <= lo && hi <= b)
+        self.first_ending_at_or_after(hi)
+            .is_some_and(|(a, _)| a <= lo)
     }
 
     /// Whether the closed interval `[lo, hi]` meets the set anywhere.
@@ -80,7 +90,10 @@ impl IntervalSet {
     /// hi`) is the empty interval and never overlaps, matching
     /// [`IntervalSet::from_spans`]'s treatment of inverted inputs.
     pub fn overlaps(&self, lo: f64, hi: f64) -> bool {
-        lo <= hi && self.spans.iter().any(|&(a, b)| a <= hi && lo <= b)
+        lo <= hi
+            && self
+                .first_ending_at_or_after(lo)
+                .is_some_and(|(a, _)| a <= hi)
     }
 
     /// Set union.
@@ -179,6 +192,31 @@ mod tests {
         assert!(a.overlaps(8.0, 8.0)); // degenerate point on a boundary
         assert!(!a.overlaps(9.0, 7.0)); // inverted probe is empty
         assert!(!IntervalSet::empty().overlaps(0.0, 100.0));
+    }
+
+    #[test]
+    fn queries_at_the_edges() {
+        // A point span's complement leaves two spans touching at the point.
+        let touching = set(&[(3.0, 3.0)]).complement(0.0, 6.0);
+        assert_eq!(touching.spans(), &[(0.0, 3.0), (3.0, 6.0)]);
+        assert!(touching.contains(3.0));
+        assert!(touching.contains_interval(3.0, 6.0));
+        assert!(!touching.contains_interval(2.0, 4.0)); // no single span holds it
+        assert!(touching.overlaps(6.0, 9.0));
+        assert!(!touching.overlaps(6.5, 9.0));
+
+        let a = set(&[(f64::NEG_INFINITY, 1.0), (5.0, 8.0), (10.0, f64::INFINITY)]);
+        assert!(a.contains(f64::NEG_INFINITY) && a.contains(f64::INFINITY));
+        assert!(a.contains(5.0) && a.contains(8.0) && !a.contains(9.0));
+        assert!(a.contains_interval(5.0, 8.0)); // both endpoints exactly
+        assert!(!a.contains_interval(8.0, 10.0)); // endpoints in, gap between
+        assert!(a.contains_interval(11.0, f64::INFINITY));
+        assert!(a.overlaps(1.0, 5.0) && !a.overlaps(2.0, 4.0));
+        assert!(!a.overlaps(f64::INFINITY, f64::NEG_INFINITY)); // inverted
+
+        let none = IntervalSet::empty();
+        assert!(!none.contains_interval(0.0, 0.0));
+        assert!(!none.overlaps(f64::NEG_INFINITY, f64::INFINITY));
     }
 
     #[test]

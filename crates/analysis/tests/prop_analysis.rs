@@ -2,6 +2,7 @@
 
 use loki_analysis::checker::expr_truth;
 use loki_analysis::global::{GlobalTimeline, StateInterval};
+use loki_analysis::intervals::IntervalSet;
 use loki_core::fault::CompiledExpr;
 use loki_core::ids::{Id, SymbolTable};
 use loki_core::time::{GlobalNanos, TimeBounds};
@@ -153,6 +154,76 @@ proptest! {
                 truth.possible.contains(t),
                 "gap at {} with exact bounds",
                 t
+            );
+        }
+    }
+}
+
+/// Span sets built every way the checker builds them — merged raw spans
+/// (inverted ones dropped, so the empty set comes up), unions,
+/// intersections, and complements, which leave spans touching end to end
+/// around a point span. Endpoints are whole numbers or ±∞, so that probes
+/// land on them exactly.
+fn span_set_strategy() -> impl Strategy<Value = IntervalSet> {
+    let raw = || {
+        let span = (-5i32..40, -2i32..10, 0u32..24).prop_map(|(lo, len, edge)| {
+            let (lo, hi) = (f64::from(lo), f64::from(lo + len));
+            match edge {
+                0 => (f64::NEG_INFINITY, hi),
+                1 => (lo, f64::INFINITY),
+                _ => (lo, hi),
+            }
+        });
+        prop::collection::vec(span, 0..8).prop_map(IntervalSet::from_spans)
+    };
+    (raw(), raw(), 0u32..5).prop_map(|(a, b, op)| match op {
+        0 => a,
+        1 => a.union(&b),
+        2 => a.intersect(&b),
+        3 => a.complement(0.0, 30.0),
+        _ => a.complement(f64::NEG_INFINITY, f64::INFINITY),
+    })
+}
+
+/// Probe coordinates: on the whole numbers the endpoints use, between
+/// them, and at ±∞.
+fn coordinate_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-7i32..50).prop_map(f64::from),
+        (-7i32..50).prop_map(f64::from),
+        (-7i32..50).prop_map(|n| f64::from(n) + 0.5),
+        Just(f64::NEG_INFINITY),
+        Just(f64::INFINITY),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The binary-search queries answer exactly what the linear scans they
+    /// replaced answered — for probes on an endpoint, across a gap, inverted
+    /// (`lo > hi`), infinite, and against the empty set alike.
+    #[test]
+    fn interval_queries_match_their_linear_definitions(
+        set in span_set_strategy(),
+        probes in prop::collection::vec((coordinate_strategy(), coordinate_strategy()), 1..40),
+    ) {
+        let spans = set.spans();
+        for (lo, hi) in probes {
+            prop_assert_eq!(
+                set.contains(lo),
+                spans.iter().any(|&(a, b)| a <= lo && lo <= b),
+                "contains({}) on {:?}", lo, spans
+            );
+            prop_assert_eq!(
+                set.contains_interval(lo, hi),
+                spans.iter().any(|&(a, b)| a <= lo && hi <= b),
+                "contains_interval({}, {}) on {:?}", lo, hi, spans
+            );
+            prop_assert_eq!(
+                set.overlaps(lo, hi),
+                lo <= hi && spans.iter().any(|&(a, b)| a <= hi && lo <= b),
+                "overlaps({}, {}) on {:?}", lo, hi, spans
             );
         }
     }
