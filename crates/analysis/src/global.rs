@@ -322,14 +322,14 @@ fn fill_shell(
         .alpha_beta
         .resize(num_hosts, AlphaBetaBounds::identity());
     let alpha_beta = &mut shell.alpha_beta;
-    let mut samples = Vec::new();
+    let samples = &mut scratch.samples;
     for &host in &data.hosts {
         if host == data.reference_host {
             continue;
         }
-        data.sync_samples_into(host, &mut samples);
+        data.sync_samples_into(host, samples);
         let bounds =
-            estimate_alpha_beta(&samples, &opts.sync).map_err(|source| AnalysisError::Sync {
+            estimate_alpha_beta(samples, &opts.sync).map_err(|source| AnalysisError::Sync {
                 host: host_label(host),
                 source,
             })?;

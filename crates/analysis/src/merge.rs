@@ -22,6 +22,7 @@
 //! and falling back to the stable sort, which
 //! [`make_global`](crate::global::make_global) does.
 
+use loki_core::campaign::SyncSample;
 use std::cmp::Ordering;
 
 /// The current head of one run inside the merge heap.
@@ -51,10 +52,15 @@ fn head_lt(a: &Head, b: &Head) -> bool {
 
 /// Reusable scratch for [`merge_sorted_runs`]: the run table filled by the
 /// caller, plus the permutation and heap buffers the merge works in. All
-/// three retain capacity across uses, so a recycled `MergeScratch` makes
-/// the merge allocation-free in steady state.
+/// retain capacity across uses, so a recycled `MergeScratch` makes the
+/// merge allocation-free in steady state. `make_global` keeps its one
+/// other per-experiment buffer here too, so a single pooled object covers
+/// the whole construction.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
+    /// One host's sync samples (pre- then post-phase), gathered for clock
+    /// calibration before the merge; not touched by [`merge_sorted_runs`].
+    pub samples: Vec<SyncSample>,
     /// Half-open `[start, end)` index ranges of the sorted runs, in input
     /// order. Filled by the caller before [`merge_sorted_runs`]; ranges
     /// must be non-empty, non-overlapping, and cover the slice exactly.
@@ -69,6 +75,7 @@ pub struct MergeScratch {
 impl MergeScratch {
     /// Drops buffer contents but keeps capacity (for pooled reuse).
     pub fn clear(&mut self) {
+        self.samples.clear();
         self.runs.clear();
         self.perm.clear();
         self.heap.clear();
@@ -126,7 +133,9 @@ fn sift_down(heap: &mut [Head], mut pos: usize) {
 /// Debug builds assert the run table is well-formed (non-empty ranges
 /// covering `items`); release builds trust the caller.
 pub fn merge_sorted_runs<T, F: Fn(&T) -> f64>(items: &mut [T], scratch: &mut MergeScratch, key: F) {
-    let MergeScratch { runs, perm, heap } = scratch;
+    let MergeScratch {
+        runs, perm, heap, ..
+    } = scratch;
     if runs.len() <= 1 {
         return;
     }

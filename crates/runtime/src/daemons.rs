@@ -26,7 +26,6 @@
 use crate::messages::{NotifyRouting, RtMsg, SmTargets};
 use crate::node::NodeActor;
 use crate::store::{ExperimentControl, NodeDirectory, SyncCollector, TimelineStore, WarningSink};
-use crate::syncer::Syncer;
 use crate::wiring::Wiring;
 use loki_core::ids::{SmId, SymbolTable};
 use loki_core::recorder::{RecordKind, TimelineRecord};
@@ -44,8 +43,8 @@ pub use crate::app::AppFactory;
 const NO_HOST: u32 = u32::MAX;
 
 /// The single shared per-experiment context (§3.5's shared runtime
-/// configuration and storage, fused): every daemon, node, and syncer of
-/// one experiment holds one `Rc<ExpCtx>`, so cloning the context into a
+/// configuration and storage, fused): every daemon and node of one
+/// experiment holds one `Rc<ExpCtx>`, so cloning the context into a
 /// spawned actor is a single refcount bump and every store access is one
 /// pointer chase.
 pub(crate) struct ExpCtx {
@@ -121,7 +120,6 @@ pub(crate) type ActorHull = Box<dyn Actor<RtMsg>>;
 pub(crate) struct ActorPool {
     nodes: RefCell<Vec<ActorHull>>,
     daemons: RefCell<Vec<ActorHull>>,
-    syncers: RefCell<Vec<ActorHull>>,
     centrals: RefCell<Vec<ActorHull>>,
     supervisors: RefCell<Vec<ActorHull>>,
     reuses: Cell<u64>,
@@ -129,13 +127,12 @@ pub(crate) struct ActorPool {
 
 impl ActorPool {
     /// Files a corpse into the free-list of its concrete type. Types
-    /// without a downcast hook (zero-sized `SyncEcho`, one-shot
-    /// `Saboteur`) are dropped — their boxes are not worth pooling.
+    /// without a downcast hook (the one-shot `Saboteur`) are dropped —
+    /// their boxes are not worth pooling.
     pub fn recycle(&self, mut corpse: ActorHull) {
         let list = match corpse.as_any_mut() {
             Some(any) if any.is::<NodeActor>() => &self.nodes,
             Some(any) if any.is::<LocalDaemon>() => &self.daemons,
-            Some(any) if any.is::<Syncer>() => &self.syncers,
             Some(any) if any.is::<CentralDaemon>() => &self.centrals,
             Some(any) if any.is::<Supervisor>() => &self.supervisors,
             _ => return,
@@ -176,11 +173,6 @@ impl ActorPool {
         self.take(&self.daemons)
     }
 
-    /// A recycled [`Syncer`] hull, if one is pooled.
-    pub fn take_syncer(&self) -> Option<ActorHull> {
-        self.take(&self.syncers)
-    }
-
     /// A recycled [`CentralDaemon`] hull, if one is pooled.
     pub fn take_central(&self) -> Option<ActorHull> {
         self.take(&self.centrals)
@@ -203,7 +195,6 @@ impl ActorPool {
     pub fn clear(&self) {
         self.nodes.borrow_mut().clear();
         self.daemons.borrow_mut().clear();
-        self.syncers.borrow_mut().clear();
         self.centrals.borrow_mut().clear();
         self.supervisors.borrow_mut().clear();
     }
@@ -891,27 +882,4 @@ impl Actor<RtMsg> for Saboteur {
         ctx.kill(self.victim, DownReason::Crash);
         ctx.exit_self();
     }
-}
-
-/// A minimal context for unit tests elsewhere in the crate (the syncer
-/// tests drive sync actors without a real study run).
-#[cfg(test)]
-pub(crate) fn test_ctx(host_names: &[&str]) -> Rc<ExpCtx> {
-    use loki_core::spec::{StateMachineSpec, StudyDef};
-    let def = StudyDef::new("test-ctx").machine(
-        StateMachineSpec::builder("a")
-            .states(&["INIT"])
-            .events(&["GO"])
-            .state("INIT", &[], &[("GO", "INIT")])
-            .build(),
-    );
-    let study = Study::compile_arc(&def).expect("test study compiles");
-    let symbols = Arc::new(SymbolTable::for_hosts(host_names.iter().copied()));
-    let factory: AppFactory = Arc::new(|_, _| unreachable!("test ctx spawns no apps"));
-    Rc::new(ExpCtx::new(
-        study,
-        symbols,
-        factory,
-        NotifyRouting::default(),
-    ))
 }

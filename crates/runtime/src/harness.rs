@@ -27,7 +27,6 @@ use crate::daemons::{
 };
 use crate::messages::{NotifyRouting, RtMsg};
 use crate::store::WarningSink;
-use crate::syncer::{SyncEcho, Syncer};
 use crate::thread_backend::{run_thread_experiment_with, ThreadHarnessConfig};
 use loki_analysis::{analyze_one_pooled, AnalysisOptions, AnalyzedExperiment, ShellPool};
 use loki_clock::params::fastest_reference;
@@ -358,18 +357,18 @@ fn run_sim_experiment(
 
 /// One study compiled for the simulation backend: the shared immutable
 /// [`WorldConfig`] (`Arc`-shared by every world of the study, across
-/// workers) plus everything needed to script an experiment through its
-/// three phases on any world.
+/// workers) plus everything needed to script an experiment on any world.
 ///
-/// The experiment itself is a small state machine ([`ExpScript`]): *begin*
-/// resets a world to the experiment's seed and spawns the pre-sync actors;
-/// each time the world's event queue drains, [`SimStudy::on_drained`]
-/// advances the phase — spawning the runtime daemons/nodes, then the
-/// post-sync actors, then assembling the [`ExperimentData`]. Driving the
-/// machine via one `sim.run()` per phase (the [`SimStudy::run_one`]
-/// baseline) or via interleaved [`WorldSet::step_earliest`] calls (the
-/// batched pipeline) produces byte-identical results: a world only reaches
-/// `on_drained` when it has no events left, and worlds never interact.
+/// An experiment has one *driven* phase: [`SimStudy::begin_with`] resets a
+/// world to the experiment's seed, plays the pre-sync mini-phase in closed
+/// form ([`Simulation::run_exchanges`]) and spawns the runtime daemons and
+/// nodes; once the world's event queue has drained,
+/// [`SimStudy::on_drained`] plays the post-sync mini-phase and assembles
+/// the [`ExperimentData`]. Driving the world via `sim.run()` (the
+/// [`SimStudy::run_one`] baseline) or via interleaved
+/// [`WorldSet::step_earliest`] calls (the batched pipeline) produces
+/// byte-identical results: a world only reaches `on_drained` when it has
+/// no events left, and worlds never interact.
 struct SimStudy<'a> {
     study: &'a Arc<Study>,
     factory: &'a AppFactory,
@@ -377,18 +376,14 @@ struct SimStudy<'a> {
     symbols: &'a Arc<SymbolTable>,
     world: Arc<WorldConfig>,
     ref_idx: usize,
+    /// The calibrated hosts — every host but the reference — in
+    /// configuration order: the initiators of both sync mini-phases.
+    initiators: Vec<SimHostId>,
 }
 
-/// Where an in-flight experiment is in its pre-sync → runtime → post-sync
-/// progression.
-enum ExpPhase {
-    PreSync,
-    Runtime,
-    PostSync,
-}
-
-/// The per-experiment state riding alongside a world: phase progress plus
-/// the single shared [`ExpCtx`] the runtime actors write into.
+/// The per-experiment state riding alongside a world: the pre-sync
+/// samples, held until assembly, plus the single shared [`ExpCtx`] the
+/// runtime actors write into.
 ///
 /// Every store drains (in deterministic order) into [`ExperimentData`] at
 /// assembly, so a script's context is empty again when its experiment
@@ -399,7 +394,6 @@ enum ExpPhase {
 /// unobservable in results.
 struct ExpScript {
     experiment: u32,
-    phase: ExpPhase,
     pre_sync: Vec<HostSync>,
     ctx: Rc<ExpCtx>,
 }
@@ -442,6 +436,10 @@ impl<'a> SimStudy<'a> {
             .iter()
             .position(|h| h.name == reference)
             .expect("reference host exists");
+        let initiators = (0..cfg.hosts.len())
+            .filter(|&idx| idx != ref_idx)
+            .map(|idx| SimHostId(idx as u32))
+            .collect();
         Ok(SimStudy {
             study,
             factory,
@@ -449,20 +447,19 @@ impl<'a> SimStudy<'a> {
             symbols,
             world: Arc::new(world),
             ref_idx,
+            initiators,
         })
     }
 
-    /// Rewinds `sim` to experiment `experiment`'s seed and spawns the
-    /// pre-sync actors. The caller drives the world until it drains, then
+    /// Rewinds `sim` to experiment `experiment`'s seed, plays the pre-sync
+    /// mini-phase and — unless that already tripped a budget — spawns the
+    /// runtime phase. The caller drives the world until it drains, then
     /// calls [`SimStudy::on_drained`].
-    fn begin(&self, sim: &mut Simulation<RtMsg>, experiment: u32) -> ExpScript {
-        self.begin_with(sim, experiment, None)
-    }
-
-    /// [`SimStudy::begin`], recycling a finished experiment's script when
-    /// one is available: the context's `Rc` block, store capacities, and
-    /// pooled actor hulls survive, the *contents* are reset (an aborted
-    /// experiment can leave directory entries and control flags behind).
+    ///
+    /// Recycles a finished experiment's script when one is available: the
+    /// context's `Rc` block, store capacities, and pooled actor hulls
+    /// survive, the *contents* are reset (an aborted experiment can leave
+    /// directory entries and control flags behind).
     fn begin_with(
         &self,
         sim: &mut Simulation<RtMsg>,
@@ -476,16 +473,11 @@ impl<'a> SimStudy<'a> {
         sim.set_budget(self.cfg.max_virtual_time, self.cfg.max_events);
         sim.disable_trace();
         // Park killed actors' boxes for hull recycling instead of
-        // dropping them (drained into the pool at every phase boundary).
+        // dropping them (drained into the pool when the world drains).
         sim.set_reclaim_dead(true);
-        // Sync phases run on an otherwise idle system (§2.5: messages are
-        // exchanged before and after the experiment), so endpoints are
-        // dispatched without scheduling delay.
-        sim.set_sched_enabled(false);
-        let script = match recycled {
+        let mut script = match recycled {
             Some(mut script) => {
                 script.experiment = experiment;
-                script.phase = ExpPhase::PreSync;
                 script.ctx.control.reset();
                 script.ctx.directory.clear();
                 script.ctx.wiring.reset();
@@ -493,7 +485,6 @@ impl<'a> SimStudy<'a> {
             }
             None => ExpScript {
                 experiment,
-                phase: ExpPhase::PreSync,
                 pre_sync: Vec::new(),
                 ctx: Rc::new(ExpCtx::new(
                     self.study.clone(),
@@ -503,109 +494,84 @@ impl<'a> SimStudy<'a> {
                 )),
             },
         };
-        self.spawn_sync_actors(sim, &script.ctx);
+        self.sync_phase(sim, &script.ctx);
+        script.pre_sync = script.ctx.collector.drain();
+        if sim.budget_exceeded().is_none() {
+            self.spawn_runtime(sim, &script);
+        }
         script
     }
 
-    /// Advances a drained world to its next phase. Returns the finished
-    /// experiment's data once the post-sync phase has drained; `None`
-    /// while the experiment needs more driving. A phase may drain
-    /// instantly (a one-host study has no sync partners), so callers loop
-    /// while the world is still drained.
-    fn on_drained(
-        &self,
-        sim: &mut Simulation<RtMsg>,
-        script: &mut ExpScript,
-    ) -> Option<ExperimentData> {
-        // A drained phase means every actor killed during it sits in the
-        // engine's graveyard: file the corpses into the typed hull pool so
-        // the next phase (or experiment) respawns without boxing.
+    /// Finishes the experiment of a drained world: plays the post-sync
+    /// mini-phase and assembles the data. A tripped budget reports the
+    /// world as drained with events still pending — the experiment then
+    /// ends right where it tripped, as a typed failure. The pipeline
+    /// quarantines such a world afterwards, so the undelivered events can
+    /// never leak into another experiment.
+    fn on_drained(&self, sim: &mut Simulation<RtMsg>, script: &mut ExpScript) -> ExperimentData {
+        // Every actor killed during the runtime phase sits in the engine's
+        // graveyard: file the corpses into the typed hull pool so the next
+        // experiment respawns without boxing.
         for corpse in sim.drain_dead() {
             script.ctx.pool.recycle(corpse);
         }
-        // A tripped budget reports the world as drained with events still
-        // pending — end the experiment right here, whatever its phase. The
-        // pipeline quarantines the world afterwards, so the undelivered
-        // events can never leak into another experiment.
+        if sim.budget_exceeded().is_none() {
+            // The post-sync mini-phase runs on the injector's own
+            // (healthy) network: drop whatever faults the experiment left
+            // armed. Belt to the central daemon's braces — it already
+            // heals on every teardown path.
+            sim.clear_net_faults();
+            self.sync_phase(sim, &script.ctx);
+        }
+        let ctx = &script.ctx;
+        let (events, now) = (sim.events_processed(), sim.now());
         if let Some(exceeded) = sim.budget_exceeded() {
             let failure = match exceeded {
                 BudgetExceeded::VirtualTime => ExperimentFailure::BudgetVirtualTime,
                 BudgetExceeded::Events => ExperimentFailure::BudgetEvents,
             };
-            script.ctx.control.mark_failed(failure);
-            let (events, now) = (sim.events_processed(), sim.now());
-            script
-                .ctx
-                .warnings
+            ctx.control.mark_failed(failure);
+            ctx.warnings
                 .warn_with(|| format!("{failure} after {events} events at virtual time {now} ns"));
-            let events = script.ctx.events.get() + sim.events_processed();
-            script.ctx.events.set(events);
-            return Some(self.assemble(script));
         }
-        match script.phase {
-            ExpPhase::PreSync => {
-                sim.set_sched_enabled(true);
-                script.pre_sync = script.ctx.collector.drain();
-                self.spawn_runtime(sim, script);
-                script.phase = ExpPhase::Runtime;
-                None
-            }
-            ExpPhase::Runtime => {
-                sim.set_sched_enabled(false);
-                // The post-sync mini-phase runs on the injector's own
-                // (healthy) network: drop whatever faults the experiment
-                // left armed. Belt to the central daemon's braces — it
-                // already heals on every teardown path.
-                sim.clear_net_faults();
-                self.spawn_sync_actors(sim, &script.ctx);
-                script.phase = ExpPhase::PostSync;
-                None
-            }
-            ExpPhase::PostSync => {
-                sim.set_sched_enabled(true);
-                let events = script.ctx.events.get() + sim.events_processed();
-                script.ctx.events.set(events);
-                Some(self.assemble(script))
-            }
-        }
+        ctx.events.set(ctx.events.get() + events);
+        self.assemble(script)
     }
 
     /// Runs one experiment to completion on `sim` (which may be fresh or
-    /// reset-reused), driving the phase machine with one `sim.run()` per
-    /// phase.
+    /// reset-reused).
     fn run_one(&self, sim: &mut Simulation<RtMsg>, experiment: u32) -> ExperimentData {
-        let mut script = self.begin(sim, experiment);
-        loop {
-            sim.run();
-            if let Some(data) = self.on_drained(sim, &mut script) {
-                return data;
-            }
-        }
+        let mut script = self.begin_with(sim, experiment, None);
+        sim.run();
+        self.on_drained(sim, &mut script)
     }
 
-    /// Spawns one `SyncEcho`/`Syncer` pair per non-reference host (a sync
-    /// mini-phase, §2.5/§5.7), reusing pooled syncer hulls.
-    fn spawn_sync_actors(&self, sim: &mut Simulation<RtMsg>, ctx: &Rc<ExpCtx>) {
-        for idx in 0..self.cfg.hosts.len() {
-            if idx == self.ref_idx {
-                continue;
-            }
-            let echo = sim.spawn(SimHostId(self.ref_idx as u32), Box::new(SyncEcho));
-            let host = HostId::from_raw(idx as u32);
-            let rounds = self.cfg.sync_rounds;
-            let interval = self.cfg.sync_interval_ns;
-            let syncer = reuse_or_box(
-                ctx.pool.take_syncer(),
-                |s: &mut Syncer| s.reinit(echo, host, rounds, interval),
-                || Syncer::new(ctx.clone(), echo, host, rounds, interval),
-            );
-            sim.spawn(SimHostId(idx as u32), syncer);
-        }
+    /// Plays one sync mini-phase (§2.5/§5.7) on the drained world: every
+    /// calibrated host exchanges `sync_rounds` ping/echo rounds with the
+    /// reference host, each round's three timestamps going to the
+    /// collector as two samples. The phase runs on an otherwise idle
+    /// system (messages are exchanged before and after the experiment),
+    /// so endpoints are dispatched without scheduling delay.
+    fn sync_phase(&self, sim: &mut Simulation<RtMsg>, ctx: &ExpCtx) {
+        sim.set_sched_enabled(false);
+        sim.run_exchanges(
+            SimHostId(self.ref_idx as u32),
+            &self.initiators,
+            self.cfg.sync_rounds,
+            self.cfg.sync_interval_ns,
+            |round| {
+                // Sim host indices double as study-run host ids.
+                let host = HostId::from_raw(self.initiators[round.initiator].0);
+                ctx.collector
+                    .push_round(host, round.ping_sent, round.echoed, round.echo_received);
+            },
+        );
+        sim.set_sched_enabled(true);
     }
 
     /// Spawns the runtime phase: local daemons per the routing design,
     /// optional supervisor, the central daemon, and the optional saboteur.
-    fn spawn_runtime(&self, sim: &mut Simulation<RtMsg>, script: &mut ExpScript) {
+    fn spawn_runtime(&self, sim: &mut Simulation<RtMsg>, script: &ExpScript) {
         let ref_host = SimHostId(self.ref_idx as u32);
         let ctx = &script.ctx;
 
@@ -1126,9 +1092,9 @@ fn drive_chunked(
         let end = experiments.min(base.saturating_add(batch as u32));
 
         // Load the chunk: one world per experiment, reset-reused from the
-        // previous chunk. A phase can drain instantly (a one-host study
-        // has no sync partners), so pump each world through any
-        // already-drained phases right after `begin`.
+        // previous chunk. A world that is drained straight after `begin`
+        // tripped a budget inside pre-sync and spawned nothing: finish it
+        // on the spot.
         let mut inflight = 0usize;
         for (slot, k) in (base..end).enumerate() {
             if slot == set.len() {
@@ -1140,15 +1106,9 @@ fn drive_chunked(
             let loaded = catch_unwind(AssertUnwindSafe(|| {
                 let mut script =
                     set.with_world_mut(slot, |sim| sim_study.begin_with(sim, k, recycled));
-                let mut finished = None;
-                while set.drained(slot) {
-                    let out =
-                        set.with_world_mut(slot, |sim| sim_study.on_drained(sim, &mut script));
-                    if let Some(data) = out {
-                        finished = Some(data);
-                        break;
-                    }
-                }
+                let finished = set.drained(slot).then(|| {
+                    set.with_world_mut(slot, |sim| sim_study.on_drained(sim, &mut script))
+                });
                 (script, finished)
             }));
             match loaded {
@@ -1178,8 +1138,7 @@ fn drive_chunked(
         }
 
         // Interleave: always step the world with the earliest next event;
-        // when a world drains, advance its phase (possibly through several
-        // instantly-drained phases) or retire its finished experiment.
+        // when a world drains, finish and retire its experiment.
         while inflight > 0 {
             let (idx, horizon) = set
                 .earliest()
@@ -1201,24 +1160,13 @@ fn drive_chunked(
                 continue;
             }
             let mut script = scripts[idx].take().expect("drained world has a script");
-            let pumped = catch_unwind(AssertUnwindSafe(|| {
-                let mut finished = None;
-                loop {
-                    let out = set.with_world_mut(idx, |sim| sim_study.on_drained(sim, &mut script));
-                    if let Some(data) = out {
-                        finished = Some(data);
-                        break;
-                    }
-                    if !set.drained(idx) {
-                        break;
-                    }
-                }
-                finished
+            inflight -= 1;
+            let k = script.experiment;
+            let finished = catch_unwind(AssertUnwindSafe(|| {
+                set.with_world_mut(idx, |sim| sim_study.on_drained(sim, &mut script))
             }));
-            match pumped {
-                Ok(Some(data)) => {
-                    inflight -= 1;
-                    let k = script.experiment;
+            match finished {
+                Ok(data) => {
                     let failed = matches!(data.end, ExperimentEnd::Failed(_));
                     let keep_going = process(k, data, Some(&script.ctx));
                     retire(script, failed, idx, &mut set, &mut spare);
@@ -1226,10 +1174,7 @@ fn drive_chunked(
                         break 'run;
                     }
                 }
-                Ok(None) => scripts[idx] = Some(script),
                 Err(payload) => {
-                    inflight -= 1;
-                    let k = script.experiment;
                     let note = crate::contain::panic_note(payload.as_ref());
                     retire(script, true, idx, &mut set, &mut spare);
                     if !process(k, sim_study.failed_data(k, note), None) {

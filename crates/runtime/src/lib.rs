@@ -17,8 +17,6 @@
 //!   experiment-completion checks), the central daemon (startup, timeout,
 //!   abort), and the restart supervisor (the system under study's recovery
 //!   mechanism, supporting restart on a *different* host).
-//! * [`syncer`] — the synchronization mini-phases before and after each
-//!   experiment.
 //! * [`harness`] — experiment orchestration with per-study backend
 //!   selection ([`harness::Backend::Sim`] | [`harness::Backend::Threads`])
 //!   and a parallel worker pool; returns
@@ -28,6 +26,13 @@
 //! * [`messages`] — the simulation-backend protocol and the §3.4.1
 //!   design-choice routing modes (through-daemons / direct / centralized)
 //!   used by the design ablation.
+//!
+//! The synchronization mini-phases before and after each experiment have
+//! no module of their own: on the simulation backend the harness plays
+//! them in closed form inside the engine
+//! ([`loki_sim::engine::Simulation::run_exchanges`]) and files each
+//! round's timestamps into [`store::SyncCollector`]; the thread backend
+//! runs them as a plain loop.
 //!
 //! The simulation backend communicates exclusively through simulated
 //! messages with realistic scheduling and link delays; the shared stores in
@@ -46,7 +51,6 @@ pub mod harness;
 pub mod messages;
 pub mod node;
 pub mod store;
-pub mod syncer;
 pub mod thread_backend;
 pub mod wiring;
 

@@ -9,7 +9,6 @@
 use crate::app::Payload;
 use loki_core::ids::{SmId, StateId};
 use loki_core::small::InlineVec;
-use loki_core::time::LocalNanos;
 
 /// A notification's recipient list. Fan-outs are almost always one or two
 /// machines (a state's notify list, the per-host slice of a route), so the
@@ -101,26 +100,6 @@ pub enum RtMsg {
     /// A local daemon reports that its local experiment-end check passed.
     ExperimentEndNotice,
 
-    // ----- synchronization mini-phase ---------------------------------------
-    /// Sync ping from a calibrated host's syncer to the reference echo.
-    SyncPing {
-        /// Round index.
-        seq: u32,
-        /// Sender's local clock at transmission.
-        send_local: LocalNanos,
-    },
-    /// Echo reply from the reference host.
-    SyncEcho {
-        /// Round index.
-        seq: u32,
-        /// Reference local clock when the ping arrived.
-        ref_recv: LocalNanos,
-        /// Reference local clock when this echo was sent.
-        ref_send: LocalNanos,
-    },
-    /// Ends a sync session (echo actor exits).
-    SyncDone,
-
     // ----- application ------------------------------------------------------
     /// An application-level message between nodes, delivered on the
     /// application's own connections.
@@ -172,9 +151,6 @@ impl std::fmt::Debug for RtMsg {
             RtMsg::StartNode { sm, host } => write!(f, "StartNode({sm:?} on host {host})"),
             RtMsg::KillAllNodes => write!(f, "KillAllNodes"),
             RtMsg::ExperimentEndNotice => write!(f, "ExperimentEndNotice"),
-            RtMsg::SyncPing { seq, .. } => write!(f, "SyncPing(#{seq})"),
-            RtMsg::SyncEcho { seq, .. } => write!(f, "SyncEcho(#{seq})"),
-            RtMsg::SyncDone => write!(f, "SyncDone"),
             RtMsg::App { from_sm, .. } => write!(f, "App(from {from_sm:?})"),
         }
     }

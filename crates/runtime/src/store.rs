@@ -180,8 +180,18 @@ impl SyncCollector {
         SyncCollector::default()
     }
 
-    /// Appends a sample for `host`.
-    pub fn push(&self, host: HostId, sample: SyncSample) {
+    /// Appends the two samples of one ping/echo round for `host`, under
+    /// one borrow: the machine → reference leg (`ping_sent` on the host's
+    /// clock, `echoed` on the reference's), then the reference → machine
+    /// leg (`echoed`, `echo_received`) — the reference echoes in the
+    /// instant it receives.
+    pub fn push_round(
+        &self,
+        host: HostId,
+        ping_sent: LocalNanos,
+        echoed: LocalNanos,
+        echo_received: LocalNanos,
+    ) {
         let mut samples = self.samples.borrow_mut();
         let idx = host.raw() as usize;
         if idx >= samples.len() {
@@ -189,13 +199,22 @@ impl SyncCollector {
         }
         let run = &mut samples[idx];
         if run.capacity() == 0 {
-            // First sample of this host's mini-phase: start on a recycled
+            // First round of this host's mini-phase: start on a recycled
             // run so its capacity survives across experiments.
             if let Some(recycled) = self.spare_runs.borrow_mut().pop() {
                 *run = recycled;
             }
         }
-        run.push(sample);
+        run.push(SyncSample {
+            from_reference: false,
+            send: ping_sent,
+            recv: echoed,
+        });
+        run.push(SyncSample {
+            from_reference: true,
+            send: echoed,
+            recv: echo_received,
+        });
     }
 
     /// Drains all samples into per-host records, in host-id order (the
@@ -513,45 +532,80 @@ mod tests {
     #[test]
     fn sync_collector_groups_by_host() {
         let c = SyncCollector::new();
-        let s = SyncSample {
-            from_reference: true,
-            send: LocalNanos(1),
-            recv: LocalNanos(2),
-        };
         let h2: HostId = Id::from_raw(2);
         let h3: HostId = Id::from_raw(3);
-        c.push(h2, s);
-        c.push(h2, s);
-        c.push(h3, s);
+        c.push_round(h2, LocalNanos(1), LocalNanos(2), LocalNanos(3));
+        c.push_round(h3, LocalNanos(4), LocalNanos(5), LocalNanos(6));
+        c.push_round(h2, LocalNanos(7), LocalNanos(8), LocalNanos(9));
         let drained = c.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].host, h2);
-        assert_eq!(drained[0].samples.len(), 2);
+        // Two samples a round, one per direction, in arrival order.
+        let legs: Vec<_> = drained[0]
+            .samples
+            .iter()
+            .map(|s| (s.from_reference, s.send.0, s.recv.0))
+            .collect();
+        assert_eq!(
+            legs,
+            [(false, 1, 2), (true, 2, 3), (false, 7, 8), (true, 8, 9)]
+        );
+        assert_eq!(drained[1].host, h3);
     }
 
     #[test]
     fn sync_collector_reuses_reclaimed_runs() {
         let c = SyncCollector::new();
-        let s = SyncSample {
-            from_reference: false,
-            send: LocalNanos(1),
-            recv: LocalNanos(2),
-        };
         let host: HostId = Id::from_raw(1);
-        for _ in 0..50 {
-            c.push(host, s);
+        for _ in 0..25 {
+            c.push_round(host, LocalNanos(1), LocalNanos(2), LocalNanos(3));
         }
         let drained = c.drain();
         let capacity = drained[0].samples.capacity();
         c.reclaim(drained);
 
-        c.push(host, s);
+        c.push_round(host, LocalNanos(1), LocalNanos(2), LocalNanos(3));
         let drained = c.drain();
-        assert_eq!(drained[0].samples.len(), 1);
+        assert_eq!(drained[0].samples.len(), 2);
         assert_eq!(
             drained[0].samples.capacity(),
             capacity,
             "run capacity not retained"
+        );
+    }
+
+    /// A whole mini-phase through the engine's exchange merge and into
+    /// the collector yields samples whose bounds contain the true clock
+    /// relation.
+    #[test]
+    fn exchange_rounds_yield_sound_bounds() {
+        use loki_clock::params::ClockParams;
+        use loki_clock::sync::{estimate_alpha_beta, SyncOptions};
+        use loki_sim::config::HostConfig;
+        use loki_sim::engine::Simulation;
+
+        let mut sim: Simulation<()> = Simulation::new(11);
+        let ref_clock = ClockParams::ideal();
+        let m_clock = ClockParams::with_drift_ppm(3e6, 140.0);
+        let h_ref = sim.add_host(HostConfig::new("ref").clock(ref_clock));
+        let h2 = sim.add_host(HostConfig::new("h2").clock(m_clock));
+        sim.set_sched_enabled(false);
+
+        let c = SyncCollector::new();
+        let host: HostId = Id::from_raw(1);
+        sim.run_exchanges(h_ref, &[h2], 15, 2_000_000, |r| {
+            c.push_round(host, r.ping_sent, r.echoed, r.echo_received)
+        });
+
+        let syncs = c.drain();
+        assert_eq!(syncs.len(), 1);
+        assert_eq!(syncs[0].samples.len(), 30); // two per round
+
+        let bounds = estimate_alpha_beta(&syncs[0].samples, &SyncOptions::default()).unwrap();
+        let (alpha, beta) = m_clock.relative_to(&ref_clock);
+        assert!(
+            bounds.contains(alpha, beta),
+            "{bounds:?} vs ({alpha},{beta})"
         );
     }
 

@@ -538,10 +538,9 @@ impl<M: 'static> Simulation<M> {
                 // Empty queue: admit; `step` observes the drain itself.
                 return true;
             };
-            let over_events = self.events_processed >= self.budget_events;
-            if !over_events && time <= self.budget_virtual_ns {
+            let Some(exceeded) = self.over_budget(time) else {
                 return true;
-            }
+            };
             let target = match event {
                 Event::Start { actor } => *actor,
                 Event::Deliver { to, .. } => *to,
@@ -553,11 +552,7 @@ impl<M: 'static> Simulation<M> {
                 _ => false,
             };
             if self.is_alive(target) && !cancelled {
-                self.budget_tripped = Some(if over_events {
-                    BudgetExceeded::Events
-                } else {
-                    BudgetExceeded::VirtualTime
-                });
+                self.budget_tripped = Some(exceeded);
                 return false;
             }
             if let Some((_, Event::Timer { id, .. })) = self.queue.pop() {
@@ -566,6 +561,72 @@ impl<M: 'static> Simulation<M> {
                 self.timers.fire(TimerKey::unpack(id.raw()));
             }
         }
+    }
+
+    /// The ceiling an event scheduled at `time` would pass, if any: the
+    /// event count is checked before the virtual-time horizon.
+    #[inline]
+    fn over_budget(&self, time: u64) -> Option<BudgetExceeded> {
+        if self.events_processed >= self.budget_events {
+            Some(BudgetExceeded::Events)
+        } else if time > self.budget_virtual_ns {
+            Some(BudgetExceeded::VirtualTime)
+        } else {
+            None
+        }
+    }
+
+    /// [`Simulation::step`]'s admission for an event that never sat in
+    /// the queue (see [`Simulation::run_exchanges`]) and whose target is
+    /// alive: passing a ceiling trips the budget, there is no garbage to
+    /// discard.
+    #[inline]
+    pub(crate) fn admit_live(&mut self, time: u64) -> bool {
+        if !self.budget_armed {
+            return true;
+        }
+        if self.budget_tripped.is_none() {
+            self.budget_tripped = self.over_budget(time);
+        }
+        self.budget_tripped.is_none()
+    }
+
+    /// The accounting every admitted event pays, queued or not: the event
+    /// count, the runaway guard, and the clock.
+    #[inline]
+    pub(crate) fn begin_event(&mut self, time: u64) {
+        self.events_processed += 1;
+        assert!(
+            self.events_processed <= self.max_events,
+            "simulation exceeded {} events — runaway?",
+            self.max_events
+        );
+        debug_assert!(time >= self.time, "time went backwards");
+        self.time = time;
+    }
+
+    /// Samples the delay of one [`Ctx::send`] from `from_host` to
+    /// `to_host`: both endpoint scheduling delays from one RNG word (see
+    /// `config::sched_delay_pair`; none while scheduling delays are
+    /// disabled), then the link latency (no draw for a zero-jitter link).
+    /// The single place a healthy-network send consumes randomness.
+    #[inline]
+    pub(crate) fn send_delay(&mut self, from_host: HostId, to_host: HostId) -> u64 {
+        let link = if from_host == to_host {
+            self.config.network.ipc
+        } else {
+            self.config.network.tcp
+        };
+        let (d_send, d_recv) = if self.sched_enabled {
+            crate::config::sched_delay_pair(
+                &self.config.hosts[from_host.0 as usize],
+                &self.config.hosts[to_host.0 as usize],
+                &mut self.rng,
+            )
+        } else {
+            (0, 0)
+        };
+        d_send + link.sample(&mut self.rng) + d_recv
     }
 
     /// Adds a host; returns its id.
@@ -697,6 +758,12 @@ impl<M: 'static> Simulation<M> {
         self.events_processed
     }
 
+    /// The deterministic simulation RNG, as [`Ctx::rng`] hands it to
+    /// actors (for harness-level draws and RNG-state oracles).
+    pub fn rng(&mut self) -> &mut StdRng {
+        &mut self.rng
+    }
+
     /// Kills an actor from outside the simulation (test harness use).
     pub fn kill(&mut self, actor: ActorId, reason: DownReason) {
         self.kill_internal(actor, reason);
@@ -807,14 +874,7 @@ impl<M: 'static> Simulation<M> {
         let Some((time, event)) = self.queue.pop() else {
             return false;
         };
-        self.events_processed += 1;
-        assert!(
-            self.events_processed <= self.max_events,
-            "simulation exceeded {} events — runaway?",
-            self.max_events
-        );
-        debug_assert!(time >= self.time, "time went backwards");
-        self.time = time;
+        self.begin_event(time);
         match event {
             Event::Start { actor } => {
                 self.dispatch(actor, |a, ctx| a.on_start(ctx));
@@ -930,6 +990,17 @@ impl<M> fmt::Debug for Simulation<M> {
     }
 }
 
+/// The per-direction FIFO rule: a message may not arrive at or before the
+/// `horizon` — the previous arrival on the same `(sender, receiver)` pair,
+/// `None` for the pair's first message — so it slips to one tick after.
+#[inline]
+pub(crate) fn fifo_arrival(horizon: Option<u64>, at: u64) -> u64 {
+    match horizon {
+        Some(last) if at <= last => last + 1,
+        _ => at,
+    }
+}
+
 /// The context handed to actor callbacks: clock, messaging, timers,
 /// spawning, RNG.
 pub struct Ctx<'a, M> {
@@ -984,24 +1055,7 @@ impl<'a, M: 'static> Ctx<'a, M> {
     {
         let from_host = self.sim.host_of(self.me);
         let to_host = self.sim.host_of(to);
-        let link = if from_host == to_host {
-            self.sim.config.network.ipc
-        } else {
-            self.sim.config.network.tcp
-        };
-        let (d_send, d_recv) = if self.sim.sched_enabled {
-            // Both endpoint delays from one RNG word (see
-            // `config::sched_delay_pair`): send is the per-event hot path.
-            crate::config::sched_delay_pair(
-                &self.sim.config.hosts[from_host.0 as usize],
-                &self.sim.config.hosts[to_host.0 as usize],
-                &mut self.sim.rng,
-            )
-        } else {
-            (0, 0)
-        };
-        let d_link = link.sample(&mut self.sim.rng);
-        let delay = d_send + d_link + d_recv;
+        let delay = self.sim.send_delay(from_host, to_host);
         if self.sim.net_faults.is_active() {
             self.send_via_plane(to, from_host, to_host, delay, msg);
         } else {
@@ -1137,8 +1191,7 @@ impl<'a, M: 'static> Ctx<'a, M> {
         let horizons = &mut self.sim.fifo_out[self.me.0 as usize];
         let at = match horizons.binary_search_by_key(&to.0, |&(receiver, _)| receiver) {
             Ok(i) => {
-                let last = horizons[i].1;
-                let at = if at <= last { last + 1 } else { at };
+                let at = fifo_arrival(Some(horizons[i].1), at);
                 horizons[i].1 = at;
                 at
             }

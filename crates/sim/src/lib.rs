@@ -27,6 +27,10 @@
 //! batches of them on one thread with a [`batch::WorldSet`]
 //! (FoundationDB-style "many worlds, one process"); see the [`batch`]
 //! module docs.
+//!
+//! Clock-synchronization mini-phases — closed intervals of strictly
+//! sequential ping/echo chains on a drained world — are fast-forwarded
+//! rather than simulated actor by actor: see [`exchange`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,6 +38,7 @@
 pub mod batch;
 pub mod config;
 pub mod engine;
+pub mod exchange;
 pub mod netfault;
 pub mod queue;
 
@@ -43,4 +48,5 @@ pub use engine::{
     Actor, ActorId, BudgetExceeded, Ctx, DownReason, DuplicateHost, HostId, Simulation, TimerId,
     TraceEntry, WorldConfig,
 };
+pub use exchange::ExchangeRound;
 pub use netfault::{LinkFaultParams, NetFaultError, NetFaultPlane};

@@ -1,10 +1,14 @@
 //! Property tests for the discrete-event engine and its event core.
 
+use loki_clock::params::ClockParams;
+use loki_core::time::LocalNanos;
 use loki_sim::batch::WorldSet;
 use loki_sim::config::{HostConfig, LatencyModel, NetworkConfig};
-use loki_sim::engine::{Actor, ActorId, Ctx, Simulation, WorldConfig};
+use loki_sim::engine::{Actor, ActorId, BudgetExceeded, Ctx, HostId, Simulation, WorldConfig};
+use loki_sim::exchange::ExchangeRound;
 use loki_sim::queue::{EventQueue, TimerKey, TimerSlab};
 use proptest::prelude::*;
+use rand::RngCore;
 use std::cell::RefCell;
 use std::collections::{BinaryHeap, HashSet};
 use std::rc::Rc;
@@ -31,6 +35,183 @@ impl Actor<u32> for Sink {
     fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _: ActorId, msg: u32) {
         self.log.borrow_mut().push((ctx.physical_now(), msg));
     }
+}
+
+/// The protocol of the reference exchange actors below.
+#[derive(Clone)]
+enum SyncMsg {
+    Ping {
+        seq: u32,
+    },
+    Echo {
+        seq: u32,
+        /// Responder's local clock when the ping arrived (the echo leaves
+        /// in the same instant).
+        echoed: LocalNanos,
+    },
+    Done,
+}
+
+/// Reference echo endpoint on the responder host: the actor
+/// `Simulation::run_exchanges` replaced, kept as its oracle.
+struct RefEcho;
+
+impl Actor<SyncMsg> for RefEcho {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, SyncMsg>, from: ActorId, msg: SyncMsg) {
+        match msg {
+            SyncMsg::Ping { seq } => {
+                let echoed = ctx.local_clock();
+                ctx.send(from, SyncMsg::Echo { seq, echoed });
+            }
+            SyncMsg::Done => ctx.exit_self(),
+            SyncMsg::Echo { .. } => {}
+        }
+    }
+}
+
+/// Reference originator on an initiating host: `rounds` strictly
+/// sequential ping/echo rounds with `interval_ns` between them — the next
+/// ping is only scheduled once the previous echo has arrived.
+struct RefOriginator {
+    echo: ActorId,
+    initiator: usize,
+    rounds: u32,
+    interval_ns: u64,
+    sent: Option<(u32, LocalNanos)>,
+    log: Rc<RefCell<Vec<ExchangeRound>>>,
+}
+
+impl RefOriginator {
+    fn ping(&mut self, ctx: &mut Ctx<'_, SyncMsg>, seq: u32) {
+        self.sent = Some((seq, ctx.local_clock()));
+        ctx.send(self.echo, SyncMsg::Ping { seq });
+    }
+}
+
+impl Actor<SyncMsg> for RefOriginator {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, SyncMsg>) {
+        if self.rounds == 0 {
+            ctx.send(self.echo, SyncMsg::Done);
+            ctx.exit_self();
+            return;
+        }
+        self.ping(ctx, 0);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, SyncMsg>, _from: ActorId, msg: SyncMsg) {
+        if let SyncMsg::Echo { seq, echoed } = msg {
+            let echo_received = ctx.local_clock();
+            if let Some((_, ping_sent)) = self.sent.take_if(|&mut (s, _)| s == seq) {
+                self.log.borrow_mut().push(ExchangeRound {
+                    initiator: self.initiator,
+                    ping_sent,
+                    echoed,
+                    echo_received,
+                });
+            }
+            let next = seq + 1;
+            if next < self.rounds {
+                ctx.set_timer(self.interval_ns, u64::from(next));
+            } else {
+                ctx.send(self.echo, SyncMsg::Done);
+                ctx.exit_self();
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SyncMsg>, tag: u64) {
+        self.ping(ctx, tag as u32);
+    }
+}
+
+/// Everything an exchange session leaves observable.
+#[derive(Debug, PartialEq)]
+struct SessionOutcome {
+    rounds: Vec<ExchangeRound>,
+    now: u64,
+    events: u64,
+    tripped: Option<BudgetExceeded>,
+    next_rng_word: u64,
+}
+
+/// The parameters of one generated exchange session.
+struct Session {
+    config: Arc<WorldConfig>,
+    seed: u64,
+    start_ns: u64,
+    sched_enabled: bool,
+    initiators: Vec<HostId>,
+    rounds: u32,
+    interval_ns: u64,
+}
+
+impl Session {
+    /// A world at the session's start instant, budgets armed as given.
+    fn world(&self, budget: (Option<u64>, Option<u64>)) -> Simulation<SyncMsg> {
+        let mut sim = Simulation::with_config(self.config.clone(), self.seed);
+        sim.run_until(self.start_ns);
+        sim.set_sched_enabled(self.sched_enabled);
+        sim.set_budget(budget.0, budget.1);
+        sim
+    }
+
+    fn outcome(mut sim: Simulation<SyncMsg>, rounds: Vec<ExchangeRound>) -> SessionOutcome {
+        SessionOutcome {
+            rounds,
+            now: sim.now(),
+            events: sim.events_processed(),
+            tripped: sim.budget_exceeded(),
+            next_rng_word: sim.rng().next_u64(),
+        }
+    }
+
+    /// The session as the actor pairs play it, one queued event at a time.
+    fn by_actors(&self, budget: (Option<u64>, Option<u64>)) -> SessionOutcome {
+        let mut sim = self.world(budget);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for (initiator, &host) in self.initiators.iter().enumerate() {
+            let echo = sim.spawn(HostId(0), Box::new(RefEcho));
+            sim.spawn(
+                host,
+                Box::new(RefOriginator {
+                    echo,
+                    initiator,
+                    rounds: self.rounds,
+                    interval_ns: self.interval_ns,
+                    sent: None,
+                    log: log.clone(),
+                }),
+            );
+        }
+        sim.run();
+        let rounds = log.borrow().clone();
+        Self::outcome(sim, rounds)
+    }
+
+    /// The session as the engine's closed-form merge plays it.
+    fn by_merge(&self, budget: (Option<u64>, Option<u64>)) -> SessionOutcome {
+        let mut sim = self.world(budget);
+        let mut rounds = Vec::new();
+        sim.run_exchanges(
+            HostId(0),
+            &self.initiators,
+            self.rounds,
+            self.interval_ns,
+            |round| rounds.push(round),
+        );
+        Self::outcome(sim, rounds)
+    }
+}
+
+/// A link model for the exchange sessions: zero-latency links (where only
+/// the FIFO horizons keep deliveries apart) and zero-jitter links (which
+/// must draw nothing) are as likely as realistic ones.
+fn latency_strategy() -> impl Strategy<Value = LatencyModel> {
+    (
+        prop_oneof![Just(0u64), 0u64..400_000],
+        prop_oneof![Just(0u64), 0u64..200_000],
+    )
+        .prop_map(|(base_ns, jitter_ns)| LatencyModel { base_ns, jitter_ns })
 }
 
 /// One operation against both the index-heap queue and the reference
@@ -305,5 +486,69 @@ proptest! {
             }
             last = Some(reading);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `run_exchanges` is event-for-event the echo/originator actor pairs
+    /// it replaced: the same rounds in the same callback order, the same
+    /// final clock, event count and RNG state — and, with a containment
+    /// budget armed anywhere inside the session, the same trip point.
+    #[test]
+    fn exchange_merge_matches_the_actor_pairs(
+        (seed, start_ns, sched_enabled) in (any::<u64>(), 0u64..5_000_000_000, any::<bool>()),
+        hosts in prop::collection::vec(
+            (
+                0.0f64..1e9,
+                -500.0f64..500.0,
+                prop_oneof![Just(1u64), Just(1_000u64), Just(1_000_000u64)],
+                prop_oneof![Just(0u64), 0u64..2_000_000],
+            ),
+            1..=6,
+        ),
+        (ipc, tcp) in (latency_strategy(), latency_strategy()),
+        placements in prop::collection::vec(0usize..6, 1..=5),
+        (rounds, interval_ns) in (0u32..=25, prop_oneof![Just(0u64), 0u64..3_000_000]),
+        (budget_kind, budget_frac) in (0u8..3, 0.0f64..1.1),
+    ) {
+        let mut config = WorldConfig::new();
+        config.set_network(NetworkConfig { ipc, tcp });
+        for (i, &(offset, ppm, granularity_ns, timeslice_ns)) in hosts.iter().enumerate() {
+            let clock = ClockParams::with_drift_ppm(offset, ppm).granularity(granularity_ns);
+            let host = HostConfig::new(&format!("h{i}")).clock(clock).timeslice_ns(timeslice_ns);
+            config.add_host(host).unwrap();
+        }
+        // Initiators may share a host with each other or with the
+        // responder (host 0): the IPC link and repeated hosts are in.
+        let session = Session {
+            config: Arc::new(config),
+            seed,
+            start_ns,
+            sched_enabled,
+            initiators: placements.iter().map(|&p| HostId((p % hosts.len()) as u32)).collect(),
+            rounds,
+            interval_ns,
+        };
+
+        let unbounded = session.by_actors((None, None));
+        // Two starts, three events a round bar the last pause, the notice.
+        let per_chain = if rounds == 0 { 3 } else { 3 * u64::from(rounds) + 2 };
+        prop_assert_eq!(unbounded.events, session.initiators.len() as u64 * per_chain);
+        prop_assert_eq!(&session.by_merge((None, None)), &unbounded);
+
+        // A budget armed at a random event count, or at a random virtual
+        // time, inside (or just past) the session.
+        let budget = match budget_kind {
+            0 => (None, Some((unbounded.events as f64 * budget_frac) as u64)),
+            1 => {
+                let span = (unbounded.now - start_ns) as f64 * budget_frac;
+                (Some(start_ns + span as u64), None)
+            }
+            _ => (None, None),
+        };
+        let bounded = session.by_actors(budget);
+        prop_assert_eq!(&session.by_merge(budget), &bounded);
     }
 }

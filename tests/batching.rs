@@ -100,17 +100,26 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
                 summary.peak_raw_retained
             );
 
-            // The batched path counts events and recycles hulls (the
-            // post-sync phase alone reuses every pre-sync syncer), in
-            // every matrix cell — while the results above stay identical.
+            // The batched path counts events in every matrix cell — while
+            // the results above stay identical.
             assert!(
                 summary.events > 0,
                 "K={k} workers={workers}: no events counted"
             );
-            assert!(
-                summary.actor_reuses > 0,
-                "K={k} workers={workers}: no pooled actor reuse"
-            );
+            // Dead hulls reach the pool only when their world drains, so
+            // they are recycled across experiments, never within one
+            // (the sync mini-phases spawn no actors at all). Reuse is
+            // therefore guaranteed only where one worker runs a second
+            // chunk: a lone worker with more experiments than K. With
+            // several workers the claim race may hand every worker a
+            // single chunk, and then nothing is reused.
+            if workers == 1 {
+                assert!(experiments as usize > k);
+                assert!(
+                    summary.actor_reuses > 0,
+                    "K={k} workers={workers}: no pooled actor reuse"
+                );
+            }
         }
     }
 
@@ -249,9 +258,8 @@ fn net_fault_campaign_batches_byte_identically() {
 fn pooling_recycles_across_experiments_without_changing_results() {
     // A restart-policy campaign exercises the full pooled-actor lifecycle:
     // mid-experiment node respawns (supervisor restarts the killed token
-    // holder) plus cross-experiment recycling of daemons, syncers, the
-    // central daemon, the supervisor, and capacity-retaining timeline
-    // shells. One worker with a small batch and more experiments than the
+    // holder) plus cross-experiment recycling of daemons, the central
+    // daemon, the supervisor, and capacity-retaining timeline shells. One worker with a small batch and more experiments than the
     // batch guarantees scripts are recycled through the spare list.
     use loki::runtime::daemons::RestartPolicy;
     let (study, factory) = ring_campaign();

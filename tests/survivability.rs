@@ -8,7 +8,8 @@
 //! completes — at every workers × batch combination.
 
 use loki::apps::chaos::{chaos_factory, chaos_study, ChaosConfig, CHAOS_PANIC};
-use loki::core::campaign::{ExperimentEnd, ExperimentFailure};
+use loki::clock::params::ClockParams;
+use loki::core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync};
 use loki::core::study::Study;
 use loki::runtime::harness::{Backend, CampaignPipeline, SimHarnessConfig};
 use proptest::prelude::*;
@@ -181,6 +182,184 @@ fn event_budget_trips_identically_across_pool_shapes() {
                 ),
             }
         }
+    }
+}
+
+/// Runs `experiments` experiments under `cfg` at every pool shape of
+/// workers {1, 4} × K {1, 8}, asserts the raw data is byte-identical
+/// across them, and returns it.
+fn raw_data_at_every_pool_shape(
+    study: &std::sync::Arc<Study>,
+    cfg: &SimHarnessConfig,
+    experiments: u32,
+) -> Vec<ExperimentData> {
+    let mut reference: Option<Vec<ExperimentData>> = None;
+    for workers in [1usize, 4] {
+        for k in [1usize, 8] {
+            let mut cfg = cfg.clone();
+            cfg.batch = Some(k);
+            let chaos = ChaosConfig {
+                ticks: 2,
+                ..ChaosConfig::default()
+            };
+            let pipeline = CampaignPipeline::new(study.clone(), chaos_factory(chaos), cfg);
+            let mut raw = Vec::new();
+            pipeline
+                .run_tapped_with_workers(experiments, workers, ExperimentData::clone, |_, data| {
+                    raw.push(data)
+                })
+                .expect("valid campaign config");
+            match &reference {
+                None => reference = Some(raw),
+                Some(reference) => assert_eq!(
+                    &raw, reference,
+                    "workers={workers} K={k}: raw data diverged"
+                ),
+            }
+        }
+    }
+    reference.expect("four shapes ran")
+}
+
+/// Total samples of one mini-phase.
+fn sample_count(phase: &[HostSync]) -> usize {
+    phase.iter().map(|hs| hs.samples.len()).sum()
+}
+
+/// Whether every host's samples in `part` are the first samples of the
+/// same host in `full` — what a mini-phase cut short must leave behind.
+fn is_prefix_of(part: &[HostSync], full: &[HostSync]) -> bool {
+    part.iter().all(|hs| {
+        full.iter()
+            .find(|f| f.host == hs.host)
+            .is_some_and(|f| f.samples.starts_with(&hs.samples))
+    })
+}
+
+#[test]
+fn budgets_trip_inside_the_sync_mini_phases() {
+    // Budgets are armed for the whole experiment, mini-phases included,
+    // and the mini-phases are played in closed form — so a trip inside
+    // one must land on exactly the same event as anywhere else, leave
+    // exactly the completed rounds' samples behind, and not depend on the
+    // pool shape. host1 is the reference and has an ideal clock, so the
+    // reference-side readings of the samples are virtual time.
+    let study = Study::compile_arc(&chaos_study("chaos-sync-budget", 3)).unwrap();
+    let mut cfg = SimHarnessConfig::three_hosts(0x57AC);
+    cfg.hosts[0].clock = ClockParams::ideal();
+    cfg.hosts[2].clock = ClockParams::with_drift_ppm(5e5, -60.0);
+    assert_eq!(cfg.reference_host(), "host1");
+    cfg.sync_rounds = 3;
+    cfg.sync_interval_ns = 50_000_000;
+    let experiments = 4u32;
+
+    let full = raw_data_at_every_pool_shape(&study, &cfg, experiments);
+    let rounds_per_phase = 2 * cfg.sync_rounds as usize; // two calibrated hosts
+    for data in &full {
+        assert_eq!(data.end, ExperimentEnd::Completed);
+        assert_eq!(sample_count(&data.pre_sync), 2 * rounds_per_phase);
+        assert_eq!(sample_count(&data.post_sync), 2 * rounds_per_phase);
+    }
+
+    // --- every event budget below each experiment's total ----------------
+    let mut completed_at: Vec<Option<u64>> = vec![None; experiments as usize];
+    let mut previous_rounds = vec![0usize; experiments as usize];
+    for n in 0u64.. {
+        assert!(n < 5_000, "experiments never completed: {completed_at:?}");
+        let mut budgeted = cfg.clone();
+        budgeted.max_events = Some(n);
+        let cut = raw_data_at_every_pool_shape(&study, &budgeted, experiments);
+        for (k, (data, full)) in cut.iter().zip(&full).enumerate() {
+            if completed_at[k].is_some() || data.end == ExperimentEnd::Completed {
+                // `n` has reached this experiment's total: untouched.
+                completed_at[k].get_or_insert(n);
+                assert_eq!(data, full, "n={n} k={k}");
+                continue;
+            }
+            assert_eq!(
+                data.end,
+                ExperimentEnd::Failed(ExperimentFailure::BudgetEvents),
+                "n={n} k={k}"
+            );
+            let tripped_after = format!("after {n} events");
+            assert!(
+                data.warnings.iter().any(|w| w.contains(&tripped_after)),
+                "n={n} k={k}: {:?}",
+                data.warnings
+            );
+            assert!(is_prefix_of(&data.pre_sync, &full.pre_sync), "n={n} k={k}");
+            assert!(
+                is_prefix_of(&data.post_sync, &full.post_sync),
+                "n={n} k={k}"
+            );
+            let (pre, post) = (sample_count(&data.pre_sync), sample_count(&data.post_sync));
+            if pre < 2 * rounds_per_phase {
+                // Cut inside pre-sync: the runtime never started.
+                assert!(data.timelines.is_empty(), "n={n} k={k}");
+                assert_eq!(post, 0, "n={n} k={k}");
+            }
+            // One more event completes at most one more round, and a
+            // completed round is never lost again.
+            let rounds = (pre + post) / 2;
+            assert_eq!((pre % 2, post % 2), (0, 0), "n={n} k={k}: half a round");
+            assert!(
+                rounds == previous_rounds[k] || rounds == previous_rounds[k] + 1,
+                "n={n} k={k}: {} -> {rounds} rounds",
+                previous_rounds[k]
+            );
+            previous_rounds[k] = rounds;
+        }
+        if completed_at.iter().all(Option::is_some) {
+            break;
+        }
+    }
+    // The last event of an experiment is a post-sync end-of-session
+    // notice: by then every round of both phases had completed.
+    assert_eq!(previous_rounds, vec![2 * rounds_per_phase; 4]);
+
+    // --- a virtual-time budget inside pre-sync ----------------------------
+    // Rounds start 50 ms apart: 75 ms falls between the second and third.
+    let mut budgeted = cfg.clone();
+    budgeted.max_virtual_time = Some(75_000_000);
+    for (data, full) in raw_data_at_every_pool_shape(&study, &budgeted, experiments)
+        .iter()
+        .zip(&full)
+    {
+        assert_eq!(
+            data.end,
+            ExperimentEnd::Failed(ExperimentFailure::BudgetVirtualTime)
+        );
+        assert!(is_prefix_of(&data.pre_sync, &full.pre_sync));
+        assert_eq!(sample_count(&data.pre_sync), 2 * 2 * 2); // 2 rounds × 2 hosts
+        assert!(data.post_sync.is_empty() && data.timelines.is_empty());
+    }
+
+    // --- a virtual-time budget inside post-sync ---------------------------
+    // The instant the second round's ping reached the reference (its own
+    // reading, third sample of the phase), latest over the experiments:
+    // past every experiment's first post-sync round, short of its third.
+    let ping_arrival =
+        |data: &ExperimentData, round: usize| data.post_sync[0].samples[2 * round].recv.0;
+    let budget = full.iter().map(|d| ping_arrival(d, 1)).max().unwrap();
+    assert!(full.iter().all(|d| budget < ping_arrival(d, 2)));
+    let mut budgeted = cfg.clone();
+    budgeted.max_virtual_time = Some(budget);
+    for (data, full) in raw_data_at_every_pool_shape(&study, &budgeted, experiments)
+        .iter()
+        .zip(&full)
+    {
+        assert_eq!(
+            data.end,
+            ExperimentEnd::Failed(ExperimentFailure::BudgetVirtualTime)
+        );
+        assert_eq!(data.pre_sync, full.pre_sync);
+        assert_eq!(data.timelines, full.timelines);
+        assert!(is_prefix_of(&data.post_sync, &full.post_sync));
+        let post = sample_count(&data.post_sync);
+        assert!(
+            (2 * 2..2 * rounds_per_phase).contains(&post),
+            "{post} post-sync samples"
+        );
     }
 }
 
