@@ -179,7 +179,8 @@ mod tests {
             chaos_factory(ChaosConfig::default()),
             &SimHarnessConfig::three_hosts(7),
             0,
-        );
+        )
+        .expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         assert_eq!(data.timelines.len(), 3);
     }

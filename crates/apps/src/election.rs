@@ -461,7 +461,8 @@ mod tests {
             election_factory(ElectionConfig::default()),
             &cfg(42),
             0,
-        );
+        )
+        .expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         let mut leads = 0;
         for sm in ["black", "yellow", "green"] {
@@ -484,7 +485,8 @@ mod tests {
             number_range: 1, // values in {0, 1}: collisions guaranteed-ish
             ..Default::default()
         };
-        let data = run_experiment(&study, election_factory(app_cfg), &cfg(7), 0);
+        let data =
+            run_experiment(&study, election_factory(app_cfg), &cfg(7), 0).expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         let leads: usize = ["black", "yellow", "green"]
             .iter()
@@ -520,7 +522,8 @@ mod tests {
             election_factory(ElectionConfig::default()),
             &harness,
             0,
-        );
+        )
+        .expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         // Someone led, crashed (injection -> error -> crash), and a
         // LEADER_CRASH-driven re-election produced a second leader.

@@ -587,7 +587,8 @@ mod tests {
             kv_factory(KvConfig::default()),
             &SimHarnessConfig::three_hosts(11),
             0,
-        );
+        )
+        .expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         assert_eq!(
             states(&study, &data, "kv1")
@@ -617,7 +618,8 @@ mod tests {
             kv_factory(KvConfig::default()),
             &SimHarnessConfig::three_hosts(13),
             0,
-        );
+        )
+        .expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         let kv1 = states(&study, &data, "kv1");
         assert!(kv1.contains(&"CRASH"), "{kv1:?}");
@@ -654,7 +656,8 @@ mod tests {
             kv_factory(cfg),
             &SimHarnessConfig::three_hosts(17),
             0,
-        );
+        )
+        .expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         // Acknowledgements beat the first backoff: no retries anywhere.
         for sm in ["kv1", "kv2", "kv3"] {
@@ -677,7 +680,8 @@ mod tests {
             kv_factory(cascade_config(Some(storm_retry()), true)),
             &SimHarnessConfig::three_hosts(19),
             0,
-        );
+        )
+        .expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         assert_eq!(data.total_injections(), 2);
         // kv1 was deposed by the partition but never crashed; kv2 promoted:

@@ -356,7 +356,8 @@ mod tests {
             ring_factory(RingConfig::default()),
             &SimHarnessConfig::three_hosts(5),
             0,
-        );
+        )
+        .expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         // Every member held the token several times over the lifetime.
         for sm in ["tr1", "tr2", "tr3"] {
@@ -382,7 +383,8 @@ mod tests {
             ring_factory(RingConfig::default()),
             &SimHarnessConfig::three_hosts(8),
             0,
-        );
+        )
+        .expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         assert!(count_state(&study, &data, "tr2", "CRASH") == 1);
         // The survivors detected the loss and regenerated: tr1 (lowest id)
@@ -417,7 +419,8 @@ mod tests {
             ring_factory(cfg),
             &SimHarnessConfig::three_hosts(9),
             0,
-        );
+        )
+        .expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed);
         // Nobody crashed, but the token was lost once and regenerated.
         for sm in ["tr1", "tr2", "tr3"] {

@@ -25,9 +25,8 @@ use loki_core::view::PartialView;
 use loki_measure::fig42::{fig_4_2, predicate_3};
 use loki_measure::obsfn::{ImpulseStep, ObservationFn, UpDown};
 use loki_measure::prelude::*;
-use loki_runtime::harness::{run_study_with_workers, CampaignPipeline, SimHarnessConfig};
+use loki_runtime::harness::{run_study, CampaignPipeline, SimHarnessConfig};
 use loki_runtime::messages::NotifyRouting;
-use loki_sim::config::HostConfig;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -518,7 +517,8 @@ fn bench_campaign_pipeline(c: &mut Criterion) {
         Trigger::Once,
     );
     let study = Study::compile_arc(&def).expect("valid study");
-    let cfg = SimHarnessConfig::three_hosts(0xBE7C);
+    let mut cfg = SimHarnessConfig::three_hosts(0xBE7C);
+    cfg.workers = Some(WORKERS);
     let factory = || ring_factory(RingConfig::default());
     let measure = || {
         StudyMeasure::new("token-held").step(MeasureStep {
@@ -529,8 +529,7 @@ fn bench_campaign_pipeline(c: &mut Criterion) {
     };
 
     let run_batch = || {
-        let data = run_study_with_workers(&study, factory(), &cfg, EXPERIMENTS, WORKERS)
-            .expect("valid campaign config");
+        let data = run_study(&study, factory(), &cfg, EXPERIMENTS).expect("valid campaign config");
         let analyzed = analyze(&study, data, &AnalysisOptions::default());
         let accepted = accepted_timelines(&analyzed);
         measure()
@@ -564,15 +563,15 @@ fn bench_campaign_pipeline(c: &mut Criterion) {
         batch_values, streaming_values,
         "pipeline must be unobservable"
     );
-    let bytes_per_experiment = compact_bytes as f64 / EXPERIMENTS as f64;
+    let result_bytes_per_exp = compact_bytes as f64 / EXPERIMENTS as f64;
     report::record("campaign_pipeline_streaming_exp_per_sec", streaming_rate);
     report::record("campaign_pipeline_batch_exp_per_sec", batch_rate);
-    report::record("compact_result_bytes_per_experiment", bytes_per_experiment);
+    report::record("compact_result_bytes_per_experiment", result_bytes_per_exp);
     println!(
         "campaign_pipeline: {EXPERIMENTS} experiments, {WORKERS} workers — \
          batch {batch_rate:.1} exp/s holding {EXPERIMENTS} raw experiments; \
          streaming {streaming_rate:.1} exp/s holding peak {} raw experiments; \
-         compact result {bytes_per_experiment:.0} bytes/experiment",
+         compact result {result_bytes_per_exp:.0} bytes/experiment",
         summary.peak_raw_retained
     );
 
@@ -583,113 +582,6 @@ fn bench_campaign_pipeline(c: &mut Criterion) {
     });
     group.bench_function("streaming_8exp_2workers", |bencher| {
         bencher.iter(|| criterion::black_box(run_streaming().0))
-    });
-    group.finish();
-}
-
-/// Many-worlds batching: the per-experiment engine (a fresh world built
-/// and torn down for every experiment — `per_experiment_baseline`) against
-/// the batched `WorldSet` pipeline that interleaves K reset-reused worlds
-/// per worker, on a micro-experiment campaign.
-///
-/// The workload is the regime batching targets: a two-host token ring with
-/// millisecond phases and one pre/post sync round, so each experiment is a
-/// few dozen simulation events and per-experiment world construction
-/// (config build, host clones, collector and slab allocation, first-touch
-/// growth) is a large fraction of each probe's cost. The untimed gauge
-/// pass sweeps K ∈ {4, 8}, asserts the batched results stay byte-identical
-/// to the baseline, and records the best batched rate plus its speedup and
-/// K for the `BENCH_pr6.json` artifact.
-fn bench_batched_worlds(c: &mut Criterion) {
-    const EXPERIMENTS: u32 = 1200;
-    const WORKERS: usize = 1; // same worker count both paths: the gauge
-                              // isolates batching, not thread scaling.
-    let bench_names = ["batched_worlds/per_experiment", "batched_worlds/batched_k8"];
-    if bench_names.iter().all(|n| criterion::is_filtered_out(n)) {
-        return;
-    }
-
-    let ring = RingConfig {
-        init_delay_ns: 1_000_000,
-        hold_ns: 1_000_000,
-        loss_timeout_ns: 50_000_000,
-        regen_delay_ns: 10_000_000,
-        lifetime_ns: 2_000_000,
-        ..Default::default()
-    };
-    let def = ring_study("bench-ring-micro", 2);
-    let study = Study::compile_arc(&def).expect("valid study");
-    let factory = ring_factory(ring);
-    let mut cfg = SimHarnessConfig::three_hosts(0xBA7C);
-    cfg.hosts = (1..=2)
-        .map(|i| {
-            HostConfig::new(&format!("host{i}")).clock(ClockParams::with_drift_ppm(
-                (i as f64) * 1e5,
-                ((i % 7) as f64) * 40.0 - 120.0,
-            ))
-        })
-        .collect();
-    cfg.sync_rounds = 1;
-
-    let run = |batch: Option<usize>, per_experiment: bool| {
-        let mut cfg = cfg.clone();
-        cfg.batch = batch;
-        let mut pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg);
-        if per_experiment {
-            pipeline = pipeline.per_experiment_baseline();
-        }
-        let mut out = Vec::with_capacity(EXPERIMENTS as usize);
-        pipeline
-            .run_with_workers(EXPERIMENTS, WORKERS, |analyzed| out.push(analyzed))
-            .expect("valid campaign config");
-        out
-    };
-    // Best-of-5: micro-campaign timings jitter ±15% on a busy runner, and
-    // the minimum elapsed time is the standard robust throughput estimate.
-    let time = |f: &dyn Fn() -> Vec<loki_analysis::AnalyzedExperiment>| {
-        criterion::black_box(f()); // warm caches and the allocator
-        let mut best = f64::INFINITY;
-        let mut out = Vec::new();
-        for _ in 0..5 {
-            let start = std::time::Instant::now();
-            out = criterion::black_box(f());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (EXPERIMENTS as f64 / best, out)
-    };
-
-    let (per_exp_rate, per_exp_results) = time(&|| run(None, true));
-    let mut best_rate = 0.0f64;
-    let mut best_k = 0usize;
-    for k in [4usize, 8, 16] {
-        let (rate, results) = time(&|| run(Some(k), false));
-        assert_eq!(
-            results, per_exp_results,
-            "K={k}: batched results diverged from the per-experiment engine"
-        );
-        if rate > best_rate {
-            best_rate = rate;
-            best_k = k;
-        }
-    }
-    let speedup = best_rate / per_exp_rate;
-    report::record("campaign_pipeline_per_experiment_exp_per_sec", per_exp_rate);
-    report::record("campaign_pipeline_batched_exp_per_sec", best_rate);
-    report::record("campaign_pipeline_batch_speedup", speedup);
-    report::record("campaign_pipeline_batch_k", best_k as f64);
-    println!(
-        "batched_worlds: {EXPERIMENTS} micro-experiments, {WORKERS} worker — \
-         per-experiment {per_exp_rate:.0} exp/s; \
-         batched K={best_k} {best_rate:.0} exp/s ({speedup:.2}x)"
-    );
-
-    let mut group = c.benchmark_group("batched_worlds");
-    group.sample_size(10);
-    group.bench_function("per_experiment", |bencher| {
-        bencher.iter(|| criterion::black_box(run(None, true)))
-    });
-    group.bench_function("batched_k8", |bencher| {
-        bencher.iter(|| criterion::black_box(run(Some(8), false)))
     });
     group.finish();
 }
@@ -1096,7 +988,6 @@ criterion_group!(
     bench_sim_event_core,
     bench_pipeline,
     bench_campaign_pipeline,
-    bench_batched_worlds,
     bench_event_overhead
 );
 

@@ -1,8 +1,8 @@
 //! Dev probe: where does a batched campaign microsecond go?
 //!
 //! Times the analysis sub-phases (`make_global`, full `analyze_one`) in
-//! isolation on the same fixtures the `batched_worlds` and
-//! `event_overhead` benchmarks use, so per-event-cut work can target the
+//! isolation on a micro-experiment ring and on the fixture the
+//! `event_overhead` benchmark uses, so per-event-cut work can target the
 //! actual hot phase. Not part of CI; run with
 //! `cargo run --release -p loki-bench --example phase_probe`.
 
@@ -12,7 +12,7 @@ use loki_apps::token_ring::{ring_factory, ring_study, RingConfig};
 use loki_clock::params::ClockParams;
 use loki_core::fault::{FaultExpr, Trigger};
 use loki_core::study::Study;
-use loki_runtime::harness::{run_study_with_workers, CampaignPipeline, SimHarnessConfig};
+use loki_runtime::harness::{run_study, CampaignPipeline, SimHarnessConfig};
 use loki_sim::config::HostConfig;
 use std::time::Instant;
 
@@ -120,7 +120,7 @@ fn engine_floor() {
 
 fn main() {
     engine_floor();
-    // --- batched_worlds micro fixture ---
+    // --- micro-experiment fixture ---
     let ring = RingConfig {
         init_delay_ns: 1_000_000,
         hold_ns: 1_000_000,
@@ -142,12 +142,13 @@ fn main() {
         })
         .collect();
     cfg.sync_rounds = 1;
+    cfg.workers = Some(1);
 
-    // Execute-only rate (no analysis): the non-batched study runner.
+    // Execute-only rate (no analysis): the raw-data study runner.
     let start = Instant::now();
-    let data = run_study_with_workers(&study, factory.clone(), &cfg, 256, 1).expect("valid config");
+    let data = run_study(&study, factory.clone(), &cfg, 256).expect("valid config");
     let exec_ns = start.elapsed().as_nanos() as f64 / 256.0;
-    println!("micro: execute-only (per-experiment engine) {exec_ns:.0} ns/exp");
+    println!("micro: execute-only (run_study) {exec_ns:.0} ns/exp");
     probe("micro", &study, &data[..64]);
 
     // Batched pipeline all-in, with event count.
@@ -184,11 +185,12 @@ fn main() {
     );
     let study = Study::compile_arc(&def).expect("valid study");
     let factory = ring_factory(RingConfig::default());
-    let cfg = SimHarnessConfig::three_hosts(0xE7E7);
+    let mut cfg = SimHarnessConfig::three_hosts(0xE7E7);
+    cfg.workers = Some(1);
 
     let start = Instant::now();
-    let data = run_study_with_workers(&study, factory.clone(), &cfg, 64, 1).expect("valid config");
+    let data = run_study(&study, factory.clone(), &cfg, 64).expect("valid config");
     let exec_ns = start.elapsed().as_nanos() as f64 / 64.0;
-    println!("events: execute-only (per-experiment engine) {exec_ns:.0} ns/exp");
+    println!("events: execute-only (run_study) {exec_ns:.0} ns/exp");
     probe("events", &study, &data[..16]);
 }

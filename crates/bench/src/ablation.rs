@@ -13,7 +13,7 @@ use crate::accuracy::{accuracy_study, AccuracyConfig};
 use loki_core::campaign::ExperimentData;
 use loki_core::recorder::RecordKind;
 use loki_core::study::Study;
-use loki_runtime::harness::{CampaignPipeline, SimHarnessConfig};
+use loki_runtime::harness::{run_study, SimHarnessConfig};
 use loki_runtime::messages::NotifyRouting;
 use loki_sim::config::HostConfig;
 use std::sync::Arc;
@@ -98,10 +98,8 @@ pub fn notification_latency(
     let armed = study.states.lookup("ARMED").expect("state exists");
     let target_sm = study.sm_id("target").expect("machine exists");
     let injector_sm = study.sm_id("injector").expect("machine exists");
-    // The latency extraction needs *raw* record timestamps, so it runs as
-    // a pipeline tap: inside the worker, on the raw data, right before the
-    // data is dropped. Only the extracted `Option<f64>` flows back (in
-    // experiment order), keeping this campaign on the bounded-memory path.
+    // The latency extraction needs *raw* record timestamps — and nothing
+    // of the analysis — so this campaign takes the raw-data entry point.
     let extract = move |data: &ExperimentData| -> Option<f64> {
         let target = data.timeline_for(target_sm)?;
         let injector = data.timeline_for(injector_sm)?;
@@ -117,15 +115,11 @@ pub fn notification_latency(
         })?;
         (injection >= entry).then(|| (injection - entry) as f64)
     };
-    let pipeline = CampaignPipeline::new(study, factory, harness);
-    let mut latencies = Vec::new();
-    pipeline
-        .run_tapped(experiments, extract, |_analyzed, latency| {
-            if let Some(latency) = latency {
-                latencies.push(latency);
-            }
-        })
-        .expect("valid campaign config");
+    let latencies = run_study(&study, factory, &harness, experiments)
+        .expect("valid campaign config")
+        .iter()
+        .filter_map(extract)
+        .collect();
     LatencySample {
         routing,
         latencies_ns: latencies,

@@ -10,16 +10,17 @@
 //! deterministic simulation, [`Backend::Threads`] runs the *same*
 //! applications with every node as an OS thread (the thread backend
 //! derives its host/clock/timeout/restart settings from the same config).
-//! Either way, [`run_study`] fans experiments out across the parallel
-//! worker pool.
 //!
-//! Campaigns that do not need the raw per-experiment timelines after
-//! analysis should use the streaming [`CampaignPipeline`] instead of
-//! `run_study` + batch `analyze`: it fuses execution, global-timeline
-//! construction, and verdict checking into one per-experiment flow on the
-//! same worker pool, dropping each experiment's raw [`ExperimentData`]
-//! immediately after analysis so campaign memory stays O(workers) instead
-//! of O(experiments).
+//! Every campaign runs through one driver: a caller-runs, work-stealing
+//! worker pool that contains per-experiment failures and commits results
+//! in experiment order. [`run_study`] rides it with the identity and
+//! returns every experiment's raw data; campaigns that do not need the raw
+//! timelines after analysis should use the streaming [`CampaignPipeline`]
+//! instead of `run_study` + batch `analyze`: it analyzes each experiment
+//! on the worker that ran it and drops the raw [`ExperimentData`] on the
+//! spot, so campaign memory stays O(workers) instead of O(experiments).
+//! [`run_experiment`] runs a single experiment on a fresh world — the
+//! replay primitive.
 
 use crate::app::AppFactory;
 use crate::daemons::{
@@ -59,12 +60,13 @@ pub enum Backend {
 /// Campaign entry points ([`run_study`], [`CampaignPipeline::run`] and
 /// friends) return these instead of panicking, so a campaign driver — a
 /// CLI loading a hand-written campaign file, say — can report the problem
-/// and keep going. The per-experiment convenience wrapper
-/// [`run_experiment`] still panics, documented as such.
+/// and keep going.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CampaignError {
-    /// The host list is empty or invalid (duplicate names).
+    /// The host list is empty or invalid (duplicate names), or — on
+    /// [`Backend::Threads`] — the study places a machine on a host the
+    /// configuration does not have.
     Hosts(String),
     /// The worker-count configuration is invalid
     /// ([`SimHarnessConfig::workers`] / `LOKI_WORKERS`).
@@ -142,24 +144,26 @@ pub struct SimHarnessConfig {
     pub kill_daemon: Option<(u32, u64)>,
     /// Base RNG seed; experiment `k` of a study uses `seed + k`.
     pub seed: u64,
-    /// Worker threads for [`run_study`]: `Some(n)` forces `n` workers
-    /// (`Some(1)` runs sequentially on the calling thread); `None` uses the
+    /// Worker threads for [`run_study`] and [`CampaignPipeline::run`]:
+    /// `Some(n)` forces `n` workers, the calling thread included
+    /// (`Some(1)` runs sequentially on it); `None` uses the
     /// `LOKI_WORKERS` environment variable if set, otherwise the machine's
     /// available parallelism. `Some(0)` and unparseable `LOKI_WORKERS`
-    /// values are rejected with a panic — a silent fallback would hide a
-    /// misconfigured campaign. Simulation results are identical for every
-    /// worker count — each experiment is fully determined by
-    /// `(seed, experiment_index)`.
+    /// values are rejected as [`CampaignError::Workers`] — a silent
+    /// fallback would hide a misconfigured campaign. Simulation results
+    /// are identical for every worker count — each experiment is fully
+    /// determined by `(seed, experiment_index)`.
     pub workers: Option<usize>,
-    /// Experiments interleaved per worker by the [`CampaignPipeline`] on
-    /// the simulation backend: each worker claims chunks of this many
-    /// experiments and drives them through one
+    /// Experiments interleaved per worker on the simulation backend
+    /// ([`run_study`] and the [`CampaignPipeline`] alike): each worker
+    /// claims chunks of this many experiments and drives them through one
     /// [`loki_sim::batch::WorldSet`] (FoundationDB-style many-worlds
     /// batching). `Some(k)` forces a batch of `k`; `None` uses the
     /// `LOKI_BATCH` environment variable if set, otherwise 1. `Some(0)`
-    /// and unparseable `LOKI_BATCH` values are rejected with a panic,
-    /// exactly like `workers`. Study results are byte-identical for every
-    /// batch size — batching only changes how worlds share a thread.
+    /// and unparseable `LOKI_BATCH` values are rejected as
+    /// [`CampaignError::Batch`], exactly like `workers`. Study results are
+    /// byte-identical for every batch size — batching only changes how
+    /// worlds share a thread.
     pub batch: Option<usize>,
     /// Deterministic virtual-time budget: an experiment whose next event
     /// would be scheduled after this many simulated nanoseconds ends as
@@ -177,8 +181,9 @@ pub struct SimHarnessConfig {
     /// experiment (sync mini-phases included); same determinism contract
     /// and default as [`SimHarnessConfig::max_virtual_time`].
     pub max_events: Option<u64>,
-    /// Retry policy for failed experiments on the threads backend (the
-    /// default retries nothing); ignored by the deterministic simulation.
+    /// Retry policy for failed experiments of a campaign on the threads
+    /// backend (the default retries nothing); ignored by the deterministic
+    /// simulation and by the single-shot [`run_experiment`].
     pub retry: ExperimentRetry,
     /// The execution backend experiments run on.
     pub backend: Backend,
@@ -263,96 +268,64 @@ impl SimHarnessConfig {
     }
 }
 
-/// Runs one experiment of `study` on the configured backend and returns
-/// its raw data.
-///
-/// # Panics
-///
-/// Panics if the configuration has no hosts or two hosts share a name —
-/// this is the one-off convenience wrapper; [`try_run_experiment`] and
-/// the campaign entry points return the same condition as a typed
-/// [`CampaignError`] instead.
+/// Runs one experiment of `study` on a *fresh* world of the configured
+/// backend and returns its raw data: the replay primitive (experiment `k`
+/// of a simulated campaign is `run_experiment(.., k)`, byte for byte), and
+/// the reference the test suites hold the campaign driver's reset-reused
+/// worlds against. A misconfiguration comes back as a typed
+/// [`CampaignError`], like from the campaign entry points.
 pub fn run_experiment(
     study: &Arc<Study>,
     factory: AppFactory,
     cfg: &SimHarnessConfig,
     experiment: u32,
-) -> ExperimentData {
-    match try_run_experiment(study, factory, cfg, experiment) {
-        Ok(data) => data,
-        Err(e) => panic!("loki: invalid harness config: {e}"),
-    }
-}
-
-/// [`run_experiment`], returning configuration problems as a typed
-/// [`CampaignError`] instead of panicking.
-pub fn try_run_experiment(
-    study: &Arc<Study>,
-    factory: AppFactory,
-    cfg: &SimHarnessConfig,
-    experiment: u32,
 ) -> Result<ExperimentData, CampaignError> {
-    run_experiment_with(study, factory, cfg, &cfg.symbols(), experiment)
-}
-
-/// [`run_experiment`] with an already-built study-run symbol table (the
-/// form the worker pools use: one table per study, not per experiment).
-fn run_experiment_with(
-    study: &Arc<Study>,
-    factory: AppFactory,
-    cfg: &SimHarnessConfig,
-    symbols: &Arc<SymbolTable>,
-    experiment: u32,
-) -> Result<ExperimentData, CampaignError> {
-    match cfg.backend {
-        Backend::Sim => run_sim_experiment(study, factory, cfg, symbols, experiment),
-        Backend::Threads => {
-            validate_hosts(cfg)?;
-            Ok(run_thread_experiment_with(
-                study,
-                factory,
-                &cfg.thread_config(),
-                symbols,
-                experiment,
-            ))
+    validate(study, cfg)?;
+    let symbols = cfg.symbols();
+    Ok(match cfg.backend {
+        Backend::Sim => {
+            let sim_study = SimStudy::new(study, &factory, cfg, &symbols);
+            let mut sim = Simulation::with_config(sim_study.world.clone(), 0);
+            sim_study.run_one(&mut sim, experiment)
         }
-    }
+        Backend::Threads => {
+            run_thread_experiment_with(study, factory, &cfg.thread_config(), &symbols, experiment)
+        }
+    })
 }
 
-/// Rejects configurations the world build would reject, without building
-/// one: an empty host list or duplicate host names.
-fn validate_hosts(cfg: &SimHarnessConfig) -> Result<(), CampaignError> {
+/// The one validation step every entry point runs before any experiment
+/// (and any worker) starts: an empty host list, duplicate host names and —
+/// on [`Backend::Threads`] — a placement on an unconfigured host, where
+/// the machines left waiting for the missing one would burn the timeout
+/// in wall-clock time, experiment after experiment (the simulation starts
+/// the remaining machines and reports such a placement as a
+/// per-experiment warning).
+fn validate(study: &Study, cfg: &SimHarnessConfig) -> Result<(), CampaignError> {
     if cfg.hosts.is_empty() {
         return Err(CampaignError::Hosts(
             "loki: harness config needs at least one host".to_owned(),
         ));
     }
+    let configured = |hosts: &[HostConfig], name: &str| hosts.iter().any(|h| h.name == name);
     for (idx, host) in cfg.hosts.iter().enumerate() {
-        if cfg.hosts[..idx].iter().any(|h| h.name == host.name) {
+        if configured(&cfg.hosts[..idx], &host.name) {
             return Err(CampaignError::Hosts(format!(
                 "loki: invalid harness config: duplicate host name {:?}",
                 host.name
             )));
         }
     }
+    if cfg.backend == Backend::Threads {
+        for (_, host) in &study.placements {
+            if let Some(host) = host.as_ref().filter(|h| !configured(&cfg.hosts, h)) {
+                return Err(CampaignError::Hosts(format!(
+                    "loki: invalid harness config: placement on unknown host `{host}`"
+                )));
+            }
+        }
+    }
     Ok(())
-}
-
-/// Runs one experiment on the deterministic simulation backend. This is
-/// the per-experiment path (`run_study` and the pipeline's
-/// [`CampaignPipeline::per_experiment_baseline`] mode): it pays the full
-/// world construction — config build, host clones, slab growth — for every
-/// experiment, exactly like the pre-batching engine did.
-fn run_sim_experiment(
-    study: &Arc<Study>,
-    factory: AppFactory,
-    cfg: &SimHarnessConfig,
-    symbols: &Arc<SymbolTable>,
-    experiment: u32,
-) -> Result<ExperimentData, CampaignError> {
-    let sim_study = SimStudy::new(study, &factory, cfg, symbols)?;
-    let mut sim: Simulation<RtMsg> = Simulation::with_config(sim_study.world.clone(), 0);
-    Ok(sim_study.run_one(&mut sim, experiment))
 }
 
 /// One study compiled for the simulation backend: the shared immutable
@@ -364,11 +337,11 @@ fn run_sim_experiment(
 /// form ([`Simulation::run_exchanges`]) and spawns the runtime daemons and
 /// nodes; once the world's event queue has drained,
 /// [`SimStudy::on_drained`] plays the post-sync mini-phase and assembles
-/// the [`ExperimentData`]. Driving the world via `sim.run()` (the
-/// [`SimStudy::run_one`] baseline) or via interleaved
-/// [`WorldSet::step_earliest`] calls (the batched pipeline) produces
-/// byte-identical results: a world only reaches `on_drained` when it has
-/// no events left, and worlds never interact.
+/// the [`ExperimentData`]. Driving a fresh world via `sim.run()`
+/// ([`SimStudy::run_one`], behind [`run_experiment`]) or reset-reused
+/// worlds interleaved through a [`WorldSet`] ([`drive_chunked`], behind
+/// every campaign) produces byte-identical results: a world only reaches
+/// `on_drained` when it has no events left, and worlds never interact.
 struct SimStudy<'a> {
     study: &'a Arc<Study>,
     factory: &'a AppFactory,
@@ -387,7 +360,7 @@ struct SimStudy<'a> {
 ///
 /// Every store drains (in deterministic order) into [`ExperimentData`] at
 /// assembly, so a script's context is empty again when its experiment
-/// finishes — the batched pipeline recycles the whole script for the next
+/// finishes — [`drive_chunked`] recycles the whole script for the next
 /// experiment, keeping the context's `Rc` block, its stores' capacities,
 /// and its pooled actor hulls instead of reallocating them. Drain orders
 /// are index-determined and lookups are key-addressed, so recycling is
@@ -407,28 +380,20 @@ impl Drop for ExpScript {
 }
 
 impl<'a> SimStudy<'a> {
-    /// Compiles `cfg` into the shared world description, rejecting an
-    /// empty host list or duplicate host names as a typed
-    /// [`CampaignError::Hosts`].
+    /// Compiles `cfg` — which has passed [`validate`] — into the shared
+    /// world description.
     fn new(
         study: &'a Arc<Study>,
         factory: &'a AppFactory,
         cfg: &'a SimHarnessConfig,
         symbols: &'a Arc<SymbolTable>,
-    ) -> Result<Self, CampaignError> {
-        if cfg.hosts.is_empty() {
-            return Err(CampaignError::Hosts(
-                "loki: harness config needs at least one host".to_owned(),
-            ));
-        }
+    ) -> Self {
         let mut world = WorldConfig::new();
         world.set_network(cfg.network);
         for host in &cfg.hosts {
-            if let Err(e) = world.add_host(host.clone()) {
-                return Err(CampaignError::Hosts(format!(
-                    "loki: invalid harness config: {e}"
-                )));
-            }
+            world
+                .add_host(host.clone())
+                .expect("host names validated unique");
         }
         let reference = cfg.reference_host();
         let ref_idx = cfg
@@ -440,7 +405,7 @@ impl<'a> SimStudy<'a> {
             .filter(|&idx| idx != ref_idx)
             .map(|idx| SimHostId(idx as u32))
             .collect();
-        Ok(SimStudy {
+        SimStudy {
             study,
             factory,
             cfg,
@@ -448,7 +413,7 @@ impl<'a> SimStudy<'a> {
             world: Arc::new(world),
             ref_idx,
             initiators,
-        })
+        }
     }
 
     /// Rewinds `sim` to experiment `experiment`'s seed, plays the pre-sync
@@ -505,9 +470,9 @@ impl<'a> SimStudy<'a> {
     /// Finishes the experiment of a drained world: plays the post-sync
     /// mini-phase and assembles the data. A tripped budget reports the
     /// world as drained with events still pending — the experiment then
-    /// ends right where it tripped, as a typed failure. The pipeline
-    /// quarantines such a world afterwards, so the undelivered events can
-    /// never leak into another experiment.
+    /// ends right where it tripped, as a typed failure. The campaign
+    /// driver quarantines such a world afterwards, so the undelivered
+    /// events can never leak into another experiment.
     fn on_drained(&self, sim: &mut Simulation<RtMsg>, script: &mut ExpScript) -> ExperimentData {
         // Every actor killed during the runtime phase sits in the engine's
         // graveyard: file the corpses into the typed hull pool so the next
@@ -538,8 +503,7 @@ impl<'a> SimStudy<'a> {
         self.assemble(script)
     }
 
-    /// Runs one experiment to completion on `sim` (which may be fresh or
-    /// reset-reused).
+    /// Runs one experiment to completion on `sim`.
     fn run_one(&self, sim: &mut Simulation<RtMsg>, experiment: u32) -> ExperimentData {
         let mut script = self.begin_with(sim, experiment, None);
         sim.run();
@@ -705,33 +669,12 @@ fn worker_count(
     env: Option<&str>,
     experiments: u32,
 ) -> Result<usize, String> {
-    let requested = match explicit {
-        Some(0) => {
-            return Err(
-                "loki: worker count must be at least 1 (config has `workers: Some(0)`); \
-                 use `None` for automatic selection"
-                    .to_owned(),
-            )
-        }
-        Some(n) => n,
-        None => match env {
-            Some(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    return Err(format!(
-                        "loki: LOKI_WORKERS must be a positive integer, got {raw:?}"
-                    ))
-                }
-            },
-            None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        },
-    };
+    let requested = pool_knob("worker count", "workers", "LOKI_WORKERS", explicit, env)?
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     Ok(requested.clamp(1, experiments.max(1) as usize))
 }
 
-/// Resolves the per-worker batch size for the campaign pipeline: explicit
+/// Resolves the per-worker batch size of a simulated campaign: explicit
 /// config, then the `LOKI_BATCH` environment variable, then 1.
 ///
 /// `Some(0)` and an unparseable `LOKI_BATCH` resolve to
@@ -744,127 +687,74 @@ fn resolve_batch(cfg: &SimHarnessConfig) -> Result<usize, CampaignError> {
 
 /// The pure batch-size resolution; see [`resolve_batch`].
 fn batch_size(explicit: Option<usize>, env: Option<&str>) -> Result<usize, String> {
-    match explicit {
-        Some(0) => Err(
-            "loki: batch size must be at least 1 (config has `batch: Some(0)`); \
+    Ok(pool_knob("batch size", "batch", "LOKI_BATCH", explicit, env)?.unwrap_or(1))
+}
+
+/// What both pool-shape knobs have in common: the explicit config value
+/// wins, then the environment variable `var`; `None` leaves the default to
+/// the caller. A zero or an unparseable variable is an error.
+fn pool_knob(
+    what: &str,
+    field: &str,
+    var: &str,
+    explicit: Option<usize>,
+    env: Option<&str>,
+) -> Result<Option<usize>, String> {
+    match (explicit, env) {
+        (Some(0), _) => Err(format!(
+            "loki: {what} must be at least 1 (config has `{field}: Some(0)`); \
              use `None` for the default"
-                .to_owned(),
-        ),
-        Some(n) => Ok(n),
-        None => match env {
-            Some(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!(
-                    "loki: LOKI_BATCH must be a positive integer, got {raw:?}"
-                )),
-            },
-            None => Ok(1),
+        )),
+        (Some(n), _) => Ok(Some(n)),
+        (None, Some(raw)) => match raw.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!(
+                "loki: {var} must be a positive integer, got {raw:?}"
+            )),
         },
+        (None, None) => Ok(None),
     }
 }
 
 /// Runs `experiments` experiments of `study` on the backend selected by
-/// [`SimHarnessConfig::backend`], with per-experiment seeds.
+/// [`SimHarnessConfig::backend`], with per-experiment seeds, and returns
+/// every experiment's raw data in experiment order.
 ///
-/// Experiments fan out across a scoped worker pool (see
-/// [`SimHarnessConfig::workers`]) on every backend; on [`Backend::Sim`]
-/// each experiment seeds its own simulation from
-/// `(cfg.seed, experiment_index)`, so the returned data — order,
-/// timelines, sync samples, verdict-relevant fields, everything — is
-/// byte-identical whatever the worker count or scheduling. On
+/// This is the campaign driver behind [`CampaignPipeline`] with nothing
+/// fused in: the same caller-runs, work-stealing pool
+/// ([`SimHarnessConfig::workers`], [`SimHarnessConfig::batch`]) on
+/// reset-reused worlds, the same containment — an experiment whose
+/// application, budget or scaffolding fails ends as a typed
+/// [`ExperimentEnd::Failed`] with its world quarantined, and the campaign
+/// carries on — and the same [`SimHarnessConfig::retry`] policy on
+/// [`Backend::Threads`]. On [`Backend::Sim`] experiment `k` is fully
+/// determined by `(cfg.seed, k)`, so the returned data — order, timelines,
+/// sync samples, everything — is byte-identical whatever the pool shape,
+/// and identical to `k` runs of [`run_experiment`]. On
 /// [`Backend::Threads`] the per-experiment *fault-injection semantics* are
 /// the same (the node core is shared), but timing and interleavings are
 /// genuinely nondeterministic.
 ///
-/// Misconfigurations — an empty or duplicated host list, an invalid
-/// worker count — come back as a typed [`CampaignError`] before any
-/// experiment runs.
+/// Misconfigurations — an invalid host list, worker count or batch size —
+/// come back as a typed [`CampaignError`] before any experiment runs.
 pub fn run_study(
     study: &Arc<Study>,
     factory: AppFactory,
     cfg: &SimHarnessConfig,
     experiments: u32,
 ) -> Result<Vec<ExperimentData>, CampaignError> {
-    run_study_with_workers(
+    let workers = resolve_workers(cfg, experiments)?;
+    let mut out = Vec::with_capacity(experiments as usize);
+    drive_campaign(
         study,
-        factory,
+        &factory,
         cfg,
         experiments,
-        resolve_workers(cfg, experiments)?,
-    )
-}
-
-/// [`run_study`] with an explicit worker count (`workers == 1` runs
-/// entirely on the calling thread); `workers == 0` is
-/// [`CampaignError::Workers`].
-pub fn run_study_with_workers(
-    study: &Arc<Study>,
-    factory: AppFactory,
-    cfg: &SimHarnessConfig,
-    experiments: u32,
-    workers: usize,
-) -> Result<Vec<ExperimentData>, CampaignError> {
-    if workers == 0 {
-        return Err(CampaignError::Workers(
-            "loki: worker count must be at least 1".to_owned(),
-        ));
-    }
-    validate_hosts(cfg)?;
-    let workers = workers.clamp(1, experiments.max(1) as usize);
-    let symbols = cfg.symbols();
-    // The config is validated above, so per-experiment runs cannot fail.
-    let run_one =
-        |k| run_experiment_with(study, factory.clone(), cfg, &symbols, k).expect("hosts validated");
-    if workers == 1 {
-        return Ok((0..experiments).map(run_one).collect());
-    }
-
-    // Round-robin striping: worker `w` runs experiments `w, w+workers,
-    // w+2·workers, …` and returns them in that order. Each worker runs
-    // whole experiments (all per-experiment `Rc` state stays
-    // thread-local); only the study and the factory cross the thread
-    // boundary. Experiments of one study cost roughly the same, so a
-    // static partition balances well without a shared queue.
-    let mut stripes: Vec<Vec<ExperimentData>> = std::thread::scope(|scope| {
-        let symbols = &symbols;
-        let handles: Vec<_> = (0..workers as u32)
-            .map(|w| {
-                let factory = factory.clone();
-                scope.spawn(move || {
-                    (w..experiments)
-                        .step_by(workers)
-                        .map(|k| {
-                            run_experiment_with(study, factory.clone(), cfg, symbols, k)
-                                .expect("hosts validated")
-                        })
-                        .collect::<Vec<ExperimentData>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment worker panicked"))
-            .collect()
-    });
-
-    // Interleave the stripes back into experiment order (stripe `w`,
-    // round `i` holds experiment `i·workers + w`).
-    let mut stripes: Vec<_> = stripes.drain(..).map(Vec::into_iter).collect();
-    let mut results = Vec::with_capacity(experiments as usize);
-    loop {
-        let mut produced = false;
-        for stripe in &mut stripes {
-            if let Some(data) = stripe.next() {
-                results.push(data);
-                produced = true;
-            }
-        }
-        if !produced {
-            break;
-        }
-    }
-    debug_assert_eq!(results.len(), experiments as usize);
-    Ok(results)
+        workers,
+        |data, _| data,
+        |data| out.push(data),
+    )?;
+    Ok(out)
 }
 
 /// Aggregate counters of one [`CampaignPipeline`] run.
@@ -897,7 +787,7 @@ pub struct PipelineSummary {
     /// Worker threads used.
     pub workers: usize,
     /// Experiments interleaved per worker ([`SimHarnessConfig::batch`]);
-    /// 1 on the threads backend and in the per-experiment baseline mode.
+    /// 1 on the threads backend.
     pub batch: usize,
     /// Peak number of in-flight experiments (raw [`ExperimentData`] plus
     /// live world state) inside the pipeline — at most
@@ -908,16 +798,14 @@ pub struct PipelineSummary {
     /// finished but were still waiting for a lower index to commit.
     pub peak_reorder_depth: usize,
     /// Actor spawns served from the recycled-hull pool instead of a fresh
-    /// box (0 on the threads backend and in the per-experiment baseline
-    /// mode, which retire their contexts after every experiment).
+    /// box (0 on the threads backend, which has no pooled hulls).
     pub actor_reuses: u64,
     /// Timeline shells begun on a recycled capacity-retaining buffer
-    /// instead of a fresh allocation (0 off the batched simulation path,
-    /// like [`PipelineSummary::actor_reuses`]).
+    /// instead of a fresh allocation (0 on the threads backend, like
+    /// [`PipelineSummary::actor_reuses`]).
     pub timeline_reuses: u64,
-    /// Simulation events processed across all experiments (0 off the
-    /// batched simulation path); the all-in ns/event bench divides by
-    /// this.
+    /// Simulation events processed across all experiments (0 on the
+    /// threads backend); the all-in ns/event bench divides by this.
     pub events: u64,
     /// Analyzed-result shells (the `GlobalTimeline` events/intervals/
     /// `alpha_beta` vectors) served from the recycling pool: sinks that
@@ -932,7 +820,7 @@ pub struct PipelineSummary {
     pub result_shell_allocs: u64,
 }
 
-/// The pipeline's reorder buffer: holds finished experiments whose
+/// The campaign driver's reorder buffer: holds finished experiments whose
 /// predecessors are still running, releasing them in strictly increasing
 /// index order. A sorted `Vec` (descending, so the next index to commit
 /// sits at the tail) instead of a `BTreeMap`: the buffer holds at most
@@ -970,7 +858,7 @@ impl<V> Reorder<V> {
     }
 }
 
-/// The pipeline's retention gauge: counts in-flight experiments and
+/// The campaign driver's retention gauge: counts in-flight experiments and
 /// remembers the high-water mark that
 /// [`PipelineSummary::peak_raw_retained`] reports. Plain statistics —
 /// they publish no other data, and read-modify-writes on one atomic are
@@ -1066,21 +954,34 @@ fn drive_chunked(
     // `begin_with` recycles them, so in steady state a worker reallocates
     // none of the per-experiment scaffolding.
     let mut spare: Vec<ExpScript> = Vec::with_capacity(batch);
-    // Retires a finished experiment's script: healthy scripts feed the
-    // recycling list, failed ones are quarantined with their world.
-    let retire = |script: ExpScript,
-                  failed: bool,
-                  idx: usize,
-                  set: &mut WorldSet<RtMsg>,
-                  spare: &mut Vec<ExpScript>| {
-        if failed {
-            stats.absorb(&script.ctx);
-            drop(script);
-            set.replace(idx, Simulation::with_config(sim_study.world.clone(), 0));
-            stats.quarantined.fetch_add(1, Ordering::Relaxed);
-        } else {
-            spare.push(script);
+    // Concludes experiment `k` of world `idx`: hands its data — or, when
+    // its scaffolding unwound, a typed stand-in — to `process`, then
+    // retires its script. A healthy script feeds the recycling list; a
+    // failed experiment's is quarantined with its world (an unwind out of
+    // `begin_with` leaves no script behind, only the half-loaded world).
+    let mut conclude = |k: u32,
+                        idx: usize,
+                        script: Option<ExpScript>,
+                        outcome: std::thread::Result<ExperimentData>,
+                        set: &mut WorldSet<RtMsg>,
+                        spare: &mut Vec<ExpScript>| {
+        let ctx = script.as_ref().filter(|_| outcome.is_ok()).map(|s| &*s.ctx);
+        let data = outcome.unwrap_or_else(|payload| {
+            sim_study.failed_data(k, crate::contain::panic_note(payload.as_ref()))
+        });
+        let failed = matches!(data.end, ExperimentEnd::Failed(_));
+        let keep_going = process(k, data, ctx);
+        match script {
+            Some(script) if !failed => spare.push(script),
+            poisoned => {
+                if let Some(script) = poisoned {
+                    stats.absorb(&script.ctx);
+                }
+                set.replace(idx, Simulation::with_config(sim_study.world.clone(), 0));
+                stats.quarantined.fetch_add(1, Ordering::Relaxed);
+            }
         }
+        keep_going
     };
     'run: loop {
         // Relaxed suffices: the claim is the only shared state, and the
@@ -1111,76 +1012,46 @@ fn drive_chunked(
                 });
                 (script, finished)
             }));
-            match loaded {
-                Ok((script, Some(data))) => {
-                    let failed = matches!(data.end, ExperimentEnd::Failed(_));
-                    let keep_going = process(k, data, Some(&script.ctx));
-                    retire(script, failed, slot, &mut set, &mut spare);
-                    if !keep_going {
-                        break 'run;
-                    }
-                }
+            let (script, outcome) = match loaded {
                 Ok((script, None)) => {
                     scripts[slot] = Some(script);
                     inflight += 1;
+                    continue;
                 }
-                Err(payload) => {
-                    // The unwind consumed the script (and possibly a
-                    // recycled one); the half-loaded world is rebuilt.
-                    let note = crate::contain::panic_note(payload.as_ref());
-                    set.replace(slot, Simulation::with_config(sim_study.world.clone(), 0));
-                    stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                    if !process(k, sim_study.failed_data(k, note), None) {
-                        break 'run;
-                    }
-                }
+                Ok((script, Some(data))) => (Some(script), Ok(data)),
+                Err(payload) => (None, Err(payload)),
+            };
+            if !conclude(k, slot, script, outcome, &mut set, &mut spare) {
+                break 'run;
             }
         }
 
         // Interleave: always step the world with the earliest next event;
-        // when a world drains, finish and retire its experiment.
+        // when a world drains — or the engine unwinds under it, leaving
+        // the world unusable and the experiment without data — finish and
+        // conclude its experiment.
         while inflight > 0 {
             let (idx, horizon) = set
                 .earliest()
                 .expect("worlds with in-flight experiments have events");
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| set.run_world(idx, horizon))) {
-                // The engine itself unwound: the world is unusable and its
-                // experiment produced nothing. Quarantine and report.
-                let script = scripts[idx].take().expect("running world has a script");
-                inflight -= 1;
-                let k = script.experiment;
-                let note = crate::contain::panic_note(payload.as_ref());
-                retire(script, true, idx, &mut set, &mut spare);
-                if !process(k, sim_study.failed_data(k, note), None) {
-                    break 'run;
+            let mut script = scripts[idx].take().expect("running world has a script");
+            let stepped = catch_unwind(AssertUnwindSafe(|| {
+                set.run_world(idx, horizon);
+                set.drained(idx)
+                    .then(|| set.with_world_mut(idx, |sim| sim_study.on_drained(sim, &mut script)))
+            }));
+            let outcome = match stepped {
+                Ok(None) => {
+                    scripts[idx] = Some(script);
+                    continue;
                 }
-                continue;
-            }
-            if !set.drained(idx) {
-                continue;
-            }
-            let mut script = scripts[idx].take().expect("drained world has a script");
+                Ok(Some(data)) => Ok(data),
+                Err(payload) => Err(payload),
+            };
             inflight -= 1;
             let k = script.experiment;
-            let finished = catch_unwind(AssertUnwindSafe(|| {
-                set.with_world_mut(idx, |sim| sim_study.on_drained(sim, &mut script))
-            }));
-            match finished {
-                Ok(data) => {
-                    let failed = matches!(data.end, ExperimentEnd::Failed(_));
-                    let keep_going = process(k, data, Some(&script.ctx));
-                    retire(script, failed, idx, &mut set, &mut spare);
-                    if !keep_going {
-                        break 'run;
-                    }
-                }
-                Err(payload) => {
-                    let note = crate::contain::panic_note(payload.as_ref());
-                    retire(script, true, idx, &mut set, &mut spare);
-                    if !process(k, sim_study.failed_data(k, note), None) {
-                        break 'run;
-                    }
-                }
+            if !conclude(k, idx, Some(script), outcome, &mut set, &mut spare) {
+                break 'run;
             }
         }
     }
@@ -1193,9 +1064,178 @@ fn drive_chunked(
     }
 }
 
+/// The one campaign driver, behind [`run_study`] and every
+/// [`CampaignPipeline`] entry point. Validates the configuration, then
+/// runs `workers − 1` spawned threads plus the calling thread through the
+/// same worker body: a work-stealing claim loop on a shared atomic index
+/// counter — chunks of `batch` experiments through [`drive_chunked`] on
+/// the simulation backend; single experiments, re-run under
+/// [`SimHarnessConfig::retry`], on the threads backend. Each finished
+/// experiment passes through `map` on the worker that ran it (with, on the
+/// simulation backend, the context whose recyclers its buffers came
+/// from); the retention gauge brackets it from claim to `map`'s return.
+/// Mapped results reach `commit` on the calling thread exactly once per
+/// experiment, in strictly increasing index order: spawned workers send
+/// theirs, tagged with the index, through one bounded channel; the caller
+/// puts its own straight into the reorder buffer and drains the channel
+/// after each of them ([`CampaignPipeline`] documents the pool's contract
+/// and trade-offs).
+///
+/// Returns the pool-side counters of [`PipelineSummary`]; the verdict and
+/// result-shell counters are the pipeline's to fill. Worker-side panics
+/// are contained per experiment; a panic in `commit` unwinds out of the
+/// calling thread (the spawned workers then fail their next send and exit).
+fn drive_campaign<R: Send>(
+    study: &Arc<Study>,
+    factory: &AppFactory,
+    cfg: &SimHarnessConfig,
+    experiments: u32,
+    workers: usize,
+    map: impl Fn(ExperimentData, Option<&ExpCtx>) -> R + Sync,
+    mut commit: impl FnMut(R),
+) -> Result<PipelineSummary, CampaignError> {
+    if workers == 0 {
+        return Err(CampaignError::Workers(
+            "loki: worker count must be at least 1".to_owned(),
+        ));
+    }
+    validate(study, cfg)?;
+    let workers = workers.clamp(1, experiments.max(1) as usize);
+    let symbols = cfg.symbols();
+    // Many-worlds batching is a simulation-backend technique; the threads
+    // backend runs one experiment at a time per worker.
+    let (batch, sim_study) = match cfg.backend {
+        Backend::Sim => (
+            resolve_batch(cfg)?,
+            Some(SimStudy::new(study, factory, cfg, &symbols)),
+        ),
+        Backend::Threads => (1, None),
+    };
+    let gauge = RetentionGauge::new();
+    let stats = PoolStats::default();
+    let retried = AtomicU64::new(0);
+    let next_claim = AtomicU32::new(0);
+
+    // `emit` returns `false` once nobody will commit the result (the
+    // caller unwound): stop claiming and bail out.
+    let work = |emit: &mut dyn FnMut(u32, R) -> bool| {
+        let mut finish = |k: u32, data: ExperimentData, ctx: Option<&ExpCtx>| {
+            let result = map(data, ctx);
+            gauge.dec();
+            emit(k, result)
+        };
+        let Some(sim_study) = &sim_study else {
+            let thread_cfg = cfg.thread_config();
+            loop {
+                // Relaxed suffices: the claim is the only shared state,
+                // and the hand-off orders the result.
+                let k = next_claim.fetch_add(1, Ordering::Relaxed);
+                if k >= experiments {
+                    return;
+                }
+                gauge.inc();
+                // A failed run re-runs under the bounded retry policy with
+                // exponential backoff — a real machine's failure can be a
+                // scheduling accident; the simulation's cannot, so it
+                // never retries.
+                let mut attempt = 0u32;
+                let data = loop {
+                    let factory = factory.clone();
+                    let data = run_thread_experiment_with(study, factory, &thread_cfg, &symbols, k);
+                    let failed = matches!(data.end, ExperimentEnd::Failed(_));
+                    if !failed || attempt >= cfg.retry.max_retries {
+                        break data;
+                    }
+                    std::thread::sleep(cfg.retry.backoff * (1u32 << attempt.min(16)));
+                    attempt += 1;
+                    retried.fetch_add(1, Ordering::Relaxed);
+                };
+                if !finish(k, data, None) {
+                    return;
+                }
+            }
+        };
+        drive_chunked(
+            sim_study,
+            experiments,
+            batch,
+            &next_claim,
+            &gauge,
+            &stats,
+            finish,
+        )
+    };
+
+    // `delivered` doubles as the next index to commit.
+    let mut delivered = 0u32;
+    let mut reorder: Reorder<R> = Reorder::new();
+    std::thread::scope(|scope| {
+        // Twice the in-flight window: what the others finish while the
+        // caller runs a chunk of its own fits.
+        let (tx, rx) = mpsc::sync_channel::<(u32, R)>(2 * workers * batch);
+        for _ in 1..workers {
+            let (tx, work) = (tx.clone(), &work);
+            scope.spawn(move || work(&mut |k, result| tx.send((k, result)).is_ok()));
+        }
+        // All senders are worker-owned; the final `recv` loop must
+        // observe disconnect once they finish or die.
+        drop(tx);
+        // Buffers one result, commits whatever became committable, and
+        // returns the next index to commit.
+        let mut commit = |k: u32, result: R| {
+            reorder.insert(k, result);
+            while let Some(result) = reorder.pop(delivered) {
+                commit(result);
+                delivered += 1;
+            }
+            delivered
+        };
+        // Claims are `batch`-aligned, so `k / chunk` names the chunk
+        // the caller is driving. While the next index to commit is an
+        // unfinished experiment of that very chunk nothing in the
+        // channel can commit: leave it there, as back-pressure, rather
+        // than pile it into the reorder buffer.
+        let chunk = batch as u32;
+        work(&mut |k, result| {
+            let mut next = commit(k, result);
+            while next / chunk != k / chunk {
+                match rx.try_recv() {
+                    Ok((k, result)) => next = commit(k, result),
+                    Err(_) => break,
+                }
+            }
+            true
+        });
+        // Every index is claimed; what is still missing is in flight
+        // on a spawned worker. The channel disconnects when the last
+        // of them finishes — or dies, and the scope propagates its
+        // panic.
+        while let Ok((k, result)) = rx.recv() {
+            commit(k, result);
+        }
+    });
+    // After the scope: a worker panic has already propagated, so an
+    // undelivered experiment here is a genuine driver bug.
+    assert_eq!(delivered, experiments, "campaign driver lost experiments");
+    Ok(PipelineSummary {
+        experiments,
+        workers,
+        batch,
+        peak_raw_retained: gauge.peak(),
+        peak_reorder_depth: reorder.peak,
+        actor_reuses: stats.actor_reuses.load(Ordering::Relaxed),
+        timeline_reuses: stats.timeline_reuses.load(Ordering::Relaxed),
+        events: stats.events.load(Ordering::Relaxed),
+        retried: retried.load(Ordering::Relaxed) as usize,
+        quarantined_worlds: stats.quarantined.load(Ordering::Relaxed) as usize,
+        ..Default::default()
+    })
+}
+
 /// The streaming campaign pipeline: execution, global-timeline
 /// construction, and verdict checking fused into a single per-experiment
-/// flow on the [`run_study`] worker pool.
+/// flow on the campaign driver's worker pool (the one [`run_study`] rides
+/// too).
 ///
 /// On the simulation backend each worker drives a **batch** of
 /// [`SimHarnessConfig::batch`] independent worlds at once through one
@@ -1214,10 +1254,9 @@ fn drive_chunked(
 ///
 /// Workers claim experiments dynamically from a shared atomic index
 /// counter (work stealing, in chunks of the batch size): whichever worker
-/// finishes first takes the next
-/// unstarted experiments, so a heavy-tailed study — one slow experiment
-/// among cheap ones — no longer idles the rest of the pool the way static
-/// striping did. Results are still merged **by experiment index**: the
+/// finishes first takes the next unstarted experiments, so a heavy-tailed
+/// study — one slow experiment among cheap ones — does not idle the rest
+/// of the pool. Results are still merged **by experiment index**: the
 /// sink closure is invoked exactly once per experiment, in strictly
 /// increasing index order `0, 1, …, experiments − 1`, whatever the worker
 /// count or completion order (out-of-order compact results wait in a
@@ -1226,8 +1265,8 @@ fn drive_chunked(
 /// `(cfg.seed, k)` — a reset world replays exactly like a fresh one, and
 /// interleaved worlds never interact — so everything the sink observes —
 /// timelines, verdicts, measure folds — is byte-identical across worker
-/// counts *and batch sizes* and identical to the batch `run_study` +
-/// `analyze` path.
+/// counts *and batch sizes* and identical to analyzing
+/// [`run_experiment`]'s fresh-world data one experiment at a time.
 ///
 /// # Caller-runs pool
 ///
@@ -1267,7 +1306,6 @@ pub struct CampaignPipeline {
     factory: AppFactory,
     cfg: SimHarnessConfig,
     analysis: AnalysisOptions,
-    per_experiment: bool,
     /// Deduplicated per-run failure reports: one line per distinct
     /// [`ExperimentFailure`] kind, recorded on the calling thread as results
     /// commit in index order (so "first experiment" is deterministic).
@@ -1282,7 +1320,6 @@ impl CampaignPipeline {
             factory,
             cfg,
             analysis: AnalysisOptions::default(),
-            per_experiment: false,
             failure_log: Mutex::new(WarningSink::new()),
         }
     }
@@ -1290,17 +1327,6 @@ impl CampaignPipeline {
     /// Sets the analysis options (builder-style).
     pub fn analysis(mut self, analysis: AnalysisOptions) -> Self {
         self.analysis = analysis;
-        self
-    }
-
-    /// Forces the pre-batching per-experiment engine path: a fresh
-    /// simulation (full world construction, fresh slabs) for every
-    /// experiment, ignoring [`SimHarnessConfig::batch`] / `LOKI_BATCH`.
-    /// Results are byte-identical to the batched path — this mode exists
-    /// as the honest baseline for the batched-vs-per-experiment bench
-    /// comparison, not for campaigns.
-    pub fn per_experiment_baseline(mut self) -> Self {
-        self.per_experiment = true;
         self
     }
 
@@ -1338,27 +1364,12 @@ impl CampaignPipeline {
         self.run_tapped_with_workers(experiments, workers, |_| (), |analyzed, ()| sink(analyzed))
     }
 
-    /// [`CampaignPipeline::run`] with a raw-data *tap*: `tap` runs inside
-    /// the worker on the raw [`ExperimentData`] (right before it is
-    /// dropped) and its output rides along to the sink. This keeps
+    /// The fully general pipeline entry point:
+    /// [`CampaignPipeline::run_with_workers`] with a raw-data *tap*. `tap`
+    /// runs inside the worker on the raw [`ExperimentData`] (right before
+    /// it is dropped) and its output rides along to the sink. This keeps
     /// campaigns that need a raw extract — e.g. notification latencies
     /// from record timestamps — on the bounded-memory path.
-    pub fn run_tapped<T: Send>(
-        &self,
-        experiments: u32,
-        tap: impl Fn(&ExperimentData) -> T + Sync,
-        sink: impl FnMut(AnalyzedExperiment, T),
-    ) -> Result<PipelineSummary, CampaignError> {
-        self.run_tapped_with_workers(
-            experiments,
-            resolve_workers(&self.cfg, experiments)?,
-            tap,
-            sink,
-        )
-    }
-
-    /// The fully general pipeline entry point; see
-    /// [`CampaignPipeline::run`] and [`CampaignPipeline::run_tapped`].
     ///
     /// Returns a typed [`CampaignError`] on any campaign
     /// misconfiguration; still panics if the *sink* panics (it runs on the
@@ -1371,57 +1382,21 @@ impl CampaignPipeline {
         tap: impl Fn(&ExperimentData) -> T + Sync,
         mut sink: impl FnMut(AnalyzedExperiment, T),
     ) -> Result<PipelineSummary, CampaignError> {
-        if workers == 0 {
-            return Err(CampaignError::Workers(
-                "loki: worker count must be at least 1".to_owned(),
-            ));
-        }
-        validate_hosts(&self.cfg)?;
         if let Err(e) = self.analysis.global.validate() {
             return Err(CampaignError::Analysis(format!(
                 "loki: invalid analysis options: {e}"
             )));
         }
-        let workers = workers.clamp(1, experiments.max(1) as usize);
-        // Many-worlds batching is a simulation-backend technique; the
-        // threads backend and the per-experiment baseline run one
-        // experiment at a time per worker.
-        let batched = self.cfg.backend == Backend::Sim && !self.per_experiment;
-        let batch = if batched {
-            resolve_batch(&self.cfg)?
-        } else {
-            1
-        };
-        let symbols = self.cfg.symbols();
-        let sim_study = match batched {
-            true => Some(SimStudy::new(
-                &self.study,
-                &self.factory,
-                &self.cfg,
-                &symbols,
-            )?),
-            false => None,
-        };
-        let mut summary = PipelineSummary {
-            experiments,
-            workers,
-            batch,
-            ..Default::default()
-        };
-        let gauge = RetentionGauge::new();
-        let stats = PoolStats::default();
         // Result shells cycle sink→pool→worker across the whole pipeline
-        // (all paths — batched, baseline, threads backend — share it, and
-        // timelines route themselves back on drop wherever they die).
+        // (timelines route themselves back on drop wherever they die).
         let shell_pool = ShellPool::default();
 
         // The back half of the fused flow: analyze (into a recycled result
         // shell) → tap → reclaim the raw data's buffers into the worker's
-        // context (batched path) → drop. The retention gauge (raised when
-        // an experiment begins) brackets the raw data's whole lifetime.
-        // Analysis runs contained: a panicking analysis (conceivable on a
-        // failed experiment's partial timelines) downgrades that one
-        // result to a harness failure instead of killing the campaign.
+        // context (simulation backend) → drop. Analysis runs contained: a
+        // panicking analysis (conceivable on a failed experiment's partial
+        // timelines) downgrades that one result to a harness failure
+        // instead of killing the campaign.
         let finish = |mut data: ExperimentData, ctx: Option<&ExpCtx>| -> (AnalyzedExperiment, T) {
             let analyzed = catch_unwind(AssertUnwindSafe(|| {
                 analyze_one_pooled(&self.study, &data, &self.analysis, &shell_pool)
@@ -1440,159 +1415,49 @@ impl CampaignPipeline {
                 ctx.collector.reclaim(std::mem::take(&mut data.pre_sync));
                 ctx.collector.reclaim(std::mem::take(&mut data.post_sync));
             }
-            drop(data);
-            gauge.dec();
             (analyzed, tapped)
         };
-        // One experiment through the per-experiment flow (threads backend
-        // and the baseline mode): run → finish, nothing reclaimed. On the
-        // threads backend a failed run re-runs under the bounded
-        // `ExperimentRetry` policy with exponential backoff — a real
-        // machine's failure can be a scheduling accident; the
-        // simulation's cannot, so it never retries.
-        let retried = AtomicU64::new(0);
-        let one = |k: u32| -> (AnalyzedExperiment, T) {
-            gauge.inc();
-            let mut attempt = 0u32;
-            let data = loop {
-                let data =
-                    run_experiment_with(&self.study, self.factory.clone(), &self.cfg, &symbols, k)
-                        .expect("config validated before workers started");
-                let retryable = self.cfg.backend == Backend::Threads
-                    && matches!(data.end, ExperimentEnd::Failed(_))
-                    && attempt < self.cfg.retry.max_retries;
-                if !retryable {
-                    break data;
+        // Runs on the calling thread in strictly increasing index order,
+        // so "first exhibiting experiment" is deterministic.
+        let mut tally = PipelineSummary::default();
+        let driven = drive_campaign(
+            &self.study,
+            &self.factory,
+            &self.cfg,
+            experiments,
+            workers,
+            finish,
+            |(analyzed, tapped)| {
+                if analyzed.end == ExperimentEnd::Completed {
+                    tally.completed += 1;
                 }
-                std::thread::sleep(self.cfg.retry.backoff * (1u32 << attempt.min(16)));
-                attempt += 1;
-                retried.fetch_add(1, Ordering::Relaxed);
-            };
-            finish(data, None)
-        };
-        let account = |summary: &mut PipelineSummary, analyzed: &AnalyzedExperiment| {
-            if analyzed.end == ExperimentEnd::Completed {
-                summary.completed += 1;
-            }
-            if analyzed.accepted() {
-                summary.accepted += 1;
-            }
-            if let Some(failure) = analyzed.end.failure() {
-                summary.failed += 1;
-                // Runs on the calling thread in strictly increasing index
-                // order, so "first exhibiting experiment" is
-                // deterministic. One report per failure kind per run.
-                let k = analyzed.experiment;
-                self.failure_log
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .warn_once(failure_key(failure), || {
-                        format!("experiment {k}: {failure} (first of its kind this run)")
-                    });
-            }
-            summary.injections += analyzed.injections;
-        };
-
-        // One driver for every worker count: `workers − 1` spawned threads
-        // plus the calling thread run the same worker body — a
-        // work-stealing claim loop on a shared atomic index counter
-        // (chunks of `batch` experiments through `drive_chunked` on the
-        // simulation backend, single experiments otherwise), so a
-        // heavy-tailed study keeps the whole pool busy and no core is
-        // spent on a parked coordinator. Spawned workers send compact
-        // results, tagged with their index, through one bounded channel;
-        // the caller puts its own straight into the reorder buffer, drains
-        // the channel after each of them, and commits to the sink in
-        // strictly increasing index order (`delivered` doubles as the
-        // next index to commit). The channel holds twice the in-flight
-        // window — what the others finish while the caller runs a chunk
-        // of its own fits — so a spawned worker parks only when the sink
-        // is the bottleneck. The reorder buffer holds only *compact*
-        // results whose predecessors are still running (a slow experiment
-        // on a spawned worker is the skew it exists to absorb); raw data
-        // never crosses a channel and stays O(workers × batch) regardless.
-        let mut delivered = 0u32;
-        let next_claim = AtomicU32::new(0);
-        let mut reorder: Reorder<(AnalyzedExperiment, T)> = Reorder::new();
-        // `emit` returns `false` once nobody will commit the result
-        // (the caller unwound): stop claiming and bail out.
-        let work = |emit: &mut dyn FnMut(u32, (AnalyzedExperiment, T)) -> bool| match &sim_study {
-            Some(sim_study) => drive_chunked(
-                sim_study,
-                experiments,
-                batch,
-                &next_claim,
-                &gauge,
-                &stats,
-                |k, data, ctx| emit(k, finish(data, ctx)),
-            ),
-            None => loop {
-                // Relaxed suffices: the claim is the only shared
-                // state, and the hand-off orders the result.
-                let k = next_claim.fetch_add(1, Ordering::Relaxed);
-                if k >= experiments || !emit(k, one(k)) {
-                    return;
+                if analyzed.accepted() {
+                    tally.accepted += 1;
                 }
+                if let Some(failure) = analyzed.end.failure() {
+                    tally.failed += 1;
+                    // One report per failure kind per run.
+                    let k = analyzed.experiment;
+                    self.failure_log
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .warn_once(failure_key(failure), || {
+                            format!("experiment {k}: {failure} (first of its kind this run)")
+                        });
+                }
+                tally.injections += analyzed.injections;
+                sink(analyzed, tapped);
             },
-        };
-        std::thread::scope(|scope| {
-            let (tx, rx) =
-                mpsc::sync_channel::<(u32, (AnalyzedExperiment, T))>(2 * workers * batch);
-            for _ in 1..workers {
-                let (tx, work) = (tx.clone(), &work);
-                scope.spawn(move || work(&mut |k, result| tx.send((k, result)).is_ok()));
-            }
-            // All senders are worker-owned; the final `recv` loop must
-            // observe disconnect once they finish or die.
-            drop(tx);
-            // Buffers one result, commits whatever became committable, and
-            // returns the next index to commit.
-            let mut commit = |k: u32, result: (AnalyzedExperiment, T)| {
-                reorder.insert(k, result);
-                while let Some((analyzed, tapped)) = reorder.pop(delivered) {
-                    account(&mut summary, &analyzed);
-                    sink(analyzed, tapped);
-                    delivered += 1;
-                }
-                delivered
-            };
-            // Claims are `batch`-aligned, so `k / chunk` names the chunk
-            // the caller is driving. While the next index to commit is an
-            // unfinished experiment of that very chunk nothing in the
-            // channel can commit: leave it there, as back-pressure, rather
-            // than pile it into the reorder buffer.
-            let chunk = batch as u32;
-            work(&mut |k, result| {
-                let mut next = commit(k, result);
-                while next / chunk != k / chunk {
-                    match rx.try_recv() {
-                        Ok((k, result)) => next = commit(k, result),
-                        Err(_) => break,
-                    }
-                }
-                true
-            });
-            // Every index is claimed; what is still missing is in flight
-            // on a spawned worker. The channel disconnects when the last
-            // of them finishes — or dies, and the scope propagates its
-            // panic.
-            while let Ok((k, result)) = rx.recv() {
-                commit(k, result);
-            }
-        });
-        // After the scope: a worker panic has already propagated, so an
-        // undelivered experiment here is a genuine pipeline bug.
-        assert_eq!(delivered, experiments, "pipeline lost experiments");
-        summary.peak_raw_retained = gauge.peak();
-        summary.peak_reorder_depth = reorder.peak;
-        summary.actor_reuses = stats.actor_reuses.load(Ordering::Relaxed);
-        summary.timeline_reuses = stats.timeline_reuses.load(Ordering::Relaxed);
-        summary.events = stats.events.load(Ordering::Relaxed);
-        summary.retried = retried.load(Ordering::Relaxed) as usize;
-        summary.quarantined_worlds = stats.quarantined.load(Ordering::Relaxed) as usize;
-        summary.result_shell_reuses = shell_pool.shell_reuses();
-        summary.result_shell_allocs = shell_pool.shell_allocs();
-        Ok(summary)
+        )?;
+        Ok(PipelineSummary {
+            completed: tally.completed,
+            failed: tally.failed,
+            accepted: tally.accepted,
+            injections: tally.injections,
+            result_shell_reuses: shell_pool.shell_reuses(),
+            result_shell_allocs: shell_pool.shell_allocs(),
+            ..driven
+        })
     }
 
     /// Drains the deduplicated failure reports of the most recent run:

@@ -57,8 +57,8 @@ pub mod wiring;
 pub use app::{App, AppFactory, AppTimer, NodeCtx, Payload};
 pub use daemons::{RestartPlacement, RestartPolicy};
 pub use harness::{
-    run_experiment, run_study, run_study_with_workers, Backend, CampaignError, CampaignPipeline,
-    ExperimentRetry, PipelineSummary, SimHarnessConfig,
+    run_experiment, run_study, Backend, CampaignError, CampaignPipeline, ExperimentRetry,
+    PipelineSummary, SimHarnessConfig,
 };
 pub use messages::{NotifyRouting, RtMsg};
 pub use thread_backend::{run_thread_experiment, ThreadHarnessConfig};

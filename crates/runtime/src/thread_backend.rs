@@ -255,11 +255,10 @@ impl Default for ThreadHarnessConfig {
     }
 }
 
-/// Runs one experiment with every node as an OS thread.
-///
-/// # Panics
-///
-/// Panics if the study places machines on hosts absent from the config.
+/// Runs one experiment with every node as an OS thread. A machine the
+/// study places on a host absent from the config is not started and
+/// reported in the experiment's warnings, like on the simulation backend
+/// (the campaign harness rejects such a study before it gets here).
 pub fn run_thread_experiment(
     study: &Arc<Study>,
     factory: AppFactory,
@@ -305,11 +304,13 @@ pub(crate) fn run_thread_experiment_with(
     let mut host_of: HashMap<SmId, HostId> = HashMap::new();
     let mut handles = Vec::new();
     let mut running = 0usize;
+    let mut warnings: Vec<String> = Vec::new();
     for (sm, host) in &study.placements {
         let Some(host) = host else { continue };
-        let host = symbols
-            .lookup_host(host)
-            .unwrap_or_else(|| panic!("placement on unknown host `{host}`"));
+        let Some(host) = symbols.lookup_host(host) else {
+            warnings.push(format!("placement on unknown host `{host}`"));
+            continue;
+        };
         let clock = clocks[host.index()];
         host_of.insert(*sm, host);
         handles.push(spawn_node(
@@ -331,7 +332,6 @@ pub(crate) fn run_thread_experiment_with(
     // --- coordinator: completion, timeout, restarts ----------------------------
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(experiment as u64));
     let mut timelines: Vec<LocalTimeline> = Vec::new();
-    let mut warnings: Vec<String> = Vec::new();
     let mut restarts: HashMap<SmId, u32> = HashMap::new();
     let deadline = Instant::now() + cfg.timeout;
     let mut end = ExperimentEnd::Completed;
@@ -807,6 +807,22 @@ mod tests {
         // the injection is provably correct.
         let analyzed = analyze(&study, vec![data], &AnalysisOptions::default());
         assert!(analyzed[0].accepted(), "{:?}", analyzed[0].verdict());
+    }
+
+    #[test]
+    fn placement_on_an_unknown_host_is_skipped_with_a_warning() {
+        let mut cfg = ThreadHarnessConfig::default();
+        cfg.hosts.truncate(1); // the observer's host2 is gone
+        let data = run_thread_experiment(&wo_study(), factory(), &cfg, 0);
+        assert_eq!(data.end, ExperimentEnd::Completed);
+        assert_eq!(data.timelines.len(), 1);
+        assert!(
+            data.warnings
+                .iter()
+                .any(|w| w.contains("unknown host `host2`")),
+            "{:?}",
+            data.warnings
+        );
     }
 
     #[test]

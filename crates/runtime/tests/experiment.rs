@@ -140,7 +140,8 @@ fn two_host_config(seed: u64) -> SimHarnessConfig {
 #[test]
 fn experiment_completes_and_injects_on_remote_state() {
     let study = two_machine_study("b", false);
-    let data = run_experiment(&study, factory(false), &two_host_config(1), 0);
+    let data =
+        run_experiment(&study, factory(false), &two_host_config(1), 0).expect("valid config");
 
     assert_eq!(data.end, ExperimentEnd::Completed);
     assert_eq!(data.timelines.len(), 2);
@@ -183,10 +184,10 @@ fn experiment_completes_and_injects_on_remote_state() {
 #[test]
 fn experiments_are_deterministic_per_seed() {
     let study = two_machine_study("b", false);
-    let d1 = run_experiment(&study, factory(false), &two_host_config(7), 0);
-    let d2 = run_experiment(&study, factory(false), &two_host_config(7), 0);
+    let d1 = run_experiment(&study, factory(false), &two_host_config(7), 0).expect("valid config");
+    let d2 = run_experiment(&study, factory(false), &two_host_config(7), 0).expect("valid config");
     assert_eq!(d1, d2);
-    let d3 = run_experiment(&study, factory(false), &two_host_config(8), 0);
+    let d3 = run_experiment(&study, factory(false), &two_host_config(8), 0).expect("valid config");
     assert_ne!(d1, d3);
 }
 
@@ -200,7 +201,7 @@ fn crash_is_recorded_by_daemon_and_node_restarts_on_other_host() {
         max_restarts: 1,
         placement: RestartPlacement::NextHost,
     });
-    let data = run_experiment(&study, factory(true), &cfg, 0);
+    let data = run_experiment(&study, factory(true), &cfg, 0).expect("valid config");
     assert_eq!(data.end, ExperimentEnd::Completed);
 
     let a = data.timeline_for(study.sm_id("a").unwrap()).unwrap();
@@ -234,7 +235,7 @@ fn hung_experiment_times_out() {
     let study = two_machine_study("b", false);
     let mut cfg = two_host_config(4);
     cfg.timeout_ns = 100_000_000; // 100 ms < b's 200 ms lifetime
-    let data = run_experiment(&study, factory(false), &cfg, 0);
+    let data = run_experiment(&study, factory(false), &cfg, 0).expect("valid config");
     assert_eq!(data.end, ExperimentEnd::TimedOut);
 }
 
@@ -248,7 +249,7 @@ fn routing_modes_all_deliver_notifications() {
         let study = two_machine_study("b", false);
         let mut cfg = two_host_config(5);
         cfg.routing = routing;
-        let data = run_experiment(&study, factory(false), &cfg, 0);
+        let data = run_experiment(&study, factory(false), &cfg, 0).expect("valid config");
         assert_eq!(data.end, ExperimentEnd::Completed, "{routing:?}");
         let b = data.timeline_for(study.sm_id("b").unwrap()).unwrap();
         assert_eq!(b.injection_count(), 1, "{routing:?}");
@@ -330,7 +331,7 @@ fn once_fault_fires_once_across_reentries() {
             Box::new(WatcherB)
         }
     });
-    let data = run_experiment(&study, f, &two_host_config(6), 0);
+    let data = run_experiment(&study, f, &two_host_config(6), 0).expect("valid config");
     assert_eq!(data.end, ExperimentEnd::Completed);
 
     let b = data.timeline_for(study.sm_id("b").unwrap()).unwrap();
@@ -375,7 +376,7 @@ fn cancelled_sim_timer_never_fires() {
     let mut cfg = SimHarnessConfig::three_hosts(21);
     cfg.hosts.truncate(1);
     let f: AppFactory = Arc::new(|_, _| Box::new(Canceller));
-    let data = run_experiment(&study, f, &cfg, 0);
+    let data = run_experiment(&study, f, &cfg, 0).expect("valid config");
     assert_eq!(data.end, ExperimentEnd::Completed);
     let t = data.timeline_for(study.sm_id("a").unwrap()).unwrap();
     assert!(

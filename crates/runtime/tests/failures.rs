@@ -82,7 +82,7 @@ fn notification_to_dead_machine_is_dropped_with_warning() {
     });
     let mut cfg = SimHarnessConfig::three_hosts(21);
     cfg.hosts.truncate(2);
-    let data = run_experiment(&study, factory, &cfg, 0);
+    let data = run_experiment(&study, factory, &cfg, 0).expect("valid config");
     assert_eq!(data.end, ExperimentEnd::Completed);
     assert!(
         data.warnings.iter().any(|w| w.contains("non-executing")),
@@ -123,7 +123,7 @@ fn dynamic_entry_machine_not_started_at_begin() {
     });
     let mut cfg = SimHarnessConfig::three_hosts(22);
     cfg.hosts.truncate(2);
-    let data = run_experiment(&study, factory, &cfg, 0);
+    let data = run_experiment(&study, factory, &cfg, 0).expect("valid config");
     assert_eq!(data.end, ExperimentEnd::Completed);
     assert!(data.timeline_for(study.sm_id("a").unwrap()).is_some());
     assert!(data.timeline_for(study.sm_id("ghost").unwrap()).is_none());
@@ -162,6 +162,6 @@ fn daemon_crash_aborts_the_experiment() {
     let mut cfg = SimHarnessConfig::three_hosts(23);
     cfg.hosts.truncate(2);
     cfg.kill_daemon = Some((1, 100_000_000)); // host2's daemon dies at +100 ms
-    let data = run_experiment(&study, factory, &cfg, 0);
+    let data = run_experiment(&study, factory, &cfg, 0).expect("valid config");
     assert_eq!(data.end, ExperimentEnd::Aborted);
 }

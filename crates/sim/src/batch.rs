@@ -52,8 +52,8 @@ const DRAINED: u64 = u64::MAX;
 /// lockstep (same configuration, seeds apart), so a zero-slack policy
 /// would bounce between worlds every event or two and churn the cache.
 /// Any fixed value yields identical results — worlds never interact — so
-/// this is purely a throughput knob. A sweep on the `batched_worlds`
-/// workload showed every setting from 0 to unbounded within measurement
+/// this is purely a throughput knob. A sweep on a micro-experiment
+/// campaign showed every setting from 0 to unbounded within measurement
 /// noise (experiments are small enough that either way each burst covers
 /// most of a phase), so the slack saturates: the chosen world runs its
 /// whole phase, paying the argmin scan only at phase boundaries.

@@ -22,6 +22,43 @@
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour: specify → run →
 //! analyze → measure.
+//!
+//! ## Running a campaign
+//!
+//! The two snippets below are the README's, compiled here so they cannot
+//! drift from the API. Campaigns pick their execution environment per
+//! study:
+//!
+//! ```rust,no_run
+//! use loki::runtime::harness::{run_study, Backend, CampaignError, SimHarnessConfig};
+//! # fn demo(study: std::sync::Arc<loki::core::study::Study>,
+//! #         factory: loki::runtime::AppFactory) -> Result<(), CampaignError> {
+//!
+//! let cfg = SimHarnessConfig::three_hosts(42);              // deterministic sim
+//! let sim_data = run_study(&study, factory.clone(), &cfg, 200)?;
+//!
+//! let threaded = cfg.backend(Backend::Threads);             // same app, OS threads
+//! let real_data = run_study(&study, factory, &threaded, 8)?;
+//! # Ok(())
+//! # }
+//! ```
+//!
+//! Experiments fan out across a caller-runs worker pool; simulated results
+//! are byte-identical for every pool shape:
+//!
+//! ```rust,no_run
+//! use loki::runtime::harness::{run_study, CampaignError, SimHarnessConfig};
+//! # fn demo(study: std::sync::Arc<loki::core::study::Study>,
+//! #         factory: loki::runtime::AppFactory) -> Result<(), CampaignError> {
+//!
+//! let mut cfg = SimHarnessConfig::three_hosts(42); // cfg.workers = None: auto
+//! let data = run_study(&study, factory.clone(), &cfg, 200)?; // parallel
+//! cfg.workers = Some(1); // forced sequential, on the calling thread
+//! let same = run_study(&study, factory, &cfg, 200)?;
+//! assert_eq!(data, same);
+//! # Ok(())
+//! # }
+//! ```
 
 pub use loki_analysis as analysis;
 pub use loki_apps as apps;

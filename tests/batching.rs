@@ -2,35 +2,27 @@
 //! through one reused `WorldSet` must be *unobservable* in the results.
 //! The sweep below pins byte-identical study output for batch
 //! K ∈ {1, 2, 4, 8} crossed with worker counts ∈ {1, 2, 4} against the
-//! per-experiment baseline engine (a fresh simulation per experiment), and
-//! checks the pipeline's retention stays within the documented
-//! workers × batch bound. `run_study` — which still runs per-experiment —
-//! must agree too, pinning that a reset-reused world replays exactly like
-//! a fresh one.
+//! fresh-world reference (`common::fresh_world_reference`: one
+//! `run_experiment` per experiment, no pool), pinning that a reset-reused
+//! world replays exactly like a fresh one, and checks the pipeline's
+//! retention stays within the documented workers × batch bound.
 
+mod common;
+
+use common::fresh_world_reference;
 use loki::analysis::AnalyzedExperiment;
 use loki::apps::kvstore::{cascade_probe, cascade_study, kv_factory, storm_retry, KvConfig};
-use loki::apps::token_ring::{ring_factory, ring_study, RingConfig};
+use loki::core::campaign::ExperimentEnd;
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::probe::FaultAction;
 use loki::core::study::Study;
 use loki::runtime::harness::{
-    run_study_with_workers, CampaignPipeline, PipelineSummary, SimHarnessConfig,
+    run_study, CampaignError, CampaignPipeline, PipelineSummary, SimHarnessConfig,
 };
 use std::sync::Arc;
 
-/// The token-ring campaign: kill the holder once it provably holds the
-/// token. Rich enough to exercise injections, restarts of the token, and
-/// sync phases in every experiment.
 fn ring_campaign() -> (Arc<Study>, loki::runtime::AppFactory) {
-    let def = ring_study("ring-batching", 3).fault(
-        "tr2",
-        "kill_holder",
-        FaultExpr::atom("tr2", "HAS_TOKEN"),
-        Trigger::Once,
-    );
-    let study = Study::compile_arc(&def).expect("valid study");
-    (study, ring_factory(RingConfig::default()))
+    common::ring_campaign("ring-batching")
 }
 
 /// Runs the pipeline and collects every compact result in sink order.
@@ -52,22 +44,19 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
     let cfg = SimHarnessConfig::three_hosts(0xBA7C);
     let experiments = 10u32;
 
-    // Reference: the per-experiment baseline engine, one worker — the
-    // pre-batching path, byte for byte.
-    let baseline_pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
-        .per_experiment_baseline();
-    let (baseline, baseline_summary) = run_collect(&baseline_pipeline, experiments, 1);
+    // Reference: every experiment on a fresh world, no pool.
+    let baseline = fresh_world_reference(&study, &factory, &cfg, experiments);
     assert_eq!(baseline.len(), experiments as usize);
-    assert_eq!(baseline_summary.batch, 1);
     assert!(
         baseline.iter().any(|a| a.injections > 0),
         "campaign must inject"
     );
-    // The baseline retires its context after every experiment, so the
-    // recycling counters stay at their documented zeros.
-    assert_eq!(baseline_summary.actor_reuses, 0);
-    assert_eq!(baseline_summary.timeline_reuses, 0);
-    assert_eq!(baseline_summary.events, 0);
+    let accepted = baseline.iter().filter(|a| a.accepted()).count();
+    let completed = baseline
+        .iter()
+        .filter(|a| a.end == ExperimentEnd::Completed)
+        .count();
+    let injections: usize = baseline.iter().map(|a| a.injections).sum();
 
     for k in [1usize, 2, 4, 8] {
         for workers in [1usize, 2, 4] {
@@ -85,12 +74,12 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
             // Byte-identical compact results and summary counters.
             assert_eq!(
                 streamed, baseline,
-                "K={k} workers={workers}: results diverged from the per-experiment baseline"
+                "K={k} workers={workers}: results diverged from the fresh-world reference"
             );
             assert_eq!(summary.batch, k);
-            assert_eq!(summary.accepted, baseline_summary.accepted);
-            assert_eq!(summary.completed, baseline_summary.completed);
-            assert_eq!(summary.injections, baseline_summary.injections);
+            assert_eq!(summary.accepted, accepted);
+            assert_eq!(summary.completed, completed);
+            assert_eq!(summary.injections, injections);
 
             // Bounded retention: never more in-flight experiments than
             // workers × batch.
@@ -121,16 +110,6 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
                 );
             }
         }
-    }
-
-    // The per-experiment `run_study` path agrees with the batched
-    // pipeline's verdict-relevant data: reset-reused worlds replay exactly
-    // like the fresh worlds `run_study` builds.
-    let raw = run_study_with_workers(&study, factory, &cfg, experiments, 2)
-        .expect("valid campaign config");
-    for (data, analyzed) in raw.iter().zip(&baseline) {
-        assert_eq!(data.experiment, analyzed.experiment);
-        assert_eq!(data.end, analyzed.end, "experiment end diverged");
     }
 }
 
@@ -224,15 +203,13 @@ fn net_fault_campaign_batches_byte_identically() {
     // network fault plane is part of that world: its armed state and its
     // RNG draws must reset and replay exactly, or a partition from
     // experiment N would leak into experiment N+1's messages. Pin the
-    // K × workers matrix against the per-experiment baseline under the
-    // full fault vocabulary.
+    // K × workers matrix against the fresh-world reference under the full
+    // fault vocabulary.
     let (study, factory) = netfault_campaign();
     let cfg = SimHarnessConfig::three_hosts(0x2C2C);
     let experiments = 8u32;
 
-    let baseline_pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
-        .per_experiment_baseline();
-    let (baseline, _) = run_collect(&baseline_pipeline, experiments, 1);
+    let baseline = fresh_world_reference(&study, &factory, &cfg, experiments);
     assert_eq!(baseline.len(), experiments as usize);
     assert!(
         baseline.iter().any(|a| a.injections >= 2),
@@ -247,7 +224,7 @@ fn net_fault_campaign_batches_byte_identically() {
             let (streamed, summary) = run_collect(&pipeline, experiments, workers);
             assert_eq!(
                 streamed, baseline,
-                "K={k} workers={workers}: net-fault results diverged from baseline"
+                "K={k} workers={workers}: net-fault results diverged from the reference"
             );
             assert_eq!(summary.batch, k);
         }
@@ -267,9 +244,7 @@ fn pooling_recycles_across_experiments_without_changing_results() {
     cfg.restart = Some(RestartPolicy::default());
     cfg.batch = Some(2);
 
-    let baseline_pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
-        .per_experiment_baseline();
-    let (baseline, _) = run_collect(&baseline_pipeline, 12, 1);
+    let baseline = fresh_world_reference(&study, &factory, &cfg, 12);
 
     let pipeline = CampaignPipeline::new(study, factory, cfg);
     let (streamed, summary) = run_collect(&pipeline, 12, 1);
@@ -374,6 +349,10 @@ fn batch_env_override_is_validated_and_applied() {
         err.to_string().contains("batch size must be at least 1"),
         "{err}"
     );
+    // The raw-data entry point rides the same driver: same typed error.
+    let err = run_study(&study, factory.clone(), pipeline.config(), experiments)
+        .expect_err("batch: Some(0) must be rejected by run_study too");
+    assert!(matches!(err, CampaignError::Batch(_)), "{err:?}");
 
     std::env::remove_var("LOKI_BATCH");
     let default_pipeline = CampaignPipeline::new(study, factory, cfg);

@@ -21,7 +21,7 @@ use loki::core::recorder::RecordKind;
 use loki::core::study::Study;
 use loki::measure::prelude::*;
 use loki::runtime::harness::{
-    run_study, run_study_with_workers, Backend, CampaignPipeline, SimHarnessConfig,
+    run_experiment, run_study, Backend, CampaignError, CampaignPipeline, SimHarnessConfig,
 };
 use loki::runtime::AppFactory;
 use std::sync::Arc;
@@ -53,12 +53,12 @@ fn check_cross_backend(label: &str, study: &Arc<Study>, factory: AppFactory, see
     let sim_cfg = SimHarnessConfig::three_hosts(seed);
 
     // --- deterministic backend -------------------------------------------
-    let first = run_study_with_workers(study, factory.clone(), &sim_cfg, 3, 1)
-        .expect("valid campaign config");
-    let rerun = run_study_with_workers(study, factory.clone(), &sim_cfg, 3, 1)
-        .expect("valid campaign config");
-    let parallel = run_study_with_workers(study, factory.clone(), &sim_cfg, 3, 2)
-        .expect("valid campaign config");
+    let run_sim = |workers: usize| {
+        let mut cfg = sim_cfg.clone();
+        cfg.workers = Some(workers);
+        run_study(study, factory.clone(), &cfg, 3).expect("valid campaign config")
+    };
+    let (first, rerun, parallel) = (run_sim(1), run_sim(1), run_sim(2));
 
     let intent: Vec<_> = first.iter().map(|d| injection_intent(study, d)).collect();
     assert!(
@@ -166,12 +166,12 @@ fn lead_measure() -> StudyMeasure {
 #[test]
 fn pipeline_streaming_matches_batch_and_bounds_raw_retention() {
     let (study, factory) = quick_election();
-    let cfg = SimHarnessConfig::three_hosts(0x51DE);
+    let mut cfg = SimHarnessConfig::three_hosts(0x51DE);
+    cfg.workers = Some(1);
     let experiments = 6u32;
 
     // --- batch reference ---------------------------------------------------
-    let raw = run_study_with_workers(&study, factory.clone(), &cfg, experiments, 1)
-        .expect("valid campaign config");
+    let raw = run_study(&study, factory.clone(), &cfg, experiments).expect("valid campaign config");
     let batch = analyze(&study, raw, &AnalysisOptions::default());
     let batch_accepted = batch.iter().filter(|a| a.accepted()).count();
     let batch_values = lead_measure()
@@ -227,11 +227,11 @@ fn pipeline_streaming_matches_batch_and_bounds_raw_retention() {
 #[test]
 fn pipeline_analysis_is_faithful_on_the_thread_backend() {
     let (study, factory) = quick_election();
-    let cfg = SimHarnessConfig::three_hosts(0x7EAD).backend(Backend::Threads);
+    let mut cfg = SimHarnessConfig::three_hosts(0x7EAD).backend(Backend::Threads);
+    cfg.workers = Some(1);
     let opts = AnalysisOptions::default();
 
-    let data =
-        run_study_with_workers(&study, factory.clone(), &cfg, 2, 1).expect("valid campaign config");
+    let data = run_study(&study, factory.clone(), &cfg, 2).expect("valid campaign config");
     let batch = analyze(&study, data.clone(), &opts);
     for (d, b) in data.iter().zip(&batch) {
         assert_eq!(
@@ -292,4 +292,39 @@ fn token_ring_runs_on_both_backends() {
         probe: ActionProbe::new().on("drop_pass", FaultAction::DropMessages { count: 1 }),
     };
     check_cross_backend("token-ring", &study, ring_factory(cfg), 0x716);
+}
+
+#[test]
+fn threads_backend_rejects_a_placement_on_an_unknown_host() {
+    // `ring_study` places its third member on host3. Without that host
+    // the thread backend has no clock to run the machine on: every entry
+    // point says so, typed, before a single node thread starts.
+    let study = Study::compile_arc(&ring_study("cross-unknown-host", 3)).unwrap();
+    let factory = ring_factory(RingConfig::default());
+    let mut cfg = SimHarnessConfig::three_hosts(0x0457).backend(Backend::Threads);
+    cfg.hosts.truncate(2);
+    cfg.workers = Some(2);
+
+    let rejected = |err: CampaignError| {
+        assert!(matches!(err, CampaignError::Hosts(_)), "{err:?}");
+        assert!(err.to_string().contains("unknown host `host3`"), "{err}");
+    };
+    rejected(run_study(&study, factory.clone(), &cfg, 2).unwrap_err());
+    rejected(run_experiment(&study, factory.clone(), &cfg, 0).unwrap_err());
+    rejected(
+        CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
+            .run_with_workers(2, 2, drop)
+            .unwrap_err(),
+    );
+
+    // The simulation runs the rest of the ring and says what it left out.
+    let data = run_experiment(&study, factory, &cfg.backend(Backend::Sim), 0).unwrap();
+    assert_eq!(data.timelines.len(), 2);
+    assert!(
+        data.warnings
+            .iter()
+            .any(|w| w.contains("unknown host `host3`")),
+        "{:?}",
+        data.warnings
+    );
 }

@@ -5,25 +5,37 @@
 //! seeds its own simulation from `(study_seed, experiment_index)`, so the
 //! worker count and thread scheduling must be unobservable in the output.
 
+mod common;
+
 use loki::analysis::{analyze, AnalysisOptions};
 use loki::apps::kvstore::{cascade_probe, cascade_study, kv_factory, storm_retry, KvConfig};
-use loki::apps::token_ring::{ring_factory, ring_study, RingConfig};
+use loki::core::campaign::ExperimentData;
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::probe::FaultAction;
 use loki::core::study::Study;
-use loki::runtime::harness::{run_study, run_study_with_workers, SimHarnessConfig};
+use loki::runtime::harness::{run_study, SimHarnessConfig};
+use loki::runtime::AppFactory;
+use std::sync::Arc;
 
-/// The token-ring campaign of the acceptance scenario: a ring of three
-/// members, killing the token holder once it provably holds the token.
-fn ring_campaign() -> (std::sync::Arc<Study>, loki::runtime::AppFactory) {
-    let def = ring_study("ring-determinism", 3).fault(
-        "tr2",
-        "kill_holder",
-        FaultExpr::atom("tr2", "HAS_TOKEN"),
-        Trigger::Once,
-    );
-    let study = Study::compile_arc(&def).expect("valid study");
-    (study, ring_factory(RingConfig::default()))
+/// `run_study` with a forced pool shape: `workers` workers (the calling
+/// thread included) interleaving `batch` worlds each. Forcing both keeps
+/// these tests off the `LOKI_WORKERS` / `LOKI_BATCH` environment.
+fn run_shaped(
+    study: &Arc<Study>,
+    factory: &AppFactory,
+    cfg: &SimHarnessConfig,
+    experiments: u32,
+    workers: usize,
+    batch: usize,
+) -> Vec<ExperimentData> {
+    let mut cfg = cfg.clone();
+    cfg.workers = Some(workers);
+    cfg.batch = Some(batch);
+    run_study(study, factory.clone(), &cfg, experiments).expect("valid campaign config")
+}
+
+fn ring_campaign() -> (Arc<Study>, AppFactory) {
+    common::ring_campaign("ring-determinism")
 }
 
 #[test]
@@ -32,13 +44,10 @@ fn parallel_run_study_is_byte_identical_to_single_worker() {
     let cfg = SimHarnessConfig::three_hosts(0xD5E7);
     let experiments = 12;
 
-    let sequential = run_study_with_workers(&study, factory.clone(), &cfg, experiments, 1)
-        .expect("valid campaign config");
-    let parallel = run_study_with_workers(&study, factory.clone(), &cfg, experiments, 4)
-        .expect("valid campaign config");
+    let sequential = run_shaped(&study, &factory, &cfg, experiments, 1, 1);
+    let parallel = run_shaped(&study, &factory, &cfg, experiments, 4, 1);
     // More workers than experiments must also work (workers are clamped).
-    let oversubscribed = run_study_with_workers(&study, factory, &cfg, experiments, 64)
-        .expect("valid campaign config");
+    let oversubscribed = run_shaped(&study, &factory, &cfg, experiments, 64, 1);
 
     assert_eq!(sequential.len(), experiments as usize);
     assert_eq!(sequential, parallel, "worker count changed experiment data");
@@ -48,6 +57,20 @@ fn parallel_run_study_is_byte_identical_to_single_worker() {
     for (k, data) in sequential.iter().enumerate() {
         assert_eq!(data.experiment, k as u32);
     }
+
+    // The raw path is pinned across pool shapes like the compact path is:
+    // whatever the workers × K split, the driver's reset-reused worlds
+    // return what a fresh world per experiment returns.
+    let reference = common::fresh_world_raw(&study, &factory, &cfg, experiments);
+    for workers in [1usize, 3] {
+        for k in [1usize, 4] {
+            assert_eq!(
+                run_shaped(&study, &factory, &cfg, experiments, workers, k),
+                reference,
+                "workers={workers} K={k}: raw data diverged from fresh worlds"
+            );
+        }
+    }
 }
 
 #[test]
@@ -56,10 +79,8 @@ fn parallel_and_sequential_agree_on_verdicts_and_timelines() {
     let cfg = SimHarnessConfig::three_hosts(0xBEEF);
     let experiments = 8;
 
-    let seq_data = run_study_with_workers(&study, factory.clone(), &cfg, experiments, 1)
-        .expect("valid campaign config");
-    let par_data = run_study_with_workers(&study, factory, &cfg, experiments, 3)
-        .expect("valid campaign config");
+    let seq_data = run_shaped(&study, &factory, &cfg, experiments, 1, 1);
+    let par_data = run_shaped(&study, &factory, &cfg, experiments, 3, 1);
 
     let opts = AnalysisOptions::default();
     let seq = analyze(&study, seq_data, &opts);
@@ -82,7 +103,7 @@ fn parallel_and_sequential_agree_on_verdicts_and_timelines() {
 /// class of network fault — partition, heal, probabilistic link fault,
 /// slowdown — is armed in one campaign, with the retry storm generating
 /// heavy traffic through the degraded fault plane.
-fn netfault_campaign() -> (std::sync::Arc<Study>, loki::runtime::AppFactory) {
+fn netfault_campaign() -> (Arc<Study>, AppFactory) {
     let def = cascade_study("netfault-determinism")
         .fault(
             "kv2",
@@ -135,10 +156,8 @@ fn net_fault_campaign_is_byte_identical_across_workers() {
     let cfg = SimHarnessConfig::three_hosts(0x10C1);
     let experiments = 8;
 
-    let sequential = run_study_with_workers(&study, factory.clone(), &cfg, experiments, 1)
-        .expect("valid campaign config");
-    let parallel = run_study_with_workers(&study, factory, &cfg, experiments, 4)
-        .expect("valid campaign config");
+    let sequential = run_shaped(&study, &factory, &cfg, experiments, 1, 1);
+    let parallel = run_shaped(&study, &factory, &cfg, experiments, 4, 1);
 
     assert_eq!(sequential.len(), experiments as usize);
     assert_eq!(
@@ -159,8 +178,7 @@ fn run_study_defaults_respect_env_override() {
     // setting the variable here doesn't race them.
     let (study, factory) = ring_campaign();
     let cfg = SimHarnessConfig::three_hosts(7);
-    let forced =
-        run_study_with_workers(&study, factory.clone(), &cfg, 4, 1).expect("valid campaign config");
+    let forced = run_shaped(&study, &factory, &cfg, 4, 1, 1);
 
     std::env::set_var("LOKI_WORKERS", "3");
     let via_env = run_study(&study, factory.clone(), &cfg, 4).expect("valid campaign config");

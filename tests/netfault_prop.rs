@@ -98,7 +98,7 @@ proptest! {
         let factory = kv_factory(app_cfg);
         let cfg = SimHarnessConfig::three_hosts(seed);
 
-        let data = run_experiment(&study, factory.clone(), &cfg, 0);
+        let data = run_experiment(&study, factory.clone(), &cfg, 0).expect("valid config");
         prop_assert!(matches!(
             data.end,
             ExperimentEnd::Completed | ExperimentEnd::TimedOut | ExperimentEnd::Aborted
@@ -109,7 +109,7 @@ proptest! {
         );
 
         // Arbitrary fault-plane states must replay byte-identically.
-        let replay = run_experiment(&study, factory, &cfg, 0);
+        let replay = run_experiment(&study, factory, &cfg, 0).expect("valid config");
         prop_assert_eq!(data, replay);
     }
 }

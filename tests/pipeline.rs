@@ -148,8 +148,8 @@ fn full_pipeline_accepts_long_states_and_rejects_short_ones() {
 #[test]
 fn pipeline_is_deterministic() {
     let (study, factory) = wo_study(40);
-    let a = run_experiment(&study, factory.clone(), &harness(7), 0);
-    let b = run_experiment(&study, factory, &harness(7), 0);
+    let a = run_experiment(&study, factory.clone(), &harness(7), 0).expect("valid config");
+    let b = run_experiment(&study, factory, &harness(7), 0).expect("valid config");
     assert_eq!(a, b);
 }
 
@@ -255,7 +255,7 @@ fn missing_policy_distinguishes_unfired_faults() {
 fn timelines_roundtrip_through_on_disk_format_and_reanalyze() {
     use loki::spec::timeline_file;
     let (study, factory) = wo_study(50);
-    let data = run_experiment(&study, factory, &harness(6), 0);
+    let data = run_experiment(&study, factory, &harness(6), 0).expect("valid config");
 
     // Write every local timeline to the thesis's file format and read it
     // back; the analysis of the round-tripped data must agree.

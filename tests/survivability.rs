@@ -7,13 +7,17 @@
 //! is the byte-identical baseline for each experiment the armed run
 //! completes — at every workers × batch combination.
 
+mod common;
+
 use loki::apps::chaos::{chaos_factory, chaos_study, ChaosConfig, CHAOS_PANIC};
 use loki::clock::params::ClockParams;
 use loki::core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync};
 use loki::core::study::Study;
-use loki::runtime::harness::{Backend, CampaignPipeline, SimHarnessConfig};
+use loki::runtime::harness::{run_study, Backend, CampaignPipeline, SimHarnessConfig};
+use loki::runtime::AppFactory;
 use proptest::prelude::*;
-use std::sync::Once;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Once};
 
 /// Installs a panic hook that suppresses the expected chaos unwinds (the
 /// harness catches them; the default hook would still spam stderr with
@@ -187,27 +191,24 @@ fn event_budget_trips_identically_across_pool_shapes() {
 
 /// Runs `experiments` experiments under `cfg` at every pool shape of
 /// workers {1, 4} × K {1, 8}, asserts the raw data is byte-identical
-/// across them, and returns it.
+/// across them — and, on the last shape, to what a pipeline tap sees —
+/// and returns it.
 fn raw_data_at_every_pool_shape(
-    study: &std::sync::Arc<Study>,
+    study: &Arc<Study>,
     cfg: &SimHarnessConfig,
     experiments: u32,
 ) -> Vec<ExperimentData> {
+    let chaos = ChaosConfig {
+        ticks: 2,
+        ..ChaosConfig::default()
+    };
     let mut reference: Option<Vec<ExperimentData>> = None;
     for workers in [1usize, 4] {
         for k in [1usize, 8] {
             let mut cfg = cfg.clone();
+            cfg.workers = Some(workers);
             cfg.batch = Some(k);
-            let chaos = ChaosConfig {
-                ticks: 2,
-                ..ChaosConfig::default()
-            };
-            let pipeline = CampaignPipeline::new(study.clone(), chaos_factory(chaos), cfg);
-            let mut raw = Vec::new();
-            pipeline
-                .run_tapped_with_workers(experiments, workers, ExperimentData::clone, |_, data| {
-                    raw.push(data)
-                })
+            let raw = run_study(study, chaos_factory(chaos.clone()), &cfg, experiments)
                 .expect("valid campaign config");
             match &reference {
                 None => reference = Some(raw),
@@ -215,6 +216,22 @@ fn raw_data_at_every_pool_shape(
                     &raw, reference,
                     "workers={workers} K={k}: raw data diverged"
                 ),
+            }
+            if (workers, k) == (4, 8) {
+                let mut tapped = Vec::new();
+                CampaignPipeline::new(study.clone(), chaos_factory(chaos.clone()), cfg)
+                    .run_tapped_with_workers(
+                        experiments,
+                        workers,
+                        ExperimentData::clone,
+                        |_, data| tapped.push(data),
+                    )
+                    .expect("valid campaign config");
+                assert_eq!(
+                    Some(&tapped),
+                    reference.as_ref(),
+                    "tap and run_study disagree"
+                );
             }
         }
     }
@@ -363,6 +380,88 @@ fn budgets_trip_inside_the_sync_mini_phases() {
     }
 }
 
+/// Wraps `factory` so that its `nth` call (counted from 0, per wrapper)
+/// panics — not an application callback, which `SimNode` contains, but
+/// the daemon's own node start-up, deep inside engine dispatch.
+fn panicking_on_call(factory: AppFactory, nth: u32) -> AppFactory {
+    let calls = AtomicU32::new(0);
+    Arc::new(move |study: &Study, sm| {
+        if calls.fetch_add(1, Ordering::Relaxed) == nth {
+            panic!("{CHAOS_PANIC} in the factory");
+        }
+        factory(study, sm)
+    })
+}
+
+#[test]
+fn harness_panics_are_contained_and_quarantined() {
+    quiet_chaos_panics();
+    let (study, factory) = common::ring_campaign("ring-harness-panic");
+    // One worker, K = 1: the factory's call sequence — and so the
+    // experiment its 20th call lands in — is deterministic.
+    let mut cfg = SimHarnessConfig::three_hosts(0x4A12);
+    cfg.workers = Some(1);
+    cfg.batch = Some(1);
+    let experiments = 8u32;
+
+    // The raw path: the campaign survives, exactly one experiment ends as
+    // a harness failure carrying the panic note, the rest are untouched.
+    let healthy = run_study(&study, factory.clone(), &cfg, experiments).unwrap();
+    let raw = run_study(
+        &study,
+        panicking_on_call(factory.clone(), 20),
+        &cfg,
+        experiments,
+    )
+    .expect("a harness panic must not fail the campaign");
+    let harness_failed = ExperimentEnd::Failed(ExperimentFailure::Harness);
+    let failed: Vec<u32> = raw
+        .iter()
+        .filter(|d| d.end == harness_failed)
+        .map(|d| d.experiment)
+        .collect();
+    assert_eq!(failed.len(), 1, "failed experiments: {failed:?}");
+    let victim = failed[0] as usize;
+    assert!(
+        raw[victim].warnings.iter().any(|w| w.contains(CHAOS_PANIC)),
+        "{:?}",
+        raw[victim].warnings
+    );
+    for (data, healthy) in raw.iter().zip(&healthy) {
+        if data.experiment as usize != victim {
+            assert_eq!(data, healthy, "experiment {} perturbed", data.experiment);
+        }
+    }
+
+    // The compact path: same victim, typed and counted, world quarantined.
+    let collect = |factory: AppFactory| {
+        let mut out = Vec::new();
+        let summary = CampaignPipeline::new(study.clone(), factory, cfg.clone())
+            .run_with_workers(experiments, 1, |analyzed| out.push(analyzed))
+            .expect("a harness panic must not fail the campaign");
+        (out, summary)
+    };
+    let (healthy, healthy_summary) = collect(factory.clone());
+    let (streamed, summary) = collect(panicking_on_call(factory, 20));
+    assert_eq!(
+        (healthy_summary.failed, healthy_summary.quarantined_worlds),
+        (0, 0)
+    );
+    assert_eq!((summary.failed, summary.quarantined_worlds), (1, 1));
+    for (analyzed, healthy) in streamed.iter().zip(&healthy) {
+        if analyzed.experiment as usize == victim {
+            assert_eq!(analyzed.end, harness_failed);
+            assert!(!analyzed.accepted());
+        } else {
+            assert_eq!(
+                analyzed, healthy,
+                "experiment {} perturbed",
+                analyzed.experiment
+            );
+        }
+    }
+}
+
 #[test]
 fn failure_reports_are_deduplicated_per_kind() {
     quiet_chaos_panics();
@@ -402,6 +501,23 @@ fn thread_backend_contains_panics_and_retries() {
     let mut cfg = SimHarnessConfig::three_hosts(0x7EAD).backend(Backend::Threads);
     cfg.retry.max_retries = 1;
     cfg.retry.backoff = std::time::Duration::from_millis(1);
+
+    // The raw path retries too: every node thread asks the factory for
+    // its application once per attempt, so two experiments of three nodes,
+    // each run twice, are twelve calls.
+    let calls = Arc::new(AtomicU32::new(0));
+    let counting: AppFactory = {
+        let (calls, factory) = (calls.clone(), chaos_factory(chaos.clone()));
+        Arc::new(move |study: &Study, sm| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            factory(study, sm)
+        })
+    };
+    let raw = run_study(&study, counting, &cfg, 2).expect("valid campaign config");
+    assert_eq!(calls.load(Ordering::Relaxed), 2 * 2 * 3, "no re-run");
+    assert!(raw
+        .iter()
+        .all(|d| d.end == ExperimentEnd::Failed(ExperimentFailure::AppPanic)));
 
     let pipeline = CampaignPipeline::new(study, chaos_factory(chaos), cfg);
     let (results, summary) = pipeline.collect(2).expect("valid campaign config");
