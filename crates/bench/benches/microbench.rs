@@ -639,8 +639,8 @@ fn bench_event_overhead(c: &mut Criterion) {
         best = best.min(start.elapsed().as_secs_f64());
     }
     assert!(summary.events > 0, "pipeline must count events");
-    // One worker, more experiments than K: hulls are reused from the
-    // second chunk on (never within an experiment).
+    // One worker: hulls are reused from the second experiment on (never
+    // within an experiment).
     assert!(summary.actor_reuses > 0, "pipeline must recycle hulls");
     let ns_per_event = best * 1e9 / summary.events as f64;
     let events_per_exp = summary.events as f64 / f64::from(EXPERIMENTS);

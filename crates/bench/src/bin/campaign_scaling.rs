@@ -7,7 +7,7 @@
 //! (a speed-up bought with more than its share of CPU is a pool burning a
 //! core on hand-off), and verifies that every configuration produces
 //! identical compact results — the worker pool must be unobservable in the
-//! results.
+//! results — while never holding more raw experiments than it has workers.
 //!
 //! ```text
 //! cargo run --release --bin campaign_scaling [experiments]
@@ -68,8 +68,15 @@ fn main() {
          available parallelism {max_workers}"
     );
     println!(
-        "{:>8}  {:>10}  {:>8}  {:>8}  {:>10}  {:>9}",
-        "workers", "exp/s", "speedup", "cpu-s", "completed", "accepted"
+        "{:>8}  {:>10}  {:>8}  {:>8}  {:>10}  {:>9}  {:>17}  {:>18}",
+        "workers",
+        "exp/s",
+        "speedup",
+        "cpu-s",
+        "completed",
+        "accepted",
+        "peak_raw_retained",
+        "peak_reorder_depth"
     );
 
     let mut baseline_rate = None;
@@ -103,8 +110,18 @@ fn main() {
         let rate = f64::from(experiments) / elapsed;
         let speedup = rate / *baseline_rate.get_or_insert(rate);
         println!(
-            "{workers:>8}  {rate:>10.0}  {speedup:>7.2}x  {cpu:>8}  {:>10}  {:>9}",
-            summary.completed, summary.accepted
+            "{workers:>8}  {rate:>10.0}  {speedup:>7.2}x  {cpu:>8}  {:>10}  {:>9}  {:>17}  {:>18}",
+            summary.completed,
+            summary.accepted,
+            summary.peak_raw_retained,
+            summary.peak_reorder_depth
+        );
+        // The memory bound of the streaming design: one raw experiment
+        // per worker, whatever `LOKI_BATCH` says.
+        assert!(
+            summary.peak_raw_retained <= workers,
+            "{workers} workers held {} raw experiments at once",
+            summary.peak_raw_retained
         );
 
         match &baseline {

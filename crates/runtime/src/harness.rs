@@ -34,7 +34,6 @@ use loki_clock::params::fastest_reference;
 use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync};
 use loki_core::ids::{HostId, SymbolTable};
 use loki_core::study::Study;
-use loki_sim::batch::WorldSet;
 use loki_sim::config::{HostConfig, NetworkConfig};
 use loki_sim::engine::{BudgetExceeded, HostId as SimHostId, Simulation, WorldConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -154,16 +153,17 @@ pub struct SimHarnessConfig {
     /// are identical for every worker count — each experiment is fully
     /// determined by `(seed, experiment_index)`.
     pub workers: Option<usize>,
-    /// Experiments interleaved per worker on the simulation backend
-    /// ([`run_study`] and the [`CampaignPipeline`] alike): each worker
-    /// claims chunks of this many experiments and drives them through one
-    /// [`loki_sim::batch::WorldSet`] (FoundationDB-style many-worlds
-    /// batching). `Some(k)` forces a batch of `k`; `None` uses the
-    /// `LOKI_BATCH` environment variable if set, otherwise 1. `Some(0)`
-    /// and unparseable `LOKI_BATCH` values are rejected as
+    /// Consecutive experiment indices a worker claims at a time on the
+    /// simulation backend ([`run_study`] and the [`CampaignPipeline`]
+    /// alike); it runs them one after another on its one reset-reused
+    /// world. `Some(k)` forces chunks of `k` (a chunk larger than the
+    /// campaign is the campaign); `None` uses the `LOKI_BATCH`
+    /// environment variable if set, otherwise 1. `Some(0)` and
+    /// unparseable `LOKI_BATCH` values are rejected as
     /// [`CampaignError::Batch`], exactly like `workers`. Study results are
-    /// byte-identical for every batch size — batching only changes how
-    /// worlds share a thread.
+    /// byte-identical for every chunk size — it only changes which worker
+    /// runs which index, and no workload measures a gain from it: the
+    /// knob is slated for removal.
     pub batch: Option<usize>,
     /// Deterministic virtual-time budget: an experiment whose next event
     /// would be scheduled after this many simulated nanoseconds ends as
@@ -286,7 +286,7 @@ pub fn run_experiment(
         Backend::Sim => {
             let sim_study = SimStudy::new(study, &factory, cfg, &symbols);
             let mut sim = Simulation::with_config(sim_study.world.clone(), 0);
-            sim_study.run_one(&mut sim, experiment)
+            sim_study.run_one(&mut sim, experiment, &mut None)
         }
         Backend::Threads => {
             run_thread_experiment_with(study, factory, &cfg.thread_config(), &symbols, experiment)
@@ -337,11 +337,11 @@ fn validate(study: &Study, cfg: &SimHarnessConfig) -> Result<(), CampaignError> 
 /// form ([`Simulation::run_exchanges`]) and spawns the runtime daemons and
 /// nodes; once the world's event queue has drained,
 /// [`SimStudy::on_drained`] plays the post-sync mini-phase and assembles
-/// the [`ExperimentData`]. Driving a fresh world via `sim.run()`
-/// ([`SimStudy::run_one`], behind [`run_experiment`]) or reset-reused
-/// worlds interleaved through a [`WorldSet`] ([`drive_chunked`], behind
-/// every campaign) produces byte-identical results: a world only reaches
-/// `on_drained` when it has no events left, and worlds never interact.
+/// the [`ExperimentData`]. [`SimStudy::run_one`] is that sequence, and the
+/// only way an experiment runs: [`run_experiment`] calls it on a fresh
+/// world, [`drive_chunked`] (behind every campaign) on a worker's
+/// reset-reused one — byte-identical, because a reset world replays
+/// exactly like a fresh one.
 struct SimStudy<'a> {
     study: &'a Arc<Study>,
     factory: &'a AppFactory,
@@ -503,11 +503,19 @@ impl<'a> SimStudy<'a> {
         self.assemble(script)
     }
 
-    /// Runs one experiment to completion on `sim`.
-    fn run_one(&self, sim: &mut Simulation<RtMsg>, experiment: u32) -> ExperimentData {
-        let mut script = self.begin_with(sim, experiment, None);
+    /// Runs one experiment to completion on `sim`, recycling the script
+    /// in `slot` (if any) and leaving the experiment's own there — also
+    /// when the engine unwinds under it, so the caller can still retire it.
+    fn run_one(
+        &self,
+        sim: &mut Simulation<RtMsg>,
+        experiment: u32,
+        slot: &mut Option<ExpScript>,
+    ) -> ExperimentData {
+        let recycled = slot.take();
+        let script = slot.insert(self.begin_with(sim, experiment, recycled));
         sim.run();
-        self.on_drained(sim, &mut script)
+        self.on_drained(sim, script)
     }
 
     /// Plays one sync mini-phase (§2.5/§5.7) on the drained world: every
@@ -786,13 +794,14 @@ pub struct PipelineSummary {
     pub injections: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// Experiments interleaved per worker ([`SimHarnessConfig::batch`]);
-    /// 1 on the threads backend.
+    /// Consecutive indices a worker claims at a time, as configured
+    /// ([`SimHarnessConfig::batch`]); 1 on the threads backend.
     pub batch: usize,
     /// Peak number of in-flight experiments (raw [`ExperimentData`] plus
-    /// live world state) inside the pipeline — at most
-    /// `workers × batch`, by construction. This is the bounded retention
-    /// the streaming design exists for; tests assert on it.
+    /// live world state) inside the pipeline — at most `workers`, by
+    /// construction: a worker holds one experiment from claim to the end
+    /// of its analysis. This is the bounded retention the streaming
+    /// design exists for; tests assert on it.
     pub peak_raw_retained: usize,
     /// High-water mark of the reorder buffer: compact results that had
     /// finished but were still waiting for a lower index to commit.
@@ -813,7 +822,7 @@ pub struct PipelineSummary {
     /// state `make_global` fills recycled shells instead of allocating.
     pub result_shell_reuses: u64,
     /// Analyzed-result shells that had to be freshly allocated. Bounded by
-    /// the in-flight result window (≈ workers × batch + channel + reorder
+    /// the in-flight result window (≈ workers + channel + reorder
     /// depth) when the sink drops its results, not by the experiment
     /// count; a retaining sink (e.g. [`CampaignPipeline::collect`]) keeps
     /// shells alive and pays one alloc per experiment instead.
@@ -823,10 +832,10 @@ pub struct PipelineSummary {
 /// The campaign driver's reorder buffer: holds finished experiments whose
 /// predecessors are still running, releasing them in strictly increasing
 /// index order. A sorted `Vec` (descending, so the next index to commit
-/// sits at the tail) instead of a `BTreeMap`: the buffer holds at most
-/// `workers × batch` entries, and the `Vec` reuses its capacity across the
-/// whole campaign where a map allocates a node per experiment — visible
-/// overhead when experiments are tiny.
+/// sits at the tail) instead of a `BTreeMap`: the buffer holds only what
+/// sibling workers finish while a lower index is in flight, and the `Vec`
+/// reuses its capacity across the whole campaign where a map allocates a
+/// node per experiment — visible overhead when experiments are tiny.
 struct Reorder<V> {
     pending: Vec<(u32, V)>,
     /// Most entries ever buffered at once
@@ -900,7 +909,7 @@ struct PoolStats {
     actor_reuses: AtomicU64,
     timeline_reuses: AtomicU64,
     events: AtomicU64,
-    /// World slots rebuilt fresh after a failed experiment (bumped at
+    /// Worlds rebuilt fresh after a failed experiment (bumped at
     /// quarantine time, when the poisoned context retires early).
     quarantined: AtomicU64,
 }
@@ -915,151 +924,82 @@ impl PoolStats {
     }
 }
 
-/// One worker's batched experiment loop: claim a chunk of `batch`
-/// consecutive experiment indices from the shared counter, drive them
-/// through one reused [`WorldSet`] (earliest-next-event interleaving),
-/// hand each finished experiment to `process`, repeat until the claim
-/// counter passes `experiments`.
+/// One worker's experiment loop on the simulation backend: claim a chunk
+/// of `chunk` consecutive experiment indices from the shared counter, run
+/// each through [`SimStudy::run_one`] on the worker's one reset-reused
+/// world, hand it to `process`, repeat until the claim counter passes
+/// `experiments`.
 ///
-/// Worlds and their slabs persist across chunks — after the first chunk a
-/// worker's steady state allocates almost nothing per experiment.
-/// `process` returns `false` to stop the worker early (the caller hung
-/// up); the current chunk is abandoned without claiming more.
+/// The world's slabs and the experiment script persist across
+/// experiments — after the first one a worker's steady state allocates
+/// almost nothing per experiment. `process` returns `false` to stop the
+/// worker early (the caller hung up); the rest of the chunk is abandoned
+/// without claiming more.
 ///
 /// # Failure containment
 ///
 /// An experiment that ends as [`ExperimentEnd::Failed`] — a contained
 /// application panic, a budget trip — or whose scaffolding unwinds out of
 /// the engine entirely (a harness error, reported to `process` as
-/// [`ExperimentFailure::Harness`] with no context) poisons its world and
+/// [`ExperimentFailure::Harness`] with no context) poisons the world and
 /// its pooled scaffolding. Both are **quarantined**: the script (context,
-/// hull pool, store shells) is dropped instead of joining the `spare`
-/// recycling list, and the world slot is rebuilt fresh from the shared
-/// [`WorldConfig`]. Sibling worlds never notice — worlds don't interact,
-/// and the claim counter hands out each index exactly once — so the
-/// surviving experiments' results are byte-identical to a failure-free
-/// campaign's.
+/// hull pool, store shells) is dropped instead of recycled, and the world
+/// is rebuilt fresh from the shared [`WorldConfig`]. The claim counter
+/// hands out each index exactly once and a fresh world runs like a reset
+/// one, so the surviving experiments' results are byte-identical to a
+/// failure-free campaign's.
 fn drive_chunked(
     sim_study: &SimStudy<'_>,
     experiments: u32,
-    batch: usize,
+    chunk: u32,
     next_claim: &AtomicU32,
     gauge: &RetentionGauge,
     stats: &PoolStats,
     mut process: impl FnMut(u32, ExperimentData, Option<&ExpCtx>) -> bool,
 ) {
-    let mut set: WorldSet<RtMsg> = WorldSet::with_capacity(batch);
-    let mut scripts: Vec<Option<ExpScript>> = Vec::with_capacity(batch);
-    // Finished experiments return their (drained-empty) scripts here;
-    // `begin_with` recycles them, so in steady state a worker reallocates
-    // none of the per-experiment scaffolding.
-    let mut spare: Vec<ExpScript> = Vec::with_capacity(batch);
-    // Concludes experiment `k` of world `idx`: hands its data — or, when
-    // its scaffolding unwound, a typed stand-in — to `process`, then
-    // retires its script. A healthy script feeds the recycling list; a
-    // failed experiment's is quarantined with its world (an unwind out of
-    // `begin_with` leaves no script behind, only the half-loaded world).
-    let mut conclude = |k: u32,
-                        idx: usize,
-                        script: Option<ExpScript>,
-                        outcome: std::thread::Result<ExperimentData>,
-                        set: &mut WorldSet<RtMsg>,
-                        spare: &mut Vec<ExpScript>| {
-        let ctx = script.as_ref().filter(|_| outcome.is_ok()).map(|s| &*s.ctx);
-        let data = outcome.unwrap_or_else(|payload| {
-            sim_study.failed_data(k, crate::contain::panic_note(payload.as_ref()))
-        });
-        let failed = matches!(data.end, ExperimentEnd::Failed(_));
-        let keep_going = process(k, data, ctx);
-        match script {
-            Some(script) if !failed => spare.push(script),
-            poisoned => {
-                if let Some(script) = poisoned {
-                    stats.absorb(&script.ctx);
-                }
-                set.replace(idx, Simulation::with_config(sim_study.world.clone(), 0));
-                stats.quarantined.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        keep_going
-    };
+    let fresh_world = || Simulation::with_config(sim_study.world.clone(), 0);
+    let mut sim = fresh_world();
+    // The last experiment's (drained-empty) script, recycled by the next
+    // one: in steady state a worker reallocates none of the per-experiment
+    // scaffolding.
+    let mut script: Option<ExpScript> = None;
     'run: loop {
         // Relaxed suffices: the claim is the only shared state, and the
         // result hand-off orders everything else.
-        let base = next_claim.fetch_add(batch as u32, Ordering::Relaxed);
+        let base = next_claim.fetch_add(chunk, Ordering::Relaxed);
         if base >= experiments {
             break 'run;
         }
-        let end = experiments.min(base.saturating_add(batch as u32));
-
-        // Load the chunk: one world per experiment, reset-reused from the
-        // previous chunk. A world that is drained straight after `begin`
-        // tripped a budget inside pre-sync and spawned nothing: finish it
-        // on the spot.
-        let mut inflight = 0usize;
-        for (slot, k) in (base..end).enumerate() {
-            if slot == set.len() {
-                set.push(Simulation::with_config(sim_study.world.clone(), 0));
-                scripts.push(None);
-            }
+        for k in base..experiments.min(base.saturating_add(chunk)) {
             gauge.inc();
-            let recycled = spare.pop();
-            let loaded = catch_unwind(AssertUnwindSafe(|| {
-                let mut script =
-                    set.with_world_mut(slot, |sim| sim_study.begin_with(sim, k, recycled));
-                let finished = set.drained(slot).then(|| {
-                    set.with_world_mut(slot, |sim| sim_study.on_drained(sim, &mut script))
-                });
-                (script, finished)
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                sim_study.run_one(&mut sim, k, &mut script)
             }));
-            let (script, outcome) = match loaded {
-                Ok((script, None)) => {
-                    scripts[slot] = Some(script);
-                    inflight += 1;
-                    continue;
+            // An unwind leaves the experiment without data — hand on a
+            // typed stand-in — and without a context to reclaim into.
+            let ctx = script.as_ref().filter(|_| outcome.is_ok()).map(|s| &*s.ctx);
+            let data = outcome.unwrap_or_else(|payload| {
+                sim_study.failed_data(k, crate::contain::panic_note(payload.as_ref()))
+            });
+            let failed = matches!(data.end, ExperimentEnd::Failed(_));
+            let keep_going = process(k, data, ctx);
+            if failed {
+                // An unwind out of `begin_with` leaves no script behind,
+                // only the half-loaded world.
+                if let Some(poisoned) = script.take() {
+                    stats.absorb(&poisoned.ctx);
                 }
-                Ok((script, Some(data))) => (Some(script), Ok(data)),
-                Err(payload) => (None, Err(payload)),
-            };
-            if !conclude(k, slot, script, outcome, &mut set, &mut spare) {
-                break 'run;
+                sim = fresh_world();
+                stats.quarantined.fetch_add(1, Ordering::Relaxed);
             }
-        }
-
-        // Interleave: always step the world with the earliest next event;
-        // when a world drains — or the engine unwinds under it, leaving
-        // the world unusable and the experiment without data — finish and
-        // conclude its experiment.
-        while inflight > 0 {
-            let (idx, horizon) = set
-                .earliest()
-                .expect("worlds with in-flight experiments have events");
-            let mut script = scripts[idx].take().expect("running world has a script");
-            let stepped = catch_unwind(AssertUnwindSafe(|| {
-                set.run_world(idx, horizon);
-                set.drained(idx)
-                    .then(|| set.with_world_mut(idx, |sim| sim_study.on_drained(sim, &mut script)))
-            }));
-            let outcome = match stepped {
-                Ok(None) => {
-                    scripts[idx] = Some(script);
-                    continue;
-                }
-                Ok(Some(data)) => Ok(data),
-                Err(payload) => Err(payload),
-            };
-            inflight -= 1;
-            let k = script.experiment;
-            if !conclude(k, idx, Some(script), outcome, &mut set, &mut spare) {
+            if !keep_going {
                 break 'run;
             }
         }
     }
-    // Single exit: fold every retiring context's recycling counters into
-    // the shared stats (each script owns its own context; in-flight
-    // scripts only remain after an early bail-out; quarantined contexts
-    // were absorbed when they retired).
-    for script in scripts.iter().flatten().chain(spare.iter()) {
+    // Fold the retiring context's recycling counters into the shared
+    // stats (quarantined contexts were absorbed when they retired).
+    if let Some(script) = &script {
         stats.absorb(&script.ctx);
     }
 }
@@ -1102,8 +1042,8 @@ fn drive_campaign<R: Send>(
     validate(study, cfg)?;
     let workers = workers.clamp(1, experiments.max(1) as usize);
     let symbols = cfg.symbols();
-    // Many-worlds batching is a simulation-backend technique; the threads
-    // backend runs one experiment at a time per worker.
+    // Chunked claims are a simulation-backend knob; the threads backend
+    // claims one experiment at a time.
     let (batch, sim_study) = match cfg.backend {
         Backend::Sim => (
             resolve_batch(cfg)?,
@@ -1111,6 +1051,10 @@ fn drive_campaign<R: Send>(
         ),
         Backend::Threads => (1, None),
     };
+    // A chunk larger than the campaign is the campaign: clamped like the
+    // worker count, so the claim step fits the `u32` index space and the
+    // channel bound below cannot outgrow `2 × workers × experiments`.
+    let chunk = batch.clamp(1, experiments.max(1) as usize) as u32;
     let gauge = RetentionGauge::new();
     let stats = PoolStats::default();
     let retried = AtomicU64::new(0);
@@ -1158,7 +1102,7 @@ fn drive_campaign<R: Send>(
         drive_chunked(
             sim_study,
             experiments,
-            batch,
+            chunk,
             &next_claim,
             &gauge,
             &stats,
@@ -1170,9 +1114,9 @@ fn drive_campaign<R: Send>(
     let mut delivered = 0u32;
     let mut reorder: Reorder<R> = Reorder::new();
     std::thread::scope(|scope| {
-        // Twice the in-flight window: what the others finish while the
-        // caller runs a chunk of its own fits.
-        let (tx, rx) = mpsc::sync_channel::<(u32, R)>(2 * workers * batch);
+        // Two chunks per worker: what the others finish while the caller
+        // runs a chunk of its own fits.
+        let (tx, rx) = mpsc::sync_channel::<(u32, R)>(2 * workers * chunk as usize);
         for _ in 1..workers {
             let (tx, work) = (tx.clone(), &work);
             scope.spawn(move || work(&mut |k, result| tx.send((k, result)).is_ok()));
@@ -1190,12 +1134,11 @@ fn drive_campaign<R: Send>(
             }
             delivered
         };
-        // Claims are `batch`-aligned, so `k / chunk` names the chunk
+        // Claims are `chunk`-aligned, so `k / chunk` names the chunk
         // the caller is driving. While the next index to commit is an
         // unfinished experiment of that very chunk nothing in the
         // channel can commit: leave it there, as back-pressure, rather
         // than pile it into the reorder buffer.
-        let chunk = batch as u32;
         work(&mut |k, result| {
             let mut next = commit(k, result);
             while next / chunk != k / chunk {
@@ -1237,36 +1180,34 @@ fn drive_campaign<R: Send>(
 /// flow on the campaign driver's worker pool (the one [`run_study`] rides
 /// too).
 ///
-/// On the simulation backend each worker drives a **batch** of
-/// [`SimHarnessConfig::batch`] independent worlds at once through one
-/// [`WorldSet`] (FoundationDB-style many-worlds interleaving: always step
-/// the world with the earliest next event), reusing the worlds — and
-/// their event/timer slab allocations — across chunks via
+/// On the simulation backend each worker owns **one world** and runs its
+/// experiments on it one after another, reusing the world — and its
+/// event/timer slab allocations — across experiments via
 /// [`loki_sim::engine::Simulation::reset`]. The moment an experiment
 /// finishes, the worker analyzes it in place (`loki_analysis::analyze_one`:
 /// clock calibration → `make_global` → `check_experiment`) and **drops
 /// the raw [`ExperimentData`]**. Only the compact [`AnalyzedExperiment`]
 /// crosses the (bounded) channel to the caller, so campaign memory is
-/// O(workers × batch) in raw experiments and analysis overlaps execution
+/// O(workers) in raw experiments and analysis overlaps execution
 /// instead of trailing it as a batch phase.
 ///
 /// # Scheduling and determinism contract
 ///
 /// Workers claim experiments dynamically from a shared atomic index
-/// counter (work stealing, in chunks of the batch size): whichever worker
-/// finishes first takes the next unstarted experiments, so a heavy-tailed
-/// study — one slow experiment among cheap ones — does not idle the rest
-/// of the pool. Results are still merged **by experiment index**: the
+/// counter (work stealing, in chunks of [`SimHarnessConfig::batch`]
+/// consecutive indices): whichever worker finishes first takes the next
+/// unstarted experiments, so a heavy-tailed study — one slow experiment
+/// among cheap ones — does not idle the rest of the pool. Results are still merged **by experiment index**: the
 /// sink closure is invoked exactly once per experiment, in strictly
 /// increasing index order `0, 1, …, experiments − 1`, whatever the worker
 /// count or completion order (out-of-order compact results wait in a
 /// reorder buffer; raw data never crosses a channel). On
 /// [`Backend::Sim`], experiment `k` is fully determined by
-/// `(cfg.seed, k)` — a reset world replays exactly like a fresh one, and
-/// interleaved worlds never interact — so everything the sink observes —
-/// timelines, verdicts, measure folds — is byte-identical across worker
-/// counts *and batch sizes* and identical to analyzing
-/// [`run_experiment`]'s fresh-world data one experiment at a time.
+/// `(cfg.seed, k)` — a reset world replays exactly like a fresh one — so
+/// everything the sink observes — timelines, verdicts, measure folds — is
+/// byte-identical across worker counts *and chunk sizes* and identical to
+/// analyzing [`run_experiment`]'s fresh-world data one experiment at a
+/// time.
 ///
 /// # Caller-runs pool
 ///
@@ -1275,7 +1216,7 @@ fn drive_campaign<R: Send>(
 /// finished results straight into the reorder buffer, drains the channel
 /// after each of them, and blocks on the channel only once every index is
 /// claimed — W workers are W threads, and no result hand-off wakes a
-/// parked coordinator. The channel holds `2 × workers × batch` results,
+/// parked coordinator. The channel holds `2 × workers × chunk` results,
 /// so a spawned worker parks only behind a slow sink. The trade-off: the
 /// caller drains at its own experiment boundaries only, so a very long
 /// experiment *on the caller* can fill the channel and park the other
@@ -1298,7 +1239,7 @@ fn drive_campaign<R: Send>(
 ///         }
 ///     })
 ///     .expect("valid campaign config");
-/// assert!(summary.peak_raw_retained <= summary.workers * summary.batch);
+/// assert!(summary.peak_raw_retained <= summary.workers);
 /// # }
 /// ```
 pub struct CampaignPipeline {

@@ -14,7 +14,7 @@
 //! study, so the stores index by raw id instead of hashing, and every
 //! drain emits ascending-id order without a sort. Recycled containers
 //! (timeline shells, sync-sample runs) keep their capacity across
-//! experiments — the batched pipeline's steady state allocates nothing
+//! experiments — the campaign driver's steady state allocates nothing
 //! here.
 
 use loki_core::campaign::{ExperimentFailure, HostSync, SyncSample};
@@ -370,7 +370,7 @@ impl ExperimentControl {
     }
 
     /// Clears all flags so the block can serve the next experiment (the
-    /// batched pipeline recycles experiment scaffolding instead of
+    /// campaign driver recycles experiment scaffolding instead of
     /// reallocating it).
     pub fn reset(&self) {
         self.timed_out.set(false);
@@ -438,7 +438,7 @@ impl NodeDirectory {
     }
 
     /// Empties the directory, keeping its capacity. An aborted or timed-out
-    /// experiment can leave machines registered; the batched pipeline
+    /// experiment can leave machines registered; the campaign driver
     /// clears the recycled directory before the next experiment. Lookup
     /// results are id-addressed and [`NodeDirectory::machines`] ascends, so
     /// retained capacity is unobservable.

@@ -209,8 +209,8 @@ impl std::error::Error for DuplicateHost {}
 /// a study, so a campaign builds one `WorldConfig` and `Arc`-shares it
 /// across all its simulations ([`Simulation::with_config`]). The
 /// per-world mutable state (event slab, timer slab, watcher/FIFO state,
-/// RNG) stays in [`Simulation`], which makes a world cheap enough to hold
-/// many of at once — the basis of [`crate::batch::WorldSet`].
+/// RNG) stays in [`Simulation`], one per campaign worker, rewound between
+/// experiments by [`Simulation::reset`].
 ///
 /// [`VirtualClock`]s live here rather than in the per-world state because
 /// they are pure functions of their [`loki_clock::params::ClockParams`]
@@ -331,7 +331,7 @@ pub enum BudgetExceeded {
 /// ```
 pub struct Simulation<M> {
     /// The shared immutable world description (hosts, clocks, network).
-    /// `Arc`-shared across a batch; the legacy mutating builders
+    /// `Arc`-shared across a campaign's worlds; the legacy mutating builders
     /// ([`Simulation::add_host`], [`Simulation::set_network`]) copy on
     /// write when the description is actually shared.
     config: Arc<WorldConfig>,
@@ -381,8 +381,7 @@ impl<M: 'static> Simulation<M> {
 
     /// Creates a simulation over an existing — typically shared — world
     /// description. The simulation holds only its compact mutable state;
-    /// a campaign batch `Arc`-shares one [`WorldConfig`] across all its
-    /// worlds.
+    /// a campaign `Arc`-shares one [`WorldConfig`] across all its worlds.
     pub fn with_config(config: Arc<WorldConfig>, seed: u64) -> Self {
         Simulation {
             config,
@@ -493,12 +492,10 @@ impl<M: 'static> Simulation<M> {
     /// which always applies and panics).
     ///
     /// Armed, [`Simulation::step`] refuses the first event past either
-    /// ceiling, [`Simulation::budget_exceeded`] reports which ceiling
-    /// tripped, and [`Simulation::next_event_time`] reads `None` so a
-    /// [`WorldSet`](crate::batch::WorldSet) treats the world as drained.
-    /// The trip point depends only on the world's own event sequence —
-    /// never on how the world is driven — so it is identical across
-    /// `step`/`run`/`run_ready` bursts and any batch interleaving.
+    /// ceiling and [`Simulation::budget_exceeded`] reports which ceiling
+    /// tripped. The trip point depends only on the world's own event
+    /// sequence — never on how the world is driven — so it is identical
+    /// across `step`/`run`/`run_until`.
     pub fn set_budget(&mut self, max_virtual_ns: Option<u64>, max_events: Option<u64>) {
         self.budget_virtual_ns = max_virtual_ns.unwrap_or(u64::MAX);
         self.budget_events = max_events.unwrap_or(u64::MAX);
@@ -645,7 +642,7 @@ impl<M: 'static> Simulation<M> {
 
     /// Adds a host, rejecting a duplicate name with a typed error.
     ///
-    /// Copy-on-write when the world description is shared (batch users
+    /// Copy-on-write when the world description is shared (campaigns
     /// should finish building the [`WorldConfig`] before sharing it).
     pub fn try_add_host(&mut self, config: HostConfig) -> Result<HostId, DuplicateHost> {
         Arc::make_mut(&mut self.config).add_host(config)
@@ -738,18 +735,6 @@ impl<M: 'static> Simulation<M> {
     /// Number of events currently pending in the queue.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
-    }
-
-    /// The scheduled time of the earliest pending event, or `None` when
-    /// the queue has drained — or when a containment budget has tripped
-    /// (a tripped world refuses further events, so for scheduling
-    /// purposes it *is* drained). This is the scheduling key
-    /// [`crate::batch::WorldSet`] interleaves worlds by.
-    pub fn next_event_time(&self) -> Option<u64> {
-        if self.budget_tripped.is_some() {
-            return None;
-        }
-        self.queue.peek_time()
     }
 
     /// Number of events processed since construction or the last
@@ -847,20 +832,6 @@ impl<M: 'static> Simulation<M> {
                         return true;
                     }
                 }
-            }
-        }
-    }
-
-    /// Processes every pending event scheduled at or before `horizon_ns`,
-    /// in order. Unlike [`Simulation::run_until`] the clock is *not*
-    /// advanced to the horizon afterwards — it stays at the last processed
-    /// event — so driving a world in bursts is indistinguishable from
-    /// driving it with [`Simulation::run`] ([`crate::batch::WorldSet`]
-    /// interleaves worlds this way).
-    pub fn run_ready(&mut self, horizon_ns: u64) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon_ns || !self.step() {
-                return;
             }
         }
     }
@@ -1703,7 +1674,7 @@ mod tests {
         assert_eq!(a.host(h1).name, "h1");
 
         // Mutating one world's description copies on write instead of
-        // changing it under the other worlds of the batch.
+        // changing it under the worlds it is shared with.
         a.add_host(HostConfig::new("h2"));
         assert_eq!(a.num_hosts(), 2);
         assert_eq!(b.num_hosts(), 1);
@@ -1750,7 +1721,6 @@ mod tests {
         sim.reset(6);
         assert_eq!(sim.now(), 0);
         assert_eq!(sim.pending_events(), 0);
-        assert_eq!(sim.next_event_time(), None);
         assert!(!sim.is_alive(ActorId(0)));
 
         let second = drive(&mut sim);

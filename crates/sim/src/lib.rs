@@ -23,10 +23,9 @@
 //! the [`engine`] module docs for how the engine uses them.
 //!
 //! Campaigns that run many independent experiments share one immutable
-//! [`engine::WorldConfig`] across all their simulations and interleave
-//! batches of them on one thread with a [`batch::WorldSet`]
-//! (FoundationDB-style "many worlds, one process"); see the [`batch`]
-//! module docs.
+//! [`engine::WorldConfig`] across all their simulations and reuse each
+//! world — slabs and all — from one experiment to the next with
+//! [`Simulation::reset`], which replays exactly like a fresh world.
 //!
 //! Clock-synchronization mini-phases — closed intervals of strictly
 //! sequential ping/echo chains on a drained world — are fast-forwarded
@@ -35,14 +34,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod config;
 pub mod engine;
 pub mod exchange;
 pub mod netfault;
 pub mod queue;
 
-pub use batch::WorldSet;
 pub use config::{HostConfig, LatencyModel, NetworkConfig};
 pub use engine::{
     Actor, ActorId, BudgetExceeded, Ctx, DownReason, DuplicateHost, HostId, Simulation, TimerId,

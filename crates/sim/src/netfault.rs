@@ -24,11 +24,10 @@
 //! * While **active**, every probabilistic decision draws from the
 //!   simulation's own seeded RNG in a fixed order (corrupt, drop, reorder,
 //!   duplicate), so a given `(seed, experiment)` replays byte-identically
-//!   regardless of worker count or batch width.
+//!   regardless of the campaign's pool shape.
 //! * [`Simulation::reset`](crate::engine::Simulation::reset) calls
-//!   [`NetFaultPlane::reset`], so a recycled world in a
-//!   [`WorldSet`](crate::batch::WorldSet) never leaks one experiment's
-//!   partition into the next.
+//!   [`NetFaultPlane::reset`], so a reset-reused world never leaks one
+//!   experiment's partition into the next.
 //!
 //! Semantics worth spelling out:
 //!

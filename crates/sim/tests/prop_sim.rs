@@ -2,7 +2,6 @@
 
 use loki_clock::params::ClockParams;
 use loki_core::time::LocalNanos;
-use loki_sim::batch::WorldSet;
 use loki_sim::config::{HostConfig, LatencyModel, NetworkConfig};
 use loki_sim::engine::{Actor, ActorId, BudgetExceeded, Ctx, HostId, Simulation, WorldConfig};
 use loki_sim::exchange::ExchangeRound;
@@ -405,12 +404,13 @@ proptest! {
         prop_assert_eq!(run(seed), run(seed));
     }
 
-    /// `WorldSet` interleaving of random independent event schedules is
-    /// behaviour-preserving: each world ends in exactly the state it
-    /// reaches when run to completion alone.
+    /// What the campaign driver's one-world-per-worker loop rests on: a
+    /// world driven through any sequence of schedules, with `reset(seed)`
+    /// and a respawn between them, ends each schedule in exactly the state
+    /// a fresh world reaches running that schedule alone.
     #[test]
-    fn worldset_interleaving_matches_isolated_runs(
-        worlds in prop::collection::vec(
+    fn reset_world_replays_any_sequence_of_schedules_like_fresh_worlds(
+        schedules in prop::collection::vec(
             (any::<u64>(), 1u32..30, 0u64..20_000_000, 0u64..1_000_000),
             1..8,
         ),
@@ -420,49 +420,32 @@ proptest! {
             ipc: LatencyModel { base_ns: 10_000, jitter_ns: 500_000 },
             tcp: LatencyModel { base_ns: 100_000, jitter_ns: 500_000 },
         });
-        // Give every world the max timeslice drawn so the shared config is
-        // fixed while seeds/counts still vary per world.
-        let slice = worlds.iter().map(|w| w.2).max().unwrap_or(0);
+        // Give every schedule the max timeslice drawn so the shared config
+        // is fixed while seeds/counts still vary per schedule.
+        let slice = schedules.iter().map(|s| s.2).max().unwrap_or(0);
         let h1 = config.add_host(HostConfig::new("h1").timeslice_ns(slice)).unwrap();
         let h2 = config.add_host(HostConfig::new("h2").timeslice_ns(slice)).unwrap();
         let config = Arc::new(config);
 
-        let build = |&(seed, count, _, _): &(u64, u32, u64, u64)| {
-            let mut sim: Simulation<u32> = Simulation::with_config(config.clone(), seed);
+        // Spawns the schedule on a pristine world, runs it dry, and reads
+        // everything a later experiment could observe.
+        let drive = |sim: &mut Simulation<u32>, count: u32| {
             let log = Rc::new(RefCell::new(Vec::new()));
             let sink = sim.spawn(h2, Box::new(Sink { log: log.clone() }));
             sim.spawn(h1, Box::new(Burst { target: sink, count }));
-            (sim, log)
+            sim.run();
+            let delivered = log.borrow().clone();
+            (sim.now(), sim.events_processed(), delivered, sim.rng().next_u64())
         };
 
-        let isolated: Vec<_> = worlds
-            .iter()
-            .map(|w| {
-                let (mut sim, log) = build(w);
-                sim.run();
-                let delivered = log.borrow().clone();
-                (sim.now(), sim.events_processed(), delivered)
-            })
-            .collect();
-
-        let mut set = WorldSet::new();
-        let logs: Vec<_> = worlds
-            .iter()
-            .map(|w| {
-                let (sim, log) = build(w);
-                set.push(sim);
-                log
-            })
-            .collect();
-        set.run();
-        for (i, log) in logs.iter().enumerate() {
-            prop_assert!(set.drained(i));
-            let sim = set.world(i);
-            let delivered = log.borrow().clone();
+        let mut reused: Simulation<u32> = Simulation::with_config(config.clone(), 0);
+        for (i, &(seed, count, _, _)) in schedules.iter().enumerate() {
+            reused.reset(seed);
+            let mut fresh = Simulation::with_config(config.clone(), seed);
             prop_assert_eq!(
-                &(sim.now(), sim.events_processed(), delivered),
-                &isolated[i],
-                "world {} diverged under interleaving", i
+                drive(&mut reused, count),
+                drive(&mut fresh, count),
+                "schedule {} diverged on the reset-reused world", i
             );
         }
     }

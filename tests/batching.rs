@@ -1,11 +1,12 @@
-//! Many-worlds batching acceptance: interleaving K experiments per worker
-//! through one reused `WorldSet` must be *unobservable* in the results.
-//! The sweep below pins byte-identical study output for batch
-//! K ∈ {1, 2, 4, 8} crossed with worker counts ∈ {1, 2, 4} against the
-//! fresh-world reference (`common::fresh_world_reference`: one
-//! `run_experiment` per experiment, no pool), pinning that a reset-reused
-//! world replays exactly like a fresh one, and checks the pipeline's
-//! retention stays within the documented workers × batch bound.
+//! Pool-shape acceptance: each worker runs its experiments one after
+//! another on one reset-reused world, claiming K consecutive indices at a
+//! time, and that must be *unobservable* in the results. The sweep below
+//! pins byte-identical study output for claim chunks K ∈ {1, 2, 4, 8}
+//! crossed with worker counts ∈ {1, 2, 4} against the fresh-world
+//! reference (`common::fresh_world_reference`: one `run_experiment` per
+//! experiment, no pool), pinning that a reset-reused world replays exactly
+//! like a fresh one, and checks the pipeline's retention stays within the
+//! documented one-raw-experiment-per-worker bound.
 
 mod common;
 
@@ -82,14 +83,14 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
             assert_eq!(summary.injections, injections);
 
             // Bounded retention: never more in-flight experiments than
-            // workers × batch.
+            // workers, whatever the claim chunk.
             assert!(
-                (1..=workers * k).contains(&summary.peak_raw_retained),
+                (1..=workers).contains(&summary.peak_raw_retained),
                 "K={k} workers={workers}: peak retention {}",
                 summary.peak_raw_retained
             );
 
-            // The batched path counts events in every matrix cell — while
+            // The driver counts events in every matrix cell — while
             // the results above stay identical.
             assert!(
                 summary.events > 0,
@@ -99,11 +100,10 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
             // they are recycled across experiments, never within one
             // (the sync mini-phases spawn no actors at all). Reuse is
             // therefore guaranteed only where one worker runs a second
-            // chunk: a lone worker with more experiments than K. With
-            // several workers the claim race may hand every worker a
-            // single chunk, and then nothing is reused.
+            // experiment: always for a lone worker. With several workers
+            // at K = 8 the claim race may hand every worker a single
+            // experiment, and then nothing is reused.
             if workers == 1 {
-                assert!(experiments as usize > k);
                 assert!(
                     summary.actor_reuses > 0,
                     "K={k} workers={workers}: no pooled actor reuse"
@@ -143,14 +143,14 @@ fn caller_runs_driver_is_byte_identical_at_ragged_shapes() {
                 assert_eq!(summary.accepted, reference_summary.accepted);
                 assert_eq!(summary.injections, reference_summary.injections);
                 assert!(
-                    (1..=summary.workers * k).contains(&summary.peak_raw_retained),
+                    (1..=summary.workers).contains(&summary.peak_raw_retained),
                     "experiments={experiments} K={k} workers={workers}: peak retention {}",
                     summary.peak_raw_retained
                 );
                 // Every result passes through the reorder buffer; a lone
-                // worker only ever reorders within its own chunk.
+                // worker finishes in index order and never holds two.
                 let deepest = if workers == 1 {
-                    k
+                    1
                 } else {
                     experiments as usize
                 };
@@ -159,6 +159,37 @@ fn caller_runs_driver_is_byte_identical_at_ragged_shapes() {
                     "experiments={experiments} K={k} workers={workers}: reorder depth {}",
                     summary.peak_reorder_depth
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn oversized_batch_is_the_whole_campaign() {
+    // A chunk larger than the campaign is the campaign: the driver clamps
+    // it, so neither the channel bound (2 × workers × chunk slots,
+    // allocated up front) nor the `u32` claim step sees the raw value.
+    // Unclamped, these abort in the allocator, overflow the capacity, or
+    // truncate the step to 0 and claim nothing forever. Explicit
+    // `cfg.batch` only — LOKI_BATCH belongs to the env-owning test.
+    let (study, factory) = ring_campaign();
+    let cfg = SimHarnessConfig::three_hosts(0xB16);
+    for experiments in [3u32, 13] {
+        let raw = common::fresh_world_raw(&study, &factory, &cfg, experiments);
+        let reference = fresh_world_reference(&study, &factory, &cfg, experiments);
+        for batch in [usize::MAX, 1 << 32, 1_000_000_000] {
+            for workers in [1usize, 3] {
+                let mut cfg = cfg.clone();
+                cfg.batch = Some(batch);
+                cfg.workers = Some(workers);
+                let what = format!("experiments={experiments} batch={batch} workers={workers}");
+                let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone());
+                let (streamed, summary) = run_collect(&pipeline, experiments, workers);
+                assert_eq!(streamed, reference, "{what}: pipeline diverged");
+                assert_eq!(summary.batch, batch, "{what}: reports the configured value");
+                let data = run_study(&study, factory.clone(), &cfg, experiments)
+                    .expect("valid campaign config");
+                assert_eq!(data, raw, "{what}: run_study diverged");
             }
         }
     }
@@ -199,8 +230,8 @@ fn netfault_campaign() -> (Arc<Study>, loki::runtime::AppFactory) {
 
 #[test]
 fn net_fault_campaign_batches_byte_identically() {
-    // Batching interleaves K experiments through one reused world, and the
-    // network fault plane is part of that world: its armed state and its
+    // A worker runs experiment after experiment on one reused world, and
+    // the network fault plane is part of that world: its armed state and its
     // RNG draws must reset and replay exactly, or a partition from
     // experiment N would leak into experiment N+1's messages. Pin the
     // K × workers matrix against the fresh-world reference under the full
@@ -236,8 +267,9 @@ fn pooling_recycles_across_experiments_without_changing_results() {
     // A restart-policy campaign exercises the full pooled-actor lifecycle:
     // mid-experiment node respawns (supervisor restarts the killed token
     // holder) plus cross-experiment recycling of daemons, the central
-    // daemon, the supervisor, and capacity-retaining timeline shells. One worker with a small batch and more experiments than the
-    // batch guarantees scripts are recycled through the spare list.
+    // daemon, the supervisor, and capacity-retaining timeline shells. One
+    // worker runs all twelve experiments on one world and one script, so
+    // everything the first leaves behind is there for the next to recycle.
     use loki::runtime::daemons::RestartPolicy;
     let (study, factory) = ring_campaign();
     let mut cfg = SimHarnessConfig::three_hosts(0x9001);
@@ -285,14 +317,14 @@ fn dropping_sink_recycles_result_shells_in_steady_state() {
     );
     // Steady state: fresh allocations are bounded by the in-flight result
     // window (reorder depth + the shell currently being filled), which for
-    // one worker at K=4 is a handful — two hundred experiments must not
-    // allocate two hundred shells.
+    // one worker is one or two — two hundred experiments must not allocate
+    // two hundred shells.
     assert!(
-        summary.result_shell_allocs <= 10,
+        summary.result_shell_allocs <= 2,
         "fresh shell allocs {} not bounded by the in-flight window",
         summary.result_shell_allocs
     );
-    assert!(summary.result_shell_reuses >= u64::from(experiments) - 10);
+    assert!(summary.result_shell_reuses >= u64::from(experiments) - 2);
 
     // Contrast: a retaining sink (collect) keeps every shell alive until
     // after the run, so nothing flows back — one fresh alloc per
@@ -325,7 +357,7 @@ fn batch_env_override_is_validated_and_applied() {
     assert_eq!(via_env, forced, "batch size changed the results");
 
     // Invalid batch sizes are rejected loudly — a silent fallback would
-    // run the campaign with a surprise interleaving width. Since the
+    // run the campaign with a surprise claim chunk. Since the
     // survivability work these come back as typed `CampaignError`s.
     for bad in ["not-a-number", "0", "", "-2"] {
         std::env::set_var("LOKI_BATCH", bad);

@@ -1,8 +1,8 @@
 //! The test-side oracle for the campaign driver: every experiment on a
 //! *fresh* world, one at a time, through no pool at all. The driver runs
-//! campaigns on reset-reused worlds, interleaved K at a time and spread
-//! over a work-stealing pool; whatever it returns must equal this, byte
-//! for byte.
+//! campaigns on one reset-reused world per worker, spread over a
+//! work-stealing pool; whatever it returns must equal this, byte for
+//! byte.
 
 #![allow(dead_code)] // each test binary uses its own subset
 

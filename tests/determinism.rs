@@ -18,8 +18,9 @@ use loki::runtime::AppFactory;
 use std::sync::Arc;
 
 /// `run_study` with a forced pool shape: `workers` workers (the calling
-/// thread included) interleaving `batch` worlds each. Forcing both keeps
-/// these tests off the `LOKI_WORKERS` / `LOKI_BATCH` environment.
+/// thread included) claiming `batch` consecutive indices at a time.
+/// Forcing both keeps these tests off the `LOKI_WORKERS` / `LOKI_BATCH`
+/// environment.
 fn run_shaped(
     study: &Arc<Study>,
     factory: &AppFactory,
