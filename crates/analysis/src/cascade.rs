@@ -187,7 +187,6 @@ mod tests {
             alpha_beta: Vec::new(),
             reference_host: HostId::from_raw(0),
             symbols: Arc::new(SymbolTable::new()),
-            recycle: None,
         }
     }
 

@@ -917,7 +917,6 @@ mod tests {
             alpha_beta: Vec::new(),
             reference_host: HostId::from_raw(0),
             symbols: Arc::new(SymbolTable::for_hosts(["h1"])),
-            recycle: None,
         };
         let verdict = check_experiment(&study, &gt, MissingPolicy::Ignore);
         assert!(verdict.accepted, "{:?}", verdict.checks);

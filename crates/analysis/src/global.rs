@@ -10,13 +10,13 @@
 
 use crate::error::AnalysisError;
 use crate::merge::{merge_sorted_runs, MergeScratch};
-use crate::recycle::{Shell, ShellHandle, ShellPool};
 use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, SyncOptions};
 use loki_core::campaign::ExperimentData;
 use loki_core::ids::{EventId, FaultId, HostId, SmId, StateId, SymbolTable};
 use loki_core::recorder::RecordKind;
 use loki_core::study::Study;
 use loki_core::time::{GlobalNanos, TimeBounds};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// The payload of a global-timeline event.
@@ -81,13 +81,7 @@ pub struct StateInterval {
 /// identity projection — no record referenced them, or `make_global` would
 /// have failed). The study-run [`SymbolTable`] rides along behind an `Arc`
 /// so reports can resolve names without the (dropped) raw data.
-///
-/// Timelines built through [`make_global_pooled`] additionally carry a
-/// [`ShellHandle`]: when the timeline drops, its vectors return to the
-/// [`ShellPool`] they came from (see [`crate::recycle`]). The handle is
-/// invisible to comparison and never survives a clone, so pooled and
-/// unpooled timelines compare equal whenever their data does.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GlobalTimeline {
     /// All events, sorted by the midpoint of their bounds.
     pub events: Vec<GlobalEvent>,
@@ -104,40 +98,6 @@ pub struct GlobalTimeline {
     pub reference_host: HostId,
     /// The study-run symbol table resolving every [`HostId`] above.
     pub symbols: Arc<SymbolTable>,
-    /// Return path to the [`ShellPool`] this timeline's vectors came from
-    /// (`None` for unpooled timelines and clones). Consumed on drop.
-    pub recycle: Option<ShellHandle>,
-}
-
-impl Clone for GlobalTimeline {
-    /// Clones the data; the clone is *not* pooled (its `recycle` is
-    /// `None`), so cloning never double-returns a shell.
-    fn clone(&self) -> Self {
-        GlobalTimeline {
-            events: self.events.clone(),
-            intervals: self.intervals.clone(),
-            start: self.start,
-            end: self.end,
-            alpha_beta: self.alpha_beta.clone(),
-            reference_host: self.reference_host,
-            symbols: self.symbols.clone(),
-            recycle: None,
-        }
-    }
-}
-
-impl PartialEq for GlobalTimeline {
-    /// Data equality only — the recycle handle is bookkeeping, not content,
-    /// so pooled results compare byte-identical to unpooled baselines.
-    fn eq(&self, other: &Self) -> bool {
-        self.events == other.events
-            && self.intervals == other.intervals
-            && self.start == other.start
-            && self.end == other.end
-            && self.alpha_beta == other.alpha_beta
-            && self.reference_host == other.reference_host
-            && self.symbols == other.symbols
-    }
 }
 
 impl GlobalTimeline {
@@ -216,7 +176,20 @@ impl GlobalOptions {
     }
 }
 
+thread_local! {
+    /// The calling thread's scratch for [`make_global`]: the sync-sample
+    /// gather buffer and the k-way merge's run table, permutation and heap.
+    /// A thread analyzes one experiment at a time, so the borrow lasts one
+    /// call; every call clears it before use, so what a previous call
+    /// (finished, failed or unwound) left behind is never read.
+    static SCRATCH: RefCell<MergeScratch> = RefCell::default();
+}
+
 /// Builds the global timeline of one experiment.
+///
+/// The result is plain owned data. The only state kept between calls is a
+/// thread-local [`MergeScratch`] whose capacity is reused; it never shows
+/// in the output.
 ///
 /// # Errors
 ///
@@ -230,74 +203,17 @@ pub fn make_global(
     opts: &GlobalOptions,
 ) -> Result<GlobalTimeline, AnalysisError> {
     opts.validate()?;
-    let mut shell = Shell::default();
-    let mut scratch = MergeScratch::default();
-    let (start, end) = fill_shell(study, data, opts, &mut shell, &mut scratch)?;
-    Ok(assemble(shell, start, end, data, None))
+    SCRATCH.with(|scratch| build_global(study, data, opts, &mut scratch.borrow_mut()))
 }
 
-/// [`make_global`] against a [`ShellPool`]: the timeline's vectors come
-/// from the pool (allocation-free once warm) and flow back to it when the
-/// timeline drops, and the k-way merge runs against pooled scratch. Output
-/// is byte-identical to [`make_global`].
-///
-/// # Errors
-///
-/// Exactly as [`make_global`]; on error the drawn shell returns to the
-/// pool, so failed experiments don't leak pooled capacity.
-pub fn make_global_pooled(
+/// Calibrates, projects and orders one experiment, working in `scratch`
+/// (cleared first). Assumes the options are already validated.
+fn build_global(
     study: &Study,
     data: &ExperimentData,
     opts: &GlobalOptions,
-    pool: &ShellPool,
-) -> Result<GlobalTimeline, AnalysisError> {
-    opts.validate()?;
-    let (mut shell, handle) = pool.take_shell();
-    let mut scratch = pool.take_scratch();
-    let result = fill_shell(study, data, opts, &mut shell, &mut scratch);
-    pool.put_scratch(scratch);
-    match result {
-        Ok((start, end)) => Ok(assemble(shell, start, end, data, Some(handle))),
-        Err(e) => {
-            handle.restock(shell);
-            Err(e)
-        }
-    }
-}
-
-/// Wraps a filled shell into the final timeline.
-fn assemble(
-    shell: Shell,
-    start: GlobalNanos,
-    end: GlobalNanos,
-    data: &ExperimentData,
-    recycle: Option<ShellHandle>,
-) -> GlobalTimeline {
-    GlobalTimeline {
-        events: shell.events,
-        intervals: shell.intervals,
-        start,
-        end,
-        alpha_beta: shell.alpha_beta,
-        reference_host: data.reference_host,
-        symbols: data.symbols.clone(),
-        recycle,
-    }
-}
-
-/// The construction core shared by [`make_global`] and
-/// [`make_global_pooled`]: calibrates, projects, and orders into `shell`'s
-/// (cleared) vectors, returning the experiment window. Assumes the options
-/// are already validated.
-fn fill_shell(
-    study: &Study,
-    data: &ExperimentData,
-    opts: &GlobalOptions,
-    shell: &mut Shell,
     scratch: &mut MergeScratch,
-) -> Result<(GlobalNanos, GlobalNanos), AnalysisError> {
-    shell.events.clear();
-    shell.intervals.clear();
+) -> Result<GlobalTimeline, AnalysisError> {
     scratch.clear();
     // --- alphabeta: per-host clock calibration -----------------------------
     // Dense, indexed by `HostId`: the projection loop below resolves a
@@ -317,11 +233,7 @@ fn fill_shell(
         .num_hosts()
         .max(data.reference_host.index() + 1)
         .max(data.hosts.iter().map(|h| h.index() + 1).max().unwrap_or(0));
-    shell.alpha_beta.clear();
-    shell
-        .alpha_beta
-        .resize(num_hosts, AlphaBetaBounds::identity());
-    let alpha_beta = &mut shell.alpha_beta;
+    let mut alpha_beta = vec![AlphaBetaBounds::identity(); num_hosts];
     let samples = &mut scratch.samples;
     for &host in &data.hosts {
         if host == data.reference_host {
@@ -344,13 +256,10 @@ fn fill_shell(
 
     // --- makeglobal: project every record -----------------------------------
     // Exact capacity up front: one event per record, at most one interval
-    // per record — the loop below never reallocates (and against a warm
-    // recycled shell, never allocates at all).
+    // per record — the loop below never reallocates.
     let total_records: usize = data.timelines.iter().map(|t| t.records.len()).sum();
-    let events = &mut shell.events;
-    let intervals = &mut shell.intervals;
-    events.reserve(total_records);
-    intervals.reserve(total_records + data.timelines.len());
+    let mut events = Vec::with_capacity(total_records);
+    let mut intervals = Vec::with_capacity(total_records + data.timelines.len());
     // Each timeline appends one contiguous run of events. While every run
     // stays mid-monotonic (the affine projection is monotonic in local
     // time, so only a clock stepping backwards across a host change breaks
@@ -447,9 +356,9 @@ fn fill_shell(
     // Order by midpoint. The merge reproduces the stable sort's exact tie
     // order — equal mids resolve by (timeline, record position), which is
     // insertion order — so both arms are byte-identical; the merge is just
-    // O(n log k) and allocation-free against pooled scratch.
+    // O(n log k) and allocation-free once the scratch has warmed up.
     if runs_sorted {
-        merge_sorted_runs(events, scratch, |e| e.bounds.mid().as_f64());
+        merge_sorted_runs(&mut events, scratch, |e| e.bounds.mid().as_f64());
     } else {
         events.sort_by(|a, b| a.bounds.mid().total_cmp(&b.bounds.mid()));
     }
@@ -482,8 +391,16 @@ fn fill_shell(
     };
 
     // Uncalibrated hosts were never referenced (the loop above would have
-    // errored); their identity fillers keep `shell.alpha_beta` dense.
-    Ok((start, end))
+    // errored); their identity fillers keep `alpha_beta` dense.
+    Ok(GlobalTimeline {
+        events,
+        intervals,
+        start,
+        end,
+        alpha_beta,
+        reference_host: data.reference_host,
+        symbols: data.symbols.clone(),
+    })
 }
 
 #[cfg(test)]
@@ -495,14 +412,21 @@ mod tests {
     use loki_core::time::LocalNanos;
 
     fn study() -> Study {
-        let def = StudyDef::new("s").machine(
-            StateMachineSpec::builder("a")
-                .states(&["INIT", "WORK"])
-                .events(&["GO", "DONE"])
-                .state("INIT", &[], &[("GO", "WORK")])
-                .state("WORK", &[], &[("DONE", "EXIT")])
-                .build(),
-        );
+        study_of(&["a"])
+    }
+
+    /// One INIT → WORK → EXIT machine per name.
+    fn study_of(machines: &[&str]) -> Study {
+        let def = machines.iter().fold(StudyDef::new("s"), |def, name| {
+            def.machine(
+                StateMachineSpec::builder(name)
+                    .states(&["INIT", "WORK"])
+                    .events(&["GO", "DONE"])
+                    .state("INIT", &[], &[("GO", "WORK")])
+                    .state("WORK", &[], &[("DONE", "EXIT")])
+                    .build(),
+            )
+        });
         Study::compile(&def).unwrap()
     }
 
@@ -526,28 +450,46 @@ mod tests {
     }
 
     fn experiment(study: &Study) -> ExperimentData {
-        let symbols = Arc::new(SymbolTable::for_hosts(["h1", "h2"]));
-        let h1 = symbols.lookup_host("h1").unwrap();
-        let h2 = symbols.lookup_host("h2").unwrap();
-        let a = study.sm_id("a").unwrap();
+        experiment_on(study, &["h1", "h2"], &[("a", "h2")])
+    }
+
+    /// An experiment over `hosts` (the first is the reference, the others
+    /// have ideal sync data) in which each `(machine, host)` of `placement`
+    /// walks INIT → WORK → EXIT at 10, 20 and 30 ms, the i-th machine 1 ms
+    /// after the one before it.
+    fn experiment_on(study: &Study, hosts: &[&str], placement: &[(&str, &str)]) -> ExperimentData {
+        let symbols = Arc::new(SymbolTable::for_hosts(hosts.iter().copied()));
+        let hosts: Vec<HostId> = hosts
+            .iter()
+            .map(|name| symbols.lookup_host(name).unwrap())
+            .collect();
         let go = study.events.lookup("GO").unwrap();
         let done = study.events.lookup("DONE").unwrap();
         let init = study.states.lookup("INIT").unwrap();
         let work = study.states.lookup("WORK").unwrap();
         let exit = study.reserved.exit;
-        let mut rec = Recorder::new(a, h2);
-        rec.record_state_change(LocalNanos::from_millis(10), go, init);
-        rec.record_state_change(LocalNanos::from_millis(20), go, work);
-        rec.record_state_change(LocalNanos::from_millis(30), done, exit);
+        let timelines = placement
+            .iter()
+            .zip(0u64..)
+            .map(|(&(machine, host), i)| {
+                let sm = study.sm_id(machine).unwrap();
+                let mut rec = Recorder::new(sm, symbols.lookup_host(host).unwrap());
+                rec.record_state_change(LocalNanos::from_millis(10 + i), go, init);
+                rec.record_state_change(LocalNanos::from_millis(20 + i), go, work);
+                rec.record_state_change(LocalNanos::from_millis(30 + i), done, exit);
+                rec.finish()
+            })
+            .collect();
+        let sync: Vec<HostSync> = hosts[1..].iter().map(|&h| ideal_sync(h)).collect();
         ExperimentData {
             study: "s".into(),
             experiment: 0,
-            timelines: vec![rec.finish()],
-            hosts: vec![h1, h2],
-            reference_host: h1,
+            timelines,
+            reference_host: hosts[0],
+            hosts,
             symbols,
-            pre_sync: vec![ideal_sync(h2)],
-            post_sync: vec![ideal_sync(h2)],
+            pre_sync: sync.clone(),
+            post_sync: sync,
             end: Default::default(),
             warnings: vec![],
         }
@@ -711,5 +653,89 @@ mod tests {
         let e = &gt.events[0];
         assert_eq!(e.bounds.lo.as_f64(), 10_000_000.0);
         assert_eq!(e.bounds.hi.as_f64(), 10_000_000.0);
+    }
+
+    /// Four shapes that leave the thread-local scratch in different states:
+    /// a single run (the merge returns at once), four interleaving runs,
+    /// a clock stepping backwards across a host change (sort fallback, run
+    /// table abandoned half-built), and an `UnknownHost` on the third of
+    /// four timelines (two runs already tabled).
+    fn scratch_shapes() -> (Study, Vec<ExperimentData>) {
+        let study = study_of(&["a", "b", "c", "d"]);
+        let hosts = ["h1", "h2", "h3", "h4"];
+        let spread = [("a", "h2"), ("b", "h3"), ("c", "h4"), ("d", "h1")];
+        let single = experiment_on(&study, &["h1", "h2"], &[("a", "h2")]);
+        let merged = experiment_on(&study, &hosts, &spread);
+        let mut backwards = experiment_on(&study, &hosts, &spread);
+        let h4 = backwards.symbols.lookup_host("h4").unwrap();
+        backwards.timelines[1].resume_on(LocalNanos::from_millis(1), h4);
+        let mut unknown = experiment_on(&study, &hosts, &spread);
+        unknown.hosts.retain(|&h| h != h4);
+        (study, vec![single, merged, backwards, unknown])
+    }
+
+    #[test]
+    fn thread_local_scratch_is_unobservable() {
+        let (study, shapes) = scratch_shapes();
+        let opts = GlobalOptions::default();
+        let on_fresh_thread = |data: &ExperimentData| {
+            std::thread::scope(|scope| {
+                scope
+                    .spawn(|| make_global(&study, data, &opts))
+                    .join()
+                    .unwrap()
+            })
+        };
+        let fresh: Vec<_> = shapes.iter().map(on_fresh_thread).collect();
+        assert_eq!(fresh[0].as_ref().unwrap().events.len(), 3);
+        assert_eq!(fresh[1].as_ref().unwrap().events.len(), 12);
+        let sorted = fresh[2].as_ref().unwrap();
+        assert!(sorted
+            .events
+            .windows(2)
+            .all(|w| w[0].bounds.mid() <= w[1].bounds.mid()));
+        assert_eq!(
+            sorted.events[0].record_index, 3,
+            "the restart stamped 1 ms sorts ahead of its own timeline's past"
+        );
+        assert!(matches!(fresh[3], Err(AnalysisError::UnknownHost { .. })));
+
+        // On this one thread: every shape after every other, itself included.
+        for first in 0..shapes.len() {
+            for second in 0..shapes.len() {
+                assert_eq!(
+                    make_global(&study, &shapes[first], &opts),
+                    fresh[first],
+                    "shape {first}"
+                );
+                assert_eq!(
+                    make_global(&study, &shapes[second], &opts),
+                    fresh[second],
+                    "shape {second} after shape {first}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_while_the_scratch_is_borrowed_leaves_the_thread_usable() {
+        // The pipeline contains a panicking analysis and carries on with
+        // the same worker thread: the unwind must release the borrow, and
+        // what it left in the scratch must not reach the next result.
+        let (study, shapes) = scratch_shapes();
+        let opts = GlobalOptions::default();
+        let before = make_global(&study, &shapes[1], &opts);
+        let unwound = std::panic::catch_unwind(|| {
+            SCRATCH.with(|scratch| {
+                let mut scratch = scratch.borrow_mut();
+                scratch.runs.extend([(0, 7), (7, 9)]);
+                scratch
+                    .samples
+                    .extend(ideal_sync(HostId::from_raw(1)).samples);
+                panic!("analysis panicked mid-fill");
+            })
+        });
+        assert!(unwound.is_err());
+        assert_eq!(make_global(&study, &shapes[1], &opts), before);
     }
 }

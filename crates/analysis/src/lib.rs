@@ -34,6 +34,13 @@
 //! resolved back to `&str` only at display/report boundaries —
 //! [`GlobalTimeline::host_name`], `study.sms.name(..)` — or inside error
 //! constructors, never per record.
+//!
+//! ## Results are plain data
+//!
+//! The phase is a pure function of one experiment's raw data, and what it
+//! returns — [`GlobalTimeline`], [`AnalyzedExperiment`] — is plain owned
+//! data: derived `Clone`/`PartialEq`, no destructor. The only state kept
+//! between calls is `make_global`'s thread-local merge scratch.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,17 +51,14 @@ pub mod error;
 pub mod global;
 pub mod intervals;
 pub mod merge;
-pub mod recycle;
 
 pub use cascade::{detect_cascade, CascadeConfig, CascadeVerdict};
 pub use checker::{check_experiment, ExperimentVerdict, MissingPolicy, Verdict};
 pub use error::AnalysisError;
 pub use global::{
-    make_global, make_global_pooled, GlobalEvent, GlobalEventKind, GlobalOptions, GlobalTimeline,
-    StateInterval,
+    make_global, GlobalEvent, GlobalEventKind, GlobalOptions, GlobalTimeline, StateInterval,
 };
 pub use intervals::IntervalSet;
-pub use recycle::{Shell, ShellHandle, ShellPool};
 
 use loki_core::campaign::{ExperimentData, ExperimentEnd};
 use loki_core::study::Study;
@@ -174,28 +178,6 @@ pub fn analyze_one(
     data: &ExperimentData,
     opts: &AnalysisOptions,
 ) -> AnalyzedExperiment {
-    analyze_one_impl(study, data, opts, None)
-}
-
-/// [`analyze_one`] against a [`ShellPool`]: the global timeline is built in
-/// a recycled result shell ([`make_global_pooled`]), so in steady state the
-/// analysis phase allocates no timeline vectors at all — they cycle
-/// sink→pool→worker. Results are byte-identical to [`analyze_one`].
-pub fn analyze_one_pooled(
-    study: &Study,
-    data: &ExperimentData,
-    opts: &AnalysisOptions,
-    pool: &ShellPool,
-) -> AnalyzedExperiment {
-    analyze_one_impl(study, data, opts, Some(pool))
-}
-
-fn analyze_one_impl(
-    study: &Study,
-    data: &ExperimentData,
-    opts: &AnalysisOptions,
-    pool: Option<&ShellPool>,
-) -> AnalyzedExperiment {
     let mut analyzed = AnalyzedExperiment {
         experiment: data.experiment,
         end: data.end,
@@ -207,11 +189,7 @@ fn analyze_one_impl(
     if data.end != ExperimentEnd::Completed {
         return analyzed;
     }
-    let global = match pool {
-        Some(pool) => make_global_pooled(study, data, &opts.global, pool),
-        None => make_global(study, data, &opts.global),
-    };
-    match global {
+    match make_global(study, data, &opts.global) {
         Ok(gt) => {
             analyzed.verdict = Some(check_experiment(study, &gt, opts.missing));
             analyzed.global = Some(gt);

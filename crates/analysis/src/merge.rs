@@ -5,7 +5,7 @@
 //! already non-decreasing — the affine `(α, β)` projection is monotonic in
 //! local time. Globally ordering the events therefore does not need a full
 //! `O(n log n)` stable sort: merging the `k` runs head-to-head is
-//! `O(n log k)`, and against recycled scratch buffers it allocates nothing.
+//! `O(n log k)`, and against a reused [`MergeScratch`] it allocates nothing.
 //!
 //! The merge must be *byte-identical* to the stable sort it replaces.
 //! A stable sort keyed on the midpoint keeps equal-key elements in input
@@ -52,10 +52,10 @@ fn head_lt(a: &Head, b: &Head) -> bool {
 
 /// Reusable scratch for [`merge_sorted_runs`]: the run table filled by the
 /// caller, plus the permutation and heap buffers the merge works in. All
-/// retain capacity across uses, so a recycled `MergeScratch` makes the
-/// merge allocation-free in steady state. `make_global` keeps its one
-/// other per-experiment buffer here too, so a single pooled object covers
-/// the whole construction.
+/// retain capacity across uses, so a reused `MergeScratch` makes the merge
+/// allocation-free in steady state. `make_global` keeps one per thread and
+/// gathers its one other per-experiment buffer here too, so a single object
+/// covers the whole construction.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
     /// One host's sync samples (pre- then post-phase), gathered for clock
@@ -73,7 +73,7 @@ pub struct MergeScratch {
 }
 
 impl MergeScratch {
-    /// Drops buffer contents but keeps capacity (for pooled reuse).
+    /// Drops buffer contents but keeps capacity (for reuse).
     pub fn clear(&mut self) {
         self.samples.clear();
         self.runs.clear();

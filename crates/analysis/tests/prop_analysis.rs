@@ -42,7 +42,6 @@ fn timeline_strategy() -> impl Strategy<Value = GlobalTimeline> {
             alpha_beta: Vec::new(),
             reference_host: Id::from_raw(0),
             symbols: Arc::new(SymbolTable::for_hosts(["ref"])),
-            recycle: None,
         }
     })
 }
@@ -140,7 +139,6 @@ proptest! {
             alpha_beta: Vec::new(),
             reference_host: Id::from_raw(0),
             symbols: Arc::new(SymbolTable::for_hosts(["ref"])),
-            recycle: None,
         };
         let window = (-1.0, 101.0);
         let truth = expr_truth(&gt, &expr, window);

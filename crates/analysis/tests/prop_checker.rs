@@ -407,7 +407,6 @@ fn timeline_of(
         alpha_beta: Vec::new(),
         reference_host: HostId::from_raw(0),
         symbols: Arc::new(SymbolTable::for_hosts(["ref"])),
-        recycle: None,
     }
 }
 

@@ -651,27 +651,11 @@ fn bench_event_overhead(c: &mut Criterion) {
         "event_overhead_timeline_reuses",
         summary.timeline_reuses as f64,
     );
-    // The dropping sink above sends every `GlobalTimeline` shell back to
-    // the workers, so in steady state analysis fills recycled vectors —
-    // allocations stay bounded by the in-flight window, not the campaign.
-    report::record(
-        "event_overhead_result_shell_reuses",
-        summary.result_shell_reuses as f64,
-    );
-    report::record(
-        "event_overhead_result_shell_allocs",
-        summary.result_shell_allocs as f64,
-    );
     println!(
         "event_overhead: {EXPERIMENTS} experiments (K={K}, {WORKERS} worker), \
          {} events ({events_per_exp:.0}/experiment) — {ns_per_event:.0} ns/event all-in; \
-         {} pooled-hull reuses, {} timeline-shell reuses, \
-         {} result-shell reuses ({} fresh)",
-        summary.events,
-        summary.actor_reuses,
-        summary.timeline_reuses,
-        summary.result_shell_reuses,
-        summary.result_shell_allocs
+         {} pooled-hull reuses, {} timeline-shell reuses",
+        summary.events, summary.actor_reuses, summary.timeline_reuses
     );
 
     let mut group = c.benchmark_group("event_overhead");

@@ -128,7 +128,6 @@ pub fn fig_4_2() -> (Study, GlobalTimeline) {
         alpha_beta: vec![loki_clock::sync::AlphaBetaBounds::identity()],
         reference_host,
         symbols,
-        recycle: None,
     };
     (study, gt)
 }

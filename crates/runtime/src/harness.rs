@@ -29,7 +29,7 @@ use crate::daemons::{
 use crate::messages::{NotifyRouting, RtMsg};
 use crate::store::WarningSink;
 use crate::thread_backend::{run_thread_experiment_with, ThreadHarnessConfig};
-use loki_analysis::{analyze_one_pooled, AnalysisOptions, AnalyzedExperiment, ShellPool};
+use loki_analysis::{analyze_one, AnalysisOptions, AnalyzedExperiment};
 use loki_clock::params::fastest_reference;
 use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync};
 use loki_core::ids::{HostId, SymbolTable};
@@ -816,16 +816,15 @@ pub struct PipelineSummary {
     /// Simulation events processed across all experiments (0 on the
     /// threads backend); the all-in ns/event bench divides by this.
     pub events: u64,
-    /// Analyzed-result shells (the `GlobalTimeline` events/intervals/
-    /// `alpha_beta` vectors) served from the recycling pool: sinks that
-    /// drop their results return the vectors to the workers, so in steady
-    /// state `make_global` fills recycled shells instead of allocating.
+    /// Vestigial: always 0. Results are plain owned data and nothing
+    /// recycles them; the name stays only because the campaign benchmark
+    /// reads it, and goes with [`SimHarnessConfig::batch`].
     pub result_shell_reuses: u64,
-    /// Analyzed-result shells that had to be freshly allocated. Bounded by
-    /// the in-flight result window (≈ workers + channel + reorder
-    /// depth) when the sink drops its results, not by the experiment
-    /// count; a retaining sink (e.g. [`CampaignPipeline::collect`]) keeps
-    /// shells alive and pays one alloc per experiment instead.
+    /// Vestigial name (kept for the campaign benchmark, like
+    /// [`PipelineSummary::result_shell_reuses`]): global timelines built,
+    /// i.e. results that reached the sink with `global.is_some()` — one
+    /// per completed, analyzable experiment, whatever the sink does with
+    /// them.
     pub result_shell_allocs: u64,
 }
 
@@ -1022,9 +1021,12 @@ fn drive_chunked(
 /// and trade-offs).
 ///
 /// Returns the pool-side counters of [`PipelineSummary`]; the verdict and
-/// result-shell counters are the pipeline's to fill. Worker-side panics
-/// are contained per experiment; a panic in `commit` unwinds out of the
-/// calling thread (the spawned workers then fail their next send and exit).
+/// result counters are the pipeline's to fill. A panicking experiment is
+/// contained per experiment; `map` and `commit` are the caller's code and
+/// are not: a panic in `commit` unwinds out of the calling thread (the
+/// spawned workers then fail their next send and exit), one in `map` does
+/// the same from the caller's own experiments and is re-raised by the
+/// thread scope from a spawned worker's.
 fn drive_campaign<R: Send>(
     study: &Arc<Study>,
     factory: &AppFactory,
@@ -1315,7 +1317,12 @@ impl CampaignPipeline {
     /// Returns a typed [`CampaignError`] on any campaign
     /// misconfiguration; still panics if the *sink* panics (it runs on the
     /// calling thread; the spawned workers then fail their next send and
-    /// exit). Worker-side panics are contained per experiment.
+    /// exit). Panics in the experiment itself and in its analysis are
+    /// contained per experiment ([`ExperimentEnd::Failed`]); `tap` is user
+    /// code run on the worker outside that containment (no `T` could be
+    /// made up for its result), so a panicking `tap` propagates like a
+    /// panicking sink — out of the calling thread directly, or through
+    /// the worker scope when it ran on a spawned worker.
     pub fn run_tapped_with_workers<T: Send>(
         &self,
         experiments: u32,
@@ -1323,24 +1330,22 @@ impl CampaignPipeline {
         tap: impl Fn(&ExperimentData) -> T + Sync,
         mut sink: impl FnMut(AnalyzedExperiment, T),
     ) -> Result<PipelineSummary, CampaignError> {
+        // The failure log is per run: what an earlier run left undrained
+        // (lines and dedup keys alike) must not leak into this one's.
+        self.take_failure_reports();
         if let Err(e) = self.analysis.global.validate() {
             return Err(CampaignError::Analysis(format!(
                 "loki: invalid analysis options: {e}"
             )));
         }
-        // Result shells cycle sink→pool→worker across the whole pipeline
-        // (timelines route themselves back on drop wherever they die).
-        let shell_pool = ShellPool::default();
-
-        // The back half of the fused flow: analyze (into a recycled result
-        // shell) → tap → reclaim the raw data's buffers into the worker's
-        // context (simulation backend) → drop. Analysis runs contained: a
-        // panicking analysis (conceivable on a failed experiment's partial
-        // timelines) downgrades that one result to a harness failure
-        // instead of killing the campaign.
+        // The back half of the fused flow: analyze → tap → reclaim the raw
+        // data's buffers into the worker's context (simulation backend) →
+        // drop. Analysis runs contained: a panicking analysis (conceivable
+        // on a failed experiment's partial timelines) downgrades that one
+        // result to a harness failure instead of killing the campaign.
         let finish = |mut data: ExperimentData, ctx: Option<&ExpCtx>| -> (AnalyzedExperiment, T) {
             let analyzed = catch_unwind(AssertUnwindSafe(|| {
-                analyze_one_pooled(&self.study, &data, &self.analysis, &shell_pool)
+                analyze_one(&self.study, &data, &self.analysis)
             }))
             .unwrap_or_else(|_| AnalyzedExperiment {
                 experiment: data.experiment,
@@ -1387,6 +1392,7 @@ impl CampaignPipeline {
                         });
                 }
                 tally.injections += analyzed.injections;
+                tally.result_shell_allocs += u64::from(analyzed.global.is_some());
                 sink(analyzed, tapped);
             },
         )?;
@@ -1395,8 +1401,7 @@ impl CampaignPipeline {
             failed: tally.failed,
             accepted: tally.accepted,
             injections: tally.injections,
-            result_shell_reuses: shell_pool.shell_reuses(),
-            result_shell_allocs: shell_pool.shell_allocs(),
+            result_shell_allocs: tally.result_shell_allocs,
             ..driven
         })
     }

@@ -11,7 +11,7 @@
 mod common;
 
 use common::fresh_world_reference;
-use loki::analysis::AnalyzedExperiment;
+use loki::analysis::{AnalyzedExperiment, GlobalTimeline};
 use loki::apps::kvstore::{cascade_probe, cascade_study, kv_factory, storm_retry, KvConfig};
 use loki::core::campaign::ExperimentEnd;
 use loki::core::fault::{FaultExpr, Trigger};
@@ -294,47 +294,53 @@ fn pooling_recycles_across_experiments_without_changing_results() {
 }
 
 #[test]
-fn dropping_sink_recycles_result_shells_in_steady_state() {
-    // The result-shell recycling loop: a sink that drops its
-    // `AnalyzedExperiment` sends the `GlobalTimeline` vectors back to the
-    // workers, so in steady state `make_global` fills recycled shells and
-    // fresh allocations stay bounded by the in-flight window — not by the
-    // campaign length.
+fn results_are_plain_data_whatever_the_sink_does() {
+    // Results are owned values nothing recycles: a sink that drops each
+    // result and one that keeps them all see the same campaign, and the
+    // two counters that once told those regimes apart no longer do.
     let (study, factory) = ring_campaign();
     let mut cfg = SimHarnessConfig::three_hosts(0x5E11);
     cfg.batch = Some(4);
     let experiments = 200u32;
 
-    let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone());
-    let summary = pipeline
-        .run_with_workers(experiments, 1, drop)
-        .expect("valid campaign config");
-
-    // Every analysis fills exactly one shell, recycled or fresh.
-    assert_eq!(
-        summary.result_shell_reuses + summary.result_shell_allocs,
-        u64::from(experiments)
-    );
-    // Steady state: fresh allocations are bounded by the in-flight result
-    // window (reorder depth + the shell currently being filled), which for
-    // one worker is one or two — two hundred experiments must not allocate
-    // two hundred shells.
-    assert!(
-        summary.result_shell_allocs <= 2,
-        "fresh shell allocs {} not bounded by the in-flight window",
-        summary.result_shell_allocs
-    );
-    assert!(summary.result_shell_reuses >= u64::from(experiments) - 2);
-
-    // Contrast: a retaining sink (collect) keeps every shell alive until
-    // after the run, so nothing flows back — one fresh alloc per
-    // experiment, zero reuses. Same campaign, same results.
-    let (collected, retaining) = CampaignPipeline::new(study, factory, cfg)
+    let (collected, retaining) = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
         .collect(experiments)
         .expect("valid campaign config");
     assert_eq!(collected.len(), experiments as usize);
-    assert_eq!(retaining.result_shell_allocs, u64::from(experiments));
-    assert_eq!(retaining.result_shell_reuses, 0);
+
+    let mut expected = collected.iter();
+    let dropping = CampaignPipeline::new(study, factory, cfg)
+        .run_with_workers(experiments, 1, |analyzed| {
+            assert_eq!(Some(&analyzed), expected.next());
+        })
+        .expect("valid campaign config");
+    assert!(expected.next().is_none());
+
+    let built = collected.iter().filter(|a| a.global.is_some()).count() as u64;
+    assert!(built > 0, "campaign must build global timelines");
+    for summary in [&dropping, &retaining] {
+        assert_eq!(summary.result_shell_reuses, 0);
+        assert_eq!(summary.result_shell_allocs, built);
+    }
+
+    // Plain data: cloned, compared, and taken apart by value (the last
+    // needs `GlobalTimeline` to have no destructor).
+    let original = collected
+        .into_iter()
+        .find(|a| a.global.is_some())
+        .expect("built > 0");
+    let copy = original.clone();
+    assert_eq!(copy, original);
+    let GlobalTimeline {
+        events,
+        intervals,
+        alpha_beta,
+        ..
+    } = copy.global.expect("cloned from a result with a timeline");
+    let global = original.global.as_ref().expect("found by is_some");
+    assert_eq!(events, global.events);
+    assert_eq!(intervals, global.intervals);
+    assert_eq!(alpha_beta, global.alpha_beta);
 }
 
 #[test]

@@ -490,6 +490,33 @@ fn failure_reports_are_deduplicated_per_kind() {
 }
 
 #[test]
+fn failure_reports_belong_to_the_most_recent_run() {
+    quiet_chaos_panics();
+    let study = Study::compile_arc(&chaos_study("chaos-reports", 3)).unwrap();
+    let pipeline =
+        CampaignPipeline::new(study, chaos_factory(chaos_cfg(true)), chaos_harness(0xC405));
+    // A failing campaign, its reports left undrained.
+    let mut first_failure = None;
+    pipeline
+        .run_with_workers(32, 2, |analyzed| {
+            if analyzed.end.failure().is_some() {
+                first_failure.get_or_insert(analyzed.experiment);
+            }
+        })
+        .expect("valid campaign config");
+    let healthy = first_failure.expect("the campaign fails somewhere");
+    assert!(healthy > 0, "experiment 0 failed: no healthy prefix to run");
+
+    // Experiment k depends on (seed, k) alone, so the prefix before the
+    // first failure is a failure-free run — and must report as one.
+    let summary = pipeline
+        .run_with_workers(healthy, 2, |_| {})
+        .expect("valid campaign config");
+    assert_eq!(summary.failed, 0);
+    assert_eq!(pipeline.take_failure_reports(), Vec::<String>::new());
+}
+
+#[test]
 fn thread_backend_contains_panics_and_retries() {
     quiet_chaos_panics();
     let study = Study::compile_arc(&chaos_study("chaos-threads", 3)).unwrap();
