@@ -8,14 +8,23 @@
 //! injection on another host) per design on identical workloads, and
 //! derives the connection-setup costs of node entry/exit analytically from
 //! the design's topology (as §3.4.2 argues them).
+//!
+//! Beside it sits the §2.5 sync ablation's cell ([`sync_bound_quality`]):
+//! how tight the off-line clock bounds come out for a given number of
+//! synchronization rounds and a given network jitter.
 
 use crate::accuracy::{accuracy_study, AccuracyConfig};
+use loki_clock::params::ClockParams;
+use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, SyncOptions};
 use loki_core::campaign::ExperimentData;
+use loki_core::ids::Id;
 use loki_core::recorder::RecordKind;
 use loki_core::study::Study;
 use loki_runtime::harness::{run_study, SimHarnessConfig};
 use loki_runtime::messages::NotifyRouting;
-use loki_sim::config::HostConfig;
+use loki_runtime::store::SyncCollector;
+use loki_sim::config::{HostConfig, LatencyModel, NetworkConfig};
+use loki_sim::engine::Simulation;
 use std::sync::Arc;
 
 /// Latency samples for one routing design.
@@ -142,6 +151,54 @@ pub fn entry_connections(routing: NotifyRouting, n: usize) -> (usize, usize) {
     }
 }
 
+/// One cell of the §2.5 sync ablation: the clock bounds a calibrated host
+/// earns from `rounds` ping/echo rounds per mini-phase over a link with
+/// `jitter_ns` of one-way jitter, and the true `(α, β)` they must contain.
+///
+/// Two hosts — an ideal reference and a machine 3 ms ahead drifting at
+/// 120 ppm — on a 50 µs link, scheduling delays off (the mini-phases run
+/// on an idle system). The pre-phase plays at t = 0 and the post-phase
+/// 10 s later, both through [`Simulation::run_exchanges`], the mini-phase
+/// every simulated experiment is bracketed with, each round going to the
+/// runtime's [`SyncCollector`] as the harness's rounds do.
+pub fn sync_bound_quality(rounds: u32, jitter_ns: u64) -> (AlphaBetaBounds, (f64, f64)) {
+    const ROUND_INTERVAL_NS: u64 = 1_000_000;
+    const POST_PHASE_AT_NS: u64 = 10_000_000_000;
+    let reference_clock = ClockParams::ideal();
+    let machine_clock = ClockParams::with_drift_ppm(3e6, 120.0);
+
+    let mut sim: Simulation<()> = Simulation::new(0x0205);
+    sim.set_network(NetworkConfig {
+        tcp: LatencyModel {
+            base_ns: 50_000,
+            jitter_ns,
+        },
+        ..NetworkConfig::default()
+    });
+    sim.set_sched_enabled(false);
+    let reference = sim.add_host(HostConfig::new("reference").clock(reference_clock));
+    let machine = sim.add_host(HostConfig::new("machine").clock(machine_clock));
+
+    // Sim host indices double as study-run host ids, as in the harness.
+    let collector = SyncCollector::new();
+    let calibrated = Id::from_raw(machine.0);
+    for phase_at_ns in [0, POST_PHASE_AT_NS] {
+        sim.run_until(phase_at_ns);
+        sim.run_exchanges(reference, &[machine], rounds, ROUND_INTERVAL_NS, |round| {
+            collector.push_round(
+                calibrated,
+                round.ping_sent,
+                round.echoed,
+                round.echo_received,
+            )
+        });
+    }
+    let samples = collector.drain().pop().expect("at least one round").samples;
+    let bounds = estimate_alpha_beta(&samples, &SyncOptions::default())
+        .expect("both directions sampled in both phases");
+    (bounds, machine_clock.relative_to(&reference_clock))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,5 +228,39 @@ mod tests {
         assert_eq!(entry_connections(NotifyRouting::ThroughDaemons, 10), (1, 0));
         assert_eq!(entry_connections(NotifyRouting::Direct, 10), (0, 9));
         assert_eq!(entry_connections(NotifyRouting::Centralized, 10), (0, 1));
+    }
+
+    /// §2.5: the bounds are guarantees at every cell of the sweep the
+    /// `sync_ablation` binary prints, more rounds never loosen them, and
+    /// jitter is what sets their width.
+    #[test]
+    fn sync_bounds_are_sound_and_tighten_with_rounds_and_low_jitter() {
+        const ROUNDS: [u32; 5] = [2, 5, 10, 20, 50];
+        const JITTER_US: [u64; 4] = [10, 50, 200, 1000];
+        let width = |rounds: u32, jitter_us: u64| {
+            let (bounds, (alpha, beta)) = sync_bound_quality(rounds, jitter_us * 1_000);
+            assert!(
+                bounds.contains(alpha, beta),
+                "rounds {rounds}, jitter {jitter_us} us: {bounds:?} misses ({alpha}, {beta})"
+            );
+            bounds.alpha_width()
+        };
+        let widths: Vec<Vec<f64>> = JITTER_US
+            .iter()
+            .map(|&jitter_us| ROUNDS.iter().map(|&r| width(r, jitter_us)).collect())
+            .collect();
+        for (row, jitter_us) in widths.iter().zip(JITTER_US) {
+            assert!(
+                row[ROUNDS.len() - 1] <= row[0],
+                "jitter {jitter_us} us: 50 rounds wider than 2: {row:?}"
+            );
+        }
+        for (i, rounds) in ROUNDS.iter().enumerate() {
+            let (low, high) = (widths[0][i], widths[JITTER_US.len() - 1][i]);
+            assert!(
+                low < high,
+                "{rounds} rounds: 10 us jitter {low} not tighter than 1000 us {high}"
+            );
+        }
     }
 }

@@ -265,6 +265,40 @@ pub fn accuracy_sweep(
         .collect()
 }
 
+/// Prints one of the two accuracy figures (3.2, 3.3) the way the thesis
+/// tabulates it: a header naming the timeslice, one row per time-in-state
+/// point of [`accuracy_sweep`], and `shape_note` — what the paper's curve
+/// looks like, for the reader to hold the rows against.
+pub fn print_accuracy_figure(
+    title: &str,
+    timeslice_ns: u64,
+    points_ms: &[f64],
+    experiments: u32,
+    seed: u64,
+    shape_note: &str,
+) {
+    println!("# {title} — correct fault injection probability vs time in state");
+    println!(
+        "# OS timeslice: {} ms; runtime: direct connections (original Loki runtime)",
+        timeslice_ns / 1_000_000
+    );
+    println!("# {experiments} experiments per point; full runtime->sync->analysis pipeline");
+    println!(
+        "{:>16} {:>12} {:>10} {:>10}",
+        "time_in_state_ms", "P(correct)", "injected", "total"
+    );
+    for (ms, point) in accuracy_sweep(timeslice_ns, points_ms, experiments, seed) {
+        println!(
+            "{:>16.1} {:>12.3} {:>10} {:>10}",
+            ms,
+            point.probability(),
+            point.injected,
+            point.total
+        );
+    }
+    println!("{shape_note}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

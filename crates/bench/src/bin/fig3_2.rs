@@ -5,32 +5,22 @@
 //! cargo run -p loki-bench --release --bin fig3_2 [experiments_per_point]
 //! ```
 
-use loki_bench::accuracy::accuracy_sweep;
+use loki_bench::accuracy::print_accuracy_figure;
 
 fn main() {
     let experiments: u32 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(40);
-    let points = [
-        1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 25.0, 30.0, 40.0, 50.0,
-    ];
-    println!("# Figure 3.2 — correct fault injection probability vs time in state");
-    println!("# OS timeslice: 10 ms; runtime: direct connections (original Loki runtime)");
-    println!("# {experiments} experiments per point; full runtime->sync->analysis pipeline");
-    println!(
-        "{:>16} {:>12} {:>10} {:>10}",
-        "time_in_state_ms", "P(correct)", "injected", "total"
+    print_accuracy_figure(
+        "Figure 3.2",
+        10_000_000,
+        &[
+            1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 25.0, 30.0, 40.0, 50.0,
+        ],
+        experiments,
+        0x0302,
+        "# Paper shape: ~0 below one timeslice, ~0.5 around one timeslice (10 ms),\n\
+         # ~1.0 once time-in-state exceeds a couple of timeslices (>= 20-25 ms).",
     );
-    for (ms, point) in accuracy_sweep(10_000_000, &points, experiments, 0x0302) {
-        println!(
-            "{:>16.1} {:>12.3} {:>10} {:>10}",
-            ms,
-            point.probability(),
-            point.injected,
-            point.total
-        );
-    }
-    println!("# Paper shape: ~0 below one timeslice, ~0.5 around one timeslice (10 ms),");
-    println!("# ~1.0 once time-in-state exceeds a couple of timeslices (>= 20-25 ms).");
 }

@@ -5,32 +5,22 @@
 //! cargo run -p loki-bench --release --bin fig3_3 [experiments_per_point]
 //! ```
 
-use loki_bench::accuracy::accuracy_sweep;
+use loki_bench::accuracy::print_accuracy_figure;
 
 fn main() {
     let experiments: u32 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(40);
-    let points = [
-        0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.5, 10.0,
-    ];
-    println!("# Figure 3.3 — correct fault injection probability vs time in state");
-    println!("# OS timeslice: 1 ms; runtime: direct connections (original Loki runtime)");
-    println!("# {experiments} experiments per point; full runtime->sync->analysis pipeline");
-    println!(
-        "{:>16} {:>12} {:>10} {:>10}",
-        "time_in_state_ms", "P(correct)", "injected", "total"
+    print_accuracy_figure(
+        "Figure 3.3",
+        1_000_000,
+        &[
+            0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.5, 10.0,
+        ],
+        experiments,
+        0x0303,
+        "# Paper shape: the knee moves in with the timeslice — accuracy reaches ~1.0\n\
+         # once time-in-state exceeds ~2-3 ms (a couple of 1 ms timeslices).",
     );
-    for (ms, point) in accuracy_sweep(1_000_000, &points, experiments, 0x0303) {
-        println!(
-            "{:>16.1} {:>12.3} {:>10} {:>10}",
-            ms,
-            point.probability(),
-            point.injected,
-            point.total
-        );
-    }
-    println!("# Paper shape: the knee moves in with the timeslice — accuracy reaches ~1.0");
-    println!("# once time-in-state exceeds ~2-3 ms (a couple of 1 ms timeslices).");
 }

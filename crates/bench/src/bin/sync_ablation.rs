@@ -10,73 +10,28 @@
 //! cargo run -p loki-bench --release --bin sync_ablation
 //! ```
 
-use loki_clock::params::{ClockParams, VirtualClock};
-use loki_clock::sync::{estimate_alpha_beta, SyncOptions};
-use loki_core::campaign::SyncSample;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn exchange(
-    reference: &VirtualClock,
-    machine: &VirtualClock,
-    rounds: u32,
-    jitter_ns: u64,
-    rng: &mut StdRng,
-    start_ns: u64,
-) -> Vec<SyncSample> {
-    let mut samples = Vec::new();
-    let base = 50_000u64;
-    for k in 0..rounds as u64 {
-        let t = start_ns + k * 1_000_000;
-        let d1 = base + rng.gen_range(0..=jitter_ns);
-        samples.push(SyncSample {
-            from_reference: true,
-            send: reference.read(t),
-            recv: machine.read(t + d1),
-        });
-        let t2 = t + 500_000;
-        let d2 = base + rng.gen_range(0..=jitter_ns);
-        samples.push(SyncSample {
-            from_reference: false,
-            send: machine.read(t2),
-            recv: reference.read(t2 + d2),
-        });
-    }
-    samples
-}
+use loki_bench::ablation::sync_bound_quality;
 
 fn main() {
-    let reference = VirtualClock::new(ClockParams::ideal());
-    let machine = VirtualClock::new(ClockParams::with_drift_ppm(3e6, 120.0));
-    let (true_alpha, true_beta) = machine.params().relative_to(reference.params());
-
     println!("# Sync-phase ablation: bound quality vs rounds and network jitter");
     println!("# (pre-phase at t=0, post-phase 10 s later, one-way base delay 50 us)");
     println!(
         "{:>7} {:>11} {:>14} {:>14} {:>9}",
         "rounds", "jitter_us", "alpha_width_us", "beta_width", "sound"
     );
+    let mut unsound = 0u32;
     for &jitter_us in &[10u64, 50, 200, 1000] {
         for &rounds in &[2u32, 5, 10, 20, 50] {
-            let mut rng = StdRng::seed_from_u64(rounds as u64 * 1000 + jitter_us);
-            let mut samples =
-                exchange(&reference, &machine, rounds, jitter_us * 1_000, &mut rng, 0);
-            samples.extend(exchange(
-                &reference,
-                &machine,
-                rounds,
-                jitter_us * 1_000,
-                &mut rng,
-                10_000_000_000,
-            ));
-            let bounds = estimate_alpha_beta(&samples, &SyncOptions::default()).unwrap();
+            let (bounds, (true_alpha, true_beta)) = sync_bound_quality(rounds, jitter_us * 1_000);
+            let sound = bounds.contains(true_alpha, true_beta);
+            unsound += u32::from(!sound);
             println!(
                 "{:>7} {:>11} {:>14.1} {:>14.2e} {:>9}",
                 rounds,
                 jitter_us,
                 bounds.alpha_width() / 1e3,
                 bounds.beta_width(),
-                bounds.contains(true_alpha, true_beta),
+                sound,
             );
         }
     }
@@ -86,4 +41,8 @@ fn main() {
     println!("# sets the floor. Every row must report sound=true: the bounds are guarantees.");
     println!("# The alpha width is the uncertainty added to every projected timestamp, i.e.");
     println!("# the margin the conservative injection check forfeits at state boundaries.");
+    if unsound > 0 {
+        eprintln!("{unsound} row(s) report bounds that miss the true (alpha, beta)");
+        std::process::exit(1);
+    }
 }

@@ -13,7 +13,10 @@
 //! | `ch5_campaign` | §5.8 — coverage and correlation measures |
 //! | `sync_ablation` | §2.5 — clock-bound quality vs sync rounds and jitter |
 //!
-//! Criterion micro-benchmarks live in `benches/` (`cargo bench`).
+//! Performance is measured by the campaign benchmark in `benchmark/` (a
+//! package of its own); `benches/` keeps criterion groups only for the
+//! three costs its ledger has no line for yet — fault parser, recorder and
+//! `make_global` on a 32-machine view (`cargo bench`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -21,11 +24,10 @@
 pub mod ablation;
 pub mod accuracy;
 pub mod ch5;
-pub mod event_baseline;
-pub mod report;
 
-pub use ablation::{entry_connections, notification_latency, LatencySample};
+pub use ablation::{entry_connections, notification_latency, sync_bound_quality, LatencySample};
 pub use accuracy::{
-    accuracy_study, accuracy_sweep, injection_accuracy, AccuracyConfig, AccuracyPoint,
+    accuracy_study, accuracy_sweep, injection_accuracy, print_accuracy_figure, AccuracyConfig,
+    AccuracyPoint,
 };
 pub use ch5::{correlation_campaign, coverage_campaign, CorrelationCampaign, CoverageCampaign};

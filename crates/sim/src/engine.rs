@@ -1035,30 +1035,6 @@ impl<'a, M: 'static> Ctx<'a, M> {
         }
     }
 
-    /// Sends with an explicit extra delay (e.g. modelling processing time)
-    /// plus the link latency; scheduling delays are not added. Subject to
-    /// the same [`NetFaultPlane`] faults as [`Ctx::send`].
-    pub fn send_after(&mut self, delay_ns: u64, to: ActorId, msg: M)
-    where
-        M: Clone,
-    {
-        let from_host = self.sim.host_of(self.me);
-        let to_host = self.sim.host_of(to);
-        let link = if from_host == to_host {
-            self.sim.config.network.ipc
-        } else {
-            self.sim.config.network.tcp
-        };
-        let d_link = link.sample(&mut self.sim.rng);
-        let delay = delay_ns + d_link;
-        if self.sim.net_faults.is_active() {
-            self.send_via_plane(to, from_host, to_host, delay, msg);
-        } else {
-            let at = self.sim.time + delay;
-            self.deliver_fifo(to, at, msg);
-        }
-    }
-
     /// The armed-plane send path (cold: only reached while a net fault is
     /// active). Decision order is fixed — partition (structural, no
     /// draw), then per-link corrupt / drop / reorder / duplicate draws,
