@@ -4,11 +4,10 @@
 //! injector — each implements the backend-agnostic [`loki_runtime::App`]
 //! trait (the probe interface) once and therefore runs unmodified on
 //! *every* execution backend: pass each app's factory to
-//! [`loki_runtime::run_study`] with
-//! [`loki_runtime::Backend::Sim`] for deterministic simulated campaigns or
-//! [`loki_runtime::Backend::Threads`] for genuinely concurrent ones
-//! (`tests/cross_backend.rs` at the workspace root exercises all three on
-//! both). Each module also ships a study builder with the state-machine
+//! [`loki_runtime::run_study`] for deterministic simulated campaigns or to
+//! [`loki_runtime::run_thread_experiment`] for genuinely concurrent
+//! experiments (`tests/cross_backend.rs` at the workspace root exercises
+//! all three on both). Each module also ships a study builder with the state-machine
 //! specifications and notify lists its faults need:
 //!
 //! * [`election`] — the thesis's Chapter-5 test application: leader

@@ -15,8 +15,8 @@
 //!   OS thread per node, real time, genuinely nondeterministic
 //!   interleavings.
 //!
-//! Campaigns choose per study with [`crate::harness::Backend`]. Each
-//! backend contributes only a thin transport adapter (the crate-private
+//! Campaigns run on the simulation; [`crate::run_thread_experiment`] runs
+//! one experiment of the same study on threads. Each backend contributes only a thin transport adapter (the crate-private
 //! `Port` trait): how to deliver a notification, read a clock, set a
 //! timer, record a timeline entry. Everything else — what to record, when
 //! to re-evaluate fault expressions, how injections drain, how exits and

@@ -1,15 +1,14 @@
-//! The experiment harness: runs studies on a selectable execution backend.
+//! The experiment harness: runs studies on the deterministic simulation.
 //!
 //! One experiment (§2.3) = pre-sync mini-phase → runtime phase (daemons +
 //! nodes until completion or timeout) → post-sync mini-phase. The harness
 //! assembles the resulting [`ExperimentData`] — local timelines plus sync
 //! samples — which feeds the analysis phase.
 //!
-//! Campaigns pick their execution environment per study with
-//! [`SimHarnessConfig::backend`]: [`Backend::Sim`] runs on the
-//! deterministic simulation, [`Backend::Threads`] runs the *same*
-//! applications with every node as an OS thread (the thread backend
-//! derives its host/clock/timeout/restart settings from the same config).
+//! Campaigns run on the simulation. The *same* applications run one
+//! experiment at a time with every node as an OS thread through
+//! [`crate::run_thread_experiment`], whose configuration derives from a
+//! [`SimHarnessConfig`]; the analysis consumes either's data alike.
 //!
 //! Every campaign runs through one driver: a caller-runs, work-stealing
 //! worker pool that contains per-experiment failures and commits results
@@ -28,7 +27,6 @@ use crate::daemons::{
 };
 use crate::messages::{NotifyRouting, RtMsg};
 use crate::store::WarningSink;
-use crate::thread_backend::{run_thread_experiment_with, ThreadHarnessConfig};
 use loki_analysis::{analyze_one, AnalysisOptions, AnalyzedExperiment};
 use loki_clock::params::fastest_reference;
 use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync};
@@ -40,19 +38,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
-
-/// The execution backend a study runs on.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// The deterministic simulation: virtual time, modelled OS scheduling
-    /// and link delays, byte-identical results per `(seed, experiment)`.
-    #[default]
-    Sim,
-    /// Real concurrency: every node an OS thread with a virtual per-host
-    /// clock; wall-clock time, genuinely nondeterministic interleavings.
-    Threads,
-}
 
 /// A campaign misconfiguration, detected before any experiment runs.
 ///
@@ -63,9 +48,9 @@ pub enum Backend {
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CampaignError {
-    /// The host list is empty or invalid (duplicate names), or — on
-    /// [`Backend::Threads`] — the study places a machine on a host the
-    /// configuration does not have.
+    /// The host list is empty or invalid (duplicate names), or — for
+    /// [`crate::run_thread_experiment`] — the study places a machine on a
+    /// host the configuration does not have.
     Hosts(String),
     /// The worker-count configuration is invalid
     /// ([`SimHarnessConfig::workers`] / `LOKI_WORKERS`).
@@ -90,35 +75,13 @@ impl std::fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// Bounded-retry policy for transient experiment failures on the
-/// *threads* backend, where a failure (panic, watchdog expiry) can be a
-/// scheduling accident rather than a property of the experiment. The
-/// deterministic simulation never retries: a replay of `(seed, k)` is
-/// byte-identical, so a failed experiment would fail identically again.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ExperimentRetry {
-    /// Re-runs allowed per failed experiment (0 disables retry).
-    pub max_retries: u32,
-    /// Base delay before the first re-run; doubles per attempt
-    /// (exponential backoff), giving a wedged machine time to recover.
-    pub backoff: Duration,
-}
-
-impl Default for ExperimentRetry {
-    fn default() -> Self {
-        ExperimentRetry {
-            max_retries: 0,
-            backoff: Duration::from_millis(50),
-        }
-    }
-}
-
 /// Configuration of the experiment harness.
 ///
-/// The host list, seed, timeout, sync rounds, and restart policy apply to
-/// every backend; `network`, `routing`, `kill_daemon`, and
-/// `sync_interval_ns` are simulation-only knobs (the thread backend routes
-/// notifications directly and paces its sync exchanges in real time).
+/// The host list, seed, timeout, sync rounds, and restart policy also
+/// configure [`crate::run_thread_experiment`] (its configuration converts
+/// from this one); the other knobs are simulation-only (the thread runner
+/// routes notifications directly and paces its sync exchanges in real
+/// time).
 #[derive(Clone, Debug)]
 pub struct SimHarnessConfig {
     /// The simulated hosts. Their order defines host indices; placements in
@@ -153,9 +116,8 @@ pub struct SimHarnessConfig {
     /// are identical for every worker count — each experiment is fully
     /// determined by `(seed, experiment_index)`.
     pub workers: Option<usize>,
-    /// Consecutive experiment indices a worker claims at a time on the
-    /// simulation backend ([`run_study`] and the [`CampaignPipeline`]
-    /// alike); it runs them one after another on its one reset-reused
+    /// Consecutive experiment indices a worker claims at a time
+    /// ([`run_study`] and the [`CampaignPipeline`] alike); it runs them one after another on its one reset-reused
     /// world. `Some(k)` forces chunks of `k` (a chunk larger than the
     /// campaign is the campaign); `None` uses the `LOKI_BATCH`
     /// environment variable if set, otherwise 1. `Some(0)` and
@@ -172,7 +134,7 @@ pub struct SimHarnessConfig {
     /// count or batch size — so budgeted campaigns stay byte-identical
     /// across pool shapes. `None` (the default) disarms the budget
     /// entirely; a disarmed world pays one predictable branch per event.
-    /// Simulation-only; the thread backend's equivalent is the wall-clock
+    /// Simulation-only; the thread runner's equivalent is the wall-clock
     /// watchdog derived from [`SimHarnessConfig::timeout_ns`].
     pub max_virtual_time: Option<u64>,
     /// Deterministic event-count budget: an experiment that has processed
@@ -181,12 +143,6 @@ pub struct SimHarnessConfig {
     /// experiment (sync mini-phases included); same determinism contract
     /// and default as [`SimHarnessConfig::max_virtual_time`].
     pub max_events: Option<u64>,
-    /// Retry policy for failed experiments of a campaign on the threads
-    /// backend (the default retries nothing); ignored by the deterministic
-    /// simulation and by the single-shot [`run_experiment`].
-    pub retry: ExperimentRetry,
-    /// The execution backend experiments run on.
-    pub backend: Backend,
 }
 
 impl Default for SimHarnessConfig {
@@ -205,8 +161,6 @@ impl Default for SimHarnessConfig {
             batch: None,
             max_virtual_time: None,
             max_events: None,
-            retry: ExperimentRetry::default(),
-            backend: Backend::Sim,
         }
     }
 }
@@ -234,12 +188,6 @@ impl SimHarnessConfig {
             .expect("at least one host")
     }
 
-    /// Selects the execution backend (builder-style).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Builds the study-run [`SymbolTable`]: every host interned in
     /// configuration order, so [`HostId`]s are dense, deterministic, and
     /// double as simulation host indices. `run_study` and the campaign
@@ -248,87 +196,50 @@ impl SimHarnessConfig {
     pub fn symbols(&self) -> Arc<SymbolTable> {
         Arc::new(SymbolTable::for_hosts(self.hosts.iter().map(|h| &h.name)))
     }
-
-    /// Derives the thread backend's configuration from this one: same
-    /// hosts (names + clock models), sync rounds, timeout, seed, and — as
-    /// the closest thread-backend equivalent of the supervisor — the
-    /// restart probability.
-    pub fn thread_config(&self) -> ThreadHarnessConfig {
-        ThreadHarnessConfig {
-            hosts: self
-                .hosts
-                .iter()
-                .map(|h| (h.name.clone(), h.clock))
-                .collect(),
-            sync_rounds: self.sync_rounds,
-            timeout: Duration::from_nanos(self.timeout_ns),
-            restart_probability: self.restart.map(|p| p.probability),
-            seed: self.seed,
-        }
-    }
 }
 
-/// Runs one experiment of `study` on a *fresh* world of the configured
-/// backend and returns its raw data: the replay primitive (experiment `k`
-/// of a simulated campaign is `run_experiment(.., k)`, byte for byte), and
-/// the reference the test suites hold the campaign driver's reset-reused
-/// worlds against. A misconfiguration comes back as a typed
-/// [`CampaignError`], like from the campaign entry points.
+/// Runs one experiment of `study` on a *fresh* simulated world and returns
+/// its raw data: the replay primitive (experiment `k` of a campaign is
+/// `run_experiment(.., k)`, byte for byte), and the reference the test
+/// suites hold the campaign driver's reset-reused worlds against. A
+/// misconfiguration comes back as a typed [`CampaignError`], like from the
+/// campaign entry points.
 pub fn run_experiment(
     study: &Arc<Study>,
     factory: AppFactory,
     cfg: &SimHarnessConfig,
     experiment: u32,
 ) -> Result<ExperimentData, CampaignError> {
-    validate(study, cfg)?;
+    validate_hosts(cfg.hosts.iter().map(|h| h.name.as_str()))?;
     let symbols = cfg.symbols();
-    Ok(match cfg.backend {
-        Backend::Sim => {
-            let sim_study = SimStudy::new(study, &factory, cfg, &symbols);
-            let mut sim = Simulation::with_config(sim_study.world.clone(), 0);
-            sim_study.run_one(&mut sim, experiment, &mut None)
-        }
-        Backend::Threads => {
-            run_thread_experiment_with(study, factory, &cfg.thread_config(), &symbols, experiment)
-        }
-    })
+    let sim_study = SimStudy::new(study, &factory, cfg, &symbols);
+    let mut sim = Simulation::with_config(sim_study.world.clone(), 0);
+    Ok(sim_study.run_one(&mut sim, experiment, &mut None))
 }
 
-/// The one validation step every entry point runs before any experiment
-/// (and any worker) starts: an empty host list, duplicate host names and —
-/// on [`Backend::Threads`] — a placement on an unconfigured host, where
-/// the machines left waiting for the missing one would burn the timeout
-/// in wall-clock time, experiment after experiment (the simulation starts
-/// the remaining machines and reports such a placement as a
-/// per-experiment warning).
-fn validate(study: &Study, cfg: &SimHarnessConfig) -> Result<(), CampaignError> {
-    if cfg.hosts.is_empty() {
+/// The host-list check every entry point — [`run_experiment`], the
+/// campaign driver and [`crate::run_thread_experiment`] — runs before any
+/// experiment (and any worker) starts: an empty list or a duplicate name.
+pub(crate) fn validate_hosts<'a>(
+    names: impl IntoIterator<Item = &'a str>,
+) -> Result<(), CampaignError> {
+    let names: Vec<&str> = names.into_iter().collect();
+    if names.is_empty() {
         return Err(CampaignError::Hosts(
             "loki: harness config needs at least one host".to_owned(),
         ));
     }
-    let configured = |hosts: &[HostConfig], name: &str| hosts.iter().any(|h| h.name == name);
-    for (idx, host) in cfg.hosts.iter().enumerate() {
-        if configured(&cfg.hosts[..idx], &host.name) {
+    for (idx, name) in names.iter().enumerate() {
+        if names[..idx].contains(name) {
             return Err(CampaignError::Hosts(format!(
-                "loki: invalid harness config: duplicate host name {:?}",
-                host.name
+                "loki: invalid harness config: duplicate host name {name:?}"
             )));
-        }
-    }
-    if cfg.backend == Backend::Threads {
-        for (_, host) in &study.placements {
-            if let Some(host) = host.as_ref().filter(|h| !configured(&cfg.hosts, h)) {
-                return Err(CampaignError::Hosts(format!(
-                    "loki: invalid harness config: placement on unknown host `{host}`"
-                )));
-            }
         }
     }
     Ok(())
 }
 
-/// One study compiled for the simulation backend: the shared immutable
+/// One study compiled for the simulation: the shared immutable
 /// [`WorldConfig`] (`Arc`-shared by every world of the study, across
 /// workers) plus everything needed to script an experiment on any world.
 ///
@@ -380,7 +291,7 @@ impl Drop for ExpScript {
 }
 
 impl<'a> SimStudy<'a> {
-    /// Compiles `cfg` — which has passed [`validate`] — into the shared
+    /// Compiles `cfg` — which has passed [`validate_hosts`] — into the shared
     /// world description.
     fn new(
         study: &'a Arc<Study>,
@@ -724,24 +635,20 @@ fn pool_knob(
     }
 }
 
-/// Runs `experiments` experiments of `study` on the backend selected by
-/// [`SimHarnessConfig::backend`], with per-experiment seeds, and returns
-/// every experiment's raw data in experiment order.
+/// Runs `experiments` experiments of `study` on the simulation, with
+/// per-experiment seeds, and returns every experiment's raw data in
+/// experiment order.
 ///
 /// This is the campaign driver behind [`CampaignPipeline`] with nothing
 /// fused in: the same caller-runs, work-stealing pool
 /// ([`SimHarnessConfig::workers`], [`SimHarnessConfig::batch`]) on
-/// reset-reused worlds, the same containment — an experiment whose
+/// reset-reused worlds and the same containment — an experiment whose
 /// application, budget or scaffolding fails ends as a typed
 /// [`ExperimentEnd::Failed`] with its world quarantined, and the campaign
-/// carries on — and the same [`SimHarnessConfig::retry`] policy on
-/// [`Backend::Threads`]. On [`Backend::Sim`] experiment `k` is fully
-/// determined by `(cfg.seed, k)`, so the returned data — order, timelines,
-/// sync samples, everything — is byte-identical whatever the pool shape,
-/// and identical to `k` runs of [`run_experiment`]. On
-/// [`Backend::Threads`] the per-experiment *fault-injection semantics* are
-/// the same (the node core is shared), but timing and interleavings are
-/// genuinely nondeterministic.
+/// carries on. Experiment `k` is fully determined by `(cfg.seed, k)`, so
+/// the returned data — order, timelines, sync samples, everything — is
+/// byte-identical whatever the pool shape, and identical to `k` runs of
+/// [`run_experiment`].
 ///
 /// Misconfigurations — an invalid host list, worker count or batch size —
 /// come back as a typed [`CampaignError`] before any experiment runs.
@@ -777,10 +684,6 @@ pub struct PipelineSummary {
     /// experiments still reach the sink (typed, in index order); they are
     /// never counted accepted.
     pub failed: usize,
-    /// Thread-backend re-runs performed under the
-    /// [`SimHarnessConfig::retry`] policy (0 on the deterministic
-    /// simulation, which never retries).
-    pub retried: usize,
     /// Worlds rebuilt from scratch after a failed experiment: the world
     /// slot *and* its pooled scaffolding (actor hulls, timeline shells,
     /// the experiment context) are discarded rather than recycled, so
@@ -795,7 +698,7 @@ pub struct PipelineSummary {
     /// Worker threads used.
     pub workers: usize,
     /// Consecutive indices a worker claims at a time, as configured
-    /// ([`SimHarnessConfig::batch`]); 1 on the threads backend.
+    /// ([`SimHarnessConfig::batch`]).
     pub batch: usize,
     /// Peak number of in-flight experiments (raw [`ExperimentData`] plus
     /// live world state) inside the pipeline — at most `workers`, by
@@ -807,14 +710,13 @@ pub struct PipelineSummary {
     /// finished but were still waiting for a lower index to commit.
     pub peak_reorder_depth: usize,
     /// Actor spawns served from the recycled-hull pool instead of a fresh
-    /// box (0 on the threads backend, which has no pooled hulls).
+    /// box.
     pub actor_reuses: u64,
     /// Timeline shells begun on a recycled capacity-retaining buffer
-    /// instead of a fresh allocation (0 on the threads backend, like
-    /// [`PipelineSummary::actor_reuses`]).
+    /// instead of a fresh allocation.
     pub timeline_reuses: u64,
-    /// Simulation events processed across all experiments (0 on the
-    /// threads backend); the all-in ns/event bench divides by this.
+    /// Simulation events processed across all experiments; the all-in
+    /// ns/event bench divides by this.
     pub events: u64,
     /// Vestigial: always 0. Results are plain owned data and nothing
     /// recycles them; the name stays only because the campaign benchmark
@@ -923,7 +825,7 @@ impl PoolStats {
     }
 }
 
-/// One worker's experiment loop on the simulation backend: claim a chunk
+/// One worker's experiment loop: claim a chunk
 /// of `chunk` consecutive experiment indices from the shared counter, run
 /// each through [`SimStudy::run_one`] on the worker's one reset-reused
 /// world, hand it to `process`, repeat until the claim counter passes
@@ -1006,13 +908,12 @@ fn drive_chunked(
 /// The one campaign driver, behind [`run_study`] and every
 /// [`CampaignPipeline`] entry point. Validates the configuration, then
 /// runs `workers − 1` spawned threads plus the calling thread through the
-/// same worker body: a work-stealing claim loop on a shared atomic index
-/// counter — chunks of `batch` experiments through [`drive_chunked`] on
-/// the simulation backend; single experiments, re-run under
-/// [`SimHarnessConfig::retry`], on the threads backend. Each finished
-/// experiment passes through `map` on the worker that ran it (with, on the
-/// simulation backend, the context whose recyclers its buffers came
-/// from); the retention gauge brackets it from claim to `map`'s return.
+/// same worker body, [`drive_chunked`]: a work-stealing claim loop on a
+/// shared atomic index counter, in chunks of `batch` experiments. Each
+/// finished experiment passes through `map` on the worker that ran it
+/// (with the context whose recyclers its buffers came from, unless the
+/// engine unwound); the retention gauge brackets it from claim to `map`'s
+/// return.
 /// Mapped results reach `commit` on the calling thread exactly once per
 /// experiment, in strictly increasing index order: spawned workers send
 /// theirs, tagged with the index, through one bounded channel; the caller
@@ -1041,68 +942,29 @@ fn drive_campaign<R: Send>(
             "loki: worker count must be at least 1".to_owned(),
         ));
     }
-    validate(study, cfg)?;
+    validate_hosts(cfg.hosts.iter().map(|h| h.name.as_str()))?;
     let workers = workers.clamp(1, experiments.max(1) as usize);
+    let batch = resolve_batch(cfg)?;
     let symbols = cfg.symbols();
-    // Chunked claims are a simulation-backend knob; the threads backend
-    // claims one experiment at a time.
-    let (batch, sim_study) = match cfg.backend {
-        Backend::Sim => (
-            resolve_batch(cfg)?,
-            Some(SimStudy::new(study, factory, cfg, &symbols)),
-        ),
-        Backend::Threads => (1, None),
-    };
+    let sim_study = SimStudy::new(study, factory, cfg, &symbols);
     // A chunk larger than the campaign is the campaign: clamped like the
     // worker count, so the claim step fits the `u32` index space and the
     // channel bound below cannot outgrow `2 × workers × experiments`.
     let chunk = batch.clamp(1, experiments.max(1) as usize) as u32;
     let gauge = RetentionGauge::new();
     let stats = PoolStats::default();
-    let retried = AtomicU64::new(0);
     let next_claim = AtomicU32::new(0);
 
     // `emit` returns `false` once nobody will commit the result (the
     // caller unwound): stop claiming and bail out.
     let work = |emit: &mut dyn FnMut(u32, R) -> bool| {
-        let mut finish = |k: u32, data: ExperimentData, ctx: Option<&ExpCtx>| {
+        let finish = |k: u32, data: ExperimentData, ctx: Option<&ExpCtx>| {
             let result = map(data, ctx);
             gauge.dec();
             emit(k, result)
         };
-        let Some(sim_study) = &sim_study else {
-            let thread_cfg = cfg.thread_config();
-            loop {
-                // Relaxed suffices: the claim is the only shared state,
-                // and the hand-off orders the result.
-                let k = next_claim.fetch_add(1, Ordering::Relaxed);
-                if k >= experiments {
-                    return;
-                }
-                gauge.inc();
-                // A failed run re-runs under the bounded retry policy with
-                // exponential backoff — a real machine's failure can be a
-                // scheduling accident; the simulation's cannot, so it
-                // never retries.
-                let mut attempt = 0u32;
-                let data = loop {
-                    let factory = factory.clone();
-                    let data = run_thread_experiment_with(study, factory, &thread_cfg, &symbols, k);
-                    let failed = matches!(data.end, ExperimentEnd::Failed(_));
-                    if !failed || attempt >= cfg.retry.max_retries {
-                        break data;
-                    }
-                    std::thread::sleep(cfg.retry.backoff * (1u32 << attempt.min(16)));
-                    attempt += 1;
-                    retried.fetch_add(1, Ordering::Relaxed);
-                };
-                if !finish(k, data, None) {
-                    return;
-                }
-            }
-        };
         drive_chunked(
-            sim_study,
+            &sim_study,
             experiments,
             chunk,
             &next_claim,
@@ -1171,7 +1033,6 @@ fn drive_campaign<R: Send>(
         actor_reuses: stats.actor_reuses.load(Ordering::Relaxed),
         timeline_reuses: stats.timeline_reuses.load(Ordering::Relaxed),
         events: stats.events.load(Ordering::Relaxed),
-        retried: retried.load(Ordering::Relaxed) as usize,
         quarantined_worlds: stats.quarantined.load(Ordering::Relaxed) as usize,
         ..Default::default()
     })
@@ -1182,7 +1043,7 @@ fn drive_campaign<R: Send>(
 /// flow on the campaign driver's worker pool (the one [`run_study`] rides
 /// too).
 ///
-/// On the simulation backend each worker owns **one world** and runs its
+/// Each worker owns **one world** and runs its
 /// experiments on it one after another, reusing the world — and its
 /// event/timer slab allocations — across experiments via
 /// [`loki_sim::engine::Simulation::reset`]. The moment an experiment
@@ -1203,9 +1064,8 @@ fn drive_campaign<R: Send>(
 /// sink closure is invoked exactly once per experiment, in strictly
 /// increasing index order `0, 1, …, experiments − 1`, whatever the worker
 /// count or completion order (out-of-order compact results wait in a
-/// reorder buffer; raw data never crosses a channel). On
-/// [`Backend::Sim`], experiment `k` is fully determined by
-/// `(cfg.seed, k)` — a reset world replays exactly like a fresh one — so
+/// reorder buffer; raw data never crosses a channel). Experiment `k` is
+/// fully determined by `(cfg.seed, k)` — a reset world replays exactly like a fresh one — so
 /// everything the sink observes — timelines, verdicts, measure folds — is
 /// byte-identical across worker counts *and chunk sizes* and identical to
 /// analyzing [`run_experiment`]'s fresh-world data one experiment at a
@@ -1339,8 +1199,8 @@ impl CampaignPipeline {
             )));
         }
         // The back half of the fused flow: analyze → tap → reclaim the raw
-        // data's buffers into the worker's context (simulation backend) →
-        // drop. Analysis runs contained: a panicking analysis (conceivable
+        // data's buffers into the worker's context (if the engine did not
+        // unwind) → drop. Analysis runs contained: a panicking analysis (conceivable
         // on a failed experiment's partial timelines) downgrades that one
         // result to a harness failure instead of killing the campaign.
         let finish = |mut data: ExperimentData, ctx: Option<&ExpCtx>| -> (AnalyzedExperiment, T) {
@@ -1509,21 +1369,5 @@ mod tests {
             assert!(err.contains("LOKI_BATCH"), "{bad:?}: {err}");
             assert!(err.contains(bad), "{bad:?}: {err}");
         }
-    }
-
-    #[test]
-    fn thread_config_derives_from_sim_config() {
-        let mut cfg = SimHarnessConfig::three_hosts(99);
-        cfg.timeout_ns = 5_000_000_000;
-        cfg.restart = Some(RestartPolicy {
-            probability: 0.5,
-            ..Default::default()
-        });
-        let t = cfg.thread_config();
-        assert_eq!(t.hosts.len(), 3);
-        assert_eq!(t.hosts[0].0, "host1");
-        assert_eq!(t.timeout, Duration::from_secs(5));
-        assert_eq!(t.restart_probability, Some(0.5));
-        assert_eq!(t.seed, 99);
     }
 }

@@ -17,12 +17,13 @@
 //!   experiment-completion checks), the central daemon (startup, timeout,
 //!   abort), and the restart supervisor (the system under study's recovery
 //!   mechanism, supporting restart on a *different* host).
-//! * [`harness`] — experiment orchestration with per-study backend
-//!   selection ([`harness::Backend::Sim`] | [`harness::Backend::Threads`])
-//!   and a parallel worker pool; returns
+//! * [`harness`] — simulated campaigns on a parallel worker pool; returns
 //!   [`loki_core::campaign::ExperimentData`] ready for the analysis phase —
 //!   or, via the streaming [`harness::CampaignPipeline`], fuses execution
 //!   with per-experiment analysis so raw data never outlives its worker.
+//!   The thread backend runs one experiment per
+//!   [`thread_backend::run_thread_experiment`] call, configured from the
+//!   same [`harness::SimHarnessConfig`].
 //! * [`messages`] — the simulation-backend protocol and the §3.4.1
 //!   design-choice routing modes (through-daemons / direct / centralized)
 //!   used by the design ablation.
@@ -57,8 +58,7 @@ pub mod wiring;
 pub use app::{App, AppFactory, AppTimer, NodeCtx, Payload};
 pub use daemons::{RestartPlacement, RestartPolicy};
 pub use harness::{
-    run_experiment, run_study, Backend, CampaignError, CampaignPipeline, ExperimentRetry,
-    PipelineSummary, SimHarnessConfig,
+    run_experiment, run_study, CampaignError, CampaignPipeline, PipelineSummary, SimHarnessConfig,
 };
 pub use messages::{NotifyRouting, RtMsg};
 pub use thread_backend::{run_thread_experiment, ThreadHarnessConfig};

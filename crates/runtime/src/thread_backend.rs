@@ -18,9 +18,16 @@
 //! construction. Notifications route directly (the original runtime's
 //! design); the daemon topologies exist in the simulation backend where
 //! their latencies can be controlled.
+//!
+//! Wall-clock experiments gain nothing from the campaign driver's
+//! recycling, so this backend runs one experiment per call of
+//! [`run_thread_experiment`]; a campaign on threads is a loop over
+//! experiment indices, each result analyzed with
+//! `loki_analysis::analyze_one`.
 
 use crate::app::{App, AppFactory, NodeCore, Payload, Port};
-use crate::messages::{NotifyRouting, SmTargets};
+use crate::harness::{validate_hosts, CampaignError, SimHarnessConfig};
+use crate::messages::SmTargets;
 use loki_clock::params::{fastest_reference, ClockParams, VirtualClock};
 use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync, SyncSample};
 use loki_core::ids::{HostId, SmId, StateId, SymbolTable};
@@ -255,30 +262,49 @@ impl Default for ThreadHarnessConfig {
     }
 }
 
-/// Runs one experiment with every node as an OS thread. A machine the
-/// study places on a host absent from the config is not started and
-/// reported in the experiment's warnings, like on the simulation backend
-/// (the campaign harness rejects such a study before it gets here).
+impl From<&SimHarnessConfig> for ThreadHarnessConfig {
+    /// Derives the thread runner's configuration from a simulation one:
+    /// same hosts (names + clock models), sync rounds, timeout, seed, and
+    /// — as the closest thread equivalent of the supervisor — the restart
+    /// probability.
+    fn from(cfg: &SimHarnessConfig) -> Self {
+        ThreadHarnessConfig {
+            hosts: cfg
+                .hosts
+                .iter()
+                .map(|h| (h.name.clone(), h.clock))
+                .collect(),
+            sync_rounds: cfg.sync_rounds,
+            timeout: Duration::from_nanos(cfg.timeout_ns),
+            restart_probability: cfg.restart.map(|p| p.probability),
+            seed: cfg.seed,
+        }
+    }
+}
+
+/// Runs experiment `experiment` of `study` with every node as an OS
+/// thread and returns its raw data, which the analysis consumes like a
+/// simulated experiment's.
+///
+/// The host list is checked before anything runs: an empty list, a
+/// duplicate name, or a machine placed on a host the list lacks — whose
+/// peers would wait for it until the wall-clock timeout — is a
+/// [`CampaignError::Hosts`].
 pub fn run_thread_experiment(
     study: &Arc<Study>,
     factory: AppFactory,
     cfg: &ThreadHarnessConfig,
     experiment: u32,
-) -> ExperimentData {
+) -> Result<ExperimentData, CampaignError> {
+    validate_hosts(cfg.hosts.iter().map(|(n, _)| n.as_str()))?;
     let symbols = Arc::new(SymbolTable::for_hosts(cfg.hosts.iter().map(|(n, _)| n)));
-    run_thread_experiment_with(study, factory, cfg, &symbols, experiment)
-}
-
-/// [`run_thread_experiment`] with an already-built study-run symbol table
-/// (hosts interned in configuration order; the worker pools build one
-/// table per study and share it).
-pub(crate) fn run_thread_experiment_with(
-    study: &Arc<Study>,
-    factory: AppFactory,
-    cfg: &ThreadHarnessConfig,
-    symbols: &Arc<SymbolTable>,
-    experiment: u32,
-) -> ExperimentData {
+    for (_, host) in &study.placements {
+        if let Some(host) = host.as_ref().filter(|h| symbols.lookup_host(h).is_none()) {
+            return Err(CampaignError::Hosts(format!(
+                "loki: invalid harness config: placement on unknown host `{host}`"
+            )));
+        }
+    }
     let epoch = Instant::now();
     let clocks: Vec<VirtualClock> = cfg
         .hosts
@@ -286,7 +312,7 @@ pub(crate) fn run_thread_experiment_with(
         .map(|(_, params)| VirtualClock::new(*params))
         .collect();
     let reference = fastest_reference(cfg.hosts.iter().map(|(n, c)| (n.as_str(), c)))
-        .expect("at least one host");
+        .expect("host list checked non-empty");
     let ref_idx = cfg
         .hosts
         .iter()
@@ -307,10 +333,7 @@ pub(crate) fn run_thread_experiment_with(
     let mut warnings: Vec<String> = Vec::new();
     for (sm, host) in &study.placements {
         let Some(host) = host else { continue };
-        let Some(host) = symbols.lookup_host(host) else {
-            warnings.push(format!("placement on unknown host `{host}`"));
-            continue;
-        };
+        let host = symbols.lookup_host(host).expect("placements checked");
         let clock = clocks[host.index()];
         host_of.insert(*sm, host);
         handles.push(spawn_node(
@@ -456,18 +479,18 @@ pub(crate) fn run_thread_experiment_with(
     // --- post-sync mini-phase ----------------------------------------------------
     let post_sync = sync_phase(&clocks, ref_idx, epoch, cfg.sync_rounds);
 
-    ExperimentData {
+    Ok(ExperimentData {
         study: study.name.clone(),
         experiment,
         timelines,
         hosts: symbols.host_ids().collect(),
         reference_host: reference,
-        symbols: symbols.clone(),
+        symbols,
         pre_sync,
         post_sync,
         end,
         warnings,
-    }
+    })
 }
 
 /// Exchanges timestamps between the reference clock and every other host's
@@ -702,9 +725,6 @@ fn run_node_body(
     }
 }
 
-/// The routing design implemented by the thread backend.
-pub const THREAD_BACKEND_ROUTING: NotifyRouting = NotifyRouting::Direct;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,7 +816,7 @@ mod tests {
         let study = wo_study();
         let mut cfg = ThreadHarnessConfig::default();
         cfg.hosts.truncate(2);
-        let data = run_thread_experiment(&study, factory(), &cfg, 0);
+        let data = run_thread_experiment(&study, factory(), &cfg, 0).unwrap();
         assert_eq!(data.end, ExperimentEnd::Completed);
         assert_eq!(data.timelines.len(), 2);
         assert_eq!(data.total_injections(), 1);
@@ -809,20 +829,58 @@ mod tests {
         assert!(analyzed[0].accepted(), "{:?}", analyzed[0].verdict());
     }
 
+    /// Runs the worker/observer study on `hosts` and returns the error.
+    fn host_error(hosts: Vec<(String, ClockParams)>) -> String {
+        let cfg = ThreadHarnessConfig {
+            hosts,
+            ..Default::default()
+        };
+        match run_thread_experiment(&wo_study(), factory(), &cfg, 0) {
+            Err(CampaignError::Hosts(message)) => message,
+            other => panic!("expected a host-list error, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn placement_on_an_unknown_host_is_skipped_with_a_warning() {
-        let mut cfg = ThreadHarnessConfig::default();
-        cfg.hosts.truncate(1); // the observer's host2 is gone
-        let data = run_thread_experiment(&wo_study(), factory(), &cfg, 0);
-        assert_eq!(data.end, ExperimentEnd::Completed);
-        assert_eq!(data.timelines.len(), 1);
+    fn placement_on_an_unknown_host_is_a_typed_error() {
+        let mut hosts = ThreadHarnessConfig::default().hosts;
+        hosts.truncate(1); // the observer's host2 is gone
+        let message = host_error(hosts);
+        assert!(message.contains("unknown host `host2`"), "{message}");
+    }
+
+    #[test]
+    fn an_empty_host_list_is_a_typed_error() {
+        let message = host_error(Vec::new());
+        assert!(message.contains("at least one host"), "{message}");
+    }
+
+    #[test]
+    fn a_duplicate_host_name_is_a_typed_error() {
+        // Interned naively, the second `host1` would get an id of its own,
+        // and the observer on `host2` would run on that host's clock.
+        let hosts = ThreadHarnessConfig::default().hosts;
+        let message = host_error(vec![hosts[0].clone(), hosts[0].clone(), hosts[1].clone()]);
         assert!(
-            data.warnings
-                .iter()
-                .any(|w| w.contains("unknown host `host2`")),
-            "{:?}",
-            data.warnings
+            message.contains("duplicate host name \"host1\""),
+            "{message}"
         );
+    }
+
+    #[test]
+    fn thread_config_derives_from_sim_config() {
+        let mut cfg = SimHarnessConfig::three_hosts(99);
+        cfg.timeout_ns = 5_000_000_000;
+        cfg.restart = Some(crate::daemons::RestartPolicy {
+            probability: 0.5,
+            ..Default::default()
+        });
+        let t = ThreadHarnessConfig::from(&cfg);
+        assert_eq!(t.hosts.len(), 3);
+        assert_eq!(t.hosts[0].0, "host1");
+        assert_eq!(t.timeout, Duration::from_secs(5));
+        assert_eq!(t.restart_probability, Some(0.5));
+        assert_eq!(t.seed, 99);
     }
 
     #[test]
@@ -845,7 +903,7 @@ mod tests {
             ..Default::default()
         };
         let f: AppFactory = Arc::new(|_, _| Box::new(Immortal));
-        let data = run_thread_experiment(&study, f, &cfg, 0);
+        let data = run_thread_experiment(&study, f, &cfg, 0).unwrap();
         assert_eq!(data.end, ExperimentEnd::TimedOut);
     }
 
@@ -899,7 +957,7 @@ mod tests {
             ..Default::default()
         };
         let f: AppFactory = Arc::new(|_, _| Box::new(Crasher));
-        let data = run_thread_experiment(&study, f, &cfg, 0);
+        let data = run_thread_experiment(&study, f, &cfg, 0).unwrap();
         assert_eq!(data.end, ExperimentEnd::Completed);
         let t = data.timeline_for(study.sm_id("a").unwrap()).unwrap();
         let host2 = data.symbols.lookup_host("host2").unwrap();
@@ -943,7 +1001,7 @@ mod tests {
             ..Default::default()
         };
         let f: AppFactory = Arc::new(|_, _| Box::new(Canceller));
-        let data = run_thread_experiment(&study, f, &cfg, 0);
+        let data = run_thread_experiment(&study, f, &cfg, 0).unwrap();
         assert_eq!(data.end, ExperimentEnd::Completed);
     }
 }

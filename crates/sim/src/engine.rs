@@ -176,6 +176,11 @@ pub enum TraceEntry {
 /// has exactly one watcher, its local daemon.
 const WATCHERS_INLINE: usize = 4;
 
+/// The runaway guard: a world that processes more events than this in one
+/// run panics. The only bound on an experiment with no budget armed
+/// ([`Simulation::set_budget`]).
+const MAX_EVENTS: u64 = 50_000_000;
+
 /// A host name was registered twice.
 ///
 /// Placements and [`Ctx::find_host`] resolve hosts by name, so a
@@ -354,7 +359,6 @@ pub struct Simulation<M> {
     rng: StdRng,
     trace: Vec<TraceEntry>,
     trace_enabled: bool,
-    max_events: u64,
     events_processed: u64,
     /// Per-experiment containment budgets (see [`Simulation::set_budget`]).
     /// `budget_armed` is the single branch the disarmed hot path pays;
@@ -397,7 +401,6 @@ impl<M: 'static> Simulation<M> {
             rng: StdRng::seed_from_u64(seed),
             trace: Vec::new(),
             trace_enabled: true,
-            max_events: 50_000_000,
             events_processed: 0,
             budget_armed: false,
             budget_virtual_ns: u64::MAX,
@@ -418,9 +421,7 @@ impl<M: 'static> Simulation<M> {
     /// After a reset the world is observationally identical to
     /// `Simulation::with_config(config, seed)` — same hosts (they live in
     /// the shared config), same RNG stream, trace collection re-enabled,
-    /// scheduling delays re-enabled — except that the event cap set via
-    /// [`Simulation::set_max_events`] is kept (it guards each run).
-    /// Containment budgets ([`Simulation::set_budget`]) are *disarmed*:
+    /// scheduling delays re-enabled. Containment budgets ([`Simulation::set_budget`]) are *disarmed*:
     /// they are per-experiment, so a harness reusing the world re-arms
     /// them after every reset.
     pub fn reset(&mut self, seed: u64) {
@@ -479,17 +480,12 @@ impl<M: 'static> Simulation<M> {
         self.trace.clear();
     }
 
-    /// Caps the number of processed events (a runaway guard).
-    pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
-    }
-
     /// Arms per-experiment containment budgets: a virtual-time ceiling
     /// (events scheduled after `max_virtual_ns` never run) and an
     /// event-count ceiling. `None` leaves a ceiling unbounded; both
     /// `None` disarms the check entirely, restoring the zero-cost hot
-    /// path (unlike the [`Simulation::set_max_events`] runaway guard,
-    /// which always applies and panics).
+    /// path (unlike the 50 M-event runaway guard, which always applies
+    /// and panics).
     ///
     /// Armed, [`Simulation::step`] refuses the first event past either
     /// ceiling and [`Simulation::budget_exceeded`] reports which ceiling
@@ -594,9 +590,8 @@ impl<M: 'static> Simulation<M> {
     pub(crate) fn begin_event(&mut self, time: u64) {
         self.events_processed += 1;
         assert!(
-            self.events_processed <= self.max_events,
-            "simulation exceeded {} events — runaway?",
-            self.max_events
+            self.events_processed <= MAX_EVENTS,
+            "simulation exceeded {MAX_EVENTS} events — runaway?"
         );
         debug_assert!(time >= self.time, "time went backwards");
         self.time = time;

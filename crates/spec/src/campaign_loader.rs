@@ -14,8 +14,8 @@
 //! <dir>/<sm>.flt         — one fault specification per machine (optional)
 //! <dir>/actions          — fault-name → probe-action table (optional; see
 //!                          [`crate::files::parse_action_file`])
-//! <dir>/budget           — per-experiment budgets and retry policy
-//!                          (optional; see [`crate::files::parse_budget_file`])
+//! <dir>/budget           — per-experiment budgets (optional; see
+//!                          [`crate::files::parse_budget_file`])
 //! ```
 
 use crate::error::ParseError;
@@ -159,10 +159,9 @@ pub fn load_study_dir_with_actions(
     Ok((def, probe))
 }
 
-/// Loads the optional `<dir>/budget` file: per-experiment resource budgets
-/// and retry policy. A missing file yields the default (unbounded, no
-/// retry) [`BudgetSpec`], mirroring how a missing actions file yields an
-/// empty probe.
+/// Loads the optional `<dir>/budget` file: per-experiment resource
+/// budgets. A missing file yields the default (unbounded) [`BudgetSpec`],
+/// mirroring how a missing actions file yields an empty probe.
 ///
 /// # Errors
 ///
@@ -368,8 +367,6 @@ DONE EXIT
         let spec = BudgetSpec {
             max_virtual_time_ns: Some(5_000_000_000),
             max_events: Some(200_000),
-            max_retries: Some(1),
-            retry_backoff_ms: None,
         };
         write_budget_dir(&spec, &dir).unwrap();
         let reloaded = load_budget_dir(&dir).unwrap();

@@ -456,26 +456,21 @@ pub fn write_action_file(probe: &ActionProbe) -> String {
     out
 }
 
-/// Per-experiment resource budgets and retry policy — the campaign-file
-/// syntax for the harness's survivability knobs.
+/// Per-experiment resource budgets — the campaign-file syntax for the
+/// harness's survivability knobs.
 ///
-/// Mirrors `SimHarnessConfig::{max_virtual_time, max_events}` and the
-/// thread backend's bounded-retry policy. A field absent from the file
-/// stays `None`/default, meaning "unbounded" / "no retry".
+/// Mirrors `SimHarnessConfig::{max_virtual_time, max_events}`. A field
+/// absent from the file stays `None`, meaning "unbounded".
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BudgetSpec {
     /// Virtual-time ceiling per experiment, in nanoseconds.
     pub max_virtual_time_ns: Option<u64>,
     /// Event-count ceiling per experiment.
     pub max_events: Option<u64>,
-    /// Bounded retries for failed experiments (thread backend only).
-    pub max_retries: Option<u32>,
-    /// Base backoff between retries, in milliseconds.
-    pub retry_backoff_ms: Option<u64>,
 }
 
 /// Parses a budget file: `<key> <value>` per line, keys
-/// `max_virtual_time_ns`, `max_events`, `max_retries`, `retry_backoff_ms`.
+/// `max_virtual_time_ns` and `max_events`.
 ///
 /// # Errors
 ///
@@ -490,7 +485,6 @@ pub struct BudgetSpec {
 /// let budget = parse_budget_file("max_virtual_time_ns 2000000000\nmax_events 500000\n")?;
 /// assert_eq!(budget.max_virtual_time_ns, Some(2_000_000_000));
 /// assert_eq!(budget.max_events, Some(500_000));
-/// assert_eq!(budget.max_retries, None);
 /// # Ok::<(), loki_spec::error::ParseError>(())
 /// ```
 pub fn parse_budget_file(text: &str) -> Result<BudgetSpec, ParseError> {
@@ -520,18 +514,6 @@ pub fn parse_budget_file(text: &str) -> Result<BudgetSpec, ParseError> {
                 }
                 spec.max_events = Some(parse_u64(lineno, key, value)?);
             }
-            "max_retries" => {
-                if spec.max_retries.is_some() {
-                    return Err(duplicate(lineno, key));
-                }
-                spec.max_retries = Some(parse_u64(lineno, key, value)? as u32);
-            }
-            "retry_backoff_ms" => {
-                if spec.retry_backoff_ms.is_some() {
-                    return Err(duplicate(lineno, key));
-                }
-                spec.retry_backoff_ms = Some(parse_u64(lineno, key, value)?);
-            }
             other => {
                 return Err(ParseError::at(
                     lineno,
@@ -552,12 +534,6 @@ pub fn write_budget_file(spec: &BudgetSpec) -> String {
     }
     if let Some(v) = spec.max_events {
         out.push_str(&format!("max_events {v}\n"));
-    }
-    if let Some(v) = spec.max_retries {
-        out.push_str(&format!("max_retries {v}\n"));
-    }
-    if let Some(v) = spec.retry_backoff_ms {
-        out.push_str(&format!("retry_backoff_ms {v}\n"));
     }
     out
 }
@@ -765,14 +741,10 @@ heal_net heal
 # per-experiment budgets
 max_virtual_time_ns 2000000000
 max_events 500000
-max_retries 2
-retry_backoff_ms 50
 ";
         let budget = parse_budget_file(text).unwrap();
         assert_eq!(budget.max_virtual_time_ns, Some(2_000_000_000));
         assert_eq!(budget.max_events, Some(500_000));
-        assert_eq!(budget.max_retries, Some(2));
-        assert_eq!(budget.retry_backoff_ms, Some(50));
         let rewritten = write_budget_file(&budget);
         assert_eq!(parse_budget_file(&rewritten).unwrap(), budget);
 

@@ -138,7 +138,6 @@ fn main() {
     let budget = BudgetSpec {
         max_virtual_time_ns: Some(30_000_000_000),
         max_events: Some(1_000_000),
-        ..BudgetSpec::default()
     };
     write_budget_dir(&budget, &dir).expect("budget file written");
     let reloaded = load_study_dir("file-driven", &dir).expect("campaign directory loads");

@@ -7,18 +7,20 @@
 //!    timeline → correctness check), and folded into the measure the
 //!    moment it finishes — raw data never outlives its worker.
 //! 4. Read the measure estimate off the accumulator.
-//! 5. Re-run the *same* application on the real-concurrency thread backend.
+//! 5. Re-run the *same* application on the real-concurrency thread backend,
+//!    one experiment at a time, through the same per-experiment analysis.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
+use loki::analysis::{analyze_one, AnalysisOptions};
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::spec::{StateMachineSpec, StudyDef};
 use loki::core::study::Study;
 use loki::measure::prelude::*;
-use loki::runtime::harness::{Backend, CampaignPipeline, SimHarnessConfig};
-use loki::runtime::AppFactory;
+use loki::runtime::harness::{CampaignPipeline, SimHarnessConfig};
+use loki::runtime::{run_thread_experiment, AppFactory, ThreadHarnessConfig};
 use loki::runtime::{App, NodeCtx, Payload};
 use std::sync::Arc;
 
@@ -162,13 +164,15 @@ fn main() {
     // --- 5. one app, every backend ---------------------------------------------
     // The exact same `App` implementations and factory now run with every
     // node as an OS thread: real time, real concurrency, nondeterministic
-    // interleavings — and the identical streaming analysis pipeline.
-    let threaded = harness.backend(Backend::Threads);
-    let summary = CampaignPipeline::new(study, factory, threaded)
-        .run(2, |_| {})
-        .expect("valid campaign config");
+    // interleavings — and the identical per-experiment analysis.
+    let threaded = ThreadHarnessConfig::from(&harness);
+    let experiments = 2;
+    let accepted = (0..experiments)
+        .map(|k| run_thread_experiment(&study, factory.clone(), &threaded, k))
+        .map(|data| data.expect("valid host list"))
+        .filter(|data| analyze_one(&study, data, &AnalysisOptions::default()).accepted())
+        .count();
     println!(
-        "thread backend: {}/{} genuinely concurrent experiments provably correct",
-        summary.accepted, summary.experiments
+        "thread backend: {accepted}/{experiments} genuinely concurrent experiments provably correct"
     );
 }

@@ -27,18 +27,20 @@
 //!
 //! The two snippets below are the README's, compiled here so they cannot
 //! drift from the API. Campaigns pick their execution environment per
-//! study:
+//! study: a campaign runs on the simulation, and the same app runs one
+//! experiment at a time on OS threads:
 //!
 //! ```rust,no_run
-//! use loki::runtime::harness::{run_study, Backend, CampaignError, SimHarnessConfig};
+//! use loki::runtime::harness::{run_study, CampaignError, SimHarnessConfig};
+//! use loki::runtime::{run_thread_experiment, ThreadHarnessConfig};
 //! # fn demo(study: std::sync::Arc<loki::core::study::Study>,
 //! #         factory: loki::runtime::AppFactory) -> Result<(), CampaignError> {
 //!
 //! let cfg = SimHarnessConfig::three_hosts(42);              // deterministic sim
 //! let sim_data = run_study(&study, factory.clone(), &cfg, 200)?;
 //!
-//! let threaded = cfg.backend(Backend::Threads);             // same app, OS threads
-//! let real_data = run_study(&study, factory, &threaded, 8)?;
+//! let threaded = ThreadHarnessConfig::from(&cfg);           // same app, OS threads
+//! let real_data = run_thread_experiment(&study, factory, &threaded, 0)?;
 //! # Ok(())
 //! # }
 //! ```

@@ -21,9 +21,9 @@ use loki::core::recorder::RecordKind;
 use loki::core::study::Study;
 use loki::measure::prelude::*;
 use loki::runtime::harness::{
-    run_experiment, run_study, Backend, CampaignError, CampaignPipeline, SimHarnessConfig,
+    run_experiment, run_study, CampaignError, CampaignPipeline, SimHarnessConfig,
 };
-use loki::runtime::AppFactory;
+use loki::runtime::{run_thread_experiment, AppFactory, ThreadHarnessConfig};
 use std::sync::Arc;
 
 /// The fault names injected in one experiment, per machine in timeline
@@ -83,10 +83,8 @@ fn check_cross_backend(label: &str, study: &Arc<Study>, factory: AppFactory, see
     );
 
     // --- thread backend: the same factory, real concurrency ---------------
-    let thread_cfg = sim_cfg.clone().backend(Backend::Threads);
-    let data = run_study(study, factory, &thread_cfg, 1).expect("valid campaign config");
-    assert_eq!(data.len(), 1);
-    let d = &data[0];
+    let d = run_thread_experiment(study, factory, &ThreadHarnessConfig::from(&sim_cfg), 0)
+        .expect("valid host list");
     assert_eq!(d.end, ExperimentEnd::Completed, "{label}: thread run hung");
     assert_eq!(
         d.timelines.len(),
@@ -101,11 +99,11 @@ fn check_cross_backend(label: &str, study: &Arc<Study>, factory: AppFactory, see
         d.total_injections() >= 1,
         "{label}: the thread campaign never injected"
     );
-    let analyzed = analyze(study, data, &AnalysisOptions::default());
+    let analyzed = analyze_one(study, &d, &AnalysisOptions::default());
     assert!(
-        analyzed.iter().any(|a| a.accepted()),
+        analyzed.accepted(),
         "{label}: thread experiment rejected: {:?}",
-        analyzed[0].verdict()
+        analyzed.verdict
     );
 }
 
@@ -221,19 +219,24 @@ fn pipeline_streaming_matches_batch_and_bounds_raw_retention() {
 
 /// On the thread backend the interleavings are genuinely nondeterministic,
 /// so streaming-vs-batch equality is checked on the *same* raw data: the
-/// per-experiment `analyze_one` the pipeline fuses into its workers must be
-/// byte-identical to the batch `analyze`. The pipeline itself must still
-/// deliver every experiment once, in index order, with bounded retention.
+/// per-experiment `analyze_one` a thread campaign loop (and the pipeline's
+/// workers) applies must be byte-identical to the batch `analyze`.
 #[test]
 fn pipeline_analysis_is_faithful_on_the_thread_backend() {
     let (study, factory) = quick_election();
-    let mut cfg = SimHarnessConfig::three_hosts(0x7EAD).backend(Backend::Threads);
-    cfg.workers = Some(1);
+    let cfg = ThreadHarnessConfig::from(&SimHarnessConfig::three_hosts(0x7EAD));
     let opts = AnalysisOptions::default();
 
-    let data = run_study(&study, factory.clone(), &cfg, 2).expect("valid campaign config");
+    let data: Vec<ExperimentData> = (0..2)
+        .map(|k| run_thread_experiment(&study, factory.clone(), &cfg, k).expect("valid host list"))
+        .collect();
     let batch = analyze(&study, data.clone(), &opts);
     for (d, b) in data.iter().zip(&batch) {
+        assert_eq!(
+            d.end,
+            ExperimentEnd::Completed,
+            "thread experiments must complete"
+        );
         assert_eq!(
             analyze_one(&study, d, &opts),
             b.analysis,
@@ -241,15 +244,6 @@ fn pipeline_analysis_is_faithful_on_the_thread_backend() {
             d.experiment
         );
     }
-
-    let pipeline = CampaignPipeline::new(study, factory, cfg);
-    let mut indices = Vec::new();
-    let summary = pipeline
-        .run_with_workers(3, 2, |analyzed| indices.push(analyzed.experiment))
-        .expect("valid campaign config");
-    assert_eq!(indices, vec![0, 1, 2]);
-    assert!(summary.peak_raw_retained <= 2);
-    assert_eq!(summary.completed, 3, "thread experiments must complete");
 }
 
 #[test]
@@ -297,28 +291,20 @@ fn token_ring_runs_on_both_backends() {
 #[test]
 fn threads_backend_rejects_a_placement_on_an_unknown_host() {
     // `ring_study` places its third member on host3. Without that host
-    // the thread backend has no clock to run the machine on: every entry
-    // point says so, typed, before a single node thread starts.
+    // the thread runner has no clock to run the machine on: it says so,
+    // typed, before a single node thread starts.
     let study = Study::compile_arc(&ring_study("cross-unknown-host", 3)).unwrap();
     let factory = ring_factory(RingConfig::default());
-    let mut cfg = SimHarnessConfig::three_hosts(0x0457).backend(Backend::Threads);
+    let mut cfg = SimHarnessConfig::three_hosts(0x0457);
     cfg.hosts.truncate(2);
-    cfg.workers = Some(2);
 
-    let rejected = |err: CampaignError| {
-        assert!(matches!(err, CampaignError::Hosts(_)), "{err:?}");
-        assert!(err.to_string().contains("unknown host `host3`"), "{err}");
-    };
-    rejected(run_study(&study, factory.clone(), &cfg, 2).unwrap_err());
-    rejected(run_experiment(&study, factory.clone(), &cfg, 0).unwrap_err());
-    rejected(
-        CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
-            .run_with_workers(2, 2, drop)
-            .unwrap_err(),
-    );
+    let err = run_thread_experiment(&study, factory.clone(), &ThreadHarnessConfig::from(&cfg), 0)
+        .unwrap_err();
+    assert!(matches!(err, CampaignError::Hosts(_)), "{err:?}");
+    assert!(err.to_string().contains("unknown host `host3`"), "{err}");
 
     // The simulation runs the rest of the ring and says what it left out.
-    let data = run_experiment(&study, factory, &cfg.backend(Backend::Sim), 0).unwrap();
+    let data = run_experiment(&study, factory, &cfg, 0).unwrap();
     assert_eq!(data.timelines.len(), 2);
     assert!(
         data.warnings

@@ -8,9 +8,7 @@ use loki::core::spec::{StateMachineSpec, StudyDef};
 use loki::core::study::Study;
 use loki::measure::prelude::*;
 use loki::runtime::daemons::{RestartPlacement, RestartPolicy};
-use loki::runtime::harness::{
-    run_experiment, run_study, Backend, CampaignPipeline, SimHarnessConfig,
-};
+use loki::runtime::harness::{run_experiment, run_study, CampaignPipeline, SimHarnessConfig};
 use loki::runtime::AppFactory;
 use loki::runtime::{App, NodeCtx, Payload};
 use std::rc::Rc;
@@ -280,9 +278,9 @@ fn timelines_roundtrip_through_on_disk_format_and_reanalyze() {
 
 /// A `CampaignPipeline` over the worker/observer study with an explicit
 /// batch (these tests must not read `LOKI_BATCH`).
-fn wo_pipeline(seed: u64, batch: usize, backend: Backend) -> CampaignPipeline {
+fn wo_pipeline(seed: u64, batch: usize) -> CampaignPipeline {
     let (study, factory) = wo_study(40);
-    let mut cfg = harness(seed).backend(backend);
+    let mut cfg = harness(seed);
     cfg.batch = Some(batch);
     CampaignPipeline::new(study, factory, cfg)
 }
@@ -290,21 +288,19 @@ fn wo_pipeline(seed: u64, batch: usize, backend: Backend) -> CampaignPipeline {
 #[test]
 fn sink_runs_on_the_calling_thread_in_index_order() {
     // Caller-runs: the calling thread is one of the workers *and* the only
-    // thread that ever touches the sink, on both backends (the threads
-    // backend claims single experiments through the same driver).
-    for (backend, experiments) in [(Backend::Sim, 50u32), (Backend::Threads, 4)] {
-        let caller = std::thread::current().id();
-        let mut seen = Vec::new();
-        let summary = wo_pipeline(11, 2, backend)
-            .run_with_workers(experiments, 3, |analyzed| {
-                assert_eq!(std::thread::current().id(), caller, "sink left the caller");
-                seen.push(analyzed.experiment);
-            })
-            .expect("valid campaign config");
-        assert_eq!(seen, (0..experiments).collect::<Vec<u32>>());
-        assert_eq!(summary.workers, 3);
-        assert_eq!(summary.completed, experiments as usize, "{backend:?}");
-    }
+    // thread that ever touches the sink.
+    let experiments = 50u32;
+    let caller = std::thread::current().id();
+    let mut seen = Vec::new();
+    let summary = wo_pipeline(11, 2)
+        .run_with_workers(experiments, 3, |analyzed| {
+            assert_eq!(std::thread::current().id(), caller, "sink left the caller");
+            seen.push(analyzed.experiment);
+        })
+        .expect("valid campaign config");
+    assert_eq!(seen, (0..experiments).collect::<Vec<u32>>());
+    assert_eq!(summary.workers, 3);
+    assert_eq!(summary.completed, experiments as usize);
 }
 
 #[test]
@@ -317,7 +313,7 @@ fn panicking_sink_propagates_and_leaves_no_worker_blocked() {
     std::thread::spawn(move || {
         let mut sunk = Vec::new();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            wo_pipeline(12, 1, Backend::Sim).run_with_workers(400, 4, |analyzed| {
+            wo_pipeline(12, 1).run_with_workers(400, 4, |analyzed| {
                 sunk.push(analyzed.experiment);
                 assert!(analyzed.experiment != 5, "sink refuses index 5");
             })
@@ -342,7 +338,7 @@ fn slow_sink_parks_the_workers_instead_of_buffering_the_campaign() {
     let produced = AtomicUsize::new(0);
     let mut committed = 0usize;
     let mut peak_buffered = 0usize;
-    let summary = wo_pipeline(13, batch, Backend::Sim)
+    let summary = wo_pipeline(13, batch)
         .run_tapped_with_workers(
             experiments,
             workers,

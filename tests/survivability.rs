@@ -9,12 +9,13 @@
 
 mod common;
 
+use loki::analysis::{analyze_one, AnalysisOptions};
 use loki::apps::chaos::{chaos_factory, chaos_study, ChaosConfig, CHAOS_PANIC};
 use loki::clock::params::ClockParams;
 use loki::core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync};
 use loki::core::study::Study;
-use loki::runtime::harness::{run_study, Backend, CampaignPipeline, SimHarnessConfig};
-use loki::runtime::AppFactory;
+use loki::runtime::harness::{run_study, CampaignPipeline, SimHarnessConfig};
+use loki::runtime::{run_thread_experiment, AppFactory, ThreadHarnessConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Once};
@@ -117,10 +118,8 @@ fn survivors_are_byte_identical_to_the_disarmed_baseline() {
                 .iter()
                 .filter(|a| a.end.failure().is_some())
                 .all(|a| !a.accepted()));
-            // Every failure quarantined its world — and the deterministic
-            // simulation never retries.
+            // Every failure quarantined its world.
             assert_eq!(summary.quarantined_worlds, summary.failed);
-            assert_eq!(summary.retried, 0);
 
             // Workers × batch is unobservable, failures included.
             match &reference {
@@ -517,49 +516,34 @@ fn failure_reports_belong_to_the_most_recent_run() {
 }
 
 #[test]
-fn thread_backend_contains_panics_and_retries() {
+fn thread_backend_contains_panics() {
     quiet_chaos_panics();
     let study = Study::compile_arc(&chaos_study("chaos-threads", 3)).unwrap();
-    // Every node panics on its first tick, every attempt.
+    // Every node panics on its first tick.
     let chaos = ChaosConfig {
         panic_p: 1.0,
         ..ChaosConfig::default()
     };
-    let mut cfg = SimHarnessConfig::three_hosts(0x7EAD).backend(Backend::Threads);
-    cfg.retry.max_retries = 1;
-    cfg.retry.backoff = std::time::Duration::from_millis(1);
+    let cfg = ThreadHarnessConfig::from(&SimHarnessConfig::three_hosts(0x7EAD));
 
-    // The raw path retries too: every node thread asks the factory for
-    // its application once per attempt, so two experiments of three nodes,
-    // each run twice, are twelve calls.
+    // Every node thread asks the factory for its application once, so two
+    // experiments of three nodes are six calls: nothing re-runs.
     let calls = Arc::new(AtomicU32::new(0));
     let counting: AppFactory = {
-        let (calls, factory) = (calls.clone(), chaos_factory(chaos.clone()));
+        let (calls, factory) = (calls.clone(), chaos_factory(chaos));
         Arc::new(move |study: &Study, sm| {
             calls.fetch_add(1, Ordering::Relaxed);
             factory(study, sm)
         })
     };
-    let raw = run_study(&study, counting, &cfg, 2).expect("valid campaign config");
-    assert_eq!(calls.load(Ordering::Relaxed), 2 * 2 * 3, "no re-run");
-    assert!(raw
-        .iter()
-        .all(|d| d.end == ExperimentEnd::Failed(ExperimentFailure::AppPanic)));
-
-    let pipeline = CampaignPipeline::new(study, chaos_factory(chaos), cfg);
-    let (results, summary) = pipeline.collect(2).expect("valid campaign config");
-
-    assert_eq!(summary.experiments, 2);
-    assert_eq!(summary.failed, 2, "panics must surface as typed failures");
-    // Each failed experiment was retried once (and failed again).
-    assert_eq!(summary.retried, 2);
-    for analyzed in &results {
-        assert_eq!(
-            analyzed.end,
-            ExperimentEnd::Failed(ExperimentFailure::AppPanic)
-        );
-        assert!(!analyzed.accepted());
+    for k in 0..2 {
+        let data =
+            run_thread_experiment(&study, counting.clone(), &cfg, k).expect("valid host list");
+        // The panic surfaces as a typed failure, never accepted.
+        assert_eq!(data.end, ExperimentEnd::Failed(ExperimentFailure::AppPanic));
+        assert!(!analyze_one(&study, &data, &AnalysisOptions::default()).accepted());
     }
+    assert_eq!(calls.load(Ordering::Relaxed), 2 * 3);
 }
 
 proptest! {
