@@ -6,10 +6,12 @@
 //! machine plus the synchronization samples gathered in the mini-phases
 //! before and after the run (§2.3). The analysis phase consumes these.
 
-use crate::ids::{HostId, SmId, SymbolTable};
+use crate::ids::{FaultId, HostId, SmId, SymbolTable};
 use crate::recorder::LocalTimeline;
+use crate::study::Study;
 use crate::time::LocalNanos;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::sync::Arc;
 
 /// One synchronization message exchanged between a host and the reference
@@ -47,10 +49,9 @@ pub struct HostSync {
 /// A failed experiment never produces a usable global timeline; the
 /// campaign pipeline records the failure, quarantines any pooled state the
 /// experiment touched, and moves on. The variants are deliberately
-/// *shapes*, not messages: human-readable detail (a panic payload, the
-/// exhausted budget's value) travels in [`ExperimentData::warnings`], so
-/// two experiments failing the same way compare equal and campaign-level
-/// reporting can deduplicate them.
+/// *shapes*, not messages: the detail (a panic note, where a budget
+/// tripped) rides as a typed [`Warning`] in [`ExperimentData::warnings`],
+/// so two experiments failing the same way compare equal.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum ExperimentFailure {
@@ -98,8 +99,8 @@ pub enum ExperimentEnd {
     Aborted,
     /// The injector contained a per-experiment failure (panic, budget
     /// blow-up, harness error) instead of letting it take down the
-    /// campaign. Carries the failure shape; detail rides in
-    /// [`ExperimentData::warnings`].
+    /// campaign. Carries the failure shape; the detail rides as a typed
+    /// [`Warning`] in [`ExperimentData::warnings`].
     Failed(ExperimentFailure),
 }
 
@@ -110,6 +111,134 @@ impl ExperimentEnd {
             ExperimentEnd::Failed(f) => Some(*f),
             _ => None,
         }
+    }
+}
+
+/// Something the runtime discarded, rejected or contained during one
+/// experiment — a notification to a machine that is not executing
+/// (§3.6.1), say. Warnings are data: they carry study ids where the
+/// runtime has them and text only where it arrives as text (a panic
+/// payload, a rejection reason), and [`Warning::display`] resolves the ids
+/// through the study at the display boundary, as hosts resolve through the
+/// [`SymbolTable`].
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Warning {
+    /// A state notification from `from` to `to` was discarded because `to`
+    /// was not executing (§3.6.1).
+    DroppedNotification {
+        /// The notifying machine.
+        from: SmId,
+        /// The machine that was not executing.
+        to: SmId,
+    },
+    /// The application's probe table does not map `fault`: a likely
+    /// misspelling in the study's fault specs.
+    UnmappedFault {
+        /// The study fault the table lacks.
+        fault: FaultId,
+    },
+    /// The backend rejected a network fault action's parameters.
+    NetFaultRejected {
+        /// Why, as the fault plane put it.
+        reason: String,
+    },
+    /// Machine `sm`'s application panicked in a callback
+    /// ([`ExperimentFailure::AppPanic`]).
+    AppPanic {
+        /// The panicking machine.
+        sm: SmId,
+        /// The panic payload.
+        note: String,
+    },
+    /// A containment budget ended the experiment.
+    BudgetTrip {
+        /// Which budget.
+        failure: ExperimentFailure,
+        /// Simulation events processed when it tripped.
+        events: u64,
+        /// Virtual time when it tripped, in ns.
+        at_ns: u64,
+    },
+    /// The harness itself unwound ([`ExperimentFailure::Harness`]).
+    HarnessPanic {
+        /// The panic payload.
+        note: String,
+    },
+    /// Node threads ignored the kill order and were detached
+    /// ([`ExperimentFailure::BudgetWallClock`]).
+    HungThreads {
+        /// How many.
+        count: usize,
+    },
+    /// A runtime actor received a message its protocol never sends it.
+    UnexpectedMessage {
+        /// Who received it.
+        receiver: Receiver,
+        /// The message's `Debug` rendering.
+        message: String,
+    },
+}
+
+/// The runtime actor a [`Warning::UnexpectedMessage`] arrived at.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Receiver {
+    /// A local daemon.
+    LocalDaemon,
+    /// The central daemon.
+    CentralDaemon,
+    /// A node.
+    Node,
+}
+
+impl Warning {
+    /// Renders the warning, resolving machine and fault ids through
+    /// `study`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when formatted) if an id was not produced by `study`.
+    pub fn display<'a>(&'a self, study: &'a Study) -> impl fmt::Display + 'a {
+        fmt::from_fn(move |f| match self {
+            Warning::DroppedNotification { from, to } => write!(
+                f,
+                "notification from {} to non-executing machine {} discarded",
+                study.sms.name(*from),
+                study.sms.name(*to)
+            ),
+            Warning::UnmappedFault { fault } => write!(
+                f,
+                "fault `{}` is not mapped by the application's probe table",
+                study.fault_names.name(*fault)
+            ),
+            Warning::NetFaultRejected { reason } => {
+                write!(f, "network fault action rejected: {reason}")
+            }
+            Warning::AppPanic { sm, note } => write!(
+                f,
+                "application panic in machine {}: {note}",
+                study.sms.name(*sm)
+            ),
+            Warning::BudgetTrip {
+                failure,
+                events,
+                at_ns,
+            } => write!(
+                f,
+                "{failure} after {events} events at virtual time {at_ns} ns"
+            ),
+            Warning::HarnessPanic { note } => write!(f, "harness error: {note}"),
+            Warning::HungThreads { count } => write!(
+                f,
+                "{count} node thread(s) ignored the kill order past the 2 s grace window; detached"
+            ),
+            Warning::UnexpectedMessage { receiver, message } => match receiver {
+                Receiver::LocalDaemon => write!(f, "local daemon received unexpected {message}"),
+                Receiver::CentralDaemon => {
+                    write!(f, "central daemon received unexpected {message}")
+                }
+                Receiver::Node => write!(f, "node received unexpected message {message}"),
+            },
+        })
     }
 }
 
@@ -141,8 +270,10 @@ pub struct ExperimentData {
     pub post_sync: Vec<HostSync>,
     /// How the experiment ended.
     pub end: ExperimentEnd,
-    /// Runtime warnings (e.g. notifications dropped for dead machines).
-    pub warnings: Vec<String>,
+    /// Runtime warnings (e.g. notifications dropped for dead machines), in
+    /// the order first recorded; the simulation records each distinct
+    /// warning once per experiment.
+    pub warnings: Vec<Warning>,
 }
 
 impl ExperimentData {

@@ -29,6 +29,7 @@
 //! thesis's fault parser calls the probe's `injectFault()`.
 
 use crate::messages::SmTargets;
+use loki_core::campaign::Warning;
 use loki_core::error::CoreError;
 use loki_core::fault::FaultParser;
 use loki_core::ids::{FaultId, HostId, SmId, StateId, SymbolTable};
@@ -133,17 +134,15 @@ pub(crate) trait Port {
     /// Applies a network fault action to the backend's message fabric.
     /// Returns whether it took effect; the default covers backends
     /// without a modelled network (the thread backend's channels carry no
-    /// fault plane), which also surface the unsupported action as a
-    /// runtime warning where they can.
+    /// fault plane).
     fn net_fault(&mut self, action: &FaultAction) -> bool {
         let _ = action;
         false
     }
-    /// Surfaces a fault name the application's probe table does not map —
-    /// a likely misspelling in the study's fault specs. Backends with a
-    /// warning sink dedupe per name; the default is a no-op.
-    fn warn_unknown_fault(&mut self, fault: &str) {
-        let _ = fault;
+    /// Records a runtime warning in the experiment's data. The default,
+    /// for backends that keep no warnings from their nodes, is a no-op.
+    fn warn(&mut self, warning: Warning) {
+        let _ = warning;
     }
 }
 
@@ -463,19 +462,20 @@ impl NodeCtx<'_> {
     /// [`FaultAction::GrayNode`]) to the backend's message fabric, the
     /// usual body of an [`App::on_fault`] arm. Returns whether it took
     /// effect: `false` on backends without a modelled network (the thread
-    /// backend) or when the action's parameters are rejected — rejections
-    /// are also surfaced as runtime warnings where the backend has a sink.
+    /// backend) or when the action's parameters are rejected — the
+    /// simulation records a rejection as a
+    /// [`Warning::NetFaultRejected`].
     pub fn apply_net_fault(&mut self, action: &FaultAction) -> bool {
         self.port.net_fault(action)
     }
 
-    /// Looks up `fault` in `probe`, surfacing a miss as a deduped runtime
-    /// warning when the table is non-empty (a configured-but-unmapped
-    /// name is a likely misspelling in the study's fault specs; an empty
-    /// table means the application handles every name itself, which is
-    /// policy, not a typo). Applications with a default action for
-    /// unmapped names should still call this for the warning and handle
-    /// `None` with their default.
+    /// Looks up `fault` in `probe`, recording a miss on a study fault as a
+    /// [`Warning::UnmappedFault`] when the table is non-empty (a
+    /// configured-but-unmapped name is a likely misspelling in the study's
+    /// fault specs; an empty table means the application handles every
+    /// name itself, which is policy, not a typo). Applications with a
+    /// default action for unmapped names should still call this for the
+    /// warning and handle `None` with their default.
     pub fn probe_action<'p>(
         &mut self,
         probe: &'p ActionProbe,
@@ -483,7 +483,9 @@ impl NodeCtx<'_> {
     ) -> Option<&'p FaultAction> {
         let action = probe.action_for(fault);
         if action.is_none() && !probe.is_empty() {
-            self.port.warn_unknown_fault(fault);
+            if let Some(fault) = self.core.study.fault_names.lookup(fault) {
+                self.port.warn(Warning::UnmappedFault { fault });
+            }
         }
         action
     }

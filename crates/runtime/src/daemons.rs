@@ -25,8 +25,9 @@
 
 use crate::messages::{NotifyRouting, RtMsg, SmTargets};
 use crate::node::NodeActor;
-use crate::store::{ExperimentControl, NodeDirectory, SyncCollector, TimelineStore, WarningSink};
+use crate::store::{ExperimentControl, NodeDirectory, SyncCollector, TimelineStore};
 use crate::wiring::Wiring;
+use loki_core::campaign::{Receiver, Warning};
 use loki_core::ids::{SmId, SymbolTable};
 use loki_core::recorder::{RecordKind, TimelineRecord};
 use loki_core::study::Study;
@@ -61,8 +62,8 @@ pub(crate) struct ExpCtx {
     pub store: TimelineStore,
     /// Sync mini-phase sample collector.
     pub collector: SyncCollector,
-    /// Runtime warning sink.
-    pub warnings: WarningSink,
+    /// Runtime warnings of the running experiment (see [`ExpCtx::warn`]).
+    pub warnings: RefCell<Vec<Warning>>,
     /// Control block between the central daemon and the harness.
     pub control: ExperimentControl,
     /// The application's name service.
@@ -92,7 +93,7 @@ impl ExpCtx {
             routing,
             store: TimelineStore::new(),
             collector: SyncCollector::new(),
-            warnings: WarningSink::new(),
+            warnings: RefCell::default(),
             control: ExperimentControl::new(),
             directory: NodeDirectory::new(),
             wiring: Wiring::new(),
@@ -104,6 +105,16 @@ impl ExpCtx {
     /// The simulation host index of `name`, if it is a configured host.
     pub fn host_idx(&self, name: &str) -> Option<u32> {
         self.symbols.lookup_host(name).map(|h| h.raw())
+    }
+
+    /// Records `warning` unless an equal one is already recorded in this
+    /// experiment: once a machine is gone, every later notification aimed
+    /// at it repeats the same warning.
+    pub fn warn(&self, warning: Warning) {
+        let mut warnings = self.warnings.borrow_mut();
+        if !warnings.contains(&warning) {
+            warnings.push(warning);
+        }
     }
 }
 
@@ -385,10 +396,13 @@ impl LocalDaemon {
                 ctx.send(actor, RtMsg::DeliverNotify { from_sm, state });
             } else {
                 match self.locations[target.raw() as usize] {
-                    NO_HOST => self.warn_dropped(from_sm, target),
-                    host if host == self.my_host => {
-                        // Known-local but no live actor: the machine is gone.
-                        self.warn_dropped(from_sm, target);
+                    // Unknown, or known-local but no live actor: the
+                    // machine is gone.
+                    host if host == NO_HOST || host == self.my_host => {
+                        self.ctx.warn(Warning::DroppedNotification {
+                            from: from_sm,
+                            to: target,
+                        });
                     }
                     host => match per_host.binary_search_by_key(&host, |&(h, _)| h) {
                         Ok(at) => per_host[at].1.push(target),
@@ -413,20 +427,6 @@ impl LocalDaemon {
             );
         }
         self.route_buf = per_host;
-    }
-
-    fn warn_dropped(&self, from_sm: SmId, target: SmId) {
-        // Deduped per (sender, target): once a target machine is gone,
-        // every later notification aimed at it would repeat this exact
-        // message — the repeat `format!`s alone were ~10% of a campaign.
-        let key = (u64::from(from_sm.raw()) << 32) | u64::from(target.raw());
-        self.ctx.warnings.warn_once(key, || {
-            format!(
-                "notification from {} to non-executing machine {} discarded",
-                self.ctx.study.sms.name(from_sm),
-                self.ctx.study.sms.name(target)
-            )
-        });
     }
 
     /// The local experiment-completion check (§3.5.2): complete when no
@@ -537,7 +537,10 @@ impl Actor<RtMsg> for LocalDaemon {
                     if let Some(actor) = self.local_nodes[target.raw() as usize] {
                         ctx.send(actor, RtMsg::DeliverNotify { from_sm, state });
                     } else {
-                        self.warn_dropped(from_sm, target);
+                        self.ctx.warn(Warning::DroppedNotification {
+                            from: from_sm,
+                            to: target,
+                        });
                     }
                 }
             }
@@ -586,11 +589,10 @@ impl Actor<RtMsg> for LocalDaemon {
                 actors.clear();
                 self.kill_buf = actors;
             }
-            other => {
-                self.ctx
-                    .warnings
-                    .warn_with(|| format!("local daemon received unexpected {other:?}"));
-            }
+            other => self.ctx.warn(Warning::UnexpectedMessage {
+                receiver: Receiver::LocalDaemon,
+                message: format!("{other:?}"),
+            }),
         }
     }
 
@@ -671,18 +673,12 @@ impl Actor<RtMsg> for CentralDaemon {
             }
         });
         self.watchdog = Some(ctx.set_timer(self.timeout_ns, TAG_TIMEOUT));
-        // Start the machines listed with a host in the node file (§3.5.1).
-        let study = Arc::clone(&self.ctx.study);
-        for (sm, host) in &study.placements {
-            if let Some(host) = host {
-                if let Some(idx) = self.ctx.host_idx(host) {
-                    let daemon = self.ctx.wiring.daemon_for(idx as usize);
-                    ctx.send(daemon, RtMsg::StartNode { sm: *sm, host: idx });
-                } else {
-                    self.ctx
-                        .warnings
-                        .warn_with(|| format!("placement on unknown host `{host}`"));
-                }
+        // Start the machines listed with a host in the node file (§3.5.1);
+        // every entry point has checked that those hosts exist.
+        for (sm, host) in &self.ctx.study.placements {
+            if let Some(idx) = host.as_deref().and_then(|h| self.ctx.host_idx(h)) {
+                let daemon = self.ctx.wiring.daemon_for(idx as usize);
+                ctx.send(daemon, RtMsg::StartNode { sm: *sm, host: idx });
             }
         }
     }
@@ -699,11 +695,10 @@ impl Actor<RtMsg> for CentralDaemon {
                     self.shutdown(ctx);
                 }
             }
-            other => {
-                self.ctx
-                    .warnings
-                    .warn_with(|| format!("central daemon received unexpected {other:?}"));
-            }
+            other => self.ctx.warn(Warning::UnexpectedMessage {
+                receiver: Receiver::CentralDaemon,
+                message: format!("{other:?}"),
+            }),
         }
     }
 

@@ -26,10 +26,9 @@ use crate::daemons::{
     reuse_or_box, ActorHull, CentralDaemon, ExpCtx, LocalDaemon, RestartPolicy, Supervisor,
 };
 use crate::messages::{NotifyRouting, RtMsg};
-use crate::store::WarningSink;
 use loki_analysis::{analyze_one, AnalysisOptions, AnalyzedExperiment};
 use loki_clock::params::fastest_reference;
-use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync};
+use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync, Warning};
 use loki_core::ids::{HostId, SymbolTable};
 use loki_core::study::Study;
 use loki_sim::config::{HostConfig, NetworkConfig};
@@ -37,7 +36,7 @@ use loki_sim::engine::{BudgetExceeded, HostId as SimHostId, Simulation, WorldCon
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 
 /// A campaign misconfiguration, detected before any experiment runs.
 ///
@@ -48,9 +47,8 @@ use std::sync::{mpsc, Arc, Mutex};
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CampaignError {
-    /// The host list is empty or invalid (duplicate names), or — for
-    /// [`crate::run_thread_experiment`] — the study places a machine on a
-    /// host the configuration does not have.
+    /// The host list is empty or invalid (duplicate names), or the study
+    /// places a machine on a host the configuration does not have.
     Hosts(String),
     /// The worker-count configuration is invalid
     /// ([`SimHarnessConfig::workers`] / `LOKI_WORKERS`).
@@ -210,7 +208,7 @@ pub fn run_experiment(
     cfg: &SimHarnessConfig,
     experiment: u32,
 ) -> Result<ExperimentData, CampaignError> {
-    validate_hosts(cfg.hosts.iter().map(|h| h.name.as_str()))?;
+    validate_hosts(study, cfg.hosts.iter().map(|h| h.name.as_str()))?;
     let symbols = cfg.symbols();
     let sim_study = SimStudy::new(study, &factory, cfg, &symbols);
     let mut sim = Simulation::with_config(sim_study.world.clone(), 0);
@@ -219,8 +217,10 @@ pub fn run_experiment(
 
 /// The host-list check every entry point — [`run_experiment`], the
 /// campaign driver and [`crate::run_thread_experiment`] — runs before any
-/// experiment (and any worker) starts: an empty list or a duplicate name.
+/// experiment (and any worker) starts: an empty list, a duplicate name, or
+/// a machine of `study` placed on a host the list lacks.
 pub(crate) fn validate_hosts<'a>(
+    study: &Study,
     names: impl IntoIterator<Item = &'a str>,
 ) -> Result<(), CampaignError> {
     let names: Vec<&str> = names.into_iter().collect();
@@ -233,6 +233,13 @@ pub(crate) fn validate_hosts<'a>(
         if names[..idx].contains(name) {
             return Err(CampaignError::Hosts(format!(
                 "loki: invalid harness config: duplicate host name {name:?}"
+            )));
+        }
+    }
+    for (_, host) in &study.placements {
+        if let Some(host) = host.as_deref().filter(|h| !names.contains(h)) {
+            return Err(CampaignError::Hosts(format!(
+                "loki: invalid harness config: placement on unknown host `{host}`"
             )));
         }
     }
@@ -347,7 +354,6 @@ impl<'a> SimStudy<'a> {
         // recycled world's). The trip point depends only on the event
         // stream, which depends only on `(seed, experiment)`.
         sim.set_budget(self.cfg.max_virtual_time, self.cfg.max_events);
-        sim.disable_trace();
         // Park killed actors' boxes for hull recycling instead of
         // dropping them (drained into the pool when the world drains).
         sim.set_reclaim_dead(true);
@@ -407,8 +413,11 @@ impl<'a> SimStudy<'a> {
                 BudgetExceeded::Events => ExperimentFailure::BudgetEvents,
             };
             ctx.control.mark_failed(failure);
-            ctx.warnings
-                .warn_with(|| format!("{failure} after {events} events at virtual time {now} ns"));
+            ctx.warn(Warning::BudgetTrip {
+                failure,
+                events,
+                at_ns: now,
+            });
         }
         ctx.events.set(ctx.events.get() + events);
         self.assemble(script)
@@ -519,7 +528,7 @@ impl<'a> SimStudy<'a> {
             pre_sync: std::mem::take(&mut script.pre_sync),
             post_sync,
             end,
-            warnings: ctx.warnings.drain(),
+            warnings: std::mem::take(&mut *ctx.warnings.borrow_mut()),
         }
     }
 
@@ -538,7 +547,7 @@ impl<'a> SimStudy<'a> {
             pre_sync: Vec::new(),
             post_sync: Vec::new(),
             end: ExperimentEnd::Failed(ExperimentFailure::Harness),
-            warnings: vec![format!("harness error: {note}")],
+            warnings: vec![Warning::HarnessPanic { note }],
         }
     }
 }
@@ -942,7 +951,7 @@ fn drive_campaign<R: Send>(
             "loki: worker count must be at least 1".to_owned(),
         ));
     }
-    validate_hosts(cfg.hosts.iter().map(|h| h.name.as_str()))?;
+    validate_hosts(study, cfg.hosts.iter().map(|h| h.name.as_str()))?;
     let workers = workers.clamp(1, experiments.max(1) as usize);
     let batch = resolve_batch(cfg)?;
     let symbols = cfg.symbols();
@@ -1109,10 +1118,6 @@ pub struct CampaignPipeline {
     factory: AppFactory,
     cfg: SimHarnessConfig,
     analysis: AnalysisOptions,
-    /// Deduplicated per-run failure reports: one line per distinct
-    /// [`ExperimentFailure`] kind, recorded on the calling thread as results
-    /// commit in index order (so "first experiment" is deterministic).
-    failure_log: Mutex<WarningSink>,
 }
 
 impl CampaignPipeline {
@@ -1123,7 +1128,6 @@ impl CampaignPipeline {
             factory,
             cfg,
             analysis: AnalysisOptions::default(),
-            failure_log: Mutex::new(WarningSink::new()),
         }
     }
 
@@ -1190,9 +1194,6 @@ impl CampaignPipeline {
         tap: impl Fn(&ExperimentData) -> T + Sync,
         mut sink: impl FnMut(AnalyzedExperiment, T),
     ) -> Result<PipelineSummary, CampaignError> {
-        // The failure log is per run: what an earlier run left undrained
-        // (lines and dedup keys alike) must not leak into this one's.
-        self.take_failure_reports();
         if let Err(e) = self.analysis.global.validate() {
             return Err(CampaignError::Analysis(format!(
                 "loki: invalid analysis options: {e}"
@@ -1223,8 +1224,6 @@ impl CampaignPipeline {
             }
             (analyzed, tapped)
         };
-        // Runs on the calling thread in strictly increasing index order,
-        // so "first exhibiting experiment" is deterministic.
         let mut tally = PipelineSummary::default();
         let driven = drive_campaign(
             &self.study,
@@ -1240,16 +1239,8 @@ impl CampaignPipeline {
                 if analyzed.accepted() {
                     tally.accepted += 1;
                 }
-                if let Some(failure) = analyzed.end.failure() {
+                if analyzed.end.failure().is_some() {
                     tally.failed += 1;
-                    // One report per failure kind per run.
-                    let k = analyzed.experiment;
-                    self.failure_log
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .warn_once(failure_key(failure), || {
-                            format!("experiment {k}: {failure} (first of its kind this run)")
-                        });
                 }
                 tally.injections += analyzed.injections;
                 tally.result_shell_allocs += u64::from(analyzed.global.is_some());
@@ -1266,17 +1257,6 @@ impl CampaignPipeline {
         })
     }
 
-    /// Drains the deduplicated failure reports of the most recent run:
-    /// one line per distinct [`ExperimentFailure`] kind, stamped with the
-    /// first experiment index that exhibited it. Empty for a failure-free
-    /// campaign (or when called twice).
-    pub fn take_failure_reports(&self) -> Vec<String> {
-        self.failure_log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .drain()
-    }
-
     /// Convenience: runs the pipeline and collects every compact result
     /// (in experiment order). The *raw* data is still dropped per
     /// experiment — this collects analyses, not timeline stores.
@@ -1287,19 +1267,6 @@ impl CampaignPipeline {
         let mut out = Vec::with_capacity(experiments as usize);
         let summary = self.run(experiments, |analyzed| out.push(analyzed))?;
         Ok((out, summary))
-    }
-}
-
-/// Stable dedup key for one failure kind: the pipeline's failure log
-/// records one line per kind per run.
-fn failure_key(failure: ExperimentFailure) -> u64 {
-    match failure {
-        ExperimentFailure::AppPanic => 1,
-        ExperimentFailure::Harness => 2,
-        ExperimentFailure::BudgetVirtualTime => 3,
-        ExperimentFailure::BudgetEvents => 4,
-        ExperimentFailure::BudgetWallClock => 5,
-        _ => u64::MAX,
     }
 }
 

@@ -16,7 +16,7 @@
 use crate::app::{App, NodeCore, Payload, Port};
 use crate::daemons::ExpCtx;
 use crate::messages::{NotifyRouting, RtMsg, SmTargets};
-use loki_core::campaign::ExperimentFailure;
+use loki_core::campaign::{ExperimentFailure, Receiver, Warning};
 use loki_core::ids::{HostId, SmId, StateId};
 use loki_core::recorder::{RecordKind, TimelineRecord};
 use loki_core::time::LocalNanos;
@@ -73,13 +73,10 @@ impl Port for SimPort<'_, '_> {
                                 state,
                             },
                         ),
-                        None => self.shared.ctx.warnings.warn_with(|| {
-                            format!(
-                                "notification from {} to non-executing machine {} discarded",
-                                self.shared.ctx.study.sms.name(from),
-                                self.shared.ctx.study.sms.name(target)
-                            )
-                        }),
+                        None => self
+                            .shared
+                            .ctx
+                            .warn(Warning::DroppedNotification { from, to: target }),
                     }
                 }
             }
@@ -140,27 +137,16 @@ impl Port for SimPort<'_, '_> {
         match self.sim.apply_net_fault(action) {
             Ok(applied) => applied,
             Err(e) => {
-                self.shared
-                    .ctx
-                    .warnings
-                    .warn_with(|| format!("network fault action rejected: {e}"));
+                self.shared.ctx.warn(Warning::NetFaultRejected {
+                    reason: e.to_string(),
+                });
                 false
             }
         }
     }
 
-    fn warn_unknown_fault(&mut self, fault: &str) {
-        // Deduped per fault name: an FNV-1a hash with the top bit forced
-        // keeps these keys clear of the daemons' (sender, target) keys.
-        let mut key: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in fault.bytes() {
-            key ^= u64::from(b);
-            key = key.wrapping_mul(0x100_0000_01b3);
-        }
-        key |= 1 << 63;
-        self.shared.ctx.warnings.warn_once(key, || {
-            format!("fault `{fault}` is not mapped by the application's probe table")
-        });
+    fn warn(&mut self, warning: Warning) {
+        self.shared.ctx.warn(warning);
     }
 }
 
@@ -208,8 +194,8 @@ impl NodeActor {
     ///
     /// The callback runs under [`std::panic::catch_unwind`]: a panicking
     /// application fails *its* experiment — marked
-    /// [`ExperimentFailure::AppPanic`] with the panic message preserved as
-    /// a deduped warning — and the node crashes through the ordinary
+    /// [`ExperimentFailure::AppPanic`] with the panic note kept as a
+    /// [`Warning::AppPanic`] — and the node crashes through the ordinary
     /// simulated-crash path so daemon teardown stays deterministic. The
     /// world itself is quarantined by the pipeline afterwards, so any
     /// state the unwind left half-updated never leaks into another
@@ -232,21 +218,9 @@ impl NodeActor {
                 .ctx
                 .control
                 .mark_failed(ExperimentFailure::AppPanic);
-            // Deduped per (machine, message) with the same top-bit-forced
-            // FNV keying as `warn_unknown_fault`, so a panic loop in a
-            // retried callback reports once per shape, not per event.
-            let mut key: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in note.bytes() {
-                key ^= u64::from(b);
-                key = key.wrapping_mul(0x100_0000_01b3);
-            }
-            key ^= u64::from(self.shared.me.raw());
-            key |= 1 << 63;
-            self.shared.ctx.warnings.warn_once(key, || {
-                format!(
-                    "application panic in machine {}: {note}",
-                    self.shared.ctx.study.sms.name(self.shared.me)
-                )
+            self.shared.ctx.warn(Warning::AppPanic {
+                sm: self.shared.me,
+                note,
             });
             ctx.crash_self();
         }
@@ -300,12 +274,10 @@ impl loki_sim::engine::Actor<RtMsg> for NodeActor {
                     app.on_app_message(node_ctx, from_sm, payload)
                 });
             }
-            other => {
-                self.shared
-                    .ctx
-                    .warnings
-                    .warn_with(|| format!("node received unexpected message {other:?}"));
-            }
+            other => self.shared.ctx.warn(Warning::UnexpectedMessage {
+                receiver: Receiver::Node,
+                message: format!("{other:?}"),
+            }),
         }
     }
 

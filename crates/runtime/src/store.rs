@@ -247,66 +247,6 @@ impl SyncCollector {
     }
 }
 
-/// Collector for runtime warnings (e.g. notifications dropped because the
-/// recipient machine is not executing, §3.6.1).
-///
-/// Repeated warnings are the runtime's hottest cold path: once a machine
-/// dies, *every* notification still targeting it would otherwise format an
-/// identical message — profiled at ~10% of a whole campaign. Call sites
-/// with a natural identity use [`WarningSink::warn_once`], which records
-/// one message per key between drains and skips the `format!` for the
-/// repeats.
-#[derive(Debug, Default)]
-pub struct WarningSink {
-    inner: RefCell<Vec<String>>,
-    /// Keys already recorded since the last drain (sorted; experiments
-    /// produce a handful at most, so binary search beats hashing).
-    seen: RefCell<Vec<u64>>,
-}
-
-impl WarningSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        WarningSink::default()
-    }
-
-    /// Records a warning.
-    pub fn warn(&self, message: String) {
-        self.inner.borrow_mut().push(message);
-    }
-
-    /// Records a warning built by `f`. The lazy form keeps the `format!`
-    /// machinery out of call sites that are on a hot path's cold branch —
-    /// callers write `warn_with(|| format!(…))` and the message is only
-    /// materialized here, at the single point a sink could ever suppress
-    /// or cap it.
-    pub fn warn_with(&self, f: impl FnOnce() -> String) {
-        self.inner.borrow_mut().push(f());
-    }
-
-    /// Records the warning built by `f` at most once per `key` between
-    /// drains. A dead notification target generates the same message for
-    /// every later notification aimed at it; recording it once keeps the
-    /// diagnostic (the §3.6.1 "discarded" warning stays observable in
-    /// [`ExperimentData::warnings`](loki_core::campaign::ExperimentData))
-    /// while the repeats cost one binary search instead of a `format!` and
-    /// a `String` push.
-    pub fn warn_once(&self, key: u64, f: impl FnOnce() -> String) {
-        let mut seen = self.seen.borrow_mut();
-        if let Err(at) = seen.binary_search(&key) {
-            seen.insert(at, key);
-            self.inner.borrow_mut().push(f());
-        }
-    }
-
-    /// Drains all recorded warnings and resets the [`WarningSink::warn_once`]
-    /// dedup keys (the next experiment on a recycled context warns afresh).
-    pub fn drain(&self) -> Vec<String> {
-        self.seen.borrow_mut().clear();
-        std::mem::take(&mut *self.inner.borrow_mut())
-    }
-}
-
 /// Shared control block between the central daemon and the harness.
 #[derive(Debug, Default)]
 pub struct ExperimentControl {
@@ -644,33 +584,5 @@ mod tests {
         c.mark_failed(ExperimentFailure::BudgetEvents);
         c.mark_failed(ExperimentFailure::AppPanic);
         assert_eq!(c.failure(), Some(ExperimentFailure::BudgetEvents));
-    }
-
-    #[test]
-    fn warning_sink_drains() {
-        let w = WarningSink::new();
-        w.warn("a".into());
-        w.warn_with(|| "b".into());
-        assert_eq!(w.drain().len(), 2);
-        assert!(w.drain().is_empty());
-    }
-
-    #[test]
-    fn warn_once_dedupes_until_drain() {
-        let w = WarningSink::new();
-        let mut built = 0;
-        for _ in 0..5 {
-            w.warn_once(7, || {
-                built += 1;
-                "dropped".into()
-            });
-        }
-        w.warn_once(9, || "other".into());
-        assert_eq!(built, 1, "repeat keys must not re-format");
-        assert_eq!(w.drain(), vec!["dropped".to_string(), "other".to_string()]);
-
-        // Draining resets the keys: the next experiment warns afresh.
-        w.warn_once(7, || "dropped".into());
-        assert_eq!(w.drain().len(), 1);
     }
 }

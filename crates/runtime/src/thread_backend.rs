@@ -29,7 +29,9 @@ use crate::app::{App, AppFactory, NodeCore, Payload, Port};
 use crate::harness::{validate_hosts, CampaignError, SimHarnessConfig};
 use crate::messages::SmTargets;
 use loki_clock::params::{fastest_reference, ClockParams, VirtualClock};
-use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync, SyncSample};
+use loki_core::campaign::{
+    ExperimentData, ExperimentEnd, ExperimentFailure, HostSync, SyncSample, Warning,
+};
 use loki_core::ids::{HostId, SmId, StateId, SymbolTable};
 use loki_core::recorder::{LocalTimeline, RecordKind, Recorder};
 use loki_core::study::Study;
@@ -98,7 +100,7 @@ enum NodeReport {
     /// [`ExperimentFailure::AppPanic`].
     Panicked {
         sm: SmId,
-        message: String,
+        note: String,
     },
 }
 
@@ -286,25 +288,17 @@ impl From<&SimHarnessConfig> for ThreadHarnessConfig {
 /// thread and returns its raw data, which the analysis consumes like a
 /// simulated experiment's.
 ///
-/// The host list is checked before anything runs: an empty list, a
-/// duplicate name, or a machine placed on a host the list lacks — whose
-/// peers would wait for it until the wall-clock timeout — is a
-/// [`CampaignError::Hosts`].
+/// The host list is checked before anything runs, exactly as the
+/// simulation checks it: an empty list, a duplicate name, or a machine
+/// placed on a host the list lacks is a [`CampaignError::Hosts`].
 pub fn run_thread_experiment(
     study: &Arc<Study>,
     factory: AppFactory,
     cfg: &ThreadHarnessConfig,
     experiment: u32,
 ) -> Result<ExperimentData, CampaignError> {
-    validate_hosts(cfg.hosts.iter().map(|(n, _)| n.as_str()))?;
+    validate_hosts(study, cfg.hosts.iter().map(|(n, _)| n.as_str()))?;
     let symbols = Arc::new(SymbolTable::for_hosts(cfg.hosts.iter().map(|(n, _)| n)));
-    for (_, host) in &study.placements {
-        if let Some(host) = host.as_ref().filter(|h| symbols.lookup_host(h).is_none()) {
-            return Err(CampaignError::Hosts(format!(
-                "loki: invalid harness config: placement on unknown host `{host}`"
-            )));
-        }
-    }
     let epoch = Instant::now();
     let clocks: Vec<VirtualClock> = cfg
         .hosts
@@ -330,7 +324,7 @@ pub fn run_thread_experiment(
     let mut host_of: HashMap<SmId, HostId> = HashMap::new();
     let mut handles = Vec::new();
     let mut running = 0usize;
-    let mut warnings: Vec<String> = Vec::new();
+    let mut warnings: Vec<Warning> = Vec::new();
     for (sm, host) in &study.placements {
         let Some(host) = host else { continue };
         let host = symbols.lookup_host(host).expect("placements checked");
@@ -361,7 +355,7 @@ pub fn run_thread_experiment(
     // Broadcasts Kill and drains the remaining reports (threads exit on
     // Kill; a hung thread is dealt with by the bounded join below).
     let kill_and_drain =
-        |running: &mut usize, timelines: &mut Vec<LocalTimeline>, warnings: &mut Vec<String>| {
+        |running: &mut usize, timelines: &mut Vec<LocalTimeline>, warnings: &mut Vec<Warning>| {
             for sm in router.machines() {
                 router.send(sm, TMsg::Kill);
             }
@@ -371,10 +365,9 @@ pub fn run_thread_experiment(
                         NodeReport::Exited { timeline } | NodeReport::Crashed { timeline, .. } => {
                             timelines.push(timeline)
                         }
-                        NodeReport::Panicked { sm, message } => warnings.push(format!(
-                            "application panic in machine {}: {message}",
-                            study.sms.name(sm)
-                        )),
+                        NodeReport::Panicked { sm, note } => {
+                            warnings.push(Warning::AppPanic { sm, note })
+                        }
                     }
                     *running -= 1;
                 } else {
@@ -394,16 +387,13 @@ pub fn run_thread_experiment(
                 timelines.push(timeline);
                 running -= 1;
             }
-            Ok(NodeReport::Panicked { sm, message }) => {
+            Ok(NodeReport::Panicked { sm, note }) => {
                 running -= 1;
                 // A panicking application fails the experiment (typed, not
                 // propagated); the survivors are torn down so the harness
                 // gets its threads back promptly.
                 end = ExperimentEnd::Failed(ExperimentFailure::AppPanic);
-                warnings.push(format!(
-                    "application panic in machine {}: {message}",
-                    study.sms.name(sm)
-                ));
+                warnings.push(Warning::AppPanic { sm, note });
                 kill_and_drain(&mut running, &mut timelines, &mut warnings);
                 break;
             }
@@ -470,9 +460,7 @@ pub fn run_thread_experiment(
     }
     if hung > 0 {
         end = ExperimentEnd::Failed(ExperimentFailure::BudgetWallClock);
-        warnings.push(format!(
-            "{hung} node thread(s) ignored the kill order past the 2 s grace window; detached"
-        ));
+        warnings.push(Warning::HungThreads { count: hung });
     }
     timelines.sort_by_key(|t| t.sm);
 
@@ -575,7 +563,7 @@ fn spawn_node(
             panic_router.remove(sm_id);
             let _ = panic_report.send(NodeReport::Panicked {
                 sm: sm_id,
-                message: crate::contain::panic_note(payload.as_ref()),
+                note: crate::contain::panic_note(payload.as_ref()),
             });
         }
     })

@@ -1,7 +1,7 @@
 //! Failure injection on the injector itself: daemon crashes, dropped
 //! notifications, dynamic entry.
 
-use loki_core::campaign::ExperimentEnd;
+use loki_core::campaign::{ExperimentEnd, Warning};
 use loki_core::fault::{FaultExpr, Trigger};
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
@@ -84,8 +84,12 @@ fn notification_to_dead_machine_is_dropped_with_warning() {
     cfg.hosts.truncate(2);
     let data = run_experiment(&study, factory, &cfg, 0).expect("valid config");
     assert_eq!(data.end, ExperimentEnd::Completed);
+    let dropped = Warning::DroppedNotification {
+        from: study.sm_id("a").unwrap(),
+        to: study.sm_id("b").unwrap(),
+    };
     assert!(
-        data.warnings.iter().any(|w| w.contains("non-executing")),
+        data.warnings.contains(&dropped),
         "expected a dropped-notification warning, got {:?}",
         data.warnings
     );

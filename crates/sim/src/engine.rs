@@ -400,7 +400,7 @@ impl<M: 'static> Simulation<M> {
             sched_enabled: true,
             rng: StdRng::seed_from_u64(seed),
             trace: Vec::new(),
-            trace_enabled: true,
+            trace_enabled: false,
             events_processed: 0,
             budget_armed: false,
             budget_virtual_ns: u64::MAX,
@@ -420,7 +420,7 @@ impl<M: 'static> Simulation<M> {
     ///
     /// After a reset the world is observationally identical to
     /// `Simulation::with_config(config, seed)` — same hosts (they live in
-    /// the shared config), same RNG stream, trace collection re-enabled,
+    /// the shared config), same RNG stream, trace collection off,
     /// scheduling delays re-enabled. Containment budgets ([`Simulation::set_budget`]) are *disarmed*:
     /// they are per-experiment, so a harness reusing the world re-arms
     /// them after every reset.
@@ -440,7 +440,7 @@ impl<M: 'static> Simulation<M> {
         self.sched_enabled = true;
         self.rng = StdRng::seed_from_u64(seed);
         self.trace.clear();
-        self.trace_enabled = true;
+        self.trace_enabled = false;
         self.events_processed = 0;
         self.budget_armed = false;
         self.budget_virtual_ns = u64::MAX;
@@ -474,7 +474,13 @@ impl<M: 'static> Simulation<M> {
         self.sched_enabled = enabled;
     }
 
-    /// Disables trace collection (for long benchmark runs).
+    /// Enables trace collection ([`Simulation::trace`]), off by default
+    /// and after every [`Simulation::reset`].
+    pub fn enable_trace(&mut self) {
+        self.trace_enabled = true;
+    }
+
+    /// Disables trace collection and drops what was collected.
     pub fn disable_trace(&mut self) {
         self.trace_enabled = false;
         self.trace.clear();
@@ -709,7 +715,8 @@ impl<M: 'static> Simulation<M> {
         self.actor_hosts[actor.0 as usize]
     }
 
-    /// The collected trace.
+    /// The collected trace: empty unless [`Simulation::enable_trace`] was
+    /// called.
     pub fn trace(&self) -> &[TraceEntry] {
         &self.trace
     }
@@ -1327,6 +1334,7 @@ mod tests {
     fn determinism_same_seed_same_trace() {
         let run = |seed| {
             let mut sim = Simulation::new(seed);
+            sim.enable_trace();
             let h1 = sim.add_host(HostConfig::new("h1").timeslice_ns(1_000_000));
             let h2 = sim.add_host(HostConfig::new("h2").timeslice_ns(1_000_000));
             let log = Rc::new(RefCell::new(Vec::new()));
@@ -1340,7 +1348,7 @@ mod tests {
             );
             sim.run();
             let v = log.borrow().clone();
-            v
+            (v, format!("{:?}", sim.trace()))
         };
         assert_eq!(run(7), run(7));
         // Different seeds give different scheduling delays (almost surely).
@@ -1656,6 +1664,7 @@ mod tests {
     fn reset_replays_identically_and_reuses_slabs() {
         let (mut sim, h1, h2) = two_host_sim(6);
         let drive = |sim: &mut Simulation<Msg>| {
+            sim.enable_trace();
             let fired = Rc::new(RefCell::new(Vec::new()));
             let log = Rc::new(RefCell::new(Vec::new()));
             sim.spawn(
@@ -1849,6 +1858,7 @@ mod tests {
     #[test]
     fn trace_records_lifecycle() {
         let (mut sim, h1, _) = two_host_sim(8);
+        sim.enable_trace();
         sim.spawn(h1, Box::new(CrashOnStart));
         sim.run();
         let kinds: Vec<&'static str> = sim

@@ -291,26 +291,22 @@ fn token_ring_runs_on_both_backends() {
 #[test]
 fn threads_backend_rejects_a_placement_on_an_unknown_host() {
     // `ring_study` places its third member on host3. Without that host
-    // the thread runner has no clock to run the machine on: it says so,
-    // typed, before a single node thread starts.
+    // neither backend has a host to run the machine on: both say so, with
+    // the same typed error, before a single experiment starts.
     let study = Study::compile_arc(&ring_study("cross-unknown-host", 3)).unwrap();
     let factory = ring_factory(RingConfig::default());
     let mut cfg = SimHarnessConfig::three_hosts(0x0457);
     cfg.hosts.truncate(2);
-
-    let err = run_thread_experiment(&study, factory.clone(), &ThreadHarnessConfig::from(&cfg), 0)
-        .unwrap_err();
-    assert!(matches!(err, CampaignError::Hosts(_)), "{err:?}");
-    assert!(err.to_string().contains("unknown host `host3`"), "{err}");
-
-    // The simulation runs the rest of the ring and says what it left out.
-    let data = run_experiment(&study, factory, &cfg, 0).unwrap();
-    assert_eq!(data.timelines.len(), 2);
-    assert!(
-        data.warnings
-            .iter()
-            .any(|w| w.contains("unknown host `host3`")),
-        "{:?}",
-        data.warnings
+    let expected = CampaignError::Hosts(
+        "loki: invalid harness config: placement on unknown host `host3`".to_owned(),
     );
+
+    let threads =
+        run_thread_experiment(&study, factory.clone(), &ThreadHarnessConfig::from(&cfg), 0);
+    assert_eq!(threads.unwrap_err(), expected);
+    assert_eq!(
+        run_experiment(&study, factory.clone(), &cfg, 0).unwrap_err(),
+        expected
+    );
+    assert_eq!(run_study(&study, factory, &cfg, 2).unwrap_err(), expected);
 }

@@ -12,10 +12,10 @@ mod common;
 use loki::analysis::{analyze_one, AnalysisOptions};
 use loki::apps::chaos::{chaos_factory, chaos_study, ChaosConfig, CHAOS_PANIC};
 use loki::clock::params::ClockParams;
-use loki::core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync};
+use loki::core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync, Warning};
 use loki::core::study::Study;
 use loki::runtime::harness::{run_study, CampaignPipeline, SimHarnessConfig};
-use loki::runtime::{run_thread_experiment, AppFactory, ThreadHarnessConfig};
+use loki::runtime::{run_thread_experiment, AppFactory, NotifyRouting, ThreadHarnessConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Once};
@@ -297,9 +297,12 @@ fn budgets_trip_inside_the_sync_mini_phases() {
                 ExperimentEnd::Failed(ExperimentFailure::BudgetEvents),
                 "n={n} k={k}"
             );
-            let tripped_after = format!("after {n} events");
             assert!(
-                data.warnings.iter().any(|w| w.contains(&tripped_after)),
+                data.warnings.iter().any(|w| matches!(
+                    w,
+                    Warning::BudgetTrip { failure: ExperimentFailure::BudgetEvents, events, .. }
+                        if *events == n
+                )),
                 "n={n} k={k}: {:?}",
                 data.warnings
             );
@@ -422,7 +425,10 @@ fn harness_panics_are_contained_and_quarantined() {
     assert_eq!(failed.len(), 1, "failed experiments: {failed:?}");
     let victim = failed[0] as usize;
     assert!(
-        raw[victim].warnings.iter().any(|w| w.contains(CHAOS_PANIC)),
+        raw[victim]
+            .warnings
+            .iter()
+            .any(|w| matches!(w, Warning::HarnessPanic { note } if note.contains(CHAOS_PANIC))),
         "{:?}",
         raw[victim].warnings
     );
@@ -462,57 +468,27 @@ fn harness_panics_are_contained_and_quarantined() {
 }
 
 #[test]
-fn failure_reports_are_deduplicated_per_kind() {
-    quiet_chaos_panics();
-    let study = Study::compile_arc(&chaos_study("chaos-reports", 3)).unwrap();
-    let pipeline = CampaignPipeline::new(
-        study,
-        chaos_factory(ChaosConfig {
-            panic_p: 0.2,
-            hang_p: 0.1,
-            ..ChaosConfig::default()
-        }),
-        chaos_harness(0xDED0),
-    );
-    let summary = pipeline
-        .run_with_workers(32, 2, |_| {})
-        .expect("valid campaign config");
-    assert!(summary.failed > 2, "campaign produced {}", summary.failed);
-
-    // Dozens of failures, but one report per failure *shape* — and the
-    // second drain comes back empty.
-    let reports = pipeline.take_failure_reports();
-    assert!(!reports.is_empty());
-    assert!(reports.len() <= 2, "reports not deduplicated: {reports:?}");
-    assert!(reports.iter().any(|r| r.contains("application panic")));
-    assert!(pipeline.take_failure_reports().is_empty());
-}
-
-#[test]
-fn failure_reports_belong_to_the_most_recent_run() {
-    quiet_chaos_panics();
-    let study = Study::compile_arc(&chaos_study("chaos-reports", 3)).unwrap();
-    let pipeline =
-        CampaignPipeline::new(study, chaos_factory(chaos_cfg(true)), chaos_harness(0xC405));
-    // A failing campaign, its reports left undrained.
-    let mut first_failure = None;
-    pipeline
-        .run_with_workers(32, 2, |analyzed| {
-            if analyzed.end.failure().is_some() {
-                first_failure.get_or_insert(analyzed.experiment);
-            }
-        })
-        .expect("valid campaign config");
-    let healthy = first_failure.expect("the campaign fails somewhere");
-    assert!(healthy > 0, "experiment 0 failed: no healthy prefix to run");
-
-    // Experiment k depends on (seed, k) alone, so the prefix before the
-    // first failure is a failure-free run — and must report as one.
-    let summary = pipeline
-        .run_with_workers(healthy, 2, |_| {})
-        .expect("valid campaign config");
-    assert_eq!(summary.failed, 0);
-    assert_eq!(pipeline.take_failure_reports(), Vec::<String>::new());
+fn direct_routing_records_each_dropped_notification_once() {
+    // Under direct routing each node looks its targets up itself. Once the
+    // token holder is killed, every notification still aimed at it is
+    // dropped: the experiment records that once, not once per drop.
+    let (study, factory) = common::ring_campaign("ring-direct-warnings");
+    let mut cfg = SimHarnessConfig::three_hosts(11);
+    cfg.routing = NotifyRouting::Direct;
+    let raw = run_study(&study, factory, &cfg, 16).expect("valid campaign config");
+    for data in &raw {
+        for (i, warning) in data.warnings.iter().enumerate() {
+            assert!(
+                !data.warnings[..i].contains(warning),
+                "experiment {}: {warning:?} recorded twice",
+                data.experiment
+            );
+        }
+    }
+    assert!(raw
+        .iter()
+        .flat_map(|data| &data.warnings)
+        .any(|w| matches!(w, Warning::DroppedNotification { .. })));
 }
 
 #[test]
