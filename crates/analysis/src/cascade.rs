@@ -153,7 +153,7 @@ mod tests {
         Study::compile(&def).unwrap()
     }
 
-    fn event(kind: GlobalEventKind, at_ms: f64, idx: usize) -> GlobalEvent {
+    fn event(kind: GlobalEventKind, at_ms: f64, idx: u32) -> GlobalEvent {
         GlobalEvent {
             sm: SmId::from_raw(0),
             kind,
@@ -176,7 +176,7 @@ mod tests {
             events.push(event(
                 GlobalEventKind::UserMessage(format!("retry seq={i} attempt=1")),
                 *ms,
-                i + 1,
+                i as u32 + 1,
             ));
         }
         GlobalTimeline {

@@ -68,12 +68,13 @@ fn atom_truth(gt: &GlobalTimeline, sm: SmId, state: StateId, window: (f64, f64))
         if iv.state != state {
             continue;
         }
-        let (exit_lo, exit_hi) = match iv.exit {
+        let (exit_lo, exit_hi) = match gt.exit_of(iv) {
             Some(exit) => (exit.lo.as_f64(), exit.hi.as_f64()),
             None => (window.1, window.1),
         };
-        definite.push((iv.enter.hi.as_f64(), exit_lo));
-        possible.push((iv.enter.lo.as_f64(), exit_hi));
+        let enter = gt.enter_of(iv);
+        definite.push((enter.hi.as_f64(), exit_lo));
+        possible.push((enter.lo.as_f64(), exit_hi));
     }
     Truth {
         definite: IntervalSet::from_spans(definite),
@@ -88,7 +89,7 @@ struct TimelineIndex<'a> {
     window: (f64, f64),
     /// Per machine queried so far: its state-setting records as
     /// `(record_index, state entered)`, ascending by record index.
-    own: BTreeMap<SmId, Vec<(usize, StateId)>>,
+    own: BTreeMap<SmId, Vec<(u32, StateId)>>,
     /// The truth regions of every atom queried so far.
     atoms: BTreeMap<(SmId, StateId), Rc<Truth>>,
 }
@@ -148,10 +149,10 @@ impl<'a> TimelineIndex<'a> {
     /// when there is none (so also for a machine the study does not
     /// define). Record order decides, whatever order the machine's events
     /// have on the global timeline.
-    fn own_state_at_record(&mut self, study: &Study, sm: SmId, record_index: usize) -> StateId {
+    fn own_state_at_record(&mut self, study: &Study, sm: SmId, record_index: u32) -> StateId {
         let gt = self.gt;
         let records = self.own.entry(sm).or_insert_with(|| {
-            let mut records: Vec<(usize, StateId)> = gt
+            let mut records: Vec<(u32, StateId)> = gt
                 .events
                 .iter()
                 .filter(|e| e.sm == sm)
@@ -887,7 +888,7 @@ mod tests {
         let work = study.states.lookup("WORK").unwrap();
         let own = study.fault_names.lookup("own").unwrap();
         let at = |t: f64| TimeBounds::point(GlobalNanos(t));
-        let change = |record_index: usize, t: f64, from_state, new_state| GlobalEvent {
+        let change = |record_index: u32, t: f64, from_state, new_state| GlobalEvent {
             sm: a,
             kind: GlobalEventKind::StateChange {
                 event: go,

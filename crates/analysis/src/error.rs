@@ -30,6 +30,13 @@ pub enum AnalysisError {
         /// The offending upper bound (ns).
         hi: f64,
     },
+    /// The experiment has more records than the global timeline can
+    /// address: events are named by `u32` positions, one value of which
+    /// means "no event".
+    TooManyRecords {
+        /// Records across all local timelines.
+        records: usize,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -45,6 +52,11 @@ impl fmt::Display for AnalysisError {
             AnalysisError::InvalidWindow { lo, hi } => write!(
                 f,
                 "invalid analysis window [{lo}, {hi}] ns: bounds must be finite with lo <= hi"
+            ),
+            AnalysisError::TooManyRecords { records } => write!(
+                f,
+                "{records} records exceed the {} a global timeline can address",
+                u32::MAX
             ),
         }
     }
@@ -79,6 +91,11 @@ mod tests {
         assert!(e.source().is_none());
         let e = AnalysisError::InvalidWindow { lo: 2.0, hi: 1.0 };
         assert!(e.to_string().contains("analysis window"));
+        assert!(e.source().is_none());
+        let e = AnalysisError::TooManyRecords {
+            records: usize::MAX,
+        };
+        assert!(e.to_string().contains("exceed the 4294967295"));
         assert!(e.source().is_none());
     }
 }

@@ -4,12 +4,18 @@
 //! For each experiment: estimate `(α, β)` bounds per host from the sync
 //! mini-phases, project every local timeline record onto the reference
 //! timeline as a [`TimeBounds`] interval, and derive per-machine state
-//! intervals (entry/exit bounds per occupied state). The resulting
+//! intervals (entry/exit per occupied state). The resulting
 //! [`GlobalTimeline`] is the input to both the fault-injection correctness
 //! check and the measure phase.
+//!
+//! Each time bound is stored once, on its event: a [`StateInterval`] names
+//! the events that opened and closed it, and
+//! [`GlobalTimeline::enter_of`]/[`GlobalTimeline::exit_of`] read the bounds
+//! off them. A retained timeline is mostly events and intervals, so this
+//! layout is what a campaign that keeps its results pays per experiment.
 
 use crate::error::AnalysisError;
-use crate::merge::{merge_sorted_runs, MergeScratch};
+use crate::merge::{merge_sorted_runs, sort_permutation, MergeScratch};
 use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, SyncOptions};
 use loki_core::campaign::ExperimentData;
 use loki_core::ids::{EventId, FaultId, HostId, SmId, StateId, SymbolTable};
@@ -17,6 +23,7 @@ use loki_core::recorder::RecordKind;
 use loki_core::study::Study;
 use loki_core::time::{GlobalNanos, TimeBounds};
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::Arc;
 
 /// The payload of a global-timeline event.
@@ -57,21 +64,36 @@ pub struct GlobalEvent {
     /// Guaranteed-enclosing bounds on the occurrence time.
     pub bounds: TimeBounds,
     /// Index of the source record in the machine's local timeline.
-    pub record_index: usize,
+    pub record_index: u32,
 }
 
 /// A maximal interval during which one machine occupied one state.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The interval stores no bounds of its own: `enter` and `exit` are
+/// positions in [`GlobalTimeline::events`] of the state-setting events
+/// (`StateChange` or `Restart`) that opened and closed it, so read its
+/// bounds through [`GlobalTimeline::enter_of`] and
+/// [`GlobalTimeline::exit_of`]. [`StateInterval::OPEN`] names no event: as
+/// `exit`, the state was held until the end of the experiment; as `enter`,
+/// the state was entered before the first event, which only a hand-built
+/// timeline has (`make_global` opens every interval at an event).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StateInterval {
     /// The machine.
     pub sm: SmId,
     /// The state occupied.
     pub state: StateId,
-    /// Bounds on the entry instant.
-    pub enter: TimeBounds,
-    /// Bounds on the exit instant; `None` when the state was held until
-    /// the end of the experiment.
-    pub exit: Option<TimeBounds>,
+    /// Position in [`GlobalTimeline::events`] of the event that entered
+    /// the state, or [`StateInterval::OPEN`].
+    pub enter: u32,
+    /// Position in [`GlobalTimeline::events`] of the event that left the
+    /// state, or [`StateInterval::OPEN`].
+    pub exit: u32,
+}
+
+impl StateInterval {
+    /// The position that names no event (see [`StateInterval`]).
+    pub const OPEN: u32 = u32::MAX;
 }
 
 /// The single global timeline of one experiment (§2.5).
@@ -81,11 +103,17 @@ pub struct StateInterval {
 /// identity projection — no record referenced them, or `make_global` would
 /// have failed). The study-run [`SymbolTable`] rides along behind an `Arc`
 /// so reports can resolve names without the (dropped) raw data.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// `Debug` prints every interval with its bounds resolved, exactly as when
+/// intervals stored them.
+#[derive(Clone, PartialEq)]
 pub struct GlobalTimeline {
     /// All events, sorted by the midpoint of their bounds.
     pub events: Vec<GlobalEvent>,
-    /// State-occupancy intervals, grouped by machine in record order.
+    /// State-occupancy intervals, grouped by machine in record order. Each
+    /// points at its entering and leaving events in `events`; resolve its
+    /// bounds with [`GlobalTimeline::enter_of`] and
+    /// [`GlobalTimeline::exit_of`].
     pub intervals: Vec<StateInterval>,
     /// Experiment window start (minimum lower bound over events).
     pub start: GlobalNanos,
@@ -101,9 +129,32 @@ pub struct GlobalTimeline {
 }
 
 impl GlobalTimeline {
-    /// Intervals of one machine, in chronological (record) order.
+    /// Intervals of one machine, in chronological (record) order. Their
+    /// bounds are read through [`GlobalTimeline::enter_of`] and
+    /// [`GlobalTimeline::exit_of`].
     pub fn intervals_of(&self, sm: SmId) -> impl Iterator<Item = &StateInterval> {
         self.intervals.iter().filter(move |iv| iv.sm == sm)
+    }
+
+    /// Bounds on the instant `iv` was entered: its entering event's, or the
+    /// experiment start as a point when it was entered before the first
+    /// event ([`StateInterval::OPEN`]).
+    pub fn enter_of(&self, iv: &StateInterval) -> TimeBounds {
+        self.bounds_at(iv.enter)
+            .unwrap_or(TimeBounds::point(self.start))
+    }
+
+    /// Bounds on the instant `iv` was left: its leaving event's, or `None`
+    /// when the state was held until the end ([`StateInterval::OPEN`]).
+    pub fn exit_of(&self, iv: &StateInterval) -> Option<TimeBounds> {
+        self.bounds_at(iv.exit)
+    }
+
+    /// The bounds of the event at `position`; `None` for
+    /// [`StateInterval::OPEN`] and for any other position past the end of
+    /// `events`, which a hand-built timeline could hold.
+    fn bounds_at(&self, position: u32) -> Option<TimeBounds> {
+        self.events.get(position as usize).map(|e| e.bounds)
     }
 
     /// All fault injections on the global timeline.
@@ -140,6 +191,38 @@ impl GlobalTimeline {
             + strings
         // `symbols` is shared per study run, not per experiment — the Arc
         // pointer is already counted in `size_of::<Self>()`.
+    }
+}
+
+impl fmt::Debug for GlobalTimeline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Intervals print their resolved bounds, in the shape a derived
+        // `Debug` gives intervals that hold them: result digests hash this.
+        let resolved = |iv: &StateInterval| {
+            let (sm, state, enter, exit) = (iv.sm, iv.state, self.enter_of(iv), self.exit_of(iv));
+            fmt::from_fn(move |f| {
+                f.debug_struct("StateInterval")
+                    .field("sm", &sm)
+                    .field("state", &state)
+                    .field("enter", &enter)
+                    .field("exit", &exit)
+                    .finish()
+            })
+        };
+        let intervals = fmt::from_fn(|f| {
+            f.debug_list()
+                .entries(self.intervals.iter().map(resolved))
+                .finish()
+        });
+        f.debug_struct("GlobalTimeline")
+            .field("events", &self.events)
+            .field("intervals", &intervals)
+            .field("start", &self.start)
+            .field("end", &self.end)
+            .field("alpha_beta", &self.alpha_beta)
+            .field("reference_host", &self.reference_host)
+            .field("symbols", &self.symbols)
+            .finish()
     }
 }
 
@@ -195,8 +278,9 @@ thread_local! {
 ///
 /// Returns [`AnalysisError::Sync`] when a host's clock cannot be calibrated,
 /// [`AnalysisError::UnknownHost`] when a timeline references a host with
-/// no sync data, and [`AnalysisError::InvalidWindow`] when the options carry
-/// a degenerate analysis window.
+/// no sync data, [`AnalysisError::InvalidWindow`] when the options carry
+/// a degenerate analysis window, and [`AnalysisError::TooManyRecords`] when
+/// the experiment has more records than a `u32` event position can name.
 pub fn make_global(
     study: &Study,
     data: &ExperimentData,
@@ -215,6 +299,11 @@ fn build_global(
     scratch: &mut MergeScratch,
 ) -> Result<GlobalTimeline, AnalysisError> {
     scratch.clear();
+    // Event positions and record indexes are `u32`, and `StateInterval::OPEN`
+    // is no position: at most `OPEN` records keeps every position below it
+    // and every run bound of the merge's table in range.
+    let total_records: usize = data.timelines.iter().map(|t| t.records.len()).sum();
+    check_record_count(total_records)?;
     // --- alphabeta: per-host clock calibration -----------------------------
     // Dense, indexed by `HostId`: the projection loop below resolves a
     // record's bounds with one array index instead of hashing a host-name
@@ -257,19 +346,19 @@ fn build_global(
     // --- makeglobal: project every record -----------------------------------
     // Exact capacity up front: one event per record, at most one interval
     // per record — the loop below never reallocates.
-    let total_records: usize = data.timelines.iter().map(|t| t.records.len()).sum();
     let mut events = Vec::with_capacity(total_records);
     let mut intervals = Vec::with_capacity(total_records + data.timelines.len());
     // Each timeline appends one contiguous run of events. While every run
     // stays mid-monotonic (the affine projection is monotonic in local
     // time, so only a clock stepping backwards across a host change breaks
     // this) the global ordering below is a k-way merge instead of a sort.
-    // Run indexes are u32, so absurdly large inputs take the sort fallback.
-    let mut runs_sorted = u32::try_from(total_records).is_ok();
+    let mut runs_sorted = true;
 
     for timeline in &data.timelines {
         let mut current_state = study.reserved.begin;
-        let mut open: Option<(StateId, TimeBounds)> = None;
+        // The open interval's state and entering event, by its position
+        // before ordering (remapped below).
+        let mut open: Option<(StateId, u32)> = None;
         let mut checked_host: Option<HostId> = None;
         let run_start = events.len();
         let mut prev_mid = f64::NEG_INFINITY;
@@ -292,6 +381,8 @@ fn build_global(
                 }
                 prev_mid = mid;
             }
+            // Below `OPEN`: `check_record_count` bounds both.
+            let position = events.len() as u32;
             let kind = match &record.kind {
                 RecordKind::StateChange { event, new_state } => {
                     let from_state = current_state;
@@ -301,10 +392,10 @@ fn build_global(
                             sm: timeline.sm,
                             state,
                             enter,
-                            exit: Some(bounds),
+                            exit: position,
                         });
                     }
-                    open = Some((*new_state, bounds));
+                    open = Some((*new_state, position));
                     current_state = *new_state;
                     GlobalEventKind::StateChange {
                         event: *event,
@@ -324,10 +415,10 @@ fn build_global(
                             sm: timeline.sm,
                             state,
                             enter,
-                            exit: Some(bounds),
+                            exit: position,
                         });
                     }
-                    open = Some((study.reserved.begin, bounds));
+                    open = Some((study.reserved.begin, position));
                     current_state = study.reserved.begin;
                     GlobalEventKind::Restart { host: *host }
                 }
@@ -337,7 +428,7 @@ fn build_global(
                 sm: timeline.sm,
                 kind,
                 bounds,
-                record_index: idx,
+                record_index: idx as u32,
             });
         }
         if let Some((state, enter)) = open.take() {
@@ -345,7 +436,7 @@ fn build_global(
                 sm: timeline.sm,
                 state,
                 enter,
-                exit: None,
+                exit: StateInterval::OPEN,
             });
         }
         if runs_sorted && events.len() > run_start {
@@ -356,12 +447,27 @@ fn build_global(
     // Order by midpoint. The merge reproduces the stable sort's exact tie
     // order — equal mids resolve by (timeline, record position), which is
     // insertion order — so both arms are byte-identical; the merge is just
-    // O(n log k) and allocation-free once the scratch has warmed up.
+    // O(n log k). Either arm yields one destination permutation, which
+    // first carries the intervals' event positions and then moves the
+    // events; both are allocation-free once the scratch has warmed up.
+    let mid = |e: &GlobalEvent| e.bounds.mid().as_f64();
     if runs_sorted {
-        merge_sorted_runs(&mut events, scratch, |e| e.bounds.mid().as_f64());
+        merge_sorted_runs(&events, scratch, mid);
     } else {
-        events.sort_by(|a, b| a.bounds.mid().total_cmp(&b.bounds.mid()));
+        sort_permutation(&events, scratch, mid);
     }
+    let perm = scratch.permutation();
+    if !perm.is_empty() {
+        let moved = |position: u32| match position {
+            StateInterval::OPEN => StateInterval::OPEN,
+            _ => perm[position as usize],
+        };
+        for iv in &mut intervals {
+            iv.enter = moved(iv.enter);
+            iv.exit = moved(iv.exit);
+        }
+    }
+    scratch.permute(&mut events);
     let start = events
         .iter()
         .map(|e| e.bounds.lo)
@@ -401,6 +507,15 @@ fn build_global(
         reference_host: data.reference_host,
         symbols: data.symbols.clone(),
     })
+}
+
+/// Rejects an experiment with more records than `u32` event positions can
+/// name next to [`StateInterval::OPEN`].
+fn check_record_count(records: usize) -> Result<(), AnalysisError> {
+    if records > StateInterval::OPEN as usize {
+        return Err(AnalysisError::TooManyRecords { records });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -506,13 +621,81 @@ mod tests {
         let ivs: Vec<&StateInterval> = gt.intervals_of(a).collect();
         assert_eq!(ivs.len(), 3);
         assert_eq!(ivs[0].state, study.states.lookup("INIT").unwrap());
-        assert!(ivs[0].exit.is_some());
+        assert!(gt.exit_of(ivs[0]).is_some());
         assert_eq!(ivs[2].state, study.reserved.exit);
-        assert!(ivs[2].exit.is_none());
+        assert_eq!(ivs[2].exit, StateInterval::OPEN);
+        assert!(gt.exit_of(ivs[2]).is_none());
+        // An interval is left by the event that enters the next one.
+        assert_eq!(ivs[0].exit, ivs[1].enter);
+        assert_eq!(gt.exit_of(ivs[0]), Some(gt.enter_of(ivs[1])));
         // Projection bounds contain the local times (clocks ideal & equal).
-        assert!(ivs[0].enter.lo.as_f64() <= 10_000_000.0);
-        assert!(ivs[0].enter.hi.as_f64() >= 10_000_000.0 - 60_000.0);
+        let enter = gt.enter_of(ivs[0]);
+        assert!(enter.lo.as_f64() <= 10_000_000.0);
+        assert!(enter.hi.as_f64() >= 10_000_000.0 - 60_000.0);
         assert!(gt.start.as_f64() < gt.end.as_f64());
+    }
+
+    #[test]
+    fn record_counts_past_the_position_space_are_an_error() {
+        let limit = StateInterval::OPEN as usize;
+        assert!(check_record_count(limit).is_ok());
+        assert!(matches!(
+            check_record_count(limit + 1),
+            Err(AnalysisError::TooManyRecords { records }) if records == limit + 1
+        ));
+    }
+
+    /// `GlobalTimeline`'s `Debug` prints what `#[derive(Debug)]` printed
+    /// when every interval stored its bounds — the benchmark's result digest
+    /// hashes this text.
+    #[test]
+    fn debug_prints_intervals_with_their_bounds() {
+        mod stored {
+            // Read only by the derived `Debug`.
+            #![allow(dead_code)]
+            use super::super::*;
+            #[derive(Debug)]
+            pub struct StateInterval {
+                pub sm: SmId,
+                pub state: StateId,
+                pub enter: TimeBounds,
+                pub exit: Option<TimeBounds>,
+            }
+            #[derive(Debug)]
+            pub struct GlobalTimeline<'a> {
+                pub events: &'a [GlobalEvent],
+                pub intervals: Vec<StateInterval>,
+                pub start: GlobalNanos,
+                pub end: GlobalNanos,
+                pub alpha_beta: &'a [AlphaBetaBounds],
+                pub reference_host: HostId,
+                pub symbols: &'a Arc<SymbolTable>,
+            }
+        }
+        let (study, shapes) = scratch_shapes();
+        for data in &shapes[..3] {
+            let gt = make_global(&study, data, &GlobalOptions::default()).unwrap();
+            let derived = stored::GlobalTimeline {
+                events: &gt.events,
+                intervals: gt
+                    .intervals
+                    .iter()
+                    .map(|iv| stored::StateInterval {
+                        sm: iv.sm,
+                        state: iv.state,
+                        enter: gt.enter_of(iv),
+                        exit: gt.exit_of(iv),
+                    })
+                    .collect(),
+                start: gt.start,
+                end: gt.end,
+                alpha_beta: &gt.alpha_beta,
+                reference_host: gt.reference_host,
+                symbols: &gt.symbols,
+            };
+            assert_eq!(format!("{gt:?}"), format!("{derived:?}"));
+            assert_eq!(format!("{gt:#?}"), format!("{derived:#?}"));
+        }
     }
 
     #[test]
@@ -674,6 +857,36 @@ mod tests {
         (study, vec![single, merged, backwards, unknown])
     }
 
+    /// Every interval with its bounds resolved, and checked to point at
+    /// state-setting events of its own machine.
+    fn resolved_intervals(
+        study: &Study,
+        gt: &GlobalTimeline,
+    ) -> Vec<(SmId, StateId, TimeBounds, Option<TimeBounds>)> {
+        let sets = |position: u32, sm: SmId| match &gt.events[position as usize] {
+            e if e.sm != sm => None,
+            GlobalEvent {
+                kind: GlobalEventKind::StateChange { new_state, .. },
+                ..
+            } => Some(*new_state),
+            GlobalEvent {
+                kind: GlobalEventKind::Restart { .. },
+                ..
+            } => Some(study.reserved.begin),
+            _ => None,
+        };
+        gt.intervals
+            .iter()
+            .map(|iv| {
+                assert_eq!(sets(iv.enter, iv.sm), Some(iv.state), "{iv:?}");
+                if iv.exit != StateInterval::OPEN {
+                    assert!(sets(iv.exit, iv.sm).is_some(), "{iv:?}");
+                }
+                (iv.sm, iv.state, gt.enter_of(iv), gt.exit_of(iv))
+            })
+            .collect()
+    }
+
     #[test]
     fn thread_local_scratch_is_unobservable() {
         let (study, shapes) = scratch_shapes();
@@ -700,17 +913,32 @@ mod tests {
         );
         assert!(matches!(fresh[3], Err(AnalysisError::UnknownHost { .. })));
 
+        let resolved = |gt: &Result<GlobalTimeline, AnalysisError>| {
+            gt.as_ref().map(|gt| resolved_intervals(&study, gt)).ok()
+        };
+        let fresh_intervals: Vec<_> = fresh.iter().map(resolved).collect();
+        // The restart, last of its timeline's records, sorts first: the
+        // BEGIN interval it opens must follow it to position 0.
+        let reopened = sorted
+            .intervals
+            .iter()
+            .find(|iv| iv.state == study.reserved.begin);
+        assert_eq!(
+            reopened.map(|iv| (iv.enter, iv.exit)),
+            Some((0, StateInterval::OPEN))
+        );
+
         // On this one thread: every shape after every other, itself included.
         for first in 0..shapes.len() {
             for second in 0..shapes.len() {
+                let again = make_global(&study, &shapes[first], &opts);
+                assert_eq!(again, fresh[first], "shape {first}");
+                assert_eq!(resolved(&again), fresh_intervals[first], "shape {first}");
+                let again = make_global(&study, &shapes[second], &opts);
+                assert_eq!(again, fresh[second], "shape {second} after shape {first}");
                 assert_eq!(
-                    make_global(&study, &shapes[first], &opts),
-                    fresh[first],
-                    "shape {first}"
-                );
-                assert_eq!(
-                    make_global(&study, &shapes[second], &opts),
-                    fresh[second],
+                    resolved(&again),
+                    fresh_intervals[second],
                     "shape {second} after shape {first}"
                 );
             }

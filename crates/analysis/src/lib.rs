@@ -41,6 +41,14 @@
 //! returns — [`GlobalTimeline`], [`AnalyzedExperiment`] — is plain owned
 //! data: derived `Clone`/`PartialEq`, no destructor. The only state kept
 //! between calls is `make_global`'s thread-local merge scratch.
+//!
+//! A campaign that keeps its results keeps one of these per experiment, so
+//! each time bound is stored once, on its [`GlobalEvent`] (48 bytes): a
+//! [`StateInterval`] (16 bytes) holds the positions of the events that
+//! entered and left its state, read back through
+//! [`GlobalTimeline::enter_of`]/[`GlobalTimeline::exit_of`], and the rare
+//! [`AnalysisError`] sits behind a `Box`, which keeps an
+//! [`AnalyzedExperiment`] at 184 bytes. A unit test holds these sizes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -84,8 +92,9 @@ pub struct AnalyzedExperiment {
     /// The correctness verdict (`accepted == false` when the experiment
     /// aborted, timed out, failed analysis, or failed the check).
     pub verdict: Option<ExperimentVerdict>,
-    /// Analysis error, if any.
-    pub error: Option<AnalysisError>,
+    /// Analysis error, if any — boxed, since nearly every result has none
+    /// and an inline error would widen every retained result.
+    pub error: Option<Box<AnalysisError>>,
 }
 
 impl AnalyzedExperiment {
@@ -194,7 +203,7 @@ pub fn analyze_one(
             analyzed.verdict = Some(check_experiment(study, &gt, opts.missing));
             analyzed.global = Some(gt);
         }
-        Err(e) => analyzed.error = Some(e),
+        Err(e) => analyzed.error = Some(Box::new(e)),
     }
     analyzed
 }
@@ -225,4 +234,32 @@ pub fn accepted_timelines(analyzed: &[AnalyzedRun]) -> Vec<&GlobalTimeline> {
         .filter(|a| a.accepted())
         .filter_map(|a| a.global())
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// A retained result is mostly these three; a field that regrows one
+    /// grows every campaign that keeps its results.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn retained_results_stay_compact() {
+        assert!(
+            size_of::<StateInterval>() <= 16,
+            "{}",
+            size_of::<StateInterval>()
+        );
+        assert!(
+            size_of::<GlobalEvent>() <= 48,
+            "{}",
+            size_of::<GlobalEvent>()
+        );
+        assert!(
+            size_of::<AnalyzedExperiment>() <= 184,
+            "{}",
+            size_of::<AnalyzedExperiment>()
+        );
+    }
 }

@@ -1,4 +1,4 @@
-//! K-way merge of time-sorted event runs.
+//! Ordering time-stamped events: a k-way merge of sorted runs, or a sort.
 //!
 //! `make_global` appends each local timeline's events as one contiguous
 //! *run*, and within a run the projected midpoints are (almost always)
@@ -11,15 +11,20 @@
 //! A stable sort keyed on the midpoint keeps equal-key elements in input
 //! order, and input order here is `(run index, position within run)` —
 //! exactly the order a min-heap keyed `(mid, run)` pops tied heads in, since
-//! positions within one run enter the heap in order. [`merge_sorted_runs`]
-//! produces a destination permutation from that heap and applies it in
-//! place with a cycle walk: no element clones (event payloads may own
-//! strings), no unsafe (this crate forbids it), no extra buffers beyond the
-//! reused scratch.
+//! positions within one run enter the heap in order.
+//!
+//! Both orderings work in two steps. [`merge_sorted_runs`] (or, when some
+//! run is not sorted, [`sort_permutation`]) only computes the destination
+//! permutation `perm[src] == dst`; the caller may read it
+//! ([`MergeScratch::permutation`]) to move positions it holds elsewhere —
+//! `make_global`'s state intervals point at their events — and then
+//! [`MergeScratch::permute`] applies it in place with a cycle walk: no
+//! element clones (event payloads may own strings), no unsafe (this crate
+//! forbids it), no extra buffers beyond the reused scratch.
 //!
 //! Callers are responsible for detecting the (rare) non-monotonic run —
 //! e.g. a clock stepping backwards across a restart onto a different host —
-//! and falling back to the stable sort, which
+//! and taking the sort instead, which
 //! [`make_global`](crate::global::make_global) does.
 
 use loki_core::campaign::SyncSample;
@@ -50,12 +55,12 @@ fn head_lt(a: &Head, b: &Head) -> bool {
     }
 }
 
-/// Reusable scratch for [`merge_sorted_runs`]: the run table filled by the
-/// caller, plus the permutation and heap buffers the merge works in. All
-/// retain capacity across uses, so a reused `MergeScratch` makes the merge
-/// allocation-free in steady state. `make_global` keeps one per thread and
-/// gathers its one other per-experiment buffer here too, so a single object
-/// covers the whole construction.
+/// Reusable scratch for ordering events: the run table filled by the
+/// caller, plus the permutation, heap and sort buffers the orderings work
+/// in. All retain capacity across uses, so a reused `MergeScratch` makes
+/// either ordering allocation-free in steady state. `make_global` keeps one
+/// per thread and gathers its one other per-experiment buffer here too, so
+/// a single object covers the whole construction.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
     /// One host's sync samples (pre- then post-phase), gathered for clock
@@ -65,11 +70,14 @@ pub struct MergeScratch {
     /// order. Filled by the caller before [`merge_sorted_runs`]; ranges
     /// must be non-empty, non-overlapping, and cover the slice exactly.
     pub runs: Vec<(u32, u32)>,
-    /// Destination permutation (`perm[src] == dst`), built then consumed in
-    /// place by the cycle walk.
+    /// Destination permutation (`perm[src] == dst`), built by an ordering
+    /// and consumed in place by [`MergeScratch::permute`]; empty when the
+    /// items are already in order.
     perm: Vec<u32>,
     /// The k-entry min-heap of run heads.
     heap: Vec<Head>,
+    /// The sort's source indexes in destination order (`order[dst] == src`).
+    order: Vec<u32>,
 }
 
 impl MergeScratch {
@@ -79,6 +87,30 @@ impl MergeScratch {
         self.runs.clear();
         self.perm.clear();
         self.heap.clear();
+        self.order.clear();
+    }
+
+    /// The destination permutation of the last ordering (`perm[src] ==
+    /// dst`), not yet applied; empty when the items are already in order.
+    pub fn permutation(&self) -> &[u32] {
+        &self.perm
+    }
+
+    /// Moves every `items[src]` to `items[perm[src]]` by walking the
+    /// permutation's cycles with swaps, consuming it. `items` must be the
+    /// slice the permutation was computed over; an empty permutation leaves
+    /// it as it is.
+    pub fn permute<T>(&mut self, items: &mut [T]) {
+        let perm = &mut self.perm;
+        debug_assert!(perm.is_empty() || perm.len() == items.len());
+        for i in 0..perm.len() {
+            while perm[i] as usize != i {
+                let j = perm[i] as usize;
+                items.swap(i, j);
+                perm.swap(i, j);
+            }
+        }
+        perm.clear();
     }
 }
 
@@ -116,26 +148,26 @@ fn sift_down(heap: &mut [Head], mut pos: usize) {
     }
 }
 
-/// Merges the sorted runs described by `scratch.runs` so that `items` ends
-/// up ordered exactly as `items.sort_by(|a, b| key(a).total_cmp(&key(b)))`
-/// would leave it — provided every run is non-decreasing under
-/// `total_cmp(key)`. Runs of a single range (or none) return immediately:
-/// the slice is already sorted.
+/// Computes into `scratch` the destination permutation that, applied by
+/// [`MergeScratch::permute`], leaves `items` ordered exactly as
+/// `items.sort_by(|a, b| key(a).total_cmp(&key(b)))` would — provided every
+/// run in `scratch.runs` is non-decreasing under `total_cmp(key)`. Runs of
+/// a single range (or none) leave the permutation empty: the slice is
+/// already sorted.
 ///
 /// The merge walks the `k` run heads through a min-heap keyed
-/// `(key, run index)`, recording for each source index its destination,
-/// then applies that permutation in place by walking its cycles — `O(n log
-/// k)` time, zero allocation once `scratch` has warmed up, no element
-/// clones.
+/// `(key, run index)`, recording for each source index its destination —
+/// `O(n log k)` time, zero allocation once `scratch` has warmed up.
 ///
 /// # Panics
 ///
 /// Debug builds assert the run table is well-formed (non-empty ranges
 /// covering `items`); release builds trust the caller.
-pub fn merge_sorted_runs<T, F: Fn(&T) -> f64>(items: &mut [T], scratch: &mut MergeScratch, key: F) {
+pub fn merge_sorted_runs<T, F: Fn(&T) -> f64>(items: &[T], scratch: &mut MergeScratch, key: F) {
     let MergeScratch {
         runs, perm, heap, ..
     } = scratch;
+    perm.clear();
     if runs.len() <= 1 {
         return;
     }
@@ -146,7 +178,6 @@ pub fn merge_sorted_runs<T, F: Fn(&T) -> f64>(items: &mut [T], scratch: &mut Mer
         n,
         "runs must cover the slice exactly"
     );
-    perm.clear();
     perm.resize(n, 0);
     heap.clear();
     for (run, &(start, end)) in runs.iter().enumerate() {
@@ -181,14 +212,28 @@ pub fn merge_sorted_runs<T, F: Fn(&T) -> f64>(items: &mut [T], scratch: &mut Mer
         }
         sift_down(heap, 0);
     }
-    // Apply the destination permutation in place: walk each cycle with
-    // swaps until every element sits at `perm[i] == i`.
-    for i in 0..n {
-        while perm[i] as usize != i {
-            let j = perm[i] as usize;
-            items.swap(i, j);
-            perm.swap(i, j);
-        }
+}
+
+/// Computes into `scratch` the destination permutation of a stable sort of
+/// `items` by `total_cmp(key)`, whatever their order: source indexes are
+/// sorted by `(key, index)` — a total order, so the unstable sort needs no
+/// buffer and still places ties in input order — then inverted. Apply it
+/// with [`MergeScratch::permute`]. The run table is ignored.
+pub fn sort_permutation<T, F: Fn(&T) -> f64>(items: &[T], scratch: &mut MergeScratch, key: F) {
+    let MergeScratch { perm, order, .. } = scratch;
+    let n = items.len();
+    debug_assert!(u32::try_from(n).is_ok(), "sort index space is u32");
+    order.clear();
+    order.extend(0..n as u32);
+    order.sort_unstable_by(|&a, &b| {
+        key(&items[a as usize])
+            .total_cmp(&key(&items[b as usize]))
+            .then(a.cmp(&b))
+    });
+    perm.clear();
+    perm.resize(n, 0);
+    for (dst, &src) in order.iter().enumerate() {
+        perm[src as usize] = dst as u32;
     }
 }
 
@@ -216,7 +261,13 @@ mod tests {
             }
         }
         let reference = stable(items.clone());
-        merge_sorted_runs(&mut items, &mut scratch, |e| e.0);
+        // The sort fallback orders the same input the same way.
+        let mut sorted = items.clone();
+        sort_permutation(&sorted, &mut scratch, |e| e.0);
+        scratch.permute(&mut sorted);
+        assert_eq!(sorted, reference, "sort fallback");
+        merge_sorted_runs(&items, &mut scratch, |e| e.0);
+        scratch.permute(&mut items);
         (items, reference)
     }
 
@@ -273,8 +324,10 @@ mod tests {
                 scratch.runs.push((start, items.len() as u32));
             }
             let reference = stable(items.clone());
-            merge_sorted_runs(&mut items, &mut scratch, |e| e.0);
+            merge_sorted_runs(&items, &mut scratch, |e| e.0);
+            scratch.permute(&mut items);
             assert_eq!(items, reference, "trial {trial}");
+            assert!(scratch.permutation().is_empty(), "permute consumes it");
         }
     }
 }

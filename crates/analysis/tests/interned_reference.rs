@@ -9,37 +9,40 @@
 //! stint-scan (`host_of_record`) for the projection. Running both over a
 //! multi-host fixture with restarts pins the refactor to the old
 //! semantics.
+//!
+//! The reference still builds every occupancy interval with its bounds
+//! copied from the raw records, so it is also the value oracle for the
+//! compact intervals, which only point at their events: what
+//! `enter_of`/`exit_of` resolve must equal the reference's bounds, on a
+//! merge of many runs and on the sort fallback alike.
 
-use loki_analysis::global::{make_global, GlobalEventKind, GlobalOptions};
+use loki_analysis::global::{make_global, GlobalEventKind, GlobalOptions, GlobalTimeline};
 use loki_analysis::AnalysisError;
 use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds};
 use loki_core::campaign::{ExperimentData, HostSync, SyncSample};
 use loki_core::ids::{StateId, SymbolTable};
-use loki_core::recorder::{RecordKind, Recorder};
+use loki_core::recorder::{LocalTimeline, RecordKind, Recorder};
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
 use loki_core::time::{LocalNanos, TimeBounds};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Machines `a`–`d`, INIT → WORK → EXIT each; fault `f` on `(a:WORK)`,
+/// owned by `b`.
 fn study() -> Study {
-    let def = StudyDef::new("ref")
-        .machine(
-            StateMachineSpec::builder("a")
-                .states(&["INIT", "WORK"])
-                .events(&["GO", "DONE"])
-                .state("INIT", &[], &[("GO", "WORK")])
-                .state("WORK", &[], &[("DONE", "EXIT")])
-                .build(),
-        )
-        .machine(
-            StateMachineSpec::builder("b")
-                .states(&["INIT", "WORK"])
-                .events(&["GO", "DONE"])
-                .state("INIT", &[], &[("GO", "WORK")])
-                .state("WORK", &[], &[("DONE", "EXIT")])
-                .build(),
-        )
+    let def = ["a", "b", "c", "d"]
+        .iter()
+        .fold(StudyDef::new("ref"), |def, name| {
+            def.machine(
+                StateMachineSpec::builder(name)
+                    .states(&["INIT", "WORK"])
+                    .events(&["GO", "DONE"])
+                    .state("INIT", &[], &[("GO", "WORK")])
+                    .state("WORK", &[], &[("DONE", "EXIT")])
+                    .build(),
+            )
+        })
         .fault(
             "b",
             "f",
@@ -72,7 +75,6 @@ fn sync_for(host: loki_core::ids::HostId, skew_ns: u64) -> HostSync {
 /// user message.
 fn fixture(study: &Study) -> ExperimentData {
     let symbols = Arc::new(SymbolTable::for_hosts(["h1", "h2", "h3"]));
-    let h1 = symbols.lookup_host("h1").unwrap();
     let h2 = symbols.lookup_host("h2").unwrap();
     let h3 = symbols.lookup_host("h3").unwrap();
     let a = study.sm_id("a").unwrap();
@@ -103,10 +105,16 @@ fn fixture(study: &Study) -> ExperimentData {
     rec_b.record_injection(LocalNanos::from_millis(15), f);
     rec_b.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
 
+    experiment(symbols, vec![rec_a.finish(), rec_b.finish()])
+}
+
+/// Three hosts (`h1` the reference) with the sync data every fixture uses.
+fn experiment(symbols: Arc<SymbolTable>, timelines: Vec<LocalTimeline>) -> ExperimentData {
+    let [h1, h2, h3] = ["h1", "h2", "h3"].map(|name| symbols.lookup_host(name).unwrap());
     ExperimentData {
         study: "ref".into(),
         experiment: 0,
-        timelines: vec![rec_a.finish(), rec_b.finish()],
+        timelines,
         hosts: vec![h1, h2, h3],
         reference_host: h1,
         symbols,
@@ -115,6 +123,63 @@ fn fixture(study: &Study) -> ExperimentData {
         end: Default::default(),
         warnings: vec![],
     }
+}
+
+/// Four machines spread over all three hosts, their records interleaved in
+/// time and tied across hosts: a merge of four runs.
+fn four_run_fixture(study: &Study) -> ExperimentData {
+    let symbols = Arc::new(SymbolTable::for_hosts(["h1", "h2", "h3"]));
+    let go = study.events.lookup("GO").unwrap();
+    let done = study.events.lookup("DONE").unwrap();
+    let init = study.states.lookup("INIT").unwrap();
+    let work = study.states.lookup("WORK").unwrap();
+    let f = study.fault_names.lookup("f").unwrap();
+    let placement = [("a", "h2"), ("b", "h3"), ("c", "h1"), ("d", "h2")];
+    let timelines = (0u64..)
+        .zip(placement)
+        .map(|(i, (machine, host))| {
+            let sm = study.sm_id(machine).unwrap();
+            let mut rec = Recorder::new(sm, symbols.lookup_host(host).unwrap());
+            rec.record_state_change(LocalNanos::from_millis(4 + i), go, init);
+            rec.record_state_change(LocalNanos::from_millis(10 + i), go, work);
+            if machine == "b" {
+                rec.record_injection(LocalNanos::from_millis(13), f);
+            }
+            rec.record_user_message(LocalNanos::from_millis(16 + i), "tick");
+            rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
+            rec.finish()
+        })
+        .collect();
+    experiment(symbols, timelines)
+}
+
+/// `a` crashes on `h2` at 20 ms and restarts on `h3`, whose clock reads
+/// 2 ms: its records after the restart project before those ahead of it,
+/// so its run is not sorted and `make_global` takes the sort.
+fn backwards_fixture(study: &Study) -> ExperimentData {
+    let symbols = Arc::new(SymbolTable::for_hosts(["h1", "h2", "h3"]));
+    let [h2, h3] = ["h2", "h3"].map(|name| symbols.lookup_host(name).unwrap());
+    let a = study.sm_id("a").unwrap();
+    let b = study.sm_id("b").unwrap();
+    let go = study.events.lookup("GO").unwrap();
+    let done = study.events.lookup("DONE").unwrap();
+    let init = study.states.lookup("INIT").unwrap();
+    let work = study.states.lookup("WORK").unwrap();
+    let mut rec_a = Recorder::new(a, h2);
+    rec_a.record_state_change(LocalNanos::from_millis(5), go, init);
+    rec_a.record_state_change(LocalNanos::from_millis(12), go, work);
+    rec_a.record_state_change(
+        LocalNanos::from_millis(20),
+        study.reserved.crash_event,
+        study.reserved.crash,
+    );
+    let mut rec_a = Recorder::resume(rec_a.finish(), LocalNanos::from_millis(2), h3);
+    rec_a.record_state_change(LocalNanos::from_millis(3), go, init);
+    rec_a.record_state_change(LocalNanos::from_millis(8), done, study.reserved.exit);
+    let mut rec_b = Recorder::new(b, h2);
+    rec_b.record_state_change(LocalNanos::from_millis(6), go, init);
+    rec_b.record_state_change(LocalNanos::from_millis(9), go, work);
+    experiment(symbols, vec![rec_a.finish(), rec_b.finish()])
 }
 
 /// One event of the string-based reference output.
@@ -139,7 +204,7 @@ struct RefEvent {
     sm: String,
     kind: RefKind,
     bounds: TimeBounds,
-    record_index: usize,
+    record_index: u32,
 }
 
 /// `(machine, state, enter, exit)` of one reference occupancy interval.
@@ -226,7 +291,7 @@ fn make_global_strings(study: &Study, data: &ExperimentData) -> Result<RefOutput
                 sm: sm_name.clone(),
                 kind,
                 bounds,
-                record_index: idx,
+                record_index: idx as u32,
             });
         }
         if let Some((state, enter)) = open.take() {
@@ -242,13 +307,11 @@ fn make_global_strings(study: &Study, data: &ExperimentData) -> Result<RefOutput
     Ok((events, intervals, alpha_beta))
 }
 
-#[test]
-fn interned_make_global_matches_the_string_based_reference() {
-    let study = study();
-    let data = fixture(&study);
-
-    let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
-    let (ref_events, ref_intervals, ref_alpha_beta) = make_global_strings(&study, &data).unwrap();
+/// Asserts `make_global` equals the reference on `data` — every event,
+/// every interval's resolved bounds, every calibration — and returns it.
+fn assert_matches_reference(study: &Study, data: &ExperimentData) -> GlobalTimeline {
+    let gt = make_global(study, data, &GlobalOptions::default()).unwrap();
+    let (ref_events, ref_intervals, ref_alpha_beta) = make_global_strings(study, data).unwrap();
 
     // Events: same order, same bounds, same resolved identities.
     assert_eq!(gt.events.len(), ref_events.len());
@@ -277,13 +340,14 @@ fn interned_make_global_matches_the_string_based_reference() {
         assert_eq!(got_kind, want.kind);
     }
 
-    // Intervals: same occupancy history per machine.
+    // Intervals: same occupancy history per machine, and the events each
+    // one points at carry exactly the bounds the reference copied.
     assert_eq!(gt.intervals.len(), ref_intervals.len());
     for (got, (sm, state, enter, exit)) in gt.intervals.iter().zip(&ref_intervals) {
         assert_eq!(study.sms.name(got.sm), sm);
         assert_eq!(study.states.name(got.state), state);
-        assert_eq!(&got.enter, enter);
-        assert_eq!(&got.exit, exit);
+        assert_eq!(&gt.enter_of(got), enter, "{got:?}");
+        assert_eq!(&gt.exit_of(got), exit, "{got:?}");
     }
 
     // Calibration: the dense vector holds exactly the map's bounds.
@@ -293,6 +357,24 @@ fn interned_make_global_matches_the_string_based_reference() {
         assert_eq!(&gt.alpha_beta[host.index()], want, "host {name}");
     }
     assert_eq!(gt.host_name(gt.reference_host), "h1");
+    gt
+}
+
+/// Whether some machine's events sit out of record order on the timeline —
+/// only the sort fallback leaves them so; the merge keeps every run whole.
+fn out_of_record_order(gt: &GlobalTimeline) -> bool {
+    let mut last = std::collections::BTreeMap::new();
+    !gt.events.iter().all(|e| {
+        last.insert(e.sm, e.record_index)
+            .is_none_or(|r| r < e.record_index)
+    })
+}
+
+#[test]
+fn interned_make_global_matches_the_string_based_reference() {
+    let study = study();
+    let data = fixture(&study);
+    let gt = assert_matches_reference(&study, &data);
 
     // The fixture exercised what it claims: a restart stint and an
     // injection both made it onto the global timeline.
@@ -301,4 +383,28 @@ fn interned_make_global_matches_the_string_based_reference() {
         .iter()
         .any(|e| matches!(e.kind, GlobalEventKind::Restart { .. })));
     assert_eq!(gt.injections().count(), 1);
+}
+
+#[test]
+fn a_merge_of_four_runs_matches_the_reference() {
+    let study = study();
+    let data = four_run_fixture(&study);
+    assert_eq!(data.timelines.len(), 4);
+    let gt = assert_matches_reference(&study, &data);
+    assert!(!out_of_record_order(&gt));
+    // The runs interleave rather than follow one another.
+    assert!(gt.events.windows(2).filter(|w| w[0].sm != w[1].sm).count() > 4);
+    assert_eq!(gt.injections().count(), 1);
+}
+
+#[test]
+fn a_clock_stepping_back_across_a_restart_matches_the_reference() {
+    let study = study();
+    let data = backwards_fixture(&study);
+    let gt = assert_matches_reference(&study, &data);
+    assert!(out_of_record_order(&gt), "the sort fallback was not taken");
+    assert!(gt
+        .events
+        .iter()
+        .any(|e| matches!(e.kind, GlobalEventKind::Restart { .. })));
 }

@@ -1,48 +1,88 @@
 //! Property tests for the analysis phase.
 
 use loki_analysis::checker::expr_truth;
-use loki_analysis::global::{GlobalTimeline, StateInterval};
+use loki_analysis::global::{GlobalEvent, GlobalEventKind, GlobalTimeline, StateInterval};
 use loki_analysis::intervals::IntervalSet;
 use loki_core::fault::CompiledExpr;
-use loki_core::ids::{Id, SymbolTable};
+use loki_core::ids::{Id, SmId, StateId, SymbolTable};
 use loki_core::time::{GlobalNanos, TimeBounds};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// A timeline over `[0, end]` with no events or intervals yet.
+fn empty_timeline(end: f64) -> GlobalTimeline {
+    GlobalTimeline {
+        events: Vec::new(),
+        intervals: Vec::new(),
+        start: GlobalNanos(0.0),
+        end: GlobalNanos(end),
+        alpha_beta: Vec::new(),
+        reference_host: Id::from_raw(0),
+        symbols: Arc::new(SymbolTable::for_hosts(["ref"])),
+    }
+}
+
+/// Appends an occupancy interval of `sm` in `state` with the given entry
+/// and exit bounds, each held by an event of its own. Intervals read only
+/// their events' bounds, so the events are left in insertion order.
+fn push_interval(
+    gt: &mut GlobalTimeline,
+    sm: SmId,
+    state: StateId,
+    enter: TimeBounds,
+    exit: Option<TimeBounds>,
+) {
+    let mut event = |bounds| {
+        gt.events.push(GlobalEvent {
+            sm,
+            kind: GlobalEventKind::StateChange {
+                event: Id::from_raw(0),
+                from_state: state,
+                new_state: state,
+            },
+            bounds,
+            record_index: gt.events.len() as u32,
+        });
+        gt.events.len() as u32 - 1
+    };
+    let enter = event(enter);
+    let exit = exit.map_or(StateInterval::OPEN, event);
+    gt.intervals.push(StateInterval {
+        sm,
+        state,
+        enter,
+        exit,
+    });
+}
 
 /// Builds a synthetic global timeline: for each machine, a sequence of
 /// state intervals with bounded-uncertainty transition times.
 fn timeline_strategy() -> impl Strategy<Value = GlobalTimeline> {
     let machine_intervals = prop::collection::vec((0u32..4, 1.0f64..50.0, 0.0f64..2.0), 1..8);
     prop::collection::vec(machine_intervals, 1..3).prop_map(|machines| {
-        let mut intervals = Vec::new();
+        let mut gt = empty_timeline(200.0);
         for (m, segs) in machines.iter().enumerate() {
             let mut t = 0.0;
             for (i, (state, len, width)) in segs.iter().enumerate() {
                 let enter = TimeBounds::new(GlobalNanos(t), GlobalNanos(t + width));
                 let t_end = t + width + len;
                 let exit = TimeBounds::new(GlobalNanos(t_end), GlobalNanos(t_end + width));
-                intervals.push(StateInterval {
-                    sm: Id::from_raw(m as u32),
-                    state: Id::from_raw(*state),
+                let exit = if i + 1 == segs.len() {
+                    None
+                } else {
+                    Some(exit)
+                };
+                push_interval(
+                    &mut gt,
+                    Id::from_raw(m as u32),
+                    Id::from_raw(*state),
                     enter,
-                    exit: if i + 1 == segs.len() {
-                        None
-                    } else {
-                        Some(exit)
-                    },
-                });
+                    exit,
+                );
                 t = t_end;
             }
         }
-        GlobalTimeline {
-            events: Vec::new(),
-            intervals,
-            start: GlobalNanos(0.0),
-            end: GlobalNanos(200.0),
-            alpha_beta: Vec::new(),
-            reference_host: Id::from_raw(0),
-            symbols: Arc::new(SymbolTable::for_hosts(["ref"])),
-        }
+        gt
     })
 }
 
@@ -118,28 +158,14 @@ proptest! {
         probes in prop::collection::vec(0.0f64..200.0, 1..20),
     ) {
         // One machine cycling through states 0,1,2 with exact bounds.
-        let mut intervals = Vec::new();
+        let mut gt = empty_timeline(100.0);
         let mut t = 0.0;
         for i in 0..10u32 {
             let enter = TimeBounds::point(GlobalNanos(t));
             let exit = TimeBounds::point(GlobalNanos(t + 10.0));
-            intervals.push(StateInterval {
-                sm: Id::from_raw(0),
-                state: Id::from_raw(i % 3),
-                enter,
-                exit: Some(exit),
-            });
+            push_interval(&mut gt, Id::from_raw(0), Id::from_raw(i % 3), enter, Some(exit));
             t += 10.0;
         }
-        let gt = GlobalTimeline {
-            events: Vec::new(),
-            intervals,
-            start: GlobalNanos(0.0),
-            end: GlobalNanos(100.0),
-            alpha_beta: Vec::new(),
-            reference_host: Id::from_raw(0),
-            symbols: Arc::new(SymbolTable::for_hosts(["ref"])),
-        };
         let window = (-1.0, 101.0);
         let truth = expr_truth(&gt, &expr, window);
         for t in probes {

@@ -30,26 +30,31 @@ use std::sync::Arc;
 
 // --- the reference ---------------------------------------------------------
 
-/// `(definite, possible)` regions of one atom, from every interval.
+/// `(definite, possible)` regions of one atom, from every interval, each
+/// bound read straight off the event the interval names.
 fn ref_atom(gt: &GlobalTimeline, sm: SmId, state: StateId, end: f64) -> (IntervalSet, IntervalSet) {
     let of_atom = || {
         gt.intervals
             .iter()
             .filter(move |iv| iv.sm == sm && iv.state == state)
     };
-    let exit = |iv: &StateInterval| {
-        iv.exit
-            .map_or((end, end), |x| (x.lo.as_f64(), x.hi.as_f64()))
+    let enter = |iv: &StateInterval| gt.events[iv.enter as usize].bounds;
+    let exit = |iv: &StateInterval| match iv.exit {
+        StateInterval::OPEN => (end, end),
+        at => {
+            let x = gt.events[at as usize].bounds;
+            (x.lo.as_f64(), x.hi.as_f64())
+        }
     };
     (
         IntervalSet::from_spans(
             of_atom()
-                .map(|iv| (iv.enter.hi.as_f64(), exit(iv).0))
+                .map(|iv| (enter(iv).hi.as_f64(), exit(iv).0))
                 .collect(),
         ),
         IntervalSet::from_spans(
             of_atom()
-                .map(|iv| (iv.enter.lo.as_f64(), exit(iv).1))
+                .map(|iv| (enter(iv).lo.as_f64(), exit(iv).1))
                 .collect(),
         ),
     )
@@ -77,8 +82,8 @@ fn ref_expr(gt: &GlobalTimeline, expr: &CompiledExpr, w: (f64, f64)) -> (Interva
 /// The state `sm` was in just before its record `record_index`: a walk over
 /// every event of every machine, keeping the state-setting record of `sm`
 /// with the greatest record index below `record_index`.
-fn ref_own_state(study: &Study, gt: &GlobalTimeline, sm: SmId, record_index: usize) -> StateId {
-    let mut latest: Option<(usize, StateId)> = None;
+fn ref_own_state(study: &Study, gt: &GlobalTimeline, sm: SmId, record_index: u32) -> StateId {
+    let mut latest: Option<(u32, StateId)> = None;
     for e in gt
         .events
         .iter()
@@ -306,8 +311,10 @@ fn study_of(faults: &[FaultShape]) -> Study {
 }
 
 /// Projects the record shapes the way `make_global` would: one event per
-/// record, one interval per state-setting record, events ordered by
-/// midpoint with a stable sort (its fallback when a clock steps backwards).
+/// record, one interval per state-setting record pointing at the events
+/// that opened and closed it, events ordered by midpoint with a stable
+/// sort (its fallback when a clock steps backwards) and the intervals'
+/// positions moved with them.
 fn timeline_of(
     study: &Study,
     timelines: &[Vec<RecordShape>],
@@ -326,8 +333,8 @@ fn timeline_of(
         let sm = study.sm_id(&format!("m{m}")).expect("declared");
         let mut t = 10.0 * m as f64;
         let mut current = study.reserved.begin;
-        let mut open: Option<(StateId, TimeBounds)> = None;
-        for (record_index, &(kind, state, fault, step, width)) in records.iter().enumerate() {
+        let mut open: Option<(StateId, u32)> = None;
+        for (record_index, &(kind, state, fault, step, width)) in (0..).zip(records) {
             // Whole numbers, so that bounds often meet end to end exactly.
             t += if backwards { step } else { step.abs() }.round();
             let hi = t + (width * widest).round();
@@ -339,13 +346,14 @@ fn timeline_of(
                 _ if injects => None,
                 _ => Some(states[state]),
             };
+            let position = events.len() as u32;
             if let Some(entered) = entered {
-                if let Some((state, enter)) = open.replace((entered, bounds)) {
+                if let Some((state, enter)) = open.replace((entered, position)) {
                     intervals.push(StateInterval {
                         sm,
                         state,
                         enter,
-                        exit: Some(bounds),
+                        exit: position,
                     });
                 }
             }
@@ -377,14 +385,27 @@ fn timeline_of(
                 sm,
                 state,
                 enter,
-                exit: None,
+                exit: StateInterval::OPEN,
             });
         }
     }
-    events.sort_by(|a, b| a.bounds.mid().total_cmp(&b.bounds.mid()));
+    let mut order: Vec<usize> = (0..events.len()).collect();
+    order.sort_by(|&a, &b| events[a].bounds.mid().total_cmp(&events[b].bounds.mid()));
+    let mut moved_to = vec![0u32; events.len()];
+    for (dst, &src) in (0..).zip(&order) {
+        moved_to[src] = dst;
+    }
+    for iv in &mut intervals {
+        iv.enter = moved_to[iv.enter as usize];
+        if iv.exit != StateInterval::OPEN {
+            iv.exit = moved_to[iv.exit as usize];
+        }
+    }
+    let events: Vec<GlobalEvent> = order.iter().map(|&src| events[src].clone()).collect();
     if scatter {
         // One machine's intervals no longer sit next to each other.
-        intervals.sort_by(|a, b| a.enter.mid().total_cmp(&b.enter.mid()));
+        let mid = |iv: &StateInterval| events[iv.enter as usize].bounds.mid();
+        intervals.sort_by(|a, b| mid(a).total_cmp(&mid(b)));
     }
     let lo = events
         .iter()

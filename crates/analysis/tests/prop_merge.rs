@@ -5,13 +5,14 @@
 //! non-decreasing under `total_cmp(key)`, [`merge_sorted_runs`] leaves the
 //! slice exactly as `sort_by(|a, b| key(a).total_cmp(&key(b)))` would —
 //! including the order *within* groups of equal keys, which a stable sort
-//! resolves to input order. Duplicate keys spanning many runs are the case
+//! resolves to input order. [`sort_permutation`], the fallback for runs
+//! that are not sorted, owes the same on any input. Duplicate keys spanning many runs are the case
 //! that breaks naive merges (a heap keyed on the key alone pops ties in
 //! heap-shape order), so the randomized sweep below draws keys from a
 //! deliberately tiny pool to force large cross-run tie groups.
 
 use loki_analysis::global::{make_global, GlobalOptions};
-use loki_analysis::merge::{merge_sorted_runs, MergeScratch};
+use loki_analysis::merge::{merge_sorted_runs, sort_permutation, MergeScratch};
 use loki_core::campaign::{ExperimentData, HostSync, SyncSample};
 use loki_core::ids::SymbolTable;
 use loki_core::recorder::Recorder;
@@ -41,7 +42,8 @@ fn merge_vs_sort(runs: &[Vec<f64>]) -> (Tagged, Tagged) {
     }
     let mut sorted = items.clone();
     sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    merge_sorted_runs(&mut items, &mut scratch, |&(key, _)| key);
+    merge_sorted_runs(&items, &mut scratch, |&(key, _)| key);
+    scratch.permute(&mut items);
     (items, sorted)
 }
 
@@ -77,6 +79,26 @@ proptest! {
     ) {
         let (merged, sorted) = merge_vs_sort(&runs);
         prop_assert_eq!(merged, sorted);
+    }
+
+    /// The fallback for runs that are not sorted: the index sort, applied
+    /// by the same cycle walk, is byte-identical to the stable sort on
+    /// arbitrary input, ties included.
+    #[test]
+    fn sort_permutation_matches_stable_sort_on_unsorted_input(
+        runs in prop::collection::vec(run_strategy(), 0..12),
+        reversed in any::<bool>(),
+    ) {
+        let mut items: Vec<(f64, u32)> = runs.concat().into_iter().zip(0..).collect();
+        if reversed {
+            items.reverse();
+        }
+        let mut sorted = items.clone();
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut scratch = MergeScratch::default();
+        sort_permutation(&items, &mut scratch, |&(key, _)| key);
+        scratch.permute(&mut items);
+        prop_assert_eq!(items, sorted);
     }
 }
 
@@ -182,7 +204,7 @@ fn make_global_resolves_tied_mids_in_timeline_order() {
     let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
     assert_eq!(gt.events.len(), 9);
     // Three tie groups (one per recorded instant), each in machine order.
-    let order: Vec<(&str, usize)> = gt
+    let order: Vec<(&str, u32)> = gt
         .events
         .iter()
         .map(|e| (study.sms.name(e.sm), e.record_index))

@@ -66,5 +66,5 @@ fn main() {
     println!("# Paper values: count = 2, 2, 5");
     println!("#               duration = 1.4, 0, 7.0   (7.0 is 6.9 from the printed timeline)");
     println!("#               instant  = 0, 26.3, 21.2 (21.2 is 21.4 from the printed timeline)");
-    println!("# The two discrepancies are documented in EXPERIMENTS.md.");
+    println!("# The two discrepancies are explained in the doc of `loki_measure::fig42`.");
 }

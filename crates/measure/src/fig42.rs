@@ -4,7 +4,7 @@
 //! predicates and three observation functions against it. This module
 //! reconstructs that exact timeline so tests and the `fig4_2` benchmark
 //! binary can reproduce the numbers. Two values in the thesis disagree with
-//! the timeline as printed (documented in `EXPERIMENTS.md`):
+//! the timeline as printed:
 //!
 //! * `duration(T, 2, 10, 40)` on predicate 3 is printed as **7.0 ms**; the
 //!   timeline gives 20.0 − 13.1 = **6.9 ms**.
@@ -82,40 +82,48 @@ pub fn fig_4_2() -> (Study, GlobalTimeline) {
                 new_state: st(to),
             },
             bounds: at(*t),
-            record_index: i,
+            record_index: i as u32,
         })
         .collect();
 
-    // State-occupancy intervals implied by the rows.
-    let iv = |m: &str, s: &str, lo: f64, hi: Option<f64>| StateInterval {
+    // State-occupancy intervals implied by the rows, each bounded by the
+    // machine's rows at the times given; `None` is open — held from the
+    // start (the figure's timeline begins mid-run) or to the end.
+    let row = |m: &str, ms: Option<f64>| {
+        ms.map_or(StateInterval::OPEN, |ms| {
+            let at = rows.iter().position(|r| r.0 == m && r.3 == ms);
+            at.expect("a row of the figure") as u32
+        })
+    };
+    let iv = |m: &str, s: &str, lo: Option<f64>, hi: Option<f64>| StateInterval {
         sm: sm(m),
         state: st(s),
-        enter: at(lo),
-        exit: hi.map(at),
+        enter: row(m, lo),
+        exit: row(m, hi),
     };
     let intervals = vec![
         // SM1: State0 → State1 [12.4, 18.9] → State0.
-        iv("SM1", "State0", 0.0, Some(12.4)),
-        iv("SM1", "State1", 12.4, Some(18.9)),
-        iv("SM1", "State0", 18.9, None),
+        iv("SM1", "State0", None, Some(12.4)),
+        iv("SM1", "State1", Some(12.4), Some(18.9)),
+        iv("SM1", "State0", Some(18.9), None),
         // SM2: State0 → State2 [30.9,32.3] → State1 → State2 [35.6,38.9] → State0.
-        iv("SM2", "State0", 0.0, Some(30.9)),
-        iv("SM2", "State2", 30.9, Some(32.3)),
-        iv("SM2", "State1", 32.3, Some(35.6)),
-        iv("SM2", "State2", 35.6, Some(38.9)),
-        iv("SM2", "State0", 38.9, None),
+        iv("SM2", "State0", None, Some(30.9)),
+        iv("SM2", "State2", Some(30.9), Some(32.3)),
+        iv("SM2", "State1", Some(32.3), Some(35.6)),
+        iv("SM2", "State2", Some(35.6), Some(38.9)),
+        iv("SM2", "State0", Some(38.9), None),
         // SM3: State3 → State4 [22.3, 26.3] → State0.
-        iv("SM3", "State3", 0.0, Some(22.3)),
-        iv("SM3", "State4", 22.3, Some(26.3)),
-        iv("SM3", "State0", 26.3, None),
+        iv("SM3", "State3", None, Some(22.3)),
+        iv("SM3", "State4", Some(22.3), Some(26.3)),
+        iv("SM3", "State0", Some(26.3), None),
         // SM5: State5 throughout.
-        iv("SM5", "State5", 0.0, None),
+        iv("SM5", "State5", None, None),
         // SM6: State5 → State6 [13.1,20] → State4 → State6 [32.3,37.9] → State0.
-        iv("SM6", "State5", 0.0, Some(13.1)),
-        iv("SM6", "State6", 13.1, Some(20.0)),
-        iv("SM6", "State4", 20.0, Some(32.3)),
-        iv("SM6", "State6", 32.3, Some(37.9)),
-        iv("SM6", "State0", 37.9, None),
+        iv("SM6", "State5", None, Some(13.1)),
+        iv("SM6", "State6", Some(13.1), Some(20.0)),
+        iv("SM6", "State4", Some(20.0), Some(32.3)),
+        iv("SM6", "State6", Some(32.3), Some(37.9)),
+        iv("SM6", "State0", Some(37.9), None),
     ];
 
     let symbols = Arc::new(SymbolTable::for_hosts(["ref"]));
@@ -172,5 +180,10 @@ mod tests {
             assert!(w[0].bounds.mid().as_f64() <= w[1].bounds.mid().as_f64());
         }
         assert_eq!(gt.intervals.len(), 17);
+        // Intervals held from the start open at the window start.
+        let first = &gt.intervals[0];
+        assert_eq!(first.enter, StateInterval::OPEN);
+        assert_eq!(gt.enter_of(first), at(0.0));
+        assert_eq!(gt.exit_of(first), Some(at(12.4)));
     }
 }

@@ -220,8 +220,11 @@ impl CompiledPredicate {
                     if iv.state != *state {
                         continue;
                     }
-                    let lo = iv.enter.mid().as_f64();
-                    let hi = iv.exit.map(|b| b.mid().as_f64()).unwrap_or(exp_window.1);
+                    let lo = gt.enter_of(iv).mid().as_f64();
+                    let hi = gt
+                        .exit_of(iv)
+                        .map(|b| b.mid().as_f64())
+                        .unwrap_or(exp_window.1);
                     let (lo, hi) = match restrict {
                         Some((rlo, rhi)) => (lo.max(rlo), hi.min(rhi)),
                         None => (lo, hi),
