@@ -123,10 +123,8 @@ pub(crate) trait Port {
     fn terminating(&self) -> bool;
     /// The deterministic (sim) or per-node (thread) RNG.
     fn rng(&mut self) -> &mut StdRng;
-    /// Machines currently executing (the application's name service).
-    fn live_machines(&self) -> Vec<SmId>;
-    /// Whether `sm` is currently executing. Allocation-free, unlike
-    /// [`Port::live_machines`].
+    /// Whether `sm` is currently executing (the application's name
+    /// service).
     fn is_live(&self, sm: SmId) -> bool;
     /// The host this node currently runs on (an id into the study-run
     /// symbol table).
@@ -351,12 +349,14 @@ impl NodeCtx<'_> {
         self.port.send_app(self.core.me, to, payload);
     }
 
-    /// Broadcasts an application message to every other executing machine.
+    /// Broadcasts an application message to every other executing machine,
+    /// in ascending id order. Allocates nothing: it probes each machine of
+    /// the study for liveness.
     pub fn broadcast(&mut self, payload: Payload) {
         let me = self.core.me;
-        for sm in self.port.live_machines() {
-            if sm != me {
-                self.send_to(sm, payload.clone());
+        for sm in self.core.study.sms.ids() {
+            if sm != me && self.port.is_live(sm) {
+                self.port.send_app(me, sm, payload.clone());
             }
         }
     }
@@ -416,9 +416,15 @@ impl NodeCtx<'_> {
         self.core.study.sms.ids().collect()
     }
 
-    /// Machines currently executing (from the application's name service).
+    /// Machines currently executing (from the application's name service),
+    /// in ascending id order.
     pub fn live_machines(&self) -> Vec<SmId> {
-        self.port.live_machines()
+        self.core
+            .study
+            .sms
+            .ids()
+            .filter(|&sm| self.port.is_live(sm))
+            .collect()
     }
 
     /// Whether `sm` is currently executing — an allocation-free membership

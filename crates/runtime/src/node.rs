@@ -119,10 +119,6 @@ impl Port for SimPort<'_, '_> {
         self.sim.rng()
     }
 
-    fn live_machines(&self) -> Vec<SmId> {
-        self.shared.ctx.directory.machines()
-    }
-
     fn is_live(&self, sm: SmId) -> bool {
         self.shared.ctx.directory.lookup(sm).is_some()
     }

@@ -323,8 +323,7 @@ impl ExperimentControl {
 /// The application's own name service: maps state machines to the actors
 /// currently embodying them (for direct application messaging, which in the
 /// thesis travels on the system-under-study's own LAN). Dense by machine
-/// id — lookups index, and [`NodeDirectory::machines`] walks ascending ids
-/// so its output is sorted for free.
+/// id, so a lookup is one index.
 #[derive(Debug, Default)]
 pub struct NodeDirectory {
     inner: RefCell<Vec<Option<ActorId>>>,
@@ -366,22 +365,10 @@ impl NodeDirectory {
             .flatten()
     }
 
-    /// All currently embodied machines, in ascending id order.
-    pub fn machines(&self) -> Vec<SmId> {
-        self.inner
-            .borrow()
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_some())
-            .map(|(idx, _)| SmId::from_raw(idx as u32))
-            .collect()
-    }
-
     /// Empties the directory, keeping its capacity. An aborted or timed-out
     /// experiment can leave machines registered; the campaign driver
     /// clears the recycled directory before the next experiment. Lookup
-    /// results are id-addressed and [`NodeDirectory::machines`] ascends, so
-    /// retained capacity is unobservable.
+    /// results are id-addressed, so retained capacity is unobservable.
     pub fn clear(&self) {
         self.inner.borrow_mut().fill(None);
     }
@@ -559,7 +546,6 @@ mod tests {
         assert_eq!(d.lookup(sm), Some(ActorId(2)));
         d.remove_if(sm, ActorId(2));
         assert_eq!(d.lookup(sm), None);
-        assert!(d.machines().is_empty());
     }
 
     #[test]

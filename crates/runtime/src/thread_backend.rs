@@ -217,10 +217,6 @@ impl Port for ThreadPort<'_> {
         self.rng
     }
 
-    fn live_machines(&self) -> Vec<SmId> {
-        self.router.machines()
-    }
-
     fn is_live(&self, sm: SmId) -> bool {
         self.router.contains(sm)
     }

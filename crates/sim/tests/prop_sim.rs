@@ -226,15 +226,22 @@ enum QOp {
     Cancel(u8),
     /// Pop the next live entry.
     Pop,
+    /// Reset the queue and the timer slab (dropping whatever is pending)
+    /// and check the rest of the run against a fresh queue as well.
+    Reset,
 }
 
+/// 60 % of the ops schedule and 35 % pop, so a long run climbs to the
+/// depths a cascading workload keeps queued (a hundred and more, peaking
+/// near 300); about one op in a thousand resets.
 fn qop_strategy() -> impl Strategy<Value = QOp> {
-    prop_oneof![
-        any::<u8>().prop_map(QOp::Push),
-        any::<u8>().prop_map(QOp::Timer),
-        any::<u8>().prop_map(QOp::Cancel),
-        Just(QOp::Pop),
-    ]
+    (0u32..1001, any::<u8>()).prop_map(|(pick, arg)| match pick {
+        0..=499 => QOp::Push(arg),
+        500..=599 => QOp::Timer(arg),
+        600..=649 => QOp::Cancel(arg),
+        650..=999 => QOp::Pop,
+        _ => QOp::Reset,
+    })
 }
 
 /// A queued entry on the new side: either a plain message or a timer
@@ -252,14 +259,20 @@ proptest! {
     /// exactly the order of the engine's previous core — a full-payload
     /// `BinaryHeap` ordered by `(time, seq)` with a `HashSet` of cancelled
     /// timer ids — under arbitrary interleavings of push, timer arm,
-    /// cancel, and pop, including time ties and cancels of queued timers.
+    /// cancel, pop and reset, including time ties, cancels of queued timers
+    /// and queue depths past a hundred.
     #[test]
     fn event_core_matches_reference_heap_model(
-        ops in prop::collection::vec(qop_strategy(), 1..120),
+        ops in prop::collection::vec(qop_strategy(), 1..1500),
     ) {
         // New core.
         let mut queue: EventQueue<Item> = EventQueue::new();
         let mut timers = TimerSlab::new();
+        // After a reset: a new queue fed the same pushes, which must pop
+        // entry for entry what the reset queue pops, and the slab size the
+        // reset queue kept.
+        let mut fresh: Option<EventQueue<Item>> = None;
+        let mut reset_mark = 0;
         // Reference model (the pre-index-heap structures).
         let mut ref_heap: BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>> = BinaryHeap::new();
         let mut ref_seq = 0u64;
@@ -272,12 +285,26 @@ proptest! {
         let mut popped_new: Vec<Option<(u64, u32)>> = Vec::new();
         let mut popped_ref: Vec<Option<(u64, u32)>> = Vec::new();
 
+        let push_new = |queue: &mut EventQueue<Item>,
+                        fresh: &mut Option<EventQueue<Item>>,
+                        t: u64,
+                        item: Item| {
+            queue.push(t, item);
+            if let Some(fresh) = fresh {
+                fresh.push(t, item);
+            }
+        };
         let pop_new = |queue: &mut EventQueue<Item>,
+                           fresh: &mut Option<EventQueue<Item>>,
                            timers: &mut TimerSlab,
                            live: &mut Vec<(u32, TimerKey)>|
          -> Option<(u64, u32)> {
             loop {
-                match queue.pop() {
+                let popped = queue.pop();
+                if let Some(fresh) = fresh {
+                    assert_eq!(popped, fresh.pop(), "a reset queue pops like a new one");
+                }
+                match popped {
                     None => return None,
                     Some((t, Item::Msg(l))) => return Some((t, l)),
                     Some((t, Item::Timer(l, key))) => {
@@ -311,7 +338,7 @@ proptest! {
             match op {
                 QOp::Push(dt) => {
                     let t = now + u64::from(dt % 4);
-                    queue.push(t, Item::Msg(label));
+                    push_new(&mut queue, &mut fresh, t, Item::Msg(label));
                     ref_heap.push(std::cmp::Reverse((t, ref_seq, label)));
                     ref_seq += 1;
                     label += 1;
@@ -319,7 +346,7 @@ proptest! {
                 QOp::Timer(dt) => {
                     let t = now + u64::from(dt % 4);
                     let key = timers.alloc();
-                    queue.push(t, Item::Timer(label, key));
+                    push_new(&mut queue, &mut fresh, t, Item::Timer(label, key));
                     ref_heap.push(std::cmp::Reverse((t, ref_seq, label)));
                     ref_seq += 1;
                     live.push((label, key));
@@ -333,14 +360,24 @@ proptest! {
                     }
                 }
                 QOp::Pop => {
-                    popped_new.push(pop_new(&mut queue, &mut timers, &mut live));
+                    popped_new.push(pop_new(&mut queue, &mut fresh, &mut timers, &mut live));
                     popped_ref.push(pop_ref(&mut ref_heap, &mut ref_cancelled));
+                }
+                QOp::Reset => {
+                    reset_mark = queue.slab_slots();
+                    queue.reset();
+                    prop_assert!(queue.is_empty() && queue.peek_time().is_none());
+                    timers.reset();
+                    fresh = Some(EventQueue::new());
+                    ref_heap.clear();
+                    ref_cancelled.clear();
+                    live.clear();
                 }
             }
         }
         // Drain both completely: the full pop sequence must match.
         loop {
-            let a = pop_new(&mut queue, &mut timers, &mut live);
+            let a = pop_new(&mut queue, &mut fresh, &mut timers, &mut live);
             let b = pop_ref(&mut ref_heap, &mut ref_cancelled);
             let done = a.is_none() && b.is_none();
             popped_new.push(a);
@@ -354,6 +391,11 @@ proptest! {
         // were ever live at once (bounded by total arms, unaffected by
         // cancel volume).
         prop_assert!(timers.slots() <= label as usize);
+        // A reset queue keeps its slab and refills it slot for slot like a
+        // new queue, so it grows only past the size it had reached.
+        if let Some(fresh) = &fresh {
+            prop_assert_eq!(queue.slab_slots(), reset_mark.max(fresh.slab_slots()));
+        }
     }
 
     /// FIFO per sender-receiver pair: messages sent in order arrive in
