@@ -1,14 +1,12 @@
 //! # loki-apps
 //!
 //! Instrumented example distributed applications for the Loki fault
-//! injector — each implements the backend-agnostic [`loki_runtime::App`]
-//! trait (the probe interface) once and therefore runs unmodified on
-//! *every* execution backend: pass each app's factory to
-//! [`loki_runtime::run_study`] for deterministic simulated campaigns or to
-//! [`loki_runtime::run_thread_experiment`] for genuinely concurrent
-//! experiments (`tests/cross_backend.rs` at the workspace root exercises
-//! all three on both). Each module also ships a study builder with the state-machine
-//! specifications and notify lists its faults need:
+//! injector — each implements the [`loki_runtime::App`] trait (the probe
+//! interface) once: pass its factory to [`loki_runtime::run_study`] for a
+//! deterministic simulated campaign (`tests/apps.rs` at the workspace
+//! root runs the election, KV-store and token-ring apps that way). Each
+//! module also ships a study builder with the state-machine specifications
+//! and notify lists its faults need:
 //!
 //! * [`election`] — the thesis's Chapter-5 test application: leader
 //!   election among `black`/`yellow`/`green` with crash/restart support.

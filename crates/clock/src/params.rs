@@ -10,9 +10,7 @@
 //!
 //! A [`VirtualClock`] realizes exactly this model against *physical* time:
 //! `C(t) = offset + drift · t`, quantized to the clock's read granularity.
-//! The simulator gives every host such a clock; the thread backend wraps a
-//! monotonic OS clock with the same parameters so that off-line
-//! synchronization can be exercised on real executions too.
+//! The simulator gives every host such a clock.
 
 use loki_core::time::LocalNanos;
 use serde::{Deserialize, Serialize};

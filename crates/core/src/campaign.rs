@@ -69,9 +69,6 @@ pub enum ExperimentFailure {
     /// The per-experiment event-count budget
     /// (`SimHarnessConfig::max_events`) was exhausted.
     BudgetEvents,
-    /// The wall-clock watchdog expired (thread backend only): one or more
-    /// node threads never finished and were detached.
-    BudgetWallClock,
 }
 
 impl std::fmt::Display for ExperimentFailure {
@@ -81,7 +78,6 @@ impl std::fmt::Display for ExperimentFailure {
             ExperimentFailure::Harness => "harness error",
             ExperimentFailure::BudgetVirtualTime => "virtual-time budget exceeded",
             ExperimentFailure::BudgetEvents => "event-count budget exceeded",
-            ExperimentFailure::BudgetWallClock => "wall-clock watchdog expired",
         })
     }
 }
@@ -164,12 +160,6 @@ pub enum Warning {
         /// The panic payload.
         note: String,
     },
-    /// Node threads ignored the kill order and were detached
-    /// ([`ExperimentFailure::BudgetWallClock`]).
-    HungThreads {
-        /// How many.
-        count: usize,
-    },
     /// A runtime actor received a message its protocol never sends it.
     UnexpectedMessage {
         /// Who received it.
@@ -227,10 +217,6 @@ impl Warning {
                 "{failure} after {events} events at virtual time {at_ns} ns"
             ),
             Warning::HarnessPanic { note } => write!(f, "harness error: {note}"),
-            Warning::HungThreads { count } => write!(
-                f,
-                "{count} node thread(s) ignored the kill order past the 2 s grace window; detached"
-            ),
             Warning::UnexpectedMessage { receiver, message } => match receiver {
                 Receiver::LocalDaemon => write!(f, "local daemon received unexpected {message}"),
                 Receiver::CentralDaemon => {

@@ -113,7 +113,7 @@ pub type FaultId = Id<FaultTag>;
 /// Host ids are dense (`0..num_hosts`) and assigned in the deterministic
 /// order the harness configuration lists its hosts, so the same study
 /// configuration always produces the same ids — a prerequisite for the
-/// byte-identical-results guarantee across worker counts and backends.
+/// byte-identical-results guarantee across worker counts.
 pub type HostId = Id<HostTag>;
 /// Index of a free-form interned symbol within a study's [`SymbolTable`].
 pub type SymId = Id<SymTag>;

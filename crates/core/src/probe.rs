@@ -53,18 +53,17 @@ pub enum FaultAction {
     },
     /// Partition the network into the named host groups: messages flow only
     /// within a group. Hosts listed in no group share one implicit extra
-    /// group of their own. Sim-backend only (applied to the simulator's
-    /// `NetFaultPlane`).
+    /// group of their own. Applied to the simulator's `NetFaultPlane`.
     Partition {
         /// The host groups, by host name.
         groups: Vec<Vec<String>>,
     },
     /// Remove every active network fault (partitions, link faults, gray
-    /// nodes). Sim-backend only.
+    /// nodes).
     Heal,
     /// Degrade one *directed* link `from → to` (asymmetric faults need two
     /// entries). Probabilities are per message; every probabilistic decision
-    /// draws from the deterministic simulation RNG. Sim-backend only.
+    /// draws from the deterministic simulation RNG.
     LinkFault {
         /// Sending host name.
         from: String,
@@ -85,7 +84,7 @@ pub enum FaultAction {
         extra_latency_ns: u64,
     },
     /// Make one host "gray": every message into or out of it is slowed by
-    /// the given multiplier (≥ 1.0). Sim-backend only.
+    /// the given multiplier (≥ 1.0).
     GrayNode {
         /// The slow host's name.
         host: String,

@@ -72,10 +72,6 @@ fn every_warning_renders_its_runtime_line() {
             "harness error: boom",
         ),
         (
-            Warning::HungThreads { count: 2 },
-            "2 node thread(s) ignored the kill order past the 2 s grace window; detached",
-        ),
-        (
             Warning::UnexpectedMessage {
                 receiver: Receiver::LocalDaemon,
                 message: message.clone(),

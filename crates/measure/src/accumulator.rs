@@ -16,8 +16,7 @@
 //! order, holding out-of-order values in a small reorder buffer. The
 //! committed [`values`](StudyAccumulator::values) sequence is therefore
 //! byte-identical to the batch `accepted_timelines` + `apply_all` fold,
-//! whatever the worker count and on every backend — given the same
-//! per-experiment analyses.
+//! whatever the worker count — given the same per-experiment analyses.
 
 use crate::error::MeasureError;
 use crate::stats::MomentStats;

@@ -1,27 +1,19 @@
-//! The portable node core: one application interface for every backend.
+//! The portable node core: the application interface.
 //!
 //! A *node* is one component of the system under study together with its
 //! Loki runtime (§2.2.2). The runtime half — state machine, partial view of
 //! global state, positive-edge fault parser, recorder, injection drain loop
-//! — is system- *and* backend-independent; it lives in the crate-private
-//! `NodeCore`. The application half is supplied by the user as an
-//! implementation of the [`App`] trait and runs unmodified on every
-//! execution backend:
+//! — is system-independent; it lives in the crate-private `NodeCore`. The
+//! application half is supplied by the user as an implementation of the
+//! [`App`] trait and runs on the deterministic simulator ([`crate::node`],
+//! [`crate::harness`]): virtual time, modelled scheduling and link delays,
+//! byte-identical replays.
 //!
-//! * the deterministic simulation backend ([`crate::node`],
-//!   [`crate::harness`]) — virtual time, modelled scheduling and link
-//!   delays, byte-identical replays;
-//! * the real-concurrency thread backend ([`crate::thread_backend`]) — one
-//!   OS thread per node, real time, genuinely nondeterministic
-//!   interleavings.
-//!
-//! Campaigns run on the simulation; [`crate::run_thread_experiment`] runs
-//! one experiment of the same study on threads. Each backend contributes only a thin transport adapter (the crate-private
-//! `Port` trait): how to deliver a notification, read a clock, set a
-//! timer, record a timeline entry. Everything else — what to record, when
-//! to re-evaluate fault expressions, how injections drain, how exits and
-//! crashes propagate — is shared, so the fault-injection *semantics* are
-//! identical across backends by construction.
+//! The node adapter contributes only a thin transport layer (the
+//! crate-private `Port` trait): how to deliver a notification, read a
+//! clock, set a timer, record a timeline entry. Everything else — what to
+//! record, when to re-evaluate fault expressions, how injections drain,
+//! how exits and crashes propagate — lives in the core.
 //!
 //! The probe interface mirrors the thesis exactly: the application calls
 //! [`NodeCtx::notify_event`] where the thesis's probe calls
@@ -45,20 +37,18 @@ use std::sync::Arc;
 
 /// Application-defined payload carried by application messages.
 ///
-/// One payload type for every backend: `Arc` lets an application broadcast
-/// a payload to many peers without cloning the underlying data, and the
-/// `Send + Sync` bounds let the same payload cross thread boundaries on
-/// the real-concurrency backend. (The simulation backend is
-/// single-threaded; it simply never shares the `Arc` across threads.)
+/// `Arc` lets an application broadcast a payload to many peers without
+/// cloning the underlying data. A world runs on one worker thread, so a
+/// payload never crosses threads in practice.
 pub type Payload = Arc<dyn Any + Send + Sync>;
 
 /// The application half of a node: the system under study plus its probe.
 ///
 /// All callbacks receive a [`NodeCtx`] that exposes the probe interface
 /// (`notify_event`), application messaging, timers, clocks, and crash/exit
-/// controls. Implementations must be `Send`: on the thread backend each
-/// node runs on its own OS thread.
-pub trait App: Send {
+/// controls. An instance lives and dies on the worker whose world created
+/// it, so implementations need not be `Send`.
+pub trait App {
     /// Called when the node starts. `restarted` is true when the node found
     /// its earlier timeline (it crashed and was restarted, §3.6.3); the
     /// first `notify_event` call must then name the restart entry state.
@@ -83,21 +73,19 @@ pub trait App: Send {
 ///
 /// The factory is `Send + Sync` (and `Arc`-shared) so one factory can be
 /// handed to every worker of the parallel experiment executor
-/// ([`crate::harness::run_study`]) and to every node thread of the thread
-/// backend; the [`App`] instances it produces stay where they were created.
+/// ([`crate::harness::run_study`]); the [`App`] instances it produces stay
+/// where they were created.
 pub type AppFactory = Arc<dyn Fn(&Study, SmId) -> Box<dyn App> + Send + Sync>;
 
 /// Handle to an application timer set via [`NodeCtx::set_timer`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct AppTimer(pub(crate) u64);
 
-/// The backend adapter: everything the node core needs from a transport.
+/// The transport adapter: everything the node core needs from the world.
 ///
-/// Implemented by the simulation backend (over the simulated actor
-/// context) and the thread backend (over channels and virtual host
-/// clocks). Keeping this surface small is what makes new backends cheap:
-/// a future process-based or async backend implements these dozen methods
-/// and inherits the full injection pipeline.
+/// Implemented by the node adapter over the simulated actor context. As a
+/// trait object it erases the context's second lifetime, which keeps the
+/// public [`NodeCtx<'_>`] single-lifetime.
 pub(crate) trait Port {
     /// This node's host clock (local time).
     fn now(&self) -> LocalNanos;
@@ -121,7 +109,7 @@ pub(crate) trait Port {
     fn exit(&mut self);
     /// Whether the node is going down (crash or exit was requested).
     fn terminating(&self) -> bool;
-    /// The deterministic (sim) or per-node (thread) RNG.
+    /// The world's deterministic RNG.
     fn rng(&mut self) -> &mut StdRng;
     /// Whether `sm` is currently executing (the application's name
     /// service).
@@ -129,25 +117,17 @@ pub(crate) trait Port {
     /// The host this node currently runs on (an id into the study-run
     /// symbol table).
     fn host_id(&self) -> HostId;
-    /// Applies a network fault action to the backend's message fabric.
-    /// Returns whether it took effect; the default covers backends
-    /// without a modelled network (the thread backend's channels carry no
-    /// fault plane).
-    fn net_fault(&mut self, action: &FaultAction) -> bool {
-        let _ = action;
-        false
-    }
-    /// Records a runtime warning in the experiment's data. The default,
-    /// for backends that keep no warnings from their nodes, is a no-op.
-    fn warn(&mut self, warning: Warning) {
-        let _ = warning;
-    }
+    /// Applies a network fault action to the simulated message fabric.
+    /// Returns whether it took effect.
+    fn net_fault(&mut self, action: &FaultAction) -> bool;
+    /// Records a runtime warning in the experiment's data.
+    fn warn(&mut self, warning: Warning);
 }
 
-/// The backend-agnostic node runtime: state machine (owning the partial
-/// view), positive-edge fault parser, recording discipline, and the
-/// injection drain loop. Both backends embed exactly one `NodeCore` per
-/// node incarnation and drive it through their `Port`.
+/// The node runtime: state machine (owning the partial view),
+/// positive-edge fault parser, recording discipline, and the injection
+/// drain loop. The node adapter embeds exactly one `NodeCore` per node
+/// incarnation and drives it through its `Port`.
 pub(crate) struct NodeCore {
     pub study: Arc<Study>,
     pub symbols: Arc<SymbolTable>,
@@ -292,37 +272,9 @@ impl NodeCore {
         port.notify(me, exit_state, targets);
         self.exiting = false;
     }
-
-    /// Records this node's own crash and delivers the `CRASH` state's
-    /// notifications on the machine's behalf (the thesis's
-    /// overridden-signal-handler path, §3.6.2). Used by backends where the
-    /// dying node itself writes the record; on the simulation backend the
-    /// local daemon plays watchdog instead.
-    pub fn record_self_crash(&mut self, port: &mut dyn Port) {
-        let crash_state = self.study.reserved.crash;
-        let now = port.now();
-        port.record(
-            now,
-            RecordKind::StateChange {
-                event: self.study.reserved.crash_event,
-                new_state: crash_state,
-            },
-        );
-        let targets: SmTargets = self
-            .study
-            .machine(self.me)
-            .notify_list(crash_state)
-            .iter()
-            .copied()
-            .collect();
-        if !targets.is_empty() {
-            port.notify(self.me, crash_state, targets);
-        }
-    }
 }
 
-/// The context handed to [`App`] callbacks — the same type on every
-/// backend.
+/// The context handed to [`App`] callbacks.
 pub struct NodeCtx<'a> {
     pub(crate) core: &'a mut NodeCore,
     pub(crate) port: &'a mut (dyn Port + 'a),
@@ -376,10 +328,8 @@ impl NodeCtx<'_> {
         self.port.now()
     }
 
-    /// Crashes this node: the process dies without cleanup; the crash is
-    /// detected and recorded (§3.6.2) — by the local daemon on the
-    /// simulation backend, by the dying node thread itself on the thread
-    /// backend.
+    /// Crashes this node: the process dies without cleanup; the local
+    /// daemon detects and records the crash (§3.6.2).
     pub fn crash(&mut self) {
         self.port.crash();
     }
@@ -391,7 +341,7 @@ impl NodeCtx<'_> {
         self.port.exit();
     }
 
-    /// The node's RNG (deterministic on the simulation backend).
+    /// The node's RNG (the world's deterministic one).
     pub fn rng(&mut self) -> &mut StdRng {
         self.port.rng()
     }
@@ -465,11 +415,10 @@ impl NodeCtx<'_> {
 
     /// Applies a network fault action ([`FaultAction::Partition`],
     /// [`FaultAction::Heal`], [`FaultAction::LinkFault`],
-    /// [`FaultAction::GrayNode`]) to the backend's message fabric, the
+    /// [`FaultAction::GrayNode`]) to the simulated message fabric, the
     /// usual body of an [`App::on_fault`] arm. Returns whether it took
-    /// effect: `false` on backends without a modelled network (the thread
-    /// backend) or when the action's parameters are rejected — the
-    /// simulation records a rejection as a
+    /// effect: `false` for an action that is not a network action, and
+    /// when the action's parameters are rejected, which is recorded as a
     /// [`Warning::NetFaultRejected`].
     pub fn apply_net_fault(&mut self, action: &FaultAction) -> bool {
         self.port.net_fault(action)

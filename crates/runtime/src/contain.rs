@@ -1,12 +1,12 @@
-//! Panic-containment helpers shared by both execution backends.
+//! Panic-containment helpers.
 //!
 //! A fault-injection campaign *expects* applications under study to
 //! misbehave — an injected fault that tickles a real bug often ends in a
 //! panic inside an application callback. The harness must convert that
 //! unwind into a typed [`ExperimentFailure::AppPanic`](loki_core::campaign::ExperimentFailure)
 //! without losing the diagnostic, so the payload-to-text conversion lives
-//! here, used by the simulation node adapter, the thread backend, and the
-//! campaign pipeline's analysis containment alike.
+//! here, used by the node adapter, the campaign driver, and the campaign
+//! pipeline's analysis containment alike.
 
 use std::any::Any;
 

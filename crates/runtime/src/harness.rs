@@ -5,11 +5,6 @@
 //! assembles the resulting [`ExperimentData`] — local timelines plus sync
 //! samples — which feeds the analysis phase.
 //!
-//! Campaigns run on the simulation. The *same* applications run one
-//! experiment at a time with every node as an OS thread through
-//! [`crate::run_thread_experiment`], whose configuration derives from a
-//! [`SimHarnessConfig`]; the analysis consumes either's data alike.
-//!
 //! Every campaign runs through one driver: a caller-runs, work-stealing
 //! worker pool that contains per-experiment failures and commits results
 //! in experiment order. [`run_study`] rides it with the identity and
@@ -74,12 +69,6 @@ impl std::fmt::Display for CampaignError {
 impl std::error::Error for CampaignError {}
 
 /// Configuration of the experiment harness.
-///
-/// The host list, seed, timeout, sync rounds, and restart policy also
-/// configure [`crate::run_thread_experiment`] (its configuration converts
-/// from this one); the other knobs are simulation-only (the thread runner
-/// routes notifications directly and paces its sync exchanges in real
-/// time).
 #[derive(Clone, Debug)]
 pub struct SimHarnessConfig {
     /// The simulated hosts. Their order defines host indices; placements in
@@ -132,8 +121,6 @@ pub struct SimHarnessConfig {
     /// count or batch size — so budgeted campaigns stay byte-identical
     /// across pool shapes. `None` (the default) disarms the budget
     /// entirely; a disarmed world pays one predictable branch per event.
-    /// Simulation-only; the thread runner's equivalent is the wall-clock
-    /// watchdog derived from [`SimHarnessConfig::timeout_ns`].
     pub max_virtual_time: Option<u64>,
     /// Deterministic event-count budget: an experiment that has processed
     /// this many simulation events ends as
@@ -180,10 +167,9 @@ impl SimHarnessConfig {
     }
 
     /// The reference host for off-line synchronization: the fastest clock
-    /// (§5.7).
-    pub fn reference_host(&self) -> &str {
+    /// (§5.7); `None` when the host list is empty.
+    pub fn reference_host(&self) -> Option<&str> {
         fastest_reference(self.hosts.iter().map(|h| (h.name.as_str(), &h.clock)))
-            .expect("at least one host")
     }
 
     /// Builds the study-run [`SymbolTable`]: every host interned in
@@ -208,22 +194,19 @@ pub fn run_experiment(
     cfg: &SimHarnessConfig,
     experiment: u32,
 ) -> Result<ExperimentData, CampaignError> {
-    validate_hosts(study, cfg.hosts.iter().map(|h| h.name.as_str()))?;
+    validate_hosts(study, cfg)?;
     let symbols = cfg.symbols();
     let sim_study = SimStudy::new(study, &factory, cfg, &symbols);
     let mut sim = Simulation::with_config(sim_study.world.clone(), 0);
     Ok(sim_study.run_one(&mut sim, experiment, &mut None))
 }
 
-/// The host-list check every entry point — [`run_experiment`], the
-/// campaign driver and [`crate::run_thread_experiment`] — runs before any
-/// experiment (and any worker) starts: an empty list, a duplicate name, or
-/// a machine of `study` placed on a host the list lacks.
-pub(crate) fn validate_hosts<'a>(
-    study: &Study,
-    names: impl IntoIterator<Item = &'a str>,
-) -> Result<(), CampaignError> {
-    let names: Vec<&str> = names.into_iter().collect();
+/// The host-list check both entry points — [`run_experiment`] and the
+/// campaign driver — run before any experiment (and any worker) starts:
+/// an empty list, a duplicate name, or a machine of `study` placed on a
+/// host the list lacks.
+fn validate_hosts(study: &Study, cfg: &SimHarnessConfig) -> Result<(), CampaignError> {
+    let names: Vec<&str> = cfg.hosts.iter().map(|h| h.name.as_str()).collect();
     if names.is_empty() {
         return Err(CampaignError::Hosts(
             "loki: harness config needs at least one host".to_owned(),
@@ -313,7 +296,7 @@ impl<'a> SimStudy<'a> {
                 .add_host(host.clone())
                 .expect("host names validated unique");
         }
-        let reference = cfg.reference_host();
+        let reference = cfg.reference_host().expect("host list validated non-empty");
         let ref_idx = cfg
             .hosts
             .iter()
@@ -951,7 +934,7 @@ fn drive_campaign<R: Send>(
             "loki: worker count must be at least 1".to_owned(),
         ));
     }
-    validate_hosts(study, cfg.hosts.iter().map(|h| h.name.as_str()))?;
+    validate_hosts(study, cfg)?;
     let workers = workers.clamp(1, experiments.max(1) as usize);
     let batch = resolve_batch(cfg)?;
     let symbols = cfg.symbols();
@@ -1336,5 +1319,14 @@ mod tests {
             assert!(err.contains("LOKI_BATCH"), "{bad:?}: {err}");
             assert!(err.contains(bad), "{bad:?}: {err}");
         }
+    }
+
+    #[test]
+    fn a_config_without_hosts_has_no_reference_host() {
+        assert_eq!(SimHarnessConfig::default().reference_host(), None);
+        assert_eq!(
+            SimHarnessConfig::three_hosts(0).reference_host(),
+            Some("host1")
+        );
     }
 }

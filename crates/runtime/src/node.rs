@@ -1,6 +1,6 @@
-//! The simulation-backend node adapter.
+//! The node adapter.
 //!
-//! Embeds the backend-agnostic [`NodeCore`](crate::app) into a simulated
+//! Embeds the portable [`NodeCore`](crate::app) into a simulated
 //! actor: the adapter translates the core's transport needs (the
 //! crate-private `Port` trait) onto the simulated message fabric — state
 //! notifications route through the configured §3.4.1 design (local daemon,
@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use std::any::Any;
 use std::rc::Rc;
 
-/// Simulation-backend wiring shared by all of one node's callbacks: the
+/// The wiring shared by all of one node's callbacks: the
 /// experiment context plus this node's identity and daemon.
 struct SimShared {
     ctx: Rc<ExpCtx>,
@@ -230,9 +230,8 @@ impl loki_sim::engine::Actor<RtMsg> for NodeActor {
         let now = ctx.local_clock();
 
         // Restart detection: the timeline file already exists (§3.6.3).
-        // `begin_life` applies the shared `Recorder` stint/restart
-        // bookkeeping in place so it cannot diverge from the thread
-        // backend, without round-tripping the timeline out of the store.
+        // `begin_life` applies the `Recorder` stint/restart bookkeeping in
+        // place, without round-tripping the timeline out of the store.
         let restarted = self.shared.ctx.store.begin_life(me, now, host);
         self.core.restarted = restarted;
 

@@ -7,21 +7,17 @@
 //!    timeline → correctness check), and folded into the measure the
 //!    moment it finishes — raw data never outlives its worker.
 //! 4. Read the measure estimate off the accumulator.
-//! 5. Re-run the *same* application on the real-concurrency thread backend,
-//!    one experiment at a time, through the same per-experiment analysis.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
-use loki::analysis::{analyze_one, AnalysisOptions};
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::spec::{StateMachineSpec, StudyDef};
 use loki::core::study::Study;
 use loki::measure::prelude::*;
 use loki::runtime::harness::{CampaignPipeline, SimHarnessConfig};
-use loki::runtime::{run_thread_experiment, AppFactory, ThreadHarnessConfig};
-use loki::runtime::{App, NodeCtx, Payload};
+use loki::runtime::{App, AppFactory, NodeCtx, Payload};
 use std::sync::Arc;
 
 /// `worker` grinds through INIT → BUSY → DONE; `observer` watches and
@@ -136,7 +132,7 @@ fn main() {
         observation: ObservationFn::total_true(),
     });
     let mut busy_time = StudyAccumulator::new(measure);
-    let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), harness.clone());
+    let pipeline = CampaignPipeline::new(study.clone(), factory, harness);
     let summary = pipeline
         .run(10, |analyzed| {
             busy_time
@@ -160,19 +156,4 @@ fn main() {
             stats.n
         );
     }
-
-    // --- 5. one app, every backend ---------------------------------------------
-    // The exact same `App` implementations and factory now run with every
-    // node as an OS thread: real time, real concurrency, nondeterministic
-    // interleavings — and the identical per-experiment analysis.
-    let threaded = ThreadHarnessConfig::from(&harness);
-    let experiments = 2;
-    let accepted = (0..experiments)
-        .map(|k| run_thread_experiment(&study, factory.clone(), &threaded, k))
-        .map(|data| data.expect("valid host list"))
-        .filter(|data| analyze_one(&study, data, &AnalysisOptions::default()).accepted())
-        .count();
-    println!(
-        "thread backend: {accepted}/{experiments} genuinely concurrent experiments provably correct"
-    );
 }

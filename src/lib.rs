@@ -26,21 +26,19 @@
 //! ## Running a campaign
 //!
 //! The two snippets below are the README's, compiled here so they cannot
-//! drift from the API. Campaigns pick their execution environment per
-//! study: a campaign runs on the simulation, and the same app runs one
-//! experiment at a time on OS threads:
+//! drift from the API. A campaign runs on the deterministic simulator, and
+//! any one of its experiments replays alone, byte for byte:
 //!
 //! ```rust,no_run
-//! use loki::runtime::harness::{run_study, CampaignError, SimHarnessConfig};
-//! use loki::runtime::{run_thread_experiment, ThreadHarnessConfig};
+//! use loki::runtime::harness::{run_experiment, run_study, CampaignError, SimHarnessConfig};
 //! # fn demo(study: std::sync::Arc<loki::core::study::Study>,
 //! #         factory: loki::runtime::AppFactory) -> Result<(), CampaignError> {
 //!
-//! let cfg = SimHarnessConfig::three_hosts(42);              // deterministic sim
-//! let sim_data = run_study(&study, factory.clone(), &cfg, 200)?;
+//! let cfg = SimHarnessConfig::three_hosts(42);
+//! let data = run_study(&study, factory.clone(), &cfg, 200)?;
 //!
-//! let threaded = ThreadHarnessConfig::from(&cfg);           // same app, OS threads
-//! let real_data = run_thread_experiment(&study, factory, &threaded, 0)?;
+//! let replay = run_experiment(&study, factory, &cfg, 7)?; // a fresh world
+//! assert_eq!(replay, data[7]);
 //! # Ok(())
 //! # }
 //! ```

@@ -1,20 +1,22 @@
-//! Cross-backend acceptance: every app in `crates/apps` implements the
-//! unified `App` trait exactly once, and that one implementation runs the
-//! same study on both the deterministic simulation backend and the
-//! real-concurrency thread backend.
+//! App acceptance: every app in `crates/apps` implements the `App` trait
+//! exactly once, and that one implementation runs a deterministic
+//! simulated campaign the analysis accepts.
 //!
 //! For each app this test checks that
-//! * the simulation backend produces *identical fault-injection intent*
-//!   (which faults fired, per machine, per experiment) across repeated
-//!   runs and across worker counts;
-//! * both backends produce `ExperimentData` the analysis pipeline
-//!   consumes, with at least one experiment's injections provably correct.
+//! * the campaign produces *identical fault-injection intent* (which
+//!   faults fired, per machine, per experiment) across repeated runs and
+//!   across worker counts;
+//! * the analysis pipeline consumes its `ExperimentData`, with at least
+//!   one experiment's injections provably correct.
+//!
+//! It also pins the streaming pipeline against the batch path, and the
+//! typed errors both entry points return for a bad host list.
 
-use loki::analysis::{analyze, analyze_one, AnalysisOptions};
+use loki::analysis::{analyze, AnalysisOptions};
 use loki::apps::election::{election_factory, election_study, ElectionConfig};
 use loki::apps::kvstore::{kv_factory, kv_study, KvConfig};
 use loki::apps::token_ring::{ring_factory, ring_study, RingConfig};
-use loki::core::campaign::{ExperimentData, ExperimentEnd};
+use loki::core::campaign::ExperimentData;
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::probe::{ActionProbe, FaultAction};
 use loki::core::recorder::RecordKind;
@@ -23,7 +25,8 @@ use loki::measure::prelude::*;
 use loki::runtime::harness::{
     run_experiment, run_study, CampaignError, CampaignPipeline, SimHarnessConfig,
 };
-use loki::runtime::{run_thread_experiment, AppFactory, ThreadHarnessConfig};
+use loki::runtime::AppFactory;
+use loki::sim::config::HostConfig;
 use std::sync::Arc;
 
 /// The fault names injected in one experiment, per machine in timeline
@@ -47,23 +50,19 @@ fn injection_intent(study: &Study, data: &ExperimentData) -> Vec<(String, Vec<St
         .collect()
 }
 
-/// Runs one app's campaign on both backends and checks the acceptance
-/// criteria above.
-fn check_cross_backend(label: &str, study: &Arc<Study>, factory: AppFactory, seed: u64) {
-    let sim_cfg = SimHarnessConfig::three_hosts(seed);
-
-    // --- deterministic backend -------------------------------------------
-    let run_sim = |workers: usize| {
-        let mut cfg = sim_cfg.clone();
+/// Runs one app's campaign and checks the acceptance criteria above.
+fn check_app_campaign(label: &str, study: &Arc<Study>, factory: AppFactory, seed: u64) {
+    let run = |workers: usize| {
+        let mut cfg = SimHarnessConfig::three_hosts(seed);
         cfg.workers = Some(workers);
         run_study(study, factory.clone(), &cfg, 3).expect("valid campaign config")
     };
-    let (first, rerun, parallel) = (run_sim(1), run_sim(1), run_sim(2));
+    let (first, rerun, parallel) = (run(1), run(1), run(2));
 
     let intent: Vec<_> = first.iter().map(|d| injection_intent(study, d)).collect();
     assert!(
         intent.iter().flatten().any(|(_, fired)| !fired.is_empty()),
-        "{label}: the sim campaign never injected"
+        "{label}: the campaign never injected"
     );
     let rerun_intent: Vec<_> = rerun.iter().map(|d| injection_intent(study, d)).collect();
     let parallel_intent: Vec<_> = parallel
@@ -79,38 +78,13 @@ fn check_cross_backend(label: &str, study: &Arc<Study>, factory: AppFactory, see
     let analyzed = analyze(study, first, &AnalysisOptions::default());
     assert!(
         analyzed.iter().any(|a| a.accepted()),
-        "{label}: no sim experiment accepted by the analysis"
-    );
-
-    // --- thread backend: the same factory, real concurrency ---------------
-    let d = run_thread_experiment(study, factory, &ThreadHarnessConfig::from(&sim_cfg), 0)
-        .expect("valid host list");
-    assert_eq!(d.end, ExperimentEnd::Completed, "{label}: thread run hung");
-    assert_eq!(
-        d.timelines.len(),
-        study.num_machines(),
-        "{label}: missing thread timelines"
-    );
-    assert!(
-        !d.pre_sync.is_empty() && !d.post_sync.is_empty(),
-        "{label}: missing sync mini-phases"
-    );
-    assert!(
-        d.total_injections() >= 1,
-        "{label}: the thread campaign never injected"
-    );
-    let analyzed = analyze_one(study, &d, &AnalysisOptions::default());
-    assert!(
-        analyzed.accepted(),
-        "{label}: thread experiment rejected: {:?}",
-        analyzed.verdict
+        "{label}: no experiment accepted by the analysis"
     );
 }
 
 /// The quick election campaign used by several tests: every machine faults
 /// on its *own* LEAD entry, so whichever machine wins, an injection
-/// happens — with zero notification latency, keeping it provably correct
-/// on both backends.
+/// happens — with zero notification latency, keeping it provably correct.
 fn quick_election() -> (Arc<Study>, AppFactory) {
     let mut def = election_study("cross-election");
     for (fault, sm) in [
@@ -121,9 +95,8 @@ fn quick_election() -> (Arc<Study>, AppFactory) {
         def = def.fault(sm, fault, FaultExpr::atom(sm, "LEAD"), Trigger::Once);
     }
     let study = Study::compile_arc(&def).unwrap();
-    // Durations shortened (the thread backend runs in real time) but with
-    // detection timeouts several times larger than any plausible CI
-    // scheduling stall, so a loaded runner cannot fake a failure.
+    // Durations shortened, with detection timeouts several times the
+    // heartbeat interval.
     let cfg = ElectionConfig {
         init_delay_ns: 60_000_000,
         collect_timeout_ns: 80_000_000,
@@ -137,9 +110,9 @@ fn quick_election() -> (Arc<Study>, AppFactory) {
 }
 
 #[test]
-fn election_runs_on_both_backends() {
+fn election_campaign_is_deterministic_and_accepted() {
     let (study, factory) = quick_election();
-    check_cross_backend("election", &study, factory, 0xE1EC);
+    check_app_campaign("election", &study, factory, 0xE1EC);
 }
 
 /// A one-step study measure over the election campaign: how long `black`
@@ -217,37 +190,8 @@ fn pipeline_streaming_matches_batch_and_bounds_raw_retention() {
     }
 }
 
-/// On the thread backend the interleavings are genuinely nondeterministic,
-/// so streaming-vs-batch equality is checked on the *same* raw data: the
-/// per-experiment `analyze_one` a thread campaign loop (and the pipeline's
-/// workers) applies must be byte-identical to the batch `analyze`.
 #[test]
-fn pipeline_analysis_is_faithful_on_the_thread_backend() {
-    let (study, factory) = quick_election();
-    let cfg = ThreadHarnessConfig::from(&SimHarnessConfig::three_hosts(0x7EAD));
-    let opts = AnalysisOptions::default();
-
-    let data: Vec<ExperimentData> = (0..2)
-        .map(|k| run_thread_experiment(&study, factory.clone(), &cfg, k).expect("valid host list"))
-        .collect();
-    let batch = analyze(&study, data.clone(), &opts);
-    for (d, b) in data.iter().zip(&batch) {
-        assert_eq!(
-            d.end,
-            ExperimentEnd::Completed,
-            "thread experiments must complete"
-        );
-        assert_eq!(
-            analyze_one(&study, d, &opts),
-            b.analysis,
-            "streamed analysis diverged from batch on experiment {}",
-            d.experiment
-        );
-    }
-}
-
-#[test]
-fn kvstore_runs_on_both_backends() {
+fn kvstore_campaign_is_deterministic_and_accepted() {
     let def = kv_study("cross-kv", 3).fault(
         "kv1",
         "kill_primary",
@@ -263,11 +207,11 @@ fn kvstore_runs_on_both_backends() {
         lifetime_ns: 700_000_000,
         ..Default::default()
     };
-    check_cross_backend("kvstore", &study, kv_factory(cfg), 0x4B56);
+    check_app_campaign("kvstore", &study, kv_factory(cfg), 0x4B56);
 }
 
 #[test]
-fn token_ring_runs_on_both_backends() {
+fn token_ring_campaign_is_deterministic_and_accepted() {
     // A communication fault instead of a crash: the holder drops its next
     // pass, the ring detects the drought and regenerates the token.
     let def = ring_study("cross-ring", 3).fault(
@@ -285,28 +229,67 @@ fn token_ring_runs_on_both_backends() {
         lifetime_ns: 800_000_000,
         probe: ActionProbe::new().on("drop_pass", FaultAction::DropMessages { count: 1 }),
     };
-    check_cross_backend("token-ring", &study, ring_factory(cfg), 0x716);
+    check_app_campaign("token-ring", &study, ring_factory(cfg), 0x716);
 }
 
-#[test]
-fn threads_backend_rejects_a_placement_on_an_unknown_host() {
-    // `ring_study` places its third member on host3. Without that host
-    // neither backend has a host to run the machine on: both say so, with
-    // the same typed error, before a single experiment starts.
-    let study = Study::compile_arc(&ring_study("cross-unknown-host", 3)).unwrap();
+/// Runs `ring_study`, which places tr1..tr3 on host1..host3, on `hosts`:
+/// both entry points must reject the list with the same typed error,
+/// carrying `message`, before a single experiment starts.
+fn assert_host_error(hosts: Vec<HostConfig>, message: &str) {
+    let study = Study::compile_arc(&ring_study("bad-hosts", 3)).unwrap();
     let factory = ring_factory(RingConfig::default());
-    let mut cfg = SimHarnessConfig::three_hosts(0x0457);
-    cfg.hosts.truncate(2);
-    let expected = CampaignError::Hosts(
-        "loki: invalid harness config: placement on unknown host `host3`".to_owned(),
-    );
-
-    let threads =
-        run_thread_experiment(&study, factory.clone(), &ThreadHarnessConfig::from(&cfg), 0);
-    assert_eq!(threads.unwrap_err(), expected);
+    let cfg = SimHarnessConfig {
+        hosts,
+        ..SimHarnessConfig::three_hosts(0x0457)
+    };
+    let expected = CampaignError::Hosts(message.to_owned());
     assert_eq!(
         run_experiment(&study, factory.clone(), &cfg, 0).unwrap_err(),
         expected
     );
     assert_eq!(run_study(&study, factory, &cfg, 2).unwrap_err(), expected);
+}
+
+fn three_hosts() -> Vec<HostConfig> {
+    SimHarnessConfig::three_hosts(0x0457).hosts
+}
+
+#[test]
+fn an_empty_host_list_is_a_typed_error() {
+    assert_host_error(Vec::new(), "loki: harness config needs at least one host");
+}
+
+#[test]
+fn a_duplicate_host_name_is_a_typed_error() {
+    // Interned naively, the second `host1` would get an id of its own, and
+    // a machine placed on `host1` could run on that host's clock.
+    let hosts = three_hosts();
+    assert_host_error(
+        vec![
+            hosts[0].clone(),
+            hosts[0].clone(),
+            hosts[1].clone(),
+            hosts[2].clone(),
+        ],
+        "loki: invalid harness config: duplicate host name \"host1\"",
+    );
+}
+
+#[test]
+fn placement_on_an_unknown_host_is_a_typed_error() {
+    // host2 and host3 are both gone: the error names the first placement
+    // that fails, tr2's.
+    assert_host_error(
+        three_hosts()[..1].to_vec(),
+        "loki: invalid harness config: placement on unknown host `host2`",
+    );
+}
+
+#[test]
+fn a_placement_on_a_dropped_host_is_a_typed_error() {
+    // Only the last host is gone, so only tr3 has nowhere to run.
+    assert_host_error(
+        three_hosts()[..2].to_vec(),
+        "loki: invalid harness config: placement on unknown host `host3`",
+    );
 }

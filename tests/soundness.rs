@@ -12,6 +12,11 @@
 //! `accepted ⇒ truly correct` for every seed and state-residence time;
 //! completeness (accepting most truly-correct ones) is measured but only
 //! loosely asserted, since the check is deliberately conservative.
+//!
+//! The sweep covers two delay regimes: the thesis's (10 ms timeslices,
+//! LAN latencies, holds of milliseconds) and a microsecond one (10 µs
+//! timeslices, TCP 10 + U(0, 20) µs, IPC 2 + U(0, 2) µs, holds down to
+//! 20 µs), where the α bounds are as wide as the shortest holds.
 
 use loki::analysis::{analyze, AnalysisOptions, MissingPolicy};
 use loki::core::fault::{FaultExpr, Trigger};
@@ -22,7 +27,7 @@ use loki::runtime::harness::{run_study, SimHarnessConfig};
 use loki::runtime::messages::NotifyRouting;
 use loki::runtime::AppFactory;
 use loki::runtime::{App, NodeCtx, Payload};
-use loki::sim::config::HostConfig;
+use loki::sim::config::{HostConfig, LatencyModel, NetworkConfig};
 use std::sync::Arc;
 
 struct Target {
@@ -130,72 +135,103 @@ fn truly_correct(study: &Study, data: &loki::core::ExperimentData) -> Option<boo
     Some(enter? <= injection && injection <= leave?)
 }
 
+/// Two hosts with *ideal* clocks, so the oracle sees true times, and
+/// direct routing; `seed` is the seed of the row's first hold.
+fn oracle_harness(timeslice_ns: u64, network: NetworkConfig, seed: u64) -> SimHarnessConfig {
+    SimHarnessConfig {
+        hosts: vec![
+            HostConfig::new("host1").timeslice_ns(timeslice_ns),
+            HostConfig::new("host2").timeslice_ns(timeslice_ns),
+        ],
+        network,
+        routing: NotifyRouting::Direct,
+        seed,
+        ..Default::default()
+    }
+}
+
 #[test]
 fn analysis_acceptance_is_sound_against_ground_truth() {
     let study = oracle_study();
-    let hold_values_ms = [1u64, 3, 6, 10, 15, 25];
+    let microseconds = NetworkConfig {
+        ipc: LatencyModel {
+            base_ns: 2_000,
+            jitter_ns: 2_000,
+        },
+        tcp: LatencyModel {
+            base_ns: 10_000,
+            jitter_ns: 20_000,
+        },
+    };
+    // (harness, hold times in ns), one row per delay regime.
+    let sweep = [
+        (
+            oracle_harness(10_000_000, NetworkConfig::default(), 0x50D0),
+            [1u64, 3, 6, 10, 15, 25].map(|ms| ms * 1_000_000),
+        ),
+        (
+            oracle_harness(10_000, microseconds, 0x50E0),
+            [20u64, 50, 100, 200, 500, 1_000].map(|us| us * 1_000),
+        ),
+    ];
     let mut accepted_total = 0usize;
     let mut truly_correct_total = 0usize;
     let mut injected_total = 0usize;
     let mut total = 0usize;
 
-    for (i, hold_ms) in hold_values_ms.iter().enumerate() {
-        let hold_ns = hold_ms * 1_000_000;
-        let factory: AppFactory = Arc::new(move |study: &Study, sm| -> Box<dyn App> {
-            if study.sms.name(sm) == "target" {
-                Box::new(Target {
-                    settle_ns: 150_000_000,
-                    hold_ns,
-                })
-            } else {
-                Box::new(Watcher {
-                    lifetime_ns: 450_000_000,
-                })
-            }
-        });
-        // Ideal clocks on both hosts: the oracle sees true times.
-        let harness = SimHarnessConfig {
-            hosts: vec![
-                HostConfig::new("host1").timeslice_ns(10_000_000),
-                HostConfig::new("host2").timeslice_ns(10_000_000),
-            ],
-            routing: NotifyRouting::Direct,
-            seed: 0x50D0 + i as u64,
-            ..Default::default()
-        };
-        let experiments = run_study(&study, factory, &harness, 12).expect("valid campaign config");
-        let truths: Vec<Option<bool>> = experiments
-            .iter()
-            .map(|d| truly_correct(&study, d))
-            .collect();
-        let analyzed = analyze(
-            &study,
-            experiments,
-            &AnalysisOptions {
-                missing: MissingPolicy::Ignore,
-                ..Default::default()
-            },
-        );
-        for (a, truth) in analyzed.iter().zip(&truths) {
-            total += 1;
-            if truth.is_some() {
-                injected_total += 1;
-            }
-            if *truth == Some(true) {
-                truly_correct_total += 1;
-            }
-            // Only consider the injection verdicts (MissingPolicy::Ignore
-            // keeps never-injected experiments accepted with zero checks).
-            let has_injection = a.verdict().map(|v| !v.checks.is_empty()).unwrap_or(false);
-            if a.accepted() && has_injection {
-                accepted_total += 1;
-                // SOUNDNESS: accepted ⇒ truly correct.
-                assert_eq!(
-                    *truth,
-                    Some(true),
-                    "analysis accepted an injection that truly missed (hold {hold_ms} ms, exp {})",
-                    a.data.experiment
-                );
+    for (row, holds_ns) in &sweep {
+        for (i, &hold_ns) in holds_ns.iter().enumerate() {
+            let factory: AppFactory = Arc::new(move |study: &Study, sm| -> Box<dyn App> {
+                if study.sms.name(sm) == "target" {
+                    Box::new(Target {
+                        settle_ns: 150_000_000,
+                        hold_ns,
+                    })
+                } else {
+                    Box::new(Watcher {
+                        lifetime_ns: 450_000_000,
+                    })
+                }
+            });
+            let harness = SimHarnessConfig {
+                seed: row.seed + i as u64,
+                ..row.clone()
+            };
+            let experiments =
+                run_study(&study, factory, &harness, 12).expect("valid campaign config");
+            let truths: Vec<Option<bool>> = experiments
+                .iter()
+                .map(|d| truly_correct(&study, d))
+                .collect();
+            let analyzed = analyze(
+                &study,
+                experiments,
+                &AnalysisOptions {
+                    missing: MissingPolicy::Ignore,
+                    ..Default::default()
+                },
+            );
+            for (a, truth) in analyzed.iter().zip(&truths) {
+                total += 1;
+                if truth.is_some() {
+                    injected_total += 1;
+                }
+                if *truth == Some(true) {
+                    truly_correct_total += 1;
+                }
+                // Only consider the injection verdicts (MissingPolicy::Ignore
+                // keeps never-injected experiments accepted with zero checks).
+                let has_injection = a.verdict().map(|v| !v.checks.is_empty()).unwrap_or(false);
+                if a.accepted() && has_injection {
+                    accepted_total += 1;
+                    // SOUNDNESS: accepted ⇒ truly correct.
+                    assert_eq!(
+                        *truth,
+                        Some(true),
+                        "accepted an injection that truly missed (hold {hold_ns} ns, exp {})",
+                        a.data.experiment
+                    );
+                }
             }
         }
     }
