@@ -22,6 +22,7 @@ use loki_core::study::Study;
 use loki_runtime::{App, AppFactory, NodeCtx, Payload};
 use rand::Rng;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Tunables of the election application.
@@ -150,7 +151,7 @@ impl Election {
             self.drop_remaining -= 1;
             return;
         }
-        ctx.broadcast(Arc::new(msg));
+        ctx.broadcast(Rc::new(msg));
     }
 
     fn decide(&mut self, ctx: &mut NodeCtx<'_>, round: u32) {

@@ -38,6 +38,7 @@ use loki_core::study::Study;
 use loki_runtime::{App, AppFactory, NodeCtx, Payload};
 use rand::Rng;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Retry/backoff settings for acknowledged replication
@@ -209,12 +210,11 @@ impl KvReplica {
     /// *executing* — partitioned away rather than dead — so it cannot be
     /// excluded by liveness alone.)
     fn i_am_successor(&self, ctx: &NodeCtx<'_>) -> bool {
-        let me = ctx.my_sm();
-        ctx.live_machines()
-            .into_iter()
-            .filter(|sm| Some(*sm) != self.believed_primary)
-            .min()
-            == Some(me)
+        ctx.study()
+            .sms
+            .ids()
+            .find(|&sm| ctx.is_live(sm) && Some(sm) != self.believed_primary)
+            == Some(ctx.my_sm())
     }
 }
 
@@ -253,7 +253,7 @@ impl App for KvReplica {
                         self.store.insert(*key, *value);
                     }
                     if self.cfg.retry.is_some() {
-                        ctx.send_to(from, Arc::new(Msg::Ack { seq: *seq }));
+                        ctx.send_to(from, Rc::new(Msg::Ack { seq: *seq }));
                     }
                 } else if self.role == Role::Failover {
                     // A primary is alive after all: step back.
@@ -303,7 +303,7 @@ impl App for KvReplica {
                     let key = ctx.rng().gen_range(0..64);
                     let value = ctx.rng().gen();
                     self.store.insert(key, value);
-                    ctx.broadcast(Arc::new(Msg::Replicate {
+                    ctx.broadcast(Rc::new(Msg::Replicate {
                         seq: self.seq,
                         key,
                         value,
@@ -356,7 +356,7 @@ impl App for KvReplica {
                     self.role = Role::Primary;
                     self.believed_primary = Some(ctx.my_sm());
                     ctx.notify_event("PROMOTED").expect("FAILOVER -> PRIMARY");
-                    ctx.broadcast(Arc::new(Msg::NewPrimary));
+                    ctx.broadcast(Rc::new(Msg::NewPrimary));
                     ctx.set_timer(self.cfg.op_interval_ns, TAG_OP);
                 }
             }
@@ -383,7 +383,7 @@ impl App for KvReplica {
                     return;
                 }
                 for _ in 0..retry.amplification.max(1) {
-                    ctx.broadcast(Arc::new(Msg::Replicate { seq, key, value }));
+                    ctx.broadcast(Rc::new(Msg::Replicate { seq, key, value }));
                 }
                 ctx.record_user_message(format!("retry seq={seq} attempt={attempts}"));
                 let backoff = (retry.base_backoff_ns as f64

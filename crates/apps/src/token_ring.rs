@@ -18,6 +18,7 @@ use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
 use loki_runtime::{App, AppFactory, NodeCtx, Payload};
 use rand::Rng;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Tunables of the ring.
@@ -110,7 +111,7 @@ impl RingMember {
         } else if let Some(next) = self.next_in_ring(ctx) {
             ctx.send_to(
                 next,
-                Arc::new(Token {
+                Rc::new(Token {
                     generation: self.generation,
                 }),
             );
@@ -171,7 +172,7 @@ impl App for RingMember {
                     ctx.notify_event("INIT_DONE").expect("INIT -> IDLE");
                     self.last_token_ns = ctx.local_time().as_nanos();
                     // The first machine mints generation 1.
-                    if ctx.machines().first() == Some(&ctx.my_sm()) {
+                    if ctx.study().sms.ids().next() == Some(ctx.my_sm()) {
                         self.take_token(ctx, 1);
                     } else {
                         ctx.set_timer(self.cfg.loss_timeout_ns, TAG_LOSS_CHECK);

@@ -15,10 +15,9 @@
 use loki_core::fault::{FaultExpr, Trigger};
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
-use loki_runtime::daemons::AppFactory;
 use loki_runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use loki_runtime::messages::NotifyRouting;
-use loki_runtime::{App, NodeCtx, Payload};
+use loki_runtime::{App, AppFactory, NodeCtx, Payload};
 use loki_sim::config::HostConfig;
 use std::sync::Arc;
 

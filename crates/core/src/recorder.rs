@@ -225,8 +225,7 @@ impl Recorder {
         self.push(time, RecordKind::UserMessage(message.into()));
     }
 
-    /// Records an arbitrary kind (used by the runtime's backend adapters,
-    /// which receive already-assembled [`RecordKind`]s from the node core).
+    /// Records an already-assembled [`RecordKind`].
     pub fn record(&mut self, time: LocalNanos, kind: RecordKind) {
         self.push(time, kind);
     }

@@ -5,7 +5,7 @@
 //! panic inside an application callback. The harness must convert that
 //! unwind into a typed [`ExperimentFailure::AppPanic`](loki_core::campaign::ExperimentFailure)
 //! without losing the diagnostic, so the payload-to-text conversion lives
-//! here, used by the node adapter, the campaign driver, and the campaign
+//! here, used by the node actor, the campaign driver, and the campaign
 //! pipeline's analysis containment alike.
 
 use std::any::Any;

@@ -24,7 +24,7 @@
 //! raw id, not hash maps.
 
 use crate::messages::{NotifyRouting, RtMsg, SmTargets};
-use crate::node::NodeActor;
+use crate::node::{AppFactory, NodeActor};
 use crate::store::{ExperimentControl, NodeDirectory, SyncCollector, TimelineStore};
 use crate::wiring::Wiring;
 use loki_core::campaign::{Receiver, Warning};
@@ -37,8 +37,6 @@ use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
-
-pub use crate::app::AppFactory;
 
 /// A machine location that is not currently known.
 const NO_HOST: u32 = u32::MAX;

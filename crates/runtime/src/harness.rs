@@ -16,11 +16,11 @@
 //! [`run_experiment`] runs a single experiment on a fresh world — the
 //! replay primitive.
 
-use crate::app::AppFactory;
 use crate::daemons::{
     reuse_or_box, ActorHull, CentralDaemon, ExpCtx, LocalDaemon, RestartPolicy, Supervisor,
 };
 use crate::messages::{NotifyRouting, RtMsg};
+use crate::node::AppFactory;
 use loki_analysis::{analyze_one, AnalysisOptions, AnalyzedExperiment};
 use loki_clock::params::fastest_reference;
 use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync, Warning};

@@ -1,16 +1,14 @@
 //! # loki-runtime
 //!
 //! The enhanced Loki runtime (thesis Chapter 3) on the deterministic
-//! simulator, built around a portable node core that applications program
-//! against:
+//! simulator:
 //!
-//! * [`app`] — the application-facing heart: the [`app::App`] trait
-//!   applications implement (the probe interface), the [`app::Payload`]
-//!   type, the [`app::NodeCtx`] handed to every callback, and the shared
-//!   node core (state machine + partial view + positive-edge fault parser
-//!   + recorder + injection drain loop).
-//! * [`node`] — the node adapter: embeds the node core into a
-//!   deterministic simulated actor.
+//! * [`node`] — the application-facing heart: the [`node::App`] trait
+//!   applications implement (the probe interface), the [`node::Payload`]
+//!   type, the [`node::NodeCtx`] handed to every callback, and the node
+//!   actor that runs an application beside its Loki runtime (state
+//!   machine + partial view + positive-edge fault parser + recorder +
+//!   injection drain loop).
 //! * [`daemons`] — local daemons (routing, watchdog, crash records,
 //!   experiment-completion checks), the central daemon (startup, timeout,
 //!   abort), and the restart supervisor (the system under study's recovery
@@ -35,7 +33,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod app;
 pub mod contain;
 pub mod daemons;
 pub mod harness;
@@ -44,9 +41,9 @@ pub mod node;
 pub mod store;
 pub mod wiring;
 
-pub use app::{App, AppFactory, AppTimer, NodeCtx, Payload};
 pub use daemons::{RestartPlacement, RestartPolicy};
 pub use harness::{
     run_experiment, run_study, CampaignError, CampaignPipeline, PipelineSummary, SimHarnessConfig,
 };
 pub use messages::{NotifyRouting, RtMsg};
+pub use node::{App, AppFactory, AppTimer, NodeCtx, Payload};

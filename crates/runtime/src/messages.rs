@@ -1,4 +1,4 @@
-//! The message protocol of the Loki runtime (simulation backend).
+//! The message protocol of the Loki runtime.
 //!
 //! Mirrors the communication paths of the enhanced architecture (§3.5):
 //! nodes talk to their local daemon over IPC; daemons talk to each other
@@ -6,7 +6,7 @@
 //! application's own connections. The design-ablation routing modes
 //! (§3.4.1) reuse the same message set with different paths.
 
-use crate::app::Payload;
+use crate::node::Payload;
 use loki_core::ids::{SmId, StateId};
 use loki_core::small::InlineVec;
 
@@ -106,7 +106,7 @@ pub enum RtMsg {
     App {
         /// Sending state machine.
         from_sm: SmId,
-        /// Payload (the backend-agnostic [`Payload`] type).
+        /// Payload (the application-defined [`Payload`]).
         payload: Payload,
     },
 }
@@ -187,14 +187,14 @@ mod tests {
         assert!(s.contains("Notify"));
         let m = RtMsg::App {
             from_sm: Id::from_raw(2),
-            payload: std::sync::Arc::new(42u32),
+            payload: std::rc::Rc::new(42u32),
         };
         assert!(format!("{m:?}").contains("App"));
     }
 
     #[test]
     fn payload_downcasts() {
-        let p: Payload = std::sync::Arc::new("hello".to_owned());
+        let p: Payload = std::rc::Rc::new("hello".to_owned());
         assert_eq!(p.downcast_ref::<String>().unwrap(), "hello");
         assert!(p.downcast_ref::<u32>().is_none());
     }

@@ -3,7 +3,7 @@
 //! The thesis's runtime persists local timelines to NFS-mounted files so
 //! that (a) a restarted node can discover its earlier life and (b) the
 //! local daemon can append a crash record to a dead node's timeline
-//! (§3.6.2–3.6.3). In the simulation backend these stores play the role of
+//! (§3.6.2–3.6.3). In the simulator these stores play the role of
 //! that shared filesystem: they are *storage*, not a communication channel —
 //! runtime coordination flows exclusively through messages.
 //!

@@ -1,7 +1,6 @@
-//! `NodeCtx::broadcast` on the simulation backend reaches exactly the live
-//! peers, sends in ascending id order, and allocates nothing once warm.
-//! The library crates forbid `unsafe`, so the counting allocator lives in
-//! this test crate.
+//! `NodeCtx::broadcast` reaches exactly the live peers, sends in ascending
+//! id order, and allocates nothing once warm. The library crates forbid
+//! `unsafe`, so the counting allocator lives in this test crate.
 
 use loki_core::campaign::{ExperimentData, ExperimentEnd};
 use loki_core::ids::SmId;
@@ -12,6 +11,7 @@ use loki_runtime::harness::{run_experiment, SimHarnessConfig};
 use loki_runtime::{App, AppFactory, NodeCtx, Payload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 thread_local! {
@@ -129,7 +129,7 @@ fn run(study: &Arc<Study>, to: Option<Vec<SmId>>) -> (ExperimentData, Vec<u64>) 
         match study.sms.name(sm) {
             "n1" => Box::new(Sender {
                 to: to.clone(),
-                payload: Arc::new(7u32),
+                payload: Rc::new(7u32),
                 log: sender_log.clone(),
             }),
             name => Box::new(Peer {

@@ -1,4 +1,4 @@
-//! End-to-end runtime tests: full experiments on the simulation backend.
+//! End-to-end runtime tests: full experiments on the simulator.
 
 use loki_core::campaign::ExperimentEnd;
 use loki_core::fault::{FaultExpr, Trigger};
@@ -386,4 +386,55 @@ fn cancelled_sim_timer_never_fires() {
         ),
         "cancelled timer fired: {t:?}"
     );
+}
+
+#[test]
+fn the_last_termination_request_decides_how_a_node_goes_down() {
+    #[derive(Copy, Clone, Debug)]
+    enum Call {
+        Exit,
+        Crash,
+    }
+    /// Watches, then makes both termination calls in one callback.
+    struct Terminator([Call; 2]);
+    impl App for Terminator {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>, _: bool) {
+            ctx.notify_event("WATCH").unwrap();
+            ctx.set_timer(10_000_000, 0);
+        }
+        fn on_app_message(&mut self, _: &mut NodeCtx<'_>, _: loki_core::ids::SmId, _: Payload) {}
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _: u64) {
+            for call in self.0 {
+                match call {
+                    Call::Exit => ctx.exit(),
+                    Call::Crash => ctx.crash(),
+                }
+            }
+        }
+        fn on_fault(&mut self, _: &mut NodeCtx<'_>, _: &str) {}
+    }
+    let def = StudyDef::new("s")
+        .machine(StateMachineSpec::builder("a").states(&["WATCH"]).build())
+        .place("a", "host1");
+    let study = Study::compile_arc(&def).unwrap();
+    let mut cfg = SimHarnessConfig::three_hosts(21);
+    cfg.hosts.truncate(1);
+    for (calls, last) in [
+        ([Call::Exit, Call::Crash], "CRASH"),
+        ([Call::Crash, Call::Exit], "EXIT"),
+    ] {
+        let f: AppFactory = Arc::new(move |_, _| Box::new(Terminator(calls)));
+        let data = run_experiment(&study, f, &cfg, 0).expect("valid config");
+        assert_eq!(data.end, ExperimentEnd::Completed, "{calls:?}");
+        let a = data.timeline_for(study.sm_id("a").unwrap()).unwrap();
+        let states: Vec<&str> = a
+            .records
+            .iter()
+            .filter_map(|r| match &r.kind {
+                RecordKind::StateChange { new_state, .. } => Some(study.states.name(*new_state)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(states, ["WATCH", last], "{calls:?}");
+    }
 }

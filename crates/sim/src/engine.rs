@@ -56,25 +56,11 @@ pub struct HostId(pub u32);
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub u32);
 
-/// Identifies a timer set by an actor.
-///
-/// The raw value encodes the timer's slab slot and the generation it was
-/// armed under (see [`crate::queue::TimerSlab`]); backend-agnostic timer
-/// handles embed it opaquely via [`TimerId::raw`]/[`TimerId::from_raw`].
+/// Identifies a timer set by an actor: an opaque handle encoding the
+/// timer's slab slot and the generation it was armed under (see
+/// [`crate::queue::TimerSlab`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
-
-impl TimerId {
-    /// The raw id (for embedding into backend-agnostic timer handles).
-    pub fn raw(&self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds a timer id from [`TimerId::raw`].
-    pub fn from_raw(raw: u64) -> TimerId {
-        TimerId(raw)
-    }
-}
 
 /// Why a watched peer went down.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -547,7 +533,7 @@ impl<M: 'static> Simulation<M> {
                 Event::PeerDown { observer, .. } => *observer,
             };
             let cancelled = match event {
-                Event::Timer { id, .. } => !self.timers.pending(TimerKey::unpack(id.raw())),
+                Event::Timer { id, .. } => !self.timers.pending(TimerKey::unpack(id.0)),
                 _ => false,
             };
             if self.is_alive(target) && !cancelled {
@@ -557,7 +543,7 @@ impl<M: 'static> Simulation<M> {
             if let Some((_, Event::Timer { id, .. })) = self.queue.pop() {
                 // Release the slot of a live timer on a dead actor (a
                 // cancelled one was already retired by `cancel`).
-                self.timers.fire(TimerKey::unpack(id.raw()));
+                self.timers.fire(TimerKey::unpack(id.0));
             }
         }
     }
@@ -863,7 +849,7 @@ impl<M: 'static> Simulation<M> {
                 self.dispatch(to, move |a, ctx| a.on_message(ctx, from, msg));
             }
             Event::Timer { actor, id, tag } => {
-                if !self.timers.fire(TimerKey::unpack(id.raw())) {
+                if !self.timers.fire(TimerKey::unpack(id.0)) {
                     return true; // cancelled while queued
                 }
                 self.dispatch(actor, move |a, ctx| a.on_timer(ctx, tag));
@@ -891,13 +877,15 @@ impl<M: 'static> Simulation<M> {
             Some(a) => a,
             None => return,
         };
-        let mut ctx = Ctx {
-            sim: self,
-            me: actor,
-            self_down: None,
-        };
-        f(&mut a, &mut ctx);
-        let self_down = ctx.self_down;
+        let mut self_down = None;
+        f(
+            &mut a,
+            &mut Ctx {
+                sim: self,
+                me: actor,
+                self_down: &mut self_down,
+            },
+        );
         match self_down {
             None => {
                 // Only restore if the actor wasn't killed by someone else
@@ -976,13 +964,27 @@ pub(crate) fn fifo_arrival(horizon: Option<u64>, at: u64) -> u64 {
 
 /// The context handed to actor callbacks: clock, messaging, timers,
 /// spawning, RNG.
+///
+/// The actor's own termination request lives with the dispatch that
+/// created the context, so a context borrows everything it touches and
+/// [`Ctx::reborrow`] can hand out a shorter-lived copy.
 pub struct Ctx<'a, M> {
     sim: &'a mut Simulation<M>,
     me: ActorId,
-    self_down: Option<DownReason>,
+    self_down: &'a mut Option<DownReason>,
 }
 
 impl<'a, M: 'static> Ctx<'a, M> {
+    /// A context for the same actor and callback, borrowed from this one
+    /// for a shorter lifetime (for wrappers that own a `Ctx` by value).
+    pub fn reborrow(&mut self) -> Ctx<'_, M> {
+        Ctx {
+            sim: &mut *self.sim,
+            me: self.me,
+            self_down: &mut *self.self_down,
+        }
+    }
+
     /// The current actor's id.
     pub fn me(&self) -> ActorId {
         self.me
@@ -1179,7 +1181,7 @@ impl<'a, M: 'static> Ctx<'a, M> {
 
     /// Cancels a pending timer (firing already-queued timers is prevented).
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.sim.timers.cancel(TimerKey::unpack(id.raw()));
+        self.sim.timers.cancel(TimerKey::unpack(id.0));
     }
 
     /// Registers interest in `peer`'s death; [`Actor::on_peer_down`] will be
@@ -1201,7 +1203,7 @@ impl<'a, M: 'static> Ctx<'a, M> {
     /// Kills another actor immediately (e.g. a daemon killing a node).
     pub fn kill(&mut self, actor: ActorId, reason: DownReason) {
         if actor == self.me {
-            self.self_down = Some(reason);
+            *self.self_down = Some(reason);
         } else {
             self.sim.kill_internal(actor, reason);
         }
@@ -1209,18 +1211,20 @@ impl<'a, M: 'static> Ctx<'a, M> {
 
     /// Terminates the current actor with a crash.
     pub fn crash_self(&mut self) {
-        self.self_down = Some(DownReason::Crash);
-    }
-
-    /// Whether the current actor has requested its own termination during
-    /// this callback (via [`Ctx::crash_self`] or [`Ctx::exit_self`]).
-    pub fn terminating(&self) -> bool {
-        self.self_down.is_some()
+        *self.self_down = Some(DownReason::Crash);
     }
 
     /// Terminates the current actor cleanly.
     pub fn exit_self(&mut self) {
-        self.self_down = Some(DownReason::Exit);
+        *self.self_down = Some(DownReason::Exit);
+    }
+
+    /// How the current actor has asked to go down during this callback
+    /// (via [`Ctx::crash_self`], [`Ctx::exit_self`] or [`Ctx::kill`] on
+    /// itself), if it has. The last request wins: it is the reason the
+    /// engine applies when the callback returns.
+    pub fn down_request(&self) -> Option<DownReason> {
+        *self.self_down
     }
 
     /// Whether `actor` is alive.

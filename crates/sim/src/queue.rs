@@ -207,8 +207,8 @@ impl<T> Default for EventQueue<T> {
 }
 
 /// A live timer registration handle: slot plus the generation it was
-/// allocated under. Packs into a `u64` for embedding in opaque
-/// backend-agnostic timer handles.
+/// allocated under. Packs into the `u64` inside the engine's opaque
+/// `TimerId`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TimerKey {
     slot: u32,

@@ -2,7 +2,7 @@
 //!
 //! 1. Specify a two-machine system (state machines + a global-state fault).
 //! 2. Implement the application against the probe interface — once.
-//! 3. Run the streaming campaign pipeline on the simulation backend: each
+//! 3. Run the streaming campaign pipeline on the simulator: each
 //!    experiment is executed, analyzed (off-line clock sync → global
 //!    timeline → correctness check), and folded into the measure the
 //!    moment it finishes — raw data never outlives its worker.
