@@ -14,13 +14,11 @@
 //!    expression held; experiments with unprovable or missing injections
 //!    are discarded, and only the survivors feed the measure phase.
 //!
-//! [`analyze_one`] runs the whole phase for a single experiment and emits a
-//! compact [`AnalyzedExperiment`] that does **not** retain the raw
-//! [`ExperimentData`] — the form the streaming campaign pipeline
-//! (`loki_runtime::harness::CampaignPipeline`) folds per experiment so
-//! campaign memory stays bounded by the worker count. [`analyze`] is the
-//! batch wrapper for callers that genuinely need the raw timelines next to
-//! their verdicts: it keeps each experiment's data in an [`AnalyzedRun`].
+//! [`analyze_one`], the phase's one entry point, runs the whole phase for a
+//! single experiment and emits a compact [`AnalyzedExperiment`] that does
+//! **not** retain the raw [`ExperimentData`] — the form the streaming
+//! campaign pipeline (`loki_runtime::harness::CampaignPipeline`) folds per
+//! experiment so campaign memory stays bounded by the worker count.
 //!
 //! ## Interned hosts and the display-boundary rule
 //!
@@ -136,37 +134,6 @@ impl AnalyzedExperiment {
     }
 }
 
-/// One experiment after batch analysis: the compact analysis result plus
-/// the raw data it was derived from.
-///
-/// Only the batch path ([`analyze`]) produces these; campaigns that can
-/// live without raw timelines should stream [`AnalyzedExperiment`]s through
-/// the campaign pipeline instead and keep memory bounded.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AnalyzedRun {
-    /// The raw experiment output.
-    pub data: ExperimentData,
-    /// The compact analysis of that output.
-    pub analysis: AnalyzedExperiment,
-}
-
-impl AnalyzedRun {
-    /// Whether this experiment's results may be used for measures.
-    pub fn accepted(&self) -> bool {
-        self.analysis.accepted()
-    }
-
-    /// The constructed global timeline, if any.
-    pub fn global(&self) -> Option<&GlobalTimeline> {
-        self.analysis.global.as_ref()
-    }
-
-    /// The correctness verdict, if the analysis got that far.
-    pub fn verdict(&self) -> Option<&ExperimentVerdict> {
-        self.analysis.verdict.as_ref()
-    }
-}
-
 /// Analysis options.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisOptions {
@@ -206,34 +173,6 @@ pub fn analyze_one(
         Err(e) => analyzed.error = Some(Box::new(e)),
     }
     analyzed
-}
-
-/// Runs the complete analysis phase over a batch of experiments, retaining
-/// the raw data of every experiment (thin wrapper over [`analyze_one`]).
-///
-/// Aborted and timed-out experiments are retained (for bookkeeping) but
-/// never accepted.
-pub fn analyze(
-    study: &Study,
-    experiments: Vec<ExperimentData>,
-    opts: &AnalysisOptions,
-) -> Vec<AnalyzedRun> {
-    experiments
-        .into_iter()
-        .map(|data| AnalyzedRun {
-            analysis: analyze_one(study, &data, opts),
-            data,
-        })
-        .collect()
-}
-
-/// Convenience: the accepted experiments' global timelines.
-pub fn accepted_timelines(analyzed: &[AnalyzedRun]) -> Vec<&GlobalTimeline> {
-    analyzed
-        .iter()
-        .filter(|a| a.accepted())
-        .filter_map(|a| a.global())
-        .collect()
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //!
 //! Instrumented example distributed applications for the Loki fault
 //! injector — each implements the [`loki_runtime::App`] trait (the probe
-//! interface) once: pass its factory to [`loki_runtime::run_study`] for a
-//! deterministic simulated campaign (`tests/apps.rs` at the workspace
+//! interface) once: pass its factory to a
+//! [`loki_runtime::CampaignPipeline`] for a deterministic simulated
+//! campaign (`tests/apps.rs` at the workspace
 //! root runs the election, KV-store and token-ring apps that way). Each
 //! module also ships a study builder with the state-machine specifications
 //! and notify lists its faults need:

@@ -20,7 +20,7 @@ use loki_core::campaign::ExperimentData;
 use loki_core::ids::Id;
 use loki_core::recorder::RecordKind;
 use loki_core::study::Study;
-use loki_runtime::harness::{run_study, SimHarnessConfig};
+use loki_runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use loki_runtime::messages::NotifyRouting;
 use loki_runtime::store::SyncCollector;
 use loki_sim::config::{HostConfig, LatencyModel, NetworkConfig};
@@ -108,7 +108,7 @@ pub fn notification_latency(
     let target_sm = study.sm_id("target").expect("machine exists");
     let injector_sm = study.sm_id("injector").expect("machine exists");
     // The latency extraction needs *raw* record timestamps — and nothing
-    // of the analysis — so this campaign takes the raw-data entry point.
+    // of the analysis — so it runs as the pipeline's tap.
     let extract = move |data: &ExperimentData| -> Option<f64> {
         let target = data.timeline_for(target_sm)?;
         let injector = data.timeline_for(injector_sm)?;
@@ -124,11 +124,13 @@ pub fn notification_latency(
         })?;
         (injection >= entry).then(|| (injection - entry) as f64)
     };
-    let latencies = run_study(&study, factory, &harness, experiments)
-        .expect("valid campaign config")
-        .iter()
-        .filter_map(extract)
-        .collect();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut latencies = Vec::new();
+    CampaignPipeline::new(study, factory, harness)
+        .run_tapped_with_workers(experiments, workers, extract, |_, latency| {
+            latencies.extend(latency)
+        })
+        .expect("valid campaign config");
     LatencySample {
         routing,
         latencies_ns: latencies,

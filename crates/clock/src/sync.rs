@@ -39,6 +39,36 @@ pub struct SyncOptions {
     pub slack_ns: f64,
 }
 
+impl SyncOptions {
+    /// Checks the options before any sample is read: a β box touching zero
+    /// would divide by zero in `AlphaBetaBounds::project` (`0/0` is NaN,
+    /// which trips the `TimeBounds` constructor), and a non-finite slack
+    /// poisons every constraint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SyncError::InvalidOptions`] unless
+    /// `0 < beta_lo ≤ beta_hi` with finite bounds and the slack is finite
+    /// and non-negative.
+    pub fn validate(&self) -> Result<(), SyncError> {
+        let (lo, hi) = self.beta_range;
+        if lo.is_finite()
+            && hi.is_finite()
+            && lo > 0.0
+            && lo <= hi
+            && self.slack_ns.is_finite()
+            && self.slack_ns >= 0.0
+        {
+            Ok(())
+        } else {
+            Err(SyncError::InvalidOptions {
+                beta_range: self.beta_range,
+                slack_ns: self.slack_ns,
+            })
+        }
+    }
+}
+
 impl Default for SyncOptions {
     fn default() -> Self {
         SyncOptions {
@@ -183,9 +213,10 @@ impl AlphaBetaBounds {
 ///
 /// # Errors
 ///
-/// Returns [`SyncError::NotEnoughSamples`] unless there is at least one
-/// sample in each direction, and [`SyncError::Infeasible`] when the
-/// constraint polygon is empty.
+/// Returns [`SyncError::InvalidOptions`] when [`SyncOptions::validate`]
+/// rejects `opts`, [`SyncError::NotEnoughSamples`] unless there is at
+/// least one sample in each direction, and [`SyncError::Infeasible`] when
+/// the constraint polygon is empty.
 ///
 /// # Examples
 ///
@@ -221,24 +252,7 @@ pub fn estimate_alpha_beta(
     samples: &[SyncSample],
     opts: &SyncOptions,
 ) -> Result<AlphaBetaBounds, SyncError> {
-    // Reject unusable options up front instead of panicking later: a β box
-    // touching zero would divide by zero in `AlphaBetaBounds::project`
-    // (`0/0` is NaN, which trips the `TimeBounds` constructor), and a
-    // non-finite slack poisons every constraint.
-    let (beta_lo_opt, beta_hi_opt) = opts.beta_range;
-    if !(beta_lo_opt.is_finite()
-        && beta_hi_opt.is_finite()
-        && beta_lo_opt > 0.0
-        && beta_lo_opt <= beta_hi_opt
-        && opts.slack_ns.is_finite()
-        && opts.slack_ns >= 0.0)
-    {
-        return Err(SyncError::InvalidOptions {
-            beta_range: opts.beta_range,
-            slack_ns: opts.slack_ns,
-        });
-    }
-
+    opts.validate()?;
     let n_from = samples.iter().filter(|s| s.from_reference).count();
     let n_to = samples.len() - n_from;
     if n_from == 0 || n_to == 0 {
@@ -608,6 +622,10 @@ mod tests {
             },
         ] {
             assert!(
+                matches!(opts.validate(), Err(SyncError::InvalidOptions { .. })),
+                "{opts:?} should be rejected"
+            );
+            assert!(
                 matches!(
                     estimate_alpha_beta(&samples, &opts),
                     Err(SyncError::InvalidOptions { .. })
@@ -615,6 +633,7 @@ mod tests {
                 "{opts:?} should be rejected"
             );
         }
+        assert_eq!(SyncOptions::default().validate(), Ok(()));
     }
 
     #[test]

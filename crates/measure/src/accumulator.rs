@@ -1,29 +1,27 @@
-//! Incremental study-measure accumulation for streaming campaigns.
+//! Study-measure accumulation over a campaign's analyzed experiments.
 //!
-//! The batch path collects every accepted experiment's global timeline
-//! (`accepted_timelines`) and folds a [`StudyMeasure`] over the whole
-//! vector at the end — O(experiments) memory. The streaming campaign
-//! pipeline instead feeds each compact [`AnalyzedExperiment`] to a
-//! [`StudyAccumulator`] the moment it is available: the measure is applied
-//! immediately, the global timeline is dropped, and only the per-experiment
-//! final observation values (plain `f64`s) are retained.
+//! A campaign's sink (`loki_runtime::harness::CampaignPipeline`'s)
+//! receives each compact [`AnalyzedExperiment`] once, in experiment-index
+//! order. A [`StudyAccumulator`] folds a [`StudyMeasure`] over that
+//! stream: the measure is applied the moment an experiment arrives, its
+//! global timeline is not retained, and only the per-experiment final
+//! observation values (plain `f64`s) are kept.
 //!
 //! # Determinism contract
 //!
-//! Results are **merged by experiment index**. Experiments may be pushed in
-//! any order (pipeline workers finish out of order); the accumulator
-//! commits final observation values in strictly increasing experiment-index
-//! order, holding out-of-order values in a small reorder buffer. The
-//! committed [`values`](StudyAccumulator::values) sequence is therefore
-//! byte-identical to the batch `accepted_timelines` + `apply_all` fold,
-//! whatever the worker count — given the same per-experiment analyses.
+//! Experiments are pushed in strictly increasing index order
+//! `0, 1, 2, …` — the order the pipeline's sink already runs in. Any other
+//! index is a [`MeasureError::OutOfOrder`] that leaves the accumulator
+//! unchanged, so the [`values`](StudyAccumulator::values) are always
+//! those of experiments `0..seen`, in order: byte-identical whatever the
+//! worker count, and identical to applying the measure to each replayed
+//! experiment's analysis in turn.
 
 use crate::error::MeasureError;
 use crate::stats::MomentStats;
 use crate::study_measure::StudyMeasure;
 use loki_analysis::AnalyzedExperiment;
 use loki_core::study::Study;
-use std::collections::BTreeMap;
 
 /// Online fold of one [`StudyMeasure`] over a stream of analyzed
 /// experiments (see the [module docs](self) for the determinism contract).
@@ -46,13 +44,9 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug)]
 pub struct StudyAccumulator {
     measure: StudyMeasure,
-    /// Next experiment index to commit.
-    next: u32,
-    /// Out-of-order final values (`None` when the experiment was rejected
-    /// or filtered out by a subset selection), keyed by experiment index.
-    buffered: BTreeMap<u32, Option<f64>>,
-    /// Committed final observation values, in experiment-index order.
+    /// Final observation values, in experiment-index order.
     values: Vec<f64>,
+    /// Experiments folded in so far, and so the next index expected.
     seen: usize,
     accepted: usize,
     failed: usize,
@@ -63,8 +57,6 @@ impl StudyAccumulator {
     pub fn new(measure: StudyMeasure) -> Self {
         StudyAccumulator {
             measure,
-            next: 0,
-            buffered: BTreeMap::new(),
             values: Vec::new(),
             seen: 0,
             accepted: 0,
@@ -77,34 +69,32 @@ impl StudyAccumulator {
         &self.measure
     }
 
-    /// Folds one analyzed experiment in. Rejected experiments count toward
-    /// [`seen`](Self::seen) but produce no value; accepted ones are
+    /// Folds experiment [`seen`](Self::seen) in. Rejected experiments
+    /// count toward `seen` but produce no value; accepted ones are
     /// measured immediately (their timeline is not retained) and the final
-    /// observation value — if every subset selection passed — is committed
-    /// once all lower-indexed experiments have arrived.
+    /// observation value is kept if every subset selection passed.
     ///
     /// # Errors
     ///
-    /// Propagates measure-evaluation errors (unknown names, empty measure).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the same experiment index is pushed twice — that is a
-    /// campaign-driver bug that would silently skew the statistics.
+    /// Returns [`MeasureError::OutOfOrder`] when `analyzed` is not the
+    /// next experiment (a duplicate, a gap, or a reordering would silently
+    /// skew the statistics), and propagates measure-evaluation errors
+    /// (unknown names, empty measure). Either way the accumulator is left
+    /// exactly as it was.
     pub fn push(
         &mut self,
         study: &Study,
         analyzed: &AnalyzedExperiment,
     ) -> Result<(), MeasureError> {
-        let index = analyzed.experiment;
-        assert!(
-            index >= self.next && !self.buffered.contains_key(&index),
-            "experiment {index} accumulated twice in measure `{}`",
-            self.measure.name()
-        );
+        if analyzed.experiment as usize != self.seen {
+            return Err(MeasureError::OutOfOrder {
+                measure: self.measure.name().to_owned(),
+                expected: self.seen,
+                got: analyzed.experiment,
+            });
+        }
         // Evaluate before touching any state: an Err must leave the
-        // accumulator exactly as it was, so a caller that handles the
-        // error sees consistent counters and no permanent index gap.
+        // accumulator exactly as it was.
         let (accepted, value) = match (analyzed.accepted(), &analyzed.global) {
             (true, Some(gt)) => (true, self.measure.apply(study, gt)?),
             (true, None) => (true, None),
@@ -117,13 +107,7 @@ impl StudyAccumulator {
             self.failed += 1;
         }
         self.seen += 1;
-        self.buffered.insert(index, value);
-        while let Some(value) = self.buffered.remove(&self.next) {
-            if let Some(value) = value {
-                self.values.push(value);
-            }
-            self.next += 1;
-        }
+        self.values.extend(value);
         Ok(())
     }
 
@@ -146,17 +130,12 @@ impl StudyAccumulator {
         self.failed
     }
 
-    /// Whether every pushed experiment has been committed (no index gaps).
-    pub fn is_drained(&self) -> bool {
-        self.buffered.is_empty()
-    }
-
-    /// The committed final observation values, in experiment-index order.
+    /// The final observation values so far, in experiment-index order.
     pub fn values(&self) -> &[f64] {
         &self.values
     }
 
-    /// Moment statistics over the committed values (`None` when no
+    /// Moment statistics over the values (`None` when no
     /// experiment passed all subset selections).
     pub fn stats(&self) -> Option<MomentStats> {
         MomentStats::from_sample(&self.values)
@@ -164,18 +143,7 @@ impl StudyAccumulator {
 
     /// Consumes the accumulator, returning the final observation values in
     /// experiment-index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an experiment index never arrived (values after the gap
-    /// would be silently dropped otherwise).
     pub fn into_values(self) -> Vec<f64> {
-        assert!(
-            self.buffered.is_empty(),
-            "accumulator for `{}` finished with a gap before experiment {}",
-            self.measure.name(),
-            self.next
-        );
         self.values
     }
 }
@@ -216,21 +184,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn out_of_order_pushes_commit_in_index_order() {
+    /// Everything a push may change.
+    fn state(acc: &StudyAccumulator) -> (usize, usize, usize, Vec<f64>) {
+        (
+            acc.seen(),
+            acc.accepted(),
+            acc.failed(),
+            acc.values().to_vec(),
+        )
+    }
+
+    /// Pushes each `(index, rejection)` in turn. `rejection` is
+    /// `Some(expected)` when the push must fail as out of order and leave
+    /// the accumulator unchanged; the committed experiments are then all
+    /// measured.
+    fn assert_pushes(pushes: &[(u32, Option<usize>)]) {
         let (study, _) = fig_4_2();
         let mut acc = StudyAccumulator::new(measure());
-        for index in [2u32, 0, 3, 1] {
-            acc.push(&study, &analyzed(index, true)).unwrap();
+        for &(index, expected) in pushes {
+            let before = state(&acc);
+            let pushed = acc.push(&study, &analyzed(index, true));
+            match expected {
+                None => assert_eq!(pushed, Ok(()), "push {index}"),
+                Some(expected) => {
+                    assert_eq!(
+                        pushed,
+                        Err(MeasureError::OutOfOrder {
+                            measure: "m".to_owned(),
+                            expected,
+                            got: index,
+                        }),
+                        "push {index}"
+                    );
+                    assert_eq!(state(&acc), before, "push {index}");
+                }
+            }
         }
-        assert!(acc.is_drained());
-        assert_eq!(acc.seen(), 4);
-        assert_eq!(acc.accepted(), 4);
+        let committed = pushes.iter().filter(|(_, r)| r.is_none()).count();
+        assert_eq!(acc.seen(), committed);
+        assert_eq!(acc.accepted(), committed);
         let values = acc.into_values();
-        assert_eq!(values.len(), 4);
+        assert_eq!(values.len(), committed);
         for v in &values {
             assert!((v - 6.5).abs() < 1e-9); // State1 held 6.5 ms (§4.2)
         }
+    }
+
+    #[test]
+    fn a_duplicate_push_is_rejected_and_changes_nothing() {
+        assert_pushes(&[(0, None), (0, Some(1)), (1, None)]);
+    }
+
+    #[test]
+    fn a_gapped_push_is_rejected_and_changes_nothing() {
+        assert_pushes(&[(0, None), (2, Some(1)), (1, None), (2, None)]);
+    }
+
+    #[test]
+    fn out_of_order_pushes_are_rejected_and_change_nothing() {
+        assert_pushes(&[(2, Some(0)), (0, None), (3, Some(1)), (1, None)]);
     }
 
     #[test]
@@ -272,29 +284,10 @@ mod tests {
         });
         let mut acc = StudyAccumulator::new(bad);
         assert!(acc.push(&study, &analyzed(0, true)).is_err());
-        // The failed push must not count, buffer, or gap anything.
+        // The failed push must not count anything, so experiment 0 is
+        // still the one expected next.
         assert_eq!(acc.seen(), 0);
         assert_eq!(acc.accepted(), 0);
-        assert!(acc.is_drained());
         assert!(acc.into_values().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "accumulated twice")]
-    fn duplicate_index_panics() {
-        let (study, _) = fig_4_2();
-        let mut acc = StudyAccumulator::new(measure());
-        acc.push(&study, &analyzed(0, true)).unwrap();
-        acc.push(&study, &analyzed(0, true)).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "finished with a gap")]
-    fn gap_in_indices_panics_on_finish() {
-        let (study, _) = fig_4_2();
-        let mut acc = StudyAccumulator::new(measure());
-        acc.push(&study, &analyzed(1, true)).unwrap();
-        assert!(!acc.is_drained());
-        let _ = acc.into_values();
     }
 }

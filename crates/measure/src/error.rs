@@ -26,6 +26,17 @@ pub enum MeasureError {
         /// Why.
         reason: String,
     },
+    /// A [`StudyAccumulator`](crate::StudyAccumulator) was handed an
+    /// experiment other than the next one in index order.
+    OutOfOrder {
+        /// The accumulated measure's name.
+        measure: String,
+        /// The experiment index the accumulator expected next: the number
+        /// of experiments it has folded in.
+        expected: usize,
+        /// The experiment index it was handed.
+        got: u32,
+    },
 }
 
 impl fmt::Display for MeasureError {
@@ -39,6 +50,14 @@ impl fmt::Display for MeasureError {
             }
             MeasureError::NoData => write!(f, "no observation values to estimate from"),
             MeasureError::BadWeights { reason } => write!(f, "invalid weights: {reason}"),
+            MeasureError::OutOfOrder {
+                measure,
+                expected,
+                got,
+            } => write!(
+                f,
+                "measure `{measure}` expected experiment {expected} next, got {got}"
+            ),
         }
     }
 }

@@ -12,10 +12,11 @@
 //! * [`obsfn`] — the predefined observation functions `count`, `outcome`,
 //!   `duration`, `instant`, `total_duration`, plus user-defined ones.
 //! * [`study_measure`] — study-level measures: ordered sequences of
-//!   (subset selection, predicate, observation function) triples.
-//! * [`accumulator`] — the streaming counterpart: an online,
-//!   experiment-index-ordered fold of a study measure over analyzed
-//!   experiments, for campaigns that never materialize the whole batch.
+//!   (subset selection, predicate, observation function) triples, applied
+//!   to one experiment's global timeline.
+//! * [`accumulator`] — a study measure folded over a campaign: online, in
+//!   experiment-index order, as the campaign's sink hands each analyzed
+//!   experiment over.
 //! * [`campaign_measure`] — simple-sampling, stratified-weighted, and
 //!   stratified-user campaign measures.
 //! * [`stats`] — four-moment statistics, skewness/kurtosis, and

@@ -166,25 +166,6 @@ impl StudyMeasure {
         }
         Ok(prev)
     }
-
-    /// Applies the measure to many experiments, keeping the final values of
-    /// those that pass all subset selections.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first evaluation error.
-    pub fn apply_all<'a, I>(&self, study: &Study, timelines: I) -> Result<Vec<f64>, MeasureError>
-    where
-        I: IntoIterator<Item = &'a GlobalTimeline>,
-    {
-        let mut out = Vec::new();
-        for gt in timelines {
-            if let Some(v) = self.apply(study, gt)? {
-                out.push(v);
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -250,15 +231,14 @@ mod tests {
     }
 
     #[test]
-    fn apply_all_collects_passing_experiments() {
+    fn count_observation_counts_each_entry() {
         let (study, gt) = fig_4_2();
         let m = StudyMeasure::new("m").step(MeasureStep {
             subset: SubsetSel::All,
             predicate: Predicate::state("SM1", "State1"),
             observation: ObservationFn::count(UpDown::Up, ImpulseStep::Both, 0.0, 50.0),
         });
-        let values = m.apply_all(&study, [&gt, &gt]).unwrap();
-        assert_eq!(values, vec![1.0, 1.0]);
+        assert_eq!(m.apply(&study, &gt).unwrap(), Some(1.0));
     }
 
     #[test]

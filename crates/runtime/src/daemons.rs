@@ -209,12 +209,14 @@ impl ActorPool {
     }
 }
 
-/// Re-initializes a pooled hull of concrete type `T` via `f`, or builds a
-/// fresh boxed actor with `fresh` when the pool had none.
-pub(crate) fn reuse_or_box<T: Actor<RtMsg> + 'static>(
+/// Re-initializes a pooled hull of concrete type `T` via `reinit`, or
+/// builds a fresh boxed actor with `fresh` when the pool had none. `arg`
+/// goes to whichever of the two runs, so it is built exactly once.
+pub(crate) fn reuse_or_box<T: Actor<RtMsg> + 'static, A>(
     hull: Option<ActorHull>,
-    f: impl FnOnce(&mut T),
-    fresh: impl FnOnce() -> T,
+    arg: A,
+    reinit: impl FnOnce(&mut T, A),
+    fresh: impl FnOnce(A) -> T,
 ) -> ActorHull {
     match hull {
         Some(mut hull) => {
@@ -222,10 +224,10 @@ pub(crate) fn reuse_or_box<T: Actor<RtMsg> + 'static>(
                 .as_any_mut()
                 .and_then(|any| any.downcast_mut::<T>())
                 .expect("pool free-lists are typed");
-            f(actor);
+            reinit(actor, arg);
             hull
         }
-        None => Box::new(fresh()),
+        None => Box::new(fresh(arg)),
     }
 }
 
@@ -353,13 +355,9 @@ impl LocalDaemon {
         let me = ctx.me();
         let hull = reuse_or_box(
             self.ctx.pool.take_node(sm),
-            |node: &mut NodeActor| node.reinit(sm, me, app),
-            // `fresh` is the uncommon path; it can't capture `app` too, so
-            // re-create the application half there.
-            || {
-                let app = (self.ctx.factory)(&self.ctx.study, sm);
-                NodeActor::new(self.ctx.clone(), sm, me, app)
-            },
+            app,
+            |node: &mut NodeActor, app| node.reinit(sm, me, app),
+            |app| NodeActor::new(self.ctx.clone(), sm, me, app),
         );
         let actor = ctx.spawn(HostId(host), hull);
         ctx.watch(actor);

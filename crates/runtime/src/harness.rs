@@ -5,14 +5,13 @@
 //! assembles the resulting [`ExperimentData`] — local timelines plus sync
 //! samples — which feeds the analysis phase.
 //!
-//! Every campaign runs through one driver: a caller-runs, work-stealing
-//! worker pool that contains per-experiment failures and commits results
-//! in experiment order. [`run_study`] rides it with the identity and
-//! returns every experiment's raw data; campaigns that do not need the raw
-//! timelines after analysis should use the streaming [`CampaignPipeline`]
-//! instead of `run_study` + batch `analyze`: it analyzes each experiment
-//! on the worker that ran it and drops the raw [`ExperimentData`] on the
-//! spot, so campaign memory stays O(workers) instead of O(experiments).
+//! A campaign runs one way: the streaming [`CampaignPipeline`], on a
+//! caller-runs, work-stealing worker pool that contains per-experiment
+//! failures and commits results in experiment order. It analyzes each
+//! experiment on the worker that ran it and drops the raw
+//! [`ExperimentData`] on the spot, so campaign memory stays O(workers)
+//! instead of O(experiments); a caller that needs raw data takes what it
+//! needs through [`CampaignPipeline::run_tapped_with_workers`]'s tap.
 //! [`run_experiment`] runs a single experiment on a fresh world — the
 //! replay primitive.
 
@@ -35,10 +34,10 @@ use std::sync::{mpsc, Arc};
 
 /// A campaign misconfiguration, detected before any experiment runs.
 ///
-/// Campaign entry points ([`run_study`], [`CampaignPipeline::run`] and
-/// friends) return these instead of panicking, so a campaign driver — a
-/// CLI loading a hand-written campaign file, say — can report the problem
-/// and keep going.
+/// The entry points ([`run_experiment`], [`CampaignPipeline::run`] and
+/// [`CampaignPipeline::run_tapped_with_workers`]) return these instead of
+/// panicking, so a campaign driver — a CLI loading a hand-written campaign
+/// file, say — can report the problem and keep going.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CampaignError {
@@ -51,7 +50,9 @@ pub enum CampaignError {
     /// The batch-size configuration is invalid
     /// ([`SimHarnessConfig::batch`] / `LOKI_BATCH`).
     Batch(String),
-    /// The analysis options are invalid (a degenerate analysis window).
+    /// The pipeline's analysis options are invalid: a degenerate analysis
+    /// window ([`loki_analysis::GlobalOptions::validate`]) or an unusable
+    /// sync β box or slack ([`loki_clock::sync::SyncOptions::validate`]).
     Analysis(String),
 }
 
@@ -93,9 +94,10 @@ pub struct SimHarnessConfig {
     pub kill_daemon: Option<(u32, u64)>,
     /// Base RNG seed; experiment `k` of a study uses `seed + k`.
     pub seed: u64,
-    /// Worker threads for [`run_study`] and [`CampaignPipeline::run`]:
-    /// `Some(n)` forces `n` workers, the calling thread included
-    /// (`Some(1)` runs sequentially on it); `None` uses the
+    /// Worker threads for [`CampaignPipeline::run`]
+    /// ([`CampaignPipeline::run_tapped_with_workers`] takes its count as an
+    /// argument instead): `Some(n)` forces `n` workers, the calling thread
+    /// included (`Some(1)` runs sequentially on it); `None` uses the
     /// `LOKI_WORKERS` environment variable if set, otherwise the machine's
     /// available parallelism. `Some(0)` and unparseable `LOKI_WORKERS`
     /// values are rejected as [`CampaignError::Workers`] — a silent
@@ -103,8 +105,8 @@ pub struct SimHarnessConfig {
     /// are identical for every worker count — each experiment is fully
     /// determined by `(seed, experiment_index)`.
     pub workers: Option<usize>,
-    /// Consecutive experiment indices a worker claims at a time
-    /// ([`run_study`] and the [`CampaignPipeline`] alike); it runs them one after another on its one reset-reused
+    /// Consecutive experiment indices a [`CampaignPipeline`] worker claims
+    /// at a time; it runs them one after another on its one reset-reused
     /// world. `Some(k)` forces chunks of `k` (a chunk larger than the
     /// campaign is the campaign); `None` uses the `LOKI_BATCH`
     /// environment variable if set, otherwise 1. `Some(0)` and
@@ -174,9 +176,9 @@ impl SimHarnessConfig {
 
     /// Builds the study-run [`SymbolTable`]: every host interned in
     /// configuration order, so [`HostId`]s are dense, deterministic, and
-    /// double as simulation host indices. `run_study` and the campaign
-    /// pipeline build this once per study and `Arc`-share it into every
-    /// worker; per-experiment data then carries ids, not strings.
+    /// double as simulation host indices. The campaign pipeline builds
+    /// this once per study and `Arc`-shares it into every worker;
+    /// per-experiment data then carries ids, not strings.
     pub fn symbols(&self) -> Arc<SymbolTable> {
         Arc::new(SymbolTable::for_hosts(self.hosts.iter().map(|h| &h.name)))
     }
@@ -539,8 +541,9 @@ impl<'a> SimStudy<'a> {
 fn pooled_daemon(ctx: &Rc<ExpCtx>, my_host: u32) -> ActorHull {
     reuse_or_box(
         ctx.pool.take_daemon(),
-        |d: &mut LocalDaemon| d.reinit(my_host),
-        || LocalDaemon::new(ctx.clone(), my_host),
+        my_host,
+        LocalDaemon::reinit,
+        |my_host| LocalDaemon::new(ctx.clone(), my_host),
     )
 }
 
@@ -548,8 +551,9 @@ fn pooled_daemon(ctx: &Rc<ExpCtx>, my_host: u32) -> ActorHull {
 fn pooled_central(ctx: &Rc<ExpCtx>, timeout_ns: u64, grace_ns: u64) -> ActorHull {
     reuse_or_box(
         ctx.pool.take_central(),
-        |c: &mut CentralDaemon| c.reinit(timeout_ns, grace_ns),
-        || CentralDaemon::new(ctx.clone(), timeout_ns, grace_ns),
+        (timeout_ns, grace_ns),
+        |c: &mut CentralDaemon, (timeout_ns, grace_ns)| c.reinit(timeout_ns, grace_ns),
+        |(timeout_ns, grace_ns)| CentralDaemon::new(ctx.clone(), timeout_ns, grace_ns),
     )
 }
 
@@ -557,8 +561,9 @@ fn pooled_central(ctx: &Rc<ExpCtx>, timeout_ns: u64, grace_ns: u64) -> ActorHull
 fn pooled_supervisor(ctx: &Rc<ExpCtx>, policy: RestartPolicy) -> ActorHull {
     reuse_or_box(
         ctx.pool.take_supervisor(),
-        |s: &mut Supervisor| s.reinit(policy),
-        || Supervisor::new(ctx.clone(), policy),
+        policy,
+        Supervisor::reinit,
+        |policy| Supervisor::new(ctx.clone(), policy),
     )
 }
 
@@ -625,43 +630,6 @@ fn pool_knob(
         },
         (None, None) => Ok(None),
     }
-}
-
-/// Runs `experiments` experiments of `study` on the simulation, with
-/// per-experiment seeds, and returns every experiment's raw data in
-/// experiment order.
-///
-/// This is the campaign driver behind [`CampaignPipeline`] with nothing
-/// fused in: the same caller-runs, work-stealing pool
-/// ([`SimHarnessConfig::workers`], [`SimHarnessConfig::batch`]) on
-/// reset-reused worlds and the same containment — an experiment whose
-/// application, budget or scaffolding fails ends as a typed
-/// [`ExperimentEnd::Failed`] with its world quarantined, and the campaign
-/// carries on. Experiment `k` is fully determined by `(cfg.seed, k)`, so
-/// the returned data — order, timelines, sync samples, everything — is
-/// byte-identical whatever the pool shape, and identical to `k` runs of
-/// [`run_experiment`].
-///
-/// Misconfigurations — an invalid host list, worker count or batch size —
-/// come back as a typed [`CampaignError`] before any experiment runs.
-pub fn run_study(
-    study: &Arc<Study>,
-    factory: AppFactory,
-    cfg: &SimHarnessConfig,
-    experiments: u32,
-) -> Result<Vec<ExperimentData>, CampaignError> {
-    let workers = resolve_workers(cfg, experiments)?;
-    let mut out = Vec::with_capacity(experiments as usize);
-    drive_campaign(
-        study,
-        &factory,
-        cfg,
-        experiments,
-        workers,
-        |data, _| data,
-        |data| out.push(data),
-    )?;
-    Ok(out)
 }
 
 /// Aggregate counters of one [`CampaignPipeline`] run.
@@ -897,143 +865,10 @@ fn drive_chunked(
     }
 }
 
-/// The one campaign driver, behind [`run_study`] and every
-/// [`CampaignPipeline`] entry point. Validates the configuration, then
-/// runs `workers − 1` spawned threads plus the calling thread through the
-/// same worker body, [`drive_chunked`]: a work-stealing claim loop on a
-/// shared atomic index counter, in chunks of `batch` experiments. Each
-/// finished experiment passes through `map` on the worker that ran it
-/// (with the context whose recyclers its buffers came from, unless the
-/// engine unwound); the retention gauge brackets it from claim to `map`'s
-/// return.
-/// Mapped results reach `commit` on the calling thread exactly once per
-/// experiment, in strictly increasing index order: spawned workers send
-/// theirs, tagged with the index, through one bounded channel; the caller
-/// puts its own straight into the reorder buffer and drains the channel
-/// after each of them ([`CampaignPipeline`] documents the pool's contract
-/// and trade-offs).
-///
-/// Returns the pool-side counters of [`PipelineSummary`]; the verdict and
-/// result counters are the pipeline's to fill. A panicking experiment is
-/// contained per experiment; `map` and `commit` are the caller's code and
-/// are not: a panic in `commit` unwinds out of the calling thread (the
-/// spawned workers then fail their next send and exit), one in `map` does
-/// the same from the caller's own experiments and is re-raised by the
-/// thread scope from a spawned worker's.
-fn drive_campaign<R: Send>(
-    study: &Arc<Study>,
-    factory: &AppFactory,
-    cfg: &SimHarnessConfig,
-    experiments: u32,
-    workers: usize,
-    map: impl Fn(ExperimentData, Option<&ExpCtx>) -> R + Sync,
-    mut commit: impl FnMut(R),
-) -> Result<PipelineSummary, CampaignError> {
-    if workers == 0 {
-        return Err(CampaignError::Workers(
-            "loki: worker count must be at least 1".to_owned(),
-        ));
-    }
-    validate_hosts(study, cfg)?;
-    let workers = workers.clamp(1, experiments.max(1) as usize);
-    let batch = resolve_batch(cfg)?;
-    let symbols = cfg.symbols();
-    let sim_study = SimStudy::new(study, factory, cfg, &symbols);
-    // A chunk larger than the campaign is the campaign: clamped like the
-    // worker count, so the claim step fits the `u32` index space and the
-    // channel bound below cannot outgrow `2 × workers × experiments`.
-    let chunk = batch.clamp(1, experiments.max(1) as usize) as u32;
-    let gauge = RetentionGauge::new();
-    let stats = PoolStats::default();
-    let next_claim = AtomicU32::new(0);
-
-    // `emit` returns `false` once nobody will commit the result (the
-    // caller unwound): stop claiming and bail out.
-    let work = |emit: &mut dyn FnMut(u32, R) -> bool| {
-        let finish = |k: u32, data: ExperimentData, ctx: Option<&ExpCtx>| {
-            let result = map(data, ctx);
-            gauge.dec();
-            emit(k, result)
-        };
-        drive_chunked(
-            &sim_study,
-            experiments,
-            chunk,
-            &next_claim,
-            &gauge,
-            &stats,
-            finish,
-        )
-    };
-
-    // `delivered` doubles as the next index to commit.
-    let mut delivered = 0u32;
-    let mut reorder: Reorder<R> = Reorder::new();
-    std::thread::scope(|scope| {
-        // Two chunks per worker: what the others finish while the caller
-        // runs a chunk of its own fits.
-        let (tx, rx) = mpsc::sync_channel::<(u32, R)>(2 * workers * chunk as usize);
-        for _ in 1..workers {
-            let (tx, work) = (tx.clone(), &work);
-            scope.spawn(move || work(&mut |k, result| tx.send((k, result)).is_ok()));
-        }
-        // All senders are worker-owned; the final `recv` loop must
-        // observe disconnect once they finish or die.
-        drop(tx);
-        // Buffers one result, commits whatever became committable, and
-        // returns the next index to commit.
-        let mut commit = |k: u32, result: R| {
-            reorder.insert(k, result);
-            while let Some(result) = reorder.pop(delivered) {
-                commit(result);
-                delivered += 1;
-            }
-            delivered
-        };
-        // Claims are `chunk`-aligned, so `k / chunk` names the chunk
-        // the caller is driving. While the next index to commit is an
-        // unfinished experiment of that very chunk nothing in the
-        // channel can commit: leave it there, as back-pressure, rather
-        // than pile it into the reorder buffer.
-        work(&mut |k, result| {
-            let mut next = commit(k, result);
-            while next / chunk != k / chunk {
-                match rx.try_recv() {
-                    Ok((k, result)) => next = commit(k, result),
-                    Err(_) => break,
-                }
-            }
-            true
-        });
-        // Every index is claimed; what is still missing is in flight
-        // on a spawned worker. The channel disconnects when the last
-        // of them finishes — or dies, and the scope propagates its
-        // panic.
-        while let Ok((k, result)) = rx.recv() {
-            commit(k, result);
-        }
-    });
-    // After the scope: a worker panic has already propagated, so an
-    // undelivered experiment here is a genuine driver bug.
-    assert_eq!(delivered, experiments, "campaign driver lost experiments");
-    Ok(PipelineSummary {
-        experiments,
-        workers,
-        batch,
-        peak_raw_retained: gauge.peak(),
-        peak_reorder_depth: reorder.peak,
-        actor_reuses: stats.actor_reuses.load(Ordering::Relaxed),
-        timeline_reuses: stats.timeline_reuses.load(Ordering::Relaxed),
-        events: stats.events.load(Ordering::Relaxed),
-        quarantined_worlds: stats.quarantined.load(Ordering::Relaxed) as usize,
-        ..Default::default()
-    })
-}
-
 /// The streaming campaign pipeline: execution, global-timeline
 /// construction, and verdict checking fused into a single per-experiment
-/// flow on the campaign driver's worker pool (the one [`run_study`] rides
-/// too).
+/// flow on the campaign driver's worker pool — the one way a campaign
+/// runs.
 ///
 /// Each worker owns **one world** and runs its
 /// experiments on it one after another, reusing the world — and its
@@ -1126,40 +961,33 @@ impl CampaignPipeline {
     }
 
     /// Runs `experiments` experiments through the fused pipeline, feeding
-    /// each compact result to `sink` in experiment-index order. The worker
-    /// count resolves exactly like [`run_study`]'s.
+    /// each compact result to `sink` in experiment-index order, on the
+    /// worker count [`SimHarnessConfig::workers`] resolves to.
     ///
     /// Campaign misconfigurations — an invalid worker or batch
     /// configuration (see [`SimHarnessConfig::workers`] /
     /// [`SimHarnessConfig::batch`]), an invalid host list, or invalid
-    /// analysis options (a degenerate analysis window) — come back as a
-    /// typed [`CampaignError`] before any experiment runs.
+    /// analysis options (a degenerate analysis window, an unusable sync
+    /// β box or slack) — come back as a typed [`CampaignError`] before any
+    /// experiment runs.
     pub fn run(
         &self,
         experiments: u32,
-        sink: impl FnMut(AnalyzedExperiment),
-    ) -> Result<PipelineSummary, CampaignError> {
-        self.run_with_workers(experiments, resolve_workers(&self.cfg, experiments)?, sink)
-    }
-
-    /// [`CampaignPipeline::run`] with an explicit worker count, the calling
-    /// thread included (`workers == 1` spawns nothing);
-    /// `workers == 0` is [`CampaignError::Workers`].
-    pub fn run_with_workers(
-        &self,
-        experiments: u32,
-        workers: usize,
         mut sink: impl FnMut(AnalyzedExperiment),
     ) -> Result<PipelineSummary, CampaignError> {
+        let workers = resolve_workers(&self.cfg, experiments)?;
         self.run_tapped_with_workers(experiments, workers, |_| (), |analyzed, ()| sink(analyzed))
     }
 
-    /// The fully general pipeline entry point:
-    /// [`CampaignPipeline::run_with_workers`] with a raw-data *tap*. `tap`
-    /// runs inside the worker on the raw [`ExperimentData`] (right before
-    /// it is dropped) and its output rides along to the sink. This keeps
+    /// The fully general pipeline entry point: [`CampaignPipeline::run`]
+    /// with an explicit worker count, the calling thread included
+    /// (`workers == 1` spawns nothing; `workers == 0` is
+    /// [`CampaignError::Workers`]), and a raw-data *tap*. `tap` runs
+    /// inside the worker on the raw [`ExperimentData`] (right before it is
+    /// dropped) and its output rides along to the sink. This keeps
     /// campaigns that need a raw extract — e.g. notification latencies
-    /// from record timestamps — on the bounded-memory path.
+    /// from record timestamps — on the bounded-memory path; a tap of
+    /// `ExperimentData::clone` hands the sink every experiment's raw data.
     ///
     /// Returns a typed [`CampaignError`] on any campaign
     /// misconfiguration; still panics if the *sink* panics (it runs on the
@@ -1177,16 +1005,37 @@ impl CampaignPipeline {
         tap: impl Fn(&ExperimentData) -> T + Sync,
         mut sink: impl FnMut(AnalyzedExperiment, T),
     ) -> Result<PipelineSummary, CampaignError> {
-        if let Err(e) = self.analysis.global.validate() {
-            return Err(CampaignError::Analysis(format!(
-                "loki: invalid analysis options: {e}"
-            )));
+        let invalid = |e: &dyn std::fmt::Display| {
+            CampaignError::Analysis(format!("loki: invalid analysis options: {e}"))
+        };
+        let global = &self.analysis.global;
+        global.validate().map_err(|e| invalid(&e))?;
+        global.sync.validate().map_err(|e| invalid(&e))?;
+        if workers == 0 {
+            return Err(CampaignError::Workers(
+                "loki: worker count must be at least 1".to_owned(),
+            ));
         }
-        // The back half of the fused flow: analyze → tap → reclaim the raw
-        // data's buffers into the worker's context (if the engine did not
-        // unwind) → drop. Analysis runs contained: a panicking analysis (conceivable
-        // on a failed experiment's partial timelines) downgrades that one
-        // result to a harness failure instead of killing the campaign.
+        validate_hosts(&self.study, &self.cfg)?;
+        let workers = workers.clamp(1, experiments.max(1) as usize);
+        let batch = resolve_batch(&self.cfg)?;
+        let symbols = self.cfg.symbols();
+        let sim_study = SimStudy::new(&self.study, &self.factory, &self.cfg, &symbols);
+        // A chunk larger than the campaign is the campaign: clamped like the
+        // worker count, so the claim step fits the `u32` index space and the
+        // channel bound below cannot outgrow `2 × workers × experiments`.
+        let chunk = batch.clamp(1, experiments.max(1) as usize) as u32;
+        let gauge = RetentionGauge::new();
+        let stats = PoolStats::default();
+        let next_claim = AtomicU32::new(0);
+
+        // The back half of the fused flow, on the worker that ran the
+        // experiment: analyze → tap → reclaim the raw data's buffers into
+        // the worker's context (if the engine did not unwind) → drop; the
+        // retention gauge brackets it from claim to here. Analysis runs
+        // contained: a panicking analysis (conceivable on a failed
+        // experiment's partial timelines) downgrades that one result to a
+        // harness failure instead of killing the campaign.
         let finish = |mut data: ExperimentData, ctx: Option<&ExpCtx>| -> (AnalyzedExperiment, T) {
             let analyzed = catch_unwind(AssertUnwindSafe(|| {
                 analyze_one(&self.study, &data, &self.analysis)
@@ -1205,51 +1054,93 @@ impl CampaignPipeline {
                 ctx.collector.reclaim(std::mem::take(&mut data.pre_sync));
                 ctx.collector.reclaim(std::mem::take(&mut data.post_sync));
             }
+            gauge.dec();
             (analyzed, tapped)
         };
-        let mut tally = PipelineSummary::default();
-        let driven = drive_campaign(
-            &self.study,
-            &self.factory,
-            &self.cfg,
+        // One worker's body. `emit` returns `false` once nobody will commit
+        // the result (the caller unwound): stop claiming and bail out.
+        let work = |emit: &mut dyn FnMut(u32, (AnalyzedExperiment, T)) -> bool| {
+            drive_chunked(
+                &sim_study,
+                experiments,
+                chunk,
+                &next_claim,
+                &gauge,
+                &stats,
+                |k, data, ctx| emit(k, finish(data, ctx)),
+            )
+        };
+
+        let mut summary = PipelineSummary {
             experiments,
             workers,
-            finish,
-            |(analyzed, tapped)| {
-                if analyzed.end == ExperimentEnd::Completed {
-                    tally.completed += 1;
+            batch,
+            ..Default::default()
+        };
+        // `delivered` doubles as the next index to commit.
+        let mut delivered = 0u32;
+        let mut reorder: Reorder<(AnalyzedExperiment, T)> = Reorder::new();
+        std::thread::scope(|scope| {
+            // Two chunks per worker: what the others finish while the caller
+            // runs a chunk of its own fits.
+            let (tx, rx) = mpsc::sync_channel(2 * workers * chunk as usize);
+            for _ in 1..workers {
+                let (tx, work) = (tx.clone(), &work);
+                scope.spawn(move || work(&mut |k, result| tx.send((k, result)).is_ok()));
+            }
+            // All senders are worker-owned; the final `recv` loop must
+            // observe disconnect once they finish or die.
+            drop(tx);
+            // Buffers one result, hands whatever became committable to the
+            // sink, and returns the next index to commit.
+            let mut commit = |k: u32, result| {
+                reorder.insert(k, result);
+                while let Some((analyzed, tapped)) = reorder.pop(delivered) {
+                    summary.completed += usize::from(analyzed.end == ExperimentEnd::Completed);
+                    summary.accepted += usize::from(analyzed.accepted());
+                    summary.failed += usize::from(analyzed.end.failure().is_some());
+                    summary.injections += analyzed.injections;
+                    summary.result_shell_allocs += u64::from(analyzed.global.is_some());
+                    sink(analyzed, tapped);
+                    delivered += 1;
                 }
-                if analyzed.accepted() {
-                    tally.accepted += 1;
+                delivered
+            };
+            // Claims are `chunk`-aligned, so `k / chunk` names the chunk
+            // the caller is driving. While the next index to commit is an
+            // unfinished experiment of that very chunk nothing in the
+            // channel can commit: leave it there, as back-pressure, rather
+            // than pile it into the reorder buffer.
+            work(&mut |k, result| {
+                let mut next = commit(k, result);
+                while next / chunk != k / chunk {
+                    match rx.try_recv() {
+                        Ok((k, result)) => next = commit(k, result),
+                        Err(_) => break,
+                    }
                 }
-                if analyzed.end.failure().is_some() {
-                    tally.failed += 1;
-                }
-                tally.injections += analyzed.injections;
-                tally.result_shell_allocs += u64::from(analyzed.global.is_some());
-                sink(analyzed, tapped);
-            },
-        )?;
+                true
+            });
+            // Every index is claimed; what is still missing is in flight
+            // on a spawned worker. The channel disconnects when the last
+            // of them finishes — or dies, and the scope propagates its
+            // panic.
+            while let Ok((k, result)) = rx.recv() {
+                commit(k, result);
+            }
+        });
+        // After the scope: a worker panic has already propagated, so an
+        // undelivered experiment here is a genuine driver bug.
+        assert_eq!(delivered, experiments, "campaign driver lost experiments");
         Ok(PipelineSummary {
-            completed: tally.completed,
-            failed: tally.failed,
-            accepted: tally.accepted,
-            injections: tally.injections,
-            result_shell_allocs: tally.result_shell_allocs,
-            ..driven
+            peak_raw_retained: gauge.peak(),
+            peak_reorder_depth: reorder.peak,
+            actor_reuses: stats.actor_reuses.load(Ordering::Relaxed),
+            timeline_reuses: stats.timeline_reuses.load(Ordering::Relaxed),
+            events: stats.events.load(Ordering::Relaxed),
+            quarantined_worlds: stats.quarantined.load(Ordering::Relaxed) as usize,
+            ..summary
         })
-    }
-
-    /// Convenience: runs the pipeline and collects every compact result
-    /// (in experiment order). The *raw* data is still dropped per
-    /// experiment — this collects analyses, not timeline stores.
-    pub fn collect(
-        &self,
-        experiments: u32,
-    ) -> Result<(Vec<AnalyzedExperiment>, PipelineSummary), CampaignError> {
-        let mut out = Vec::with_capacity(experiments as usize);
-        let summary = self.run(experiments, |analyzed| out.push(analyzed))?;
-        Ok((out, summary))
     }
 }
 

@@ -13,10 +13,12 @@
 //!   experiment-completion checks), the central daemon (startup, timeout,
 //!   abort), and the restart supervisor (the system under study's recovery
 //!   mechanism, supporting restart on a *different* host).
-//! * [`harness`] — simulated campaigns on a parallel worker pool; returns
-//!   [`loki_core::campaign::ExperimentData`] ready for the analysis phase —
-//!   or, via the streaming [`harness::CampaignPipeline`], fuses execution
-//!   with per-experiment analysis so raw data never outlives its worker.
+//! * [`harness`] — campaigns run one way: the streaming
+//!   [`harness::CampaignPipeline`] fuses execution with per-experiment
+//!   analysis on a parallel worker pool, so raw
+//!   [`loki_core::campaign::ExperimentData`] never outlives its worker
+//!   unless a tap extracts it; [`harness::run_experiment`] replays one
+//!   experiment on a fresh world.
 //! * [`messages`] — the runtime's protocol and the §3.4.1 design-choice
 //!   routing modes (through-daemons / direct / centralized) used by the
 //!   design ablation.
@@ -43,7 +45,7 @@ pub mod wiring;
 
 pub use daemons::{RestartPlacement, RestartPolicy};
 pub use harness::{
-    run_experiment, run_study, CampaignError, CampaignPipeline, PipelineSummary, SimHarnessConfig,
+    run_experiment, CampaignError, CampaignPipeline, PipelineSummary, SimHarnessConfig,
 };
 pub use messages::{NotifyRouting, RtMsg};
 pub use node::{App, AppFactory, AppTimer, NodeCtx, Payload};

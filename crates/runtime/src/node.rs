@@ -73,9 +73,9 @@ pub trait App {
 /// machine, so stateful applications get a fresh instance each incarnation.
 ///
 /// The factory is `Send + Sync` (and `Arc`-shared) so one factory can be
-/// handed to every worker of the parallel experiment executor
-/// ([`crate::harness::run_study`]); the [`App`] instances it produces stay
-/// where they were created.
+/// handed to every worker of the campaign pool
+/// ([`crate::harness::CampaignPipeline`]); the [`App`] instances it
+/// produces stay where they were created.
 pub type AppFactory = Arc<dyn Fn(&Study, SmId) -> Box<dyn App> + Send + Sync>;
 
 /// Handle to an application timer set via [`NodeCtx::set_timer`].

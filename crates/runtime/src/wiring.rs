@@ -30,16 +30,10 @@ impl Wiring {
         Wiring::default()
     }
 
-    /// Sets the per-host daemon list (index = host index). In the
+    /// Fills the per-host daemon list (index = host index) from an
+    /// iterator, reusing the list's existing allocation (the campaign
+    /// driver recycles wiring tables across experiments). In the
     /// centralized design every entry is the same actor.
-    pub fn set_daemons(&self, daemons: Vec<ActorId>) {
-        *self.daemons.borrow_mut() = daemons;
-        self.recompute_unique();
-    }
-
-    /// Fills the per-host daemon list from an iterator, reusing the list's
-    /// existing allocation (the batched pipeline recycles wiring tables
-    /// across experiments).
     pub fn fill_daemons(&self, daemons: impl IntoIterator<Item = ActorId>) {
         {
             let mut list = self.daemons.borrow_mut();
@@ -77,13 +71,8 @@ impl Wiring {
         self.daemons.borrow()[host_idx]
     }
 
-    /// All *distinct* daemon actors, in host order (a fresh vector; the
-    /// allocation-free form is [`Wiring::with_unique`]).
-    pub fn unique_daemons(&self) -> Vec<ActorId> {
-        self.unique.borrow().clone()
-    }
-
-    /// Applies `f` to the cached distinct-daemon slice without cloning it.
+    /// Applies `f` to the cached distinct-daemon slice (all *distinct*
+    /// daemon actors, in host order) without cloning it.
     /// The slice is borrowed for the duration of `f`; `f` must not refill
     /// the wiring (spawning/sending through an actor context is fine — the
     /// engine never touches the wiring).
@@ -126,11 +115,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unique_daemons_dedups_centralized_wiring() {
+    fn with_unique_dedups_centralized_wiring() {
         let w = Wiring::new();
         let d = ActorId(7);
-        w.set_daemons(vec![d, d, d]);
-        assert_eq!(w.unique_daemons(), vec![d]);
+        w.fill_daemons([d, d, d]);
         assert_eq!(w.num_unique(), 1);
         assert_eq!(w.daemon_for(2), d);
         w.with_unique(|unique| assert_eq!(unique, [d]));
@@ -140,11 +128,11 @@ mod tests {
     fn unique_cache_tracks_refills() {
         let w = Wiring::new();
         w.fill_daemons([ActorId(1), ActorId(2), ActorId(1)]);
-        assert_eq!(w.unique_daemons(), vec![ActorId(1), ActorId(2)]);
+        w.with_unique(|unique| assert_eq!(unique, [ActorId(1), ActorId(2)]));
         w.reset();
         assert_eq!(w.num_unique(), 0);
         w.fill_daemons([ActorId(9)]);
-        assert_eq!(w.unique_daemons(), vec![ActorId(9)]);
+        w.with_unique(|unique| assert_eq!(unique, [ActorId(9)]));
     }
 
     #[test]

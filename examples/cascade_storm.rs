@@ -19,10 +19,9 @@
 //! ```
 
 use loki::analysis::cascade::{detect_cascade, CascadeConfig, CascadeVerdict};
-use loki::analysis::{make_global, GlobalOptions};
 use loki::apps::kvstore::{cascade_config, cascade_study, kv_factory, storm_retry, RetryConfig};
 use loki::core::study::Study;
-use loki::runtime::harness::{run_study, SimHarnessConfig};
+use loki::runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use std::sync::Arc;
 
 /// Runs `experiments` experiments of the cascade study with the given
@@ -34,22 +33,19 @@ fn run_scenario(
     experiments: u32,
 ) -> Vec<CascadeVerdict> {
     let study = Arc::new(Study::compile(&cascade_study("cascade")).expect("valid study"));
-    let data = run_study(
-        &study,
+    let pipeline = CampaignPipeline::new(
+        study.clone(),
         kv_factory(cascade_config(retry, partition)),
-        &SimHarnessConfig::three_hosts(4242),
-        experiments,
-    )
-    .expect("valid campaign config");
+        SimHarnessConfig::three_hosts(4242),
+    );
     let cfg = CascadeConfig::default();
-    let verdicts: Vec<CascadeVerdict> = data
-        .iter()
-        .map(|exp| {
-            let gt = make_global(&study, exp, &GlobalOptions::default())
-                .expect("global timeline construction");
-            detect_cascade(&study, &gt, &cfg)
+    let mut verdicts = Vec::with_capacity(experiments as usize);
+    pipeline
+        .run(experiments, |analyzed| {
+            let gt = analyzed.global.expect("global timeline construction");
+            verdicts.push(detect_cascade(&study, &gt, &cfg));
         })
-        .collect();
+        .expect("valid campaign config");
     for (i, v) in verdicts.iter().enumerate() {
         match v {
             CascadeVerdict::Storm { total, early, late } => println!(

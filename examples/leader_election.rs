@@ -6,13 +6,13 @@
 //! cargo run --example leader_election [experiments]
 //! ```
 
-use loki::analysis::{accepted_timelines, analyze, AnalysisOptions};
 use loki::apps::election::{election_factory, election_study, ElectionConfig};
+use loki::core::campaign::ExperimentData;
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::study::Study;
 use loki::measure::prelude::*;
 use loki::runtime::daemons::{RestartPlacement, RestartPolicy};
-use loki::runtime::harness::{run_study, SimHarnessConfig};
+use loki::runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -41,24 +41,6 @@ fn main() {
         placement: RestartPlacement::NextHost, // restart on a different host
     });
 
-    println!("running {experiments} experiments of study 1 (bfault1 on black:LEAD)...");
-    let data = run_study(
-        &study,
-        election_factory(ElectionConfig::default()),
-        &harness,
-        experiments,
-    )
-    .expect("valid campaign config");
-
-    // Off-line analysis: clock sync, global timelines, correctness check.
-    let analyzed = analyze(&study, data, &AnalysisOptions::default());
-    let accepted = accepted_timelines(&analyzed);
-    println!(
-        "analysis: {}/{} experiments accepted",
-        accepted.len(),
-        analyzed.len()
-    );
-
     // The §5.8 coverage study measure:
     //   ((default,      (black:CRASH),      total_duration(T, ...)),
     //    ((OBS > 0),    (black:RESTART_SM), total_duration(T, ...) > 0))
@@ -81,15 +63,50 @@ fn main() {
             predicate: Predicate::state("black", "RESTART_SM"),
             observation: ObservationFn::User(Rc::new(ever)),
         });
+    let mut coverage = StudyAccumulator::new(measure);
 
-    let values = measure
-        .apply_all(&study, accepted.iter().copied())
-        .expect("measure evaluates");
+    // Restarts on *different hosts* show up in the raw timelines: the
+    // pipeline's tap reads black's stint hosts before the raw data goes.
+    let black = study.sm_id("black").expect("machine exists");
+    let stint_hosts = |data: &ExperimentData| -> Option<Vec<String>> {
+        let tl = data.timeline_for(black)?;
+        (tl.stints.len() > 1).then(|| {
+            tl.stints
+                .iter()
+                .map(|s| data.host_name(s.host).to_owned())
+                .collect()
+        })
+    };
+
+    // Runtime, then off-line analysis (clock sync, global timelines,
+    // correctness check) on the worker, then the measure fold here.
+    println!("running {experiments} experiments of study 1 (bfault1 on black:LEAD)...");
+    let mut moved = Vec::new();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pipeline = CampaignPipeline::new(
+        study.clone(),
+        election_factory(ElectionConfig::default()),
+        harness,
+    );
+    let summary = pipeline
+        .run_tapped_with_workers(experiments, workers, stint_hosts, |analyzed, hosts| {
+            coverage.push(&study, &analyzed).expect("measure evaluates");
+            if let Some(hosts) = hosts.filter(|_| analyzed.accepted()) {
+                moved.push((analyzed.experiment, hosts));
+            }
+        })
+        .expect("valid campaign config");
+    println!(
+        "analysis: {}/{} experiments accepted",
+        summary.accepted, summary.experiments
+    );
+
+    let values = coverage.values();
     println!(
         "black crashed in {} accepted experiments (it must win the election first)",
         values.len()
     );
-    if let Some(stats) = MomentStats::from_sample(&values) {
+    if let Some(stats) = coverage.stats() {
         println!(
             "coverage of a leader error in black: {:.2} (true value 0.8)",
             stats.mean()
@@ -98,19 +115,7 @@ fn main() {
         println!("no crashes observed — rerun with more experiments");
     }
 
-    // Restarts on *different hosts* show up in the timelines:
-    for a in analyzed.iter().filter(|a| a.accepted()) {
-        if let Some(tl) = a.data.timeline_for(study.sm_id("black").unwrap()) {
-            if tl.stints.len() > 1 {
-                println!(
-                    "experiment {}: black ran on {:?}",
-                    a.data.experiment,
-                    tl.stints
-                        .iter()
-                        .map(|s| a.data.host_name(s.host))
-                        .collect::<Vec<_>>()
-                );
-            }
-        }
+    for (experiment, hosts) in moved {
+        println!("experiment {experiment}: black ran on {hosts:?}");
     }
 }

@@ -7,12 +7,11 @@
 //! cargo run --example replicated_store [experiments]
 //! ```
 
-use loki::analysis::{accepted_timelines, analyze, AnalysisOptions};
 use loki::apps::kvstore::{kv_factory, kv_study, KvConfig};
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::study::Study;
 use loki::measure::prelude::*;
-use loki::runtime::harness::{run_study, SimHarnessConfig};
+use loki::runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -30,18 +29,6 @@ fn main() {
         Trigger::Once,
     );
     let study = Arc::new(Study::compile(&def).expect("valid study"));
-
-    println!("running {experiments} experiments with a PRIMARY-targeted crash...");
-    let data = run_study(
-        &study,
-        kv_factory(KvConfig::default()),
-        &SimHarnessConfig::three_hosts(99),
-        experiments,
-    )
-    .expect("valid campaign config");
-    let analyzed = analyze(&study, data, &AnalysisOptions::default());
-    let accepted = accepted_timelines(&analyzed);
-    println!("analysis accepted {}/{}", accepted.len(), analyzed.len());
 
     // Unavailability: total time during which *no* machine was PRIMARY,
     // counted from the crash (first experiment half is setup).
@@ -64,12 +51,25 @@ fn main() {
             // the true-run after its second rise.
             observation: ObservationFn::duration(loki::measure::TrueFalse::True, 2, 0.0, 1e9),
         });
+    let mut gaps = StudyAccumulator::new(unavailability);
 
-    let gaps: Vec<f64> = accepted
-        .iter()
-        .filter_map(|gt| unavailability.apply(&study, gt).unwrap())
-        .collect();
-    match MomentStats::from_sample(&gaps) {
+    println!("running {experiments} experiments with a PRIMARY-targeted crash...");
+    let pipeline = CampaignPipeline::new(
+        study.clone(),
+        kv_factory(KvConfig::default()),
+        SimHarnessConfig::three_hosts(99),
+    );
+    let summary = pipeline
+        .run(experiments, |analyzed| {
+            gaps.push(&study, &analyzed).unwrap()
+        })
+        .expect("valid campaign config");
+    println!(
+        "analysis accepted {}/{}",
+        summary.accepted, summary.experiments
+    );
+
+    match gaps.stats() {
         Some(stats) => {
             println!(
                 "failover unavailability: mean {:.1} ms, std-dev {:.2} ms, p95 {:.1} ms ({} samples)",

@@ -10,13 +10,12 @@
 //! cargo run --example token_ring_invariants [experiments]
 //! ```
 
-use loki::analysis::{accepted_timelines, analyze, AnalysisOptions};
 use loki::apps::token_ring::{ring_factory, ring_study, RingConfig};
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::probe::{ActionProbe, FaultAction};
 use loki::core::study::Study;
 use loki::measure::prelude::*;
-use loki::runtime::harness::{run_study, SimHarnessConfig};
+use loki::runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -38,35 +37,16 @@ fn main() {
         ..Default::default()
     };
 
-    println!("running {experiments} experiments with a dropped token pass...");
-    let data = run_study(
-        &study,
-        ring_factory(app_cfg),
-        &SimHarnessConfig::three_hosts(314),
-        experiments,
-    )
-    .expect("valid campaign config");
-    let analyzed = analyze(&study, data, &AnalysisOptions::default());
-    let accepted = accepted_timelines(&analyzed);
-    println!("analysis accepted {}/{}", accepted.len(), analyzed.len());
-
     // --- invariant: mutual exclusion ------------------------------------------
     // total_duration of (tri:HAS_TOKEN) & (trj:HAS_TOKEN) must be 0.
     let pairs = [("tr1", "tr2"), ("tr1", "tr3"), ("tr2", "tr3")];
-    let mut worst = 0.0f64;
-    for (a, b) in pairs {
-        let m = StudyMeasure::new("mutex").step(MeasureStep {
+    let mut mutex = pairs.map(|(a, b)| {
+        StudyAccumulator::new(StudyMeasure::new("mutex").step(MeasureStep {
             subset: SubsetSel::All,
             predicate: Predicate::state(a, "HAS_TOKEN").and(Predicate::state(b, "HAS_TOKEN")),
             observation: ObservationFn::total_true(),
-        });
-        for gt in &accepted {
-            if let Some(v) = m.apply(&study, gt).unwrap() {
-                worst = worst.max(v);
-            }
-        }
-    }
-    println!("mutual exclusion: worst simultaneous HAS_TOKEN time = {worst:.3} ms (must be 0)");
+        }))
+    });
 
     // --- recovery latency ------------------------------------------------------
     // Time from a TOKEN_LOST declaration to the next HAS_TOKEN anywhere.
@@ -95,11 +75,32 @@ fn main() {
                     / 1e6
             })),
         });
-    let gaps: Vec<f64> = accepted
-        .iter()
-        .filter_map(|gt| recovery.apply(&study, gt).unwrap())
-        .collect();
-    match MomentStats::from_sample(&gaps) {
+    let mut gaps = StudyAccumulator::new(recovery);
+
+    println!("running {experiments} experiments with a dropped token pass...");
+    let pipeline = CampaignPipeline::new(
+        study.clone(),
+        ring_factory(app_cfg),
+        SimHarnessConfig::three_hosts(314),
+    );
+    let summary = pipeline
+        .run(experiments, |analyzed| {
+            for acc in mutex.iter_mut().chain([&mut gaps]) {
+                acc.push(&study, &analyzed).unwrap();
+            }
+        })
+        .expect("valid campaign config");
+    println!(
+        "analysis accepted {}/{}",
+        summary.accepted, summary.experiments
+    );
+
+    let worst = (mutex.iter())
+        .flat_map(StudyAccumulator::values)
+        .fold(0.0f64, |worst, &v| worst.max(v));
+    println!("mutual exclusion: worst simultaneous HAS_TOKEN time = {worst:.3} ms (must be 0)");
+
+    match gaps.stats() {
         Some(stats) => println!(
             "token-loss recovery: longest drought mean {:.1} ms over {} experiments \
              (≈ loss_timeout {} ms + regen_delay {} ms)",

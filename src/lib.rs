@@ -30,15 +30,18 @@
 //! any one of its experiments replays alone, byte for byte:
 //!
 //! ```rust,no_run
-//! use loki::runtime::harness::{run_experiment, run_study, CampaignError, SimHarnessConfig};
+//! use loki::analysis::{analyze_one, AnalysisOptions};
+//! use loki::runtime::harness::{run_experiment, CampaignError, CampaignPipeline, SimHarnessConfig};
 //! # fn demo(study: std::sync::Arc<loki::core::study::Study>,
 //! #         factory: loki::runtime::AppFactory) -> Result<(), CampaignError> {
 //!
 //! let cfg = SimHarnessConfig::three_hosts(42);
-//! let data = run_study(&study, factory.clone(), &cfg, 200)?;
+//! let mut results = Vec::new();
+//! CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
+//!     .run(200, |analyzed| results.push(analyzed))?;
 //!
 //! let replay = run_experiment(&study, factory, &cfg, 7)?; // a fresh world
-//! assert_eq!(replay, data[7]);
+//! assert_eq!(analyze_one(&study, &replay, &AnalysisOptions::default()), results[7]);
 //! # Ok(())
 //! # }
 //! ```
@@ -47,15 +50,20 @@
 //! are byte-identical for every pool shape:
 //!
 //! ```rust,no_run
-//! use loki::runtime::harness::{run_study, CampaignError, SimHarnessConfig};
+//! use loki::runtime::harness::{CampaignError, CampaignPipeline, SimHarnessConfig};
 //! # fn demo(study: std::sync::Arc<loki::core::study::Study>,
 //! #         factory: loki::runtime::AppFactory) -> Result<(), CampaignError> {
 //!
+//! let run = |cfg: SimHarnessConfig| -> Result<Vec<_>, CampaignError> {
+//!     let mut results = Vec::new();
+//!     CampaignPipeline::new(study.clone(), factory.clone(), cfg)
+//!         .run(200, |analyzed| results.push(analyzed))?;
+//!     Ok(results)
+//! };
 //! let mut cfg = SimHarnessConfig::three_hosts(42); // cfg.workers = None: auto
-//! let data = run_study(&study, factory.clone(), &cfg, 200)?; // parallel
+//! let parallel = run(cfg.clone())?;
 //! cfg.workers = Some(1); // forced sequential, on the calling thread
-//! let same = run_study(&study, factory, &cfg, 200)?;
-//! assert_eq!(data, same);
+//! assert_eq!(parallel, run(cfg)?);
 //! # Ok(())
 //! # }
 //! ```

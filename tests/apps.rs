@@ -9,10 +9,12 @@
 //! * the analysis pipeline consumes its `ExperimentData`, with at least
 //!   one experiment's injections provably correct.
 //!
-//! It also pins the streaming pipeline against the batch path, and the
+//! It also pins the streaming pipeline against fresh-world replay, and the
 //! typed errors both entry points return for a bad host list.
 
-use loki::analysis::{analyze, AnalysisOptions};
+mod common;
+
+use loki::analysis::{analyze_one, AnalysisOptions};
 use loki::apps::election::{election_factory, election_study, ElectionConfig};
 use loki::apps::kvstore::{kv_factory, kv_study, KvConfig};
 use loki::apps::token_ring::{ring_factory, ring_study, RingConfig};
@@ -22,11 +24,10 @@ use loki::core::probe::{ActionProbe, FaultAction};
 use loki::core::recorder::RecordKind;
 use loki::core::study::Study;
 use loki::measure::prelude::*;
-use loki::runtime::harness::{
-    run_experiment, run_study, CampaignError, CampaignPipeline, SimHarnessConfig,
-};
-use loki::runtime::AppFactory;
+use loki::runtime::harness::{run_experiment, CampaignError, CampaignPipeline, SimHarnessConfig};
+use loki::runtime::{AppFactory, RestartPolicy};
 use loki::sim::config::HostConfig;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The fault names injected in one experiment, per machine in timeline
@@ -52,10 +53,9 @@ fn injection_intent(study: &Study, data: &ExperimentData) -> Vec<(String, Vec<St
 
 /// Runs one app's campaign and checks the acceptance criteria above.
 fn check_app_campaign(label: &str, study: &Arc<Study>, factory: AppFactory, seed: u64) {
+    let cfg = SimHarnessConfig::three_hosts(seed);
     let run = |workers: usize| {
-        let mut cfg = SimHarnessConfig::three_hosts(seed);
-        cfg.workers = Some(workers);
-        run_study(study, factory.clone(), &cfg, 3).expect("valid campaign config")
+        common::campaign_raw(study, &factory, &cfg, 3, workers).expect("valid campaign config")
     };
     let (first, rerun, parallel) = (run(1), run(1), run(2));
 
@@ -75,9 +75,11 @@ fn check_app_campaign(label: &str, study: &Arc<Study>, factory: AppFactory, seed
         "{label}: intent diverged across worker counts"
     );
 
-    let analyzed = analyze(study, first, &AnalysisOptions::default());
+    let opts = AnalysisOptions::default();
     assert!(
-        analyzed.iter().any(|a| a.accepted()),
+        first
+            .iter()
+            .any(|d| analyze_one(study, d, &opts).accepted()),
         "{label}: no experiment accepted by the analysis"
     );
 }
@@ -126,8 +128,9 @@ fn lead_measure() -> StudyMeasure {
 }
 
 /// The pipeline acceptance test: the streaming pipeline must be
-/// *unobservable* in the results — byte-identical to the batch
-/// `run_study` → `analyze` → measure fold, for every worker count — while
+/// *unobservable* in the results — byte-identical to replaying each
+/// experiment on a fresh world, analyzing it and applying the measure to
+/// it, for every worker count — while
 /// never holding more than O(workers) raw `ExperimentData` in memory
 /// (asserted via the pipeline's retention gauge). Workers claim
 /// experiments from a shared index counter (work stealing), so which
@@ -135,33 +138,32 @@ fn lead_measure() -> StudyMeasure {
 /// pins that the *results* nevertheless stay byte-identical across every
 /// worker count, including counts that do not divide the experiment count.
 #[test]
-fn pipeline_streaming_matches_batch_and_bounds_raw_retention() {
+fn pipeline_streaming_matches_fresh_world_replay_and_bounds_raw_retention() {
     let (study, factory) = quick_election();
-    let mut cfg = SimHarnessConfig::three_hosts(0x51DE);
-    cfg.workers = Some(1);
+    let cfg = SimHarnessConfig::three_hosts(0x51DE);
     let experiments = 6u32;
 
-    // --- batch reference ---------------------------------------------------
-    let raw = run_study(&study, factory.clone(), &cfg, experiments).expect("valid campaign config");
-    let batch = analyze(&study, raw, &AnalysisOptions::default());
-    let batch_accepted = batch.iter().filter(|a| a.accepted()).count();
-    let batch_values = lead_measure()
-        .apply_all(
-            &study,
-            batch
-                .iter()
-                .filter(|a| a.accepted())
-                .filter_map(|a| a.global()),
-        )
-        .unwrap();
-    assert!(batch_accepted > 0, "campaign must accept something");
+    // --- fresh-world reference ---------------------------------------------
+    let reference = common::fresh_world_reference(&study, &factory, &cfg, experiments);
+    let reference_accepted = reference.iter().filter(|a| a.accepted()).count();
+    let reference_values: Vec<f64> = reference
+        .iter()
+        .filter(|a| a.accepted())
+        .filter_map(|a| a.global.as_ref())
+        .filter_map(|gt| lead_measure().apply(&study, gt).unwrap())
+        .collect();
+    assert!(reference_accepted > 0, "campaign must accept something");
 
     for workers in [1usize, 2, 4, 5, 6] {
-        let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone());
+        let cfg = SimHarnessConfig {
+            workers: Some(workers),
+            ..cfg.clone()
+        };
+        let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg);
         let mut acc = StudyAccumulator::new(lead_measure());
         let mut streamed = Vec::new();
         let summary = pipeline
-            .run_with_workers(experiments, workers, |analyzed| {
+            .run(experiments, |analyzed| {
                 acc.push(&study, &analyzed).unwrap();
                 streamed.push(analyzed);
             })
@@ -179,14 +181,11 @@ fn pipeline_streaming_matches_batch_and_bounds_raw_retention() {
         assert_eq!(indices, (0..experiments).collect::<Vec<u32>>());
 
         // Byte-identical analyses, verdicts, and measure values.
-        assert_eq!(streamed.len(), batch.len());
-        for (s, b) in streamed.iter().zip(&batch) {
-            assert_eq!(s, &b.analysis, "workers {workers}: analysis diverged");
-        }
-        assert_eq!(summary.accepted, batch_accepted);
-        assert!(acc.is_drained());
-        assert_eq!(acc.accepted(), batch_accepted);
-        assert_eq!(acc.into_values(), batch_values, "workers {workers}");
+        assert_eq!(streamed, reference, "workers {workers}: analysis diverged");
+        assert_eq!(summary.accepted, reference_accepted);
+        assert_eq!(acc.seen(), experiments as usize);
+        assert_eq!(acc.accepted(), reference_accepted);
+        assert_eq!(acc.into_values(), reference_values, "workers {workers}");
     }
 }
 
@@ -247,7 +246,13 @@ fn assert_host_error(hosts: Vec<HostConfig>, message: &str) {
         run_experiment(&study, factory.clone(), &cfg, 0).unwrap_err(),
         expected
     );
-    assert_eq!(run_study(&study, factory, &cfg, 2).unwrap_err(), expected);
+    let pipeline = CampaignPipeline::new(study, factory, cfg);
+    assert_eq!(
+        pipeline
+            .run(2, |_| panic!("the sink ran on a rejected campaign"))
+            .unwrap_err(),
+        expected
+    );
 }
 
 fn three_hosts() -> Vec<HostConfig> {
@@ -292,4 +297,55 @@ fn a_placement_on_a_dropped_host_is_a_typed_error() {
         three_hosts()[..2].to_vec(),
         "loki: invalid harness config: placement on unknown host `host3`",
     );
+}
+
+/// `ring_campaign` with a factory that counts its calls.
+fn counted_ring_campaign(name: &str) -> (Arc<Study>, AppFactory, Arc<AtomicUsize>) {
+    let (study, factory) = common::ring_campaign(name);
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = calls.clone();
+    let counted: AppFactory = Arc::new(move |study: &Study, sm| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        factory(study, sm)
+    });
+    (study, counted, calls)
+}
+
+/// Node lives in one experiment: every start and restart opens a stint.
+fn lives(data: &ExperimentData) -> usize {
+    data.timelines.iter().map(|t| t.stints.len()).sum()
+}
+
+#[test]
+fn the_factory_runs_once_per_node_life() {
+    // `AppFactory` promises one call per (re)start of a machine, whether
+    // the node's hull is recycled or built fresh — on a fresh world, on a
+    // worker's first experiment, and after restarts.
+    for restart in [None, Some(RestartPolicy::default())] {
+        let (study, factory, calls) = counted_ring_campaign("ring-factory-calls");
+        let cfg = SimHarnessConfig {
+            restart,
+            ..SimHarnessConfig::three_hosts(0xFAC7)
+        };
+
+        let data = run_experiment(&study, factory.clone(), &cfg, 0).expect("valid config");
+        assert_eq!(
+            calls.swap(0, Ordering::Relaxed),
+            lives(&data),
+            "restart {restart:?}: one fresh-world experiment"
+        );
+
+        let mut total = 0;
+        CampaignPipeline::new(study, factory, cfg)
+            .run_tapped_with_workers(10, 1, lives, |_, lives| total += lives)
+            .expect("valid campaign config");
+        if restart.is_some() {
+            assert!(total > 30, "no node of the three per experiment restarted");
+        }
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            total,
+            "restart {restart:?}: a ten-experiment campaign"
+        );
+    }
 }

@@ -10,33 +10,18 @@
 
 mod common;
 
-use common::fresh_world_reference;
-use loki::analysis::{AnalyzedExperiment, GlobalTimeline};
+use common::{fresh_world_reference, run_collect};
+use loki::analysis::GlobalTimeline;
 use loki::apps::kvstore::{cascade_probe, cascade_study, kv_factory, storm_retry, KvConfig};
 use loki::core::campaign::ExperimentEnd;
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::probe::FaultAction;
 use loki::core::study::Study;
-use loki::runtime::harness::{
-    run_study, CampaignError, CampaignPipeline, PipelineSummary, SimHarnessConfig,
-};
+use loki::runtime::harness::{CampaignError, CampaignPipeline, SimHarnessConfig};
 use std::sync::Arc;
 
 fn ring_campaign() -> (Arc<Study>, loki::runtime::AppFactory) {
     common::ring_campaign("ring-batching")
-}
-
-/// Runs the pipeline and collects every compact result in sink order.
-fn run_collect(
-    pipeline: &CampaignPipeline,
-    experiments: u32,
-    workers: usize,
-) -> (Vec<AnalyzedExperiment>, PipelineSummary) {
-    let mut out = Vec::with_capacity(experiments as usize);
-    let summary = pipeline
-        .run_with_workers(experiments, workers, |analyzed| out.push(analyzed))
-        .expect("valid campaign config");
-    (out, summary)
 }
 
 #[test]
@@ -187,9 +172,9 @@ fn oversized_batch_is_the_whole_campaign() {
                 let (streamed, summary) = run_collect(&pipeline, experiments, workers);
                 assert_eq!(streamed, reference, "{what}: pipeline diverged");
                 assert_eq!(summary.batch, batch, "{what}: reports the configured value");
-                let data = run_study(&study, factory.clone(), &cfg, experiments)
+                let data = common::campaign_raw(&study, &factory, &cfg, experiments, workers)
                     .expect("valid campaign config");
-                assert_eq!(data, raw, "{what}: run_study diverged");
+                assert_eq!(data, raw, "{what}: tapped raw data diverged");
             }
         }
     }
@@ -303,16 +288,20 @@ fn results_are_plain_data_whatever_the_sink_does() {
     cfg.batch = Some(4);
     let experiments = 200u32;
 
-    let (collected, retaining) = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
-        .collect(experiments)
-        .expect("valid campaign config");
+    let pipeline = CampaignPipeline::new(study, factory, cfg);
+    let (collected, retaining) = run_collect(&pipeline, experiments, 1);
     assert_eq!(collected.len(), experiments as usize);
 
     let mut expected = collected.iter();
-    let dropping = CampaignPipeline::new(study, factory, cfg)
-        .run_with_workers(experiments, 1, |analyzed| {
-            assert_eq!(Some(&analyzed), expected.next());
-        })
+    let dropping = pipeline
+        .run_tapped_with_workers(
+            experiments,
+            1,
+            |_| (),
+            |analyzed, ()| {
+                assert_eq!(Some(&analyzed), expected.next());
+            },
+        )
         .expect("valid campaign config");
     assert!(expected.next().is_none());
 
@@ -369,7 +358,7 @@ fn batch_env_override_is_validated_and_applied() {
         std::env::set_var("LOKI_BATCH", bad);
         let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone());
         let err = pipeline
-            .run_with_workers(experiments, 1, drop)
+            .run(experiments, drop)
             .expect_err(&format!("LOKI_BATCH={bad:?} must be rejected"));
         assert!(err.to_string().contains("LOKI_BATCH"), "{err}");
     }
@@ -381,15 +370,12 @@ fn batch_env_override_is_validated_and_applied() {
     zero_cfg.batch = Some(0);
     let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), zero_cfg);
     let err = pipeline
-        .run_with_workers(experiments, 1, drop)
+        .run(experiments, drop)
         .expect_err("batch: Some(0) must be rejected");
     assert!(
         err.to_string().contains("batch size must be at least 1"),
         "{err}"
     );
-    // The raw-data entry point rides the same driver: same typed error.
-    let err = run_study(&study, factory.clone(), pipeline.config(), experiments)
-        .expect_err("batch: Some(0) must be rejected by run_study too");
     assert!(matches!(err, CampaignError::Batch(_)), "{err:?}");
 
     std::env::remove_var("LOKI_BATCH");

@@ -2,7 +2,8 @@
 //! *fresh* world, one at a time, through no pool at all. The driver runs
 //! campaigns on one reset-reused world per worker, spread over a
 //! work-stealing pool; whatever it returns must equal this, byte for
-//! byte.
+//! byte. [`campaign_raw`] is the other side: the driver's raw data, taken
+//! through the pipeline's tap.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -11,7 +12,9 @@ use loki::apps::token_ring::{ring_factory, ring_study, RingConfig};
 use loki::core::campaign::ExperimentData;
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::study::Study;
-use loki::runtime::harness::{run_experiment, SimHarnessConfig};
+use loki::runtime::harness::{
+    run_experiment, CampaignError, CampaignPipeline, PipelineSummary, SimHarnessConfig,
+};
 use loki::runtime::AppFactory;
 use std::sync::Arc;
 
@@ -56,4 +59,43 @@ pub fn fresh_world_reference(
         .iter()
         .map(|data| analyze_one(study, data, &opts))
         .collect()
+}
+
+/// The raw data of experiments `0..experiments` as the campaign pipeline
+/// runs them — on `workers` workers, each on its reset-reused world —
+/// taken through its raw tap, in index order.
+pub fn campaign_raw(
+    study: &Arc<Study>,
+    factory: &AppFactory,
+    cfg: &SimHarnessConfig,
+    experiments: u32,
+    workers: usize,
+) -> Result<Vec<ExperimentData>, CampaignError> {
+    let mut raw = Vec::with_capacity(experiments as usize);
+    CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone()).run_tapped_with_workers(
+        experiments,
+        workers,
+        ExperimentData::clone,
+        |_, data| raw.push(data),
+    )?;
+    Ok(raw)
+}
+
+/// Runs `pipeline` on `workers` workers and collects every compact result
+/// in sink order.
+pub fn run_collect(
+    pipeline: &CampaignPipeline,
+    experiments: u32,
+    workers: usize,
+) -> (Vec<AnalyzedExperiment>, PipelineSummary) {
+    let mut out = Vec::with_capacity(experiments as usize);
+    let summary = pipeline
+        .run_tapped_with_workers(
+            experiments,
+            workers,
+            |_| (),
+            |analyzed, ()| out.push(analyzed),
+        )
+        .expect("valid campaign config");
+    (out, summary)
 }

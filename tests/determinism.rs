@@ -1,4 +1,4 @@
-//! Campaign determinism: the parallel experiment executor must produce
+//! Campaign determinism: the parallel campaign pipeline must produce
 //! results *byte-identical* to a forced single-worker run — same
 //! timelines, same sync samples, same experiment ends, and, after the
 //! analysis phase, the same verdict for every experiment. Each experiment
@@ -7,20 +7,20 @@
 
 mod common;
 
-use loki::analysis::{analyze, AnalysisOptions};
+use loki::analysis::{analyze_one, AnalysisOptions};
 use loki::apps::kvstore::{cascade_probe, cascade_study, kv_factory, storm_retry, KvConfig};
 use loki::core::campaign::ExperimentData;
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::probe::FaultAction;
 use loki::core::study::Study;
-use loki::runtime::harness::{run_study, SimHarnessConfig};
+use loki::runtime::harness::{CampaignError, CampaignPipeline, SimHarnessConfig};
 use loki::runtime::AppFactory;
 use std::sync::Arc;
 
-/// `run_study` with a forced pool shape: `workers` workers (the calling
-/// thread included) claiming `batch` consecutive indices at a time.
-/// Forcing both keeps these tests off the `LOKI_WORKERS` / `LOKI_BATCH`
-/// environment.
+/// The campaign's raw data, taken through the pipeline's tap, with a
+/// forced pool shape: `workers` workers (the calling thread included)
+/// claiming `batch` consecutive indices at a time. Forcing both keeps
+/// these tests off the `LOKI_WORKERS` / `LOKI_BATCH` environment.
 fn run_shaped(
     study: &Arc<Study>,
     factory: &AppFactory,
@@ -30,9 +30,8 @@ fn run_shaped(
     batch: usize,
 ) -> Vec<ExperimentData> {
     let mut cfg = cfg.clone();
-    cfg.workers = Some(workers);
     cfg.batch = Some(batch);
-    run_study(study, factory.clone(), &cfg, experiments).expect("valid campaign config")
+    common::campaign_raw(study, factory, &cfg, experiments, workers).expect("valid campaign config")
 }
 
 fn ring_campaign() -> (Arc<Study>, AppFactory) {
@@ -40,7 +39,7 @@ fn ring_campaign() -> (Arc<Study>, AppFactory) {
 }
 
 #[test]
-fn parallel_run_study_is_byte_identical_to_single_worker() {
+fn parallel_raw_data_is_byte_identical_to_single_worker() {
     let (study, factory) = ring_campaign();
     let cfg = SimHarnessConfig::three_hosts(0xD5E7);
     let experiments = 12;
@@ -84,20 +83,21 @@ fn parallel_and_sequential_agree_on_verdicts_and_timelines() {
     let par_data = run_shaped(&study, &factory, &cfg, experiments, 3, 1);
 
     let opts = AnalysisOptions::default();
-    let seq = analyze(&study, seq_data, &opts);
-    let par = analyze(&study, par_data, &opts);
-
-    assert_eq!(seq.len(), par.len());
-    for (s, p) in seq.iter().zip(&par) {
-        assert_eq!(s.accepted(), p.accepted(), "verdict diverged");
-        assert_eq!(s.data.end, p.data.end, "experiment end diverged");
-        assert_eq!(s.data.timelines, p.data.timelines, "timelines diverged");
-        assert_eq!(s.data.pre_sync, p.data.pre_sync);
-        assert_eq!(s.data.post_sync, p.data.post_sync);
+    assert_eq!(seq_data.len(), par_data.len());
+    for (s, p) in seq_data.iter().zip(&par_data) {
+        assert_eq!(
+            analyze_one(&study, s, &opts).accepted(),
+            analyze_one(&study, p, &opts).accepted(),
+            "verdict diverged"
+        );
+        assert_eq!(s.end, p.end, "experiment end diverged");
+        assert_eq!(s.timelines, p.timelines, "timelines diverged");
+        assert_eq!(s.pre_sync, p.pre_sync);
+        assert_eq!(s.post_sync, p.post_sync);
     }
     // The campaign does something: at least one injection was attempted
     // and at least one experiment completed.
-    assert!(seq.iter().any(|a| a.data.total_injections() > 0));
+    assert!(seq_data.iter().any(|d| d.total_injections() > 0));
 }
 
 /// The cascading-failure study plus a lossy link and a gray node: every
@@ -171,31 +171,41 @@ fn net_fault_campaign_is_byte_identical_across_workers() {
 }
 
 #[test]
-fn run_study_defaults_respect_env_override() {
-    // `run_study` resolves its worker count from the config (None here),
-    // then the LOKI_WORKERS environment variable, then available
-    // parallelism — whichever it picks, the result must match a single
-    // worker. The other tests in this file don't read the environment, so
-    // setting the variable here doesn't race them.
+fn pipeline_defaults_respect_env_override() {
+    // `CampaignPipeline::run` resolves its worker count from the config
+    // (None here), then the LOKI_WORKERS environment variable, then
+    // available parallelism — whichever it picks, the result must match a
+    // single worker. The other tests in this file don't read the
+    // environment, so setting the variable here doesn't race them.
     let (study, factory) = ring_campaign();
     let cfg = SimHarnessConfig::three_hosts(7);
-    let forced = run_shaped(&study, &factory, &cfg, 4, 1, 1);
+    let run = |cfg: &SimHarnessConfig| -> Result<_, CampaignError> {
+        let mut out = Vec::new();
+        let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone());
+        let summary = pipeline.run(4, |analyzed| out.push(analyzed))?;
+        Ok((out, summary.workers))
+    };
+    let forced_cfg = SimHarnessConfig {
+        workers: Some(1),
+        ..cfg.clone()
+    };
+    let (forced, _) = run(&forced_cfg).expect("valid campaign config");
 
     std::env::set_var("LOKI_WORKERS", "3");
-    let via_env = run_study(&study, factory.clone(), &cfg, 4).expect("valid campaign config");
+    let (via_env, workers) = run(&cfg).expect("valid campaign config");
+    assert_eq!(workers, 3, "LOKI_WORKERS not picked up");
 
     // Invalid worker counts are rejected loudly — a silent fallback would
     // run the campaign with a surprise worker count. Since the survivability
     // work these come back as typed `CampaignError`s, not panics.
     for bad in ["not-a-number", "0"] {
         std::env::set_var("LOKI_WORKERS", bad);
-        let err = run_study(&study, factory.clone(), &cfg, 4)
-            .expect_err(&format!("LOKI_WORKERS={bad:?} must be rejected"));
+        let err = run(&cfg).expect_err(&format!("LOKI_WORKERS={bad:?} must be rejected"));
         assert!(err.to_string().contains("LOKI_WORKERS"), "{err}");
     }
 
     std::env::remove_var("LOKI_WORKERS");
-    let auto = run_study(&study, factory, &cfg, 4).expect("valid campaign config");
+    let (auto, _) = run(&cfg).expect("valid campaign config");
 
     assert_eq!(via_env, forced);
     assert_eq!(auto, forced);

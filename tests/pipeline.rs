@@ -1,14 +1,14 @@
 //! Cross-crate integration tests: the full Loki pipeline
 //! (specification → runtime → off-line analysis → measures).
 
-use loki::analysis::{accepted_timelines, analyze, AnalysisOptions, MissingPolicy};
+use loki::analysis::{analyze_one, AnalysisOptions, MissingPolicy};
 use loki::apps::election::{election_factory, election_study, ElectionConfig};
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::spec::{StateMachineSpec, StudyDef};
 use loki::core::study::Study;
 use loki::measure::prelude::*;
 use loki::runtime::daemons::{RestartPlacement, RestartPolicy};
-use loki::runtime::harness::{run_experiment, run_study, CampaignPipeline, SimHarnessConfig};
+use loki::runtime::harness::{run_experiment, CampaignPipeline, SimHarnessConfig};
 use loki::runtime::AppFactory;
 use loki::runtime::{App, NodeCtx, Payload};
 use std::rc::Rc;
@@ -119,9 +119,10 @@ fn full_pipeline_accepts_long_states_and_rejects_short_ones() {
     // 60 ms of BUSY with a 10 ms timeslice: the notification always makes
     // it in time; analysis accepts.
     let (study, factory) = wo_study(60);
-    let data = run_study(&study, factory, &harness(1), 8).expect("valid campaign config");
-    let analyzed = analyze(&study, data, &AnalysisOptions::default());
-    let long_accepted = analyzed.iter().filter(|a| a.accepted()).count();
+    let long_accepted = CampaignPipeline::new(study, factory, harness(1))
+        .run(8, drop)
+        .expect("valid campaign config")
+        .accepted;
     assert!(
         long_accepted >= 6,
         "long states accepted: {long_accepted}/8"
@@ -130,9 +131,10 @@ fn full_pipeline_accepts_long_states_and_rejects_short_ones() {
     // 2 ms of BUSY: the stale partial view makes most injections land
     // after BUSY ended; analysis must catch them.
     let (study, factory) = wo_study(2);
-    let data = run_study(&study, factory, &harness(2), 8).expect("valid campaign config");
-    let analyzed = analyze(&study, data, &AnalysisOptions::default());
-    let short_accepted = analyzed.iter().filter(|a| a.accepted()).count();
+    let short_accepted = CampaignPipeline::new(study, factory, harness(2))
+        .run(8, drop)
+        .expect("valid campaign config")
+        .accepted;
     assert!(
         short_accepted <= 2,
         "short states mostly rejected: {short_accepted}/8"
@@ -154,17 +156,16 @@ fn pipeline_is_deterministic() {
 #[test]
 fn measure_values_track_ground_truth() {
     let (study, factory) = wo_study(40);
-    let data = run_study(&study, factory, &harness(3), 6).expect("valid campaign config");
-    let analyzed = analyze(&study, data, &AnalysisOptions::default());
-    let accepted = accepted_timelines(&analyzed);
-    assert!(!accepted.is_empty());
-    let m = StudyMeasure::new("busy").step(MeasureStep {
+    let mut acc = StudyAccumulator::new(StudyMeasure::new("busy").step(MeasureStep {
         subset: SubsetSel::All,
         predicate: Predicate::state("worker", "BUSY"),
         observation: ObservationFn::total_true(),
-    });
-    let values = m.apply_all(&study, accepted.iter().copied()).unwrap();
-    let stats = MomentStats::from_sample(&values).unwrap();
+    }));
+    CampaignPipeline::new(study.clone(), factory, harness(3))
+        .run(6, |analyzed| acc.push(&study, &analyzed).unwrap())
+        .expect("valid campaign config");
+    assert!(acc.accepted() > 0);
+    let stats = acc.stats().unwrap();
     // The worker is BUSY for exactly 40 ms of its own clock; projected
     // durations may differ by the clock drift (~100 ppm) and bound
     // midpoints, so allow a small tolerance.
@@ -191,12 +192,6 @@ fn election_campaign_end_to_end_with_restart() {
         max_restarts: 1,
         placement: RestartPlacement::NextHost,
     });
-    let data = run_study(&study, election_factory(ElectionConfig::default()), &h, 10)
-        .expect("valid campaign config");
-    let analyzed = analyze(&study, data, &AnalysisOptions::default());
-    let accepted = accepted_timelines(&analyzed);
-    assert!(accepted.len() >= 8, "accepted {}/10", accepted.len());
-
     // §5.8 coverage measure: every crash must be covered (restart prob 1).
     let ever = |tl: &loki::measure::PredicateTimeline| {
         let (lo, hi) = tl.window;
@@ -213,8 +208,17 @@ fn election_campaign_end_to_end_with_restart() {
             predicate: Predicate::state("black", "RESTART_SM"),
             observation: ObservationFn::User(Rc::new(ever)),
         });
-    let values = m.apply_all(&study, accepted.iter().copied()).unwrap();
-    for v in &values {
+    let mut acc = StudyAccumulator::new(m);
+    let pipeline = CampaignPipeline::new(
+        study.clone(),
+        election_factory(ElectionConfig::default()),
+        h,
+    );
+    pipeline
+        .run(10, |analyzed| acc.push(&study, &analyzed).unwrap())
+        .expect("valid campaign config");
+    assert!(acc.accepted() >= 8, "accepted {}/10", acc.accepted());
+    for v in acc.values() {
         assert_eq!(*v, 1.0, "restart probability 1.0 means full coverage");
     }
 }
@@ -227,25 +231,18 @@ fn missing_policy_distinguishes_unfired_faults() {
     // the never-injected ones are tolerated (the injected-but-late ones
     // are still rejected).
     let (study, factory) = wo_study(1);
-    let data = run_study(&study, factory, &harness(5), 10).expect("valid campaign config");
-    let with_fail = analyze(
-        &study,
-        data.clone(),
-        &AnalysisOptions {
-            missing: MissingPolicy::Fail,
-            ..Default::default()
-        },
-    );
-    let with_ignore = analyze(
-        &study,
-        data,
-        &AnalysisOptions {
-            missing: MissingPolicy::Ignore,
-            ..Default::default()
-        },
-    );
-    let fail_count = with_fail.iter().filter(|a| a.accepted()).count();
-    let ignore_count = with_ignore.iter().filter(|a| a.accepted()).count();
+    let accepted = |missing| {
+        CampaignPipeline::new(study.clone(), factory.clone(), harness(5))
+            .analysis(AnalysisOptions {
+                missing,
+                ..Default::default()
+            })
+            .run(10, drop)
+            .expect("valid campaign config")
+            .accepted
+    };
+    let fail_count = accepted(MissingPolicy::Fail);
+    let ignore_count = accepted(MissingPolicy::Ignore);
     assert!(ignore_count >= fail_count);
 }
 
@@ -271,9 +268,10 @@ fn timelines_roundtrip_through_on_disk_format_and_reanalyze() {
         .collect();
     assert_eq!(roundtripped.timelines, data.timelines);
 
-    let a = analyze(&study, vec![data], &AnalysisOptions::default());
-    let b = analyze(&study, vec![roundtripped], &AnalysisOptions::default());
-    assert_eq!(a[0].accepted(), b[0].accepted());
+    let opts = AnalysisOptions::default();
+    let a = analyze_one(&study, &data, &opts);
+    let b = analyze_one(&study, &roundtripped, &opts);
+    assert_eq!(a.accepted(), b.accepted());
 }
 
 /// A `CampaignPipeline` over the worker/observer study with an explicit
@@ -293,10 +291,15 @@ fn sink_runs_on_the_calling_thread_in_index_order() {
     let caller = std::thread::current().id();
     let mut seen = Vec::new();
     let summary = wo_pipeline(11, 2)
-        .run_with_workers(experiments, 3, |analyzed| {
-            assert_eq!(std::thread::current().id(), caller, "sink left the caller");
-            seen.push(analyzed.experiment);
-        })
+        .run_tapped_with_workers(
+            experiments,
+            3,
+            |_| (),
+            |analyzed, ()| {
+                assert_eq!(std::thread::current().id(), caller, "sink left the caller");
+                seen.push(analyzed.experiment);
+            },
+        )
         .expect("valid campaign config");
     assert_eq!(seen, (0..experiments).collect::<Vec<u32>>());
     assert_eq!(summary.workers, 3);
@@ -313,10 +316,15 @@ fn panicking_sink_propagates_and_leaves_no_worker_blocked() {
     std::thread::spawn(move || {
         let mut sunk = Vec::new();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            wo_pipeline(12, 1).run_with_workers(400, 4, |analyzed| {
-                sunk.push(analyzed.experiment);
-                assert!(analyzed.experiment != 5, "sink refuses index 5");
-            })
+            wo_pipeline(12, 1).run_tapped_with_workers(
+                400,
+                4,
+                |_| (),
+                |analyzed, ()| {
+                    sunk.push(analyzed.experiment);
+                    assert!(analyzed.experiment != 5, "sink refuses index 5");
+                },
+            )
         }));
         done_tx.send((outcome.is_err(), sunk)).ok();
     });
@@ -367,4 +375,45 @@ fn slow_sink_parks_the_workers_instead_of_buffering_the_campaign() {
     // hard bound (a worker descheduled while it holds the next index to
     // commit lets its siblings run ahead — a few dozen results on a quiet
     // machine, hundreds on a loaded one).
+}
+
+#[test]
+fn invalid_analysis_options_are_a_typed_error_before_any_experiment() {
+    use loki::analysis::GlobalOptions;
+    use loki::clock::sync::SyncOptions;
+    use loki::runtime::harness::CampaignError;
+    let rows = [
+        (
+            "inverted window",
+            GlobalOptions {
+                window: Some((2.0, 1.0)),
+                ..Default::default()
+            },
+        ),
+        (
+            "beta box touching zero",
+            GlobalOptions {
+                sync: SyncOptions {
+                    beta_range: (0.0, 1.1),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        ),
+    ];
+    for (what, global) in rows {
+        let pipeline = wo_pipeline(14, 1).analysis(AnalysisOptions {
+            global,
+            ..Default::default()
+        });
+        let err = pipeline
+            .run_tapped_with_workers(
+                4,
+                1,
+                |_| panic!("{what}: an experiment ran"),
+                |_, ()| panic!("{what}: the sink ran"),
+            )
+            .expect_err(what);
+        assert!(matches!(err, CampaignError::Analysis(_)), "{what}: {err:?}");
+    }
 }

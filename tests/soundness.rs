@@ -18,12 +18,12 @@
 //! timeslices, TCP 10 + U(0, 20) µs, IPC 2 + U(0, 2) µs, holds down to
 //! 20 µs), where the α bounds are as wide as the shortest holds.
 
-use loki::analysis::{analyze, AnalysisOptions, MissingPolicy};
+use loki::analysis::{AnalysisOptions, MissingPolicy};
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::recorder::RecordKind;
 use loki::core::spec::{StateMachineSpec, StudyDef};
 use loki::core::study::Study;
-use loki::runtime::harness::{run_study, SimHarnessConfig};
+use loki::runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use loki::runtime::messages::NotifyRouting;
 use loki::runtime::AppFactory;
 use loki::runtime::{App, NodeCtx, Payload};
@@ -197,42 +197,37 @@ fn analysis_acceptance_is_sound_against_ground_truth() {
                 seed: row.seed + i as u64,
                 ..row.clone()
             };
-            let experiments =
-                run_study(&study, factory, &harness, 12).expect("valid campaign config");
-            let truths: Vec<Option<bool>> = experiments
-                .iter()
-                .map(|d| truly_correct(&study, d))
-                .collect();
-            let analyzed = analyze(
-                &study,
-                experiments,
-                &AnalysisOptions {
+            // Ground truth comes from the raw timelines, through the tap.
+            let pipeline =
+                CampaignPipeline::new(study.clone(), factory, harness).analysis(AnalysisOptions {
                     missing: MissingPolicy::Ignore,
                     ..Default::default()
-                },
-            );
-            for (a, truth) in analyzed.iter().zip(&truths) {
-                total += 1;
-                if truth.is_some() {
-                    injected_total += 1;
-                }
-                if *truth == Some(true) {
-                    truly_correct_total += 1;
-                }
-                // Only consider the injection verdicts (MissingPolicy::Ignore
-                // keeps never-injected experiments accepted with zero checks).
-                let has_injection = a.verdict().map(|v| !v.checks.is_empty()).unwrap_or(false);
-                if a.accepted() && has_injection {
-                    accepted_total += 1;
-                    // SOUNDNESS: accepted ⇒ truly correct.
-                    assert_eq!(
-                        *truth,
-                        Some(true),
-                        "accepted an injection that truly missed (hold {hold_ns} ns, exp {})",
-                        a.data.experiment
-                    );
-                }
-            }
+                });
+            let tap = |d: &_| truly_correct(&study, d);
+            pipeline
+                .run_tapped_with_workers(12, 2, tap, |a, truth| {
+                    total += 1;
+                    if truth.is_some() {
+                        injected_total += 1;
+                    }
+                    if truth == Some(true) {
+                        truly_correct_total += 1;
+                    }
+                    // Only consider the injection verdicts (MissingPolicy::Ignore
+                    // keeps never-injected experiments accepted with zero checks).
+                    let has_injection = a.verdict.as_ref().is_some_and(|v| !v.checks.is_empty());
+                    if a.accepted() && has_injection {
+                        accepted_total += 1;
+                        // SOUNDNESS: accepted ⇒ truly correct.
+                        assert_eq!(
+                            truth,
+                            Some(true),
+                            "accepted an injection that truly missed (hold {hold_ns} ns, exp {})",
+                            a.experiment
+                        );
+                    }
+                })
+                .expect("valid campaign config");
         }
     }
 

@@ -9,11 +9,12 @@
 
 mod common;
 
+use common::{campaign_raw, run_collect};
 use loki::apps::chaos::{chaos_factory, chaos_study, ChaosConfig, CHAOS_PANIC};
 use loki::clock::params::ClockParams;
 use loki::core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync, Warning};
 use loki::core::study::Study;
-use loki::runtime::harness::{run_study, CampaignPipeline, SimHarnessConfig};
+use loki::runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use loki::runtime::{AppFactory, NotifyRouting};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -75,7 +76,7 @@ fn survivors_are_byte_identical_to_the_disarmed_baseline() {
         chaos_factory(chaos_cfg(false)),
         chaos_harness(0xC405),
     );
-    let (baseline, _) = baseline_pipeline.collect(experiments).unwrap();
+    let (baseline, _) = run_collect(&baseline_pipeline, experiments, 1);
 
     let mut reference: Option<Vec<_>> = None;
     for workers in [1usize, 4] {
@@ -84,10 +85,7 @@ fn survivors_are_byte_identical_to_the_disarmed_baseline() {
             cfg.batch = Some(k);
             let pipeline =
                 CampaignPipeline::new(study.clone(), chaos_factory(chaos_cfg(true)), cfg);
-            let mut streamed = Vec::new();
-            let summary = pipeline
-                .run_with_workers(experiments, workers, |analyzed| streamed.push(analyzed))
-                .expect("valid campaign config");
+            let (streamed, summary) = run_collect(&pipeline, experiments, workers);
 
             // The campaign ran to completion and delivered every
             // experiment, in index order, despite the failures.
@@ -168,10 +166,7 @@ fn event_budget_trips_identically_across_pool_shapes() {
         for k in [1usize, 8] {
             let pipeline =
                 CampaignPipeline::new(study.clone(), chaos_factory(chaos.clone()), cfg_for(k));
-            let mut streamed = Vec::new();
-            let summary = pipeline
-                .run_with_workers(8, workers, |analyzed| streamed.push(analyzed))
-                .expect("valid campaign config");
+            let (streamed, summary) = run_collect(&pipeline, 8, workers);
             assert_eq!(summary.failed, 8);
             assert!(streamed
                 .iter()
@@ -188,9 +183,8 @@ fn event_budget_trips_identically_across_pool_shapes() {
 }
 
 /// Runs `experiments` experiments under `cfg` at every pool shape of
-/// workers {1, 4} × K {1, 8}, asserts the raw data is byte-identical
-/// across them — and, on the last shape, to what a pipeline tap sees —
-/// and returns it.
+/// workers {1, 4} × K {1, 8}, taking the raw data through the pipeline's
+/// tap, asserts it is byte-identical across them, and returns it.
 fn raw_data_at_every_pool_shape(
     study: &Arc<Study>,
     cfg: &SimHarnessConfig,
@@ -204,32 +198,21 @@ fn raw_data_at_every_pool_shape(
     for workers in [1usize, 4] {
         for k in [1usize, 8] {
             let mut cfg = cfg.clone();
-            cfg.workers = Some(workers);
             cfg.batch = Some(k);
-            let raw = run_study(study, chaos_factory(chaos.clone()), &cfg, experiments)
-                .expect("valid campaign config");
+            let raw = campaign_raw(
+                study,
+                &chaos_factory(chaos.clone()),
+                &cfg,
+                experiments,
+                workers,
+            )
+            .expect("valid campaign config");
             match &reference {
                 None => reference = Some(raw),
                 Some(reference) => assert_eq!(
                     &raw, reference,
                     "workers={workers} K={k}: raw data diverged"
                 ),
-            }
-            if (workers, k) == (4, 8) {
-                let mut tapped = Vec::new();
-                CampaignPipeline::new(study.clone(), chaos_factory(chaos.clone()), cfg)
-                    .run_tapped_with_workers(
-                        experiments,
-                        workers,
-                        ExperimentData::clone,
-                        |_, data| tapped.push(data),
-                    )
-                    .expect("valid campaign config");
-                assert_eq!(
-                    Some(&tapped),
-                    reference.as_ref(),
-                    "tap and run_study disagree"
-                );
             }
         }
     }
@@ -401,18 +384,18 @@ fn harness_panics_are_contained_and_quarantined() {
     // One worker, K = 1: the factory's call sequence — and so the
     // experiment its 20th call lands in — is deterministic.
     let mut cfg = SimHarnessConfig::three_hosts(0x4A12);
-    cfg.workers = Some(1);
     cfg.batch = Some(1);
     let experiments = 8u32;
 
     // The raw path: the campaign survives, exactly one experiment ends as
     // a harness failure carrying the panic note, the rest are untouched.
-    let healthy = run_study(&study, factory.clone(), &cfg, experiments).unwrap();
-    let raw = run_study(
+    let healthy = campaign_raw(&study, &factory, &cfg, experiments, 1).unwrap();
+    let raw = campaign_raw(
         &study,
-        panicking_on_call(factory.clone(), 20),
+        &panicking_on_call(factory.clone(), 20),
         &cfg,
         experiments,
+        1,
     )
     .expect("a harness panic must not fail the campaign");
     let harness_failed = ExperimentEnd::Failed(ExperimentFailure::Harness);
@@ -439,11 +422,8 @@ fn harness_panics_are_contained_and_quarantined() {
 
     // The compact path: same victim, typed and counted, world quarantined.
     let collect = |factory: AppFactory| {
-        let mut out = Vec::new();
-        let summary = CampaignPipeline::new(study.clone(), factory, cfg.clone())
-            .run_with_workers(experiments, 1, |analyzed| out.push(analyzed))
-            .expect("a harness panic must not fail the campaign");
-        (out, summary)
+        let pipeline = CampaignPipeline::new(study.clone(), factory, cfg.clone());
+        run_collect(&pipeline, experiments, 1)
     };
     let (healthy, healthy_summary) = collect(factory.clone());
     let (streamed, summary) = collect(panicking_on_call(factory, 20));
@@ -474,7 +454,7 @@ fn direct_routing_records_each_dropped_notification_once() {
     let (study, factory) = common::ring_campaign("ring-direct-warnings");
     let mut cfg = SimHarnessConfig::three_hosts(11);
     cfg.routing = NotifyRouting::Direct;
-    let raw = run_study(&study, factory, &cfg, 16).expect("valid campaign config");
+    let raw = campaign_raw(&study, &factory, &cfg, 16, 2).expect("valid campaign config");
     for data in &raw {
         for (i, warning) in data.warnings.iter().enumerate() {
             assert!(
@@ -506,11 +486,7 @@ proptest! {
             let mut cfg = chaos_harness(seed);
             cfg.batch = Some(k);
             let pipeline = CampaignPipeline::new(study.clone(), chaos_factory(chaos.clone()), cfg);
-            let mut streamed = Vec::new();
-            let summary = pipeline
-                .run_with_workers(10, workers, |analyzed| streamed.push(analyzed))
-                .expect("valid campaign config");
-            (streamed, summary)
+            run_collect(&pipeline, 10, workers)
         };
         let (reference, reference_summary) = run(1, 1);
         let (wide, wide_summary) = run(4, 4);
@@ -548,7 +524,7 @@ fn chaos_selftest_storm() {
         }),
         chaos_harness(0x57_02_13),
     );
-    let (baseline, _) = baseline_pipeline.collect(experiments).unwrap();
+    let (baseline, _) = run_collect(&baseline_pipeline, experiments, 4);
 
     let mut cfg = chaos_harness(0x57_02_13);
     cfg.batch = Some(8);
@@ -562,7 +538,7 @@ fn chaos_selftest_storm() {
         }),
         cfg,
     );
-    let (streamed, summary) = pipeline.collect(experiments).unwrap();
+    let (streamed, summary) = run_collect(&pipeline, experiments, 4);
 
     assert_eq!(streamed.len(), experiments as usize);
     assert!(summary.failed > 10, "storm too tame: {}", summary.failed);
