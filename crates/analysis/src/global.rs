@@ -698,6 +698,103 @@ mod tests {
         }
     }
 
+    /// A hand-built timeline holding every event kind, a user message with a
+    /// quote and a backslash, an interval entered before the first event
+    /// and one held to the end.
+    fn golden_timeline() -> GlobalTimeline {
+        let at = |ns: f64| TimeBounds {
+            lo: GlobalNanos(ns - 0.5),
+            hi: GlobalNanos(ns + 0.25),
+        };
+        let event = |sm: u32, kind: GlobalEventKind, ns: f64, record_index: u32| GlobalEvent {
+            sm: SmId::from_raw(sm),
+            kind,
+            bounds: at(ns),
+            record_index,
+        };
+        let events = vec![
+            event(
+                0,
+                GlobalEventKind::StateChange {
+                    event: EventId::from_raw(1),
+                    from_state: StateId::from_raw(0),
+                    new_state: StateId::from_raw(2),
+                },
+                10.0,
+                0,
+            ),
+            event(
+                1,
+                GlobalEventKind::Injection {
+                    fault: FaultId::from_raw(3),
+                },
+                20.0,
+                0,
+            ),
+            event(
+                0,
+                GlobalEventKind::UserMessage("say \"hi\" \\ bye".into()),
+                30.0,
+                1,
+            ),
+            event(
+                1,
+                GlobalEventKind::Restart {
+                    host: HostId::from_raw(1),
+                },
+                40.0,
+                1,
+            ),
+        ];
+        GlobalTimeline {
+            events,
+            intervals: vec![
+                StateInterval {
+                    sm: SmId::from_raw(1),
+                    state: StateId::from_raw(4),
+                    enter: StateInterval::OPEN,
+                    exit: 3,
+                },
+                StateInterval {
+                    sm: SmId::from_raw(0),
+                    state: StateId::from_raw(2),
+                    enter: 0,
+                    exit: StateInterval::OPEN,
+                },
+            ],
+            start: GlobalNanos(9.5),
+            end: GlobalNanos(40.25),
+            alpha_beta: vec![
+                AlphaBetaBounds::identity(),
+                AlphaBetaBounds {
+                    alpha_lo: -1.5,
+                    alpha_hi: 2.0,
+                    beta_lo: 0.999,
+                    beta_hi: 1.001,
+                },
+            ],
+            reference_host: HostId::from_raw(0),
+            symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
+        }
+    }
+
+    /// The exact `Debug` text of [`golden_timeline`]: result digests hash
+    /// this rendering, so any drift in it must be deliberate.
+    #[test]
+    fn debug_text_is_golden() {
+        let golden = concat!(
+            r#"GlobalTimeline { events: [GlobalEvent { sm: #0, kind: StateChange { event: #1, from_state: #0, new_state: #2 }, bounds: TimeBounds { lo: GlobalNanos(9.5), hi: GlobalNanos(10.25) }, record_index: 0 }"#,
+            r#", GlobalEvent { sm: #1, kind: Injection { fault: #3 }, bounds: TimeBounds { lo: GlobalNanos(19.5), hi: GlobalNanos(20.25) }, record_index: 0 }"#,
+            r#", GlobalEvent { sm: #0, kind: UserMessage("say \"hi\" \\ bye"), bounds: TimeBounds { lo: GlobalNanos(29.5), hi: GlobalNanos(30.25) }, record_index: 1 }"#,
+            r#", GlobalEvent { sm: #1, kind: Restart { host: #1 }, bounds: TimeBounds { lo: GlobalNanos(39.5), hi: GlobalNanos(40.25) }, record_index: 1 }"#,
+            r#"], intervals: [StateInterval { sm: #1, state: #4, enter: TimeBounds { lo: GlobalNanos(9.5), hi: GlobalNanos(9.5) }, exit: Some(TimeBounds { lo: GlobalNanos(39.5), hi: GlobalNanos(40.25) }) }"#,
+            r#", StateInterval { sm: #0, state: #2, enter: TimeBounds { lo: GlobalNanos(9.5), hi: GlobalNanos(10.25) }, exit: None }"#,
+            r#"], start: GlobalNanos(9.5), end: GlobalNanos(40.25), alpha_beta: [AlphaBetaBounds { alpha_lo: 0.0, alpha_hi: 0.0, beta_lo: 1.0, beta_hi: 1.0 }, AlphaBetaBounds { alpha_lo: -1.5, alpha_hi: 2.0, beta_lo: 0.999, beta_hi: 1.001 }], reference_host: #0"#,
+            r#", symbols: SymbolTable { hosts: NameTable { names: ["h1", "h2"], index: {"h2": 1, "h1": 0}, _tag: PhantomData<fn() -> loki_core::ids::HostTag> }, syms: NameTable { names: [], index: {}, _tag: PhantomData<fn() -> loki_core::ids::SymTag> } } }"#,
+        );
+        assert_eq!(format!("{:?}", golden_timeline()), golden);
+    }
+
     #[test]
     fn from_state_tracks_previous_state() {
         let study = study();
