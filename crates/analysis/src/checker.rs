@@ -288,6 +288,23 @@ impl ExperimentVerdict {
             .filter(|c| c.verdict == Verdict::Correct)
             .count()
     }
+
+    /// Bytes of the heap blocks this verdict owns, each at the size
+    /// requested from the allocator.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let reasons: usize = self
+            .checks
+            .iter()
+            .map(|c| match &c.verdict {
+                Verdict::Incorrect { reason } => reason.capacity(),
+                Verdict::Correct => 0,
+            })
+            .sum();
+        self.checks.capacity() * size_of::<InjectionCheck>()
+            + self.missing.capacity() * size_of::<FaultId>()
+            + reasons
+    }
 }
 
 /// Checks every injection of an experiment against its fault specification.

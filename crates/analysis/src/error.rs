@@ -62,6 +62,18 @@ impl fmt::Display for AnalysisError {
     }
 }
 
+impl AnalysisError {
+    /// Bytes of the heap blocks this error owns, each at the size requested
+    /// from the allocator.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            AnalysisError::Sync { host, .. } => host.capacity(),
+            AnalysisError::UnknownHost { host, sm } => host.capacity() + sm.capacity(),
+            AnalysisError::InvalidWindow { .. } | AnalysisError::TooManyRecords { .. } => 0,
+        }
+    }
+}
+
 impl Error for AnalysisError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {

@@ -170,27 +170,23 @@ impl GlobalTimeline {
         self.symbols.host_name(host)
     }
 
-    /// Approximate heap + inline size of this timeline in bytes — the bulk
-    /// of a compact `AnalyzedExperiment`'s cross-channel payload. Used by
-    /// the campaign-pipeline benchmark to track how much each experiment
-    /// ships to the sink.
-    pub fn approx_size_bytes(&self) -> usize {
+    /// Bytes of the heap blocks this timeline owns, each at the size
+    /// requested from the allocator; `symbols` is shared per study run and
+    /// not counted.
+    pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let strings: usize = self
             .events
             .iter()
             .map(|e| match &e.kind {
-                GlobalEventKind::UserMessage(m) => m.len(),
+                GlobalEventKind::UserMessage(m) => m.capacity(),
                 _ => 0,
             })
             .sum();
-        size_of::<Self>()
-            + self.events.len() * size_of::<GlobalEvent>()
-            + self.intervals.len() * size_of::<StateInterval>()
-            + self.alpha_beta.len() * size_of::<AlphaBetaBounds>()
+        self.events.capacity() * size_of::<GlobalEvent>()
+            + self.intervals.capacity() * size_of::<StateInterval>()
+            + self.alpha_beta.capacity() * size_of::<AlphaBetaBounds>()
             + strings
-        // `symbols` is shared per study run, not per experiment — the Arc
-        // pointer is already counted in `size_of::<Self>()`.
     }
 }
 

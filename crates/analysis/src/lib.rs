@@ -102,35 +102,23 @@ impl AnalyzedExperiment {
             && self.verdict.as_ref().map(|v| v.accepted).unwrap_or(false)
     }
 
-    /// Approximate size in bytes of this compact result — what the
-    /// streaming pipeline ships across its channel per experiment. Host
-    /// interning keeps this free of per-record host strings; the
-    /// campaign-pipeline benchmark reports it to track payload growth.
+    /// Size in bytes of this result: its inline size plus every heap block
+    /// it owns, each counted at the size requested from the allocator
+    /// (capacity, not length). The study-run symbol table behind
+    /// [`GlobalTimeline::symbols`] is shared, not owned, and not counted.
+    /// This is what a campaign pays per result it keeps; the campaign
+    /// benchmark reports it.
     pub fn approx_size_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let verdict = self
-            .verdict
-            .as_ref()
-            .map(|v| {
-                size_of::<ExperimentVerdict>()
-                    + v.checks.len() * size_of::<checker::InjectionCheck>()
-                    + v.missing.len() * size_of::<loki_core::ids::FaultId>()
-                    + v.checks
-                        .iter()
-                        .map(|c| match &c.verdict {
-                            Verdict::Incorrect { reason } => reason.len(),
-                            Verdict::Correct => 0,
-                        })
-                        .sum::<usize>()
-            })
-            .unwrap_or(0);
-        size_of::<Self>()
+        std::mem::size_of::<Self>()
+            + self.global.as_ref().map_or(0, GlobalTimeline::heap_bytes)
             + self
-                .global
+                .verdict
                 .as_ref()
-                .map(|g| g.approx_size_bytes())
-                .unwrap_or(0)
-            + verdict
+                .map_or(0, ExperimentVerdict::heap_bytes)
+            + self
+                .error
+                .as_ref()
+                .map_or(0, |e| std::mem::size_of::<AnalysisError>() + e.heap_bytes())
     }
 }
 
