@@ -19,7 +19,7 @@
 //! or bounded retry tails (exponential backoff doing its job) therefore
 //! stay [`CascadeVerdict::Quiet`].
 
-use crate::global::{GlobalEventKind, GlobalTimeline};
+use crate::global::GlobalTimeline;
 use loki_core::study::Study;
 
 /// Tunables for [`detect_cascade`].
@@ -105,7 +105,7 @@ pub fn detect_cascade(study: &Study, gt: &GlobalTimeline, cfg: &CascadeConfig) -
 
     let (mut early, mut late) = (0usize, 0usize);
     for e in &gt.events {
-        let GlobalEventKind::UserMessage(m) = &e.kind else {
+        let Some(m) = gt.user_message(e) else {
             continue;
         };
         if !m.starts_with(&cfg.marker_prefix) {
@@ -132,7 +132,7 @@ pub fn detect_cascade(study: &Study, gt: &GlobalTimeline, cfg: &CascadeConfig) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::GlobalEvent;
+    use crate::global::{GlobalEvent, GlobalEventKind};
     use loki_core::fault::{FaultExpr, Trigger};
     use loki_core::ids::{FaultId, HostId, SmId, SymbolTable};
     use loki_core::spec::{StateMachineSpec, StudyDef};
@@ -172,19 +172,24 @@ mod tests {
             heal_ms,
             0,
         )];
+        let mut messages = String::new();
         for (i, ms) in marker_ms.iter().enumerate() {
+            let start = messages.len() as u32;
+            messages.push_str(&format!("retry seq={i} attempt=1"));
+            let len = messages.len() as u32 - start;
             events.push(event(
-                GlobalEventKind::UserMessage(format!("retry seq={i} attempt=1")),
+                GlobalEventKind::UserMessage { start, len },
                 *ms,
                 i as u32 + 1,
             ));
         }
         GlobalTimeline {
-            events,
-            intervals: Vec::new(),
+            events: events.into(),
+            messages: messages.into(),
+            intervals: Vec::new().into(),
             start: GlobalNanos::from_millis(0.0),
             end: GlobalNanos::from_millis(end_ms),
-            alpha_beta: Vec::new(),
+            alpha_beta: Vec::new().into(),
             reference_host: HostId::from_raw(0),
             symbols: Arc::new(SymbolTable::new()),
         }
@@ -255,7 +260,7 @@ mod tests {
         );
         // The fault exists but was never injected.
         let mut empty = timeline(0.0, &[], 0.0);
-        empty.events.clear();
+        empty.events = Vec::new().into();
         assert_eq!(
             detect_cascade(&study(), &empty, &cfg(4)),
             CascadeVerdict::NoHealInjection

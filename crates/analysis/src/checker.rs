@@ -272,10 +272,10 @@ pub enum MissingPolicy {
 /// The verdict for a whole experiment.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentVerdict {
-    /// Per-injection checks.
-    pub checks: Vec<InjectionCheck>,
+    /// Per-injection checks, one per injection event in timeline order.
+    pub checks: Box<[InjectionCheck]>,
     /// Faults with provably-missed injections (see [`MissingPolicy`]).
-    pub missing: Vec<FaultId>,
+    pub missing: Box<[FaultId]>,
     /// Whether the experiment's results may be used for measures.
     pub accepted: bool,
 }
@@ -292,7 +292,6 @@ impl ExperimentVerdict {
     /// Bytes of the heap blocks this verdict owns, each at the size
     /// requested from the allocator.
     pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         let reasons: usize = self
             .checks
             .iter()
@@ -301,8 +300,8 @@ impl ExperimentVerdict {
                 Verdict::Correct => 0,
             })
             .sum();
-        self.checks.capacity() * size_of::<InjectionCheck>()
-            + self.missing.capacity() * size_of::<FaultId>()
+        size_of_val::<[InjectionCheck]>(&self.checks)
+            + size_of_val::<[FaultId]>(&self.missing)
             + reasons
     }
 }
@@ -324,7 +323,8 @@ pub fn check_experiment(
     let window = (gt.start.as_f64() - 1.0, gt.end.as_f64() + 1.0);
     let mut index = TimelineIndex::new(gt, window);
 
-    let mut checks = Vec::new();
+    // Exactly one check per injection.
+    let mut checks = Vec::with_capacity(gt.injections().count());
     // Indexed by `FaultId`, like `study.faults`.
     let mut injected_counts: Vec<u32> = vec![0; study.faults.len()];
     for (event, fault_id) in gt.injections() {
@@ -394,8 +394,8 @@ pub fn check_experiment(
 
     let accepted = checks.iter().all(|c| c.verdict == Verdict::Correct) && missing.is_empty();
     ExperimentVerdict {
-        checks,
-        missing,
+        checks: checks.into_boxed_slice(),
+        missing: missing.into_boxed_slice(),
         accepted,
     }
 }
@@ -853,8 +853,8 @@ mod tests {
         // The defined fault lost its only injection, so it is missing too.
         let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
         assert_eq!(
-            verdict.missing,
-            vec![study.fault_names.lookup("f").unwrap()]
+            verdict.missing[..],
+            [study.fault_names.lookup("f").unwrap()]
         );
     }
 
@@ -928,11 +928,13 @@ mod tests {
                     bounds: at(30.0),
                     record_index: 3,
                 },
-            ],
-            intervals: Vec::new(),
+            ]
+            .into(),
+            messages: "".into(),
+            intervals: Vec::new().into(),
             start: GlobalNanos(1.0),
             end: GlobalNanos(30.0),
-            alpha_beta: Vec::new(),
+            alpha_beta: Vec::new().into(),
             reference_host: HostId::from_raw(0),
             symbols: Arc::new(SymbolTable::for_hosts(["h1"])),
         };

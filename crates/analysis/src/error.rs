@@ -37,6 +37,12 @@ pub enum AnalysisError {
         /// Records across all local timelines.
         records: usize,
     },
+    /// The experiment's user messages hold more text than the global
+    /// timeline can address: a message is named by a `u32` byte span.
+    MessagesTooLong {
+        /// Bytes of user-message text across all local timelines.
+        bytes: usize,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -58,6 +64,11 @@ impl fmt::Display for AnalysisError {
                 "{records} records exceed the {} a global timeline can address",
                 u32::MAX
             ),
+            AnalysisError::MessagesTooLong { bytes } => write!(
+                f,
+                "{bytes} bytes of user messages exceed the {} a global timeline can address",
+                u32::MAX
+            ),
         }
     }
 }
@@ -69,7 +80,9 @@ impl AnalysisError {
         match self {
             AnalysisError::Sync { host, .. } => host.capacity(),
             AnalysisError::UnknownHost { host, sm } => host.capacity() + sm.capacity(),
-            AnalysisError::InvalidWindow { .. } | AnalysisError::TooManyRecords { .. } => 0,
+            AnalysisError::InvalidWindow { .. }
+            | AnalysisError::TooManyRecords { .. }
+            | AnalysisError::MessagesTooLong { .. } => 0,
         }
     }
 }
@@ -108,6 +121,11 @@ mod tests {
             records: usize::MAX,
         };
         assert!(e.to_string().contains("exceed the 4294967295"));
+        assert!(e.source().is_none());
+        let e = AnalysisError::MessagesTooLong { bytes: usize::MAX };
+        assert!(e
+            .to_string()
+            .contains("user messages exceed the 4294967295"));
         assert!(e.source().is_none());
     }
 }

@@ -50,8 +50,15 @@ pub enum GlobalEventKind {
         /// [`GlobalTimeline::host_name`]).
         host: HostId,
     },
-    /// A user message.
-    UserMessage(String),
+    /// A user message. Its text is the `len` bytes from `start` in the
+    /// timeline's [`GlobalTimeline::messages`]; read it with
+    /// [`GlobalTimeline::user_message`].
+    UserMessage {
+        /// Byte offset of the text in [`GlobalTimeline::messages`].
+        start: u32,
+        /// Byte length of the text.
+        len: u32,
+    },
 }
 
 /// One event projected onto the global timeline.
@@ -98,30 +105,40 @@ impl StateInterval {
 
 /// The single global timeline of one experiment (§2.5).
 ///
-/// Hosts appear as [`HostId`]s throughout; `alpha_beta` is a dense vector
+/// Hosts appear as [`HostId`]s throughout; `alpha_beta` is a dense slice
 /// indexed by `HostId` (hosts the experiment never calibrated hold the
 /// identity projection — no record referenced them, or `make_global` would
 /// have failed). The study-run [`SymbolTable`] rides along behind an `Arc`
 /// so reports can resolve names without the (dropped) raw data.
 ///
+/// A finished timeline does not change, so its sequences are boxed slices
+/// of exactly their length. The text of every user message sits in the one
+/// `messages` buffer, which its [`GlobalEventKind::UserMessage`] event
+/// names by span. A hand-built timeline collects each sequence into a
+/// `Vec` and converts it with `.into()`.
+///
 /// `Debug` prints every interval with its bounds resolved, exactly as when
-/// intervals stored them.
+/// intervals stored them, and every user message with its text, exactly as
+/// when events held it.
 #[derive(Clone, PartialEq)]
 pub struct GlobalTimeline {
     /// All events, sorted by the midpoint of their bounds.
-    pub events: Vec<GlobalEvent>,
+    pub events: Box<[GlobalEvent]>,
+    /// The text of the user messages, in record order per machine; each
+    /// [`GlobalEventKind::UserMessage`] names its span.
+    pub messages: Box<str>,
     /// State-occupancy intervals, grouped by machine in record order. Each
     /// points at its entering and leaving events in `events`; resolve its
     /// bounds with [`GlobalTimeline::enter_of`] and
     /// [`GlobalTimeline::exit_of`].
-    pub intervals: Vec<StateInterval>,
+    pub intervals: Box<[StateInterval]>,
     /// Experiment window start (minimum lower bound over events).
     pub start: GlobalNanos,
     /// Experiment window end (maximum upper bound over events).
     pub end: GlobalNanos,
     /// Per-host `(α, β)` bounds used for the projection, indexed by
     /// [`HostId`].
-    pub alpha_beta: Vec<AlphaBetaBounds>,
+    pub alpha_beta: Box<[AlphaBetaBounds]>,
     /// The reference host.
     pub reference_host: HostId,
     /// The study-run symbol table resolving every [`HostId`] above.
@@ -165,35 +182,64 @@ impl GlobalTimeline {
         })
     }
 
+    /// The text of `event` when it is a user message whose span lies in
+    /// [`GlobalTimeline::messages`]; `None` for any other event, and for a
+    /// span a hand-built timeline got wrong.
+    pub fn user_message(&self, event: &GlobalEvent) -> Option<&str> {
+        match event.kind {
+            GlobalEventKind::UserMessage { start, len } => {
+                let start = start as usize;
+                self.messages.get(start..start.checked_add(len as usize)?)
+            }
+            _ => None,
+        }
+    }
+
     /// The name of `host` (display/report boundary).
     pub fn host_name(&self, host: HostId) -> &str {
         self.symbols.host_name(host)
+    }
+
+    /// `e` as a derived `Debug` printed it when the event held its message
+    /// text.
+    fn fmt_event(&self, e: &GlobalEvent, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = fmt::from_fn(|f| match self.user_message(e) {
+            Some(text) => f.debug_tuple("UserMessage").field(&text).finish(),
+            None => fmt::Debug::fmt(&e.kind, f),
+        });
+        f.debug_struct("GlobalEvent")
+            .field("sm", &e.sm)
+            .field("kind", &kind)
+            .field("bounds", &e.bounds)
+            .field("record_index", &e.record_index)
+            .finish()
     }
 
     /// Bytes of the heap blocks this timeline owns, each at the size
     /// requested from the allocator; `symbols` is shared per study run and
     /// not counted.
     pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let strings: usize = self
-            .events
-            .iter()
-            .map(|e| match &e.kind {
-                GlobalEventKind::UserMessage(m) => m.capacity(),
-                _ => 0,
-            })
-            .sum();
-        self.events.capacity() * size_of::<GlobalEvent>()
-            + self.intervals.capacity() * size_of::<StateInterval>()
-            + self.alpha_beta.capacity() * size_of::<AlphaBetaBounds>()
-            + strings
+        size_of_val::<[GlobalEvent]>(&self.events)
+            + self.messages.len()
+            + size_of_val::<[StateInterval]>(&self.intervals)
+            + size_of_val::<[AlphaBetaBounds]>(&self.alpha_beta)
     }
 }
 
 impl fmt::Debug for GlobalTimeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Intervals print their resolved bounds, in the shape a derived
-        // `Debug` gives intervals that hold them: result digests hash this.
+        // Events print their message text and intervals their resolved
+        // bounds, in the shape a derived `Debug` gives events and intervals
+        // that hold them: result digests hash this.
+        let events = fmt::from_fn(|f| {
+            f.debug_list()
+                .entries(
+                    self.events
+                        .iter()
+                        .map(|e| fmt::from_fn(move |f| self.fmt_event(e, f))),
+                )
+                .finish()
+        });
         let resolved = |iv: &StateInterval| {
             let (sm, state, enter, exit) = (iv.sm, iv.state, self.enter_of(iv), self.exit_of(iv));
             fmt::from_fn(move |f| {
@@ -211,7 +257,7 @@ impl fmt::Debug for GlobalTimeline {
                 .finish()
         });
         f.debug_struct("GlobalTimeline")
-            .field("events", &self.events)
+            .field("events", &events)
             .field("intervals", &intervals)
             .field("start", &self.start)
             .field("end", &self.end)
@@ -300,6 +346,18 @@ fn build_global(
     // and every run bound of the merge's table in range.
     let total_records: usize = data.timelines.iter().map(|t| t.records.len()).sum();
     check_record_count(total_records)?;
+    // Every result is sized exactly: one interval per state-setting record
+    // (each opens one, which a later one or the timeline's end closes), and
+    // one buffer for the user-message text, whose spans are `u32`s.
+    let (mut state_setting, mut message_bytes) = (0usize, 0usize);
+    for record in data.timelines.iter().flat_map(|t| &t.records) {
+        match &record.kind {
+            RecordKind::StateChange { .. } | RecordKind::Restart { .. } => state_setting += 1,
+            RecordKind::UserMessage(m) => message_bytes += m.len(),
+            RecordKind::FaultInjection { .. } => {}
+        }
+    }
+    check_message_bytes(message_bytes)?;
     // --- alphabeta: per-host clock calibration -----------------------------
     // Dense, indexed by `HostId`: the projection loop below resolves a
     // record's bounds with one array index instead of hashing a host-name
@@ -340,10 +398,11 @@ fn build_global(
     let is_calibrated = |host: HostId| host == data.reference_host || data.hosts.contains(&host);
 
     // --- makeglobal: project every record -----------------------------------
-    // Exact capacity up front: one event per record, at most one interval
-    // per record — the loop below never reallocates.
+    // Exact capacity up front — the loop below never reallocates, and each
+    // buffer becomes its boxed slice in place.
     let mut events = Vec::with_capacity(total_records);
-    let mut intervals = Vec::with_capacity(total_records + data.timelines.len());
+    let mut intervals = Vec::with_capacity(state_setting);
+    let mut messages = String::with_capacity(message_bytes);
     // Each timeline appends one contiguous run of events. While every run
     // stays mid-monotonic (the affine projection is monotonic in local
     // time, so only a clock stepping backwards across a host change breaks
@@ -418,7 +477,15 @@ fn build_global(
                     current_state = study.reserved.begin;
                     GlobalEventKind::Restart { host: *host }
                 }
-                RecordKind::UserMessage(m) => GlobalEventKind::UserMessage(m.clone()),
+                RecordKind::UserMessage(m) => {
+                    // Below `u32::MAX`: `check_message_bytes` bounds both.
+                    let start = messages.len() as u32;
+                    messages.push_str(m);
+                    GlobalEventKind::UserMessage {
+                        start,
+                        len: m.len() as u32,
+                    }
+                }
             };
             events.push(GlobalEvent {
                 sm: timeline.sm,
@@ -495,11 +562,12 @@ fn build_global(
     // Uncalibrated hosts were never referenced (the loop above would have
     // errored); their identity fillers keep `alpha_beta` dense.
     Ok(GlobalTimeline {
-        events,
-        intervals,
+        events: events.into_boxed_slice(),
+        messages: messages.into_boxed_str(),
+        intervals: intervals.into_boxed_slice(),
         start,
         end,
-        alpha_beta,
+        alpha_beta: alpha_beta.into_boxed_slice(),
         reference_host: data.reference_host,
         symbols: data.symbols.clone(),
     })
@@ -510,6 +578,15 @@ fn build_global(
 fn check_record_count(records: usize) -> Result<(), AnalysisError> {
     if records > StateInterval::OPEN as usize {
         return Err(AnalysisError::TooManyRecords { records });
+    }
+    Ok(())
+}
+
+/// Rejects an experiment with more user-message text than `u32` spans can
+/// address.
+fn check_message_bytes(bytes: usize) -> Result<(), AnalysisError> {
+    if bytes > u32::MAX as usize {
+        return Err(AnalysisError::MessagesTooLong { bytes });
     }
     Ok(())
 }
@@ -639,6 +716,44 @@ mod tests {
             check_record_count(limit + 1),
             Err(AnalysisError::TooManyRecords { records }) if records == limit + 1
         ));
+        let limit = u32::MAX as usize;
+        assert!(check_message_bytes(limit).is_ok());
+        assert!(matches!(
+            check_message_bytes(limit + 1),
+            Err(AnalysisError::MessagesTooLong { bytes }) if bytes == limit + 1
+        ));
+    }
+
+    #[test]
+    fn user_messages_share_one_buffer() {
+        let study = study_of(&["a", "b"]);
+        let mut data = experiment_on(&study, &["h1", "h2"], &[("a", "h2"), ("b", "h1")]);
+        data.timelines[0].records[1].kind = RecordKind::UserMessage("é \"a\"".into());
+        data.timelines[1].records[0].kind = RecordKind::UserMessage(String::new());
+        data.timelines[1].records[2].kind = RecordKind::UserMessage("b\\".into());
+        let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
+        assert_eq!(&*gt.messages, "é \"a\"b\\");
+        let texts: Vec<(u32, &str)> = gt
+            .events
+            .iter()
+            .filter_map(|e| Some((e.sm.raw(), gt.user_message(e)?)))
+            .collect();
+        assert_eq!(texts, [(1, ""), (0, "é \"a\""), (1, "b\\")]);
+        // Each machine keeps one interval per state-setting record.
+        assert_eq!(gt.intervals.len(), 3);
+        // A span outside the buffer, or not on a character boundary, reads
+        // as no message.
+        let mut bad = gt.clone();
+        let mut events = bad.events.into_vec();
+        events[0].kind = GlobalEventKind::UserMessage { start: 1, len: 1 };
+        events[1].kind = GlobalEventKind::UserMessage {
+            start: u32::MAX,
+            len: u32::MAX,
+        };
+        bad.events = events.into();
+        assert_eq!(bad.user_message(&bad.events[0]), None);
+        assert_eq!(bad.user_message(&bad.events[1]), None);
+        assert_eq!(bad.user_message(&bad.events[2]), Some("é \"a\""));
     }
 
     /// `GlobalTimeline`'s `Debug` prints what `#[derive(Debug)]` printed
@@ -729,7 +844,7 @@ mod tests {
             ),
             event(
                 0,
-                GlobalEventKind::UserMessage("say \"hi\" \\ bye".into()),
+                GlobalEventKind::UserMessage { start: 2, len: 14 },
                 30.0,
                 1,
             ),
@@ -743,7 +858,8 @@ mod tests {
             ),
         ];
         GlobalTimeline {
-            events,
+            events: events.into(),
+            messages: r#"..say "hi" \ bye.."#.into(),
             intervals: vec![
                 StateInterval {
                     sm: SmId::from_raw(1),
@@ -757,7 +873,8 @@ mod tests {
                     enter: 0,
                     exit: StateInterval::OPEN,
                 },
-            ],
+            ]
+            .into(),
             start: GlobalNanos(9.5),
             end: GlobalNanos(40.25),
             alpha_beta: vec![
@@ -768,7 +885,8 @@ mod tests {
                     beta_lo: 0.999,
                     beta_hi: 1.001,
                 },
-            ],
+            ]
+            .into(),
             reference_host: HostId::from_raw(0),
             symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
         }

@@ -41,12 +41,18 @@
 //! between calls is `make_global`'s thread-local merge scratch.
 //!
 //! A campaign that keeps its results keeps one of these per experiment, so
-//! each time bound is stored once, on its [`GlobalEvent`] (48 bytes): a
+//! each time bound is stored once, on its [`GlobalEvent`] (40 bytes): a
 //! [`StateInterval`] (16 bytes) holds the positions of the events that
 //! entered and left its state, read back through
-//! [`GlobalTimeline::enter_of`]/[`GlobalTimeline::exit_of`], and the rare
+//! [`GlobalTimeline::enter_of`]/[`GlobalTimeline::exit_of`]. A user
+//! message's event names a span of its timeline's one text buffer
+//! ([`GlobalTimeline::user_message`]), so no event carries a `String`.
+//! Every sequence is a boxed slice built at its final length, and the rare
 //! [`AnalysisError`] sits behind a `Box`, which keeps an
-//! [`AnalyzedExperiment`] at 184 bytes. A unit test holds these sizes.
+//! [`AnalyzedExperiment`] at 160 bytes plus exactly the heap it uses
+//! ([`AnalyzedExperiment::approx_size_bytes`]). A unit test holds these
+//! sizes, and `tests/result_bytes.rs` holds the byte count to the
+//! allocator's.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -168,8 +174,8 @@ mod tests {
     use super::*;
     use std::mem::size_of;
 
-    /// A retained result is mostly these three; a field that regrows one
-    /// grows every campaign that keeps its results.
+    /// A retained result is mostly these; a field that regrows one grows
+    /// every campaign that keeps its results.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn retained_results_stay_compact() {
@@ -179,12 +185,17 @@ mod tests {
             size_of::<StateInterval>()
         );
         assert!(
-            size_of::<GlobalEvent>() <= 48,
+            size_of::<GlobalEventKind>() <= 16,
+            "{}",
+            size_of::<GlobalEventKind>()
+        );
+        assert!(
+            size_of::<GlobalEvent>() <= 40,
             "{}",
             size_of::<GlobalEvent>()
         );
         assert!(
-            size_of::<AnalyzedExperiment>() <= 184,
+            size_of::<AnalyzedExperiment>() <= 160,
             "{}",
             size_of::<AnalyzedExperiment>()
         );

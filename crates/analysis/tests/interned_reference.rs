@@ -335,7 +335,11 @@ fn assert_matches_reference(study: &Study, data: &ExperimentData) -> GlobalTimel
             GlobalEventKind::Restart { host } => RefKind::Restart {
                 host: gt.host_name(*host).to_owned(),
             },
-            GlobalEventKind::UserMessage(m) => RefKind::UserMessage(m.clone()),
+            GlobalEventKind::UserMessage { .. } => RefKind::UserMessage(
+                gt.user_message(got)
+                    .expect("make_global spans its own buffer")
+                    .to_owned(),
+            ),
         };
         assert_eq!(got_kind, want.kind);
     }

@@ -9,14 +9,22 @@ use loki_core::time::{GlobalNanos, TimeBounds};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A timeline over `[0, end]` with no events or intervals yet.
-fn empty_timeline(end: f64) -> GlobalTimeline {
+/// The events and intervals of a timeline under construction.
+#[derive(Default)]
+struct Draft {
+    events: Vec<GlobalEvent>,
+    intervals: Vec<StateInterval>,
+}
+
+/// The timeline over `[0, end]` holding `draft`'s events and intervals.
+fn timeline(draft: Draft, end: f64) -> GlobalTimeline {
     GlobalTimeline {
-        events: Vec::new(),
-        intervals: Vec::new(),
+        events: draft.events.into(),
+        messages: "".into(),
+        intervals: draft.intervals.into(),
         start: GlobalNanos(0.0),
         end: GlobalNanos(end),
-        alpha_beta: Vec::new(),
+        alpha_beta: Vec::new().into(),
         reference_host: Id::from_raw(0),
         symbols: Arc::new(SymbolTable::for_hosts(["ref"])),
     }
@@ -26,7 +34,7 @@ fn empty_timeline(end: f64) -> GlobalTimeline {
 /// and exit bounds, each held by an event of its own. Intervals read only
 /// their events' bounds, so the events are left in insertion order.
 fn push_interval(
-    gt: &mut GlobalTimeline,
+    gt: &mut Draft,
     sm: SmId,
     state: StateId,
     enter: TimeBounds,
@@ -60,7 +68,7 @@ fn push_interval(
 fn timeline_strategy() -> impl Strategy<Value = GlobalTimeline> {
     let machine_intervals = prop::collection::vec((0u32..4, 1.0f64..50.0, 0.0f64..2.0), 1..8);
     prop::collection::vec(machine_intervals, 1..3).prop_map(|machines| {
-        let mut gt = empty_timeline(200.0);
+        let mut gt = Draft::default();
         for (m, segs) in machines.iter().enumerate() {
             let mut t = 0.0;
             for (i, (state, len, width)) in segs.iter().enumerate() {
@@ -82,7 +90,7 @@ fn timeline_strategy() -> impl Strategy<Value = GlobalTimeline> {
                 t = t_end;
             }
         }
-        gt
+        timeline(gt, 200.0)
     })
 }
 
@@ -158,14 +166,15 @@ proptest! {
         probes in prop::collection::vec(0.0f64..200.0, 1..20),
     ) {
         // One machine cycling through states 0,1,2 with exact bounds.
-        let mut gt = empty_timeline(100.0);
+        let mut draft = Draft::default();
         let mut t = 0.0;
         for i in 0..10u32 {
             let enter = TimeBounds::point(GlobalNanos(t));
             let exit = TimeBounds::point(GlobalNanos(t + 10.0));
-            push_interval(&mut gt, Id::from_raw(0), Id::from_raw(i % 3), enter, Some(exit));
+            push_interval(&mut draft, Id::from_raw(0), Id::from_raw(i % 3), enter, Some(exit));
             t += 10.0;
         }
+        let gt = timeline(draft, 100.0);
         let window = (-1.0, 101.0);
         let truth = expr_truth(&gt, &expr, window);
         for t in probes {

@@ -199,8 +199,8 @@ fn ref_check(study: &Study, gt: &GlobalTimeline, policy: MissingPolicy) -> Exper
     }
     let accepted = checks.iter().all(|c| c.verdict == Verdict::Correct) && missing.is_empty();
     ExperimentVerdict {
-        checks,
-        missing,
+        checks: checks.into(),
+        missing: missing.into(),
         accepted,
     }
 }
@@ -421,11 +421,12 @@ fn timeline_of(
         (lo, hi)
     };
     GlobalTimeline {
-        events,
-        intervals,
+        events: events.into(),
+        messages: "".into(),
+        intervals: intervals.into(),
         start: GlobalNanos(lo),
         end: GlobalNanos(hi),
-        alpha_beta: Vec::new(),
+        alpha_beta: Vec::new().into(),
         reference_host: HostId::from_raw(0),
         symbols: Arc::new(SymbolTable::for_hosts(["ref"])),
     }

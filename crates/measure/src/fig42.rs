@@ -129,11 +129,12 @@ pub fn fig_4_2() -> (Study, GlobalTimeline) {
     let symbols = Arc::new(SymbolTable::for_hosts(["ref"]));
     let reference_host = symbols.lookup_host("ref").unwrap();
     let gt = GlobalTimeline {
-        events: events_vec,
-        intervals,
+        events: events_vec.into(),
+        messages: "".into(),
+        intervals: intervals.into(),
         start: GlobalNanos::ZERO,
         end: GlobalNanos::from_millis(50.0),
-        alpha_beta: vec![loki_clock::sync::AlphaBetaBounds::identity()],
+        alpha_beta: vec![loki_clock::sync::AlphaBetaBounds::identity()].into(),
         reference_host,
         symbols,
     };
