@@ -153,10 +153,10 @@ impl StudyMeasure {
             });
         }
         let window = (gt.start.as_f64(), gt.end.as_f64());
+        // The previous step's value; the first step has none to select on.
         let mut prev: Option<f64> = None;
-        for (i, step) in self.steps.iter().enumerate() {
-            if i > 0 {
-                let value = prev.expect("set by previous step");
+        for step in &self.steps {
+            if let Some(value) = prev {
                 if !step.subset.accepts(value) {
                     return Ok(None);
                 }

@@ -221,33 +221,31 @@ pub struct Transitions<'a> {
 }
 
 impl Transitions<'_> {
-    /// The next step edge, honouring ups-before-downs at equal instants.
-    fn next_step(&mut self) -> Option<(f64, TransKind)> {
-        if let Some(&down) = self.pending_downs.front() {
-            // A touching successor's up edge (same instant) goes first.
-            if let Some(&(lo, hi)) = self.spans.get(self.span_idx) {
-                if lo <= down {
-                    self.span_idx += 1;
-                    self.pending_downs.push_back(hi);
-                    return Some((lo, TransKind::Up));
-                }
-            }
-            self.pending_downs.pop_front();
-            return Some((down, TransKind::Down));
-        }
-        let &(lo, hi) = self.spans.get(self.span_idx)?;
-        self.span_idx += 1;
-        self.pending_downs.push_back(hi);
-        Some((lo, TransKind::Up))
-    }
-
-    /// Peek of [`Transitions::next_step`] without consuming.
+    /// The next step edge, honouring ups-before-downs at equal instants: a
+    /// touching successor's up edge goes before a pending down edge at the
+    /// same instant.
     fn peek_step(&self) -> Option<(f64, TransKind)> {
         match (self.pending_downs.front(), self.spans.get(self.span_idx)) {
             (Some(&down), Some(&(lo, _))) if lo <= down => Some((lo, TransKind::Up)),
             (Some(&down), _) => Some((down, TransKind::Down)),
             (None, Some(&(lo, _))) => Some((lo, TransKind::Up)),
             (None, None) => None,
+        }
+    }
+
+    /// Consumes the step edge of `kind` that [`Transitions::peek_step`]
+    /// returned.
+    fn advance_step(&mut self, kind: TransKind) {
+        match kind {
+            TransKind::Down => {
+                self.pending_downs.pop_front();
+            }
+            TransKind::Up => {
+                if let Some(&(_, hi)) = self.spans.get(self.span_idx) {
+                    self.span_idx += 1;
+                    self.pending_downs.push_back(hi);
+                }
+            }
         }
     }
 
@@ -258,16 +256,16 @@ impl Transitions<'_> {
         }
     }
 
-    fn next_impulse(&mut self) -> Option<(f64, TransKind)> {
-        let edge = self.peek_impulse()?;
-        match self.imp_down.take() {
-            Some(_) => {}
-            None => {
+    /// Consumes the impulse edge that [`Transitions::peek_impulse`]
+    /// returned.
+    fn advance_impulse(&mut self, (at, kind): (f64, TransKind)) {
+        match kind {
+            TransKind::Down => self.imp_down = None,
+            TransKind::Up => {
                 self.imp_idx += 1;
-                self.imp_down = Some(edge.0);
+                self.imp_down = Some(at);
             }
         }
-        Some(edge)
     }
 }
 
@@ -282,23 +280,23 @@ impl Iterator for Transitions<'_> {
                 TransKind::Down => 1,
             }
         }
-        let step = self.peek_step();
-        let impulse = self.peek_impulse();
-        let take_step = match (step, impulse) {
+        let (edge, source) = match (self.peek_step(), self.peek_impulse()) {
             (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some((s_at, s_kind)), Some((i_at, i_kind))) => {
-                (s_at, rank(s_kind)) <= (i_at, rank(i_kind))
+            (Some(step), None) => (step, TransSource::Step),
+            (None, Some(impulse)) => (impulse, TransSource::Impulse),
+            (Some(step), Some(impulse)) => {
+                if (step.0, rank(step.1)) <= (impulse.0, rank(impulse.1)) {
+                    (step, TransSource::Step)
+                } else {
+                    (impulse, TransSource::Impulse)
+                }
             }
         };
-        let (at, kind, source) = if take_step {
-            let (at, kind) = self.next_step().expect("peeked");
-            (at, kind, TransSource::Step)
-        } else {
-            let (at, kind) = self.next_impulse().expect("peeked");
-            (at, kind, TransSource::Impulse)
-        };
+        match source {
+            TransSource::Step => self.advance_step(edge.1),
+            TransSource::Impulse => self.advance_impulse(edge),
+        }
+        let (at, kind) = edge;
         Some(Transition { at, kind, source })
     }
 }
