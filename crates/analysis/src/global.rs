@@ -124,8 +124,8 @@ impl StateInterval {
 pub struct GlobalTimeline {
     /// All events, sorted by the midpoint of their bounds.
     pub events: Box<[GlobalEvent]>,
-    /// The text of the user messages, in record order per machine; each
-    /// [`GlobalEventKind::UserMessage`] names its span.
+    /// The text of the user messages, timeline by timeline in record
+    /// order; each [`GlobalEventKind::UserMessage`] names its span.
     pub messages: Box<str>,
     /// State-occupancy intervals, grouped by machine in record order. Each
     /// points at its entering and leaving events in `events`; resolve its

@@ -115,7 +115,7 @@ impl AnalyzedExperiment {
     /// This is what a campaign pays per result it keeps; the campaign
     /// benchmark reports it.
     pub fn approx_size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        size_of::<Self>()
             + self.global.as_ref().map_or(0, GlobalTimeline::heap_bytes)
             + self
                 .verdict
@@ -124,7 +124,7 @@ impl AnalyzedExperiment {
             + self
                 .error
                 .as_ref()
-                .map_or(0, |e| std::mem::size_of::<AnalysisError>() + e.heap_bytes())
+                .map_or(0, |e| size_of::<AnalysisError>() + e.heap_bytes())
     }
 }
 
