@@ -34,14 +34,14 @@ fn timeline(draft: Draft, end: f64) -> GlobalTimeline {
 /// and exit bounds, each held by an event of its own. Intervals read only
 /// their events' bounds, so the events are left in insertion order.
 fn push_interval(
-    gt: &mut Draft,
+    draft: &mut Draft,
     sm: SmId,
     state: StateId,
     enter: TimeBounds,
     exit: Option<TimeBounds>,
 ) {
     let mut event = |bounds| {
-        gt.events.push(GlobalEvent {
+        draft.events.push(GlobalEvent {
             sm,
             kind: GlobalEventKind::StateChange {
                 event: Id::from_raw(0),
@@ -49,13 +49,13 @@ fn push_interval(
                 new_state: state,
             },
             bounds,
-            record_index: gt.events.len() as u32,
+            record_index: draft.events.len() as u32,
         });
-        gt.events.len() as u32 - 1
+        draft.events.len() as u32 - 1
     };
     let enter = event(enter);
     let exit = exit.map_or(StateInterval::OPEN, event);
-    gt.intervals.push(StateInterval {
+    draft.intervals.push(StateInterval {
         sm,
         state,
         enter,
@@ -68,7 +68,7 @@ fn push_interval(
 fn timeline_strategy() -> impl Strategy<Value = GlobalTimeline> {
     let machine_intervals = prop::collection::vec((0u32..4, 1.0f64..50.0, 0.0f64..2.0), 1..8);
     prop::collection::vec(machine_intervals, 1..3).prop_map(|machines| {
-        let mut gt = Draft::default();
+        let mut draft = Draft::default();
         for (m, segs) in machines.iter().enumerate() {
             let mut t = 0.0;
             for (i, (state, len, width)) in segs.iter().enumerate() {
@@ -81,7 +81,7 @@ fn timeline_strategy() -> impl Strategy<Value = GlobalTimeline> {
                     Some(exit)
                 };
                 push_interval(
-                    &mut gt,
+                    &mut draft,
                     Id::from_raw(m as u32),
                     Id::from_raw(*state),
                     enter,
@@ -90,7 +90,7 @@ fn timeline_strategy() -> impl Strategy<Value = GlobalTimeline> {
                 t = t_end;
             }
         }
-        timeline(gt, 200.0)
+        timeline(draft, 200.0)
     })
 }
 

@@ -176,12 +176,12 @@ fn a_checked_result_reports_the_bytes_it_keeps() {
     ));
     assert_eq!(verdict.missing.len(), 1);
     let global = analyzed.global.as_ref().expect("built");
-    let messages = global
+    let messages: Vec<&str> = global
         .events
         .iter()
-        .filter(|e| matches!(e.kind, loki_analysis::GlobalEventKind::UserMessage { .. }))
-        .count();
-    assert_eq!(messages, 2);
+        .filter_map(|e| global.user_message(e))
+        .collect();
+    assert_eq!(messages, ["retry seq=0 attempt=1", "say \"hi\""]);
 }
 
 #[test]
