@@ -31,9 +31,8 @@ use loki_core::campaign::{Receiver, Warning};
 use loki_core::ids::{SmId, SymbolTable};
 use loki_core::recorder::{RecordKind, TimelineRecord};
 use loki_core::study::Study;
-use loki_sim::engine::{Actor, ActorId, Ctx, DownReason, HostId, TimerId};
+use loki_sim::engine::{ActorId, Ctx, Dispatch, DownReason, HostId, TimerId};
 use rand::Rng;
-use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -116,80 +115,121 @@ impl ExpCtx {
     }
 }
 
-/// A boxed runtime actor, as the engine stores it.
-pub(crate) type ActorHull = Box<dyn Actor<RtMsg>>;
+/// The runtime's closed set of actor kinds, as its world stores them.
+/// Every variant is one box, so a slab slot is two words (checked below)
+/// and a dispatch's take-and-restore moves a pointer, not an actor.
+pub(crate) enum RtActor {
+    Node(Box<NodeActor>),
+    Daemon(Box<LocalDaemon>),
+    Central(Box<CentralDaemon>),
+    Supervisor(Box<Supervisor>),
+    Saboteur(Box<Saboteur>),
+}
 
-/// Typed free-lists of dead actors' boxes, recycled across a worker's
-/// experiments: the engine parks killed actors in its graveyard (see
-/// [`loki_sim::engine::Simulation::set_reclaim_dead`]), the harness sorts
-/// them in here by concrete type, and the spawn paths re-initialize a
-/// pooled hull in place instead of boxing a new actor. A recycled
-/// [`LocalDaemon`] keeps its tables' capacity warm.
+const _: () = assert!(std::mem::size_of::<Option<RtActor>>() == 2 * std::mem::size_of::<usize>());
+
+/// The context a runtime actor's callbacks receive.
+pub(crate) type RtCtx<'a> = Ctx<'a, RtMsg, RtActor>;
+
+impl Dispatch<RtMsg> for RtActor {
+    fn on_start(&mut self, ctx: &mut RtCtx<'_>) {
+        match self {
+            RtActor::Node(node) => node.on_start(ctx),
+            RtActor::Central(central) => central.on_start(ctx),
+            RtActor::Saboteur(saboteur) => saboteur.on_start(ctx),
+            RtActor::Daemon(_) | RtActor::Supervisor(_) => {}
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut RtCtx<'_>, from: ActorId, msg: RtMsg) {
+        match self {
+            RtActor::Node(node) => node.on_message(ctx, msg),
+            RtActor::Daemon(daemon) => daemon.on_message(ctx, from, msg),
+            RtActor::Central(central) => central.on_message(ctx, from, msg),
+            RtActor::Supervisor(supervisor) => supervisor.on_message(ctx, msg),
+            RtActor::Saboteur(_) => {}
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut RtCtx<'_>, tag: u64) {
+        match self {
+            RtActor::Node(node) => node.on_timer(ctx, tag),
+            RtActor::Central(central) => central.on_timer(ctx, tag),
+            RtActor::Supervisor(supervisor) => supervisor.on_timer(ctx, tag),
+            RtActor::Saboteur(saboteur) => saboteur.on_timer(ctx),
+            RtActor::Daemon(_) => {}
+        }
+    }
+
+    fn on_peer_down(&mut self, ctx: &mut RtCtx<'_>, peer: ActorId, reason: DownReason) {
+        match self {
+            RtActor::Daemon(daemon) => daemon.on_node_down(ctx, peer, reason),
+            RtActor::Central(central) => central.on_daemon_down(ctx),
+            RtActor::Node(_) | RtActor::Supervisor(_) | RtActor::Saboteur(_) => {}
+        }
+    }
+}
+
+/// Free-lists of finished experiments' actors, one per pooled kind: the
+/// harness files a drained world's actors in here
+/// ([`loki_sim::engine::Simulation::take_actors`]), and the spawn paths
+/// re-initialize a pooled actor in place instead of boxing a new one. The
+/// lists hold boxes because the box is what a spawn reuses.
+#[allow(clippy::vec_box)]
 #[derive(Default)]
 pub(crate) struct ActorPool {
-    nodes: RefCell<Vec<ActorHull>>,
-    daemons: RefCell<Vec<ActorHull>>,
-    centrals: RefCell<Vec<ActorHull>>,
-    supervisors: RefCell<Vec<ActorHull>>,
+    nodes: RefCell<Vec<Box<NodeActor>>>,
+    daemons: RefCell<Vec<Box<LocalDaemon>>>,
+    centrals: RefCell<Vec<Box<CentralDaemon>>>,
+    supervisors: RefCell<Vec<Box<Supervisor>>>,
     reuses: Cell<u64>,
 }
 
 impl ActorPool {
-    /// Files a corpse into the free-list of its concrete type. Types
-    /// without a downcast hook (the one-shot `Saboteur`) are dropped —
-    /// their boxes are not worth pooling.
-    pub fn recycle(&self, mut corpse: ActorHull) {
-        let list = match corpse.as_any_mut() {
-            Some(any) if any.is::<NodeActor>() => &self.nodes,
-            Some(any) if any.is::<LocalDaemon>() => &self.daemons,
-            Some(any) if any.is::<CentralDaemon>() => &self.centrals,
-            Some(any) if any.is::<Supervisor>() => &self.supervisors,
-            _ => return,
-        };
-        list.borrow_mut().push(corpse);
-    }
-
-    fn take(&self, list: &RefCell<Vec<ActorHull>>) -> Option<ActorHull> {
-        let hull = list.borrow_mut().pop();
-        if hull.is_some() {
-            self.reuses.set(self.reuses.get() + 1);
+    /// Files an actor into its kind's free-list. The one-shot
+    /// [`Saboteur`] is dropped — its box is not worth pooling.
+    pub fn recycle(&self, actor: RtActor) {
+        match actor {
+            RtActor::Node(node) => self.nodes.borrow_mut().push(node),
+            RtActor::Daemon(daemon) => self.daemons.borrow_mut().push(daemon),
+            RtActor::Central(central) => self.centrals.borrow_mut().push(central),
+            RtActor::Supervisor(supervisor) => self.supervisors.borrow_mut().push(supervisor),
+            RtActor::Saboteur(_) => {}
         }
-        hull
     }
 
-    /// A recycled [`NodeActor`] hull, if one is pooled — preferring one
-    /// that last embodied `prefer`, so its compiled fault set survives the
-    /// re-initialization. Which hull is handed out is unobservable
+    /// A pooled [`NodeActor`], if there is one — preferring the one that
+    /// last embodied `prefer`, so its compiled fault set survives the
+    /// re-initialization. Which one is handed out is unobservable
     /// (re-initialization fully resets per-incarnation state); the
-    /// preference only decides how much of the hull's storage is reusable.
-    pub fn take_node(&self, prefer: SmId) -> Option<ActorHull> {
-        let mut list = self.nodes.borrow_mut();
-        let pick = list
-            .iter_mut()
-            .rposition(|hull| {
-                hull.as_any_mut()
-                    .and_then(|any| any.downcast_mut::<NodeActor>())
-                    .is_some_and(|node| node.embodies() == prefer)
-            })
-            .or_else(|| list.len().checked_sub(1))?;
-        let hull = list.swap_remove(pick);
+    /// preference only decides how much of its storage is reusable.
+    pub fn take_node(&self, prefer: SmId) -> Option<Box<NodeActor>> {
+        let mut nodes = self.nodes.borrow_mut();
+        let pick = nodes
+            .iter()
+            .rposition(|node| node.embodies() == prefer)
+            .or_else(|| nodes.len().checked_sub(1))?;
         self.reuses.set(self.reuses.get() + 1);
-        Some(hull)
+        Some(nodes.swap_remove(pick))
     }
 
-    /// A recycled [`LocalDaemon`] hull, if one is pooled.
-    pub fn take_daemon(&self) -> Option<ActorHull> {
-        self.take(&self.daemons)
-    }
-
-    /// A recycled [`CentralDaemon`] hull, if one is pooled.
-    pub fn take_central(&self) -> Option<ActorHull> {
-        self.take(&self.centrals)
-    }
-
-    /// A recycled [`Supervisor`] hull, if one is pooled.
-    pub fn take_supervisor(&self) -> Option<ActorHull> {
-        self.take(&self.supervisors)
+    /// The last actor pooled in `list`, re-initialized by `reinit`, or a
+    /// new one from `new` when the list is empty.
+    fn reuse<T>(
+        &self,
+        list: &RefCell<Vec<Box<T>>>,
+        reinit: impl FnOnce(&mut T),
+        new: impl FnOnce() -> T,
+    ) -> Box<T> {
+        let pooled = list.borrow_mut().pop();
+        match pooled {
+            Some(mut actor) => {
+                self.reuses.set(self.reuses.get() + 1);
+                reinit(&mut actor);
+                actor
+            }
+            None => Box::new(new()),
+        }
     }
 
     /// Number of spawns served from the pool (diagnostics).
@@ -197,10 +237,10 @@ impl ActorPool {
         self.reuses.get()
     }
 
-    /// Drops every pooled hull. Hulls hold `Rc<ExpCtx>` and the pool
-    /// lives *inside* the `ExpCtx`; the owner of the context must clear
-    /// the pool when retiring it, or the cycle keeps the whole context
-    /// alive.
+    /// Drops every pooled actor. Pooled actors hold `Rc<ExpCtx>` and the
+    /// pool lives *inside* the `ExpCtx`; the owner of the context must
+    /// clear the pool when retiring it, or the cycle keeps the whole
+    /// context alive.
     pub fn clear(&self) {
         self.nodes.borrow_mut().clear();
         self.daemons.borrow_mut().clear();
@@ -209,25 +249,32 @@ impl ActorPool {
     }
 }
 
-/// Re-initializes a pooled hull of concrete type `T` via `reinit`, or
-/// builds a fresh boxed actor with `fresh` when the pool had none. `arg`
-/// goes to whichever of the two runs, so it is built exactly once.
-pub(crate) fn reuse_or_box<T: Actor<RtMsg> + 'static, A>(
-    hull: Option<ActorHull>,
-    arg: A,
-    reinit: impl FnOnce(&mut T, A),
-    fresh: impl FnOnce(A) -> T,
-) -> ActorHull {
-    match hull {
-        Some(mut hull) => {
-            let actor = hull
-                .as_any_mut()
-                .and_then(|any| any.downcast_mut::<T>())
-                .expect("pool free-lists are typed");
-            reinit(actor, arg);
-            hull
-        }
-        None => Box::new(fresh(arg)),
+impl ExpCtx {
+    /// A local daemon for `my_host`, pooled or new.
+    pub fn pooled_daemon(self: &Rc<Self>, my_host: u32) -> RtActor {
+        RtActor::Daemon(self.pool.reuse(
+            &self.pool.daemons,
+            |daemon| daemon.reinit(my_host),
+            || LocalDaemon::new(self.clone(), my_host),
+        ))
+    }
+
+    /// The central daemon, pooled or new.
+    pub fn pooled_central(self: &Rc<Self>, timeout_ns: u64, grace_ns: u64) -> RtActor {
+        RtActor::Central(self.pool.reuse(
+            &self.pool.centrals,
+            |central| central.reinit(timeout_ns, grace_ns),
+            || CentralDaemon::new(self.clone(), timeout_ns, grace_ns),
+        ))
+    }
+
+    /// The restart supervisor, pooled or new.
+    pub fn pooled_supervisor(self: &Rc<Self>, policy: RestartPolicy) -> RtActor {
+        RtActor::Supervisor(self.pool.reuse(
+            &self.pool.supervisors,
+            |supervisor| supervisor.reinit(policy),
+            || Supervisor::new(self.clone(), policy),
+        ))
     }
 }
 
@@ -337,7 +384,7 @@ impl LocalDaemon {
         }
     }
 
-    fn broadcast_to_peers(&self, ctx: &mut Ctx<'_, RtMsg>, msg: RtMsg) {
+    fn broadcast_to_peers(&self, ctx: &mut RtCtx<'_>, msg: RtMsg) {
         let me = ctx.me();
         self.ctx.wiring.with_unique(|unique| {
             for &peer in unique {
@@ -349,17 +396,18 @@ impl LocalDaemon {
     }
 
     /// Spawns a node for `sm` on host `host` (instructed by the central
-    /// daemon or the supervisor), reusing a pooled hull when available.
-    fn start_node(&mut self, ctx: &mut Ctx<'_, RtMsg>, sm: SmId, host: u32) {
+    /// daemon or the supervisor), reusing a pooled one when available.
+    fn start_node(&mut self, ctx: &mut RtCtx<'_>, sm: SmId, host: u32) {
         let app = (self.ctx.factory)(&self.ctx.study, sm);
         let me = ctx.me();
-        let hull = reuse_or_box(
-            self.ctx.pool.take_node(sm),
-            app,
-            |node: &mut NodeActor, app| node.reinit(sm, me, app),
-            |app| NodeActor::new(self.ctx.clone(), sm, me, app),
-        );
-        let actor = ctx.spawn(HostId(host), hull);
+        let node = match self.ctx.pool.take_node(sm) {
+            Some(mut node) => {
+                node.reinit(sm, me, app);
+                node
+            }
+            None => Box::new(NodeActor::new(self.ctx.clone(), sm, me, app)),
+        };
+        let actor = ctx.spawn(HostId(host), RtActor::Node(node));
         ctx.watch(actor);
         self.local_nodes[sm.raw() as usize] = Some(actor);
         self.set_node_for(actor, sm);
@@ -381,7 +429,7 @@ impl LocalDaemon {
     /// failure.
     fn route(
         &mut self,
-        ctx: &mut Ctx<'_, RtMsg>,
+        ctx: &mut RtCtx<'_>,
         from_sm: SmId,
         state: loki_core::ids::StateId,
         targets: SmTargets,
@@ -427,7 +475,7 @@ impl LocalDaemon {
 
     /// The local experiment-completion check (§3.5.2): complete when no
     /// machine is executing anywhere.
-    fn check_experiment_end(&mut self, ctx: &mut Ctx<'_, RtMsg>) {
+    fn check_experiment_end(&mut self, ctx: &mut RtCtx<'_>) {
         if self.any_started && self.alive_count == 0 && !self.end_sent {
             self.end_sent = true;
             let central = self.ctx.wiring.central();
@@ -436,7 +484,7 @@ impl LocalDaemon {
     }
 
     /// Handles the death of one of this daemon's nodes.
-    fn handle_node_down(&mut self, ctx: &mut Ctx<'_, RtMsg>, actor: ActorId, reason: DownReason) {
+    fn on_node_down(&mut self, ctx: &mut RtCtx<'_>, actor: ActorId, reason: DownReason) {
         let Some(sm) = self.node_for(actor) else {
             return;
         };
@@ -483,10 +531,8 @@ impl LocalDaemon {
         }
         self.check_experiment_end(ctx);
     }
-}
 
-impl Actor<RtMsg> for LocalDaemon {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, RtMsg>, from: ActorId, msg: RtMsg) {
+    fn on_message(&mut self, ctx: &mut RtCtx<'_>, from: ActorId, msg: RtMsg) {
         match msg {
             RtMsg::StartNode { sm, host } => {
                 self.start_node(ctx, sm, host);
@@ -591,14 +637,6 @@ impl Actor<RtMsg> for LocalDaemon {
             }),
         }
     }
-
-    fn on_peer_down(&mut self, ctx: &mut Ctx<'_, RtMsg>, peer: ActorId, reason: DownReason) {
-        self.handle_node_down(ctx, peer, reason);
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
-        Some(self)
-    }
 }
 
 const TAG_TIMEOUT: u64 = 1;
@@ -640,7 +678,7 @@ impl CentralDaemon {
         self.watchdog = None;
     }
 
-    fn shutdown(&mut self, ctx: &mut Ctx<'_, RtMsg>) {
+    fn shutdown(&mut self, ctx: &mut RtCtx<'_>) {
         if let Some(watchdog) = self.watchdog.take() {
             ctx.cancel_timer(watchdog);
         }
@@ -659,10 +697,8 @@ impl CentralDaemon {
         });
         ctx.exit_self();
     }
-}
 
-impl Actor<RtMsg> for CentralDaemon {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, RtMsg>) {
+    fn on_start(&mut self, ctx: &mut RtCtx<'_>) {
         self.ctx.wiring.with_unique(|unique| {
             for &daemon in unique {
                 ctx.watch(daemon);
@@ -679,7 +715,7 @@ impl Actor<RtMsg> for CentralDaemon {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, RtMsg>, from: ActorId, msg: RtMsg) {
+    fn on_message(&mut self, ctx: &mut RtCtx<'_>, from: ActorId, msg: RtMsg) {
         match msg {
             RtMsg::ExperimentEndNotice => {
                 if !self.ends.contains(&from) {
@@ -698,7 +734,7 @@ impl Actor<RtMsg> for CentralDaemon {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, RtMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut RtCtx<'_>, tag: u64) {
         match tag {
             TAG_TIMEOUT if !self.done => {
                 self.watchdog = None; // it just fired
@@ -723,7 +759,8 @@ impl Actor<RtMsg> for CentralDaemon {
         }
     }
 
-    fn on_peer_down(&mut self, ctx: &mut Ctx<'_, RtMsg>, _peer: ActorId, _reason: DownReason) {
+    /// A watched local daemon went down.
+    fn on_daemon_down(&mut self, ctx: &mut RtCtx<'_>) {
         // A local daemon crashed: abnormality — abort the experiment.
         if !self.done {
             // Same out-of-band teardown as the timeout path: heal before
@@ -740,10 +777,6 @@ impl Actor<RtMsg> for CentralDaemon {
             });
             ctx.set_timer(self.grace_ns, TAG_SHUTDOWN);
         }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
-        Some(self)
     }
 }
 
@@ -808,10 +841,8 @@ impl Supervisor {
         self.policy = policy;
         self.restarts.fill(0);
     }
-}
 
-impl Actor<RtMsg> for Supervisor {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, RtMsg>, _from: ActorId, msg: RtMsg) {
+    fn on_message(&mut self, ctx: &mut RtCtx<'_>, msg: RtMsg) {
         if let RtMsg::NodeDown {
             sm,
             crashed: true,
@@ -838,17 +869,13 @@ impl Actor<RtMsg> for Supervisor {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, RtMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut RtCtx<'_>, tag: u64) {
         let sm = SmId::from_raw((tag >> 32) as u32);
         let host = (tag & 0xffff_ffff) as u32;
         let daemon = self.ctx.wiring.daemon_for(host as usize);
         if ctx.is_alive(daemon) {
             ctx.send(daemon, RtMsg::StartNode { sm, host });
         }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
-        Some(self)
     }
 }
 
@@ -864,13 +891,56 @@ pub struct Saboteur {
     pub after_ns: u64,
 }
 
-impl Actor<RtMsg> for Saboteur {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, RtMsg>) {
+impl Saboteur {
+    fn on_start(&mut self, ctx: &mut RtCtx<'_>) {
         ctx.set_timer(self.after_ns, 0);
     }
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, RtMsg>, _from: ActorId, _msg: RtMsg) {}
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, RtMsg>, _tag: u64) {
+
+    fn on_timer(&mut self, ctx: &mut RtCtx<'_>) {
         ctx.kill(self.victim, DownReason::Crash);
         ctx.exit_self();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::{App, NodeCtx, Payload};
+    use loki_core::spec::{StateMachineSpec, StudyDef};
+
+    struct Idle;
+    impl App for Idle {
+        fn on_start(&mut self, _: &mut NodeCtx<'_>, _: bool) {}
+        fn on_app_message(&mut self, _: &mut NodeCtx<'_>, _: SmId, _: Payload) {}
+        fn on_fault(&mut self, _: &mut NodeCtx<'_>, _: &str) {}
+    }
+
+    #[test]
+    fn take_node_prefers_the_node_that_last_embodied_the_machine() {
+        let machine = |sm| StateMachineSpec::builder(sm).states(&["UP"]).build();
+        let def = StudyDef::new("pool")
+            .machine(machine("a"))
+            .machine(machine("b"))
+            .machine(machine("c"));
+        let study = Study::compile_arc(&def).unwrap();
+        let symbols = Arc::new(SymbolTable::for_hosts(["h"]));
+        let factory: AppFactory = Arc::new(|_, _| Box::new(Idle));
+        let ctx = Rc::new(ExpCtx::new(study, symbols, factory, NotifyRouting::Direct));
+        let [a, b, c] = ["a", "b", "c"].map(|name| ctx.study.sm_id(name).unwrap());
+        for sm in [a, b, c] {
+            let node = NodeActor::new(ctx.clone(), sm, ActorId(0), Box::new(Idle));
+            ctx.pool.recycle(RtActor::Node(Box::new(node)));
+        }
+        // Whatever the free-list order, each machine gets its own node back.
+        for sm in [b, a, c, b] {
+            let node = ctx.pool.take_node(sm).unwrap();
+            assert_eq!(node.embodies(), sm);
+            ctx.pool.recycle(RtActor::Node(node));
+        }
+        // With no node of its own pooled, a machine takes another one.
+        assert_eq!(ctx.pool.take_node(b).unwrap().embodies(), b);
+        assert_ne!(ctx.pool.take_node(b).unwrap().embodies(), b);
+        assert_eq!(ctx.pool.reuses(), 6, "three new nodes, then six reuses");
+        ctx.pool.clear();
     }
 }

@@ -15,9 +15,7 @@
 //! [`run_experiment`] runs a single experiment on a fresh world — the
 //! replay primitive.
 
-use crate::daemons::{
-    reuse_or_box, ActorHull, CentralDaemon, ExpCtx, LocalDaemon, RestartPolicy, Supervisor,
-};
+use crate::daemons::{ExpCtx, RestartPolicy, RtActor, Saboteur};
 use crate::messages::{NotifyRouting, RtMsg};
 use crate::node::AppFactory;
 use loki_analysis::{analyze_one, AnalysisOptions, AnalyzedExperiment};
@@ -26,7 +24,9 @@ use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, Host
 use loki_core::ids::{HostId, SymbolTable};
 use loki_core::study::Study;
 use loki_sim::config::{HostConfig, NetworkConfig};
-use loki_sim::engine::{BudgetExceeded, HostId as SimHostId, Simulation, WorldConfig};
+use loki_sim::engine::{
+    BudgetExceeded, DuplicateHost, HostId as SimHostId, Simulation, WorldConfig,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -196,40 +196,14 @@ pub fn run_experiment(
     cfg: &SimHarnessConfig,
     experiment: u32,
 ) -> Result<ExperimentData, CampaignError> {
-    validate_hosts(study, cfg)?;
     let symbols = cfg.symbols();
-    let sim_study = SimStudy::new(study, &factory, cfg, &symbols);
-    let mut sim = Simulation::with_config(sim_study.world.clone(), 0);
+    let sim_study = SimStudy::new(study, &factory, cfg, &symbols)?;
+    let mut sim = Simulation::closed(sim_study.world.clone(), 0);
     Ok(sim_study.run_one(&mut sim, experiment, &mut None))
 }
 
-/// The host-list check both entry points — [`run_experiment`] and the
-/// campaign driver — run before any experiment (and any worker) starts:
-/// an empty list, a duplicate name, or a machine of `study` placed on a
-/// host the list lacks.
-fn validate_hosts(study: &Study, cfg: &SimHarnessConfig) -> Result<(), CampaignError> {
-    let names: Vec<&str> = cfg.hosts.iter().map(|h| h.name.as_str()).collect();
-    if names.is_empty() {
-        return Err(CampaignError::Hosts(
-            "loki: harness config needs at least one host".to_owned(),
-        ));
-    }
-    for (idx, name) in names.iter().enumerate() {
-        if names[..idx].contains(name) {
-            return Err(CampaignError::Hosts(format!(
-                "loki: invalid harness config: duplicate host name {name:?}"
-            )));
-        }
-    }
-    for (_, host) in &study.placements {
-        if let Some(host) = host.as_deref().filter(|h| !names.contains(h)) {
-            return Err(CampaignError::Hosts(format!(
-                "loki: invalid harness config: placement on unknown host `{host}`"
-            )));
-        }
-    }
-    Ok(())
-}
+/// A world of the runtime: the engine over the runtime's closed actor set.
+type World = Simulation<RtMsg, RtActor>;
 
 /// One study compiled for the simulation: the shared immutable
 /// [`WorldConfig`] (`Arc`-shared by every world of the study, across
@@ -265,7 +239,7 @@ struct SimStudy<'a> {
 /// assembly, so a script's context is empty again when its experiment
 /// finishes — [`drive_chunked`] recycles the whole script for the next
 /// experiment, keeping the context's `Rc` block, its stores' capacities,
-/// and its pooled actor hulls instead of reallocating them. Drain orders
+/// and its pooled actors instead of reallocating them. Drain orders
 /// are index-determined and lookups are key-addressed, so recycling is
 /// unobservable in results.
 struct ExpScript {
@@ -276,39 +250,50 @@ struct ExpScript {
 
 impl Drop for ExpScript {
     fn drop(&mut self) {
-        // Pooled hulls hold `Rc<ExpCtx>` while the pool lives *inside* the
-        // context — clear the pool here or the cycle leaks the context.
+        // Pooled actors hold `Rc<ExpCtx>` while the pool lives *inside*
+        // the context — clear the pool here or the cycle leaks the context.
         self.ctx.pool.clear();
     }
 }
 
 impl<'a> SimStudy<'a> {
-    /// Compiles `cfg` — which has passed [`validate_hosts`] — into the shared
-    /// world description.
+    /// Compiles `cfg` into the shared world description. This is the
+    /// host-list check both entry points — [`run_experiment`] and the
+    /// campaign driver — run before any experiment (and any worker)
+    /// starts: an empty list, a duplicate name, or a machine of `study`
+    /// placed on a host the list lacks is a [`CampaignError::Hosts`].
     fn new(
         study: &'a Arc<Study>,
         factory: &'a AppFactory,
         cfg: &'a SimHarnessConfig,
         symbols: &'a Arc<SymbolTable>,
-    ) -> Self {
+    ) -> Result<Self, CampaignError> {
+        let invalid =
+            |what: String| CampaignError::Hosts(format!("loki: invalid harness config: {what}"));
         let mut world = WorldConfig::new();
         world.set_network(cfg.network);
         for host in &cfg.hosts {
-            world
-                .add_host(host.clone())
-                .expect("host names validated unique");
+            if let Err(DuplicateHost { name }) = world.add_host(host.clone()) {
+                return Err(invalid(format!("duplicate host name {name:?}")));
+            }
         }
-        let reference = cfg.reference_host().expect("host list validated non-empty");
-        let ref_idx = cfg
-            .hosts
-            .iter()
-            .position(|h| h.name == reference)
-            .expect("reference host exists");
+        let reference = cfg
+            .reference_host()
+            .and_then(|name| world.find_host(name))
+            .ok_or_else(|| {
+                CampaignError::Hosts("loki: harness config needs at least one host".to_owned())
+            })?;
+        for (_, host) in &study.placements {
+            if let Some(host) = host.as_deref().filter(|h| world.find_host(h).is_none()) {
+                return Err(invalid(format!("placement on unknown host `{host}`")));
+            }
+        }
+        let ref_idx = reference.0 as usize;
         let initiators = (0..cfg.hosts.len())
             .filter(|&idx| idx != ref_idx)
             .map(|idx| SimHostId(idx as u32))
             .collect();
-        SimStudy {
+        Ok(SimStudy {
             study,
             factory,
             cfg,
@@ -316,7 +301,7 @@ impl<'a> SimStudy<'a> {
             world: Arc::new(world),
             ref_idx,
             initiators,
-        }
+        })
     }
 
     /// Rewinds `sim` to experiment `experiment`'s seed, plays the pre-sync
@@ -325,12 +310,12 @@ impl<'a> SimStudy<'a> {
     /// calls [`SimStudy::on_drained`].
     ///
     /// Recycles a finished experiment's script when one is available: the
-    /// context's `Rc` block, store capacities, and pooled actor hulls
+    /// context's `Rc` block, store capacities, and pooled actors
     /// survive, the *contents* are reset (an aborted experiment can leave
     /// directory entries and control flags behind).
     fn begin_with(
         &self,
-        sim: &mut Simulation<RtMsg>,
+        sim: &mut World,
         experiment: u32,
         recycled: Option<ExpScript>,
     ) -> ExpScript {
@@ -339,9 +324,6 @@ impl<'a> SimStudy<'a> {
         // recycled world's). The trip point depends only on the event
         // stream, which depends only on `(seed, experiment)`.
         sim.set_budget(self.cfg.max_virtual_time, self.cfg.max_events);
-        // Park killed actors' boxes for hull recycling instead of
-        // dropping them (drained into the pool when the world drains).
-        sim.set_reclaim_dead(true);
         let mut script = match recycled {
             Some(mut script) => {
                 script.experiment = experiment;
@@ -369,18 +351,20 @@ impl<'a> SimStudy<'a> {
         script
     }
 
-    /// Finishes the experiment of a drained world: plays the post-sync
-    /// mini-phase and assembles the data. A tripped budget reports the
-    /// world as drained with events still pending — the experiment then
-    /// ends right where it tripped, as a typed failure. The campaign
-    /// driver quarantines such a world afterwards, so the undelivered
-    /// events can never leak into another experiment.
-    fn on_drained(&self, sim: &mut Simulation<RtMsg>, script: &mut ExpScript) -> ExperimentData {
-        // Every actor killed during the runtime phase sits in the engine's
-        // graveyard: file the corpses into the typed hull pool so the next
-        // experiment respawns without boxing.
-        for corpse in sim.drain_dead() {
-            script.ctx.pool.recycle(corpse);
+    /// Finishes the experiment of a drained world: files its actors into
+    /// the pool, plays the post-sync mini-phase and assembles the data. A
+    /// tripped budget reports the world as drained with events still
+    /// pending — the experiment then ends right where it tripped, as a
+    /// typed failure. The campaign driver quarantines such a world
+    /// afterwards, together with its script and pool, so neither the
+    /// undelivered events nor the actors still alive in it can leak into
+    /// another experiment.
+    fn on_drained(&self, sim: &mut World, script: &mut ExpScript) -> ExperimentData {
+        // A drained world's actors are all dead by now: the central daemon
+        // kills the supervisor and the daemons, then exits, and every node
+        // has exited or been killed.
+        for actor in sim.take_actors() {
+            script.ctx.pool.recycle(actor);
         }
         if sim.budget_exceeded().is_none() {
             // The post-sync mini-phase runs on the injector's own
@@ -413,7 +397,7 @@ impl<'a> SimStudy<'a> {
     /// when the engine unwinds under it, so the caller can still retire it.
     fn run_one(
         &self,
-        sim: &mut Simulation<RtMsg>,
+        sim: &mut World,
         experiment: u32,
         slot: &mut Option<ExpScript>,
     ) -> ExperimentData {
@@ -429,7 +413,7 @@ impl<'a> SimStudy<'a> {
     /// collector as two samples. The phase runs on an otherwise idle
     /// system (messages are exchanged before and after the experiment),
     /// so endpoints are dispatched without scheduling delay.
-    fn sync_phase(&self, sim: &mut Simulation<RtMsg>, ctx: &ExpCtx) {
+    fn sync_phase(&self, sim: &mut World, ctx: &ExpCtx) {
         sim.set_sched_enabled(false);
         sim.run_exchanges(
             SimHostId(self.ref_idx as u32),
@@ -448,43 +432,40 @@ impl<'a> SimStudy<'a> {
 
     /// Spawns the runtime phase: local daemons per the routing design,
     /// optional supervisor, the central daemon, and the optional saboteur.
-    fn spawn_runtime(&self, sim: &mut Simulation<RtMsg>, script: &ExpScript) {
+    fn spawn_runtime(&self, sim: &mut World, script: &ExpScript) {
         let ref_host = SimHostId(self.ref_idx as u32);
         let ctx = &script.ctx;
 
         match self.cfg.routing {
             NotifyRouting::Centralized => {
                 // One global daemon, placed on the reference host.
-                let d = sim.spawn(ref_host, pooled_daemon(ctx, self.ref_idx as u32));
+                let d = sim.spawn(ref_host, ctx.pooled_daemon(self.ref_idx as u32));
                 ctx.wiring
                     .fill_daemons((0..self.cfg.hosts.len()).map(|_| d));
             }
             _ => {
-                ctx.wiring.fill_daemons(
-                    (0..self.cfg.hosts.len()).map(|idx| {
-                        sim.spawn(SimHostId(idx as u32), pooled_daemon(ctx, idx as u32))
-                    }),
-                );
+                ctx.wiring
+                    .fill_daemons((0..self.cfg.hosts.len()).map(|idx| {
+                        sim.spawn(SimHostId(idx as u32), ctx.pooled_daemon(idx as u32))
+                    }));
             }
         }
 
         if let Some(policy) = self.cfg.restart {
-            let supervisor = sim.spawn(ref_host, pooled_supervisor(ctx, policy));
+            let supervisor = sim.spawn(ref_host, ctx.pooled_supervisor(policy));
             ctx.wiring.set_supervisor(supervisor);
         }
 
         let central = sim.spawn(
             ref_host,
-            pooled_central(ctx, self.cfg.timeout_ns, 100_000_000), // 100 ms shutdown grace
+            ctx.pooled_central(self.cfg.timeout_ns, 100_000_000), // 100 ms shutdown grace
         );
         ctx.wiring.set_central(central);
 
         if let Some((host, after_ns)) = self.cfg.kill_daemon {
             let victim = ctx.wiring.daemon_for(host as usize);
-            sim.spawn(
-                ref_host,
-                Box::new(crate::daemons::Saboteur { victim, after_ns }),
-            );
+            let saboteur = Box::new(Saboteur { victim, after_ns });
+            sim.spawn(ref_host, RtActor::Saboteur(saboteur));
         }
     }
 
@@ -535,36 +516,6 @@ impl<'a> SimStudy<'a> {
             warnings: vec![Warning::HarnessPanic { note }],
         }
     }
-}
-
-/// A (possibly pooled) local-daemon hull for `my_host`.
-fn pooled_daemon(ctx: &Rc<ExpCtx>, my_host: u32) -> ActorHull {
-    reuse_or_box(
-        ctx.pool.take_daemon(),
-        my_host,
-        LocalDaemon::reinit,
-        |my_host| LocalDaemon::new(ctx.clone(), my_host),
-    )
-}
-
-/// A (possibly pooled) central-daemon hull.
-fn pooled_central(ctx: &Rc<ExpCtx>, timeout_ns: u64, grace_ns: u64) -> ActorHull {
-    reuse_or_box(
-        ctx.pool.take_central(),
-        (timeout_ns, grace_ns),
-        |c: &mut CentralDaemon, (timeout_ns, grace_ns)| c.reinit(timeout_ns, grace_ns),
-        |(timeout_ns, grace_ns)| CentralDaemon::new(ctx.clone(), timeout_ns, grace_ns),
-    )
-}
-
-/// A (possibly pooled) supervisor hull.
-fn pooled_supervisor(ctx: &Rc<ExpCtx>, policy: RestartPolicy) -> ActorHull {
-    reuse_or_box(
-        ctx.pool.take_supervisor(),
-        policy,
-        Supervisor::reinit,
-        |policy| Supervisor::new(ctx.clone(), policy),
-    )
 }
 
 /// Resolves the worker count for a study: explicit config, then the
@@ -818,7 +769,7 @@ fn drive_chunked(
     stats: &PoolStats,
     mut process: impl FnMut(u32, ExperimentData, Option<&ExpCtx>) -> bool,
 ) {
-    let fresh_world = || Simulation::with_config(sim_study.world.clone(), 0);
+    let fresh_world = || Simulation::closed(sim_study.world.clone(), 0);
     let mut sim = fresh_world();
     // The last experiment's (drained-empty) script, recycled by the next
     // one: in steady state a worker reallocates none of the per-experiment
@@ -1016,11 +967,10 @@ impl CampaignPipeline {
                 "loki: worker count must be at least 1".to_owned(),
             ));
         }
-        validate_hosts(&self.study, &self.cfg)?;
+        let symbols = self.cfg.symbols();
+        let sim_study = SimStudy::new(&self.study, &self.factory, &self.cfg, &symbols)?;
         let workers = workers.clamp(1, experiments.max(1) as usize);
         let batch = resolve_batch(&self.cfg)?;
-        let symbols = self.cfg.symbols();
-        let sim_study = SimStudy::new(&self.study, &self.factory, &self.cfg, &symbols);
         // A chunk larger than the campaign is the campaign: clamped like the
         // worker count, so the claim step fits the `u32` index space and the
         // channel bound below cannot outgrow `2 × workers × experiments`.

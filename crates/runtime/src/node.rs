@@ -18,7 +18,7 @@
 //! `notifyEvent()`, and the runtime calls [`App::on_fault`] where the
 //! thesis's fault parser calls the probe's `injectFault()`.
 
-use crate::daemons::ExpCtx;
+use crate::daemons::{ExpCtx, RtCtx};
 use crate::messages::{NotifyRouting, RtMsg, SmTargets};
 use loki_core::campaign::{ExperimentFailure, Receiver, Warning};
 use loki_core::error::CoreError;
@@ -29,7 +29,7 @@ use loki_core::recorder::{RecordKind, TimelineRecord};
 use loki_core::state_machine::StateMachine;
 use loki_core::study::Study;
 use loki_core::time::LocalNanos;
-use loki_sim::engine::{ActorId, Ctx, DownReason, TimerId};
+use loki_sim::engine::{ActorId, DownReason, TimerId};
 use rand::rngs::StdRng;
 use std::any::Any;
 use std::collections::VecDeque;
@@ -174,11 +174,7 @@ impl NodeActor {
     /// world itself is quarantined by the pipeline afterwards, so any
     /// state the unwind left half-updated never leaks into another
     /// experiment.
-    fn with_app(
-        &mut self,
-        ctx: &mut Ctx<'_, RtMsg>,
-        f: impl FnOnce(&mut dyn App, &mut NodeCtx<'_>),
-    ) {
+    fn with_app(&mut self, ctx: &mut RtCtx<'_>, f: impl FnOnce(&mut dyn App, &mut NodeCtx<'_>)) {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let app = self.app.as_mut();
             let mut node = NodeCtx {
@@ -198,10 +194,8 @@ impl NodeActor {
             ctx.crash_self();
         }
     }
-}
 
-impl loki_sim::engine::Actor<RtMsg> for NodeActor {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, RtMsg>) {
+    pub(crate) fn on_start(&mut self, ctx: &mut RtCtx<'_>) {
         let me = self.rt.me;
         let host = HostId::from_raw(ctx.my_host().0);
         let now = ctx.local_clock();
@@ -225,7 +219,7 @@ impl loki_sim::engine::Actor<RtMsg> for NodeActor {
         self.with_app(ctx, |app, node| app.on_start(node, restarted));
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, RtMsg>, _from: ActorId, msg: RtMsg) {
+    pub(crate) fn on_message(&mut self, ctx: &mut RtCtx<'_>, msg: RtMsg) {
         match msg {
             RtMsg::DeliverNotify { from_sm, state } => {
                 if self.rt.sm.apply_remote(from_sm, state) {
@@ -256,19 +250,15 @@ impl loki_sim::engine::Actor<RtMsg> for NodeActor {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, RtMsg>, tag: u64) {
+    pub(crate) fn on_timer(&mut self, ctx: &mut RtCtx<'_>, tag: u64) {
         self.with_app(ctx, |app, node| app.on_timer(node, tag));
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
-        Some(self)
     }
 }
 
 /// The context handed to [`App`] callbacks: the simulator's actor context
 /// plus the node's runtime.
 pub struct NodeCtx<'a> {
-    sim: Ctx<'a, RtMsg>,
+    sim: RtCtx<'a>,
     rt: &'a mut Runtime,
 }
 

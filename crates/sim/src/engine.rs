@@ -42,7 +42,6 @@ use loki_core::small::InlineVec;
 use loki_core::time::LocalNanos;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -77,6 +76,9 @@ pub enum DownReason {
 /// timers, spawning, and the RNG. Callbacks run to completion at one
 /// simulation instant (computation time can be modelled explicitly with
 /// timers if needed).
+///
+/// A plain [`Simulation`] stores its actors as `Box<dyn Actor<M>>`; a
+/// harness with a closed set of actor kinds uses [`Dispatch`] instead.
 pub trait Actor<M> {
     /// Called once when the actor starts (at its spawn instant).
     fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
@@ -95,13 +97,36 @@ pub trait Actor<M> {
     fn on_peer_down(&mut self, ctx: &mut Ctx<'_, M>, peer: ActorId, reason: DownReason) {
         let _ = (ctx, peer, reason);
     }
+}
 
-    /// Downcast hook for harnesses that recycle dead actors (see
-    /// [`Simulation::set_reclaim_dead`]): return `Some(self)` to let a
-    /// pool identify this actor's concrete type and reuse its allocation.
-    /// The default `None` opts out — such corpses are dropped as usual.
-    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
-        None
+/// An actor as a [`Simulation`] stores it: [`Actor`]'s callbacks, with a
+/// context over the same actor type. The default is `Box<dyn Actor<M>>`;
+/// a harness with a closed set of actor kinds implements this for an enum
+/// of them, so dispatch is a `match` and [`Simulation::take_actors`]
+/// hands its actors back by kind.
+pub trait Dispatch<M>: Sized {
+    /// See [`Actor::on_start`].
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M, Self>);
+    /// See [`Actor::on_message`].
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M, Self>, from: ActorId, msg: M);
+    /// See [`Actor::on_timer`].
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M, Self>, tag: u64);
+    /// See [`Actor::on_peer_down`].
+    fn on_peer_down(&mut self, ctx: &mut Ctx<'_, M, Self>, peer: ActorId, reason: DownReason);
+}
+
+impl<M: 'static> Dispatch<M> for Box<dyn Actor<M>> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
+        Actor::on_start(&mut **self, ctx);
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: ActorId, msg: M) {
+        Actor::on_message(&mut **self, ctx, from, msg);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, tag: u64) {
+        Actor::on_timer(&mut **self, ctx, tag);
+    }
+    fn on_peer_down(&mut self, ctx: &mut Ctx<'_, M>, peer: ActorId, reason: DownReason) {
+        Actor::on_peer_down(&mut **self, ctx, peer, reason);
     }
 }
 
@@ -320,7 +345,7 @@ pub enum BudgetExceeded {
 /// sim.run();
 /// assert!(sim.now() > 0); // messages took simulated time
 /// ```
-pub struct Simulation<M> {
+pub struct Simulation<M, A = Box<dyn Actor<M>>> {
     /// The shared immutable world description (hosts, clocks, network).
     /// `Arc`-shared across a campaign's worlds; the legacy mutating builders
     /// ([`Simulation::add_host`], [`Simulation::set_network`]) copy on
@@ -328,7 +353,9 @@ pub struct Simulation<M> {
     config: Arc<WorldConfig>,
     time: u64,
     queue: EventQueue<Event<M>>,
-    actors: Vec<Option<Box<dyn Actor<M>>>>,
+    /// The actor slab, indexed by [`ActorId`]; dead actors stay (`alive`
+    /// gates dispatch). A slot is empty while its actor's callback runs.
+    actors: Vec<Option<A>>,
     actor_hosts: Vec<HostId>,
     alive: Vec<bool>,
     /// Watcher lists, indexed by the *watched* actor. Dense and inline:
@@ -353,10 +380,6 @@ pub struct Simulation<M> {
     budget_virtual_ns: u64,
     budget_events: u64,
     budget_tripped: Option<BudgetExceeded>,
-    /// When enabled, killed actors' boxes are parked in `graveyard`
-    /// instead of dropped, for the harness to drain and recycle.
-    reclaim_dead: bool,
-    graveyard: Vec<Box<dyn Actor<M>>>,
     /// The dynamic network fault plane, layered over the immutable
     /// `config` network. Inactive (one branch, zero extra RNG draws on
     /// the send path) until a net [`FaultAction`] arms it.
@@ -373,6 +396,15 @@ impl<M: 'static> Simulation<M> {
     /// description. The simulation holds only its compact mutable state;
     /// a campaign `Arc`-shares one [`WorldConfig`] across all its worlds.
     pub fn with_config(config: Arc<WorldConfig>, seed: u64) -> Self {
+        Self::closed(config, seed)
+    }
+}
+
+impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
+    /// [`Simulation::with_config`] for actors of a closed type `A` (see
+    /// [`Dispatch`]). The default-typed constructors fix `A`, so that
+    /// `spawn(h, Box::new(x))` coerces to `Box<dyn Actor<M>>`.
+    pub fn closed(config: Arc<WorldConfig>, seed: u64) -> Self {
         Simulation {
             config,
             time: 0,
@@ -392,8 +424,6 @@ impl<M: 'static> Simulation<M> {
             budget_virtual_ns: u64::MAX,
             budget_events: u64::MAX,
             budget_tripped: None,
-            reclaim_dead: false,
-            graveyard: Vec::new(),
             net_faults: NetFaultPlane::new(),
         }
     }
@@ -402,7 +432,8 @@ impl<M: 'static> Simulation<M> {
     /// keeping every allocation: the event slab, timer slab, watcher
     /// lists, FIFO horizons, and trace buffer all retain their high-water
     /// capacity, so a world reused across experiments stops allocating
-    /// once the first experiment has sized it.
+    /// once the first experiment has sized it. Actors
+    /// [`Simulation::take_actors`] did not hand back are dropped.
     ///
     /// After a reset the world is observationally identical to
     /// `Simulation::with_config(config, seed)` — same hosts (they live in
@@ -432,8 +463,6 @@ impl<M: 'static> Simulation<M> {
         self.budget_virtual_ns = u64::MAX;
         self.budget_events = u64::MAX;
         self.budget_tripped = None;
-        self.reclaim_dead = false;
-        self.graveyard.clear();
         self.net_faults.reset();
     }
 
@@ -650,7 +679,7 @@ impl<M: 'static> Simulation<M> {
     }
 
     /// Spawns an actor on `host`; its `on_start` runs at the current time.
-    pub fn spawn(&mut self, host: HostId, actor: Box<dyn Actor<M>>) -> ActorId {
+    pub fn spawn(&mut self, host: HostId, actor: A) -> ActorId {
         let id = ActorId(self.actors.len() as u32);
         self.actors.push(Some(actor));
         self.actor_hosts.push(host);
@@ -737,11 +766,6 @@ impl<M: 'static> Simulation<M> {
         &mut self.rng
     }
 
-    /// Kills an actor from outside the simulation (test harness use).
-    pub fn kill(&mut self, actor: ActorId, reason: DownReason) {
-        self.kill_internal(actor, reason);
-    }
-
     /// The network fault plane (read-only; inactive in a healthy world).
     pub fn net_faults(&self) -> &NetFaultPlane {
         &self.net_faults
@@ -769,22 +793,11 @@ impl<M: 'static> Simulation<M> {
         self.net_faults.heal();
     }
 
-    /// Parks killed actors' boxes in an internal graveyard instead of
-    /// dropping them, so a harness can [`drain`](Simulation::drain_dead)
-    /// and recycle the allocations. Off by default and switched off again
-    /// by [`Simulation::reset`] (which also empties the graveyard), so
-    /// plain simulations never accumulate corpses.
-    pub fn set_reclaim_dead(&mut self, enabled: bool) {
-        self.reclaim_dead = enabled;
-        if !enabled {
-            self.graveyard.clear();
-        }
-    }
-
-    /// Drains the corpses parked since the last drain (see
-    /// [`Simulation::set_reclaim_dead`]), oldest first.
-    pub fn drain_dead(&mut self) -> std::vec::Drain<'_, Box<dyn Actor<M>>> {
-        self.graveyard.drain(..)
+    /// Hands back every actor spawned since the last [`Simulation::reset`],
+    /// dead or alive, once each in spawn order (a live one then receives
+    /// no further callbacks): how a harness recycles finished actors.
+    pub fn take_actors(&mut self) -> impl Iterator<Item = A> + '_ {
+        self.actors.iter_mut().filter_map(Option::take)
     }
 
     /// Runs until the event queue drains.
@@ -865,17 +878,12 @@ impl<M: 'static> Simulation<M> {
         true
     }
 
-    fn dispatch(
-        &mut self,
-        actor: ActorId,
-        f: impl FnOnce(&mut Box<dyn Actor<M>>, &mut Ctx<'_, M>),
-    ) {
+    fn dispatch(&mut self, actor: ActorId, f: impl FnOnce(&mut A, &mut Ctx<'_, M, A>)) {
         if !self.is_alive(actor) {
             return;
         }
-        let mut a = match self.actors[actor.0 as usize].take() {
-            Some(a) => a,
-            None => return,
+        let Some(mut a) = self.actors[actor.0 as usize].take() else {
+            return;
         };
         let mut self_down = None;
         f(
@@ -886,19 +894,9 @@ impl<M: 'static> Simulation<M> {
                 self_down: &mut self_down,
             },
         );
-        match self_down {
-            None => {
-                // Only restore if the actor wasn't killed by someone else
-                // during its own callback (not possible today, but cheap to
-                // guard).
-                if self.alive[actor.0 as usize] {
-                    self.actors[actor.0 as usize] = Some(a);
-                }
-            }
-            Some(reason) => {
-                self.actors[actor.0 as usize] = Some(a); // keep the corpse for ownership hygiene
-                self.kill_internal(actor, reason);
-            }
+        self.actors[actor.0 as usize] = Some(a);
+        if let Some(reason) = self_down {
+            self.kill_internal(actor, reason);
         }
     }
 
@@ -907,12 +905,6 @@ impl<M: 'static> Simulation<M> {
             return;
         }
         self.alive[actor.0 as usize] = false;
-        let corpse = self.actors[actor.0 as usize].take();
-        if self.reclaim_dead {
-            if let Some(corpse) = corpse {
-                self.graveyard.push(corpse);
-            }
-        }
         if self.trace_enabled {
             self.trace.push(TraceEntry::Down {
                 time: self.time,
@@ -940,7 +932,7 @@ impl<M: 'static> Simulation<M> {
     }
 }
 
-impl<M> fmt::Debug for Simulation<M> {
+impl<M, A> fmt::Debug for Simulation<M, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
             .field("time", &self.time)
@@ -968,16 +960,16 @@ pub(crate) fn fifo_arrival(horizon: Option<u64>, at: u64) -> u64 {
 /// The actor's own termination request lives with the dispatch that
 /// created the context, so a context borrows everything it touches and
 /// [`Ctx::reborrow`] can hand out a shorter-lived copy.
-pub struct Ctx<'a, M> {
-    sim: &'a mut Simulation<M>,
+pub struct Ctx<'a, M, A = Box<dyn Actor<M>>> {
+    sim: &'a mut Simulation<M, A>,
     me: ActorId,
     self_down: &'a mut Option<DownReason>,
 }
 
-impl<'a, M: 'static> Ctx<'a, M> {
+impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
     /// A context for the same actor and callback, borrowed from this one
     /// for a shorter lifetime (for wrappers that own a `Ctx` by value).
-    pub fn reborrow(&mut self) -> Ctx<'_, M> {
+    pub fn reborrow(&mut self) -> Ctx<'_, M, A> {
         Ctx {
             sim: &mut *self.sim,
             me: self.me,
@@ -1196,7 +1188,7 @@ impl<'a, M: 'static> Ctx<'a, M> {
     }
 
     /// Spawns a new actor on `host` (it starts at the current instant).
-    pub fn spawn(&mut self, host: HostId, actor: Box<dyn Actor<M>>) -> ActorId {
+    pub fn spawn(&mut self, host: HostId, actor: A) -> ActorId {
         self.sim.spawn(host, actor)
     }
 
@@ -1405,23 +1397,20 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_dead_parks_corpses_for_draining() {
+    fn take_actors_hands_back_dead_and_live_actors_once() {
         let (mut sim, h1, _) = two_host_sim(11);
-        sim.set_reclaim_dead(true);
         sim.spawn(h1, Box::new(CrashOnStart));
+        let live = sim.spawn(h1, Box::new(Ponger));
         sim.spawn(h1, Box::new(CrashOnStart));
         sim.run();
-        assert_eq!(sim.drain_dead().count(), 2);
-        // Drained once, the graveyard is empty until the next kill.
-        assert_eq!(sim.drain_dead().count(), 0);
-        // Reset empties the graveyard and switches reclaim back off.
+        assert!(sim.is_alive(live));
+        assert_eq!(sim.take_actors().count(), 3, "two killed, one live");
+        assert_eq!(sim.take_actors().count(), 0, "each handed back once");
+        // A reset drops whatever was not handed back.
         sim.spawn(h1, Box::new(CrashOnStart));
         sim.run();
         sim.reset(11);
-        assert_eq!(sim.drain_dead().count(), 0);
-        sim.spawn(h1, Box::new(CrashOnStart));
-        sim.run();
-        assert_eq!(sim.drain_dead().count(), 0, "reclaim off after reset");
+        assert_eq!(sim.take_actors().count(), 0, "nothing survives a reset");
     }
 
     #[test]

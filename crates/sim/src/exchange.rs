@@ -19,7 +19,7 @@
 //! in the same order, the same RNG state, final clock, event count and
 //! budget trip point.
 
-use crate::engine::{fifo_arrival, HostId, Simulation};
+use crate::engine::{fifo_arrival, Dispatch, HostId, Simulation};
 use loki_core::time::LocalNanos;
 
 /// One completed round of [`Simulation::run_exchanges`]: the three clock
@@ -67,7 +67,7 @@ struct Chain {
     to_initiator: Option<u64>,
 }
 
-impl<M: 'static> Simulation<M> {
+impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
     /// Plays one exchange session per host of `initiators` against
     /// `responder`, all starting now: `rounds` strictly sequential
     /// ping → echo rounds, `interval_ns` apart, closed by an

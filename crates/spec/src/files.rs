@@ -30,6 +30,24 @@ fn content_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
     })
 }
 
+/// [`content_lines`] split into each line's first token and the rest of
+/// the line (trimmed; empty when the line is one token).
+fn token_lines(text: &str) -> impl Iterator<Item = (usize, &str, &str)> {
+    content_lines(text).map(|(lineno, line)| {
+        let (head, rest) = split_head(line);
+        (lineno, head, rest)
+    })
+}
+
+/// Splits a trimmed, non-empty line at its first whitespace: the first
+/// token (non-empty) and the rest, trimmed.
+pub(crate) fn split_head(line: &str) -> (&str, &str) {
+    match line.split_once(char::is_whitespace) {
+        Some((head, rest)) => (head, rest.trim_start()),
+        None => (line, ""),
+    }
+}
+
 /// Parses a fault specification file; `owner` is the state machine whose
 /// probe injects these faults (fault files are per-machine, §3.5.5).
 ///
@@ -51,9 +69,7 @@ fn content_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
 /// ```
 pub fn parse_fault_spec(owner: &str, text: &str) -> Result<Vec<FaultSpec>, ParseError> {
     let mut out = Vec::new();
-    for (lineno, line) in content_lines(text) {
-        let name = line.split_whitespace().next().expect("non-empty");
-        let rest = line[name.len()..].trim();
+    for (lineno, name, rest) in token_lines(text) {
         let trigger_word = rest.split_whitespace().last().ok_or_else(|| {
             ParseError::at(lineno, "fault line needs an expression and a trigger")
         })?;
@@ -96,9 +112,9 @@ pub fn write_fault_spec(faults: &[FaultSpec]) -> String {
 /// Returns a [`ParseError`] for lines with more than two tokens.
 pub fn parse_node_file(text: &str) -> Result<Vec<NodePlacement>, ParseError> {
     let mut out = Vec::new();
-    for (lineno, line) in content_lines(text) {
-        let mut tokens = line.split_whitespace();
-        let sm = tokens.next().expect("non-empty").to_owned();
+    for (lineno, sm, rest) in token_lines(text) {
+        let sm = sm.to_owned();
+        let mut tokens = rest.split_whitespace();
         let host = tokens.next().map(str::to_owned);
         if tokens.next().is_some() {
             return Err(ParseError::at(
@@ -154,9 +170,9 @@ pub struct DaemonEndpoint {
 /// Returns a [`ParseError`] for malformed ports or extra fields.
 pub fn parse_daemon_startup(text: &str) -> Result<Vec<DaemonEndpoint>, ParseError> {
     let mut out = Vec::new();
-    for (lineno, line) in content_lines(text) {
-        let mut tokens = line.split_whitespace();
-        let host = tokens.next().expect("non-empty").to_owned();
+    for (lineno, host, rest) in token_lines(text) {
+        let host = host.to_owned();
+        let mut tokens = rest.split_whitespace();
         let port_str = tokens
             .next()
             .ok_or_else(|| ParseError::at(lineno, "daemon startup line needs a port"))?;
@@ -276,9 +292,8 @@ fn parse_u64(lineno: usize, field: &str, s: &str) -> Result<u64, ParseError> {
 /// ```
 pub fn parse_action_file(text: &str) -> Result<ActionProbe, ParseError> {
     let mut probe = ActionProbe::new();
-    for (lineno, line) in content_lines(text) {
-        let mut tokens = line.split_whitespace();
-        let name = tokens.next().expect("non-empty");
+    for (lineno, name, rest) in token_lines(text) {
+        let mut tokens = rest.split_whitespace();
         let kind = tokens
             .next()
             .ok_or_else(|| ParseError::at(lineno, "action line needs an action kind"))?;
@@ -329,14 +344,10 @@ pub fn parse_action_file(text: &str) -> Result<ActionProbe, ParseError> {
                 FaultAction::Heal
             }
             "partition" => {
-                let mut groups: Vec<Vec<String>> = vec![Vec::new()];
-                for t in &rest {
-                    if *t == "|" {
-                        groups.push(Vec::new());
-                    } else {
-                        groups.last_mut().expect("non-empty").push((*t).to_owned());
-                    }
-                }
+                let groups: Vec<Vec<String>> = rest
+                    .split(|t| *t == "|")
+                    .map(|group| group.iter().map(|t| (*t).to_owned()).collect())
+                    .collect();
                 if groups.iter().any(Vec::is_empty) {
                     return Err(ParseError::at(
                         lineno,
@@ -489,9 +500,8 @@ pub struct BudgetSpec {
 /// ```
 pub fn parse_budget_file(text: &str) -> Result<BudgetSpec, ParseError> {
     let mut spec = BudgetSpec::default();
-    for (lineno, line) in content_lines(text) {
-        let mut tokens = line.split_whitespace();
-        let key = tokens.next().expect("non-empty");
+    for (lineno, key, rest) in token_lines(text) {
+        let mut tokens = rest.split_whitespace();
         let value = tokens
             .next()
             .ok_or_else(|| ParseError::at(lineno, format!("budget key `{key}` needs a value")))?;

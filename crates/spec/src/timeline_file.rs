@@ -35,6 +35,7 @@
 //! and permits arbitrary user messages.
 
 use crate::error::ParseError;
+use crate::files::split_head;
 use loki_core::ids::SymbolTable;
 use loki_core::recorder::{HostStint, LocalTimeline, RecordKind, TimelineRecord};
 use loki_core::study::Study;
@@ -227,8 +228,8 @@ pub fn parse(
                 } else {
                     // `<index> <name> <expr...> <trigger>` — only index and
                     // name are needed to decode records.
-                    let mut tokens = line.split_whitespace();
-                    let idx_str = tokens.next().expect("non-empty");
+                    let (idx_str, rest) = split_head(line);
+                    let mut tokens = rest.split_whitespace();
                     let i: u32 = idx_str.parse().map_err(|_| {
                         ParseError::at(lineno, format!("invalid fault index `{idx_str}`"))
                     })?;
@@ -247,8 +248,8 @@ pub fn parse(
                     mode = Mode::Done;
                     continue;
                 }
-                let mut tokens = line.split_whitespace();
-                let tag = tokens.next().expect("non-empty");
+                let (tag, rest) = split_head(line);
+                let mut tokens = rest.split_whitespace();
                 match tag {
                     "0" => {
                         let ev = parse_u32(tokens.next(), lineno, "event index")?;
@@ -362,8 +363,8 @@ fn expect_keyword(line: &str, keyword: &str, lineno: usize) -> Result<(), ParseE
 }
 
 fn index_name(line: &str, lineno: usize) -> Result<(u32, String), ParseError> {
-    let mut tokens = line.split_whitespace();
-    let idx_str = tokens.next().expect("non-empty");
+    let (idx_str, rest) = split_head(line);
+    let mut tokens = rest.split_whitespace();
     let idx: u32 = idx_str
         .parse()
         .map_err(|_| ParseError::at(lineno, format!("invalid index `{idx_str}`")))?;

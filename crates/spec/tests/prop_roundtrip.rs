@@ -1,4 +1,6 @@
-//! Property tests: every writer round-trips through its parser.
+//! Property tests: every writer round-trips through its parser, and every
+//! reader is total — arbitrary text comes back as `Ok` or `Err`, never as
+//! a panic.
 
 use loki_core::fault::{FaultExpr, Trigger};
 use loki_core::ids::SymbolTable;
@@ -30,8 +32,168 @@ fn fault_expr(depth: u32) -> BoxedStrategy<FaultExpr> {
     }
 }
 
+/// The pieces arbitrary text is built from: separators (ASCII and Unicode
+/// whitespace, line breaks, `#` comments, `|`), the keywords and numbers
+/// the readers look for, and tokens no reader expects.
+const FRAGMENTS: &[&str] = &[
+    " ",
+    "  ",
+    "\t",
+    "\n",
+    "\r\n",
+    "\u{a0}",
+    "\u{85}",
+    "\u{b}",
+    "\u{c}",
+    "\u{2003}",
+    "\u{2028}",
+    "\u{3000}",
+    "#",
+    "# note",
+    "|",
+    "=",
+    "0",
+    "1",
+    "2",
+    "3",
+    "-1",
+    "4294967296",
+    "99999999999999999999",
+    "0.5",
+    "NaN",
+    "once",
+    "always",
+    "crash",
+    "crash_p",
+    "hang",
+    "drop",
+    "corrupt_state",
+    "custom",
+    "heal",
+    "partition",
+    "link",
+    "gray",
+    "slowdown=2",
+    "drop_p=0.5",
+    "delay_ns=",
+    "max_events",
+    "max_virtual_time_ns",
+    "host",
+    "state_machine_list",
+    "end_state_machine_list",
+    "global_state_list",
+    "end_global_state_list",
+    "event_list",
+    "end_event_list",
+    "fault_list",
+    "end_fault_list",
+    "local_timeline",
+    "end_local_timeline",
+    "(m:B)",
+    "(",
+    ")",
+    "&",
+    "~",
+    ":",
+    "m",
+    "A",
+    "B",
+    "GO",
+    "f",
+    "host1",
+    "é",
+    "\u{1F600}",
+];
+
+fn fragments() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..FRAGMENTS.len(), 0..40)
+        .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+}
+
+/// The study the timeline reader resolves names against.
+fn timeline_study() -> Study {
+    let def = StudyDef::new("s")
+        .machine(
+            StateMachineSpec::builder("m")
+                .states(&["A", "B"])
+                .events(&["GO"])
+                .state("A", &[], &[("GO", "B")])
+                .state("B", &[], &[("GO", "A")])
+                .build(),
+        )
+        .fault("m", "f", FaultExpr::atom("m", "B"), Trigger::Always);
+    Study::compile(&def).unwrap()
+}
+
+/// One valid input per reader, for the truncation and mutation cases.
+fn valid_files(study: &Study) -> Vec<String> {
+    let m = study.sm_id("m").unwrap();
+    let symbols = SymbolTable::for_hosts(["host1"]);
+    let mut rec = Recorder::new(m, symbols.lookup_host("host1").unwrap());
+    rec.record_state_change(
+        LocalNanos(5),
+        study.events.lookup("GO").unwrap(),
+        study.states.lookup("B").unwrap(),
+    );
+    rec.record_injection(LocalNanos(1 << 40), study.fault_names.lookup("f").unwrap());
+    vec![
+        "gfault2 ((black:CRASH) & ((green:FOLLOW) | (green:ELECT))) once\nf (m:B) always\n".into(),
+        "green host1\nblack\n# comment\n".into(),
+        "host1\nhost2\n".into(),
+        "host1 4000\nhost2 4001\n".into(),
+        "host1 17 18\n".into(),
+        "netsplit partition host1 | host2 host3\nheal_net heal\nslow gray host1 slowdown=2\n"
+            .into(),
+        "max_virtual_time_ns 2000000000\nmax_events 500000\n".into(),
+        "green\nnode\ngreen.sm\ngreen.faults\n./app\n--fast -v\n".into(),
+        timeline_file::write(study, &symbols, &rec.finish()),
+    ]
+}
+
+/// Runs every reader over `text`; returning at all is the property.
+fn read_everything(study: &Study, text: &str) {
+    let _ = files::parse_fault_spec("m", text);
+    let _ = files::parse_node_file(text);
+    let _ = files::parse_machines_file(text);
+    let _ = files::parse_daemon_startup(text);
+    let _ = files::parse_daemon_contact(text);
+    let _ = files::parse_action_file(text);
+    let _ = files::parse_budget_file(text);
+    let _ = files::parse_study_file(text);
+    let mut symbols = SymbolTable::for_hosts(["host1"]);
+    let _ = timeline_file::parse(study, &mut symbols, text);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn readers_are_total_on_arbitrary_text(text in fragments()) {
+        read_everything(&timeline_study(), &text);
+    }
+
+    #[test]
+    fn readers_are_total_on_truncated_and_mutated_files(
+        file in 0usize..64,
+        cut in 0usize..512,
+        token in 0usize..64,
+        fragment in 0..FRAGMENTS.len(),
+    ) {
+        let study = timeline_study();
+        let valid = &valid_files(&study)[file % 9];
+        // Truncated at a character boundary.
+        let cut = valid
+            .char_indices()
+            .map(|(at, _)| at)
+            .nth(cut % valid.chars().count())
+            .unwrap_or(0);
+        read_everything(&study, &valid[..cut]);
+        // One space-separated token replaced.
+        let mut tokens: Vec<&str> = valid.split(' ').collect();
+        let at = token % tokens.len();
+        tokens[at] = FRAGMENTS[fragment];
+        read_everything(&study, &tokens.join(" "));
+    }
 
     #[test]
     fn fault_expr_roundtrip(e in fault_expr(3)) {

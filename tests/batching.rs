@@ -81,17 +81,21 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
                 summary.events > 0,
                 "K={k} workers={workers}: no events counted"
             );
-            // Dead hulls reach the pool only when their world drains, so
-            // they are recycled across experiments, never within one
-            // (the sync mini-phases spawn no actors at all). Reuse is
-            // therefore guaranteed only where one worker runs a second
-            // experiment: always for a lone worker. With several workers
-            // at K = 8 the claim race may hand every worker a single
-            // experiment, and then nothing is reused.
+            // Actors reach the pool only when their world drains, so they
+            // are recycled across experiments, never within one (the sync
+            // mini-phases spawn no actors at all). A lone worker on this
+            // restart-free study therefore reuses every spawn after the
+            // first experiment's: three daemons, the central daemon and
+            // three nodes. With several workers the count depends on the
+            // claim race (at K = 8 every worker may get one experiment,
+            // and then nothing is reused).
             if workers == 1 {
-                assert!(
-                    summary.actor_reuses > 0,
-                    "K={k} workers={workers}: no pooled actor reuse"
+                let placed = study.placements.iter().filter(|(_, h)| h.is_some());
+                let spawns = pipeline.config().hosts.len() + 1 + placed.count();
+                assert_eq!(
+                    summary.actor_reuses,
+                    u64::from(experiments - 1) * spawns as u64,
+                    "K={k} workers={workers}: not every spawn after the first experiment reused"
                 );
             }
         }
