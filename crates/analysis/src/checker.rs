@@ -19,6 +19,12 @@
 //! injection it cannot prove correct is treated as incorrect and the whole
 //! experiment is discarded (§2.5).
 //!
+//! The check stores only what it decided: one [`Verdict`] byte per
+//! injection, in the order of [`GlobalTimeline::injections`], read against
+//! that event for the machine, the fault and the bounds. The text of a
+//! rejection is rendered at the display boundary
+//! ([`ExperimentVerdict::reasons`]).
+//!
 //! # Cost
 //!
 //! With `always` faults (§3.5.5) an experiment carries hundreds of
@@ -46,8 +52,8 @@ use crate::intervals::IntervalSet;
 use loki_core::fault::{CompiledExpr, Trigger};
 use loki_core::ids::{FaultId, SmId, StateId};
 use loki_core::study::Study;
-use loki_core::time::TimeBounds;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::rc::Rc;
 
 /// Truth regions of an expression: definite and possible interval sets.
@@ -165,8 +171,8 @@ impl<'a> TimelineIndex<'a> {
                 })
                 .collect();
             // The merge in `make_global` keeps a machine's events in record
-            // order; only its sort fallback (a clock stepping backwards) or
-            // a hand-built timeline needs the sort.
+            // order unless its clock stepped backwards (its timeline then
+            // merges as several runs), and a hand-built timeline may not.
             if !records.is_sorted_by_key(|&(r, _)| r) {
                 records.sort_by_key(|&(r, _)| r);
             }
@@ -232,29 +238,20 @@ pub fn expr_truth(gt: &GlobalTimeline, expr: &CompiledExpr, window: (f64, f64)) 
     Rc::unwrap_or_clone(truth)
 }
 
-/// The verdict for one recorded injection.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The checker's decision about one recorded injection: one byte, read
+/// against the injection's event. The event already holds the machine, the
+/// fault and the bounds, so a verdict stores none of them, and its text is
+/// rendered only on demand ([`ExperimentVerdict::reasons`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// Provably injected while the expression held.
     Correct,
-    /// Cannot be proven correct — treated as incorrect (conservative).
-    Incorrect {
-        /// Human-readable reason.
-        reason: String,
-    },
-}
-
-/// The check result for one injection occurrence.
-#[derive(Clone, Debug, PartialEq)]
-pub struct InjectionCheck {
-    /// The fault injected.
-    pub fault: FaultId,
-    /// The machine whose probe injected it.
-    pub sm: SmId,
-    /// Global-time bounds of the injection.
-    pub bounds: TimeBounds,
-    /// The verdict.
-    pub verdict: Verdict,
+    /// Not provably injected while the expression held — treated as
+    /// incorrect (conservative).
+    Unproven,
+    /// The injection names a fault the study does not define, so it cannot
+    /// be proven correct either.
+    UndefinedFault,
 }
 
 /// What to do about faults whose expression provably became true but which
@@ -272,8 +269,9 @@ pub enum MissingPolicy {
 /// The verdict for a whole experiment.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentVerdict {
-    /// Per-injection checks, one per injection event in timeline order.
-    pub checks: Box<[InjectionCheck]>,
+    /// One verdict per injection event in timeline order: entry *i* judges
+    /// the *i*-th event of [`GlobalTimeline::injections`].
+    pub checks: Box<[Verdict]>,
     /// Faults with provably-missed injections (see [`MissingPolicy`]).
     pub missing: Box<[FaultId]>,
     /// Whether the experiment's results may be used for measures.
@@ -285,24 +283,49 @@ impl ExperimentVerdict {
     pub fn correct_count(&self) -> usize {
         self.checks
             .iter()
-            .filter(|c| c.verdict == Verdict::Correct)
+            .filter(|&&v| v == Verdict::Correct)
             .count()
     }
 
     /// Bytes of the heap blocks this verdict owns, each at the size
     /// requested from the allocator.
     pub(crate) fn heap_bytes(&self) -> usize {
-        let reasons: usize = self
-            .checks
-            .iter()
-            .map(|c| match &c.verdict {
-                Verdict::Incorrect { reason } => reason.capacity(),
-                Verdict::Correct => 0,
+        size_of_val::<[Verdict]>(&self.checks) + size_of_val::<[FaultId]>(&self.missing)
+    }
+
+    /// Why each injection the check did not prove was rejected, in timeline
+    /// order: every verdict but [`Verdict::Correct`] rendered against its
+    /// event in `gt`, the timeline this verdict judged, and the fault names
+    /// of `study` (display boundary).
+    ///
+    /// # Panics
+    ///
+    /// Panics (when formatted) if an unproven injection's fault was not
+    /// produced by `study`.
+    pub fn reasons<'a>(
+        &'a self,
+        gt: &'a GlobalTimeline,
+        study: &'a Study,
+    ) -> impl Iterator<Item = impl fmt::Display + 'a> + 'a {
+        gt.injections()
+            .zip(&self.checks)
+            .filter(|(_, &verdict)| verdict != Verdict::Correct)
+            .map(move |((event, fault), &verdict)| {
+                fmt::from_fn(move |f| match verdict {
+                    Verdict::UndefinedFault => write!(
+                        f,
+                        "injection bounds {} carry fault #{}, which the study does not define",
+                        event.bounds,
+                        fault.raw()
+                    ),
+                    _ => write!(
+                        f,
+                        "injection bounds {} not provably within a true region of `{}`",
+                        event.bounds,
+                        study.fault_names.name(fault)
+                    ),
+                })
             })
-            .sum();
-        size_of_val::<[InjectionCheck]>(&self.checks)
-            + size_of_val::<[FaultId]>(&self.missing)
-            + reasons
     }
 }
 
@@ -311,19 +334,22 @@ impl ExperimentVerdict {
 /// The experiment is accepted iff **all** recorded injections are provably
 /// correct and (under [`MissingPolicy::Fail`]) no injection provably went
 /// missing. An injection of a fault the study does not define cannot be
-/// proven correct either: it is reported as [`Verdict::Incorrect`] and the
-/// experiment is not accepted.
+/// proven correct either: it is reported as [`Verdict::UndefinedFault`] and
+/// the experiment is not accepted.
 pub fn check_experiment(
     study: &Study,
     gt: &GlobalTimeline,
     policy: MissingPolicy,
 ) -> ExperimentVerdict {
-    // Pad the window so complements extend beyond the last event: a state
-    // held at the end remains definitely-true at the final instants.
-    let window = (gt.start.as_f64() - 1.0, gt.end.as_f64() + 1.0);
+    // The whole line, not `gt.start`/`gt.end`: an analysis window clamps
+    // those, and only the measures narrow with it. Any window strictly
+    // around every event's bounds decides alike, since the set algebra only
+    // compares endpoints; an unbounded one needs no pass to find, and keeps
+    // a state held to the end definitely true at the final instants.
+    let window = (f64::NEG_INFINITY, f64::INFINITY);
     let mut index = TimelineIndex::new(gt, window);
 
-    // Exactly one check per injection.
+    // Exactly one verdict per injection.
     let mut checks = Vec::with_capacity(gt.injections().count());
     // Indexed by `FaultId`, like `study.faults`.
     let mut injected_counts: Vec<u32> = vec![0; study.faults.len()];
@@ -332,33 +358,16 @@ pub fn check_experiment(
             .faults
             .get(fault_id.index())
             .zip(injected_counts.get_mut(fault_id.index()));
-        let verdict = match known {
+        checks.push(match known {
             Some((fault, injected)) => {
                 *injected += 1;
                 if index.holds_at(study, event, &fault.expr) == Tri::True {
                     Verdict::Correct
                 } else {
-                    Verdict::Incorrect {
-                        reason: format!(
-                            "injection bounds {} not provably within a true region of `{}`",
-                            event.bounds, fault.name
-                        ),
-                    }
+                    Verdict::Unproven
                 }
             }
-            None => Verdict::Incorrect {
-                reason: format!(
-                    "injection bounds {} carry fault #{}, which the study does not define",
-                    event.bounds,
-                    fault_id.raw()
-                ),
-            },
-        };
-        checks.push(InjectionCheck {
-            fault: fault_id,
-            sm: event.sm,
-            bounds: event.bounds,
-            verdict,
+            None => Verdict::UndefinedFault,
         });
     }
 
@@ -392,7 +401,7 @@ pub fn check_experiment(
         }
     }
 
-    let accepted = checks.iter().all(|c| c.verdict == Verdict::Correct) && missing.is_empty();
+    let accepted = checks.iter().all(|&v| v == Verdict::Correct) && missing.is_empty();
     ExperimentVerdict {
         checks: checks.into_boxed_slice(),
         missing: missing.into_boxed_slice(),
@@ -439,9 +448,9 @@ mod tests {
     use loki_core::campaign::{ExperimentData, HostSync, SyncSample};
     use loki_core::fault::FaultExpr;
     use loki_core::ids::{HostId, SymbolTable};
-    use loki_core::recorder::Recorder;
+    use loki_core::recorder::{LocalTimeline, Recorder};
     use loki_core::spec::{StateMachineSpec, StudyDef};
-    use loki_core::time::{GlobalNanos, LocalNanos};
+    use loki_core::time::{GlobalNanos, LocalNanos, TimeBounds};
     use std::sync::Arc;
 
     /// The non-reference host every test machine runs on (`h1`, id 0, is
@@ -492,6 +501,22 @@ mod tests {
         HostSync { host, samples }
     }
 
+    /// An experiment of `timelines`, with ideal sync between `h1` and `h2`.
+    fn on_h2(timelines: Vec<LocalTimeline>) -> ExperimentData {
+        ExperimentData {
+            study: "s".into(),
+            experiment: 0,
+            timelines,
+            hosts: vec![HostId::from_raw(0), h2()],
+            reference_host: HostId::from_raw(0),
+            symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
+            pre_sync: vec![ideal_sync(h2())],
+            post_sync: vec![ideal_sync(h2())],
+            end: Default::default(),
+            warnings: vec![],
+        }
+    }
+
     /// Builds an experiment where `a` enters WORK at `work_ms` and leaves at
     /// `exit_ms`, while `b` injects the fault at `inject_ms`. Both machines
     /// run on the non-reference host `h2`, so every projected time carries
@@ -513,23 +538,17 @@ mod tests {
         rec_b.record_state_change(LocalNanos::from_millis(1), go, watch);
         rec_b.record_injection(LocalNanos::from_millis(inject_ms), f);
         rec_b.record_state_change(LocalNanos::from_millis(exit_ms), done, study.reserved.exit);
-        ExperimentData {
-            study: "s".into(),
-            experiment: 0,
-            timelines: vec![rec_a.finish(), rec_b.finish()],
-            hosts: vec![HostId::from_raw(0), h2()],
-            reference_host: HostId::from_raw(0),
-            symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
-            pre_sync: vec![ideal_sync(h2())],
-            post_sync: vec![ideal_sync(h2())],
-            end: Default::default(),
-            warnings: vec![],
-        }
+        on_h2(vec![rec_a.finish(), rec_b.finish()])
     }
 
     fn check(study: &Study, data: &ExperimentData) -> ExperimentVerdict {
         let gt = make_global(study, data, &GlobalOptions::default()).unwrap();
         check_experiment(study, &gt, MissingPolicy::Fail)
+    }
+
+    /// The rendered reasons, whose text is fixed: tests hold it golden.
+    fn reasons(study: &Study, gt: &GlobalTimeline, verdict: &ExperimentVerdict) -> Vec<String> {
+        verdict.reasons(gt, study).map(|r| r.to_string()).collect()
     }
 
     #[test]
@@ -546,13 +565,15 @@ mod tests {
     fn injection_before_state_entry_is_rejected() {
         let study = study(Trigger::Once);
         let data = experiment(&study, 10, 5, 30); // injected while still in INIT
-        let verdict = check(&study, &data);
+        let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
+        let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
         assert_eq!(verdict.correct_count(), 0);
         assert!(!verdict.accepted);
-        assert!(matches!(
-            verdict.checks[0].verdict,
-            Verdict::Incorrect { .. }
-        ));
+        assert_eq!(verdict.checks[..], [Verdict::Unproven]);
+        assert_eq!(
+            reasons(&study, &gt, &verdict),
+            ["injection bounds [4.935ms, 5.066ms] not provably within a true region of `f`"]
+        );
     }
 
     #[test]
@@ -587,18 +608,7 @@ mod tests {
         rec.record_state_change(LocalNanos::from_millis(1), go, init);
         rec.record_state_change(LocalNanos::from_millis(10), go, work);
         rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
-        let data = ExperimentData {
-            study: "s".into(),
-            experiment: 0,
-            timelines: vec![rec.finish()],
-            hosts: vec![HostId::from_raw(0), h2()],
-            reference_host: HostId::from_raw(0),
-            symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
-            pre_sync: vec![ideal_sync(h2())],
-            post_sync: vec![ideal_sync(h2())],
-            end: Default::default(),
-            warnings: vec![],
-        };
+        let data = on_h2(vec![rec.finish()]);
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
         assert_eq!(verdict.missing.len(), 1);
@@ -625,18 +635,7 @@ mod tests {
         rec.record_state_change(LocalNanos::from_millis(20), go, init);
         rec.record_state_change(LocalNanos::from_millis(30), go, work);
         rec.record_state_change(LocalNanos::from_millis(40), done, study.reserved.exit);
-        let data = ExperimentData {
-            study: "s".into(),
-            experiment: 0,
-            timelines: vec![rec.finish()],
-            hosts: vec![HostId::from_raw(0), h2()],
-            reference_host: HostId::from_raw(0),
-            symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
-            pre_sync: vec![ideal_sync(h2())],
-            post_sync: vec![ideal_sync(h2())],
-            end: Default::default(),
-            warnings: vec![],
-        };
+        let data = on_h2(vec![rec.finish()]);
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
         assert_eq!(verdict.missing.len(), 1);
@@ -689,18 +688,7 @@ mod tests {
             rec_b.record_state_change(LocalNanos::from_millis(1), go, init);
             rec_b.record_state_change(LocalNanos::from_millis(b_work.0), go, work);
             rec_b.record_state_change(LocalNanos::from_millis(b_work.1), done, study.reserved.exit);
-            ExperimentData {
-                study: "s".into(),
-                experiment: 0,
-                timelines: vec![rec_a.finish(), rec_b.finish()],
-                hosts: vec![HostId::from_raw(0), h2()],
-                reference_host: HostId::from_raw(0),
-                symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
-                pre_sync: vec![ideal_sync(h2())],
-                post_sync: vec![ideal_sync(h2())],
-                end: Default::default(),
-                warnings: vec![],
-            }
+            on_h2(vec![rec_a.finish(), rec_b.finish()])
         };
 
         // b in WORK [20,40]; injection at 30: both in WORK -> correct.
@@ -741,18 +729,7 @@ mod tests {
         rec.record_state_change(LocalNanos::from_millis(10), go, work);
         rec.record_injection(LocalNanos::from_millis(10), f); // same instant
         rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
-        let data = ExperimentData {
-            study: "s".into(),
-            experiment: 0,
-            timelines: vec![rec.finish()],
-            hosts: vec![HostId::from_raw(0), h2()],
-            reference_host: HostId::from_raw(0),
-            symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
-            pre_sync: vec![ideal_sync(h2())],
-            post_sync: vec![ideal_sync(h2())],
-            end: Default::default(),
-            warnings: vec![],
-        };
+        let data = on_h2(vec![rec.finish()]);
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
         assert!(verdict.accepted, "{:?}", verdict.checks);
@@ -764,18 +741,7 @@ mod tests {
         rec.record_injection(LocalNanos::from_millis(9), f);
         rec.record_state_change(LocalNanos::from_millis(10), go, work);
         rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
-        let data = ExperimentData {
-            study: "s".into(),
-            experiment: 0,
-            timelines: vec![rec.finish()],
-            hosts: vec![HostId::from_raw(0), h2()],
-            reference_host: HostId::from_raw(0),
-            symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
-            pre_sync: vec![ideal_sync(h2())],
-            post_sync: vec![ideal_sync(h2())],
-            end: Default::default(),
-            warnings: vec![],
-        };
+        let data = on_h2(vec![rec.finish()]);
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         let verdict = check_experiment(&study, &gt, MissingPolicy::Ignore);
         assert!(!verdict.accepted);
@@ -809,18 +775,7 @@ mod tests {
             rec.record_injection(LocalNanos::from_millis(inject_ms), f3);
             rec.record_state_change(LocalNanos::from_millis(10), go, work);
             rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
-            ExperimentData {
-                study: "s".into(),
-                experiment: 0,
-                timelines: vec![rec.finish()],
-                hosts: vec![HostId::from_raw(0), h2()],
-                reference_host: HostId::from_raw(0),
-                symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
-                pre_sync: vec![ideal_sync(h2())],
-                post_sync: vec![ideal_sync(h2())],
-                end: Default::default(),
-                warnings: vec![],
-            }
+            on_h2(vec![rec.finish()])
         };
 
         let data = make(5); // in INIT: ~(a:WORK) definitely true
@@ -836,20 +791,21 @@ mod tests {
         let study = study(Trigger::Once);
         let data = experiment(&study, 10, 20, 30);
         let mut gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
-        assert!(check_experiment(&study, &gt, MissingPolicy::Ignore).accepted);
+        let verdict = check_experiment(&study, &gt, MissingPolicy::Ignore);
+        assert!(verdict.accepted);
+        assert!(reasons(&study, &gt, &verdict).is_empty());
         for e in &mut gt.events {
             if let GlobalEventKind::Injection { fault } = &mut e.kind {
                 *fault = FaultId::from_raw(7);
             }
         }
         let verdict = check_experiment(&study, &gt, MissingPolicy::Ignore);
-        assert_eq!(verdict.checks.len(), 1);
-        assert_eq!(verdict.checks[0].fault, FaultId::from_raw(7));
-        match &verdict.checks[0].verdict {
-            Verdict::Incorrect { reason } => assert!(reason.contains("#7"), "{reason}"),
-            Verdict::Correct => panic!("an undefined fault was accepted"),
-        }
+        assert_eq!(verdict.checks[..], [Verdict::UndefinedFault]);
         assert!(!verdict.accepted);
+        assert_eq!(
+            reasons(&study, &gt, &verdict),
+            ["injection bounds [19.830ms, 20.161ms] carry fault #7, which the study does not define"]
+        );
         // The defined fault lost its only injection, so it is missing too.
         let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
         assert_eq!(
@@ -873,8 +829,8 @@ mod tests {
             }
         }
         let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
-        assert_eq!(verdict.checks[0].sm, stranger);
-        assert!(verdict.accepted, "{:?}", verdict.checks);
+        assert_eq!(verdict.checks[..], [Verdict::Correct]);
+        assert!(verdict.accepted);
 
         let work = study.states.lookup("WORK").unwrap();
         study.faults[0].expr = CompiledExpr::Atom(stranger, study.reserved.begin);
@@ -885,7 +841,8 @@ mod tests {
 
     /// A machine's own state is read off its record order even when its
     /// events sit out of that order on the global timeline (a clock that
-    /// stepped backwards sends `make_global` down its sort fallback).
+    /// stepped backwards splits its timeline into runs the merge
+    /// interleaves).
     #[test]
     fn own_state_follows_record_order_not_global_order() {
         let def = StudyDef::new("s")
@@ -940,5 +897,40 @@ mod tests {
         };
         let verdict = check_experiment(&study, &gt, MissingPolicy::Ignore);
         assert!(verdict.accepted, "{:?}", verdict.checks);
+    }
+
+    /// The analysis window narrows the measures only: a state held to the
+    /// end stays definitely true past the window's edge, so the verdict is
+    /// the unrestricted one.
+    #[test]
+    fn the_analysis_window_leaves_the_verdict_alone() {
+        let study = study(Trigger::Once);
+        let a = study.sm_id("a").unwrap();
+        let b = study.sm_id("b").unwrap();
+        let go = study.events.lookup("GO").unwrap();
+        let init = study.states.lookup("INIT").unwrap();
+        let work = study.states.lookup("WORK").unwrap();
+        let watch = study.states.lookup("WATCH").unwrap();
+        let f = study.fault_names.lookup("f").unwrap();
+        // `a` enters WORK at 10 ms and never leaves; `b` injects at 40 ms.
+        let mut rec_a = Recorder::new(a, h2());
+        rec_a.record_state_change(LocalNanos::from_millis(1), go, init);
+        rec_a.record_state_change(LocalNanos::from_millis(10), go, work);
+        let mut rec_b = Recorder::new(b, h2());
+        rec_b.record_state_change(LocalNanos::from_millis(1), go, watch);
+        rec_b.record_injection(LocalNanos::from_millis(40), f);
+        let data = on_h2(vec![rec_a.finish(), rec_b.finish()]);
+        let unrestricted = check(&study, &data);
+        assert!(unrestricted.accepted, "{unrestricted:?}");
+        let opts = GlobalOptions {
+            window: Some((0.0, 35e6)),
+            ..GlobalOptions::default()
+        };
+        let gt = make_global(&study, &data, &opts).unwrap();
+        assert_eq!(gt.end, GlobalNanos(35e6));
+        assert_eq!(
+            check_experiment(&study, &gt, MissingPolicy::Fail),
+            unrestricted
+        );
     }
 }

@@ -15,7 +15,7 @@
 //! layout is what a campaign that keeps its results pays per experiment.
 
 use crate::error::AnalysisError;
-use crate::merge::{merge_sorted_runs, sort_permutation, MergeScratch};
+use crate::merge::{merge_sorted_runs, MergeScratch};
 use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, SyncOptions};
 use loki_core::campaign::ExperimentData;
 use loki_core::ids::{EventId, FaultId, HostId, SmId, StateId, SymbolTable};
@@ -403,11 +403,10 @@ fn build_global(
     let mut events = Vec::with_capacity(total_records);
     let mut intervals = Vec::with_capacity(state_setting);
     let mut messages = String::with_capacity(message_bytes);
-    // Each timeline appends one contiguous run of events. While every run
-    // stays mid-monotonic (the affine projection is monotonic in local
-    // time, so only a clock stepping backwards across a host change breaks
-    // this) the global ordering below is a k-way merge instead of a sort.
-    let mut runs_sorted = true;
+    // Each timeline appends its events as contiguous mid-monotonic runs, in
+    // input order: the affine projection is monotonic in local time, so a
+    // timeline is one run unless its clock steps backwards across a host
+    // change, which starts another. The global ordering below merges them.
 
     for timeline in &data.timelines {
         let mut current_state = study.reserved.begin;
@@ -415,7 +414,7 @@ fn build_global(
         // before ordering (remapped below).
         let mut open: Option<(StateId, u32)> = None;
         let mut checked_host: Option<HostId> = None;
-        let run_start = events.len();
+        let mut run_start = events.len();
         let mut prev_mid = f64::NEG_INFINITY;
 
         for (idx, host, record) in timeline.records_with_hosts() {
@@ -429,13 +428,12 @@ fn build_global(
                 checked_host = Some(host);
             }
             let bounds = alpha_beta[host.index()].project(record.time);
-            if runs_sorted {
-                let mid = bounds.mid().as_f64();
-                if prev_mid.total_cmp(&mid) == std::cmp::Ordering::Greater {
-                    runs_sorted = false;
-                }
-                prev_mid = mid;
+            let mid = bounds.mid().as_f64();
+            if prev_mid.total_cmp(&mid) == std::cmp::Ordering::Greater {
+                scratch.runs.push((run_start as u32, events.len() as u32));
+                run_start = events.len();
             }
+            prev_mid = mid;
             // Below `OPEN`: `check_record_count` bounds both.
             let position = events.len() as u32;
             let kind = match &record.kind {
@@ -502,23 +500,18 @@ fn build_global(
                 exit: StateInterval::OPEN,
             });
         }
-        if runs_sorted && events.len() > run_start {
+        if events.len() > run_start {
             scratch.runs.push((run_start as u32, events.len() as u32));
         }
     }
 
-    // Order by midpoint. The merge reproduces the stable sort's exact tie
+    // Order by midpoint. The merge reproduces a stable sort's exact tie
     // order — equal mids resolve by (timeline, record position), which is
-    // insertion order — so both arms are byte-identical; the merge is just
-    // O(n log k). Either arm yields one destination permutation, which
-    // first carries the intervals' event positions and then moves the
-    // events; both are allocation-free once the scratch has warmed up.
-    let mid = |e: &GlobalEvent| e.bounds.mid().as_f64();
-    if runs_sorted {
-        merge_sorted_runs(&events, scratch, mid);
-    } else {
-        sort_permutation(&events, scratch, mid);
-    }
+    // insertion order — in O(n log k). It yields one destination
+    // permutation, which first carries the intervals' event positions and
+    // then moves the events; both are allocation-free once the scratch has
+    // warmed up.
+    merge_sorted_runs(&events, scratch, |e| e.bounds.mid().as_f64());
     let perm = scratch.permutation();
     if !perm.is_empty() {
         let moved = |position: u32| match position {
@@ -1051,9 +1044,9 @@ mod tests {
 
     /// Four shapes that leave the thread-local scratch in different states:
     /// a single run (the merge returns at once), four interleaving runs,
-    /// a clock stepping backwards across a host change (sort fallback, run
-    /// table abandoned half-built), and an `UnknownHost` on the third of
-    /// four timelines (two runs already tabled).
+    /// a clock stepping backwards across a host change (its timeline split
+    /// into two runs), and an `UnknownHost` on the third of four timelines
+    /// (two runs already tabled).
     fn scratch_shapes() -> (Study, Vec<ExperimentData>) {
         let study = study_of(&["a", "b", "c", "d"]);
         let hosts = ["h1", "h2", "h3", "h4"];

@@ -47,8 +47,9 @@
 //! [`GlobalTimeline::enter_of`]/[`GlobalTimeline::exit_of`]. A user
 //! message's event names a span of its timeline's one text buffer
 //! ([`GlobalTimeline::user_message`]), so no event carries a `String`.
-//! Every sequence is a boxed slice built at its final length, and the rare
-//! [`AnalysisError`] sits behind a `Box`, which keeps an
+//! The check keeps one [`Verdict`] byte per injection, read against its
+//! event. Every sequence is a boxed slice built at its final length, and
+//! the rare [`AnalysisError`] sits behind a `Box`, which keeps an
 //! [`AnalyzedExperiment`] at 160 bytes plus exactly the heap it uses
 //! ([`AnalyzedExperiment::approx_size_bytes`]). A unit test holds these
 //! sizes, and `tests/result_bytes.rs` holds the byte count to the
@@ -194,6 +195,7 @@ mod tests {
             "{}",
             size_of::<GlobalEvent>()
         );
+        assert_eq!(size_of::<Verdict>(), 1);
         assert!(
             size_of::<AnalyzedExperiment>() <= 160,
             "{}",

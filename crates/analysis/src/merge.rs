@@ -1,31 +1,27 @@
-//! Ordering time-stamped events: a k-way merge of sorted runs, or a sort.
+//! Ordering time-stamped events: a k-way merge of sorted runs.
 //!
-//! `make_global` appends each local timeline's events as one contiguous
-//! *run*, and within a run the projected midpoints are (almost always)
-//! already non-decreasing — the affine `(α, β)` projection is monotonic in
-//! local time. Globally ordering the events therefore does not need a full
-//! `O(n log n)` stable sort: merging the `k` runs head-to-head is
+//! `make_global` appends each local timeline's events as contiguous *runs*
+//! within which the projected midpoints are non-decreasing — the affine
+//! `(α, β)` projection is monotonic in local time, so a timeline is one run
+//! unless its clock steps backwards (a restart onto a different host), which
+//! starts another. Globally ordering the events therefore does not need a
+//! full `O(n log n)` stable sort: merging the `k` runs head-to-head is
 //! `O(n log k)`, and against a reused [`MergeScratch`] it allocates nothing.
 //!
-//! The merge must be *byte-identical* to the stable sort it replaces.
+//! The merge must be *byte-identical* to a stable sort of the same slice.
 //! A stable sort keyed on the midpoint keeps equal-key elements in input
-//! order, and input order here is `(run index, position within run)` —
-//! exactly the order a min-heap keyed `(mid, run)` pops tied heads in, since
-//! positions within one run enter the heap in order.
+//! order, and with contiguous runs in input order that is `(run index,
+//! position within run)` — exactly the order a min-heap keyed `(mid, run)`
+//! pops tied heads in, since positions within one run enter the heap in
+//! order.
 //!
-//! Both orderings work in two steps. [`merge_sorted_runs`] (or, when some
-//! run is not sorted, [`sort_permutation`]) only computes the destination
-//! permutation `perm[src] == dst`; the caller may read it
+//! The ordering works in two steps. [`merge_sorted_runs`] only computes the
+//! destination permutation `perm[src] == dst`; the caller may read it
 //! ([`MergeScratch::permutation`]) to move positions it holds elsewhere —
 //! `make_global`'s state intervals point at their events — and then
 //! [`MergeScratch::permute`] applies it in place with a cycle walk: no
 //! element clones (event payloads may own strings), no unsafe (this crate
 //! forbids it), no extra buffers beyond the reused scratch.
-//!
-//! Callers are responsible for detecting the (rare) non-monotonic run —
-//! e.g. a clock stepping backwards across a restart onto a different host —
-//! and taking the sort instead, which
-//! [`make_global`](crate::global::make_global) does.
 
 use loki_core::campaign::SyncSample;
 use std::cmp::Ordering;
@@ -56,9 +52,9 @@ fn head_lt(a: &Head, b: &Head) -> bool {
 }
 
 /// Reusable scratch for ordering events: the run table filled by the
-/// caller, plus the permutation, heap and sort buffers the orderings work
-/// in. All retain capacity across uses, so a reused `MergeScratch` makes
-/// either ordering allocation-free in steady state. `make_global` keeps one
+/// caller, plus the permutation and heap buffers the merge works in. All
+/// retain capacity across uses, so a reused `MergeScratch` makes the merge
+/// allocation-free in steady state. `make_global` keeps one
 /// per thread and gathers its one other per-experiment buffer here too, so
 /// a single object covers the whole construction.
 #[derive(Debug, Default)]
@@ -70,14 +66,12 @@ pub struct MergeScratch {
     /// order. Filled by the caller before [`merge_sorted_runs`]; ranges
     /// must be non-empty, non-overlapping, and cover the slice exactly.
     pub runs: Vec<(u32, u32)>,
-    /// Destination permutation (`perm[src] == dst`), built by an ordering
+    /// Destination permutation (`perm[src] == dst`), built by the merge
     /// and consumed in place by [`MergeScratch::permute`]; empty when the
     /// items are already in order.
     perm: Vec<u32>,
     /// The k-entry min-heap of run heads.
     heap: Vec<Head>,
-    /// The sort's source indexes in destination order (`order[dst] == src`).
-    order: Vec<u32>,
 }
 
 impl MergeScratch {
@@ -87,10 +81,9 @@ impl MergeScratch {
         self.runs.clear();
         self.perm.clear();
         self.heap.clear();
-        self.order.clear();
     }
 
-    /// The destination permutation of the last ordering (`perm[src] ==
+    /// The destination permutation of the last merge (`perm[src] ==
     /// dst`), not yet applied; empty when the items are already in order.
     pub fn permutation(&self) -> &[u32] {
         &self.perm
@@ -214,29 +207,6 @@ pub fn merge_sorted_runs<T, F: Fn(&T) -> f64>(items: &[T], scratch: &mut MergeSc
     }
 }
 
-/// Computes into `scratch` the destination permutation of a stable sort of
-/// `items` by `total_cmp(key)`, whatever their order: source indexes are
-/// sorted by `(key, index)` — a total order, so the unstable sort needs no
-/// buffer and still places ties in input order — then inverted. Apply it
-/// with [`MergeScratch::permute`]. The run table is ignored.
-pub fn sort_permutation<T, F: Fn(&T) -> f64>(items: &[T], scratch: &mut MergeScratch, key: F) {
-    let MergeScratch { perm, order, .. } = scratch;
-    let n = items.len();
-    debug_assert!(u32::try_from(n).is_ok(), "sort index space is u32");
-    order.clear();
-    order.extend(0..n as u32);
-    order.sort_unstable_by(|&a, &b| {
-        key(&items[a as usize])
-            .total_cmp(&key(&items[b as usize]))
-            .then(a.cmp(&b))
-    });
-    perm.clear();
-    perm.resize(n, 0);
-    for (dst, &src) in order.iter().enumerate() {
-        perm[src as usize] = dst as u32;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,11 +231,6 @@ mod tests {
             }
         }
         let reference = stable(items.clone());
-        // The sort fallback orders the same input the same way.
-        let mut sorted = items.clone();
-        sort_permutation(&sorted, &mut scratch, |e| e.0);
-        scratch.permute(&mut sorted);
-        assert_eq!(sorted, reference, "sort fallback");
         merge_sorted_runs(&items, &mut scratch, |e| e.0);
         scratch.permute(&mut items);
         (items, reference)

@@ -5,14 +5,16 @@
 //! non-decreasing under `total_cmp(key)`, [`merge_sorted_runs`] leaves the
 //! slice exactly as `sort_by(|a, b| key(a).total_cmp(&key(b)))` would —
 //! including the order *within* groups of equal keys, which a stable sort
-//! resolves to input order. [`sort_permutation`], the fallback for runs
-//! that are not sorted, owes the same on any input. Duplicate keys spanning many runs are the case
-//! that breaks naive merges (a heap keyed on the key alone pops ties in
-//! heap-shape order), so the randomized sweep below draws keys from a
-//! deliberately tiny pool to force large cross-run tie groups.
+//! resolves to input order. Any input becomes such runs when it is split
+//! wherever its key steps back, as `make_global` splits a timeline whose
+//! clock stepped backwards, so the merge owes the same on any input once
+//! split. Duplicate keys spanning many runs are the case that breaks naive
+//! merges (a heap keyed on the key alone pops ties in heap-shape order), so
+//! the randomized sweep below draws keys from a deliberately tiny pool to
+//! force large cross-run tie groups.
 
 use loki_analysis::global::{make_global, GlobalOptions};
-use loki_analysis::merge::{merge_sorted_runs, sort_permutation, MergeScratch};
+use loki_analysis::merge::{merge_sorted_runs, MergeScratch};
 use loki_core::campaign::{ExperimentData, HostSync, SyncSample};
 use loki_core::ids::SymbolTable;
 use loki_core::recorder::Recorder;
@@ -81,11 +83,11 @@ proptest! {
         prop_assert_eq!(merged, sorted);
     }
 
-    /// The fallback for runs that are not sorted: the index sort, applied
-    /// by the same cycle walk, is byte-identical to the stable sort on
-    /// arbitrary input, ties included.
+    /// Input that is not sorted: split into runs wherever the key steps
+    /// back, the merge is byte-identical to the stable sort of the whole
+    /// input, ties included.
     #[test]
-    fn sort_permutation_matches_stable_sort_on_unsorted_input(
+    fn merge_of_runs_split_at_descents_matches_stable_sort_on_unsorted_input(
         runs in prop::collection::vec(run_strategy(), 0..12),
         reversed in any::<bool>(),
     ) {
@@ -96,7 +98,17 @@ proptest! {
         let mut sorted = items.clone();
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut scratch = MergeScratch::default();
-        sort_permutation(&items, &mut scratch, |&(key, _)| key);
+        let mut start = 0;
+        for i in 1..items.len() {
+            if items[i - 1].0.total_cmp(&items[i].0).is_gt() {
+                scratch.runs.push((start, i as u32));
+                start = i as u32;
+            }
+        }
+        if !items.is_empty() {
+            scratch.runs.push((start, items.len() as u32));
+        }
+        merge_sorted_runs(&items, &mut scratch, |&(key, _)| key);
         scratch.permute(&mut items);
         prop_assert_eq!(items, sorted);
     }

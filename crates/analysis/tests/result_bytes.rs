@@ -6,7 +6,7 @@
 use loki_analysis::{analyze_one, AnalysisOptions, AnalyzedExperiment, Verdict};
 use loki_core::campaign::{ExperimentData, ExperimentEnd, HostSync, SyncSample};
 use loki_core::fault::{FaultExpr, Trigger};
-use loki_core::ids::{HostId, SymbolTable};
+use loki_core::ids::{FaultId, HostId, SymbolTable};
 use loki_core::recorder::Recorder;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
@@ -102,8 +102,9 @@ fn ideal_sync(host: HostId) -> HostSync {
 
 /// Both machines on the non-reference host `h2`: `a` enters WORK at 10 ms
 /// and logs two user messages, `b` injects `early` at 5 ms — while `a` is
-/// still in INIT, so the check rejects it — and never injects `never`,
-/// which the check reports missing.
+/// still in INIT, so the check rejects it — and fault #7 at 20 ms, which
+/// the study does not define. It never injects `never`, which the check
+/// reports missing.
 fn experiment(study: &Study) -> ExperimentData {
     let (h1, h2) = (HostId::from_raw(0), HostId::from_raw(1));
     let a = study.sm_id("a").unwrap();
@@ -123,6 +124,7 @@ fn experiment(study: &Study) -> ExperimentData {
     let mut rec_b = Recorder::new(b, h2);
     rec_b.record_state_change(ms(1), go, watch);
     rec_b.record_injection(ms(5), study.fault_names.lookup("early").unwrap());
+    rec_b.record_injection(ms(20), FaultId::from_raw(7));
     rec_b.record_state_change(ms(30), done, study.reserved.exit);
     ExperimentData {
         study: "s".into(),
@@ -167,13 +169,10 @@ fn a_checked_result_reports_the_bytes_it_keeps() {
     let study = study();
     let analyzed = assert_exact(&study, &experiment(&study));
     let verdict = analyzed.verdict.as_ref().expect("checked");
-    assert!(matches!(
+    assert_eq!(
         verdict.checks[..],
-        [loki_analysis::checker::InjectionCheck {
-            verdict: Verdict::Incorrect { .. },
-            ..
-        }]
-    ));
+        [Verdict::Unproven, Verdict::UndefinedFault]
+    );
     assert_eq!(verdict.missing.len(), 1);
     let global = analyzed.global.as_ref().expect("built");
     let messages: Vec<&str> = global

@@ -168,22 +168,19 @@ fn main() {
     harness.max_virtual_time = budget.max_virtual_time_ns;
     harness.max_events = budget.max_events;
     let debug = std::env::var("LOKI_DEBUG").is_ok();
-    let pipeline = CampaignPipeline::new(study, factory, harness);
+    let pipeline = CampaignPipeline::new(Arc::clone(&study), factory, harness);
     let summary = pipeline
         .run(8, |a| {
             if !debug {
                 return;
             }
-            if let Some(v) = &a.verdict {
+            if let (Some(v), Some(gt)) = (&a.verdict, &a.global) {
                 eprintln!(
                     "exp {}: accepted={} missing={:?}",
                     a.experiment, v.accepted, v.missing
                 );
-                for c in &v.checks {
-                    eprintln!(
-                        "   check fault {:?} at {}: {:?}",
-                        c.fault, c.bounds, c.verdict
-                    );
+                for reason in v.reasons(gt, &study) {
+                    eprintln!("   {reason}");
                 }
             } else {
                 eprintln!("exp {}: end={:?} err={:?}", a.experiment, a.end, a.error);
