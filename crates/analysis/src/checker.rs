@@ -66,8 +66,9 @@ pub struct Truth {
 }
 
 /// Computes the truth regions of an atom `(sm:state)` from the global
-/// timeline's occupancy intervals.
-fn atom_truth(gt: &GlobalTimeline, sm: SmId, state: StateId, window: (f64, f64)) -> Truth {
+/// timeline's occupancy intervals. A state never left holds to the end of
+/// the line.
+fn atom_truth(gt: &GlobalTimeline, sm: SmId, state: StateId) -> Truth {
     let mut definite = Vec::new();
     let mut possible = Vec::new();
     for iv in gt.intervals_of(sm) {
@@ -76,7 +77,7 @@ fn atom_truth(gt: &GlobalTimeline, sm: SmId, state: StateId, window: (f64, f64))
         }
         let (exit_lo, exit_hi) = match gt.exit_of(iv) {
             Some(exit) => (exit.lo.as_f64(), exit.hi.as_f64()),
-            None => (window.1, window.1),
+            None => (f64::INFINITY, f64::INFINITY),
         };
         let enter = gt.enter_of(iv);
         definite.push((enter.hi.as_f64(), exit_lo));
@@ -92,7 +93,6 @@ fn atom_truth(gt: &GlobalTimeline, sm: SmId, state: StateId, window: (f64, f64))
 /// first query (see the module's "Cost" section).
 struct TimelineIndex<'a> {
     gt: &'a GlobalTimeline,
-    window: (f64, f64),
     /// Per machine queried so far: its state-setting records as
     /// `(record_index, state entered)`, ascending by record index.
     own: BTreeMap<SmId, Vec<(u32, StateId)>>,
@@ -101,10 +101,9 @@ struct TimelineIndex<'a> {
 }
 
 impl<'a> TimelineIndex<'a> {
-    fn new(gt: &'a GlobalTimeline, window: (f64, f64)) -> Self {
+    fn new(gt: &'a GlobalTimeline) -> Self {
         TimelineIndex {
             gt,
-            window,
             own: BTreeMap::new(),
             atoms: BTreeMap::new(),
         }
@@ -112,15 +111,15 @@ impl<'a> TimelineIndex<'a> {
 
     /// The truth regions of the atom `(sm:state)`, computed once.
     fn atom(&mut self, sm: SmId, state: StateId) -> &Rc<Truth> {
-        let (gt, window) = (self.gt, self.window);
+        let gt = self.gt;
         self.atoms
             .entry((sm, state))
-            .or_insert_with(|| Rc::new(atom_truth(gt, sm, state, window)))
+            .or_insert_with(|| Rc::new(atom_truth(gt, sm, state)))
     }
 
-    /// The truth regions of a compiled fault expression.
+    /// The truth regions of a compiled fault expression. Complements run
+    /// over the whole line.
     fn expr_truth(&mut self, expr: &CompiledExpr) -> Rc<Truth> {
-        let window = self.window;
         match expr {
             CompiledExpr::Atom(sm, state) => Rc::clone(self.atom(*sm, *state)),
             CompiledExpr::And(a, b) => {
@@ -142,8 +141,8 @@ impl<'a> TimelineIndex<'a> {
             CompiledExpr::Not(a) => {
                 let ta = self.expr_truth(a);
                 Rc::new(Truth {
-                    definite: ta.possible.complement(window.0, window.1),
-                    possible: ta.definite.complement(window.0, window.1),
+                    definite: ta.possible.complement(f64::NEG_INFINITY, f64::INFINITY),
+                    possible: ta.definite.complement(f64::NEG_INFINITY, f64::INFINITY),
                 })
             }
         }
@@ -230,8 +229,8 @@ impl<'a> TimelineIndex<'a> {
 }
 
 /// Computes the truth regions of a compiled fault expression.
-pub fn expr_truth(gt: &GlobalTimeline, expr: &CompiledExpr, window: (f64, f64)) -> Truth {
-    let mut index = TimelineIndex::new(gt, window);
+pub fn expr_truth(gt: &GlobalTimeline, expr: &CompiledExpr) -> Truth {
+    let mut index = TimelineIndex::new(gt);
     let truth = index.expr_truth(expr);
     // A bare atom is still shared with the memo; let go of it first.
     drop(index);
@@ -341,13 +340,7 @@ pub fn check_experiment(
     gt: &GlobalTimeline,
     policy: MissingPolicy,
 ) -> ExperimentVerdict {
-    // The whole line, not `gt.start`/`gt.end`: an analysis window clamps
-    // those, and only the measures narrow with it. Any window strictly
-    // around every event's bounds decides alike, since the set algebra only
-    // compares endpoints; an unbounded one needs no pass to find, and keeps
-    // a state held to the end definitely true at the final instants.
-    let window = (f64::NEG_INFINITY, f64::INFINITY);
-    let mut index = TimelineIndex::new(gt, window);
+    let mut index = TimelineIndex::new(gt);
 
     // Exactly one verdict per injection.
     let mut checks = Vec::with_capacity(gt.injections().count());
@@ -378,13 +371,13 @@ pub fn check_experiment(
     if policy == MissingPolicy::Fail {
         for (fault, &injected) in study.faults.iter().zip(&injected_counts) {
             let truth = index.expr_truth(&fault.expr);
-            let definitely_false = truth.possible.complement(window.0, window.1);
+            let definitely_false = truth.possible.complement(f64::NEG_INFINITY, f64::INFINITY);
             // A false→true edge provably occurred before a definite-true
             // span iff the expression was provably false at some point
             // since the previous definite-true span (clock-uncertainty
             // bands in between do not refute the edge).
             let mut provable_edges = 0usize;
-            let mut prev_hi = window.0;
+            let mut prev_hi = f64::NEG_INFINITY;
             for &(lo, hi) in truth.definite.spans() {
                 if definitely_false.overlaps(prev_hi, lo) {
                     provable_edges += 1;
@@ -897,40 +890,5 @@ mod tests {
         };
         let verdict = check_experiment(&study, &gt, MissingPolicy::Ignore);
         assert!(verdict.accepted, "{:?}", verdict.checks);
-    }
-
-    /// The analysis window narrows the measures only: a state held to the
-    /// end stays definitely true past the window's edge, so the verdict is
-    /// the unrestricted one.
-    #[test]
-    fn the_analysis_window_leaves_the_verdict_alone() {
-        let study = study(Trigger::Once);
-        let a = study.sm_id("a").unwrap();
-        let b = study.sm_id("b").unwrap();
-        let go = study.events.lookup("GO").unwrap();
-        let init = study.states.lookup("INIT").unwrap();
-        let work = study.states.lookup("WORK").unwrap();
-        let watch = study.states.lookup("WATCH").unwrap();
-        let f = study.fault_names.lookup("f").unwrap();
-        // `a` enters WORK at 10 ms and never leaves; `b` injects at 40 ms.
-        let mut rec_a = Recorder::new(a, h2());
-        rec_a.record_state_change(LocalNanos::from_millis(1), go, init);
-        rec_a.record_state_change(LocalNanos::from_millis(10), go, work);
-        let mut rec_b = Recorder::new(b, h2());
-        rec_b.record_state_change(LocalNanos::from_millis(1), go, watch);
-        rec_b.record_injection(LocalNanos::from_millis(40), f);
-        let data = on_h2(vec![rec_a.finish(), rec_b.finish()]);
-        let unrestricted = check(&study, &data);
-        assert!(unrestricted.accepted, "{unrestricted:?}");
-        let opts = GlobalOptions {
-            window: Some((0.0, 35e6)),
-            ..GlobalOptions::default()
-        };
-        let gt = make_global(&study, &data, &opts).unwrap();
-        assert_eq!(gt.end, GlobalNanos(35e6));
-        assert_eq!(
-            check_experiment(&study, &gt, MissingPolicy::Fail),
-            unrestricted
-        );
     }
 }

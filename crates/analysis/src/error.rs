@@ -22,14 +22,6 @@ pub enum AnalysisError {
         /// The state machine whose timeline referenced it.
         sm: String,
     },
-    /// The analysis window of [`crate::global::GlobalOptions`] is unusable:
-    /// bounds must be finite with `lo <= hi`.
-    InvalidWindow {
-        /// The offending lower bound (ns).
-        lo: f64,
-        /// The offending upper bound (ns).
-        hi: f64,
-    },
     /// The experiment has more records than the global timeline can
     /// address: events are named by `u32` positions, one value of which
     /// means "no event".
@@ -55,10 +47,6 @@ impl fmt::Display for AnalysisError {
                 f,
                 "timeline of `{sm}` references host `{host}` with no sync data"
             ),
-            AnalysisError::InvalidWindow { lo, hi } => write!(
-                f,
-                "invalid analysis window [{lo}, {hi}] ns: bounds must be finite with lo <= hi"
-            ),
             AnalysisError::TooManyRecords { records } => write!(
                 f,
                 "{records} records exceed the {} a global timeline can address",
@@ -80,9 +68,7 @@ impl AnalysisError {
         match self {
             AnalysisError::Sync { host, .. } => host.capacity(),
             AnalysisError::UnknownHost { host, sm } => host.capacity() + sm.capacity(),
-            AnalysisError::InvalidWindow { .. }
-            | AnalysisError::TooManyRecords { .. }
-            | AnalysisError::MessagesTooLong { .. } => 0,
+            AnalysisError::TooManyRecords { .. } | AnalysisError::MessagesTooLong { .. } => 0,
         }
     }
 }
@@ -113,9 +99,6 @@ mod tests {
             sm: "black".into(),
         };
         assert!(e.to_string().contains("black"));
-        assert!(e.source().is_none());
-        let e = AnalysisError::InvalidWindow { lo: 2.0, hi: 1.0 };
-        assert!(e.to_string().contains("analysis window"));
         assert!(e.source().is_none());
         let e = AnalysisError::TooManyRecords {
             records: usize::MAX,

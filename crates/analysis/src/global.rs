@@ -273,32 +273,6 @@ impl fmt::Debug for GlobalTimeline {
 pub struct GlobalOptions {
     /// Options for the `(α, β)` bound estimation.
     pub sync: SyncOptions,
-    /// Optional restriction of the analysis window, `(lo, hi)` in global
-    /// nanoseconds. When set, the resulting [`GlobalTimeline`]'s
-    /// `start`/`end` are clamped to this window (events and intervals are
-    /// kept — only the measure-evaluation window narrows). Bounds must be
-    /// finite with `lo <= hi`; anything else is rejected by
-    /// [`GlobalOptions::validate`] with [`AnalysisError::InvalidWindow`].
-    pub window: Option<(f64, f64)>,
-}
-
-impl GlobalOptions {
-    /// Checks the options for degenerate values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::InvalidWindow`] when the analysis window
-    /// has non-finite bounds or `lo > hi`. A silently-accepted inverted or
-    /// NaN window would make every measure evaluate over an empty (or
-    /// nonsensical) range and report zeros that look like real results.
-    pub fn validate(&self) -> Result<(), AnalysisError> {
-        if let Some((lo, hi)) = self.window {
-            if !lo.is_finite() || !hi.is_finite() || lo > hi {
-                return Err(AnalysisError::InvalidWindow { lo, hi });
-            }
-        }
-        Ok(())
-    }
 }
 
 thread_local! {
@@ -320,20 +294,18 @@ thread_local! {
 ///
 /// Returns [`AnalysisError::Sync`] when a host's clock cannot be calibrated,
 /// [`AnalysisError::UnknownHost`] when a timeline references a host with
-/// no sync data, [`AnalysisError::InvalidWindow`] when the options carry
-/// a degenerate analysis window, and [`AnalysisError::TooManyRecords`] when
+/// no sync data, and [`AnalysisError::TooManyRecords`] when
 /// the experiment has more records than a `u32` event position can name.
 pub fn make_global(
     study: &Study,
     data: &ExperimentData,
     opts: &GlobalOptions,
 ) -> Result<GlobalTimeline, AnalysisError> {
-    opts.validate()?;
     SCRATCH.with(|scratch| build_global(study, data, opts, &mut scratch.borrow_mut()))
 }
 
 /// Calibrates, projects and orders one experiment, working in `scratch`
-/// (cleared first). Assumes the options are already validated.
+/// (cleared first).
 fn build_global(
     study: &Study,
     data: &ExperimentData,
@@ -536,20 +508,6 @@ fn build_global(
         (GlobalNanos::ZERO, GlobalNanos::ZERO)
     } else {
         (start, end)
-    };
-    let (start, end) = match opts.window {
-        Some((lo, hi)) => {
-            let start = GlobalNanos(start.as_f64().max(lo));
-            let end = GlobalNanos(end.as_f64().min(hi));
-            // A window disjoint from the experiment collapses to an empty
-            // window at its nearer edge.
-            if start.as_f64() > end.as_f64() {
-                (start, start)
-            } else {
-                (start, end)
-            }
-        }
-        None => (start, end),
     };
 
     // Uncalibrated hosts were never referenced (the loop above would have
@@ -897,7 +855,7 @@ mod tests {
             r#"], intervals: [StateInterval { sm: #1, state: #4, enter: TimeBounds { lo: GlobalNanos(9.5), hi: GlobalNanos(9.5) }, exit: Some(TimeBounds { lo: GlobalNanos(39.5), hi: GlobalNanos(40.25) }) }"#,
             r#", StateInterval { sm: #0, state: #2, enter: TimeBounds { lo: GlobalNanos(9.5), hi: GlobalNanos(10.25) }, exit: None }"#,
             r#"], start: GlobalNanos(9.5), end: GlobalNanos(40.25), alpha_beta: [AlphaBetaBounds { alpha_lo: 0.0, alpha_hi: 0.0, beta_lo: 1.0, beta_hi: 1.0 }, AlphaBetaBounds { alpha_lo: -1.5, alpha_hi: 2.0, beta_lo: 0.999, beta_hi: 1.001 }], reference_host: #0"#,
-            r#", symbols: SymbolTable { hosts: NameTable { names: ["h1", "h2"], index: {"h2": 1, "h1": 0}, _tag: PhantomData<fn() -> loki_core::ids::HostTag> }, syms: NameTable { names: [], index: {}, _tag: PhantomData<fn() -> loki_core::ids::SymTag> } } }"#,
+            r#", symbols: SymbolTable { hosts: NameTable { names: ["h1", "h2"], index: {"h2": 1, "h1": 0}, _tag: PhantomData<fn() -> loki_core::ids::HostTag> } } }"#,
         );
         assert_eq!(format!("{:?}", golden_timeline()), golden);
     }
@@ -936,72 +894,6 @@ mod tests {
         data.post_sync.clear();
         let err = make_global(&study, &data, &GlobalOptions::default());
         assert!(matches!(err, Err(AnalysisError::Sync { .. })));
-    }
-
-    #[test]
-    fn degenerate_analysis_windows_are_rejected() {
-        let study = study();
-        let data = experiment(&study);
-        for window in [
-            (2.0, 1.0),                     // inverted
-            (f64::NAN, 1.0),                // NaN edge
-            (0.0, f64::NAN),                // NaN edge
-            (f64::NEG_INFINITY, 0.0),       // non-finite edge
-            (0.0, f64::INFINITY),           // non-finite edge
-            (f64::INFINITY, f64::INFINITY), // both non-finite
-        ] {
-            let opts = GlobalOptions {
-                window: Some(window),
-                ..Default::default()
-            };
-            assert!(
-                matches!(opts.validate(), Err(AnalysisError::InvalidWindow { .. })),
-                "window {window:?} must be rejected"
-            );
-            assert!(
-                matches!(
-                    make_global(&study, &data, &opts),
-                    Err(AnalysisError::InvalidWindow { .. })
-                ),
-                "make_global must reject window {window:?}"
-            );
-        }
-        // An empty-but-valid window (lo == hi) is accepted.
-        let opts = GlobalOptions {
-            window: Some((5.0, 5.0)),
-            ..Default::default()
-        };
-        assert!(opts.validate().is_ok());
-    }
-
-    #[test]
-    fn analysis_window_clamps_the_experiment_window() {
-        let study = study();
-        let data = experiment(&study);
-        let unrestricted = make_global(&study, &data, &GlobalOptions::default()).unwrap();
-        // Restrict to a window strictly inside the experiment.
-        let (lo, hi) = (
-            unrestricted.start.as_f64() + 1_000_000.0,
-            unrestricted.end.as_f64() - 1_000_000.0,
-        );
-        let opts = GlobalOptions {
-            window: Some((lo, hi)),
-            ..Default::default()
-        };
-        let gt = make_global(&study, &data, &opts).unwrap();
-        assert_eq!(gt.start.as_f64(), lo);
-        assert_eq!(gt.end.as_f64(), hi);
-        // Events and intervals are untouched.
-        assert_eq!(gt.events, unrestricted.events);
-        assert_eq!(gt.intervals, unrestricted.intervals);
-        // A disjoint window collapses to empty at its nearer edge.
-        let far = unrestricted.end.as_f64() + 1e9;
-        let opts = GlobalOptions {
-            window: Some((far, far + 1.0)),
-            ..Default::default()
-        };
-        let gt = make_global(&study, &data, &opts).unwrap();
-        assert_eq!(gt.start, gt.end);
     }
 
     #[test]

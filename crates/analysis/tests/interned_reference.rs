@@ -14,7 +14,7 @@
 //! copied from the raw records, so it is also the value oracle for the
 //! compact intervals, which only point at their events: what
 //! `enter_of`/`exit_of` resolve must equal the reference's bounds, on a
-//! merge of many runs and on the sort fallback alike.
+//! merge of many runs and on a run split where a clock steps back alike.
 
 use loki_analysis::global::{make_global, GlobalEventKind, GlobalOptions, GlobalTimeline};
 use loki_analysis::AnalysisError;
@@ -365,7 +365,8 @@ fn assert_matches_reference(study: &Study, data: &ExperimentData) -> GlobalTimel
 }
 
 /// Whether some machine's events sit out of record order on the timeline —
-/// only the sort fallback leaves them so; the merge keeps every run whole.
+/// only a run split where a clock steps back leaves them so; otherwise a
+/// machine's timeline merges as one whole run.
 fn out_of_record_order(gt: &GlobalTimeline) -> bool {
     let mut last = std::collections::BTreeMap::new();
     !gt.events.iter().all(|e| {
@@ -406,7 +407,10 @@ fn a_clock_stepping_back_across_a_restart_matches_the_reference() {
     let study = study();
     let data = backwards_fixture(&study);
     let gt = assert_matches_reference(&study, &data);
-    assert!(out_of_record_order(&gt), "the sort fallback was not taken");
+    assert!(
+        out_of_record_order(&gt),
+        "no run was split where the clock stepped back"
+    );
     assert!(gt
         .events
         .iter()

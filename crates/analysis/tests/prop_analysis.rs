@@ -125,8 +125,7 @@ proptest! {
         expr in expr_strategy(3),
         probes in prop::collection::vec(0.0f64..200.0, 1..20),
     ) {
-        let window = (-1.0, 201.0);
-        let truth = expr_truth(&gt, &expr, window);
+        let truth = expr_truth(&gt, &expr);
         for t in probes {
             if truth.definite.contains(t) {
                 prop_assert!(
@@ -145,13 +144,8 @@ proptest! {
         expr in expr_strategy(2),
         probes in prop::collection::vec(0.0f64..200.0, 1..20),
     ) {
-        let window = (-1.0, 201.0);
-        let e = expr_truth(&gt, &expr, window);
-        let not_e = expr_truth(
-            &gt,
-            &CompiledExpr::Not(Box::new(expr.clone())),
-            window,
-        );
+        let e = expr_truth(&gt, &expr);
+        let not_e = expr_truth(&gt, &CompiledExpr::Not(Box::new(expr.clone())));
         for t in probes {
             prop_assert!(!(not_e.definite.contains(t) && e.possible.contains(t)));
             prop_assert!(!(not_e.possible.contains(t) && e.definite.contains(t)));
@@ -175,8 +169,7 @@ proptest! {
             t += 10.0;
         }
         let gt = timeline(draft, 100.0);
-        let window = (-1.0, 101.0);
-        let truth = expr_truth(&gt, &expr, window);
+        let truth = expr_truth(&gt, &expr);
         for t in probes {
             // Avoid the measure-zero transition instants.
             if (t / 10.0).fract() < 1e-9 {

@@ -200,7 +200,7 @@ impl KvReplica {
     /// Seeds the replica's initial belief about who the primary is (the
     /// factory passes the configured initial primary). Without a hint the
     /// belief forms from the first replicated operation observed.
-    pub fn with_primary_hint(mut self, primary: Option<SmId>) -> Self {
+    fn with_primary_hint(mut self, primary: Option<SmId>) -> Self {
         self.believed_primary = primary;
         self
     }

@@ -274,8 +274,8 @@ impl FaultParser {
     pub fn on_view_change(&mut self, view: &PartialView) -> Vec<FaultId> {
         self.primed = true;
         let mut inject = Vec::new();
-        for i in 0..self.faults.len() {
-            if let Some(id) = self.eval_edge(i, view) {
+        for (i, fault) in self.faults.iter().enumerate() {
+            if let Some(id) = eval_edge(fault, view, &mut self.prev[i], &mut self.fired[i]) {
                 inject.push(id);
             }
         }
@@ -299,46 +299,11 @@ impl FaultParser {
         let mut inject = Vec::new();
         for &i in indices {
             let fault = &self.faults[i];
-            let now = fault.expr.eval(view);
-            let edge = now && !self.prev[i];
-            self.prev[i] = now;
-            if !edge {
-                continue;
-            }
-            match fault.trigger {
-                Trigger::Always => inject.push(fault.id),
-                Trigger::Once => {
-                    if !self.fired[i] {
-                        self.fired[i] = true;
-                        inject.push(fault.id);
-                    }
-                }
+            if let Some(id) = eval_edge(fault, view, &mut self.prev[i], &mut self.fired[i]) {
+                inject.push(id);
             }
         }
         inject
-    }
-
-    /// Evaluates fault `i`, updating edge state; returns its id when it
-    /// must be injected now.
-    fn eval_edge(&mut self, i: usize, view: &PartialView) -> Option<FaultId> {
-        let fault = &self.faults[i];
-        let now = fault.expr.eval(view);
-        let edge = now && !self.prev[i];
-        self.prev[i] = now;
-        if !edge {
-            return None;
-        }
-        match fault.trigger {
-            Trigger::Always => Some(fault.id),
-            Trigger::Once => {
-                if self.fired[i] {
-                    None
-                } else {
-                    self.fired[i] = true;
-                    Some(fault.id)
-                }
-            }
-        }
     }
 
     /// The faults this parser manages.
@@ -364,6 +329,34 @@ impl FaultParser {
         self.prev.iter_mut().for_each(|p| *p = false);
         self.fired.iter_mut().for_each(|f| *f = false);
         self.primed = false;
+    }
+}
+
+/// Evaluates `fault` against `view`, updating its edge state (`prev`, its
+/// value at the last evaluation, and `fired`, whether a `once` fault has
+/// fired); returns its id when it must be injected now.
+fn eval_edge(
+    fault: &CompiledFault,
+    view: &PartialView,
+    prev: &mut bool,
+    fired: &mut bool,
+) -> Option<FaultId> {
+    let now = fault.expr.eval(view);
+    let edge = now && !*prev;
+    *prev = now;
+    if !edge {
+        return None;
+    }
+    match fault.trigger {
+        Trigger::Always => Some(fault.id),
+        Trigger::Once => {
+            if *fired {
+                None
+            } else {
+                *fired = true;
+                Some(fault.id)
+            }
+        }
     }
 }
 

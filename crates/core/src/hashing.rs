@@ -67,12 +67,8 @@ impl Hasher for FxHasher {
     }
 }
 
-/// [`std::hash::BuildHasher`] producing [`FxHasher`]s; drop-in `S`
-/// parameter for `HashMap`.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
 /// A `HashMap` keyed with the fast in-house hasher.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -5,9 +5,9 @@
 //! indices "to make the local timeline compact and decrease intrusion during
 //! recording" (§3.5.6). We use the same scheme in memory: every name is
 //! interned once per study into a [`NameTable`], and the runtime manipulates
-//! only the typed index newtypes below. Names the *runtime* discovers —
-//! hosts from the harness configuration, free-form symbols — intern into a
-//! per-study-run [`SymbolTable`] that is `Arc`-shared into every worker;
+//! only the typed index newtypes below. The names the *runtime* discovers —
+//! hosts, from the harness configuration — intern into a per-study-run
+//! [`SymbolTable`] that is `Arc`-shared into every worker;
 //! ids resolve back to strings only at display/report boundaries.
 
 use crate::hashing::FxHashMap;
@@ -30,9 +30,6 @@ pub enum FaultTag {}
 /// Marker for host names (see [`SymbolTable`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum HostTag {}
-/// Marker for free-form interned symbols (see [`SymbolTable`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum SymTag {}
 
 /// A typed index into a [`NameTable`].
 ///
@@ -115,8 +112,6 @@ pub type FaultId = Id<FaultTag>;
 /// configuration always produces the same ids — a prerequisite for the
 /// byte-identical-results guarantee across worker counts.
 pub type HostId = Id<HostTag>;
-/// Index of a free-form interned symbol within a study's [`SymbolTable`].
-pub type SymId = Id<SymTag>;
 
 /// An order-preserving name interner.
 ///
@@ -200,34 +195,10 @@ impl<Tag> NameTable<Tag> {
     pub fn ids(&self) -> impl Iterator<Item = Id<Tag>> {
         (0..self.names.len() as u32).map(Id::from_raw)
     }
-
-    /// Rebuilds the reverse index after deserialization.
-    pub(crate) fn rebuild_index(&mut self) {
-        self.index = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
-            .collect();
-    }
-}
-
-impl<Tag> NameTable<Tag> {
-    /// Builds a table from an explicit name sequence (e.g. when reading an
-    /// on-disk index list) and restores its reverse index.
-    pub fn from_names<I: IntoIterator<Item = String>>(names: I) -> Self {
-        let mut t = NameTable {
-            names: names.into_iter().collect(),
-            index: FxHashMap::default(),
-            _tag: PhantomData,
-        };
-        t.rebuild_index();
-        t
-    }
 }
 
 /// Per-study interner for names discovered by the *runtime* rather than the
-/// study specification: host names and free-form symbols.
+/// study specification: host names.
 ///
 /// State-machine, state, event, and fault names are interned at study
 /// compile time (the [`NameTable`]s inside `Study`); host names come from
@@ -251,14 +222,12 @@ impl<Tag> NameTable<Tag> {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SymbolTable {
     hosts: NameTable<HostTag>,
-    syms: NameTable<SymTag>,
 }
 
 impl Default for SymbolTable {
     fn default() -> Self {
         SymbolTable {
             hosts: NameTable::new(),
-            syms: NameTable::new(),
         }
     }
 }
@@ -323,37 +292,13 @@ impl SymbolTable {
     pub fn host_ids(&self) -> impl Iterator<Item = HostId> {
         self.hosts.ids()
     }
-
-    /// Interns a free-form symbol, returning its id (idempotent).
-    pub fn intern_sym(&mut self, name: &str) -> SymId {
-        self.syms.intern(name)
-    }
-
-    /// Looks up an already-interned symbol.
-    pub fn lookup_sym(&self, name: &str) -> Option<SymId> {
-        self.syms.lookup(name)
-    }
-
-    /// The text of symbol `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this table.
-    pub fn sym_name(&self, id: SymId) -> &str {
-        self.syms.name(id)
-    }
-
-    /// Number of interned symbols.
-    pub fn num_syms(&self) -> usize {
-        self.syms.len()
-    }
 }
 
 /// Tables are equal when they intern the same names in the same order
 /// (the reverse indices are derived state).
 impl PartialEq for SymbolTable {
     fn eq(&self, other: &Self) -> bool {
-        self.hosts.names == other.hosts.names && self.syms.names == other.syms.names
+        self.hosts.names == other.hosts.names
     }
 }
 impl Eq for SymbolTable {}
@@ -388,13 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn from_names_rebuilds_index() {
-        let t: NameTable<SmTag> =
-            NameTable::from_names(vec!["black".to_owned(), "green".to_owned()]);
-        assert_eq!(t.lookup("green").map(|id| id.raw()), Some(1));
-    }
-
-    #[test]
     fn ids_are_typed() {
         // Compile-time check: SmId and StateId are distinct types.
         fn takes_sm(_: SmId) {}
@@ -403,15 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn symbol_table_hosts_and_syms_are_separate_spaces() {
-        let mut t = SymbolTable::for_hosts(["h1", "h2"]);
+    fn symbol_table_interns_hosts_in_configuration_order() {
+        let t = SymbolTable::for_hosts(["h1", "h2"]);
         assert_eq!(t.num_hosts(), 2);
         assert_eq!(t.lookup_host("h1").map(|h| h.raw()), Some(0));
         assert_eq!(t.lookup_host("nope"), None);
-        let s = t.intern_sym("h1"); // same text, different namespace
-        assert_eq!(s.raw(), 0);
-        assert_eq!(t.num_syms(), 1);
-        assert_eq!(t.sym_name(s), "h1");
         assert_eq!(t.host_ids().count(), 2);
         let names: Vec<&str> = t.hosts().map(|(_, n)| n).collect();
         assert_eq!(names, vec!["h1", "h2"]);

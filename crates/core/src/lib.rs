@@ -7,8 +7,8 @@
 //!
 //! * [`ids`] — typed interned identifiers: study-compile-time
 //!   [`ids::NameTable`]s for machines/states/events/faults and the
-//!   per-study-run [`ids::SymbolTable`] interning hosts ([`ids::HostId`])
-//!   and free-form symbols ([`ids::SymId`]). Hot paths manipulate only
+//!   per-study-run [`ids::SymbolTable`] interning hosts ([`ids::HostId`]).
+//!   Hot paths manipulate only
 //!   the dense `u32` ids; names are resolved at display/report
 //!   boundaries.
 //! * [`spec`] / [`study`] — state machine and fault specifications, and

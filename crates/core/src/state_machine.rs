@@ -144,12 +144,16 @@ impl StateMachine {
         })
     }
 
-    /// Applies a local event by name.
+    /// Applies a local event delivered by the probe, by name, transitioning
+    /// the local state and updating the partial view.
     ///
     /// # Errors
     ///
-    /// See [`StateMachine::apply_event`]; additionally returns
-    /// [`CoreError::UnknownEvent`] for names absent from the study.
+    /// Returns [`CoreError::UnknownEvent`] for names absent from the study,
+    /// [`CoreError::NotInitialized`] before the initial notification, and
+    /// [`CoreError::NoTransition`] when the current state defines no
+    /// transition for the event (explicit, `default`, or the implicit
+    /// `CRASH` rule).
     pub fn apply_event_name(&mut self, name: &str) -> Result<TransitionOutcome, CoreError> {
         let event = self
             .study
@@ -159,19 +163,6 @@ impl StateMachine {
                 sm: self.study.machines[self.id.index()].name.clone(),
                 event: name.to_owned(),
             })?;
-        self.apply_event(event)
-    }
-
-    /// Applies a local event delivered by the probe, transitioning the local
-    /// state and updating the partial view.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotInitialized`] before the initial
-    /// notification, and [`CoreError::NoTransition`] when the current state
-    /// defines no transition for `event` (explicit, `default`, or the
-    /// implicit `CRASH` rule).
-    pub fn apply_event(&mut self, event: EventId) -> Result<TransitionOutcome, CoreError> {
         if !self.initialized {
             return Err(CoreError::NotInitialized {
                 sm: self.study.machines[self.id.index()].name.clone(),
@@ -189,15 +180,6 @@ impl StateMachine {
         Ok(self.enter(event, next))
     }
 
-    /// Forces the machine into the `CRASH` state (used by the local daemon
-    /// when it detects a node crash). Always succeeds.
-    pub fn force_crash(&mut self) -> TransitionOutcome {
-        let crash_event = self.study.reserved.crash_event;
-        let crash = self.study.reserved.crash;
-        self.initialized = true;
-        self.enter(crash_event, crash)
-    }
-
     /// Incorporates a remote machine's state notification into the partial
     /// view. Returns `true` if the view changed (the fault parser only needs
     /// to re-evaluate on change).
@@ -206,14 +188,6 @@ impl StateMachine {
             return false;
         }
         self.view.set(from, state)
-    }
-
-    /// Produces the state updates a *restarted* machine needs: the machines
-    /// whose state this node's faults observe (§3.6.3 has restarted nodes
-    /// obtain state updates from all other machines; we reply with the
-    /// per-machine current state).
-    pub fn current_state_for_update(&self) -> (SmId, StateId) {
-        (self.id, self.state)
     }
 
     fn enter(&mut self, event: EventId, next: StateId) -> TransitionOutcome {
@@ -378,16 +352,6 @@ mod tests {
         let out = sm.apply_event_name("CRASH").unwrap();
         assert_eq!(out.new_state, s.reserved.crash);
         assert_eq!(out.notify, NotifySet::one(s.sm_id("b").unwrap())); // CRASH block notify
-    }
-
-    #[test]
-    fn force_crash_always_succeeds() {
-        let s = study();
-        let mut sm = StateMachine::new(s.clone(), s.sm_id("a").unwrap());
-        // Even uninitialized (node crashed before its first notification).
-        let out = sm.force_crash();
-        assert_eq!(out.new_state, s.reserved.crash);
-        assert_eq!(sm.state(), s.reserved.crash);
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl CompiledSm {
         self.transitions[self.slot(state, event)].or(self.defaults[state.index()])
     }
 
-    /// Whether an *explicit* (non-default) transition exists.
-    #[inline]
-    pub fn has_explicit(&self, state: StateId, event: EventId) -> bool {
-        self.transitions[self.slot(state, event)].is_some()
-    }
-
     /// The machines to notify when this machine enters `state`.
     #[inline]
     pub fn notify_list(&self, state: StateId) -> &[SmId] {
@@ -517,7 +511,12 @@ mod tests {
         let sink = study.states.lookup("SINK").unwrap();
         let x = study.events.lookup("X").unwrap();
         assert_eq!(study.machine(a).next_state(idle, x), Some(sink));
-        assert!(!study.machine(a).has_explicit(idle, x));
+        let machine = study.machine(a);
+        assert_eq!(
+            machine.transitions[machine.slot(idle, x)],
+            None,
+            "no explicit IDLE/X"
+        );
     }
 
     #[test]

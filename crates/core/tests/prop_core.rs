@@ -60,8 +60,10 @@ fn expr_strategy(sms: u32, states: u32, depth: u32) -> BoxedStrategy<CompiledExp
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The fault parser's incremental edge detection agrees with a
-    /// from-scratch reference over arbitrary view sequences.
+    /// The fault parser's edge detection agrees with a from-scratch
+    /// reference over arbitrary view sequences, both when it re-evaluates
+    /// every expression (`on_view_change`) and when it is told which
+    /// machine changed (`on_machine_change`, the runtime's path).
     #[test]
     fn fault_parser_matches_reference(
         exprs in prop::collection::vec((expr_strategy(3, 4, 2), any::<bool>()), 1..8),
@@ -82,15 +84,17 @@ proptest! {
         // Build the view sequence incrementally.
         let mut views = Vec::new();
         let mut view = PartialView::new(3);
-        for (sm, state) in updates {
+        for &(sm, state) in &updates {
             view.set(Id::from_raw(sm), Id::from_raw(state));
             views.push(view.clone());
         }
 
         let expected = reference_firings(&faults, &views);
-        let mut parser = FaultParser::new(faults);
-        for (view, expect) in views.iter().zip(expected) {
-            let got = parser.on_view_change(view);
+        let mut full = FaultParser::new(faults.clone());
+        let mut incremental = FaultParser::new(faults);
+        for ((view, expect), &(changed, _)) in views.iter().zip(expected).zip(&updates) {
+            prop_assert_eq!(&full.on_view_change(view), &expect);
+            let got = incremental.on_machine_change(view, Id::from_raw(changed));
             prop_assert_eq!(got, expect);
         }
     }

@@ -114,7 +114,7 @@ impl MomentStats {
     }
 
     /// Excess kurtosis `g₂ = μ₄/μ₂² − 3`.
-    pub fn excess_kurtosis(&self) -> f64 {
+    fn excess_kurtosis(&self) -> f64 {
         if self.variance() <= 0.0 {
             0.0
         } else {

@@ -23,6 +23,7 @@
 //! study, so membership and location tables are flat vectors indexed by
 //! raw id, not hash maps.
 
+use crate::harness::CampaignError;
 use crate::messages::{NotifyRouting, RtMsg, SmTargets};
 use crate::node::{AppFactory, NodeActor};
 use crate::store::{ExperimentControl, NodeDirectory, SyncCollector, TimelineStore};
@@ -65,9 +66,10 @@ pub(crate) struct ExpCtx {
     pub control: ExperimentControl,
     /// The application's name service.
     pub directory: NodeDirectory,
-    /// Daemon/central/supervisor wiring.
-    pub wiring: Wiring,
-    /// Recycled actor hulls (see [`ActorPool`]).
+    /// Daemon/central/supervisor wiring and initial placements, shared by
+    /// every experiment of the study.
+    pub wiring: Arc<Wiring>,
+    /// Finished experiments' actors, kept for reuse (see [`ActorPool`]).
     pub pool: ActorPool,
     /// Simulation events processed by finished experiments on this
     /// context (accumulated at assembly; feeds the all-in ns/event
@@ -82,6 +84,7 @@ impl ExpCtx {
         symbols: Arc<SymbolTable>,
         factory: AppFactory,
         routing: NotifyRouting,
+        wiring: Arc<Wiring>,
     ) -> Self {
         ExpCtx {
             study,
@@ -93,15 +96,10 @@ impl ExpCtx {
             warnings: RefCell::default(),
             control: ExperimentControl::new(),
             directory: NodeDirectory::new(),
-            wiring: Wiring::new(),
+            wiring,
             pool: ActorPool::default(),
             events: Cell::new(0),
         }
-    }
-
-    /// The simulation host index of `name`, if it is a configured host.
-    pub fn host_idx(&self, name: &str) -> Option<u32> {
-        self.symbols.lookup_host(name).map(|h| h.raw())
     }
 
     /// Records `warning` unless an equal one is already recorded in this
@@ -203,7 +201,7 @@ impl ActorPool {
     /// re-initialization. Which one is handed out is unobservable
     /// (re-initialization fully resets per-incarnation state); the
     /// preference only decides how much of its storage is reusable.
-    pub fn take_node(&self, prefer: SmId) -> Option<Box<NodeActor>> {
+    fn take_node(&self, prefer: SmId) -> Option<Box<NodeActor>> {
         let mut nodes = self.nodes.borrow_mut();
         let pick = nodes
             .iter()
@@ -280,7 +278,7 @@ impl ExpCtx {
 
 /// The local daemon actor (one per host; one total in the centralized
 /// design).
-pub struct LocalDaemon {
+pub(crate) struct LocalDaemon {
     ctx: Rc<ExpCtx>,
     my_host: u32,
     /// Nodes attached to this daemon, indexed by machine id.
@@ -327,7 +325,7 @@ impl LocalDaemon {
         daemon
     }
 
-    /// Resets a pooled hull for the next experiment, keeping every
+    /// Resets a pooled daemon for the next experiment, keeping every
     /// vector's capacity (the tables' sizes are study-determined, so a
     /// recycled daemon allocates nothing).
     pub(crate) fn reinit(&mut self, my_host: u32) {
@@ -347,12 +345,8 @@ impl LocalDaemon {
     /// Initial placements are known to every daemon from the node file
     /// (§3.5.1), avoiding startup routing races.
     fn prime_locations(&mut self) {
-        for (sm, host) in &self.ctx.study.placements {
-            if let Some(host) = host {
-                if let Some(idx) = self.ctx.host_idx(host) {
-                    self.locations[sm.raw() as usize] = idx;
-                }
-            }
+        for &(sm, host) in self.ctx.wiring.placements() {
+            self.locations[sm.raw() as usize] = host;
         }
     }
 
@@ -386,13 +380,11 @@ impl LocalDaemon {
 
     fn broadcast_to_peers(&self, ctx: &mut RtCtx<'_>, msg: RtMsg) {
         let me = ctx.me();
-        self.ctx.wiring.with_unique(|unique| {
-            for &peer in unique {
-                if peer != me {
-                    ctx.send(peer, msg.clone());
-                }
+        for &peer in self.ctx.wiring.unique() {
+            if peer != me {
+                ctx.send(peer, msg.clone());
             }
-        });
+        }
     }
 
     /// Spawns a node for `sm` on host `host` (instructed by the central
@@ -478,8 +470,7 @@ impl LocalDaemon {
     fn check_experiment_end(&mut self, ctx: &mut RtCtx<'_>) {
         if self.any_started && self.alive_count == 0 && !self.end_sent {
             self.end_sent = true;
-            let central = self.ctx.wiring.central();
-            ctx.send(central, RtMsg::ExperimentEndNotice);
+            ctx.send(self.ctx.wiring.central(), RtMsg::ExperimentEndNotice);
         }
     }
 
@@ -615,6 +606,14 @@ impl LocalDaemon {
                     self.locations[sm.raw() as usize] = NO_HOST;
                 }
                 self.mark_dead(sm);
+                // A machine that went down had started, even when it ended
+                // before its `Register` (and so its `NodeUp`) went out. A
+                // daemon the node file starts machines through waits for
+                // its own first start instead, since this `NodeDown` may
+                // overtake its `StartNode`.
+                if !self.any_started && !self.ctx.wiring.starts_through(ctx.me()) {
+                    self.any_started = true;
+                }
                 self.check_experiment_end(ctx);
             }
             RtMsg::KillAllNodes => {
@@ -643,7 +642,7 @@ const TAG_TIMEOUT: u64 = 1;
 const TAG_SHUTDOWN: u64 = 2;
 
 /// The central daemon actor.
-pub struct CentralDaemon {
+pub(crate) struct CentralDaemon {
     ctx: Rc<ExpCtx>,
     timeout_ns: u64,
     grace_ns: u64,
@@ -669,7 +668,7 @@ impl CentralDaemon {
         }
     }
 
-    /// Resets a pooled hull for the next experiment.
+    /// Resets a pooled central daemon for the next experiment.
     pub(crate) fn reinit(&mut self, timeout_ns: u64, grace_ns: u64) {
         self.timeout_ns = timeout_ns;
         self.grace_ns = grace_ns;
@@ -690,28 +689,22 @@ impl CentralDaemon {
         if let Some(supervisor) = self.ctx.wiring.supervisor() {
             ctx.kill(supervisor, DownReason::Exit);
         }
-        self.ctx.wiring.with_unique(|unique| {
-            for &daemon in unique {
-                ctx.kill(daemon, DownReason::Exit);
-            }
-        });
+        for &daemon in self.ctx.wiring.unique() {
+            ctx.kill(daemon, DownReason::Exit);
+        }
         ctx.exit_self();
     }
 
     fn on_start(&mut self, ctx: &mut RtCtx<'_>) {
-        self.ctx.wiring.with_unique(|unique| {
-            for &daemon in unique {
-                ctx.watch(daemon);
-            }
-        });
+        let wiring = &self.ctx.wiring;
+        for &daemon in wiring.unique() {
+            ctx.watch(daemon);
+        }
         self.watchdog = Some(ctx.set_timer(self.timeout_ns, TAG_TIMEOUT));
-        // Start the machines listed with a host in the node file (§3.5.1);
-        // every entry point has checked that those hosts exist.
-        for (sm, host) in &self.ctx.study.placements {
-            if let Some(idx) = host.as_deref().and_then(|h| self.ctx.host_idx(h)) {
-                let daemon = self.ctx.wiring.daemon_for(idx as usize);
-                ctx.send(daemon, RtMsg::StartNode { sm: *sm, host: idx });
-            }
+        // Start the machines listed with a host in the node file (§3.5.1).
+        for &(sm, host) in wiring.placements() {
+            let daemon = wiring.daemon_for(host as usize);
+            ctx.send(daemon, RtMsg::StartNode { sm, host });
         }
     }
 
@@ -721,7 +714,7 @@ impl CentralDaemon {
                 if !self.ends.contains(&from) {
                     self.ends.push(from);
                 }
-                if !self.done && self.ends.len() == self.ctx.wiring.num_unique() {
+                if !self.done && self.ends.len() == self.ctx.wiring.unique().len() {
                     self.done = true;
                     self.ctx.control.mark_completed();
                     self.shutdown(ctx);
@@ -745,11 +738,9 @@ impl CentralDaemon {
                 ctx.clear_net_faults();
                 self.done = true;
                 self.ctx.control.mark_timed_out();
-                self.ctx.wiring.with_unique(|unique| {
-                    for &daemon in unique {
-                        ctx.send(daemon, RtMsg::KillAllNodes);
-                    }
-                });
+                for &daemon in self.ctx.wiring.unique() {
+                    ctx.send(daemon, RtMsg::KillAllNodes);
+                }
                 ctx.set_timer(self.grace_ns, TAG_SHUTDOWN);
             }
             TAG_SHUTDOWN => {
@@ -768,13 +759,11 @@ impl CentralDaemon {
             ctx.clear_net_faults();
             self.done = true;
             self.ctx.control.mark_aborted();
-            self.ctx.wiring.with_unique(|unique| {
-                for &daemon in unique {
-                    if ctx.is_alive(daemon) {
-                        ctx.send(daemon, RtMsg::KillAllNodes);
-                    }
+            for &daemon in self.ctx.wiring.unique() {
+                if ctx.is_alive(daemon) {
+                    ctx.send(daemon, RtMsg::KillAllNodes);
                 }
-            });
+            }
             ctx.set_timer(self.grace_ns, TAG_SHUTDOWN);
         }
     }
@@ -807,6 +796,27 @@ pub struct RestartPolicy {
     pub placement: RestartPlacement,
 }
 
+impl RestartPolicy {
+    /// Checks the policy for values the supervisor cannot draw against.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CampaignError::Restart`] when `probability` is NaN,
+    /// infinite or outside `[0, 1]`. Caught at the first crash instead,
+    /// such a value would fail every crashing experiment as a harness
+    /// error.
+    pub fn validate(&self) -> Result<(), CampaignError> {
+        if (0.0..=1.0).contains(&self.probability) {
+            Ok(())
+        } else {
+            Err(CampaignError::Restart(format!(
+                "loki: invalid restart policy: probability {} is outside [0, 1]",
+                self.probability
+            )))
+        }
+    }
+}
+
 impl Default for RestartPolicy {
     fn default() -> Self {
         RestartPolicy {
@@ -819,7 +829,7 @@ impl Default for RestartPolicy {
 }
 
 /// The restart supervisor: the application's recovery mechanism.
-pub struct Supervisor {
+pub(crate) struct Supervisor {
     ctx: Rc<ExpCtx>,
     policy: RestartPolicy,
     /// Restart counts, indexed by machine id.
@@ -836,7 +846,7 @@ impl Supervisor {
         }
     }
 
-    /// Resets a pooled hull for the next experiment.
+    /// Resets a pooled supervisor for the next experiment.
     pub(crate) fn reinit(&mut self, policy: RestartPolicy) {
         self.policy = policy;
         self.restarts.fill(0);
@@ -884,7 +894,7 @@ impl Supervisor {
 /// (§3.5.1: "if an abnormality occurs, the central daemon instructs the
 /// local daemons to kill all the state machines, and aborts the
 /// experiment").
-pub struct Saboteur {
+pub(crate) struct Saboteur {
     /// The daemon to crash.
     pub victim: ActorId,
     /// Delay before the crash (ns).
@@ -925,7 +935,14 @@ mod tests {
         let study = Study::compile_arc(&def).unwrap();
         let symbols = Arc::new(SymbolTable::for_hosts(["h"]));
         let factory: AppFactory = Arc::new(|_, _| Box::new(Idle));
-        let ctx = Rc::new(ExpCtx::new(study, symbols, factory, NotifyRouting::Direct));
+        let wiring = Arc::new(Wiring::new(1, NotifyRouting::Direct, false, Box::new([])));
+        let ctx = Rc::new(ExpCtx::new(
+            study,
+            symbols,
+            factory,
+            NotifyRouting::Direct,
+            wiring,
+        ));
         let [a, b, c] = ["a", "b", "c"].map(|name| ctx.study.sm_id(name).unwrap());
         for sm in [a, b, c] {
             let node = NodeActor::new(ctx.clone(), sm, ActorId(0), Box::new(Idle));

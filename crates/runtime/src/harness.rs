@@ -18,6 +18,7 @@
 use crate::daemons::{ExpCtx, RestartPolicy, RtActor, Saboteur};
 use crate::messages::{NotifyRouting, RtMsg};
 use crate::node::AppFactory;
+use crate::wiring::Wiring;
 use loki_analysis::{analyze_one, AnalysisOptions, AnalyzedExperiment};
 use loki_clock::params::fastest_reference;
 use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync, Warning};
@@ -41,8 +42,9 @@ use std::sync::{mpsc, Arc};
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CampaignError {
-    /// The host list is empty or invalid (duplicate names), or the study
-    /// places a machine on a host the configuration does not have.
+    /// The host list is empty or invalid (duplicate names), the study
+    /// places a machine on a host the configuration does not have, or
+    /// [`SimHarnessConfig::kill_daemon`] names a host index past the list.
     Hosts(String),
     /// The worker-count configuration is invalid
     /// ([`SimHarnessConfig::workers`] / `LOKI_WORKERS`).
@@ -50,10 +52,11 @@ pub enum CampaignError {
     /// The batch-size configuration is invalid
     /// ([`SimHarnessConfig::batch`] / `LOKI_BATCH`).
     Batch(String),
-    /// The pipeline's analysis options are invalid: a degenerate analysis
-    /// window ([`loki_analysis::GlobalOptions::validate`]) or an unusable
-    /// sync β box or slack ([`loki_clock::sync::SyncOptions::validate`]).
+    /// The pipeline's analysis options are invalid: an unusable sync β box
+    /// or slack ([`loki_clock::sync::SyncOptions::validate`]).
     Analysis(String),
+    /// The restart policy is invalid ([`RestartPolicy::validate`]).
+    Restart(String),
 }
 
 impl std::fmt::Display for CampaignError {
@@ -62,7 +65,8 @@ impl std::fmt::Display for CampaignError {
             CampaignError::Hosts(m)
             | CampaignError::Workers(m)
             | CampaignError::Batch(m)
-            | CampaignError::Analysis(m) => f.write_str(m),
+            | CampaignError::Analysis(m)
+            | CampaignError::Restart(m) => f.write_str(m),
         }
     }
 }
@@ -85,12 +89,14 @@ pub struct SimHarnessConfig {
     pub sync_interval_ns: u64,
     /// Notification routing design (§3.4.1).
     pub routing: NotifyRouting,
-    /// Restart policy of the system under study, if any.
+    /// Restart policy of the system under study, if any; one that fails
+    /// [`RestartPolicy::validate`] is a [`CampaignError::Restart`].
     pub restart: Option<RestartPolicy>,
     /// Fault injection on the *injector itself*: crash the local daemon of
     /// host index `.0` at simulation offset `.1` (ns) into the runtime
     /// phase. The central daemon must detect the abnormality and abort the
-    /// experiment (§3.5.1).
+    /// experiment (§3.5.1). A host index past [`SimHarnessConfig::hosts`]
+    /// is a [`CampaignError::Hosts`].
     pub kill_daemon: Option<(u32, u64)>,
     /// Base RNG seed; experiment `k` of a study uses `seed + k`.
     pub seed: u64,
@@ -229,6 +235,9 @@ struct SimStudy<'a> {
     /// The calibrated hosts — every host but the reference — in
     /// configuration order: the initiators of both sync mini-phases.
     initiators: Vec<SimHostId>,
+    /// Who the long-lived runtime actors are and where the node file's
+    /// machines start: the same for every experiment of the study.
+    wiring: Arc<Wiring>,
 }
 
 /// The per-experiment state riding alongside a world: the pre-sync
@@ -257,11 +266,13 @@ impl Drop for ExpScript {
 }
 
 impl<'a> SimStudy<'a> {
-    /// Compiles `cfg` into the shared world description. This is the
-    /// host-list check both entry points — [`run_experiment`] and the
+    /// Compiles `cfg` into the shared world description and wiring. This
+    /// is the config check both entry points — [`run_experiment`] and the
     /// campaign driver — run before any experiment (and any worker)
-    /// starts: an empty list, a duplicate name, or a machine of `study`
-    /// placed on a host the list lacks is a [`CampaignError::Hosts`].
+    /// starts: an empty list, a duplicate name, a machine of `study`
+    /// placed on a host the list lacks, or a `kill_daemon` host index
+    /// past the list is a [`CampaignError::Hosts`], and an invalid restart
+    /// policy a [`CampaignError::Restart`].
     fn new(
         study: &'a Arc<Study>,
         factory: &'a AppFactory,
@@ -283,10 +294,25 @@ impl<'a> SimStudy<'a> {
             .ok_or_else(|| {
                 CampaignError::Hosts("loki: harness config needs at least one host".to_owned())
             })?;
-        for (_, host) in &study.placements {
-            if let Some(host) = host.as_deref().filter(|h| world.find_host(h).is_none()) {
-                return Err(invalid(format!("placement on unknown host `{host}`")));
+        let mut placements = Vec::new();
+        for (sm, host) in &study.placements {
+            if let Some(host) = host.as_deref() {
+                let idx = world
+                    .find_host(host)
+                    .ok_or_else(|| invalid(format!("placement on unknown host `{host}`")))?;
+                placements.push((*sm, idx.0));
             }
+        }
+        if let Some((host, _)) = cfg.kill_daemon {
+            if host as usize >= cfg.hosts.len() {
+                return Err(invalid(format!(
+                    "kill_daemon names host index {host}, but there are {} hosts",
+                    cfg.hosts.len()
+                )));
+            }
+        }
+        if let Some(policy) = &cfg.restart {
+            policy.validate()?;
         }
         let ref_idx = reference.0 as usize;
         let initiators = (0..cfg.hosts.len())
@@ -301,6 +327,12 @@ impl<'a> SimStudy<'a> {
             world: Arc::new(world),
             ref_idx,
             initiators,
+            wiring: Arc::new(Wiring::new(
+                cfg.hosts.len(),
+                cfg.routing,
+                cfg.restart.is_some(),
+                placements.into_boxed_slice(),
+            )),
         })
     }
 
@@ -329,7 +361,6 @@ impl<'a> SimStudy<'a> {
                 script.experiment = experiment;
                 script.ctx.control.reset();
                 script.ctx.directory.clear();
-                script.ctx.wiring.reset();
                 script
             }
             None => ExpScript {
@@ -340,6 +371,7 @@ impl<'a> SimStudy<'a> {
                     self.symbols.clone(),
                     self.factory.clone(),
                     self.cfg.routing,
+                    self.wiring.clone(),
                 )),
             },
         };
@@ -431,39 +463,39 @@ impl<'a> SimStudy<'a> {
     }
 
     /// Spawns the runtime phase: local daemons per the routing design,
-    /// optional supervisor, the central daemon, and the optional saboteur.
+    /// optional supervisor, the central daemon, and the optional saboteur,
+    /// each at the id the study's [`Wiring`] gave it.
     fn spawn_runtime(&self, sim: &mut World, script: &ExpScript) {
         let ref_host = SimHostId(self.ref_idx as u32);
         let ctx = &script.ctx;
-
         match self.cfg.routing {
             NotifyRouting::Centralized => {
                 // One global daemon, placed on the reference host.
                 let d = sim.spawn(ref_host, ctx.pooled_daemon(self.ref_idx as u32));
-                ctx.wiring
-                    .fill_daemons((0..self.cfg.hosts.len()).map(|_| d));
+                assert_eq!(d, self.wiring.daemon_for(0));
             }
             _ => {
-                ctx.wiring
-                    .fill_daemons((0..self.cfg.hosts.len()).map(|idx| {
-                        sim.spawn(SimHostId(idx as u32), ctx.pooled_daemon(idx as u32))
-                    }));
+                for idx in 0..self.cfg.hosts.len() {
+                    let host = SimHostId(idx as u32);
+                    let d = sim.spawn(host, ctx.pooled_daemon(idx as u32));
+                    assert_eq!(d, self.wiring.daemon_for(idx));
+                }
             }
         }
 
         if let Some(policy) = self.cfg.restart {
             let supervisor = sim.spawn(ref_host, ctx.pooled_supervisor(policy));
-            ctx.wiring.set_supervisor(supervisor);
+            assert_eq!(Some(supervisor), self.wiring.supervisor());
         }
 
         let central = sim.spawn(
             ref_host,
             ctx.pooled_central(self.cfg.timeout_ns, 100_000_000), // 100 ms shutdown grace
         );
-        ctx.wiring.set_central(central);
+        assert_eq!(central, self.wiring.central());
 
         if let Some((host, after_ns)) = self.cfg.kill_daemon {
-            let victim = ctx.wiring.daemon_for(host as usize);
+            let victim = self.wiring.daemon_for(host as usize);
             let saboteur = Box::new(Saboteur { victim, after_ns });
             sim.spawn(ref_host, RtActor::Saboteur(saboteur));
         }
@@ -596,7 +628,7 @@ pub struct PipelineSummary {
     /// never counted accepted.
     pub failed: usize,
     /// Worlds rebuilt from scratch after a failed experiment: the world
-    /// slot *and* its pooled scaffolding (actor hulls, timeline shells,
+    /// slot *and* its pooled scaffolding (pooled actors, timeline shells,
     /// the experiment context) are discarded rather than recycled, so
     /// whatever state a panic or budget trip left behind cannot reach a
     /// later experiment.
@@ -620,8 +652,8 @@ pub struct PipelineSummary {
     /// High-water mark of the reorder buffer: compact results that had
     /// finished but were still waiting for a lower index to commit.
     pub peak_reorder_depth: usize,
-    /// Actor spawns served from the recycled-hull pool instead of a fresh
-    /// box.
+    /// Actor spawns served from the pool of finished experiments' actors
+    /// instead of a fresh box.
     pub actor_reuses: u64,
     /// Timeline shells begun on a recycled capacity-retaining buffer
     /// instead of a fresh allocation.
@@ -755,7 +787,7 @@ impl PoolStats {
 /// the engine entirely (a harness error, reported to `process` as
 /// [`ExperimentFailure::Harness`] with no context) poisons the world and
 /// its pooled scaffolding. Both are **quarantined**: the script (context,
-/// hull pool, store shells) is dropped instead of recycled, and the world
+/// actor pool, store shells) is dropped instead of recycled, and the world
 /// is rebuilt fresh from the shared [`WorldConfig`]. The claim counter
 /// hands out each index exactly once and a fresh world runs like a reset
 /// one, so the surviving experiments' results are byte-identical to a
@@ -917,10 +949,10 @@ impl CampaignPipeline {
     ///
     /// Campaign misconfigurations — an invalid worker or batch
     /// configuration (see [`SimHarnessConfig::workers`] /
-    /// [`SimHarnessConfig::batch`]), an invalid host list, or invalid
-    /// analysis options (a degenerate analysis window, an unusable sync
-    /// β box or slack) — come back as a typed [`CampaignError`] before any
-    /// experiment runs.
+    /// [`SimHarnessConfig::batch`]), an invalid host list, a `kill_daemon`
+    /// host index past it, an invalid restart policy, or invalid analysis
+    /// options (an unusable sync β box or slack) — come back as a typed
+    /// [`CampaignError`] before any experiment runs.
     pub fn run(
         &self,
         experiments: u32,
@@ -956,12 +988,11 @@ impl CampaignPipeline {
         tap: impl Fn(&ExperimentData) -> T + Sync,
         mut sink: impl FnMut(AnalyzedExperiment, T),
     ) -> Result<PipelineSummary, CampaignError> {
-        let invalid = |e: &dyn std::fmt::Display| {
-            CampaignError::Analysis(format!("loki: invalid analysis options: {e}"))
-        };
-        let global = &self.analysis.global;
-        global.validate().map_err(|e| invalid(&e))?;
-        global.sync.validate().map_err(|e| invalid(&e))?;
+        self.analysis
+            .global
+            .sync
+            .validate()
+            .map_err(|e| CampaignError::Analysis(format!("loki: invalid analysis options: {e}")))?;
         if workers == 0 {
             return Err(CampaignError::Workers(
                 "loki: worker count must be at least 1".to_owned(),

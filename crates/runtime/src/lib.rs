@@ -41,7 +41,7 @@ pub mod harness;
 pub mod messages;
 pub mod node;
 pub mod store;
-pub mod wiring;
+mod wiring;
 
 pub use daemons::{RestartPlacement, RestartPolicy};
 pub use harness::{

@@ -148,8 +148,8 @@ impl NodeActor {
         }
     }
 
-    /// Re-targets a pooled hull at a new machine incarnation. The context
-    /// is unchanged (hulls are pooled per experiment slot); the runtime's
+    /// Re-targets a pooled node at a new machine incarnation. The context
+    /// is unchanged (nodes are pooled per experiment slot); the runtime's
     /// per-incarnation state — state machine interpreter and fault parser —
     /// is reset in place, reusing its storage.
     pub(crate) fn reinit(&mut self, me: SmId, daemon: ActorId, app: Box<dyn App>) {
@@ -157,7 +157,7 @@ impl NodeActor {
         self.app = app;
     }
 
-    /// The machine this hull (last) embodied — lets the pool hand a hull
+    /// The machine this node (last) embodied — lets the pool hand a node
     /// back to the same machine, whose compiled fault set it can then
     /// reuse as-is.
     pub(crate) fn embodies(&self) -> SmId {
@@ -432,11 +432,6 @@ impl NodeCtx<'_> {
         self.rt.me
     }
 
-    /// This node's nickname.
-    pub fn my_name(&self) -> &str {
-        self.rt.ctx.study.sms.name(self.rt.me)
-    }
-
     /// Nickname of any machine.
     pub fn sm_name(&self, sm: SmId) -> &str {
         self.rt.ctx.study.sms.name(sm)
@@ -454,21 +449,12 @@ impl NodeCtx<'_> {
         &self.rt.ctx.study
     }
 
-    /// The host this node currently runs on.
-    pub fn host_id(&self) -> HostId {
-        // Simulation host indices follow the harness configuration order,
-        // which is exactly the symbol table's interning order.
-        HostId::from_raw(self.sim.my_host().0)
-    }
-
     /// The name of the host this node currently runs on.
     pub fn host_name(&self) -> &str {
-        self.rt.ctx.symbols.host_name(self.host_id())
-    }
-
-    /// Whether this incarnation is a restart.
-    pub fn is_restarted(&self) -> bool {
-        self.rt.restarted
+        // Simulation host indices follow the harness configuration order,
+        // which is exactly the symbol table's interning order.
+        let host = HostId::from_raw(self.sim.my_host().0);
+        self.rt.ctx.symbols.host_name(host)
     }
 
     /// Appends a free-form message to the local timeline. Accepts anything

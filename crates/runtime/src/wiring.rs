@@ -1,112 +1,94 @@
-//! Actor wiring: who the daemons, central daemon, and supervisor are.
+//! Actor wiring: who the daemons, central daemon, and supervisor are, and
+//! where the machines of the node file start.
 //!
 //! Plays the role of the thesis's *daemon startup file* and *daemon contact
 //! file* (§3.5.2): configuration every component reads at startup to find
-//! its peers. The harness fills it after spawning all long-lived actors and
-//! before the simulation runs its first event.
-//!
-//! The distinct-daemon list is computed once at fill time and cached: the
-//! hot consumers (peer broadcast, the completion check, central-daemon
-//! shutdown) borrow the cached slice instead of rebuilding a deduplicated
-//! vector per call.
+//! its peers. The harness builds it once per study, before any experiment:
+//! the long-lived actors' ids depend only on the configuration, because
+//! every experiment spawns them first, in one fixed order, on a world whose
+//! actor ids start at 0 (the sync mini-phase spawns nothing). The daemons
+//! come first (one per host, or one in the centralized design), then the
+//! supervisor if there is one, then the central daemon.
 
+use crate::messages::NotifyRouting;
+use loki_core::ids::SmId;
 use loki_sim::engine::ActorId;
-use std::cell::{Cell, RefCell};
 
-/// Shared wiring table.
-#[derive(Debug, Default)]
-pub struct Wiring {
-    daemons: RefCell<Vec<ActorId>>,
-    /// Distinct daemons in host order, recomputed whenever the daemon
-    /// list changes.
-    unique: RefCell<Vec<ActorId>>,
-    central: Cell<Option<ActorId>>,
-    supervisor: Cell<Option<ActorId>>,
+/// The wiring table of one study.
+#[derive(Debug)]
+pub(crate) struct Wiring {
+    /// The daemon serving each host, by host index. In the centralized
+    /// design every entry is the same actor.
+    daemons: Box<[ActorId]>,
+    /// The distinct daemons, in host order.
+    unique: Box<[ActorId]>,
+    supervisor: Option<ActorId>,
+    central: ActorId,
+    /// The machines the node file places, with their host index, in node
+    /// file order.
+    placements: Box<[(SmId, u32)]>,
 }
 
 impl Wiring {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Wiring::default()
-    }
-
-    /// Fills the per-host daemon list (index = host index) from an
-    /// iterator, reusing the list's existing allocation (the campaign
-    /// driver recycles wiring tables across experiments). In the
-    /// centralized design every entry is the same actor.
-    pub fn fill_daemons(&self, daemons: impl IntoIterator<Item = ActorId>) {
-        {
-            let mut list = self.daemons.borrow_mut();
-            list.clear();
-            list.extend(daemons);
+    /// The wiring of `hosts` hosts under `routing`, with a supervisor when
+    /// `supervised`, starting `placements`.
+    pub fn new(
+        hosts: usize,
+        routing: NotifyRouting,
+        supervised: bool,
+        placements: Box<[(SmId, u32)]>,
+    ) -> Self {
+        let centralized = routing == NotifyRouting::Centralized;
+        let num_daemons = if centralized { 1 } else { hosts };
+        let unique: Box<[ActorId]> = (0..num_daemons as u32).map(ActorId).collect();
+        let daemons = (0..hosts)
+            .map(|idx| unique[if centralized { 0 } else { idx }])
+            .collect();
+        let supervisor = supervised.then_some(ActorId(num_daemons as u32));
+        let central = ActorId(num_daemons as u32 + u32::from(supervised));
+        Wiring {
+            daemons,
+            unique,
+            supervisor,
+            central,
+            placements,
         }
-        self.recompute_unique();
-    }
-
-    fn recompute_unique(&self) {
-        let mut unique = self.unique.borrow_mut();
-        unique.clear();
-        for &d in self.daemons.borrow().iter() {
-            if !unique.contains(&d) {
-                unique.push(d);
-            }
-        }
-    }
-
-    /// Clears the whole table (keeping the lists' capacity) so it can be
-    /// refilled for the next experiment.
-    pub fn reset(&self) {
-        self.daemons.borrow_mut().clear();
-        self.unique.borrow_mut().clear();
-        self.central.set(None);
-        self.supervisor.set(None);
     }
 
     /// The daemon serving `host_idx`.
     ///
     /// # Panics
     ///
-    /// Panics if the wiring has not been filled for that host.
+    /// Panics if `host_idx` is not a configured host.
     pub fn daemon_for(&self, host_idx: usize) -> ActorId {
-        self.daemons.borrow()[host_idx]
+        self.daemons[host_idx]
     }
 
-    /// Applies `f` to the cached distinct-daemon slice (all *distinct*
-    /// daemon actors, in host order) without cloning it.
-    /// The slice is borrowed for the duration of `f`; `f` must not refill
-    /// the wiring (spawning/sending through an actor context is fine — the
-    /// engine never touches the wiring).
-    pub fn with_unique<R>(&self, f: impl FnOnce(&[ActorId]) -> R) -> R {
-        f(&self.unique.borrow())
-    }
-
-    /// Number of distinct daemon actors.
-    pub fn num_unique(&self) -> usize {
-        self.unique.borrow().len()
-    }
-
-    /// Sets the central daemon.
-    pub fn set_central(&self, central: ActorId) {
-        self.central.set(Some(central));
+    /// All distinct daemon actors, in host order.
+    pub fn unique(&self) -> &[ActorId] {
+        &self.unique
     }
 
     /// The central daemon.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unset.
     pub fn central(&self) -> ActorId {
-        self.central.get().expect("central daemon wired")
-    }
-
-    /// Sets the restart supervisor (optional).
-    pub fn set_supervisor(&self, supervisor: ActorId) {
-        self.supervisor.set(Some(supervisor));
+        self.central
     }
 
     /// The restart supervisor, if configured.
     pub fn supervisor(&self) -> Option<ActorId> {
-        self.supervisor.get()
+        self.supervisor
+    }
+
+    /// The machines the node file places, with their host index.
+    pub fn placements(&self) -> &[(SmId, u32)] {
+        &self.placements
+    }
+
+    /// Whether the node file starts a machine through `daemon`.
+    pub fn starts_through(&self, daemon: ActorId) -> bool {
+        self.placements
+            .iter()
+            .any(|&(_, host)| self.daemons[host as usize] == daemon)
     }
 }
 
@@ -116,32 +98,22 @@ mod tests {
 
     #[test]
     fn with_unique_dedups_centralized_wiring() {
-        let w = Wiring::new();
-        let d = ActorId(7);
-        w.fill_daemons([d, d, d]);
-        assert_eq!(w.num_unique(), 1);
+        let w = Wiring::new(3, NotifyRouting::Centralized, false, Box::new([]));
+        let d = ActorId(0);
+        assert_eq!(w.unique(), [d]);
         assert_eq!(w.daemon_for(2), d);
-        w.with_unique(|unique| assert_eq!(unique, [d]));
-    }
-
-    #[test]
-    fn unique_cache_tracks_refills() {
-        let w = Wiring::new();
-        w.fill_daemons([ActorId(1), ActorId(2), ActorId(1)]);
-        w.with_unique(|unique| assert_eq!(unique, [ActorId(1), ActorId(2)]));
-        w.reset();
-        assert_eq!(w.num_unique(), 0);
-        w.fill_daemons([ActorId(9)]);
-        w.with_unique(|unique| assert_eq!(unique, [ActorId(9)]));
+        assert_eq!(w.central(), ActorId(1));
     }
 
     #[test]
     fn central_and_supervisor() {
-        let w = Wiring::new();
+        let w = Wiring::new(3, NotifyRouting::ThroughDaemons, false, Box::new([]));
+        assert_eq!(w.unique(), [ActorId(0), ActorId(1), ActorId(2)]);
         assert_eq!(w.supervisor(), None);
-        w.set_central(ActorId(1));
-        w.set_supervisor(ActorId(2));
-        assert_eq!(w.central(), ActorId(1));
-        assert_eq!(w.supervisor(), Some(ActorId(2)));
+        assert_eq!(w.central(), ActorId(3));
+        let w = Wiring::new(3, NotifyRouting::Direct, true, Box::new([]));
+        assert_eq!(w.daemon_for(1), ActorId(1));
+        assert_eq!(w.supervisor(), Some(ActorId(3)));
+        assert_eq!(w.central(), ActorId(4));
     }
 }

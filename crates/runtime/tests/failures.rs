@@ -1,13 +1,16 @@
 //! Failure injection on the injector itself: daemon crashes, dropped
-//! notifications, dynamic entry.
+//! notifications, dynamic entry, machines that end at once, and injector
+//! configurations no experiment can run.
 
 use loki_core::campaign::{ExperimentEnd, Warning};
 use loki_core::fault::{FaultExpr, Trigger};
+use loki_core::recorder::RecordKind;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
-use loki_runtime::harness::{run_experiment, SimHarnessConfig};
-use loki_runtime::AppFactory;
+use loki_runtime::harness::{run_experiment, CampaignError, SimHarnessConfig};
 use loki_runtime::{App, NodeCtx, Payload};
+use loki_runtime::{AppFactory, RestartPolicy};
+use std::mem::discriminant;
 use std::sync::Arc;
 
 struct ShortLived {
@@ -168,4 +171,128 @@ fn daemon_crash_aborts_the_experiment() {
     cfg.kill_daemon = Some((1, 100_000_000)); // host2's daemon dies at +100 ms
     let data = run_experiment(&study, factory, &cfg, 0).expect("valid config");
     assert_eq!(data.end, ExperimentEnd::Aborted);
+}
+
+/// Ends in its first callback, before its `Register` reaches the daemon.
+struct ExitAtOnce;
+
+impl App for ExitAtOnce {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>, _restarted: bool) {
+        ctx.exit();
+    }
+    fn on_app_message(&mut self, _: &mut NodeCtx<'_>, _: loki_core::ids::SmId, _: Payload) {}
+    fn on_fault(&mut self, _: &mut NodeCtx<'_>, _: &str) {}
+}
+
+/// A study whose machine `a` is placed on host1, plus a machine `b` on
+/// host2 when `with_b`.
+fn exit_study(with_b: bool) -> Arc<Study> {
+    let machine = |name| {
+        StateMachineSpec::builder(name)
+            .states(&["RUN"])
+            .events(&["DONE"])
+            .state("RUN", &[], &[("DONE", "EXIT")])
+            .build()
+    };
+    let mut def = StudyDef::new("s").machine(machine("a")).place("a", "host1");
+    if with_b {
+        def = def.machine(machine("b")).place("b", "host2");
+    }
+    Study::compile_arc(&def).unwrap()
+}
+
+#[test]
+fn a_machine_that_exits_in_on_start_completes_on_every_host_count() {
+    // Only `Register` announces a machine to the peer daemons, so they
+    // learn of `a` from its `NodeDown` alone — which must still count as a
+    // machine that started, or they never report completion. A daemon
+    // with a machine of its own to start (`b`) must not take that
+    // `NodeDown` for the end of the experiment: `b` still runs to its
+    // `EXIT`.
+    let factory: AppFactory = Arc::new(|study: &Study, sm| -> Box<dyn App> {
+        if study.sms.name(sm) == "a" {
+            Box::new(ExitAtOnce)
+        } else {
+            Box::new(ShortLived {
+                lifetime_ns: 20_000_000,
+                notify_after_death_of: None,
+            })
+        }
+    });
+    // On two hosts, seeds 506, 678 and 781 are among those where `a`'s
+    // `NodeDown` reaches host2's daemon before `b`'s `StartNode` does.
+    let seeds = (0..8).chain([506, 678, 781]);
+    for with_b in [false, true] {
+        let study = exit_study(with_b);
+        for hosts in if with_b { 2..=3 } else { 1..=3 } {
+            for seed in seeds.clone() {
+                let mut cfg = SimHarnessConfig::three_hosts(seed);
+                cfg.hosts.truncate(hosts);
+                let data = run_experiment(&study, factory.clone(), &cfg, 0).expect("valid config");
+                let case = format!("b: {with_b}, {hosts} hosts, seed {seed}");
+                assert_eq!(data.end, ExperimentEnd::Completed, "{case}");
+                if let Some(b) = study.sm_id("b") {
+                    let last = data.timeline_for(b).and_then(|t| t.records.last());
+                    assert!(
+                        matches!(last.map(|r| &r.kind), Some(RecordKind::StateChange { new_state, .. }) if *new_state == study.reserved.exit),
+                        "{case}: b did not reach EXIT: {last:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn an_unusable_injector_config_is_a_typed_error() {
+    let study = exit_study(false);
+    let factory: AppFactory = Arc::new(|_, _| Box::new(ExitAtOnce) as Box<dyn App>);
+    let restart = |probability| {
+        Some(RestartPolicy {
+            probability,
+            ..RestartPolicy::default()
+        })
+    };
+    let rows: [(&str, SimHarnessConfig, CampaignError); 4] = [
+        (
+            "kill_daemon past the host list",
+            SimHarnessConfig {
+                kill_daemon: Some((7, 1_000_000)),
+                ..SimHarnessConfig::three_hosts(5)
+            },
+            CampaignError::Hosts(String::new()),
+        ),
+        (
+            "negative restart probability",
+            SimHarnessConfig {
+                restart: restart(-0.5),
+                ..SimHarnessConfig::three_hosts(5)
+            },
+            CampaignError::Restart(String::new()),
+        ),
+        (
+            "restart probability above one",
+            SimHarnessConfig {
+                restart: restart(1.5),
+                ..SimHarnessConfig::three_hosts(5)
+            },
+            CampaignError::Restart(String::new()),
+        ),
+        (
+            "NaN restart probability",
+            SimHarnessConfig {
+                restart: restart(f64::NAN),
+                ..SimHarnessConfig::three_hosts(5)
+            },
+            CampaignError::Restart(String::new()),
+        ),
+    ];
+    for (what, cfg, expected) in rows {
+        let err = run_experiment(&study, factory.clone(), &cfg, 0).expect_err(what);
+        assert_eq!(
+            discriminant(&err),
+            discriminant(&expected),
+            "{what}: {err:?}"
+        );
+    }
 }

@@ -118,7 +118,7 @@ impl HostConfig {
     }
 
     /// Samples a dispatch (scheduling) delay for this host.
-    pub fn sched_delay(&self, rng: &mut impl Rng) -> u64 {
+    fn sched_delay(&self, rng: &mut impl Rng) -> u64 {
         if self.timeslice_ns == 0 {
             0
         } else {

@@ -196,8 +196,7 @@ const MAX_EVENTS: u64 = 50_000_000;
 ///
 /// Placements and [`Ctx::find_host`] resolve hosts by name, so a
 /// duplicate would silently shadow the second host; registration rejects
-/// it instead. Returned by [`WorldConfig::add_host`] and
-/// [`Simulation::try_add_host`].
+/// it instead. Returned by [`WorldConfig::add_host`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DuplicateHost {
     /// The name that was registered twice.
@@ -466,11 +465,6 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
         self.net_faults.reset();
     }
 
-    /// The world description this simulation runs over.
-    pub fn world_config(&self) -> &Arc<WorldConfig> {
-        &self.config
-    }
-
     /// Replaces the network latency configuration.
     ///
     /// Copy-on-write when the world description is shared: other
@@ -648,20 +642,15 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
     ///
     /// Panics when the host's name is already registered — a duplicate
     /// would silently shadow the second host in every name-based lookup.
-    /// Use [`Simulation::try_add_host`] to handle the error instead.
-    pub fn add_host(&mut self, config: HostConfig) -> HostId {
-        match self.try_add_host(config) {
-            Ok(id) => id,
-            Err(e) => panic!("loki-sim: {e}"),
-        }
-    }
-
-    /// Adds a host, rejecting a duplicate name with a typed error.
+    /// [`WorldConfig::add_host`] returns the error instead.
     ///
     /// Copy-on-write when the world description is shared (campaigns
     /// should finish building the [`WorldConfig`] before sharing it).
-    pub fn try_add_host(&mut self, config: HostConfig) -> Result<HostId, DuplicateHost> {
-        Arc::make_mut(&mut self.config).add_host(config)
+    pub fn add_host(&mut self, config: HostConfig) -> HostId {
+        match Arc::make_mut(&mut self.config).add_host(config) {
+            Ok(id) => id,
+            Err(e) => panic!("loki-sim: {e}"),
+        }
     }
 
     /// Host configuration lookup.
@@ -726,7 +715,7 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
     /// # Panics
     ///
     /// Panics if `actor` was never spawned.
-    pub fn host_of(&self, actor: ActorId) -> HostId {
+    fn host_of(&self, actor: ActorId) -> HostId {
         self.actor_hosts[actor.0 as usize]
     }
 
@@ -741,12 +730,6 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
     /// arm/cancel traffic a workload generates).
     pub fn timer_slots(&self) -> usize {
         self.timers.slots()
-    }
-
-    /// High-water mark of concurrently pending events (the event slab's
-    /// size; slots are recycled).
-    pub fn event_slots(&self) -> usize {
-        self.queue.slab_slots()
     }
 
     /// Number of events currently pending in the queue.
@@ -987,11 +970,6 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
         self.sim.host_of(self.me)
     }
 
-    /// The host name of the current actor.
-    pub fn my_host_name(&self) -> &str {
-        &self.sim.host(self.my_host()).name
-    }
-
     /// Reads the *local clock* of this actor's host — the only notion of
     /// time a Loki runtime component may use.
     pub fn local_clock(&self) -> LocalNanos {
@@ -1122,11 +1100,6 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
         self.sim.clear_net_faults();
     }
 
-    /// Whether any network fault is currently armed.
-    pub fn net_fault_active(&self) -> bool {
-        self.sim.net_faults.is_active()
-    }
-
     fn deliver_fifo(&mut self, to: ActorId, at: u64, msg: M) {
         // Per-sender horizons, sorted by receiver: the probe is a binary
         // search over this sender's few peers instead of a hash of the
@@ -1222,11 +1195,6 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
     /// Whether `actor` is alive.
     pub fn is_alive(&self, actor: ActorId) -> bool {
         self.sim.is_alive(actor)
-    }
-
-    /// The host an actor runs on.
-    pub fn host_of(&self, actor: ActorId) -> HostId {
-        self.sim.host_of(actor)
     }
 
     /// Name of a host.
@@ -1582,7 +1550,7 @@ mod tests {
     #[test]
     fn find_host_resolves_names_in_constant_time_path() {
         let (mut sim, h1, h2) = two_host_sim(1);
-        // find_host/my_host_name are Ctx methods; probe through an actor.
+        // find_host/host_name are Ctx methods; probe through an actor.
         struct Probe {
             h1: HostId,
             h2: HostId,
@@ -1593,7 +1561,7 @@ mod tests {
                 assert_eq!(ctx.find_host("h1"), Some(self.h1));
                 assert_eq!(ctx.find_host("h2"), Some(self.h2));
                 assert_eq!(ctx.find_host("nope"), None);
-                assert_eq!(ctx.my_host_name(), "h1");
+                assert_eq!(ctx.host_name(ctx.my_host()), "h1");
                 *self.ran.borrow_mut() = true;
             }
             fn on_message(&mut self, _: &mut Ctx<'_, Msg>, _: ActorId, _: Msg) {}
@@ -1615,12 +1583,7 @@ mod tests {
     fn duplicate_host_names_are_a_hard_error() {
         let mut sim: Simulation<Msg> = Simulation::new(1);
         let first = sim.add_host(HostConfig::new("dup"));
-        let err = sim.try_add_host(HostConfig::new("dup")).unwrap_err();
-        assert_eq!(err.name, "dup");
-        assert!(err.to_string().contains("dup"), "{err}");
-
-        // The panicking entry point rejects it too, and the rejected host
-        // leaves no trace in the world.
+        // The rejected host leaves no trace in the world.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sim.add_host(HostConfig::new("dup"));
         }));
@@ -1628,10 +1591,12 @@ mod tests {
         assert_eq!(sim.num_hosts(), 1);
         assert_eq!(first, HostId(0));
 
-        // WorldConfig rejects duplicates the same way.
+        // WorldConfig rejects duplicates with a typed error.
         let mut config = WorldConfig::new();
         config.add_host(HostConfig::new("dup")).unwrap();
-        assert!(config.add_host(HostConfig::new("dup")).is_err());
+        let err = config.add_host(HostConfig::new("dup")).unwrap_err();
+        assert_eq!(err.name, "dup");
+        assert!(err.to_string().contains("dup"), "{err}");
         assert_eq!(config.num_hosts(), 1);
     }
 
@@ -1642,7 +1607,7 @@ mod tests {
         let config = Arc::new(config);
         let mut a: Simulation<Msg> = Simulation::with_config(config.clone(), 1);
         let b: Simulation<Msg> = Simulation::with_config(config.clone(), 2);
-        assert!(Arc::ptr_eq(a.world_config(), b.world_config()));
+        assert!(Arc::ptr_eq(&a.config, &b.config));
         assert_eq!(a.host(h1).name, "h1");
 
         // Mutating one world's description copies on write instead of
@@ -1650,7 +1615,7 @@ mod tests {
         a.add_host(HostConfig::new("h2"));
         assert_eq!(a.num_hosts(), 2);
         assert_eq!(b.num_hosts(), 1);
-        assert!(!Arc::ptr_eq(a.world_config(), b.world_config()));
+        assert!(!Arc::ptr_eq(&a.config, &b.config));
     }
 
     #[test]
@@ -1689,7 +1654,7 @@ mod tests {
         };
 
         let first = drive(&mut sim);
-        let marks = (sim.event_slots(), sim.timer_slots());
+        let marks = (sim.queue.slab_slots(), sim.timer_slots());
 
         sim.reset(6);
         assert_eq!(sim.now(), 0);
@@ -1699,7 +1664,7 @@ mod tests {
         let second = drive(&mut sim);
         assert_eq!(first, second, "a reset world must replay byte-identically");
         assert_eq!(
-            (sim.event_slots(), sim.timer_slots()),
+            (sim.queue.slab_slots(), sim.timer_slots()),
             marks,
             "replaying after reset must reuse the slabs, not regrow them"
         );
@@ -1717,7 +1682,7 @@ mod tests {
                 groups: vec![vec!["h1".into()], vec!["h2".into()]],
             };
             assert_eq!(ctx.apply_net_fault(&part), Ok(true));
-            assert!(ctx.net_fault_active());
+            assert!(ctx.sim.net_faults.is_active());
             ctx.send(self.target, Msg::Ping); // cut by the partition
             ctx.set_timer(1_000_000, 1);
         }

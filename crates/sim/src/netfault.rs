@@ -156,14 +156,14 @@ impl NetFaultPlane {
     /// Arms a partition: host `h` joins group `assignment[h]`. Hosts not
     /// covered by `assignment` (it may be shorter than the host count)
     /// join the implicit group `u32::MAX`.
-    pub fn set_partition(&mut self, assignment: &[u32]) {
+    fn set_partition(&mut self, assignment: &[u32]) {
         self.group_of.clear();
         self.group_of.extend_from_slice(assignment);
         self.active = true;
     }
 
     /// Arms (or replaces) the directed link fault `from → to`.
-    pub fn set_link_fault(&mut self, from: HostId, to: HostId, params: LinkFaultParams) {
+    fn set_link_fault(&mut self, from: HostId, to: HostId, params: LinkFaultParams) {
         let key = (from.0, to.0);
         match self.links.binary_search_by_key(&key, |&(f, t, _)| (f, t)) {
             Ok(i) => self.links[i].2 = params,
@@ -173,7 +173,7 @@ impl NetFaultPlane {
     }
 
     /// Marks `host` gray with the given delay multiplier (≥ 1.0).
-    pub fn set_gray(&mut self, host: HostId, slowdown: f64) {
+    fn set_gray(&mut self, host: HostId, slowdown: f64) {
         let idx = host.0 as usize;
         if self.gray.len() <= idx {
             self.gray.resize(idx + 1, 1.0);

@@ -319,7 +319,7 @@ fn lives(data: &ExperimentData) -> usize {
 #[test]
 fn the_factory_runs_once_per_node_life() {
     // `AppFactory` promises one call per (re)start of a machine, whether
-    // the node's hull is recycled or built fresh — on a fresh world, on a
+    // the node's actor is recycled or built fresh — on a fresh world, on a
     // worker's first experiment, and after restarts.
     for restart in [None, Some(RestartPolicy::default())] {
         let (study, factory, calls) = counted_ring_campaign("ring-factory-calls");

@@ -273,7 +273,7 @@ fn pooling_recycles_across_experiments_without_changing_results() {
     assert_eq!(streamed, baseline, "pooling changed campaign results");
     assert!(
         summary.actor_reuses > 0,
-        "restart campaign must reuse pooled hulls"
+        "restart campaign must reuse pooled actors"
     );
     assert!(
         summary.timeline_reuses > 0,

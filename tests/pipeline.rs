@@ -378,34 +378,64 @@ fn slow_sink_parks_the_workers_instead_of_buffering_the_campaign() {
 }
 
 #[test]
-fn invalid_analysis_options_are_a_typed_error_before_any_experiment() {
+fn invalid_options_are_a_typed_error_before_any_experiment() {
     use loki::analysis::GlobalOptions;
     use loki::clock::sync::SyncOptions;
     use loki::runtime::harness::CampaignError;
-    let rows = [
-        (
-            "inverted window",
-            GlobalOptions {
-                window: Some((2.0, 1.0)),
+    use std::mem::discriminant;
+    let pipeline = |edit: fn(&mut SimHarnessConfig), analysis| {
+        let (study, factory) = wo_study(40);
+        let mut cfg = harness(14);
+        edit(&mut cfg);
+        CampaignPipeline::new(study, factory, cfg).analysis(analysis)
+    };
+    fn restart(probability: f64) -> Option<RestartPolicy> {
+        Some(RestartPolicy {
+            probability,
+            ..RestartPolicy::default()
+        })
+    }
+    let beta_box = AnalysisOptions {
+        global: GlobalOptions {
+            sync: SyncOptions {
+                beta_range: (0.0, 1.1),
                 ..Default::default()
             },
-        ),
+        },
+        ..Default::default()
+    };
+    let rows: [(&str, CampaignPipeline, CampaignError); 4] = [
         (
             "beta box touching zero",
-            GlobalOptions {
-                sync: SyncOptions {
-                    beta_range: (0.0, 1.1),
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
+            pipeline(|_| {}, beta_box),
+            CampaignError::Analysis(String::new()),
+        ),
+        (
+            "kill_daemon past the host list",
+            pipeline(
+                |cfg| cfg.kill_daemon = Some((7, 1_000_000)),
+                AnalysisOptions::default(),
+            ),
+            CampaignError::Hosts(String::new()),
+        ),
+        (
+            "negative restart probability",
+            pipeline(
+                |cfg| cfg.restart = restart(-0.5),
+                AnalysisOptions::default(),
+            ),
+            CampaignError::Restart(String::new()),
+        ),
+        (
+            "NaN restart probability",
+            pipeline(
+                |cfg| cfg.restart = restart(f64::NAN),
+                AnalysisOptions::default(),
+            ),
+            CampaignError::Restart(String::new()),
         ),
     ];
-    for (what, global) in rows {
-        let pipeline = wo_pipeline(14, 1).analysis(AnalysisOptions {
-            global,
-            ..Default::default()
-        });
+    for (what, pipeline, expected) in rows {
         let err = pipeline
             .run_tapped_with_workers(
                 4,
@@ -414,6 +444,10 @@ fn invalid_analysis_options_are_a_typed_error_before_any_experiment() {
                 |_, ()| panic!("{what}: the sink ran"),
             )
             .expect_err(what);
-        assert!(matches!(err, CampaignError::Analysis(_)), "{what}: {err:?}");
+        assert_eq!(
+            discriminant(&err),
+            discriminant(&expected),
+            "{what}: {err:?}"
+        );
     }
 }
