@@ -227,11 +227,12 @@ fn make_global_strings(study: &Study, data: &ExperimentData) -> Result<RefOutput
         data.host_name(data.reference_host).to_owned(),
         AlphaBetaBounds::identity(),
     );
+    let mut samples = Vec::new();
     for &host in &data.hosts {
         if host == data.reference_host {
             continue;
         }
-        let samples = data.sync_samples_for(host);
+        data.sync_samples_into(host, &mut samples);
         let bounds = estimate_alpha_beta(&samples, &opts.sync).unwrap();
         alpha_beta.insert(data.host_name(host).to_owned(), bounds);
     }

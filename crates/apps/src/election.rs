@@ -296,7 +296,7 @@ impl App for Election {
     }
 
     fn on_fault(&mut self, ctx: &mut NodeCtx<'_>, fault: &str) {
-        let action = match self.probe.action_for(fault) {
+        let action = match ctx.probe_action(&self.probe, fault) {
             Some(action) => action.clone(),
             None => FaultAction::CrashWithProbability {
                 activation: self.cfg.fault_activation,

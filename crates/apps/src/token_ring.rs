@@ -229,7 +229,7 @@ impl App for RingMember {
     }
 
     fn on_fault(&mut self, ctx: &mut NodeCtx<'_>, fault: &str) {
-        match self.probe.action_for(fault).cloned() {
+        match ctx.probe_action(&self.probe, fault).cloned() {
             Some(FaultAction::CrashNode) | None => ctx.crash(),
             Some(FaultAction::DropMessages { count }) => self.drop_next_pass += count,
             Some(FaultAction::CrashWithProbability { activation, .. }) => {
@@ -432,5 +432,40 @@ mod tests {
             .map(|sm| count_state(&study, &data, sm, "RECOVER"))
             .sum();
         assert!(regen >= 1, "token loss detected after dropped pass");
+    }
+
+    #[test]
+    fn a_fault_missing_from_a_nonempty_table_is_warned_about() {
+        // The table maps `drop_pass`; the study's fault is spelled
+        // `drop_pas`. The ring still applies its default (crash), and the
+        // likely misspelling surfaces as a warning.
+        let probe = ActionProbe::new().on("drop_pass", FaultAction::DropMessages { count: 1 });
+        let def = ring_study("s", 3).fault(
+            "tr1",
+            "drop_pas",
+            FaultExpr::atom("tr1", "HAS_TOKEN"),
+            Trigger::Once,
+        );
+        let study = Study::compile_arc(&def).unwrap();
+        let cfg = RingConfig {
+            probe,
+            ..Default::default()
+        };
+        let data = run_experiment(
+            &study,
+            ring_factory(cfg),
+            &SimHarnessConfig::three_hosts(9),
+            0,
+        )
+        .expect("valid config");
+        assert_eq!(data.total_injections(), 1);
+        let fault = study.fault_names.lookup("drop_pas").unwrap();
+        assert!(
+            data.warnings
+                .contains(&loki_core::campaign::Warning::UnmappedFault { fault }),
+            "{:?}",
+            data.warnings
+        );
+        assert_eq!(count_state(&study, &data, "tr1", "CRASH"), 1);
     }
 }

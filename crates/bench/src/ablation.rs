@@ -17,7 +17,6 @@ use crate::accuracy::{accuracy_study, AccuracyConfig};
 use loki_clock::params::ClockParams;
 use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, SyncOptions};
 use loki_core::campaign::ExperimentData;
-use loki_core::ids::Id;
 use loki_core::recorder::RecordKind;
 use loki_core::study::Study;
 use loki_runtime::harness::{CampaignPipeline, SimHarnessConfig};
@@ -181,18 +180,11 @@ pub fn sync_bound_quality(rounds: u32, jitter_ns: u64) -> (AlphaBetaBounds, (f64
     let reference = sim.add_host(HostConfig::new("reference").clock(reference_clock));
     let machine = sim.add_host(HostConfig::new("machine").clock(machine_clock));
 
-    // Sim host indices double as study-run host ids, as in the harness.
     let collector = SyncCollector::new();
-    let calibrated = Id::from_raw(machine.0);
     for phase_at_ns in [0, POST_PHASE_AT_NS] {
         sim.run_until(phase_at_ns);
         sim.run_exchanges(reference, &[machine], rounds, ROUND_INTERVAL_NS, |round| {
-            collector.push_round(
-                calibrated,
-                round.ping_sent,
-                round.echoed,
-                round.echo_received,
-            )
+            collector.push_round(machine, round.ping_sent, round.echoed, round.echo_received)
         });
     }
     let samples = collector.drain().pop().expect("at least one round").samples;

@@ -263,13 +263,6 @@ pub struct ExperimentData {
 }
 
 impl ExperimentData {
-    /// All sync samples (pre- and post-phase) for `host`, in order.
-    pub fn sync_samples_for(&self, host: HostId) -> Vec<SyncSample> {
-        let mut out = Vec::new();
-        self.sync_samples_into(host, &mut out);
-        out
-    }
-
     /// Appends `host`'s sync samples (pre- then post-phase, in order) into
     /// `out` after clearing it. Callers iterating many hosts reuse one
     /// buffer instead of allocating per host.
@@ -343,11 +336,14 @@ mod tests {
         let d = data();
         let h2 = d.symbols.lookup_host("h2").unwrap();
         let h3 = d.symbols.lookup_host("h3").unwrap();
-        let samples = d.sync_samples_for(h2);
+        let mut samples = Vec::new();
+        d.sync_samples_into(h2, &mut samples);
         assert_eq!(samples.len(), 2);
         assert!(samples[0].from_reference);
         assert!(!samples[1].from_reference);
-        assert!(d.sync_samples_for(h3).is_empty());
+        // The buffer is cleared before it is filled.
+        d.sync_samples_into(h3, &mut samples);
+        assert!(samples.is_empty());
     }
 
     #[test]

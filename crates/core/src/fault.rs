@@ -24,7 +24,10 @@ use std::fmt;
 /// every false→true edge.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Trigger {
-    /// Inject only the first time the expression becomes true.
+    /// Inject only the first time the expression becomes true in each
+    /// incarnation of the owning node: a node that crashes and restarts
+    /// starts with a fresh parser, so a `once` fault can fire again in
+    /// the new incarnation.
     Once,
     /// Inject every time the expression becomes true from a different
     /// global state.
@@ -311,19 +314,9 @@ impl FaultParser {
         &self.faults
     }
 
-    /// Resets edge state (used when a node restarts: its runtime is fresh).
-    pub fn reset(&mut self) {
-        self.prev.iter_mut().for_each(|p| *p = false);
-        self.primed = false;
-        // `fired` is intentionally preserved across resets so that a `once`
-        // fault is injected at most once per experiment even if the owning
-        // node restarts.
-    }
-
     /// Resets the parser to its freshly-constructed state, including the
-    /// `once` bookkeeping — for reusing a parser across *experiments*
-    /// (unlike [`FaultParser::reset`], which serves within-experiment node
-    /// restarts). Observationally identical to rebuilding the parser over
+    /// `once` bookkeeping — for reusing a parser for a new incarnation of
+    /// its node. Observationally identical to rebuilding the parser over
     /// the same faults.
     pub fn reset_all(&mut self) {
         self.prev.iter_mut().for_each(|p| *p = false);
@@ -497,17 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_preserves_once_state() {
-        let f = fault(0, CompiledExpr::Atom(sm(0), st(1)), Trigger::Once);
-        let mut p = FaultParser::new(vec![f]);
-        let mut view = PartialView::new(1);
-        view.set(sm(0), st(1));
-        assert_eq!(p.on_view_change(&view).len(), 1);
-        p.reset();
-        assert!(p.on_view_change(&view).is_empty());
-    }
-
-    #[test]
     fn compile_expr_resolves_names() {
         let expr = FaultExpr::atom("black", "LEAD").or(FaultExpr::atom("green", "LEAD"));
         let compiled = compile_expr(
@@ -603,9 +585,10 @@ mod tests {
         // A change of machine 1 cannot affect the expression.
         view.set(sm(1), st(1));
         assert!(p.on_machine_change(&view, sm(1)).is_empty());
-        // Reset unprimes: the next incremental call scans everything again.
-        p.reset();
-        assert!(p.on_machine_change(&view, sm(1)).is_empty()); // once already fired
+        // Reset unprimes: the next incremental call scans everything
+        // again, so the expression fires although machine 1 changed.
+        p.reset_all();
+        assert_eq!(p.on_machine_change(&view, sm(1)).len(), 1);
     }
 
     #[test]

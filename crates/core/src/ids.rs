@@ -105,7 +105,8 @@ pub type StateId = Id<StateTag>;
 pub type EventId = Id<EventTag>;
 /// Index of a fault within the study-wide fault list.
 pub type FaultId = Id<FaultTag>;
-/// Index of a host within a study's [`SymbolTable`].
+/// Index of a host within a study's [`SymbolTable`]; the simulator names
+/// its hosts by the same ids.
 ///
 /// Host ids are dense (`0..num_hosts`) and assigned in the deterministic
 /// order the harness configuration lists its hosts, so the same study
@@ -202,11 +203,12 @@ impl<Tag> NameTable<Tag> {
 ///
 /// State-machine, state, event, and fault names are interned at study
 /// compile time (the [`NameTable`]s inside `Study`); host names come from
-/// the harness configuration instead. The harness builds one `SymbolTable`
-/// per study run — interning every host in configuration order, so ids are
-/// dense and deterministic — and shares it immutably (`Arc`) with every
-/// worker. Timelines, sync records, and the global timeline then carry
-/// [`HostId`]s; the table is consulted only at display/report boundaries.
+/// the harness configuration instead. The simulated world interns its
+/// hosts into one `SymbolTable` as it registers them, in configuration
+/// order, so ids are dense and deterministic; the harness shares that
+/// table immutably (`Arc`) with every worker. Timelines, sync records,
+/// and the global timeline then carry [`HostId`]s; the table is consulted
+/// only at display/report boundaries.
 ///
 /// # Examples
 ///

@@ -18,7 +18,7 @@
 //! * [`fault`] — Boolean fault expressions and the positive-edge-triggered
 //!   fault parser.
 //! * [`recorder`] — local timelines of state changes and injections.
-//! * [`probe`] — the system-dependent injection interface.
+//! * [`probe`] — fault actions and the table mapping fault names to them.
 //! * [`campaign`] — experiment data containers and sync-sample records.
 //! * [`small`] — allocation-lean small-vector storage
 //!   ([`small::InlineVec`]) for the runtime's hot-path fan-out lists.
@@ -82,10 +82,10 @@ pub use campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync, S
 pub use error::CoreError;
 pub use fault::{CompiledExpr, CompiledFault, FaultExpr, FaultParser, Trigger};
 pub use ids::{EventId, FaultId, NameTable, SmId, StateId};
-pub use probe::{ActionProbe, FaultAction, Probe};
+pub use probe::{ActionProbe, FaultAction};
 pub use recorder::{LocalTimeline, RecordKind, Recorder, TimelineRecord};
 pub use small::InlineVec;
-pub use spec::{CampaignDef, FaultSpec, NodePlacement, StateMachineSpec, StudyDef};
+pub use spec::{FaultSpec, NodePlacement, StateMachineSpec, StudyDef};
 pub use state_machine::{StateMachine, TransitionOutcome};
 pub use study::{CompiledSm, ReservedIds, Study};
 pub use time::{GlobalNanos, LocalNanos, TimeBounds};

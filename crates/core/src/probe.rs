@@ -2,11 +2,10 @@
 //!
 //! The probe has two duties: it *notifies* the state machine of local events
 //! occurring in the application, and it *performs the actual fault
-//! injection* when instructed by the fault parser. In this library the
-//! notification direction is a method on the runtime's node handle (the
-//! application calls `notify_event`, mirroring the thesis's
-//! `notifyEvent()`), while the injection direction is the [`Probe`] trait
-//! below (mirroring `injectFault()`).
+//! injection* when instructed by the fault parser. In this library both
+//! directions live on the runtime's node: the application calls
+//! `notify_event` (the thesis's `notifyEvent()`), and the runtime calls
+//! the application's `on_fault` (the thesis's `injectFault()`).
 //!
 //! Because the *kind* of fault is completely up to the user (§5.4 — "the
 //! type of fault injected is completely left to the user"), this module also
@@ -20,7 +19,6 @@ use std::collections::HashMap;
 
 /// A common fault effect, interpreted by the application harness.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
 pub enum FaultAction {
     /// Crash the node immediately (the classic crash fault of §5.4; the
     /// injected error "crashes the process").
@@ -110,30 +108,19 @@ impl FaultAction {
     }
 }
 
-/// The injection half of the probe interface.
-///
-/// Implementations perform the actual fault injection into the application
-/// component and report what they did so the harness can record it.
-pub trait Probe: Send {
-    /// Injects `fault` into the component. Returns the action performed so
-    /// the node harness can apply its effect (crash the actor, drop
-    /// messages, ...).
-    fn inject(&mut self, fault: &str) -> FaultAction;
-}
-
 /// A table-driven probe: maps fault names to [`FaultAction`]s.
 ///
 /// # Examples
 ///
 /// ```
-/// use loki_core::probe::{ActionProbe, FaultAction, Probe};
+/// use loki_core::probe::{ActionProbe, FaultAction};
 ///
-/// let mut probe = ActionProbe::new()
+/// let probe = ActionProbe::new()
 ///     .on("bfault1", FaultAction::CrashNode)
 ///     .on("slow", FaultAction::HangNode { duration_ns: 1_000_000 });
-/// assert_eq!(probe.inject("bfault1"), FaultAction::CrashNode);
-/// // Unmapped faults fall back to a custom action carrying the name.
-/// assert_eq!(probe.inject("x"), FaultAction::Custom("x".into()));
+/// assert_eq!(probe.action_for("bfault1"), Some(&FaultAction::CrashNode));
+/// // Unmapped faults are the application's to handle.
+/// assert_eq!(probe.action_for("x"), None);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ActionProbe {
@@ -152,7 +139,7 @@ impl ActionProbe {
         self
     }
 
-    /// Returns the configured action without consuming the probe.
+    /// The action configured for `fault`, if any.
     pub fn action_for(&self, fault: &str) -> Option<&FaultAction> {
         self.actions.get(fault)
     }
@@ -172,34 +159,21 @@ impl ActionProbe {
     }
 }
 
-impl Probe for ActionProbe {
-    fn inject(&mut self, fault: &str) -> FaultAction {
-        self.actions
-            .get(fault)
-            .cloned()
-            .unwrap_or_else(|| FaultAction::Custom(fault.to_owned()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn table_probe_lookup() {
-        let mut p = ActionProbe::new()
+        let p = ActionProbe::new()
             .on("crash", FaultAction::CrashNode)
             .on("drop", FaultAction::DropMessages { count: 3 });
-        assert_eq!(p.inject("crash"), FaultAction::CrashNode);
-        assert_eq!(p.inject("drop"), FaultAction::DropMessages { count: 3 });
+        assert_eq!(p.action_for("crash"), Some(&FaultAction::CrashNode));
+        assert_eq!(
+            p.action_for("drop"),
+            Some(&FaultAction::DropMessages { count: 3 })
+        );
         assert_eq!(p.action_for("missing"), None);
-        assert_eq!(p.inject("missing"), FaultAction::Custom("missing".into()));
-    }
-
-    #[test]
-    fn probe_is_object_safe() {
-        let p: Box<dyn Probe> = Box::new(ActionProbe::new());
-        drop(p);
     }
 
     #[test]

@@ -302,33 +302,6 @@ impl StudyDef {
     }
 }
 
-/// A campaign: a named collection of studies whose results may be combined
-/// by campaign-level measures (results are never combined *across*
-/// campaigns, §2.2.3).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct CampaignDef {
-    /// Campaign name.
-    pub name: String,
-    /// The studies making up the campaign.
-    pub studies: Vec<StudyDef>,
-}
-
-impl CampaignDef {
-    /// Creates an empty campaign.
-    pub fn new(name: &str) -> Self {
-        CampaignDef {
-            name: name.to_owned(),
-            studies: Vec::new(),
-        }
-    }
-
-    /// Adds a study.
-    pub fn study(mut self, study: StudyDef) -> Self {
-        self.studies.push(study);
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,14 +334,6 @@ mod tests {
         assert_eq!(study.faults[0].name, "f1");
         assert_eq!(study.placements[0].host.as_deref(), Some("host1"));
         assert_eq!(study.placements[1].host, None);
-    }
-
-    #[test]
-    fn campaign_collects_studies() {
-        let c = CampaignDef::new("c")
-            .study(StudyDef::new("s1"))
-            .study(StudyDef::new("s2"));
-        assert_eq!(c.studies.len(), 2);
     }
 
     #[test]

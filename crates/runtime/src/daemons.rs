@@ -29,17 +29,14 @@ use crate::node::{AppFactory, NodeActor};
 use crate::store::{ExperimentControl, NodeDirectory, SyncCollector, TimelineStore};
 use crate::wiring::Wiring;
 use loki_core::campaign::{Receiver, Warning};
-use loki_core::ids::{SmId, SymbolTable};
+use loki_core::ids::{HostId, SmId, SymbolTable};
 use loki_core::recorder::{RecordKind, TimelineRecord};
 use loki_core::study::Study;
-use loki_sim::engine::{ActorId, Ctx, Dispatch, DownReason, HostId, TimerId};
+use loki_sim::engine::{ActorId, Ctx, Dispatch, DownReason, TimerId};
 use rand::Rng;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// A machine location that is not currently known.
-const NO_HOST: u32 = u32::MAX;
 
 /// The single shared per-experiment context (§3.5's shared runtime
 /// configuration and storage, fused): every daemon and node of one
@@ -49,8 +46,8 @@ const NO_HOST: u32 = u32::MAX;
 pub(crate) struct ExpCtx {
     /// The compiled study.
     pub study: Arc<Study>,
-    /// The study-run symbol table: hosts interned in configuration order,
-    /// so a host's id doubles as its simulation host index.
+    /// The study run's host table: the world's, so every [`HostId`] here
+    /// is a simulated host.
     pub symbols: Arc<SymbolTable>,
     /// Creates application halves for (re)started nodes.
     pub factory: AppFactory,
@@ -249,7 +246,7 @@ impl ActorPool {
 
 impl ExpCtx {
     /// A local daemon for `my_host`, pooled or new.
-    pub fn pooled_daemon(self: &Rc<Self>, my_host: u32) -> RtActor {
+    pub fn pooled_daemon(self: &Rc<Self>, my_host: HostId) -> RtActor {
         RtActor::Daemon(self.pool.reuse(
             &self.pool.daemons,
             |daemon| daemon.reinit(my_host),
@@ -280,22 +277,22 @@ impl ExpCtx {
 /// design).
 pub(crate) struct LocalDaemon {
     ctx: Rc<ExpCtx>,
-    my_host: u32,
+    my_host: HostId,
     /// Nodes attached to this daemon, indexed by machine id.
     local_nodes: Vec<Option<ActorId>>,
     /// Reverse map for crash detection, indexed by actor id (grown
     /// lazily — actor ids are dense per experiment).
     node_of_actor: Vec<Option<SmId>>,
-    /// Known location (host index, [`NO_HOST`] when unknown) of every
-    /// machine, indexed by machine id.
-    locations: Vec<u32>,
+    /// Known location (`None` when unknown) of every machine, indexed by
+    /// machine id.
+    locations: Vec<Option<HostId>>,
     /// Machines believed to be executing anywhere in the system, indexed
     /// by machine id, with a live count so the completion check is O(1).
     alive: Vec<bool>,
     alive_count: usize,
     /// Scratch for the per-host notification fan-out, kept sorted by host
-    /// index (empty between messages; retained for its capacity).
-    route_buf: Vec<(u32, SmTargets)>,
+    /// (empty between messages; retained for its capacity).
+    route_buf: Vec<(HostId, SmTargets)>,
     /// Scratch for the kill-all sweep (empty between messages; retained
     /// for its capacity).
     kill_buf: Vec<ActorId>,
@@ -306,14 +303,14 @@ pub(crate) struct LocalDaemon {
 }
 
 impl LocalDaemon {
-    pub(crate) fn new(ctx: Rc<ExpCtx>, my_host: u32) -> Self {
+    pub(crate) fn new(ctx: Rc<ExpCtx>, my_host: HostId) -> Self {
         let num_sms = ctx.study.sms.len();
         let mut daemon = LocalDaemon {
             ctx,
             my_host,
             local_nodes: vec![None; num_sms],
             node_of_actor: Vec::new(),
-            locations: vec![NO_HOST; num_sms],
+            locations: vec![None; num_sms],
             alive: vec![false; num_sms],
             alive_count: 0,
             route_buf: Vec::new(),
@@ -328,11 +325,11 @@ impl LocalDaemon {
     /// Resets a pooled daemon for the next experiment, keeping every
     /// vector's capacity (the tables' sizes are study-determined, so a
     /// recycled daemon allocates nothing).
-    pub(crate) fn reinit(&mut self, my_host: u32) {
+    pub(crate) fn reinit(&mut self, my_host: HostId) {
         self.my_host = my_host;
         self.local_nodes.fill(None);
         self.node_of_actor.clear();
-        self.locations.fill(NO_HOST);
+        self.locations.fill(None);
         self.alive.fill(false);
         self.alive_count = 0;
         self.route_buf.clear();
@@ -346,7 +343,7 @@ impl LocalDaemon {
     /// (§3.5.1), avoiding startup routing races.
     fn prime_locations(&mut self) {
         for &(sm, host) in self.ctx.wiring.placements() {
-            self.locations[sm.raw() as usize] = host;
+            self.locations[sm.raw() as usize] = Some(host);
         }
     }
 
@@ -389,7 +386,7 @@ impl LocalDaemon {
 
     /// Spawns a node for `sm` on host `host` (instructed by the central
     /// daemon or the supervisor), reusing a pooled one when available.
-    fn start_node(&mut self, ctx: &mut RtCtx<'_>, sm: SmId, host: u32) {
+    fn start_node(&mut self, ctx: &mut RtCtx<'_>, sm: SmId, host: HostId) {
         let app = (self.ctx.factory)(&self.ctx.study, sm);
         let me = ctx.me();
         let node = match self.ctx.pool.take_node(sm) {
@@ -399,11 +396,11 @@ impl LocalDaemon {
             }
             None => Box::new(NodeActor::new(self.ctx.clone(), sm, me, app)),
         };
-        let actor = ctx.spawn(HostId(host), RtActor::Node(node));
+        let actor = ctx.spawn(host, RtActor::Node(node));
         ctx.watch(actor);
         self.local_nodes[sm.raw() as usize] = Some(actor);
         self.set_node_for(actor, sm);
-        self.locations[sm.raw() as usize] = host;
+        self.locations[sm.raw() as usize] = Some(host);
         self.mark_alive(sm);
         self.any_started = true;
     }
@@ -413,7 +410,7 @@ impl LocalDaemon {
     ///
     /// The per-host fan-out fills a host-sorted scratch vector so the
     /// forwarding order — and with it the simulation's event sequence and
-    /// RNG consumption — is deterministic (ascending host index, exactly
+    /// RNG consumption — is deterministic (ascending host id, exactly
     /// the order the `BTreeMap` this replaced iterated in). A `HashMap`
     /// here made identically-seeded experiments diverge across processes
     /// and threads (`RandomState` differs per instance), which the
@@ -432,27 +429,29 @@ impl LocalDaemon {
                 ctx.send(actor, RtMsg::DeliverNotify { from_sm, state });
             } else {
                 match self.locations[target.raw() as usize] {
+                    Some(host) if host != self.my_host => {
+                        match per_host.binary_search_by_key(&host, |&(h, _)| h) {
+                            Ok(at) => per_host[at].1.push(target),
+                            Err(at) => {
+                                let mut targets = SmTargets::new();
+                                targets.push(target);
+                                per_host.insert(at, (host, targets));
+                            }
+                        }
+                    }
                     // Unknown, or known-local but no live actor: the
                     // machine is gone.
-                    host if host == NO_HOST || host == self.my_host => {
+                    _ => {
                         self.ctx.warn(Warning::DroppedNotification {
                             from: from_sm,
                             to: target,
                         });
                     }
-                    host => match per_host.binary_search_by_key(&host, |&(h, _)| h) {
-                        Ok(at) => per_host[at].1.push(target),
-                        Err(at) => {
-                            let mut targets = SmTargets::new();
-                            targets.push(target);
-                            per_host.insert(at, (host, targets));
-                        }
-                    },
                 }
             }
         }
         for (host, targets) in per_host.drain(..) {
-            let daemon = self.ctx.wiring.daemon_for(host as usize);
+            let daemon = self.ctx.wiring.daemon_for(host);
             ctx.send(
                 daemon,
                 RtMsg::ForwardNotify {
@@ -541,7 +540,7 @@ impl LocalDaemon {
                 // entries are recorded here.
                 self.local_nodes[sm.raw() as usize] = Some(from);
                 self.set_node_for(from, sm);
-                self.locations[sm.raw() as usize] = self.my_host;
+                self.locations[sm.raw() as usize] = Some(self.my_host);
                 self.mark_alive(sm);
                 self.any_started = true;
                 let host = self.my_host;
@@ -597,13 +596,13 @@ impl LocalDaemon {
                 }
             }
             RtMsg::NodeUp { sm, host, .. } => {
-                self.locations[sm.raw() as usize] = host;
+                self.locations[sm.raw() as usize] = Some(host);
                 self.mark_alive(sm);
                 self.any_started = true;
             }
             RtMsg::NodeDown { sm, host, .. } => {
-                if self.locations[sm.raw() as usize] == host {
-                    self.locations[sm.raw() as usize] = NO_HOST;
+                if self.locations[sm.raw() as usize] == Some(host) {
+                    self.locations[sm.raw() as usize] = None;
                 }
                 self.mark_dead(sm);
                 // A machine that went down had started, even when it ended
@@ -703,7 +702,7 @@ impl CentralDaemon {
         self.watchdog = Some(ctx.set_timer(self.timeout_ns, TAG_TIMEOUT));
         // Start the machines listed with a host in the node file (§3.5.1).
         for &(sm, host) in wiring.placements() {
-            let daemon = wiring.daemon_for(host as usize);
+            let daemon = wiring.daemon_for(host);
             ctx.send(daemon, RtMsg::StartNode { sm, host });
         }
     }
@@ -870,19 +869,19 @@ impl Supervisor {
             let n = self.ctx.symbols.num_hosts() as u32;
             let target = match self.policy.placement {
                 RestartPlacement::SameHost => host,
-                RestartPlacement::NextHost => (host + 1) % n,
-                RestartPlacement::RandomHost => ctx.rng().gen_range(0..n),
+                RestartPlacement::NextHost => HostId::from_raw((host.raw() + 1) % n),
+                RestartPlacement::RandomHost => HostId::from_raw(ctx.rng().gen_range(0..n)),
             };
             // Encode machine and host into the timer tag.
-            let tag = ((sm.raw() as u64) << 32) | target as u64;
+            let tag = ((sm.raw() as u64) << 32) | target.raw() as u64;
             ctx.set_timer(self.policy.delay_ns, tag);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut RtCtx<'_>, tag: u64) {
         let sm = SmId::from_raw((tag >> 32) as u32);
-        let host = (tag & 0xffff_ffff) as u32;
-        let daemon = self.ctx.wiring.daemon_for(host as usize);
+        let host = HostId::from_raw((tag & 0xffff_ffff) as u32);
+        let daemon = self.ctx.wiring.daemon_for(host);
         if ctx.is_alive(daemon) {
             ctx.send(daemon, RtMsg::StartNode { sm, host });
         }

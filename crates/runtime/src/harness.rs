@@ -22,12 +22,10 @@ use crate::wiring::Wiring;
 use loki_analysis::{analyze_one, AnalysisOptions, AnalyzedExperiment};
 use loki_clock::params::fastest_reference;
 use loki_core::campaign::{ExperimentData, ExperimentEnd, ExperimentFailure, HostSync, Warning};
-use loki_core::ids::{HostId, SymbolTable};
+use loki_core::ids::HostId;
 use loki_core::study::Study;
 use loki_sim::config::{HostConfig, NetworkConfig};
-use loki_sim::engine::{
-    BudgetExceeded, DuplicateHost, HostId as SimHostId, Simulation, WorldConfig,
-};
+use loki_sim::engine::{BudgetExceeded, DuplicateHost, Simulation, WorldConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -179,15 +177,6 @@ impl SimHarnessConfig {
     pub fn reference_host(&self) -> Option<&str> {
         fastest_reference(self.hosts.iter().map(|h| (h.name.as_str(), &h.clock)))
     }
-
-    /// Builds the study-run [`SymbolTable`]: every host interned in
-    /// configuration order, so [`HostId`]s are dense, deterministic, and
-    /// double as simulation host indices. The campaign pipeline builds
-    /// this once per study and `Arc`-shares it into every worker;
-    /// per-experiment data then carries ids, not strings.
-    pub fn symbols(&self) -> Arc<SymbolTable> {
-        Arc::new(SymbolTable::for_hosts(self.hosts.iter().map(|h| &h.name)))
-    }
 }
 
 /// Runs one experiment of `study` on a *fresh* simulated world and returns
@@ -202,8 +191,7 @@ pub fn run_experiment(
     cfg: &SimHarnessConfig,
     experiment: u32,
 ) -> Result<ExperimentData, CampaignError> {
-    let symbols = cfg.symbols();
-    let sim_study = SimStudy::new(study, &factory, cfg, &symbols)?;
+    let sim_study = SimStudy::new(study, &factory, cfg)?;
     let mut sim = Simulation::closed(sim_study.world.clone(), 0);
     Ok(sim_study.run_one(&mut sim, experiment, &mut None))
 }
@@ -214,6 +202,8 @@ type World = Simulation<RtMsg, RtActor>;
 /// One study compiled for the simulation: the shared immutable
 /// [`WorldConfig`] (`Arc`-shared by every world of the study, across
 /// workers) plus everything needed to script an experiment on any world.
+/// The world's host table is the study run's: every [`HostId`] an
+/// experiment records is the id of the simulated host it ran on.
 ///
 /// An experiment has one *driven* phase: [`SimStudy::begin_with`] resets a
 /// world to the experiment's seed, plays the pre-sync mini-phase in closed
@@ -229,12 +219,11 @@ struct SimStudy<'a> {
     study: &'a Arc<Study>,
     factory: &'a AppFactory,
     cfg: &'a SimHarnessConfig,
-    symbols: &'a Arc<SymbolTable>,
     world: Arc<WorldConfig>,
-    ref_idx: usize,
+    reference: HostId,
     /// The calibrated hosts — every host but the reference — in
     /// configuration order: the initiators of both sync mini-phases.
-    initiators: Vec<SimHostId>,
+    initiators: Vec<HostId>,
     /// Who the long-lived runtime actors are and where the node file's
     /// machines start: the same for every experiment of the study.
     wiring: Arc<Wiring>,
@@ -277,7 +266,6 @@ impl<'a> SimStudy<'a> {
         study: &'a Arc<Study>,
         factory: &'a AppFactory,
         cfg: &'a SimHarnessConfig,
-        symbols: &'a Arc<SymbolTable>,
     ) -> Result<Self, CampaignError> {
         let invalid =
             |what: String| CampaignError::Hosts(format!("loki: invalid harness config: {what}"));
@@ -300,7 +288,7 @@ impl<'a> SimStudy<'a> {
                 let idx = world
                     .find_host(host)
                     .ok_or_else(|| invalid(format!("placement on unknown host `{host}`")))?;
-                placements.push((*sm, idx.0));
+                placements.push((*sm, idx));
             }
         }
         if let Some((host, _)) = cfg.kill_daemon {
@@ -314,18 +302,17 @@ impl<'a> SimStudy<'a> {
         if let Some(policy) = &cfg.restart {
             policy.validate()?;
         }
-        let ref_idx = reference.0 as usize;
-        let initiators = (0..cfg.hosts.len())
-            .filter(|&idx| idx != ref_idx)
-            .map(|idx| SimHostId(idx as u32))
+        let initiators = world
+            .symbols()
+            .host_ids()
+            .filter(|&host| host != reference)
             .collect();
         Ok(SimStudy {
             study,
             factory,
             cfg,
-            symbols,
             world: Arc::new(world),
-            ref_idx,
+            reference,
             initiators,
             wiring: Arc::new(Wiring::new(
                 cfg.hosts.len(),
@@ -368,7 +355,7 @@ impl<'a> SimStudy<'a> {
                 pre_sync: Vec::new(),
                 ctx: Rc::new(ExpCtx::new(
                     self.study.clone(),
-                    self.symbols.clone(),
+                    self.world.symbols().clone(),
                     self.factory.clone(),
                     self.cfg.routing,
                     self.wiring.clone(),
@@ -448,15 +435,17 @@ impl<'a> SimStudy<'a> {
     fn sync_phase(&self, sim: &mut World, ctx: &ExpCtx) {
         sim.set_sched_enabled(false);
         sim.run_exchanges(
-            SimHostId(self.ref_idx as u32),
+            self.reference,
             &self.initiators,
             self.cfg.sync_rounds,
             self.cfg.sync_interval_ns,
             |round| {
-                // Sim host indices double as study-run host ids.
-                let host = HostId::from_raw(self.initiators[round.initiator].0);
-                ctx.collector
-                    .push_round(host, round.ping_sent, round.echoed, round.echo_received);
+                ctx.collector.push_round(
+                    self.initiators[round.initiator],
+                    round.ping_sent,
+                    round.echoed,
+                    round.echo_received,
+                );
             },
         );
         sim.set_sched_enabled(true);
@@ -466,19 +455,18 @@ impl<'a> SimStudy<'a> {
     /// optional supervisor, the central daemon, and the optional saboteur,
     /// each at the id the study's [`Wiring`] gave it.
     fn spawn_runtime(&self, sim: &mut World, script: &ExpScript) {
-        let ref_host = SimHostId(self.ref_idx as u32);
+        let ref_host = self.reference;
         let ctx = &script.ctx;
         match self.cfg.routing {
             NotifyRouting::Centralized => {
                 // One global daemon, placed on the reference host.
-                let d = sim.spawn(ref_host, ctx.pooled_daemon(self.ref_idx as u32));
-                assert_eq!(d, self.wiring.daemon_for(0));
+                let d = sim.spawn(ref_host, ctx.pooled_daemon(ref_host));
+                assert_eq!(d, self.wiring.daemon_for(ref_host));
             }
             _ => {
-                for idx in 0..self.cfg.hosts.len() {
-                    let host = SimHostId(idx as u32);
-                    let d = sim.spawn(host, ctx.pooled_daemon(idx as u32));
-                    assert_eq!(d, self.wiring.daemon_for(idx));
+                for host in self.world.symbols().host_ids() {
+                    let d = sim.spawn(host, ctx.pooled_daemon(host));
+                    assert_eq!(d, self.wiring.daemon_for(host));
                 }
             }
         }
@@ -495,7 +483,7 @@ impl<'a> SimStudy<'a> {
         assert_eq!(central, self.wiring.central());
 
         if let Some((host, after_ns)) = self.cfg.kill_daemon {
-            let victim = self.wiring.daemon_for(host as usize);
+            let victim = self.wiring.daemon_for(HostId::from_raw(host));
             let saboteur = Box::new(Saboteur { victim, after_ns });
             sim.spawn(ref_host, RtActor::Saboteur(saboteur));
         }
@@ -520,9 +508,9 @@ impl<'a> SimStudy<'a> {
             study: self.study.name.clone(),
             experiment: script.experiment,
             timelines: ctx.store.drain(),
-            hosts: self.symbols.host_ids().collect(),
-            reference_host: HostId::from_raw(self.ref_idx as u32),
-            symbols: self.symbols.clone(),
+            hosts: self.world.symbols().host_ids().collect(),
+            reference_host: self.reference,
+            symbols: self.world.symbols().clone(),
             pre_sync: std::mem::take(&mut script.pre_sync),
             post_sync,
             end,
@@ -539,9 +527,9 @@ impl<'a> SimStudy<'a> {
             study: self.study.name.clone(),
             experiment,
             timelines: Vec::new(),
-            hosts: self.symbols.host_ids().collect(),
-            reference_host: HostId::from_raw(self.ref_idx as u32),
-            symbols: self.symbols.clone(),
+            hosts: self.world.symbols().host_ids().collect(),
+            reference_host: self.reference,
+            symbols: self.world.symbols().clone(),
             pre_sync: Vec::new(),
             post_sync: Vec::new(),
             end: ExperimentEnd::Failed(ExperimentFailure::Harness),
@@ -998,8 +986,7 @@ impl CampaignPipeline {
                 "loki: worker count must be at least 1".to_owned(),
             ));
         }
-        let symbols = self.cfg.symbols();
-        let sim_study = SimStudy::new(&self.study, &self.factory, &self.cfg, &symbols)?;
+        let sim_study = SimStudy::new(&self.study, &self.factory, &self.cfg)?;
         let workers = workers.clamp(1, experiments.max(1) as usize);
         let batch = resolve_batch(&self.cfg)?;
         // A chunk larger than the campaign is the campaign: clamped like the

@@ -7,7 +7,7 @@
 //! (§3.4.1) reuse the same message set with different paths.
 
 use crate::node::Payload;
-use loki_core::ids::{SmId, StateId};
+use loki_core::ids::{HostId, SmId, StateId};
 use loki_core::small::InlineVec;
 
 /// A notification's recipient list. Fan-outs are almost always one or two
@@ -74,8 +74,8 @@ pub enum RtMsg {
         sm: SmId,
         /// Whether it was a restart.
         restarted: bool,
-        /// Host index the machine runs on.
-        host: u32,
+        /// The host the machine runs on.
+        host: HostId,
     },
     /// A machine left the system (crash or exit detected by its daemon).
     NodeDown {
@@ -83,8 +83,8 @@ pub enum RtMsg {
         sm: SmId,
         /// `true` for a crash, `false` for a clean exit.
         crashed: bool,
-        /// Host index the machine was running on.
-        host: u32,
+        /// The host the machine was running on.
+        host: HostId,
     },
 
     // ----- central daemon ↔ local daemons ------------------------------------
@@ -92,8 +92,8 @@ pub enum RtMsg {
     StartNode {
         /// The machine to start.
         sm: SmId,
-        /// Host index to start it on.
-        host: u32,
+        /// The host to start it on.
+        host: HostId,
     },
     /// Central daemon orders all machines killed (abort/timeout).
     KillAllNodes,
@@ -143,12 +143,12 @@ impl std::fmt::Debug for RtMsg {
                 restarted,
                 host,
             } => {
-                write!(f, "NodeUp({sm:?}, restarted={restarted}, host={host})")
+                write!(f, "NodeUp({sm:?}, restarted={restarted}, host={host:?})")
             }
             RtMsg::NodeDown { sm, crashed, host } => {
-                write!(f, "NodeDown({sm:?}, crashed={crashed}, host={host})")
+                write!(f, "NodeDown({sm:?}, crashed={crashed}, host={host:?})")
             }
-            RtMsg::StartNode { sm, host } => write!(f, "StartNode({sm:?} on host {host})"),
+            RtMsg::StartNode { sm, host } => write!(f, "StartNode({sm:?} on host {host:?})"),
             RtMsg::KillAllNodes => write!(f, "KillAllNodes"),
             RtMsg::ExperimentEndNotice => write!(f, "ExperimentEndNotice"),
             RtMsg::App { from_sm, .. } => write!(f, "App(from {from_sm:?})"),

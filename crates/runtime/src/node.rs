@@ -23,7 +23,7 @@ use crate::messages::{NotifyRouting, RtMsg, SmTargets};
 use loki_core::campaign::{ExperimentFailure, Receiver, Warning};
 use loki_core::error::CoreError;
 use loki_core::fault::FaultParser;
-use loki_core::ids::{FaultId, HostId, SmId, StateId};
+use loki_core::ids::{FaultId, SmId, StateId};
 use loki_core::probe::{ActionProbe, FaultAction};
 use loki_core::recorder::{RecordKind, TimelineRecord};
 use loki_core::state_machine::StateMachine;
@@ -197,7 +197,7 @@ impl NodeActor {
 
     pub(crate) fn on_start(&mut self, ctx: &mut RtCtx<'_>) {
         let me = self.rt.me;
-        let host = HostId::from_raw(ctx.my_host().0);
+        let host = ctx.my_host();
         let now = ctx.local_clock();
 
         // Restart detection: the timeline file already exists (§3.6.3).
@@ -451,10 +451,7 @@ impl NodeCtx<'_> {
 
     /// The name of the host this node currently runs on.
     pub fn host_name(&self) -> &str {
-        // Simulation host indices follow the harness configuration order,
-        // which is exactly the symbol table's interning order.
-        let host = HostId::from_raw(self.sim.my_host().0);
-        self.rt.ctx.symbols.host_name(host)
+        self.rt.ctx.symbols.host_name(self.sim.my_host())
     }
 
     /// Appends a free-form message to the local timeline. Accepts anything

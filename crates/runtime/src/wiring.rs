@@ -11,22 +11,22 @@
 //! supervisor if there is one, then the central daemon.
 
 use crate::messages::NotifyRouting;
-use loki_core::ids::SmId;
+use loki_core::ids::{HostId, SmId};
 use loki_sim::engine::ActorId;
 
 /// The wiring table of one study.
 #[derive(Debug)]
 pub(crate) struct Wiring {
-    /// The daemon serving each host, by host index. In the centralized
-    /// design every entry is the same actor.
+    /// The daemon serving each host, indexed by [`HostId`]. In the
+    /// centralized design every entry is the same actor.
     daemons: Box<[ActorId]>,
     /// The distinct daemons, in host order.
     unique: Box<[ActorId]>,
     supervisor: Option<ActorId>,
     central: ActorId,
-    /// The machines the node file places, with their host index, in node
-    /// file order.
-    placements: Box<[(SmId, u32)]>,
+    /// The machines the node file places, with their host, in node file
+    /// order.
+    placements: Box<[(SmId, HostId)]>,
 }
 
 impl Wiring {
@@ -36,7 +36,7 @@ impl Wiring {
         hosts: usize,
         routing: NotifyRouting,
         supervised: bool,
-        placements: Box<[(SmId, u32)]>,
+        placements: Box<[(SmId, HostId)]>,
     ) -> Self {
         let centralized = routing == NotifyRouting::Centralized;
         let num_daemons = if centralized { 1 } else { hosts };
@@ -55,13 +55,13 @@ impl Wiring {
         }
     }
 
-    /// The daemon serving `host_idx`.
+    /// The daemon serving `host`.
     ///
     /// # Panics
     ///
-    /// Panics if `host_idx` is not a configured host.
-    pub fn daemon_for(&self, host_idx: usize) -> ActorId {
-        self.daemons[host_idx]
+    /// Panics if `host` is not a configured host.
+    pub fn daemon_for(&self, host: HostId) -> ActorId {
+        self.daemons[host.index()]
     }
 
     /// All distinct daemon actors, in host order.
@@ -79,8 +79,8 @@ impl Wiring {
         self.supervisor
     }
 
-    /// The machines the node file places, with their host index.
-    pub fn placements(&self) -> &[(SmId, u32)] {
+    /// The machines the node file places, with their host.
+    pub fn placements(&self) -> &[(SmId, HostId)] {
         &self.placements
     }
 
@@ -88,7 +88,7 @@ impl Wiring {
     pub fn starts_through(&self, daemon: ActorId) -> bool {
         self.placements
             .iter()
-            .any(|&(_, host)| self.daemons[host as usize] == daemon)
+            .any(|&(_, host)| self.daemon_for(host) == daemon)
     }
 }
 
@@ -101,7 +101,7 @@ mod tests {
         let w = Wiring::new(3, NotifyRouting::Centralized, false, Box::new([]));
         let d = ActorId(0);
         assert_eq!(w.unique(), [d]);
-        assert_eq!(w.daemon_for(2), d);
+        assert_eq!(w.daemon_for(HostId::from_raw(2)), d);
         assert_eq!(w.central(), ActorId(1));
     }
 
@@ -112,7 +112,7 @@ mod tests {
         assert_eq!(w.supervisor(), None);
         assert_eq!(w.central(), ActorId(3));
         let w = Wiring::new(3, NotifyRouting::Direct, true, Box::new([]));
-        assert_eq!(w.daemon_for(1), ActorId(1));
+        assert_eq!(w.daemon_for(HostId::from_raw(1)), ActorId(1));
         assert_eq!(w.supervisor(), Some(ActorId(3)));
         assert_eq!(w.central(), ActorId(4));
     }

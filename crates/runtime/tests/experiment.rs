@@ -348,6 +348,77 @@ fn once_fault_fires_once_across_reentries() {
 }
 
 #[test]
+fn once_fault_fires_once_per_incarnation() {
+    // a owns a `once` fault on its own WORK state. It crashes on the
+    // injection, restarts, and enters WORK again: the new incarnation's
+    // parser is fresh, so the fault fires a second time.
+    let def = StudyDef::new("s")
+        .machine(
+            StateMachineSpec::builder("a")
+                .states(&["INIT", "WORK"])
+                .events(&["GO", "DONE"])
+                .state("INIT", &[], &[("GO", "WORK")])
+                .state("WORK", &[], &[("DONE", "EXIT")])
+                .build(),
+        )
+        .fault("a", "f", FaultExpr::atom("a", "WORK"), Trigger::Once)
+        .place("a", "host1");
+    let study = Study::compile_arc(&def).unwrap();
+
+    struct CrashOnce {
+        restarted: bool,
+    }
+    impl App for CrashOnce {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>, restarted: bool) {
+            self.restarted = restarted;
+            ctx.notify_event("INIT").unwrap();
+            ctx.set_timer(50_000_000, 1);
+        }
+        fn on_app_message(
+            &mut self,
+            _ctx: &mut NodeCtx<'_>,
+            _from: loki_core::ids::SmId,
+            _payload: Payload,
+        ) {
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
+            match tag {
+                1 => {
+                    ctx.notify_event("GO").unwrap();
+                    ctx.set_timer(20_000_000, 2);
+                }
+                2 => {
+                    ctx.notify_event("DONE").unwrap();
+                    ctx.exit();
+                }
+                _ => {}
+            }
+        }
+        fn on_fault(&mut self, ctx: &mut NodeCtx<'_>, _fault: &str) {
+            if !self.restarted {
+                ctx.crash();
+            }
+        }
+    }
+
+    let f: AppFactory =
+        Arc::new(|_: &Study, _| -> Box<dyn App> { Box::new(CrashOnce { restarted: false }) });
+    let mut cfg = two_host_config(6);
+    cfg.restart = Some(RestartPolicy {
+        probability: 1.0,
+        delay_ns: 10_000_000,
+        max_restarts: 1,
+        placement: RestartPlacement::SameHost,
+    });
+    let data = run_experiment(&study, f, &cfg, 0).expect("valid config");
+    assert_eq!(data.end, ExperimentEnd::Completed);
+
+    let a = data.timeline_for(study.sm_id("a").unwrap()).unwrap();
+    assert_eq!(a.stints.len(), 2, "a crashed and restarted once");
+    assert_eq!(a.injection_count(), 2, "one injection per incarnation");
+}
+
+#[test]
 fn cancelled_sim_timer_never_fires() {
     // The unified `AppTimer` handle must map back onto the simulation's
     // timer ids: a cancelled timer would otherwise crash the node.

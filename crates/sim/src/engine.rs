@@ -37,19 +37,14 @@ use crate::config::{HostConfig, NetworkConfig};
 use crate::netfault::{NetFaultError, NetFaultPlane};
 use crate::queue::{EventQueue, TimerKey, TimerSlab};
 use loki_clock::params::VirtualClock;
+use loki_core::ids::{HostId, SymbolTable};
 use loki_core::probe::FaultAction;
 use loki_core::small::InlineVec;
 use loki_core::time::LocalNanos;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// Identifies a simulated host.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HostId(pub u32);
 
 /// Identifies an actor (a simulated process).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -217,7 +212,7 @@ impl fmt::Display for DuplicateHost {
 impl std::error::Error for DuplicateHost {}
 
 /// The immutable world description: host configurations, their virtual
-/// clocks, the name → index map, and the network latency models.
+/// clocks, the host table, and the network latency models.
 ///
 /// Everything here is fixed for the lifetime of an experiment and — by
 /// the engine's determinism contract — identical for every experiment of
@@ -233,9 +228,9 @@ impl std::error::Error for DuplicateHost {}
 #[derive(Clone, Debug, Default)]
 pub struct WorldConfig {
     hosts: Vec<HostConfig>,
-    /// Name → host index, so [`Ctx::find_host`] is O(1) instead of a
-    /// linear scan.
-    host_index: HashMap<String, u32>,
+    /// The hosts' names, interned in registration order: a host's
+    /// [`HostId`] here is its id in every study run on this world.
+    symbols: Arc<SymbolTable>,
     clocks: Vec<VirtualClock>,
     network: NetworkConfig,
 }
@@ -249,13 +244,10 @@ impl WorldConfig {
     /// Adds a host; returns its id. Host ids are dense and assigned in
     /// registration order.
     pub fn add_host(&mut self, config: HostConfig) -> Result<HostId, DuplicateHost> {
-        let id = HostId(self.hosts.len() as u32);
-        match self.host_index.entry(config.name.clone()) {
-            Entry::Occupied(_) => return Err(DuplicateHost { name: config.name }),
-            Entry::Vacant(vacant) => {
-                vacant.insert(id.0);
-            }
+        if self.symbols.lookup_host(&config.name).is_some() {
+            return Err(DuplicateHost { name: config.name });
         }
+        let id = Arc::make_mut(&mut self.symbols).intern_host(&config.name);
         self.clocks.push(VirtualClock::new(config.clock));
         self.hosts.push(config);
         Ok(id)
@@ -277,7 +269,7 @@ impl WorldConfig {
     ///
     /// Panics if `host` is not part of this world.
     pub fn host(&self, host: HostId) -> &HostConfig {
-        &self.hosts[host.0 as usize]
+        &self.hosts[host.index()]
     }
 
     /// The hosts in registration (= id) order.
@@ -292,7 +284,14 @@ impl WorldConfig {
 
     /// Looks up a host id by name (O(1)).
     pub fn find_host(&self, name: &str) -> Option<HostId> {
-        self.host_index.get(name).map(|&i| HostId(i))
+        self.symbols.lookup_host(name)
+    }
+
+    /// The host table: every host's name, interned in registration
+    /// order. A harness shares this one table with the data its
+    /// experiments produce.
+    pub fn symbols(&self) -> &Arc<SymbolTable> {
+        &self.symbols
     }
 }
 
@@ -626,8 +625,8 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
         };
         let (d_send, d_recv) = if self.sched_enabled {
             crate::config::sched_delay_pair(
-                &self.config.hosts[from_host.0 as usize],
-                &self.config.hosts[to_host.0 as usize],
+                &self.config.hosts[from_host.index()],
+                &self.config.hosts[to_host.index()],
                 &mut self.rng,
             )
         } else {
@@ -702,7 +701,7 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
 
     /// Reads `host`'s local clock at the current instant.
     pub fn local_clock(&self, host: HostId) -> LocalNanos {
-        self.config.clocks[host.0 as usize].read(self.time)
+        self.config.clocks[host.index()].read(self.time)
     }
 
     /// Whether `actor` is still alive.
@@ -895,8 +894,7 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
                 reason,
             });
         }
-        let detect =
-            self.config.hosts[self.actor_hosts[actor.0 as usize].0 as usize].crash_detect_ns;
+        let detect = self.config.hosts[self.actor_hosts[actor.0 as usize].index()].crash_detect_ns;
         let watchers = std::mem::take(&mut self.watchers[actor.0 as usize]);
         for observer in watchers {
             self.push(
@@ -1199,7 +1197,7 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
 
     /// Name of a host.
     pub fn host_name(&self, host: HostId) -> &str {
-        &self.sim.host(host).name
+        self.sim.config.symbols.host_name(host)
     }
 
     /// Looks up a host id by name (O(1); names are unique — duplicates
@@ -1589,7 +1587,7 @@ mod tests {
         }));
         assert!(panicked.is_err(), "add_host must panic on a duplicate");
         assert_eq!(sim.num_hosts(), 1);
-        assert_eq!(first, HostId(0));
+        assert_eq!(first, HostId::from_raw(0));
 
         // WorldConfig rejects duplicates with a typed error.
         let mut config = WorldConfig::new();

@@ -19,7 +19,8 @@
 //! in the same order, the same RNG state, final clock, event count and
 //! budget trip point.
 
-use crate::engine::{fifo_arrival, Dispatch, HostId, Simulation};
+use crate::engine::{fifo_arrival, Dispatch, Simulation};
+use loki_core::ids::HostId;
 use loki_core::time::LocalNanos;
 
 /// One completed round of [`Simulation::run_exchanges`]: the three clock

@@ -42,8 +42,8 @@ pub mod queue;
 
 pub use config::{HostConfig, LatencyModel, NetworkConfig};
 pub use engine::{
-    Actor, ActorId, BudgetExceeded, Ctx, Dispatch, DownReason, DuplicateHost, HostId, Simulation,
-    TimerId, TraceEntry, WorldConfig,
+    Actor, ActorId, BudgetExceeded, Ctx, Dispatch, DownReason, DuplicateHost, Simulation, TimerId,
+    TraceEntry, WorldConfig,
 };
 pub use exchange::ExchangeRound;
 pub use netfault::{LinkFaultParams, NetFaultError, NetFaultPlane};

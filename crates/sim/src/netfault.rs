@@ -44,7 +44,7 @@
 //!   injector's kill path is out-of-band — so a never-healed partition
 //!   still terminates as a typed timeout, never a stall.
 
-use crate::engine::HostId;
+use loki_core::ids::HostId;
 use loki_core::probe::FaultAction;
 use std::fmt;
 
@@ -118,7 +118,7 @@ pub struct NetFaultPlane {
     /// Partition group per host index; empty when no partition is armed.
     group_of: Vec<u32>,
     /// Directed link faults, sorted by `(from, to)` for binary search.
-    links: Vec<(u32, u32, LinkFaultParams)>,
+    links: Vec<(HostId, HostId, LinkFaultParams)>,
     /// Per-host delay multiplier; empty when no gray node is armed.
     gray: Vec<f64>,
     /// Exact summary of the three stores: false ⇔ all empty/identity.
@@ -164,7 +164,7 @@ impl NetFaultPlane {
 
     /// Arms (or replaces) the directed link fault `from → to`.
     fn set_link_fault(&mut self, from: HostId, to: HostId, params: LinkFaultParams) {
-        let key = (from.0, to.0);
+        let key = (from, to);
         match self.links.binary_search_by_key(&key, |&(f, t, _)| (f, t)) {
             Ok(i) => self.links[i].2 = params,
             Err(i) => self.links.insert(i, (key.0, key.1, params)),
@@ -174,7 +174,7 @@ impl NetFaultPlane {
 
     /// Marks `host` gray with the given delay multiplier (≥ 1.0).
     fn set_gray(&mut self, host: HostId, slowdown: f64) {
-        let idx = host.0 as usize;
+        let idx = host.index();
         if self.gray.len() <= idx {
             self.gray.resize(idx + 1, 1.0);
         }
@@ -188,14 +188,14 @@ impl NetFaultPlane {
         if self.group_of.is_empty() || from == to {
             return false;
         }
-        let group = |h: HostId| self.group_of.get(h.0 as usize).copied().unwrap_or(u32::MAX);
+        let group = |h: HostId| self.group_of.get(h.index()).copied().unwrap_or(u32::MAX);
         group(from) != group(to)
     }
 
     /// The armed link fault on `from → to`, if any.
     #[inline]
     pub fn link(&self, from: HostId, to: HostId) -> Option<LinkFaultParams> {
-        let key = (from.0, to.0);
+        let key = (from, to);
         self.links
             .binary_search_by_key(&key, |&(f, t, _)| (f, t))
             .ok()
@@ -207,12 +207,12 @@ impl NetFaultPlane {
     /// gray.
     #[inline]
     pub fn slowdown(&self, from: HostId, to: HostId) -> f64 {
-        let of = |h: HostId| self.gray.get(h.0 as usize).copied().unwrap_or(1.0);
+        let of = |h: HostId| self.gray.get(h.index()).copied().unwrap_or(1.0);
         of(from).max(of(to))
     }
 
     /// Applies a network [`FaultAction`], resolving host names through
-    /// `find_host` (the world's name → [`HostId`] map).
+    /// `find_host` (the world's host table).
     ///
     /// Returns `Ok(false)` when the action is not a network action (the
     /// caller handles crash/hang/custom effects itself), `Ok(true)` when
@@ -238,7 +238,7 @@ impl NetFaultPlane {
                 for (g, members) in groups.iter().enumerate() {
                     for name in members {
                         let host = resolve(name)?;
-                        if let Some(slot) = assignment.get_mut(host.0 as usize) {
+                        if let Some(slot) = assignment.get_mut(host.index()) {
                             *slot = g as u32;
                         }
                     }
@@ -295,7 +295,7 @@ mod tests {
     use super::*;
 
     fn h(i: u32) -> HostId {
-        HostId(i)
+        HostId::from_raw(i)
     }
 
     #[test]
@@ -360,7 +360,7 @@ mod tests {
             hosts
                 .iter()
                 .position(|&n| n == name)
-                .map(|i| HostId(i as u32))
+                .map(|i| HostId::from_raw(i as u32))
         };
         let mut p = NetFaultPlane::new();
         let bad = FaultAction::LinkFault {

@@ -1,9 +1,10 @@
 //! Property tests for the discrete-event engine and its event core.
 
 use loki_clock::params::ClockParams;
+use loki_core::ids::HostId;
 use loki_core::time::LocalNanos;
 use loki_sim::config::{HostConfig, LatencyModel, NetworkConfig};
-use loki_sim::engine::{Actor, ActorId, BudgetExceeded, Ctx, HostId, Simulation, WorldConfig};
+use loki_sim::engine::{Actor, ActorId, BudgetExceeded, Ctx, Simulation, WorldConfig};
 use loki_sim::exchange::ExchangeRound;
 use loki_sim::queue::{EventQueue, TimerKey, TimerSlab};
 use proptest::prelude::*;
@@ -169,7 +170,7 @@ impl Session {
         let mut sim = self.world(budget);
         let log = Rc::new(RefCell::new(Vec::new()));
         for (initiator, &host) in self.initiators.iter().enumerate() {
-            let echo = sim.spawn(HostId(0), Box::new(RefEcho));
+            let echo = sim.spawn(HostId::from_raw(0), Box::new(RefEcho));
             sim.spawn(
                 host,
                 Box::new(RefOriginator {
@@ -192,7 +193,7 @@ impl Session {
         let mut sim = self.world(budget);
         let mut rounds = Vec::new();
         sim.run_exchanges(
-            HostId(0),
+            HostId::from_raw(0),
             &self.initiators,
             self.rounds,
             self.interval_ns,
@@ -552,7 +553,7 @@ proptest! {
             seed,
             start_ns,
             sched_enabled,
-            initiators: placements.iter().map(|&p| HostId((p % hosts.len()) as u32)).collect(),
+            initiators: placements.iter().map(|&p| HostId::from_raw((p % hosts.len()) as u32)).collect(),
             rounds,
             interval_ns,
         };

@@ -3,12 +3,10 @@
 //! * **fault specification** (§3.5.5): `<FaultName> <BooleanExpr> <once|always>`
 //! * **node file** (§3.5.1): `<SM NickName> [<HostName>]`
 //! * **machines file** (§5.6): one host name per line
-//! * **daemon startup file** (§3.5.2): `<HostName> <PortNumber>`
-//! * **daemon contact file** (§3.5.2): `<HostName> <SharedMemoryID> <SemaphoreID>`
-//! * **study file** (§5.6): six fixed lines naming the machine and its
-//!   input files
 //! * **action file**: `<FaultName> <action> [args…]` mapping fault names
 //!   to probe [`FaultAction`]s (see [`parse_action_file`])
+//! * **budget file**: `<key> <value>` per-experiment resource budgets
+//!   (see [`parse_budget_file`])
 //!
 //! All parsers ignore blank lines and `#` comments.
 
@@ -150,97 +148,6 @@ pub fn write_machines_file(hosts: &[String]) -> String {
     for h in hosts {
         out.push_str(h);
         out.push('\n');
-    }
-    out
-}
-
-/// One entry of the daemon startup file: where each local daemon listens.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DaemonEndpoint {
-    /// Host name.
-    pub host: String,
-    /// TCP port of the local daemon.
-    pub port: u16,
-}
-
-/// Parses a daemon startup file: `<HostName> <PortNumber>` (§3.5.2).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] for malformed ports or extra fields.
-pub fn parse_daemon_startup(text: &str) -> Result<Vec<DaemonEndpoint>, ParseError> {
-    let mut out = Vec::new();
-    for (lineno, host, rest) in token_lines(text) {
-        let host = host.to_owned();
-        let mut tokens = rest.split_whitespace();
-        let port_str = tokens
-            .next()
-            .ok_or_else(|| ParseError::at(lineno, "daemon startup line needs a port"))?;
-        let port: u16 = port_str
-            .parse()
-            .map_err(|_| ParseError::at(lineno, format!("invalid port `{port_str}`")))?;
-        if tokens.next().is_some() {
-            return Err(ParseError::at(lineno, "unexpected extra field"));
-        }
-        out.push(DaemonEndpoint { host, port });
-    }
-    Ok(out)
-}
-
-/// Writes a daemon startup file.
-pub fn write_daemon_startup(endpoints: &[DaemonEndpoint]) -> String {
-    let mut out = String::new();
-    for e in endpoints {
-        out.push_str(&format!("{} {}\n", e.host, e.port));
-    }
-    out
-}
-
-/// One entry of the daemon contact file: the IPC identifiers a state
-/// machine uses to reach its local daemon.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DaemonContact {
-    /// Host name.
-    pub host: String,
-    /// Shared memory identifier.
-    pub shm_id: u64,
-    /// Semaphore identifier.
-    pub sem_id: u64,
-}
-
-/// Parses a daemon contact file: `<HostName> <SharedMemoryID> <SemaphoreID>`
-/// (§3.5.2).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] for malformed identifiers or missing fields.
-pub fn parse_daemon_contact(text: &str) -> Result<Vec<DaemonContact>, ParseError> {
-    let mut out = Vec::new();
-    for (lineno, line) in content_lines(text) {
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        if tokens.len() != 3 {
-            return Err(ParseError::at(lineno, "expected `<host> <shmid> <semid>`"));
-        }
-        let shm_id = tokens[1]
-            .parse()
-            .map_err(|_| ParseError::at(lineno, format!("invalid shm id `{}`", tokens[1])))?;
-        let sem_id = tokens[2]
-            .parse()
-            .map_err(|_| ParseError::at(lineno, format!("invalid sem id `{}`", tokens[2])))?;
-        out.push(DaemonContact {
-            host: tokens[0].to_owned(),
-            shm_id,
-            sem_id,
-        });
-    }
-    Ok(out)
-}
-
-/// Writes a daemon contact file.
-pub fn write_daemon_contact(contacts: &[DaemonContact]) -> String {
-    let mut out = String::new();
-    for c in contacts {
-        out.push_str(&format!("{} {} {}\n", c.host, c.shm_id, c.sem_id));
     }
     out
 }
@@ -458,8 +365,6 @@ pub fn write_action_file(probe: &ActionProbe) -> String {
             FaultAction::GrayNode { host, slowdown } => {
                 format!("{name} gray {host} slowdown={slowdown}")
             }
-            // Future probe actions without a file syntax yet.
-            _ => continue,
         };
         out.push_str(&line);
         out.push('\n');
@@ -548,60 +453,6 @@ pub fn write_budget_file(spec: &BudgetSpec) -> String {
     out
 }
 
-/// The study file: per-machine pointers to its specification inputs (§5.6).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StudyFile {
-    /// The machine's nickname (`<SMNickName>`).
-    pub sm_nickname: String,
-    /// Path of the node file.
-    pub node_file: String,
-    /// Path of the state machine specification file.
-    pub sm_spec_file: String,
-    /// Path of the fault specification file.
-    pub fault_spec_file: String,
-    /// Path of the instrumented application executable.
-    pub executable: String,
-    /// Application arguments (a single line; may be empty).
-    pub arguments: String,
-}
-
-/// Parses a study file: six fixed lines (§5.6). The arguments line may be
-/// absent, in which case `arguments` is empty.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] when fewer than five content lines are present.
-pub fn parse_study_file(text: &str) -> Result<StudyFile, ParseError> {
-    let lines: Vec<&str> = content_lines(text).map(|(_, l)| l).collect();
-    if lines.len() < 5 {
-        return Err(ParseError::eof(format!(
-            "study file needs at least 5 lines, found {}",
-            lines.len()
-        )));
-    }
-    Ok(StudyFile {
-        sm_nickname: lines[0].to_owned(),
-        node_file: lines[1].to_owned(),
-        sm_spec_file: lines[2].to_owned(),
-        fault_spec_file: lines[3].to_owned(),
-        executable: lines[4].to_owned(),
-        arguments: lines.get(5).copied().unwrap_or("").to_owned(),
-    })
-}
-
-/// Writes a study file.
-pub fn write_study_file(study: &StudyFile) -> String {
-    format!(
-        "{}\n{}\n{}\n{}\n{}\n{}\n",
-        study.sm_nickname,
-        study.node_file,
-        study.sm_spec_file,
-        study.fault_spec_file,
-        study.executable,
-        study.arguments
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,33 +499,6 @@ gfault3 ((green:FOLLOW) | (green:ELECT)) once
         let hosts = vec!["h1".to_owned(), "h2".to_owned()];
         let text = write_machines_file(&hosts);
         assert_eq!(parse_machines_file(&text), hosts);
-    }
-
-    #[test]
-    fn daemon_startup_roundtrip() {
-        let text = "host1 9000\nhost2 9001\n";
-        let eps = parse_daemon_startup(text).unwrap();
-        assert_eq!(
-            eps[1],
-            DaemonEndpoint {
-                host: "host2".into(),
-                port: 9001
-            }
-        );
-        assert_eq!(write_daemon_startup(&eps), text);
-        assert!(parse_daemon_startup("host1\n").is_err());
-        assert!(parse_daemon_startup("host1 notaport\n").is_err());
-    }
-
-    #[test]
-    fn daemon_contact_roundtrip() {
-        let text = "host1 12 34\n";
-        let cs = parse_daemon_contact(text).unwrap();
-        assert_eq!(cs[0].shm_id, 12);
-        assert_eq!(cs[0].sem_id, 34);
-        assert_eq!(write_daemon_contact(&cs), text);
-        assert!(parse_daemon_contact("host1 12\n").is_err());
-        assert!(parse_daemon_contact("host1 x y\n").is_err());
     }
 
     #[test]
@@ -772,20 +596,5 @@ max_events 500000
         assert!(parse_budget_file("max_events many\n").is_err()); // not a number
         assert!(parse_budget_file("wall_clock_ns 5\n").is_err()); // unknown key
         assert!(parse_budget_file("max_events 1\nmax_events 2\n").is_err()); // duplicate
-    }
-
-    #[test]
-    fn study_file_roundtrip() {
-        let sf = StudyFile {
-            sm_nickname: "black".into(),
-            node_file: "nodes.txt".into(),
-            sm_spec_file: "black.sm".into(),
-            fault_spec_file: "black.flt".into(),
-            executable: "/bin/election".into(),
-            arguments: "--replicas 3".into(),
-        };
-        let text = write_study_file(&sf);
-        assert_eq!(parse_study_file(&text).unwrap(), sf);
-        assert!(parse_study_file("only\nthree\nlines\n").is_err());
     }
 }

@@ -7,8 +7,8 @@
 //!   (`global_state_list` / `event_list` / `state` blocks).
 //! * [`expr`] — Boolean fault expressions, e.g.
 //!   `((black:CRASH) & ((green:FOLLOW) | (green:ELECT)))`.
-//! * [`files`] — fault specifications, node files, machines files, daemon
-//!   startup/contact files, study files.
+//! * [`files`] — fault specifications, node files, machines files, action
+//!   files, budget files.
 //! * [`timeline_file`] — the index-compressed local timeline format with
 //!   Hi/Lo 32-bit timestamps.
 //! * [`timestamps_file`] — synchronization timestamp dumps for the off-line
@@ -37,9 +37,7 @@ pub use campaign_loader::{
 pub use error::ParseError;
 pub use expr::parse_expr;
 pub use files::{
-    parse_action_file, parse_budget_file, parse_daemon_contact, parse_daemon_startup,
-    parse_fault_spec, parse_machines_file, parse_node_file, parse_study_file, write_action_file,
-    write_budget_file, write_daemon_contact, write_daemon_startup, write_fault_spec,
-    write_machines_file, write_node_file, write_study_file, BudgetSpec, DaemonContact,
-    DaemonEndpoint, StudyFile,
+    parse_action_file, parse_budget_file, parse_fault_spec, parse_machines_file, parse_node_file,
+    write_action_file, write_budget_file, write_fault_spec, write_machines_file, write_node_file,
+    BudgetSpec,
 };

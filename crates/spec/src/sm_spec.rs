@@ -29,7 +29,8 @@ enum Section {
 }
 
 /// Parses a state machine specification. The machine's nickname is not part
-/// of the file (it comes from the study file), so it is passed in.
+/// of the file (it comes from the file's name in the campaign directory),
+/// so it is passed in.
 ///
 /// # Errors
 ///

@@ -13,110 +13,32 @@
 //! completeness (accepting most truly-correct ones) is measured but only
 //! loosely asserted, since the check is deliberately conservative.
 //!
+//! The fixture is Figure 3.2's (`loki_bench::accuracy`): a target holds
+//! `ARMED` for a set time, and an injector on the other host owns a
+//! `once` fault on `(target:ARMED)`.
+//!
 //! The sweep covers two delay regimes: the thesis's (10 ms timeslices,
 //! LAN latencies, holds of milliseconds) and a microsecond one (10 µs
 //! timeslices, TCP 10 + U(0, 20) µs, IPC 2 + U(0, 2) µs, holds down to
 //! 20 µs), where the α bounds are as wide as the shortest holds.
 
 use loki::analysis::{AnalysisOptions, MissingPolicy};
-use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::recorder::RecordKind;
-use loki::core::spec::{StateMachineSpec, StudyDef};
 use loki::core::study::Study;
 use loki::runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use loki::runtime::messages::NotifyRouting;
+use loki::runtime::App;
 use loki::runtime::AppFactory;
-use loki::runtime::{App, NodeCtx, Payload};
 use loki::sim::config::{HostConfig, LatencyModel, NetworkConfig};
+use loki_bench::accuracy::{accuracy_study, InjectorApp, TargetApp};
 use std::sync::Arc;
-
-struct Target {
-    settle_ns: u64,
-    hold_ns: u64,
-}
-impl App for Target {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>, _: bool) {
-        ctx.notify_event("SETUP").unwrap();
-        ctx.set_timer(self.settle_ns, 1);
-    }
-    fn on_app_message(&mut self, _: &mut NodeCtx<'_>, _: loki::core::ids::SmId, _: Payload) {}
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        match tag {
-            1 => {
-                ctx.notify_event("ENTER").unwrap();
-                ctx.set_timer(self.hold_ns, 2);
-            }
-            2 => {
-                ctx.notify_event("LEAVE").unwrap();
-                ctx.set_timer(50_000_000, 3);
-            }
-            3 => {
-                let _ = ctx.notify_event("DONE");
-                ctx.exit();
-            }
-            _ => {}
-        }
-    }
-    fn on_fault(&mut self, _: &mut NodeCtx<'_>, _: &str) {}
-}
-
-struct Watcher {
-    lifetime_ns: u64,
-}
-impl App for Watcher {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>, _: bool) {
-        ctx.notify_event("WATCH").unwrap();
-        ctx.set_timer(self.lifetime_ns, 1);
-    }
-    fn on_app_message(&mut self, _: &mut NodeCtx<'_>, _: loki::core::ids::SmId, _: Payload) {}
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if tag == 1 {
-            let _ = ctx.notify_event("DONE");
-            ctx.exit();
-        }
-    }
-    fn on_fault(&mut self, _: &mut NodeCtx<'_>, _: &str) {}
-}
-
-fn oracle_study() -> Arc<Study> {
-    let def = StudyDef::new("oracle")
-        .machine(
-            StateMachineSpec::builder("target")
-                .states(&["SETUP", "ARMED", "COOL"])
-                .events(&["ENTER", "LEAVE", "DONE"])
-                .state(
-                    "SETUP",
-                    &["watcher"],
-                    &[("ENTER", "ARMED"), ("DONE", "EXIT")],
-                )
-                .state("ARMED", &["watcher"], &[("LEAVE", "COOL")])
-                .state("COOL", &["watcher"], &[("DONE", "EXIT")])
-                .build(),
-        )
-        .machine(
-            StateMachineSpec::builder("watcher")
-                .states(&["WATCH"])
-                .events(&["DONE"])
-                .state("WATCH", &[], &[("DONE", "EXIT")])
-                .build(),
-        )
-        .fault(
-            "watcher",
-            "f",
-            FaultExpr::atom("target", "ARMED"),
-            Trigger::Once,
-        )
-        .place("target", "host1")
-        .place("watcher", "host2");
-    Study::compile_arc(&def).unwrap()
-}
 
 /// Ground truth on ideal clocks: was the injection within [enter, leave]?
 fn truly_correct(study: &Study, data: &loki::core::ExperimentData) -> Option<bool> {
     let armed = study.states.lookup("ARMED").unwrap();
     let cool = study.states.lookup("COOL").unwrap();
     let target = data.timeline_for(study.sm_id("target")?)?;
-    let watcher = data.timeline_for(study.sm_id("watcher")?)?;
+    let injector = data.timeline_for(study.sm_id("injector")?)?;
     let mut enter = None;
     let mut leave = None;
     for r in &target.records {
@@ -128,7 +50,7 @@ fn truly_correct(study: &Study, data: &loki::core::ExperimentData) -> Option<boo
             }
         }
     }
-    let injection = watcher.records.iter().find_map(|r| match r.kind {
+    let injection = injector.records.iter().find_map(|r| match r.kind {
         RecordKind::FaultInjection { .. } => Some(r.time.as_nanos()),
         _ => None,
     })?;
@@ -152,7 +74,7 @@ fn oracle_harness(timeslice_ns: u64, network: NetworkConfig, seed: u64) -> SimHa
 
 #[test]
 fn analysis_acceptance_is_sound_against_ground_truth() {
-    let study = oracle_study();
+    let study = Study::compile_arc(&accuracy_study()).unwrap();
     let microseconds = NetworkConfig {
         ipc: LatencyModel {
             base_ns: 2_000,
@@ -183,14 +105,9 @@ fn analysis_acceptance_is_sound_against_ground_truth() {
         for (i, &hold_ns) in holds_ns.iter().enumerate() {
             let factory: AppFactory = Arc::new(move |study: &Study, sm| -> Box<dyn App> {
                 if study.sms.name(sm) == "target" {
-                    Box::new(Target {
-                        settle_ns: 150_000_000,
-                        hold_ns,
-                    })
+                    Box::new(TargetApp::new(150_000_000, hold_ns))
                 } else {
-                    Box::new(Watcher {
-                        lifetime_ns: 450_000_000,
-                    })
+                    Box::new(InjectorApp::new(450_000_000))
                 }
             });
             let harness = SimHarnessConfig {
