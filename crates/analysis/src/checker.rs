@@ -154,7 +154,7 @@ impl<'a> TimelineIndex<'a> {
     /// when there is none (so also for a machine the study does not
     /// define). Record order decides, whatever order the machine's events
     /// have on the global timeline.
-    fn own_state_at_record(&mut self, study: &Study, sm: SmId, record_index: u32) -> StateId {
+    fn own_state_at_record(&mut self, sm: SmId, record_index: u32) -> StateId {
         let gt = self.gt;
         let records = self.own.entry(sm).or_insert_with(|| {
             let mut records: Vec<(u32, StateId)> = gt
@@ -165,7 +165,7 @@ impl<'a> TimelineIndex<'a> {
                     GlobalEventKind::StateChange { new_state, .. } => {
                         Some((e.record_index, new_state))
                     }
-                    GlobalEventKind::Restart { .. } => Some((e.record_index, study.reserved.begin)),
+                    GlobalEventKind::Restart { .. } => Some((e.record_index, StateId::BEGIN)),
                     _ => None,
                 })
                 .collect();
@@ -180,7 +180,7 @@ impl<'a> TimelineIndex<'a> {
         let before = records.partition_point(|&(r, _)| r < record_index);
         records[..before]
             .last()
-            .map_or(study.reserved.begin, |&(_, state)| state)
+            .map_or(StateId::BEGIN, |&(_, state)| state)
     }
 
     /// Whether `expr` provably held at the instant of `injection`.
@@ -194,12 +194,12 @@ impl<'a> TimelineIndex<'a> {
     /// within `[state-entry upper bound, state-exit lower bound]`,
     /// definitely false iff it misses every possible occupancy interval,
     /// unknown otherwise — and unknown is conservatively not-correct.
-    fn holds_at(&mut self, study: &Study, injection: &GlobalEvent, expr: &CompiledExpr) -> Tri {
+    fn holds_at(&mut self, injection: &GlobalEvent, expr: &CompiledExpr) -> Tri {
         match expr {
             CompiledExpr::Atom(sm, state) => {
                 if *sm == injection.sm {
                     // Same process: decide by record order on one clock.
-                    let current = self.own_state_at_record(study, *sm, injection.record_index);
+                    let current = self.own_state_at_record(*sm, injection.record_index);
                     if current == *state {
                         Tri::True
                     } else {
@@ -217,13 +217,9 @@ impl<'a> TimelineIndex<'a> {
                     }
                 }
             }
-            CompiledExpr::And(a, b) => self
-                .holds_at(study, injection, a)
-                .and(self.holds_at(study, injection, b)),
-            CompiledExpr::Or(a, b) => self
-                .holds_at(study, injection, a)
-                .or(self.holds_at(study, injection, b)),
-            CompiledExpr::Not(a) => self.holds_at(study, injection, a).not(),
+            CompiledExpr::And(a, b) => self.holds_at(injection, a).and(self.holds_at(injection, b)),
+            CompiledExpr::Or(a, b) => self.holds_at(injection, a).or(self.holds_at(injection, b)),
+            CompiledExpr::Not(a) => self.holds_at(injection, a).not(),
         }
     }
 }
@@ -295,12 +291,8 @@ impl ExperimentVerdict {
     /// Why each injection the check did not prove was rejected, in timeline
     /// order: every verdict but [`Verdict::Correct`] rendered against its
     /// event in `gt`, the timeline this verdict judged, and the fault names
-    /// of `study` (display boundary).
-    ///
-    /// # Panics
-    ///
-    /// Panics (when formatted) if an unproven injection's fault was not
-    /// produced by `study`.
+    /// of `study` (display boundary). A fault `study` does not name renders
+    /// as `fault #N`.
     pub fn reasons<'a>(
         &'a self,
         gt: &'a GlobalTimeline,
@@ -317,12 +309,17 @@ impl ExperimentVerdict {
                         event.bounds,
                         fault.raw()
                     ),
-                    _ => write!(
-                        f,
-                        "injection bounds {} not provably within a true region of `{}`",
-                        event.bounds,
-                        study.fault_names.name(fault)
-                    ),
+                    _ => {
+                        let bounds = event.bounds;
+                        write!(
+                            f,
+                            "injection bounds {bounds} not provably within a true region of "
+                        )?;
+                        match study.fault_names.try_name(fault) {
+                            Some(name) => write!(f, "`{name}`"),
+                            None => write!(f, "fault #{}", fault.raw()),
+                        }
+                    }
                 })
             })
     }
@@ -354,7 +351,7 @@ pub fn check_experiment(
         checks.push(match known {
             Some((fault, injected)) => {
                 *injected += 1;
-                if index.holds_at(study, event, &fault.expr) == Tri::True {
+                if index.holds_at(event, &fault.expr) == Tri::True {
                     Verdict::Correct
                 } else {
                     Verdict::Unproven
@@ -497,12 +494,11 @@ mod tests {
     /// An experiment of `timelines`, with ideal sync between `h1` and `h2`.
     fn on_h2(timelines: Vec<LocalTimeline>) -> ExperimentData {
         ExperimentData {
-            study: "s".into(),
             experiment: 0,
             timelines,
             hosts: vec![HostId::from_raw(0), h2()],
             reference_host: HostId::from_raw(0),
-            symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
+            symbols: Arc::new(SymbolTable::from_iter(["h1", "h2"])),
             pre_sync: vec![ideal_sync(h2())],
             post_sync: vec![ideal_sync(h2())],
             end: Default::default(),
@@ -526,11 +522,11 @@ mod tests {
         let mut rec_a = Recorder::new(a, h2());
         rec_a.record_state_change(LocalNanos::from_millis(1), go, init);
         rec_a.record_state_change(LocalNanos::from_millis(work_ms), go, work);
-        rec_a.record_state_change(LocalNanos::from_millis(exit_ms), done, study.reserved.exit);
+        rec_a.record_state_change(LocalNanos::from_millis(exit_ms), done, StateId::EXIT);
         let mut rec_b = Recorder::new(b, h2());
         rec_b.record_state_change(LocalNanos::from_millis(1), go, watch);
         rec_b.record_injection(LocalNanos::from_millis(inject_ms), f);
-        rec_b.record_state_change(LocalNanos::from_millis(exit_ms), done, study.reserved.exit);
+        rec_b.record_state_change(LocalNanos::from_millis(exit_ms), done, StateId::EXIT);
         on_h2(vec![rec_a.finish(), rec_b.finish()])
     }
 
@@ -570,6 +566,19 @@ mod tests {
     }
 
     #[test]
+    fn reasons_name_a_fault_missing_from_the_study_by_id() {
+        let study = study(Trigger::Once);
+        let data = experiment(&study, 10, 5, 30);
+        let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
+        let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
+        let other = Study::compile(&StudyDef::new("no faults")).unwrap();
+        assert_eq!(
+            reasons(&other, &gt, &verdict),
+            ["injection bounds [4.935ms, 5.066ms] not provably within a true region of fault #0"]
+        );
+    }
+
+    #[test]
     fn injection_after_state_exit_is_rejected() {
         let study = study(Trigger::Once);
         let data = experiment(&study, 10, 40, 30); // injected after leaving WORK
@@ -600,7 +609,7 @@ mod tests {
         let mut rec = Recorder::new(a, h2());
         rec.record_state_change(LocalNanos::from_millis(1), go, init);
         rec.record_state_change(LocalNanos::from_millis(10), go, work);
-        rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
+        rec.record_state_change(LocalNanos::from_millis(30), done, StateId::EXIT);
         let data = on_h2(vec![rec.finish()]);
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
@@ -627,7 +636,7 @@ mod tests {
         rec.record_injection(LocalNanos::from_millis(15), f);
         rec.record_state_change(LocalNanos::from_millis(20), go, init);
         rec.record_state_change(LocalNanos::from_millis(30), go, work);
-        rec.record_state_change(LocalNanos::from_millis(40), done, study.reserved.exit);
+        rec.record_state_change(LocalNanos::from_millis(40), done, StateId::EXIT);
         let data = on_h2(vec![rec.finish()]);
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
@@ -676,11 +685,11 @@ mod tests {
             rec_a.record_state_change(LocalNanos::from_millis(1), go, init);
             rec_a.record_state_change(LocalNanos::from_millis(10), go, work);
             rec_a.record_injection(LocalNanos::from_millis(inject_ms), f2);
-            rec_a.record_state_change(LocalNanos::from_millis(50), done, study.reserved.exit);
+            rec_a.record_state_change(LocalNanos::from_millis(50), done, StateId::EXIT);
             let mut rec_b = Recorder::new(b, h2());
             rec_b.record_state_change(LocalNanos::from_millis(1), go, init);
             rec_b.record_state_change(LocalNanos::from_millis(b_work.0), go, work);
-            rec_b.record_state_change(LocalNanos::from_millis(b_work.1), done, study.reserved.exit);
+            rec_b.record_state_change(LocalNanos::from_millis(b_work.1), done, StateId::EXIT);
             on_h2(vec![rec_a.finish(), rec_b.finish()])
         };
 
@@ -721,7 +730,7 @@ mod tests {
         rec.record_state_change(LocalNanos::from_millis(1), go, init);
         rec.record_state_change(LocalNanos::from_millis(10), go, work);
         rec.record_injection(LocalNanos::from_millis(10), f); // same instant
-        rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
+        rec.record_state_change(LocalNanos::from_millis(30), done, StateId::EXIT);
         let data = on_h2(vec![rec.finish()]);
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         let verdict = check_experiment(&study, &gt, MissingPolicy::Fail);
@@ -733,7 +742,7 @@ mod tests {
         rec.record_state_change(LocalNanos::from_millis(1), go, init);
         rec.record_injection(LocalNanos::from_millis(9), f);
         rec.record_state_change(LocalNanos::from_millis(10), go, work);
-        rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
+        rec.record_state_change(LocalNanos::from_millis(30), done, StateId::EXIT);
         let data = on_h2(vec![rec.finish()]);
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         let verdict = check_experiment(&study, &gt, MissingPolicy::Ignore);
@@ -767,7 +776,7 @@ mod tests {
             rec.record_state_change(LocalNanos::from_millis(1), go, init);
             rec.record_injection(LocalNanos::from_millis(inject_ms), f3);
             rec.record_state_change(LocalNanos::from_millis(10), go, work);
-            rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
+            rec.record_state_change(LocalNanos::from_millis(30), done, StateId::EXIT);
             on_h2(vec![rec.finish()])
         };
 
@@ -826,7 +835,7 @@ mod tests {
         assert!(verdict.accepted);
 
         let work = study.states.lookup("WORK").unwrap();
-        study.faults[0].expr = CompiledExpr::Atom(stranger, study.reserved.begin);
+        study.faults[0].expr = CompiledExpr::Atom(stranger, StateId::BEGIN);
         assert!(check_experiment(&study, &gt, MissingPolicy::Ignore).accepted);
         study.faults[0].expr = CompiledExpr::Atom(stranger, work);
         assert!(!check_experiment(&study, &gt, MissingPolicy::Ignore).accepted);
@@ -869,7 +878,7 @@ mod tests {
         // record 1), injection. By midpoint record 2 sorts ahead of record 1.
         let gt = GlobalTimeline {
             events: vec![
-                change(0, 1.0, study.reserved.begin, init),
+                change(0, 1.0, StateId::BEGIN, init),
                 change(2, 10.0, work, init),
                 change(1, 20.0, init, work),
                 GlobalEvent {
@@ -886,7 +895,7 @@ mod tests {
             end: GlobalNanos(30.0),
             alpha_beta: Vec::new().into(),
             reference_host: HostId::from_raw(0),
-            symbols: Arc::new(SymbolTable::for_hosts(["h1"])),
+            symbols: Arc::new(SymbolTable::from_iter(["h1"])),
         };
         let verdict = check_experiment(&study, &gt, MissingPolicy::Ignore);
         assert!(verdict.accepted, "{:?}", verdict.checks);

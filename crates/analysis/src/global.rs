@@ -197,7 +197,7 @@ impl GlobalTimeline {
 
     /// The name of `host` (display/report boundary).
     pub fn host_name(&self, host: HostId) -> &str {
-        self.symbols.host_name(host)
+        self.symbols.name(host)
     }
 
     /// `e` as a derived `Debug` printed it when the event held its message
@@ -230,7 +230,9 @@ impl fmt::Debug for GlobalTimeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Events print their message text and intervals their resolved
         // bounds, in the shape a derived `Debug` gives events and intervals
-        // that hold them: result digests hash this.
+        // that hold them, and the host table prints inside the
+        // `SymbolTable { hosts }` wrapper it once had: result digests hash
+        // this.
         let events = fmt::from_fn(|f| {
             f.debug_list()
                 .entries(
@@ -256,6 +258,11 @@ impl fmt::Debug for GlobalTimeline {
                 .entries(self.intervals.iter().map(resolved))
                 .finish()
         });
+        let symbols = fmt::from_fn(|f| {
+            f.debug_struct("SymbolTable")
+                .field("hosts", &self.symbols)
+                .finish()
+        });
         f.debug_struct("GlobalTimeline")
             .field("events", &events)
             .field("intervals", &intervals)
@@ -263,7 +270,7 @@ impl fmt::Debug for GlobalTimeline {
             .field("end", &self.end)
             .field("alpha_beta", &self.alpha_beta)
             .field("reference_host", &self.reference_host)
-            .field("symbols", &self.symbols)
+            .field("symbols", &symbols)
             .finish()
     }
 }
@@ -339,13 +346,13 @@ fn build_global(
     // placeholder label in error paths rather than panicking.
     let host_label = |host: HostId| -> String {
         data.symbols
-            .try_host_name(host)
+            .try_name(host)
             .map(str::to_owned)
             .unwrap_or_else(|| format!("<host #{}>", host.raw()))
     };
     let num_hosts = data
         .symbols
-        .num_hosts()
+        .len()
         .max(data.reference_host.index() + 1)
         .max(data.hosts.iter().map(|h| h.index() + 1).max().unwrap_or(0));
     let mut alpha_beta = vec![AlphaBetaBounds::identity(); num_hosts];
@@ -381,7 +388,7 @@ fn build_global(
     // change, which starts another. The global ordering below merges them.
 
     for timeline in &data.timelines {
-        let mut current_state = study.reserved.begin;
+        let mut current_state = StateId::BEGIN;
         // The open interval's state and entering event, by its position
         // before ordering (remapped below).
         let mut open: Option<(StateId, u32)> = None;
@@ -443,8 +450,8 @@ fn build_global(
                             exit: position,
                         });
                     }
-                    open = Some((study.reserved.begin, position));
-                    current_state = study.reserved.begin;
+                    open = Some((StateId::BEGIN, position));
+                    current_state = StateId::BEGIN;
                     GlobalEventKind::Restart { host: *host }
                 }
                 RecordKind::UserMessage(m) => {
@@ -597,22 +604,22 @@ mod tests {
     /// walks INIT → WORK → EXIT at 10, 20 and 30 ms, the i-th machine 1 ms
     /// after the one before it.
     fn experiment_on(study: &Study, hosts: &[&str], placement: &[(&str, &str)]) -> ExperimentData {
-        let symbols = Arc::new(SymbolTable::for_hosts(hosts.iter().copied()));
+        let symbols = Arc::new(SymbolTable::from_iter(hosts.iter().copied()));
         let hosts: Vec<HostId> = hosts
             .iter()
-            .map(|name| symbols.lookup_host(name).unwrap())
+            .map(|name| symbols.lookup(name).unwrap())
             .collect();
         let go = study.events.lookup("GO").unwrap();
         let done = study.events.lookup("DONE").unwrap();
         let init = study.states.lookup("INIT").unwrap();
         let work = study.states.lookup("WORK").unwrap();
-        let exit = study.reserved.exit;
+        let exit = StateId::EXIT;
         let timelines = placement
             .iter()
             .zip(0u64..)
             .map(|(&(machine, host), i)| {
                 let sm = study.sm_id(machine).unwrap();
-                let mut rec = Recorder::new(sm, symbols.lookup_host(host).unwrap());
+                let mut rec = Recorder::new(sm, symbols.lookup(host).unwrap());
                 rec.record_state_change(LocalNanos::from_millis(10 + i), go, init);
                 rec.record_state_change(LocalNanos::from_millis(20 + i), go, work);
                 rec.record_state_change(LocalNanos::from_millis(30 + i), done, exit);
@@ -621,7 +628,6 @@ mod tests {
             .collect();
         let sync: Vec<HostSync> = hosts[1..].iter().map(|&h| ideal_sync(h)).collect();
         ExperimentData {
-            study: "s".into(),
             experiment: 0,
             timelines,
             reference_host: hosts[0],
@@ -646,7 +652,7 @@ mod tests {
         assert_eq!(ivs.len(), 3);
         assert_eq!(ivs[0].state, study.states.lookup("INIT").unwrap());
         assert!(gt.exit_of(ivs[0]).is_some());
-        assert_eq!(ivs[2].state, study.reserved.exit);
+        assert_eq!(ivs[2].state, StateId::EXIT);
         assert_eq!(ivs[2].exit, StateInterval::OPEN);
         assert!(gt.exit_of(ivs[2]).is_none());
         // An interval is left by the event that enters the next one.
@@ -731,7 +737,11 @@ mod tests {
                 pub end: GlobalNanos,
                 pub alpha_beta: &'a [AlphaBetaBounds],
                 pub reference_host: HostId,
-                pub symbols: &'a Arc<SymbolTable>,
+                pub symbols: SymbolTable<'a>,
+            }
+            #[derive(Debug)]
+            pub struct SymbolTable<'a> {
+                pub hosts: &'a super::super::SymbolTable,
             }
         }
         let (study, shapes) = scratch_shapes();
@@ -753,7 +763,7 @@ mod tests {
                 end: gt.end,
                 alpha_beta: &gt.alpha_beta,
                 reference_host: gt.reference_host,
-                symbols: &gt.symbols,
+                symbols: stored::SymbolTable { hosts: &gt.symbols },
             };
             assert_eq!(format!("{gt:?}"), format!("{derived:?}"));
             assert_eq!(format!("{gt:#?}"), format!("{derived:#?}"));
@@ -839,7 +849,7 @@ mod tests {
             ]
             .into(),
             reference_host: HostId::from_raw(0),
-            symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
+            symbols: Arc::new(SymbolTable::from_iter(["h1", "h2"])),
         }
     }
 
@@ -913,7 +923,7 @@ mod tests {
         }
         // An in-table host with no sync data errs with its real name.
         let mut data = experiment(&study);
-        let h2 = data.symbols.lookup_host("h2").unwrap();
+        let h2 = data.symbols.lookup("h2").unwrap();
         data.hosts.retain(|&h| h != h2); // never calibrated
         let err = make_global(&study, &data, &GlobalOptions::default());
         assert!(
@@ -946,7 +956,7 @@ mod tests {
         let single = experiment_on(&study, &["h1", "h2"], &[("a", "h2")]);
         let merged = experiment_on(&study, &hosts, &spread);
         let mut backwards = experiment_on(&study, &hosts, &spread);
-        let h4 = backwards.symbols.lookup_host("h4").unwrap();
+        let h4 = backwards.symbols.lookup("h4").unwrap();
         backwards.timelines[1].resume_on(LocalNanos::from_millis(1), h4);
         let mut unknown = experiment_on(&study, &hosts, &spread);
         unknown.hosts.retain(|&h| h != h4);
@@ -956,7 +966,6 @@ mod tests {
     /// Every interval with its bounds resolved, and checked to point at
     /// state-setting events of its own machine.
     fn resolved_intervals(
-        study: &Study,
         gt: &GlobalTimeline,
     ) -> Vec<(SmId, StateId, TimeBounds, Option<TimeBounds>)> {
         let sets = |position: u32, sm: SmId| match &gt.events[position as usize] {
@@ -968,7 +977,7 @@ mod tests {
             GlobalEvent {
                 kind: GlobalEventKind::Restart { .. },
                 ..
-            } => Some(study.reserved.begin),
+            } => Some(StateId::BEGIN),
             _ => None,
         };
         gt.intervals
@@ -1009,16 +1018,15 @@ mod tests {
         );
         assert!(matches!(fresh[3], Err(AnalysisError::UnknownHost { .. })));
 
-        let resolved = |gt: &Result<GlobalTimeline, AnalysisError>| {
-            gt.as_ref().map(|gt| resolved_intervals(&study, gt)).ok()
-        };
+        let resolved =
+            |gt: &Result<GlobalTimeline, AnalysisError>| gt.as_ref().map(resolved_intervals).ok();
         let fresh_intervals: Vec<_> = fresh.iter().map(resolved).collect();
         // The restart, last of its timeline's records, sorts first: the
         // BEGIN interval it opens must follow it to position 0.
         let reopened = sorted
             .intervals
             .iter()
-            .find(|iv| iv.state == study.reserved.begin);
+            .find(|iv| iv.state == StateId::BEGIN);
         assert_eq!(
             reopened.map(|iv| (iv.enter, iv.exit)),
             Some((0, StateInterval::OPEN))

@@ -24,9 +24,10 @@
 //!
 //! The per-experiment hot path is allocation-free with respect to
 //! identities: hosts arrive as dense
-//! [`HostId`](loki_core::ids::HostId)s from the study-run
-//! [`SymbolTable`](loki_core::ids::SymbolTable), `make_global` resolves a
-//! record's clock calibration by indexing a dense
+//! [`HostId`](loki_core::ids::HostId)s from the study run's host table (a
+//! [`NameTable`](loki_core::ids::NameTable), like the study's own four
+//! name tables), the reserved states are fixed ids (`StateId::BEGIN`, …),
+//! `make_global` resolves a record's clock calibration by indexing a dense
 //! `Vec<AlphaBetaBounds>` (no per-record string hashing), and
 //! [`GlobalEvent`]/[`GlobalTimeline`] carry ids throughout. Names are
 //! resolved back to `&str` only at display/report boundaries —

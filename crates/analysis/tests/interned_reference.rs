@@ -20,7 +20,7 @@ use loki_analysis::global::{make_global, GlobalEventKind, GlobalOptions, GlobalT
 use loki_analysis::AnalysisError;
 use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds};
 use loki_core::campaign::{ExperimentData, HostSync, SyncSample};
-use loki_core::ids::{StateId, SymbolTable};
+use loki_core::ids::{EventId, StateId, SymbolTable};
 use loki_core::recorder::{LocalTimeline, RecordKind, Recorder};
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
@@ -74,9 +74,9 @@ fn sync_for(host: loki_core::ids::HostId, skew_ns: u64) -> HostSync {
 /// a mid-experiment restart onto a different host, an injection, and a
 /// user message.
 fn fixture(study: &Study) -> ExperimentData {
-    let symbols = Arc::new(SymbolTable::for_hosts(["h1", "h2", "h3"]));
-    let h2 = symbols.lookup_host("h2").unwrap();
-    let h3 = symbols.lookup_host("h3").unwrap();
+    let symbols = Arc::new(SymbolTable::from_iter(["h1", "h2", "h3"]));
+    let h2 = symbols.lookup("h2").unwrap();
+    let h3 = symbols.lookup("h3").unwrap();
     let a = study.sm_id("a").unwrap();
     let b = study.sm_id("b").unwrap();
     let go = study.events.lookup("GO").unwrap();
@@ -89,30 +89,25 @@ fn fixture(study: &Study) -> ExperimentData {
     let mut rec_a = Recorder::new(a, h2);
     rec_a.record_state_change(LocalNanos::from_millis(5), go, init);
     rec_a.record_state_change(LocalNanos::from_millis(12), go, work);
-    rec_a.record_state_change(
-        LocalNanos::from_millis(20),
-        study.reserved.crash_event,
-        study.reserved.crash,
-    );
+    rec_a.record_state_change(LocalNanos::from_millis(20), EventId::CRASH, StateId::CRASH);
     let mut rec_a = Recorder::resume(rec_a.finish(), LocalNanos::from_millis(22), h3);
     rec_a.record_state_change(LocalNanos::from_millis(25), go, init);
     rec_a.record_user_message(LocalNanos::from_millis(26), "back up");
-    rec_a.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
+    rec_a.record_state_change(LocalNanos::from_millis(30), done, StateId::EXIT);
 
     // `b` watches from h2 and injects.
     let mut rec_b = Recorder::new(b, h2);
     rec_b.record_state_change(LocalNanos::from_millis(5), go, init);
     rec_b.record_injection(LocalNanos::from_millis(15), f);
-    rec_b.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
+    rec_b.record_state_change(LocalNanos::from_millis(30), done, StateId::EXIT);
 
     experiment(symbols, vec![rec_a.finish(), rec_b.finish()])
 }
 
 /// Three hosts (`h1` the reference) with the sync data every fixture uses.
 fn experiment(symbols: Arc<SymbolTable>, timelines: Vec<LocalTimeline>) -> ExperimentData {
-    let [h1, h2, h3] = ["h1", "h2", "h3"].map(|name| symbols.lookup_host(name).unwrap());
+    let [h1, h2, h3] = ["h1", "h2", "h3"].map(|name| symbols.lookup(name).unwrap());
     ExperimentData {
-        study: "ref".into(),
         experiment: 0,
         timelines,
         hosts: vec![h1, h2, h3],
@@ -128,7 +123,7 @@ fn experiment(symbols: Arc<SymbolTable>, timelines: Vec<LocalTimeline>) -> Exper
 /// Four machines spread over all three hosts, their records interleaved in
 /// time and tied across hosts: a merge of four runs.
 fn four_run_fixture(study: &Study) -> ExperimentData {
-    let symbols = Arc::new(SymbolTable::for_hosts(["h1", "h2", "h3"]));
+    let symbols = Arc::new(SymbolTable::from_iter(["h1", "h2", "h3"]));
     let go = study.events.lookup("GO").unwrap();
     let done = study.events.lookup("DONE").unwrap();
     let init = study.states.lookup("INIT").unwrap();
@@ -139,14 +134,14 @@ fn four_run_fixture(study: &Study) -> ExperimentData {
         .zip(placement)
         .map(|(i, (machine, host))| {
             let sm = study.sm_id(machine).unwrap();
-            let mut rec = Recorder::new(sm, symbols.lookup_host(host).unwrap());
+            let mut rec = Recorder::new(sm, symbols.lookup(host).unwrap());
             rec.record_state_change(LocalNanos::from_millis(4 + i), go, init);
             rec.record_state_change(LocalNanos::from_millis(10 + i), go, work);
             if machine == "b" {
                 rec.record_injection(LocalNanos::from_millis(13), f);
             }
             rec.record_user_message(LocalNanos::from_millis(16 + i), "tick");
-            rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
+            rec.record_state_change(LocalNanos::from_millis(30), done, StateId::EXIT);
             rec.finish()
         })
         .collect();
@@ -157,8 +152,8 @@ fn four_run_fixture(study: &Study) -> ExperimentData {
 /// 2 ms: its records after the restart project before those ahead of it,
 /// so its run is not sorted and `make_global` takes the sort.
 fn backwards_fixture(study: &Study) -> ExperimentData {
-    let symbols = Arc::new(SymbolTable::for_hosts(["h1", "h2", "h3"]));
-    let [h2, h3] = ["h2", "h3"].map(|name| symbols.lookup_host(name).unwrap());
+    let symbols = Arc::new(SymbolTable::from_iter(["h1", "h2", "h3"]));
+    let [h2, h3] = ["h2", "h3"].map(|name| symbols.lookup(name).unwrap());
     let a = study.sm_id("a").unwrap();
     let b = study.sm_id("b").unwrap();
     let go = study.events.lookup("GO").unwrap();
@@ -168,14 +163,10 @@ fn backwards_fixture(study: &Study) -> ExperimentData {
     let mut rec_a = Recorder::new(a, h2);
     rec_a.record_state_change(LocalNanos::from_millis(5), go, init);
     rec_a.record_state_change(LocalNanos::from_millis(12), go, work);
-    rec_a.record_state_change(
-        LocalNanos::from_millis(20),
-        study.reserved.crash_event,
-        study.reserved.crash,
-    );
+    rec_a.record_state_change(LocalNanos::from_millis(20), EventId::CRASH, StateId::CRASH);
     let mut rec_a = Recorder::resume(rec_a.finish(), LocalNanos::from_millis(2), h3);
     rec_a.record_state_change(LocalNanos::from_millis(3), go, init);
-    rec_a.record_state_change(LocalNanos::from_millis(8), done, study.reserved.exit);
+    rec_a.record_state_change(LocalNanos::from_millis(8), done, StateId::EXIT);
     let mut rec_b = Recorder::new(b, h2);
     rec_b.record_state_change(LocalNanos::from_millis(6), go, init);
     rec_b.record_state_change(LocalNanos::from_millis(9), go, work);
@@ -241,7 +232,7 @@ fn make_global_strings(study: &Study, data: &ExperimentData) -> Result<RefOutput
     let mut intervals = Vec::new();
     for timeline in &data.timelines {
         let sm_name = study.sms.name(timeline.sm).to_owned();
-        let mut current_state = study.reserved.begin;
+        let mut current_state = StateId::BEGIN;
         let mut open: Option<(StateId, TimeBounds)> = None;
         for (idx, record) in timeline.records.iter().enumerate() {
             // The PR 3 shape: a stint scan per record, then a string-keyed
@@ -280,8 +271,8 @@ fn make_global_strings(study: &Study, data: &ExperimentData) -> Result<RefOutput
                             Some(bounds),
                         ));
                     }
-                    open = Some((study.reserved.begin, bounds));
-                    current_state = study.reserved.begin;
+                    open = Some((StateId::BEGIN, bounds));
+                    current_state = StateId::BEGIN;
                     RefKind::Restart {
                         host: data.host_name(*host).to_owned(),
                     }
@@ -358,7 +349,7 @@ fn assert_matches_reference(study: &Study, data: &ExperimentData) -> GlobalTimel
     // Calibration: the dense vector holds exactly the map's bounds.
     assert_eq!(ref_alpha_beta.len(), 3);
     for (name, want) in &ref_alpha_beta {
-        let host = data.symbols.lookup_host(name).unwrap();
+        let host = data.symbols.lookup(name).unwrap();
         assert_eq!(&gt.alpha_beta[host.index()], want, "host {name}");
     }
     assert_eq!(gt.host_name(gt.reference_host), "h1");

@@ -26,7 +26,7 @@ fn timeline(draft: Draft, end: f64) -> GlobalTimeline {
         end: GlobalNanos(end),
         alpha_beta: Vec::new().into(),
         reference_host: Id::from_raw(0),
-        symbols: Arc::new(SymbolTable::for_hosts(["ref"])),
+        symbols: Arc::new(SymbolTable::from_iter(["ref"])),
     }
 }
 

@@ -80,7 +80,7 @@ fn ref_expr(gt: &GlobalTimeline, expr: &CompiledExpr, w: (f64, f64)) -> (Interva
 /// The state `sm` was in just before its record `record_index`: a walk over
 /// every event of every machine, keeping the state-setting record of `sm`
 /// with the greatest record index below `record_index`.
-fn ref_own_state(study: &Study, gt: &GlobalTimeline, sm: SmId, record_index: u32) -> StateId {
+fn ref_own_state(gt: &GlobalTimeline, sm: SmId, record_index: u32) -> StateId {
     let mut latest: Option<(u32, StateId)> = None;
     for e in gt
         .events
@@ -89,19 +89,18 @@ fn ref_own_state(study: &Study, gt: &GlobalTimeline, sm: SmId, record_index: u32
     {
         let state = match e.kind {
             GlobalEventKind::StateChange { new_state, .. } => new_state,
-            GlobalEventKind::Restart { .. } => study.reserved.begin,
+            GlobalEventKind::Restart { .. } => StateId::BEGIN,
             _ => continue,
         };
         if latest.is_none_or(|(r, _)| r <= e.record_index) {
             latest = Some((e.record_index, state));
         }
     }
-    latest.map_or(study.reserved.begin, |(_, state)| state)
+    latest.map_or(StateId::BEGIN, |(_, state)| state)
 }
 
 /// Three-valued "did `expr` hold at `inj`": `None` is unknown.
 fn ref_holds(
-    study: &Study,
     gt: &GlobalTimeline,
     inj: &GlobalEvent,
     expr: &CompiledExpr,
@@ -109,7 +108,7 @@ fn ref_holds(
 ) -> Option<bool> {
     match expr {
         CompiledExpr::Atom(sm, state) if *sm == inj.sm => {
-            Some(ref_own_state(study, gt, *sm, inj.record_index) == *state)
+            Some(ref_own_state(gt, *sm, inj.record_index) == *state)
         }
         CompiledExpr::Atom(sm, state) => {
             let (definite, possible) = ref_atom(gt, *sm, *state, w.1);
@@ -122,27 +121,17 @@ fn ref_holds(
                 None
             }
         }
-        CompiledExpr::And(a, b) => {
-            match (
-                ref_holds(study, gt, inj, a, w),
-                ref_holds(study, gt, inj, b, w),
-            ) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            }
-        }
-        CompiledExpr::Or(a, b) => {
-            match (
-                ref_holds(study, gt, inj, a, w),
-                ref_holds(study, gt, inj, b, w),
-            ) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            }
-        }
-        CompiledExpr::Not(a) => ref_holds(study, gt, inj, a, w).map(|held| !held),
+        CompiledExpr::And(a, b) => match (ref_holds(gt, inj, a, w), ref_holds(gt, inj, b, w)) {
+            (Some(false), _) | (_, Some(false)) => Some(false),
+            (Some(true), Some(true)) => Some(true),
+            _ => None,
+        },
+        CompiledExpr::Or(a, b) => match (ref_holds(gt, inj, a, w), ref_holds(gt, inj, b, w)) {
+            (Some(true), _) | (_, Some(true)) => Some(true),
+            (Some(false), Some(false)) => Some(false),
+            _ => None,
+        },
+        CompiledExpr::Not(a) => ref_holds(gt, inj, a, w).map(|held| !held),
     }
 }
 
@@ -160,7 +149,7 @@ fn ref_check(study: &Study, gt: &GlobalTimeline, policy: MissingPolicy) -> Exper
     for (event, fault_id) in gt.injections() {
         let fault = &study.faults[fault_id.index()];
         injected[fault_id.index()] += 1;
-        checks.push(match ref_holds(study, gt, event, &fault.expr, w) {
+        checks.push(match ref_holds(gt, event, &fault.expr, w) {
             Some(true) => Verdict::Correct,
             _ => Verdict::Unproven,
         });
@@ -325,7 +314,7 @@ fn timeline_of(
     for (m, records) in timelines.iter().enumerate() {
         let sm = study.sm_id(&format!("m{m}")).expect("declared");
         let mut t = 10.0 * m as f64;
-        let mut current = study.reserved.begin;
+        let mut current = StateId::BEGIN;
         let mut open: Option<(StateId, u32)> = None;
         for (record_index, &(kind, state, fault, step, width)) in (0..).zip(records) {
             // Whole numbers, so that bounds often meet end to end exactly.
@@ -335,7 +324,7 @@ fn timeline_of(
             let injects = kind < density && injections < MAX_INJECTIONS;
             injections += usize::from(injects);
             let entered = match kind {
-                9 => Some(study.reserved.begin),
+                9 => Some(StateId::BEGIN),
                 _ if injects => None,
                 _ => Some(states[state]),
             };
@@ -352,7 +341,7 @@ fn timeline_of(
             }
             let kind = match kind {
                 9 => {
-                    current = study.reserved.begin;
+                    current = StateId::BEGIN;
                     GlobalEventKind::Restart {
                         host: HostId::from_raw(0),
                     }
@@ -421,7 +410,7 @@ fn timeline_of(
         end: GlobalNanos(hi),
         alpha_beta: Vec::new().into(),
         reference_host: HostId::from_raw(0),
-        symbols: Arc::new(SymbolTable::for_hosts(["ref"])),
+        symbols: Arc::new(SymbolTable::from_iter(["ref"])),
     }
 }
 

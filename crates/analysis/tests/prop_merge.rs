@@ -16,7 +16,7 @@
 use loki_analysis::global::{make_global, GlobalOptions};
 use loki_analysis::merge::{merge_sorted_runs, MergeScratch};
 use loki_core::campaign::{ExperimentData, HostSync, SyncSample};
-use loki_core::ids::SymbolTable;
+use loki_core::ids::{StateId, SymbolTable};
 use loki_core::recorder::Recorder;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
@@ -160,9 +160,9 @@ fn make_global_resolves_tied_mids_in_timeline_order() {
         );
     }
     let study = Study::compile(&def).unwrap();
-    let symbols = Arc::new(SymbolTable::for_hosts(["ref", "h"]));
-    let href = symbols.lookup_host("ref").unwrap();
-    let h = symbols.lookup_host("h").unwrap();
+    let symbols = Arc::new(SymbolTable::from_iter(["ref", "h"]));
+    let href = symbols.lookup("ref").unwrap();
+    let h = symbols.lookup("h").unwrap();
     let go = study.events.lookup("GO").unwrap();
     let done = study.events.lookup("DONE").unwrap();
     let init = study.states.lookup("INIT").unwrap();
@@ -178,7 +178,7 @@ fn make_global_resolves_tied_mids_in_timeline_order() {
                 go,
                 study.states.lookup("WORK").unwrap(),
             );
-            rec.record_state_change(LocalNanos::from_millis(30), done, study.reserved.exit);
+            rec.record_state_change(LocalNanos::from_millis(30), done, StateId::EXIT);
             rec.finish()
         })
         .to_vec();
@@ -198,7 +198,6 @@ fn make_global_resolves_tied_mids_in_timeline_order() {
         });
     }
     let data = ExperimentData {
-        study: "ties".into(),
         experiment: 0,
         timelines,
         hosts: vec![href, h],

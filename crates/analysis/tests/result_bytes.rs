@@ -6,7 +6,7 @@
 use loki_analysis::{analyze_one, AnalysisOptions, AnalyzedExperiment, Verdict};
 use loki_core::campaign::{ExperimentData, ExperimentEnd, HostSync, SyncSample};
 use loki_core::fault::{FaultExpr, Trigger};
-use loki_core::ids::{FaultId, HostId, SymbolTable};
+use loki_core::ids::{FaultId, HostId, StateId, SymbolTable};
 use loki_core::recorder::Recorder;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
@@ -120,19 +120,18 @@ fn experiment(study: &Study) -> ExperimentData {
     rec_a.record_user_message(ms(2), "retry seq=0 attempt=1");
     rec_a.record_state_change(ms(10), go, work);
     rec_a.record_user_message(ms(12), "say \"hi\"");
-    rec_a.record_state_change(ms(30), done, study.reserved.exit);
+    rec_a.record_state_change(ms(30), done, StateId::EXIT);
     let mut rec_b = Recorder::new(b, h2);
     rec_b.record_state_change(ms(1), go, watch);
     rec_b.record_injection(ms(5), study.fault_names.lookup("early").unwrap());
     rec_b.record_injection(ms(20), FaultId::from_raw(7));
-    rec_b.record_state_change(ms(30), done, study.reserved.exit);
+    rec_b.record_state_change(ms(30), done, StateId::EXIT);
     ExperimentData {
-        study: "s".into(),
         experiment: 0,
         timelines: vec![rec_a.finish(), rec_b.finish()],
         hosts: vec![h1, h2],
         reference_host: h1,
-        symbols: Arc::new(SymbolTable::for_hosts(["h1", "h2"])),
+        symbols: Arc::new(SymbolTable::from_iter(["h1", "h2"])),
         pre_sync: vec![ideal_sync(h2)],
         post_sync: vec![ideal_sync(h2)],
         end: ExperimentEnd::Completed,

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use loki_analysis::global::{make_global, GlobalOptions};
 use loki_core::campaign::{ExperimentData, HostSync, SyncSample};
 use loki_core::fault::{FaultExpr, FaultParser, Trigger};
-use loki_core::ids::{Id, SymbolTable};
+use loki_core::ids::{Id, StateId, SymbolTable};
 use loki_core::recorder::Recorder;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
@@ -177,7 +177,7 @@ fn make_global_fixture() -> (Study, ExperimentData) {
     // Realistic fleet-style host names: interning exists so that none of
     // these is hashed or cloned per record.
     let symbols =
-        Arc::new(SymbolTable::for_hosts((0..HOSTS).map(|h| {
+        Arc::new(SymbolTable::from_iter((0..HOSTS).map(|h| {
             format!("worker-{h:02}.rack{}.dc1.cluster.example.com", h % 4)
         })));
     let go = study.events.lookup("GO").unwrap();
@@ -207,7 +207,7 @@ fn make_global_fixture() -> (Study, ExperimentData) {
                     }
                 }
             }
-            rec.record_state_change(LocalNanos(t), go, study.reserved.exit);
+            rec.record_state_change(LocalNanos(t), go, StateId::EXIT);
             rec.finish()
         })
         .collect();
@@ -233,10 +233,9 @@ fn make_global_fixture() -> (Study, ExperimentData) {
         }
     };
     let data = ExperimentData {
-        study: "mg32".into(),
         experiment: 0,
         timelines,
-        hosts: symbols.host_ids().collect(),
+        hosts: symbols.ids().collect(),
         reference_host: Id::from_raw(0),
         symbols,
         pre_sync: (1..HOSTS).map(sync_for).collect(),

@@ -237,8 +237,6 @@ impl Warning {
 /// names.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentData {
-    /// The study this experiment instantiates.
-    pub study: String,
     /// Experiment index within the study.
     pub experiment: u32,
     /// One local timeline per state machine that ever ran.
@@ -282,7 +280,7 @@ impl ExperimentData {
 
     /// The name of `host`, resolved through the study-run symbol table.
     pub fn host_name(&self, host: HostId) -> &str {
-        self.symbols.host_name(host)
+        self.symbols.name(host)
     }
 
     /// Total number of fault injections across all timelines.
@@ -298,13 +296,12 @@ mod tests {
     use crate::recorder::Recorder;
 
     fn data() -> ExperimentData {
-        let symbols = Arc::new(SymbolTable::for_hosts(["h1", "h2", "h3"]));
-        let h1 = symbols.lookup_host("h1").unwrap();
-        let h2 = symbols.lookup_host("h2").unwrap();
+        let symbols = Arc::new(SymbolTable::from_iter(["h1", "h2", "h3"]));
+        let h1 = symbols.lookup("h1").unwrap();
+        let h2 = symbols.lookup("h2").unwrap();
         let mut rec = Recorder::new(Id::from_raw(0), h1);
         rec.record_injection(LocalNanos(5), Id::from_raw(0));
         ExperimentData {
-            study: "s1".into(),
             experiment: 0,
             timelines: vec![rec.finish()],
             hosts: vec![h1, h2],
@@ -334,8 +331,8 @@ mod tests {
     #[test]
     fn sync_samples_concatenate_phases() {
         let d = data();
-        let h2 = d.symbols.lookup_host("h2").unwrap();
-        let h3 = d.symbols.lookup_host("h3").unwrap();
+        let h2 = d.symbols.lookup("h2").unwrap();
+        let h3 = d.symbols.lookup("h3").unwrap();
         let mut samples = Vec::new();
         d.sync_samples_into(h2, &mut samples);
         assert_eq!(samples.len(), 2);

@@ -182,10 +182,8 @@ impl CompiledExpr {
 /// A compiled fault: resolved expression plus trigger mode and owner.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompiledFault {
-    /// Fault id within the study.
+    /// Fault id within the study; the study's `fault_names` holds its name.
     pub id: FaultId,
-    /// Fault name.
-    pub name: String,
     /// The state machine whose probe injects this fault.
     pub owner: SmId,
     /// Resolved Boolean expression.
@@ -220,7 +218,6 @@ pub struct CompiledFault {
 /// let lead = Id::from_raw(5);
 /// let fault = CompiledFault {
 ///     id: Id::from_raw(0),
-///     name: "bfault1".into(),
 ///     owner: sm0,
 ///     expr: CompiledExpr::Atom(sm0, lead),
 ///     trigger: Trigger::Always,
@@ -405,7 +402,6 @@ mod tests {
     fn fault(id: u32, expr: CompiledExpr, trigger: Trigger) -> CompiledFault {
         CompiledFault {
             id: Id::from_raw(id),
-            name: format!("f{id}"),
             owner: sm(0),
             expr,
             trigger,

@@ -5,10 +5,16 @@
 //! indices "to make the local timeline compact and decrease intrusion during
 //! recording" (§3.5.6). We use the same scheme in memory: every name is
 //! interned once per study into a [`NameTable`], and the runtime manipulates
-//! only the typed index newtypes below. The names the *runtime* discovers —
-//! hosts, from the harness configuration — intern into a per-study-run
-//! [`SymbolTable`] that is `Arc`-shared into every worker;
-//! ids resolve back to strings only at display/report boundaries.
+//! only the typed index newtypes below. One table type serves all five
+//! name spaces: the study compiles four of them (machines, states, events,
+//! faults), and the simulated world interns the fifth, hosts, into the
+//! [`SymbolTable`] (a `NameTable<HostTag>`) that is `Arc`-shared into every
+//! worker. Ids resolve back to strings only at display/report boundaries.
+//!
+//! The reserved states and events (§3.5.7) are interned first by every
+//! study, so their ids are fixed: associated constants of [`StateId`] and
+//! [`EventId`] (`StateId::BEGIN`, `EventId::CRASH`, …), not per-study
+//! lookups.
 
 use crate::hashing::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -27,7 +33,7 @@ pub enum EventTag {}
 /// Marker for fault names.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FaultTag {}
-/// Marker for host names (see [`SymbolTable`]).
+/// Marker for host names (see [`HostId`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum HostTag {}
 
@@ -46,7 +52,7 @@ pub struct Id<Tag> {
 impl<Tag> Id<Tag> {
     /// Creates an id from a raw index. Intended for table internals and
     /// deserialization of the on-disk formats.
-    pub fn from_raw(raw: u32) -> Self {
+    pub const fn from_raw(raw: u32) -> Self {
         Id {
             raw,
             _tag: PhantomData,
@@ -103,10 +109,37 @@ pub type SmId = Id<SmTag>;
 pub type StateId = Id<StateTag>;
 /// Index of an event within the study-wide event list.
 pub type EventId = Id<EventTag>;
+
+/// The reserved states: [`Study::compile`](crate::study::Study::compile)
+/// interns [`RESERVED_STATES`](crate::spec::RESERVED_STATES) first and in order, so
+/// every study gives them these ids.
+impl StateId {
+    /// The `BEGIN` state every machine starts in.
+    pub const BEGIN: StateId = Id::from_raw(0);
+    /// The `EXIT` state for clean termination.
+    pub const EXIT: StateId = Id::from_raw(1);
+    /// The `CRASH` state.
+    pub const CRASH: StateId = Id::from_raw(2);
+    /// The `RESTART` state.
+    pub const RESTART: StateId = Id::from_raw(3);
+}
+
+/// The reserved events: [`Study::compile`](crate::study::Study::compile)
+/// interns [`RESERVED_EVENTS`](crate::spec::RESERVED_EVENTS) first and in order, so
+/// every study gives them these ids.
+impl EventId {
+    /// The synthesized `CRASH` event.
+    pub const CRASH: EventId = Id::from_raw(0);
+    /// The synthesized `RESTART` event.
+    pub const RESTART: EventId = Id::from_raw(1);
+    /// The wildcard `default` event.
+    pub const DEFAULT: EventId = Id::from_raw(2);
+}
+
 /// Index of a fault within the study-wide fault list.
 pub type FaultId = Id<FaultTag>;
-/// Index of a host within a study's [`SymbolTable`]; the simulator names
-/// its hosts by the same ids.
+/// Index of a host within the study run's [`SymbolTable`]; the simulator
+/// names its hosts by the same ids.
 ///
 /// Host ids are dense (`0..num_hosts`) and assigned in the deterministic
 /// order the harness configuration lists its hosts, so the same study
@@ -115,6 +148,9 @@ pub type FaultId = Id<FaultTag>;
 pub type HostId = Id<HostTag>;
 
 /// An order-preserving name interner.
+///
+/// Two tables are equal when they intern the same names in the same order
+/// (the reverse index is derived state).
 ///
 /// # Examples
 ///
@@ -129,7 +165,7 @@ pub type HostId = Id<HostTag>;
 /// assert_eq!(t.lookup("FOLLOW"), Some(b));
 /// assert_eq!(t.len(), 2);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NameTable<Tag> {
     names: Vec<String>,
     #[serde(skip)]
@@ -138,14 +174,39 @@ pub struct NameTable<Tag> {
     _tag: PhantomData<fn() -> Tag>,
 }
 
-impl<Tag> NameTable<Tag> {
-    /// Creates an empty table.
-    pub fn new() -> Self {
+// Hand-written: a derive would demand `Tag: Default` of the marker enums.
+impl<Tag> Default for NameTable<Tag> {
+    fn default() -> Self {
         NameTable {
             names: Vec::new(),
             index: FxHashMap::default(),
             _tag: PhantomData,
         }
+    }
+}
+
+impl<Tag> PartialEq for NameTable<Tag> {
+    fn eq(&self, other: &Self) -> bool {
+        self.names == other.names
+    }
+}
+impl<Tag> Eq for NameTable<Tag> {}
+
+/// Interns the names in iteration order.
+impl<Tag, S: AsRef<str>> FromIterator<S> for NameTable<Tag> {
+    fn from_iter<I: IntoIterator<Item = S>>(names: I) -> Self {
+        let mut table = NameTable::new();
+        for name in names {
+            table.intern(name.as_ref());
+        }
+        table
+    }
+}
+
+impl<Tag> NameTable<Tag> {
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        NameTable::default()
     }
 
     /// Interns `name`, returning its id; returns the existing id if the name
@@ -174,6 +235,13 @@ impl<Tag> NameTable<Tag> {
         &self.names[id.index()]
     }
 
+    /// The name for `id`, or `None` when `id` is not from this table
+    /// (e.g. data interned against a different table). Error and report
+    /// paths use this so malformed data renders instead of panicking.
+    pub fn try_name(&self, id: Id<Tag>) -> Option<&str> {
+        self.names.get(id.index()).map(String::as_str)
+    }
+
     /// Number of interned names.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -198,112 +266,27 @@ impl<Tag> NameTable<Tag> {
     }
 }
 
-/// Per-study interner for names discovered by the *runtime* rather than the
-/// study specification: host names.
+/// The study run's host table: host names come from the harness
+/// configuration, not the study specification.
 ///
-/// State-machine, state, event, and fault names are interned at study
-/// compile time (the [`NameTable`]s inside `Study`); host names come from
-/// the harness configuration instead. The simulated world interns its
-/// hosts into one `SymbolTable` as it registers them, in configuration
-/// order, so ids are dense and deterministic; the harness shares that
-/// table immutably (`Arc`) with every worker. Timelines, sync records,
-/// and the global timeline then carry [`HostId`]s; the table is consulted
-/// only at display/report boundaries.
+/// The simulated world interns its hosts as it registers them, in
+/// configuration order, so ids are dense and deterministic; the harness
+/// shares the table immutably (`Arc`) with every worker. Timelines, sync
+/// records, and the global timeline carry [`HostId`]s; the table is
+/// consulted only at display/report boundaries.
 ///
 /// # Examples
 ///
 /// ```
 /// use loki_core::ids::SymbolTable;
 ///
-/// let table = SymbolTable::for_hosts(["host1", "host2"]);
-/// let h2 = table.lookup_host("host2").unwrap();
+/// let table = SymbolTable::from_iter(["host1", "host2"]);
+/// let h2 = table.lookup("host2").unwrap();
 /// assert_eq!(h2.raw(), 1);
-/// assert_eq!(table.host_name(h2), "host2");
-/// assert_eq!(table.num_hosts(), 2);
+/// assert_eq!(table.name(h2), "host2");
+/// assert_eq!(table.len(), 2);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SymbolTable {
-    hosts: NameTable<HostTag>,
-}
-
-impl Default for SymbolTable {
-    fn default() -> Self {
-        SymbolTable {
-            hosts: NameTable::new(),
-        }
-    }
-}
-
-impl SymbolTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        SymbolTable::default()
-    }
-
-    /// Builds a table with `hosts` interned in iteration order (the
-    /// deterministic id assignment the harness relies on).
-    pub fn for_hosts<I, S>(hosts: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut t = SymbolTable::new();
-        for h in hosts {
-            t.intern_host(h.as_ref());
-        }
-        t
-    }
-
-    /// Interns a host name, returning its id (idempotent).
-    pub fn intern_host(&mut self, name: &str) -> HostId {
-        self.hosts.intern(name)
-    }
-
-    /// Looks up an already-interned host.
-    pub fn lookup_host(&self, name: &str) -> Option<HostId> {
-        self.hosts.lookup(name)
-    }
-
-    /// The name of host `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this table.
-    pub fn host_name(&self, id: HostId) -> &str {
-        self.hosts.name(id)
-    }
-
-    /// The name of host `id`, or `None` when `id` is not from this table
-    /// (e.g. a timeline interned against a different table). Error paths
-    /// use this so malformed data reports cleanly instead of panicking.
-    pub fn try_host_name(&self, id: HostId) -> Option<&str> {
-        self.hosts.names.get(id.index()).map(String::as_str)
-    }
-
-    /// Number of interned hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Iterates over `(id, name)` pairs of all hosts in interning order.
-    pub fn hosts(&self) -> impl Iterator<Item = (HostId, &str)> {
-        self.hosts.iter()
-    }
-
-    /// All host ids in interning order.
-    pub fn host_ids(&self) -> impl Iterator<Item = HostId> {
-        self.hosts.ids()
-    }
-}
-
-/// Tables are equal when they intern the same names in the same order
-/// (the reverse indices are derived state).
-impl PartialEq for SymbolTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.hosts.names == other.hosts.names
-    }
-}
-impl Eq for SymbolTable {}
+pub type SymbolTable = NameTable<HostTag>;
 
 #[cfg(test)]
 mod tests {
@@ -344,20 +327,22 @@ mod tests {
 
     #[test]
     fn symbol_table_interns_hosts_in_configuration_order() {
-        let t = SymbolTable::for_hosts(["h1", "h2"]);
-        assert_eq!(t.num_hosts(), 2);
-        assert_eq!(t.lookup_host("h1").map(|h| h.raw()), Some(0));
-        assert_eq!(t.lookup_host("nope"), None);
-        assert_eq!(t.host_ids().count(), 2);
-        let names: Vec<&str> = t.hosts().map(|(_, n)| n).collect();
+        let t = SymbolTable::from_iter(["h1", "h2"]);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.lookup("h1").map(|h| h.raw()), Some(0));
+        assert_eq!(t.lookup("nope"), None);
+        assert_eq!(t.try_name(HostId::from_raw(1)), Some("h2"));
+        assert_eq!(t.try_name(HostId::from_raw(2)), None);
+        assert_eq!(t.ids().count(), 2);
+        let names: Vec<&str> = t.iter().map(|(_, n)| n).collect();
         assert_eq!(names, vec!["h1", "h2"]);
     }
 
     #[test]
     fn symbol_table_equality_ignores_derived_indices() {
-        let a = SymbolTable::for_hosts(["x", "y"]);
-        let b = SymbolTable::for_hosts(["x", "y"]);
-        let c = SymbolTable::for_hosts(["y", "x"]);
+        let a = SymbolTable::from_iter(["x", "y"]);
+        let b = SymbolTable::from_iter(["x", "y"]);
+        let c = SymbolTable::from_iter(["y", "x"]);
         assert_eq!(a, b);
         assert_ne!(a, c); // interning order is part of the identity
     }

@@ -5,11 +5,13 @@
 //! CRHC-00-09). This crate contains the paper's primary concepts, free of
 //! any I/O or scheduling concerns:
 //!
-//! * [`ids`] — typed interned identifiers: study-compile-time
-//!   [`ids::NameTable`]s for machines/states/events/faults and the
-//!   per-study-run [`ids::SymbolTable`] interning hosts ([`ids::HostId`]).
-//!   Hot paths manipulate only
-//!   the dense `u32` ids; names are resolved at display/report
+//! * [`ids`] — typed interned identifiers: one table type,
+//!   [`ids::NameTable`], for all five name spaces — machines, states,
+//!   events and faults, interned when a study compiles, and hosts
+//!   ([`ids::HostId`]), interned by the simulated world into the study
+//!   run's [`ids::SymbolTable`]. The reserved states and events have fixed
+//!   ids (`StateId::BEGIN`, `EventId::CRASH`, …). Hot paths manipulate
+//!   only the dense `u32` ids; names are resolved at display/report
 //!   boundaries.
 //! * [`spec`] / [`study`] — state machine and fault specifications, and
 //!   their compiled, validated form.
@@ -87,6 +89,6 @@ pub use recorder::{LocalTimeline, RecordKind, Recorder, TimelineRecord};
 pub use small::InlineVec;
 pub use spec::{FaultSpec, NodePlacement, StateMachineSpec, StudyDef};
 pub use state_machine::{StateMachine, TransitionOutcome};
-pub use study::{CompiledSm, ReservedIds, Study};
+pub use study::{CompiledSm, Study};
 pub use time::{GlobalNanos, LocalNanos, TimeBounds};
 pub use view::PartialView;

@@ -77,14 +77,13 @@ impl StateMachine {
     /// Creates the state machine for node `id`, in the `BEGIN` state with an
     /// all-unknown view of the other machines.
     pub fn new(study: Arc<Study>, id: SmId) -> Self {
-        let begin = study.reserved.begin;
         let n = study.num_machines();
         let mut view = PartialView::new(n);
-        view.set(id, begin);
+        view.set(id, StateId::BEGIN);
         StateMachine {
             study,
             id,
-            state: begin,
+            state: StateId::BEGIN,
             initialized: false,
             view,
         }
@@ -125,11 +124,14 @@ impl StateMachine {
                 name: name.to_owned(),
             });
         }
-        let begin = self.study.reserved.begin;
         // Event path first: an explicit BEGIN transition wins, so that a
         // spec with `state BEGIN` blocks behaves exactly as written.
         if let Some(event) = self.study.events.lookup(name) {
-            if let Some(next) = self.study.machine(self.id).next_state(begin, event) {
+            if let Some(next) = self
+                .study
+                .machine(self.id)
+                .next_state(StateId::BEGIN, event)
+            {
                 self.initialized = true;
                 return Ok(self.enter(event, next));
             }
@@ -160,12 +162,12 @@ impl StateMachine {
             .events
             .lookup(name)
             .ok_or_else(|| CoreError::UnknownEvent {
-                sm: self.study.machines[self.id.index()].name.clone(),
+                sm: self.study.sms.name(self.id).to_owned(),
                 event: name.to_owned(),
             })?;
         if !self.initialized {
             return Err(CoreError::NotInitialized {
-                sm: self.study.machines[self.id.index()].name.clone(),
+                sm: self.study.sms.name(self.id).to_owned(),
             });
         }
         let next = self
@@ -173,7 +175,7 @@ impl StateMachine {
             .machine(self.id)
             .next_state(self.state, event)
             .ok_or_else(|| CoreError::NoTransition {
-                sm: self.study.machines[self.id.index()].name.clone(),
+                sm: self.study.sms.name(self.id).to_owned(),
                 state: self.study.states.name(self.state).to_owned(),
                 event: self.study.events.name(event).to_owned(),
             })?;
@@ -213,12 +215,11 @@ impl StateMachine {
     /// identical to `StateMachine::new(study, id)` — contents are fully
     /// reset, only the view's capacity is retained.
     pub fn reinit(&mut self, id: SmId) {
-        let begin = self.study.reserved.begin;
         self.id = id;
-        self.state = begin;
+        self.state = StateId::BEGIN;
         self.initialized = false;
         self.view.reset();
-        self.view.set(id, begin);
+        self.view.set(id, StateId::BEGIN);
     }
 }
 
@@ -252,9 +253,9 @@ mod tests {
     fn starts_in_begin_uninitialized() {
         let s = study();
         let sm = StateMachine::new(s.clone(), s.sm_id("a").unwrap());
-        assert_eq!(sm.state(), s.reserved.begin);
+        assert_eq!(sm.state(), StateId::BEGIN);
         assert!(!sm.is_initialized());
-        assert_eq!(sm.view().get(sm.id()), Some(s.reserved.begin));
+        assert_eq!(sm.view().get(sm.id()), Some(StateId::BEGIN));
     }
 
     #[test]
@@ -263,7 +264,7 @@ mod tests {
         let mut sm = StateMachine::new(s.clone(), s.sm_id("a").unwrap());
         let out = sm.initialize("INIT").unwrap();
         assert_eq!(s.states.name(out.new_state), "INIT");
-        assert_eq!(out.old_state, s.reserved.begin);
+        assert_eq!(out.old_state, StateId::BEGIN);
         assert_eq!(out.notify, NotifySet::one(s.sm_id("b").unwrap()));
         assert!(sm.is_initialized());
     }
@@ -350,7 +351,7 @@ mod tests {
         let mut sm = StateMachine::new(s.clone(), s.sm_id("a").unwrap());
         sm.initialize("RUN").unwrap();
         let out = sm.apply_event_name("CRASH").unwrap();
-        assert_eq!(out.new_state, s.reserved.crash);
+        assert_eq!(out.new_state, StateId::CRASH);
         assert_eq!(out.notify, NotifySet::one(s.sm_id("b").unwrap())); // CRASH block notify
     }
 
@@ -364,7 +365,7 @@ mod tests {
         assert!(sm.apply_remote(b, run));
         assert!(!sm.apply_remote(b, run)); // duplicate: no change
         assert_eq!(sm.view().get(b), Some(run));
-        assert_eq!(sm.state(), s.reserved.begin); // own state untouched
+        assert_eq!(sm.state(), StateId::BEGIN); // own state untouched
         assert!(!sm.apply_remote(a, run)); // self-notifications ignored
     }
 }

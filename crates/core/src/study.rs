@@ -7,29 +7,10 @@
 
 use crate::error::CoreError;
 use crate::fault::{compile_expr, CompiledFault};
-use crate::ids::{EventId, FaultId, NameTable, SmId, StateId};
+use crate::ids::{EventId, EventTag, FaultId, FaultTag, NameTable, SmId, SmTag, StateId, StateTag};
 use crate::spec::{StudyDef, DEFAULT_EVENT, RESERVED_EVENTS, RESERVED_STATES};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Ids of the reserved states and events, cached for fast access.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReservedIds {
-    /// The `BEGIN` state every machine starts in.
-    pub begin: StateId,
-    /// The `EXIT` state for clean termination.
-    pub exit: StateId,
-    /// The `CRASH` state.
-    pub crash: StateId,
-    /// The `RESTART` state.
-    pub restart: StateId,
-    /// The synthesized `CRASH` event.
-    pub crash_event: EventId,
-    /// The synthesized `RESTART` event.
-    pub restart_event: EventId,
-    /// The wildcard `default` event.
-    pub default_event: EventId,
-}
 
 /// A single state machine with all names resolved.
 ///
@@ -39,10 +20,6 @@ pub struct ReservedIds {
 /// hashing.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CompiledSm {
-    /// This machine's id.
-    pub id: SmId,
-    /// Its nickname.
-    pub name: String,
     /// Row stride of `transitions`: the study-wide event count.
     num_events: u32,
     /// Explicit `(state, event) → next state` transitions, row-major by
@@ -52,10 +29,6 @@ pub struct CompiledSm {
     defaults: Vec<Option<StateId>>,
     /// Per-state notify lists, by state index.
     notify: Vec<Vec<SmId>>,
-    /// Events declared in this machine's `event_list`.
-    pub declared_events: Vec<EventId>,
-    /// States for which this machine has a `state` block.
-    pub declared_states: Vec<StateId>,
 }
 
 impl CompiledSm {
@@ -122,14 +95,14 @@ pub struct Study {
     /// Study name.
     pub name: String,
     /// State machine names.
-    pub sms: NameTable<crate::ids::SmTag>,
+    pub sms: NameTable<SmTag>,
     /// The study-wide global state list.
-    pub states: NameTable<crate::ids::StateTag>,
+    pub states: NameTable<StateTag>,
     /// The study-wide event list (union of per-machine lists plus reserved
     /// events and init aliases).
-    pub events: NameTable<crate::ids::EventTag>,
+    pub events: NameTable<EventTag>,
     /// Fault names.
-    pub fault_names: NameTable<crate::ids::FaultTag>,
+    pub fault_names: NameTable<FaultTag>,
     /// Compiled machines, indexed by [`SmId`].
     pub machines: Vec<CompiledSm>,
     /// Compiled faults, indexed by [`FaultId`].
@@ -137,14 +110,10 @@ pub struct Study {
     /// Initial placement: `(machine, Some(host))` entries are started at
     /// experiment begin; `None` hosts enter dynamically.
     pub placements: Vec<(SmId, Option<String>)>,
-    /// Cached reserved ids.
-    pub reserved: ReservedIds,
     /// Alias event for initializing to a state by name: maps each state
     /// (densely, by index) to the synthesized event with the same name (the
     /// thesis treats the first probe notification as a state, §3.5.7).
     init_alias: Vec<EventId>,
-    /// The original definition (kept for spec-file round-tripping).
-    pub def: StudyDef,
 }
 
 impl Study {
@@ -157,26 +126,12 @@ impl Study {
     /// unknown machines, or placements name unknown machines.
     pub fn compile(def: &StudyDef) -> Result<Study, CoreError> {
         let mut sms = NameTable::new();
-        let mut states = NameTable::new();
-        let mut events = NameTable::new();
         let mut fault_names = NameTable::new();
 
-        // Reserved names first so their ids are stable across studies.
-        for s in RESERVED_STATES {
-            states.intern(s);
-        }
-        for e in RESERVED_EVENTS {
-            events.intern(e);
-        }
-        let reserved = ReservedIds {
-            begin: states.lookup("BEGIN").unwrap(),
-            exit: states.lookup("EXIT").unwrap(),
-            crash: states.lookup("CRASH").unwrap(),
-            restart: states.lookup("RESTART").unwrap(),
-            crash_event: events.lookup("CRASH").unwrap(),
-            restart_event: events.lookup("RESTART").unwrap(),
-            default_event: events.lookup(DEFAULT_EVENT).unwrap(),
-        };
+        // Reserved names first: their ids are the `StateId`/`EventId`
+        // constants in every study.
+        let mut states: NameTable<StateTag> = NameTable::from_iter(RESERVED_STATES);
+        let mut events: NameTable<EventTag> = NameTable::from_iter(RESERVED_EVENTS);
 
         // Machine names.
         for m in &def.machines {
@@ -222,7 +177,9 @@ impl Study {
             let mut transitions: Vec<Option<StateId>> = vec![None; num_states * num_events];
             let mut defaults: Vec<Option<StateId>> = vec![None; num_states];
             let mut notify: Vec<Vec<SmId>> = vec![Vec::new(); num_states];
-            let mut declared_states = Vec::new();
+            // Implicit rule: in any declared state (and BEGIN), a CRASH
+            // event without an explicit transition leads to the CRASH state.
+            let mut crashable = vec![StateId::BEGIN];
 
             for block in &m.states {
                 let state = states
@@ -231,7 +188,7 @@ impl Study {
                         sm: m.name.clone(),
                         state: block.state.clone(),
                     })?;
-                declared_states.push(state);
+                crashable.push(state);
 
                 let mut list = Vec::new();
                 for target in &block.notify {
@@ -260,45 +217,28 @@ impl Study {
                     }
                     let declared = m.events.iter().any(|e| e == &t.event)
                         || RESERVED_EVENTS.contains(&t.event.as_str());
-                    if !declared {
+                    let Some(event) = events.lookup(&t.event).filter(|_| declared) else {
                         return Err(CoreError::UnknownEvent {
                             sm: m.name.clone(),
                             event: t.event.clone(),
                         });
-                    }
-                    let event = events
-                        .lookup(&t.event)
-                        .unwrap_or_else(|| unreachable!("declared events are interned above"));
+                    };
                     transitions[state.index() * num_events + event.index()] = Some(next);
                 }
             }
 
-            // Implicit rule: in any declared state (and BEGIN), a CRASH
-            // event without an explicit transition leads to the CRASH state.
-            let mut crashable: Vec<StateId> = declared_states.clone();
-            crashable.push(reserved.begin);
             for s in crashable {
-                let slot = s.index() * num_events + reserved.crash_event.index();
+                let slot = s.index() * num_events + EventId::CRASH.index();
                 if transitions[slot].is_none() {
-                    transitions[slot] = Some(reserved.crash);
+                    transitions[slot] = Some(StateId::CRASH);
                 }
             }
 
-            let declared_events = m
-                .events
-                .iter()
-                .map(|e| events.lookup(e).expect("interned above"))
-                .collect();
-
             machines.push(CompiledSm {
-                id,
-                name: m.name.clone(),
                 num_events: num_events as u32,
                 transitions,
                 defaults,
                 notify,
-                declared_events,
-                declared_states,
             });
         }
 
@@ -320,7 +260,6 @@ impl Study {
             let expr = compile_expr(&f.expr, &|n| sms.lookup(n), &|n| states.lookup(n))?;
             faults.push(CompiledFault {
                 id,
-                name: f.name.clone(),
                 owner,
                 expr,
                 trigger: f.trigger,
@@ -345,9 +284,7 @@ impl Study {
             machines,
             faults,
             placements,
-            reserved,
             init_alias,
-            def: def.clone(),
         })
     }
 
@@ -455,14 +392,19 @@ mod tests {
     #[test]
     fn reserved_names_always_present() {
         let study = Study::compile(&StudyDef::new("empty")).unwrap();
-        for s in RESERVED_STATES {
-            assert!(study.states.lookup(s).is_some(), "missing state {s}");
+        let states = [
+            StateId::BEGIN,
+            StateId::EXIT,
+            StateId::CRASH,
+            StateId::RESTART,
+        ];
+        for (name, id) in RESERVED_STATES.into_iter().zip(states) {
+            assert_eq!(study.states.lookup(name), Some(id), "state {name}");
         }
-        for e in RESERVED_EVENTS {
-            assert!(study.events.lookup(e).is_some(), "missing event {e}");
+        let events = [EventId::CRASH, EventId::RESTART, EventId::DEFAULT];
+        for (name, id) in RESERVED_EVENTS.into_iter().zip(events) {
+            assert_eq!(study.events.lookup(name), Some(id), "event {name}");
         }
-        assert_eq!(study.states.name(study.reserved.begin), "BEGIN");
-        assert_eq!(study.events.name(study.reserved.crash_event), "CRASH");
     }
 
     #[test]
@@ -471,10 +413,8 @@ mod tests {
         let a = study.sm_id("a").unwrap();
         let busy = study.states.lookup("BUSY").unwrap();
         assert_eq!(
-            study
-                .machine(a)
-                .next_state(busy, study.reserved.crash_event),
-            Some(study.reserved.crash)
+            study.machine(a).next_state(busy, EventId::CRASH),
+            Some(StateId::CRASH)
         );
         // ... but an explicit transition on CRASH wins.
         let def = StudyDef::new("s").machine(
@@ -489,9 +429,7 @@ mod tests {
         let idle = study.states.lookup("IDLE").unwrap();
         let limbo = study.states.lookup("LIMBO").unwrap();
         assert_eq!(
-            study
-                .machine(a)
-                .next_state(idle, study.reserved.crash_event),
+            study.machine(a).next_state(idle, EventId::CRASH),
             Some(limbo)
         );
     }

@@ -1,8 +1,8 @@
 //! Property tests for the core abstractions.
 
 use loki_core::fault::{CompiledExpr, CompiledFault, FaultExpr, FaultParser, Trigger};
-use loki_core::ids::{Id, SymbolTable};
-use loki_core::spec::{StateMachineSpec, StudyDef};
+use loki_core::ids::{EventId, Id, StateId, SymbolTable};
+use loki_core::spec::{StateMachineSpec, StudyDef, RESERVED_EVENTS, RESERVED_STATES};
 use loki_core::study::Study;
 use loki_core::view::PartialView;
 use proptest::prelude::*;
@@ -74,7 +74,6 @@ proptest! {
             .enumerate()
             .map(|(i, (expr, once))| CompiledFault {
                 id: Id::from_raw(i as u32),
-                name: format!("f{i}"),
                 owner: Id::from_raw(0),
                 expr,
                 trigger: if once { Trigger::Once } else { Trigger::Always },
@@ -107,7 +106,6 @@ proptest! {
     ) {
         let fault = CompiledFault {
             id: Id::from_raw(0),
-            name: "f".into(),
             owner: Id::from_raw(0),
             expr,
             trigger: Trigger::Once,
@@ -122,17 +120,24 @@ proptest! {
         prop_assert!(fired <= 1);
     }
 
-    /// Well-formed generated studies always compile, and compilation is a
-    /// pure function of the definition.
+    /// Well-formed generated studies always compile, compilation is a
+    /// pure function of the definition, and every reserved name has its
+    /// fixed id, whether or not the machines mention it.
     #[test]
     fn valid_study_defs_compile_deterministically(
         n_machines in 1usize..5,
         n_states in 1usize..5,
         n_events in 1usize..4,
         edges in prop::collection::vec((0usize..5, 0usize..4, 0usize..5), 0..20),
+        mention_reserved in any::<bool>(),
     ) {
-        let state_names: Vec<String> = (0..n_states).map(|i| format!("S{i}")).collect();
-        let event_names: Vec<String> = (0..n_events).map(|i| format!("E{i}")).collect();
+        let mut state_names: Vec<String> = (0..n_states).map(|i| format!("S{i}")).collect();
+        let mut event_names: Vec<String> = (0..n_events).map(|i| format!("E{i}")).collect();
+        if mention_reserved {
+            state_names.splice(0..0, ["CRASH".to_owned(), "EXIT".to_owned()]);
+            event_names.insert(0, "CRASH".to_owned());
+        }
+        let (n_states, n_events) = (state_names.len(), event_names.len());
         let mut def = StudyDef::new("gen");
         for m in 0..n_machines {
             let state_refs: Vec<&str> = state_names.iter().map(String::as_str).collect();
@@ -162,6 +167,14 @@ proptest! {
         prop_assert_eq!(a.num_machines(), b.num_machines());
         prop_assert_eq!(a.states.len(), b.states.len());
         prop_assert_eq!(a.events.len(), b.events.len());
+        let states = [StateId::BEGIN, StateId::EXIT, StateId::CRASH, StateId::RESTART];
+        for (name, id) in RESERVED_STATES.into_iter().zip(states) {
+            prop_assert_eq!(a.states.lookup(name), Some(id));
+        }
+        let events = [EventId::CRASH, EventId::RESTART, EventId::DEFAULT];
+        for (name, id) in RESERVED_EVENTS.into_iter().zip(events) {
+            prop_assert_eq!(a.events.lookup(name), Some(id));
+        }
     }
 
     /// Driving a state machine with arbitrary declared events either
@@ -246,12 +259,12 @@ proptest! {
         names in prop::collection::vec("[a-z][a-z0-9]{0,7}", 1..24),
     ) {
         let mut table = SymbolTable::new();
-        let ids: Vec<_> = names.iter().map(|n| table.intern_host(n)).collect();
+        let ids: Vec<_> = names.iter().map(|n| table.intern(n)).collect();
 
         // Round-trip: every id resolves back to the name it was made from.
         for (name, id) in names.iter().zip(&ids) {
-            prop_assert_eq!(table.host_name(*id), name.as_str());
-            prop_assert_eq!(table.lookup_host(name), Some(*id));
+            prop_assert_eq!(table.name(*id), name.as_str());
+            prop_assert_eq!(table.lookup(name), Some(*id));
         }
 
         // Dense in first-mention order: distinct names get 0, 1, 2, …
@@ -261,26 +274,26 @@ proptest! {
                 first_mention.push(name);
             }
         }
-        prop_assert_eq!(table.num_hosts(), first_mention.len());
+        prop_assert_eq!(table.len(), first_mention.len());
         for (expected_raw, name) in first_mention.iter().enumerate() {
             prop_assert_eq!(
-                table.lookup_host(name).map(|h| h.raw()),
+                table.lookup(name).map(|h| h.raw()),
                 Some(expected_raw as u32)
             );
         }
 
         // Idempotent: re-interning the whole sequence changes nothing.
-        let again: Vec<_> = names.iter().map(|n| table.intern_host(n)).collect();
+        let again: Vec<_> = names.iter().map(|n| table.intern(n)).collect();
         prop_assert_eq!(&again, &ids);
-        prop_assert_eq!(table.num_hosts(), first_mention.len());
+        prop_assert_eq!(table.len(), first_mention.len());
 
         // Deterministic: an independent table on the same input agrees.
         let mut other = SymbolTable::new();
-        let other_ids: Vec<_> = names.iter().map(|n| other.intern_host(n)).collect();
+        let other_ids: Vec<_> = names.iter().map(|n| other.intern(n)).collect();
         prop_assert_eq!(other_ids, ids);
         prop_assert_eq!(&other, &table);
 
-        // `for_hosts` is the same construction.
-        prop_assert_eq!(&SymbolTable::for_hosts(&names), &table);
+        // Collecting the names is the same construction.
+        prop_assert_eq!(&SymbolTable::from_iter(&names), &table);
     }
 }

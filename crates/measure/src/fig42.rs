@@ -126,8 +126,8 @@ pub fn fig_4_2() -> (Study, GlobalTimeline) {
         iv("SM6", "State0", Some(37.9), None),
     ];
 
-    let symbols = Arc::new(SymbolTable::for_hosts(["ref"]));
-    let reference_host = symbols.lookup_host("ref").unwrap();
+    let symbols = Arc::new(SymbolTable::from_iter(["ref"]));
+    let reference_host = symbols.lookup("ref").unwrap();
     let gt = GlobalTimeline {
         events: events_vec.into(),
         messages: "".into(),

@@ -29,7 +29,7 @@ use crate::node::{AppFactory, NodeActor};
 use crate::store::{ExperimentControl, NodeDirectory, SyncCollector, TimelineStore};
 use crate::wiring::Wiring;
 use loki_core::campaign::{Receiver, Warning};
-use loki_core::ids::{HostId, SmId, SymbolTable};
+use loki_core::ids::{EventId, HostId, SmId, StateId, SymbolTable};
 use loki_core::recorder::{RecordKind, TimelineRecord};
 use loki_core::study::Study;
 use loki_sim::engine::{ActorId, Ctx, Dispatch, DownReason, TimerId};
@@ -491,14 +491,12 @@ impl LocalDaemon {
             // detection time (§3.6.2).
             let now = ctx.local_clock();
             let study = &self.ctx.study;
-            let crash_event = study.reserved.crash_event;
-            let crash_state = study.reserved.crash;
             self.ctx.store.with_mut(sm, |t| {
                 t.records.push(TimelineRecord {
                     time: now,
                     kind: RecordKind::StateChange {
-                        event: crash_event,
-                        new_state: crash_state,
+                        event: EventId::CRASH,
+                        new_state: StateId::CRASH,
                     },
                 });
             });
@@ -506,12 +504,12 @@ impl LocalDaemon {
             // behalf (e.g. `state CRASH notify green yellow`, §5.3).
             let targets: SmTargets = study
                 .machine(sm)
-                .notify_list(crash_state)
+                .notify_list(StateId::CRASH)
                 .iter()
                 .copied()
                 .collect();
             if !targets.is_empty() {
-                self.route(ctx, sm, crash_state, targets);
+                self.route(ctx, sm, StateId::CRASH, targets);
             }
         }
         let host = self.my_host;
@@ -866,7 +864,7 @@ impl Supervisor {
                 return;
             }
             *count += 1;
-            let n = self.ctx.symbols.num_hosts() as u32;
+            let n = self.ctx.symbols.len() as u32;
             let target = match self.policy.placement {
                 RestartPlacement::SameHost => host,
                 RestartPlacement::NextHost => HostId::from_raw((host.raw() + 1) % n),
@@ -932,7 +930,7 @@ mod tests {
             .machine(machine("b"))
             .machine(machine("c"));
         let study = Study::compile_arc(&def).unwrap();
-        let symbols = Arc::new(SymbolTable::for_hosts(["h"]));
+        let symbols = Arc::new(SymbolTable::from_iter(["h"]));
         let factory: AppFactory = Arc::new(|_, _| Box::new(Idle));
         let wiring = Arc::new(Wiring::new(1, NotifyRouting::Direct, false, Box::new([])));
         let ctx = Rc::new(ExpCtx::new(

@@ -304,7 +304,7 @@ impl<'a> SimStudy<'a> {
         }
         let initiators = world
             .symbols()
-            .host_ids()
+            .ids()
             .filter(|&host| host != reference)
             .collect();
         Ok(SimStudy {
@@ -464,7 +464,7 @@ impl<'a> SimStudy<'a> {
                 assert_eq!(d, self.wiring.daemon_for(ref_host));
             }
             _ => {
-                for host in self.world.symbols().host_ids() {
+                for host in self.world.symbols().ids() {
                     let d = sim.spawn(host, ctx.pooled_daemon(host));
                     assert_eq!(d, self.wiring.daemon_for(host));
                 }
@@ -505,10 +505,9 @@ impl<'a> SimStudy<'a> {
             ExperimentEnd::Aborted
         };
         ExperimentData {
-            study: self.study.name.clone(),
             experiment: script.experiment,
             timelines: ctx.store.drain(),
-            hosts: self.world.symbols().host_ids().collect(),
+            hosts: self.world.symbols().ids().collect(),
             reference_host: self.reference,
             symbols: self.world.symbols().clone(),
             pre_sync: std::mem::take(&mut script.pre_sync),
@@ -524,10 +523,9 @@ impl<'a> SimStudy<'a> {
     /// only the typed end and the panic note.
     fn failed_data(&self, experiment: u32, note: String) -> ExperimentData {
         ExperimentData {
-            study: self.study.name.clone(),
             experiment,
             timelines: Vec::new(),
-            hosts: self.world.symbols().host_ids().collect(),
+            hosts: self.world.symbols().ids().collect(),
             reference_host: self.reference,
             symbols: self.world.symbols().clone(),
             pre_sync: Vec::new(),

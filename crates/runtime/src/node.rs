@@ -329,16 +329,15 @@ impl NodeCtx<'_> {
     fn send_exit_notifications(&mut self) {
         let ctx = Rc::clone(&self.rt.ctx);
         let study = &ctx.study;
-        let exit_state = study.reserved.exit;
-        if self.rt.sm.state() != exit_state {
+        if self.rt.sm.state() != StateId::EXIT {
             self.record(RecordKind::StateChange {
-                event: study.init_alias(exit_state),
-                new_state: exit_state,
+                event: study.init_alias(StateId::EXIT),
+                new_state: StateId::EXIT,
             });
         }
         let me = self.rt.me;
         let targets: SmTargets = study.sms.ids().filter(|&sm| sm != me).collect();
-        self.notify(exit_state, targets);
+        self.notify(StateId::EXIT, targets);
     }
 
     /// The probe's event notification (`notifyEvent()`): informs the state
@@ -451,7 +450,7 @@ impl NodeCtx<'_> {
 
     /// The name of the host this node currently runs on.
     pub fn host_name(&self) -> &str {
-        self.rt.ctx.symbols.host_name(self.sim.my_host())
+        self.rt.ctx.symbols.name(self.sim.my_host())
     }
 
     /// Appends a free-form message to the local timeline. Accepts anything

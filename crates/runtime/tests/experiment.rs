@@ -2,6 +2,7 @@
 
 use loki_core::campaign::ExperimentEnd;
 use loki_core::fault::{FaultExpr, Trigger};
+use loki_core::ids::StateId;
 use loki_core::recorder::RecordKind;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
@@ -207,13 +208,12 @@ fn crash_is_recorded_by_daemon_and_node_restarts_on_other_host() {
     let a = data.timeline_for(study.sm_id("a").unwrap()).unwrap();
     // The injection is recorded, then the daemon-written CRASH state change.
     assert_eq!(a.injection_count(), 1);
-    let crash_state = study.reserved.crash;
     assert!(a.records.iter().any(|r| matches!(
         r.kind,
-        RecordKind::StateChange { new_state, .. } if new_state == crash_state
+        RecordKind::StateChange { new_state, .. } if new_state == StateId::CRASH
     )));
     // Restart happened on the other host.
-    let host2 = data.symbols.lookup_host("host2").unwrap();
+    let host2 = data.symbols.lookup("host2").unwrap();
     assert!(a
         .records
         .iter()
@@ -453,7 +453,7 @@ fn cancelled_sim_timer_never_fires() {
     assert!(
         !t.records.iter().any(
             |r| matches!(r.kind, RecordKind::StateChange { new_state, .. }
-                if new_state == study.reserved.crash)
+                if new_state == StateId::CRASH)
         ),
         "cancelled timer fired: {t:?}"
     );

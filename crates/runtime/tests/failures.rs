@@ -4,6 +4,7 @@
 
 use loki_core::campaign::{ExperimentEnd, Warning};
 use loki_core::fault::{FaultExpr, Trigger};
+use loki_core::ids::StateId;
 use loki_core::recorder::RecordKind;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
@@ -234,7 +235,7 @@ fn a_machine_that_exits_in_on_start_completes_on_every_host_count() {
                 if let Some(b) = study.sm_id("b") {
                     let last = data.timeline_for(b).and_then(|t| t.records.last());
                     assert!(
-                        matches!(last.map(|r| &r.kind), Some(RecordKind::StateChange { new_state, .. }) if *new_state == study.reserved.exit),
+                        matches!(last.map(|r| &r.kind), Some(RecordKind::StateChange { new_state, .. }) if *new_state == StateId::EXIT),
                         "{case}: b did not reach EXIT: {last:?}"
                     );
                 }

@@ -244,10 +244,10 @@ impl WorldConfig {
     /// Adds a host; returns its id. Host ids are dense and assigned in
     /// registration order.
     pub fn add_host(&mut self, config: HostConfig) -> Result<HostId, DuplicateHost> {
-        if self.symbols.lookup_host(&config.name).is_some() {
+        if self.symbols.lookup(&config.name).is_some() {
             return Err(DuplicateHost { name: config.name });
         }
-        let id = Arc::make_mut(&mut self.symbols).intern_host(&config.name);
+        let id = Arc::make_mut(&mut self.symbols).intern(&config.name);
         self.clocks.push(VirtualClock::new(config.clock));
         self.hosts.push(config);
         Ok(id)
@@ -284,7 +284,7 @@ impl WorldConfig {
 
     /// Looks up a host id by name (O(1)).
     pub fn find_host(&self, name: &str) -> Option<HostId> {
-        self.symbols.lookup_host(name)
+        self.symbols.lookup(name)
     }
 
     /// The host table: every host's name, interned in registration
@@ -1197,7 +1197,7 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
 
     /// Name of a host.
     pub fn host_name(&self, host: HostId) -> &str {
-        self.sim.config.symbols.host_name(host)
+        self.sim.config.symbols.name(host)
     }
 
     /// Looks up a host id by name (O(1); names are unique — duplicates

@@ -130,39 +130,30 @@ impl Parser {
     }
 
     fn factor(&mut self) -> Result<FaultExpr, ParseError> {
-        match self.peek() {
-            Some(Token::Not) => {
-                self.next();
-                Ok(self.factor()?.not())
-            }
+        match self.next() {
+            Some(Token::Not) => Ok(self.factor()?.not()),
             Some(Token::LParen) => {
-                self.next();
                 // Either an atom `NAME : NAME` or a nested expression.
-                if let (Some(Token::Name(_)), Some(Token::Colon)) =
-                    (self.tokens.get(self.pos), self.tokens.get(self.pos + 1))
-                {
-                    let sm = match self.next() {
-                        Some(Token::Name(n)) => n,
-                        _ => unreachable!("peeked"),
-                    };
-                    self.expect(&Token::Colon, "`:`")?;
-                    let state = match self.next() {
-                        Some(Token::Name(n)) => n,
-                        Some(other) => {
-                            return Err(ParseError::at(
-                                1,
-                                format!("expected state name after `:`, found {other:?}"),
-                            ))
-                        }
-                        None => return Err(ParseError::eof("expected state name after `:`")),
-                    };
-                    self.expect(&Token::RParen, "`)`")?;
-                    Ok(FaultExpr::atom(&sm, &state))
-                } else {
-                    let inner = self.expr()?;
-                    self.expect(&Token::RParen, "`)`")?;
-                    Ok(inner)
-                }
+                let inner = match (self.tokens.get(self.pos), self.tokens.get(self.pos + 1)) {
+                    (Some(Token::Name(sm)), Some(Token::Colon)) => {
+                        let sm = sm.clone();
+                        self.pos += 2;
+                        let state = match self.next() {
+                            Some(Token::Name(n)) => n,
+                            Some(other) => {
+                                return Err(ParseError::at(
+                                    1,
+                                    format!("expected state name after `:`, found {other:?}"),
+                                ))
+                            }
+                            None => return Err(ParseError::eof("expected state name after `:`")),
+                        };
+                        FaultExpr::atom(&sm, &state)
+                    }
+                    _ => self.expr()?,
+                };
+                self.expect(&Token::RParen, "`)`")?;
+                Ok(inner)
             }
             Some(other) => Err(ParseError::at(
                 1,

@@ -17,6 +17,7 @@
 //! the thesis, which has no comment syntax).
 
 use crate::error::ParseError;
+use crate::files::split_head;
 use loki_core::spec::{StateDef, StateMachineSpec, Transition};
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -112,8 +113,8 @@ pub fn parse(name: &str, text: &str) -> Result<StateMachineSpec, ParseError> {
                 }
             }
             Section::Body => {
-                let mut tokens = line.split_whitespace();
-                let first = tokens.next().expect("non-empty line");
+                let (first, rest) = split_head(line);
+                let mut tokens = rest.split_whitespace();
                 if first == "state" {
                     if let Some(done) = current.take() {
                         spec.states.push(done);

@@ -36,26 +36,27 @@
 
 use crate::error::ParseError;
 use crate::files::split_head;
+use loki_core::fault::CompiledExpr;
 use loki_core::ids::SymbolTable;
 use loki_core::recorder::{HostStint, LocalTimeline, RecordKind, TimelineRecord};
 use loki_core::study::Study;
 use loki_core::time::LocalNanos;
 use std::collections::HashMap;
+use std::fmt;
 
 /// Writes `timeline` in the on-disk format, using `study` for names and
-/// `symbols` (the study-run symbol table) to resolve host ids — the file
+/// `symbols` (the study run's host table) to resolve host ids — the file
 /// stays name-based and therefore portable across table orderings.
 ///
 /// The fault table lists the faults owned by the timeline's machine, as in
-/// the thesis; the state machine, state, and event tables are study-wide.
+/// the thesis, each expression rendered from its compiled form through the
+/// study's machine and state names; the state machine, state, and event
+/// tables are study-wide.
 pub fn write(study: &Study, symbols: &SymbolTable, timeline: &LocalTimeline) -> String {
     let mut out = String::new();
     out.push_str(study.sms.name(timeline.sm));
     out.push('\n');
-    out.push_str(&format!(
-        "host {}\n",
-        symbols.host_name(timeline.stints[0].host)
-    ));
+    out.push_str(&format!("host {}\n", symbols.name(timeline.stints[0].host)));
 
     out.push_str("state_machine_list\n");
     for (id, name) in study.sms.iter() {
@@ -76,22 +77,14 @@ pub fn write(study: &Study, symbols: &SymbolTable, timeline: &LocalTimeline) -> 
     out.push_str("end_event_list\n");
 
     out.push_str("fault_list\n");
-    for fault in &study.faults {
-        if fault.owner == timeline.sm {
-            let def = study
-                .def
-                .faults
-                .iter()
-                .find(|f| f.name == fault.name)
-                .expect("compiled fault has a definition");
-            out.push_str(&format!(
-                "{} {} {} {}\n",
-                fault.id.raw(),
-                fault.name,
-                def.expr,
-                fault.trigger
-            ));
-        }
+    for fault in study.faults.iter().filter(|f| f.owner == timeline.sm) {
+        out.push_str(&format!(
+            "{} {} {} {}\n",
+            fault.id.raw(),
+            study.fault_names.name(fault.id),
+            expr_text(study, &fault.expr),
+            fault.trigger
+        ));
     }
     out.push_str("end_fault_list\n");
 
@@ -112,7 +105,7 @@ pub fn write(study: &Study, symbols: &SymbolTable, timeline: &LocalTimeline) -> 
                 out.push_str(&format!("1 {} {} {}\n", fault.raw(), hi, lo));
             }
             RecordKind::Restart { host } => {
-                out.push_str(&format!("2 {} {} {}\n", symbols.host_name(*host), hi, lo));
+                out.push_str(&format!("2 {} {} {}\n", symbols.name(*host), hi, lo));
             }
             RecordKind::UserMessage(msg) => {
                 out.push_str(&format!("3 {} {} {}\n", hi, lo, msg));
@@ -121,6 +114,21 @@ pub fn write(study: &Study, symbols: &SymbolTable, timeline: &LocalTimeline) -> 
     }
     out.push_str("end_local_timeline\n");
     out
+}
+
+/// `expr` with `study`'s names, in [`FaultExpr`]'s `Display` syntax: the
+/// syntax the fault parser reads back.
+///
+/// [`FaultExpr`]: loki_core::fault::FaultExpr
+fn expr_text<'a>(study: &'a Study, expr: &'a CompiledExpr) -> impl fmt::Display + 'a {
+    fmt::from_fn(move |f| match expr {
+        CompiledExpr::Atom(sm, state) => {
+            write!(f, "({}:{})", study.sms.name(*sm), study.states.name(*state))
+        }
+        CompiledExpr::And(a, b) => write!(f, "({} & {})", expr_text(study, a), expr_text(study, b)),
+        CompiledExpr::Or(a, b) => write!(f, "({} | {})", expr_text(study, a), expr_text(study, b)),
+        CompiledExpr::Not(a) => write!(f, "~{}", expr_text(study, a)),
+    })
 }
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -293,7 +301,7 @@ pub fn parse(
                         let host_name = tokens
                             .next()
                             .ok_or_else(|| ParseError::at(lineno, "restart record needs a host"))?;
-                        let host = symbols.intern_host(host_name);
+                        let host = symbols.intern(host_name);
                         let time = parse_time(tokens.next(), tokens.next(), lineno)?;
                         restart_stints.push((host, records.len()));
                         records.push(TimelineRecord {
@@ -335,7 +343,7 @@ pub fn parse(
         .lookup(&sm_name)
         .ok_or_else(|| ParseError::eof(format!("unknown state machine `{sm_name}`")))?;
 
-    let initial_host = symbols.intern_host(initial_host.as_deref().unwrap_or("unknown"));
+    let initial_host = symbols.intern(initial_host.as_deref().unwrap_or("unknown"));
     let mut stints = vec![HostStint {
         host: initial_host,
         first_record: 0,
@@ -424,7 +432,7 @@ mod tests {
     }
 
     fn symbols() -> SymbolTable {
-        SymbolTable::for_hosts(["host1", "host2"])
+        SymbolTable::from_iter(["host1", "host2"])
     }
 
     fn sample_timeline(study: &Study, symbols: &SymbolTable) -> LocalTimeline {
@@ -434,8 +442,8 @@ mod tests {
         let elect = study.states.lookup("ELECT").unwrap();
         let lead = study.states.lookup("LEAD").unwrap();
         let bfault1 = study.fault_names.lookup("bfault1").unwrap();
-        let host1 = symbols.lookup_host("host1").unwrap();
-        let host2 = symbols.lookup_host("host2").unwrap();
+        let host1 = symbols.lookup("host1").unwrap();
+        let host2 = symbols.lookup("host2").unwrap();
 
         let mut rec = Recorder::new(black, host1);
         rec.record_state_change(LocalNanos::from_millis(5), init_done, elect);
@@ -468,9 +476,9 @@ mod tests {
         let text = write(&study, &symbols, &timeline);
         let mut fresh = SymbolTable::new();
         let parsed = parse(&study, &mut fresh, &text).unwrap();
-        assert_eq!(fresh.num_hosts(), 2);
-        assert_eq!(fresh.host_name(parsed.stints[0].host), "host1");
-        assert_eq!(fresh.host_name(parsed.stints[1].host), "host2");
+        assert_eq!(fresh.len(), 2);
+        assert_eq!(fresh.name(parsed.stints[0].host), "host1");
+        assert_eq!(fresh.name(parsed.stints[1].host), "host2");
     }
 
     #[test]
@@ -503,6 +511,42 @@ mod tests {
     }
 
     #[test]
+    fn fault_list_renders_each_expression_in_fault_file_syntax() {
+        let exprs = [
+            FaultExpr::atom("black", "CRASH")
+                .and(FaultExpr::atom("green", "FOLLOW").or(FaultExpr::atom("green", "ELECT"))),
+            FaultExpr::atom("a", "X").not(),
+        ];
+        let mut def = StudyDef::new("s")
+            .machine(StateMachineSpec::builder("black").states(&["INIT"]).build())
+            .machine(
+                StateMachineSpec::builder("green")
+                    .states(&["FOLLOW", "ELECT"])
+                    .build(),
+            )
+            .machine(StateMachineSpec::builder("a").states(&["X"]).build());
+        for (i, expr) in exprs.iter().enumerate() {
+            def = def.fault("black", &format!("f{i}"), expr.clone(), Trigger::Once);
+        }
+        let study = Study::compile(&def).unwrap();
+        let mut symbols = symbols();
+        let black = study.sm_id("black").unwrap();
+        let timeline = Recorder::new(black, symbols.lookup("host1").unwrap()).finish();
+        let text = write(&study, &symbols, &timeline);
+        let lines: Vec<&str> = text
+            .lines()
+            .skip_while(|l| *l != "fault_list")
+            .skip(1)
+            .take_while(|l| *l != "end_fault_list")
+            .collect();
+        assert_eq!(lines.len(), exprs.len(), "{text}");
+        for (i, (line, expr)) in lines.iter().zip(&exprs).enumerate() {
+            assert_eq!(*line, format!("{i} f{i} {expr} once"));
+        }
+        assert_eq!(parse(&study, &mut symbols, &text).unwrap(), timeline);
+    }
+
+    #[test]
     fn hi_lo_split_survives_large_times() {
         let study = study();
         let mut symbols = symbols();
@@ -510,7 +554,7 @@ mod tests {
         let init_done = study.events.lookup("INIT_DONE").unwrap();
         let elect = study.states.lookup("ELECT").unwrap();
         let big = LocalNanos(u32::MAX as u64 * 7 + 123); // > 2^32 ns
-        let mut rec = Recorder::new(black, symbols.lookup_host("host1").unwrap());
+        let mut rec = Recorder::new(black, symbols.lookup("host1").unwrap());
         rec.record_state_change(big, init_done, elect);
         let timeline = rec.finish();
         let text = write(&study, &symbols, &timeline);
@@ -547,8 +591,8 @@ mod tests {
         let text = write(&study, &symbols, &timeline);
         let parsed = parse(&study, &mut symbols, &text).unwrap();
         assert_eq!(parsed.stints.len(), 2);
-        assert_eq!(symbols.host_name(parsed.stints[0].host), "host1");
-        assert_eq!(symbols.host_name(parsed.stints[1].host), "host2");
+        assert_eq!(symbols.name(parsed.stints[0].host), "host1");
+        assert_eq!(symbols.name(parsed.stints[1].host), "host2");
         assert_eq!(parsed.stints[1].first_record, 4);
     }
 }

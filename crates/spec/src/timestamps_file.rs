@@ -21,12 +21,12 @@ use loki_core::time::LocalNanos;
 /// Writes a timestamps file, resolving host ids through `symbols` (the
 /// file stays name-based and therefore portable).
 pub fn write(symbols: &SymbolTable, reference: HostId, host_syncs: &[HostSync]) -> String {
-    let mut out = format!("reference {}\n", symbols.host_name(reference));
+    let mut out = format!("reference {}\n", symbols.name(reference));
     for hs in host_syncs {
         for s in &hs.samples {
             out.push_str(&format!(
                 "{} {} {} {}\n",
-                symbols.host_name(hs.host),
+                symbols.name(hs.host),
                 if s.from_reference { 1 } else { 0 },
                 s.send.as_nanos(),
                 s.recv.as_nanos()
@@ -56,7 +56,7 @@ pub fn parse(symbols: &mut SymbolTable, text: &str) -> Result<(HostId, Vec<HostS
             if reference.is_some() {
                 return Err(ParseError::at(lineno, "duplicate `reference` line"));
             }
-            reference = Some(symbols.intern_host(host.trim()));
+            reference = Some(symbols.intern(host.trim()));
             continue;
         }
         let tokens: Vec<&str> = line.split_whitespace().collect();
@@ -87,7 +87,7 @@ pub fn parse(symbols: &mut SymbolTable, text: &str) -> Result<(HostId, Vec<HostS
             send: LocalNanos(send),
             recv: LocalNanos(recv),
         };
-        let host = symbols.intern_host(tokens[0]);
+        let host = symbols.intern(tokens[0]);
         match syncs.iter_mut().find(|hs| hs.host == host) {
             Some(hs) => hs.samples.push(sample),
             None => syncs.push(HostSync {
@@ -107,7 +107,7 @@ mod tests {
     fn sample_syncs(symbols: &SymbolTable) -> Vec<HostSync> {
         vec![
             HostSync {
-                host: symbols.lookup_host("h2").unwrap(),
+                host: symbols.lookup("h2").unwrap(),
                 samples: vec![
                     SyncSample {
                         from_reference: true,
@@ -122,7 +122,7 @@ mod tests {
                 ],
             },
             HostSync {
-                host: symbols.lookup_host("h3").unwrap(),
+                host: symbols.lookup("h3").unwrap(),
                 samples: vec![SyncSample {
                     from_reference: true,
                     send: LocalNanos(105),
@@ -134,9 +134,9 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let mut symbols = SymbolTable::for_hosts(["h1", "h2", "h3"]);
+        let mut symbols = SymbolTable::from_iter(["h1", "h2", "h3"]);
         let syncs = sample_syncs(&symbols);
-        let h1 = symbols.lookup_host("h1").unwrap();
+        let h1 = symbols.lookup("h1").unwrap();
         let text = write(&symbols, h1, &syncs);
         let (reference, parsed) = parse(&mut symbols, &text).unwrap();
         assert_eq!(reference, h1);
@@ -145,14 +145,14 @@ mod tests {
 
     #[test]
     fn parse_interns_into_a_fresh_table() {
-        let symbols = SymbolTable::for_hosts(["h1", "h2", "h3"]);
+        let symbols = SymbolTable::from_iter(["h1", "h2", "h3"]);
         let syncs = sample_syncs(&symbols);
-        let text = write(&symbols, symbols.lookup_host("h1").unwrap(), &syncs);
+        let text = write(&symbols, symbols.lookup("h1").unwrap(), &syncs);
         let mut fresh = SymbolTable::new();
         let (reference, parsed) = parse(&mut fresh, &text).unwrap();
-        assert_eq!(fresh.host_name(reference), "h1");
-        assert_eq!(fresh.num_hosts(), 3);
-        assert_eq!(fresh.host_name(parsed[0].host), "h2");
+        assert_eq!(fresh.name(reference), "h1");
+        assert_eq!(fresh.len(), 3);
+        assert_eq!(fresh.name(parsed[0].host), "h2");
     }
 
     #[test]

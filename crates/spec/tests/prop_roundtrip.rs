@@ -79,6 +79,9 @@ const FRAGMENTS: &[&str] = &[
     "max_events",
     "max_virtual_time_ns",
     "host",
+    "state",
+    "notify",
+    "default",
     "state_machine_list",
     "end_state_machine_list",
     "global_state_list",
@@ -90,6 +93,7 @@ const FRAGMENTS: &[&str] = &[
     "local_timeline",
     "end_local_timeline",
     "(m:B)",
+    "~(m:A)",
     "(",
     ")",
     "&",
@@ -128,8 +132,8 @@ fn timeline_study() -> Study {
 /// One valid input per reader, for the truncation and mutation cases.
 fn valid_files(study: &Study) -> Vec<String> {
     let m = study.sm_id("m").unwrap();
-    let symbols = SymbolTable::for_hosts(["host1"]);
-    let mut rec = Recorder::new(m, symbols.lookup_host("host1").unwrap());
+    let symbols = SymbolTable::from_iter(["host1"]);
+    let mut rec = Recorder::new(m, symbols.lookup("host1").unwrap());
     rec.record_state_change(
         LocalNanos(5),
         study.events.lookup("GO").unwrap(),
@@ -138,6 +142,10 @@ fn valid_files(study: &Study) -> Vec<String> {
     rec.record_injection(LocalNanos(1 << 40), study.fault_names.lookup("f").unwrap());
     vec![
         "gfault2 ((black:CRASH) & ((green:FOLLOW) | (green:ELECT))) once\nf (m:B) always\n".into(),
+        "((black:CRASH) & ~((green:FOLLOW) | (green:ELECT)))".into(),
+        "global_state_list\nA\nB\nend_global_state_list\nevent_list\nGO\nend_event_list\n\
+         state A notify m,n\nGO B\nstate B\ndefault A # back\n"
+            .into(),
         "green host1\nblack\n# comment\n".into(),
         "host1\nhost2\n".into(),
         "netsplit partition host1 | host2 host3\nheal_net heal\nslow gray host1 slowdown=2\n"
@@ -149,12 +157,14 @@ fn valid_files(study: &Study) -> Vec<String> {
 
 /// Runs every reader over `text`; returning at all is the property.
 fn read_everything(study: &Study, text: &str) {
+    let _ = expr::parse_expr(text);
+    let _ = sm_spec::parse("m", text);
     let _ = files::parse_fault_spec("m", text);
     let _ = files::parse_node_file(text);
     let _ = files::parse_machines_file(text);
     let _ = files::parse_action_file(text);
     let _ = files::parse_budget_file(text);
-    let mut symbols = SymbolTable::for_hosts(["host1"]);
+    let mut symbols = SymbolTable::from_iter(["host1"]);
     let _ = timeline_file::parse(study, &mut symbols, text);
 }
 
@@ -254,8 +264,8 @@ proptest! {
         let b = study.states.lookup("B").unwrap();
         let f = study.fault_names.lookup("f").unwrap();
 
-        let mut symbols = SymbolTable::for_hosts(["host1"]);
-        let mut rec = Recorder::new(m, symbols.lookup_host("host1").unwrap());
+        let mut symbols = SymbolTable::from_iter(["host1"]);
+        let mut rec = Recorder::new(m, symbols.lookup("host1").unwrap());
         for (i, t) in times.iter().enumerate() {
             if *inject_at.get(i % inject_at.len()).unwrap_or(&false) {
                 rec.record_injection(LocalNanos(*t), f);
@@ -274,10 +284,10 @@ proptest! {
         sends in prop::collection::vec((any::<bool>(), 0u64..1u64<<62, 0u64..1u64<<62), 1..30)
     ) {
         use loki_core::campaign::{HostSync, SyncSample};
-        let mut symbols = SymbolTable::for_hosts(["h1", "h2"]);
-        let h1 = symbols.lookup_host("h1").unwrap();
+        let mut symbols = SymbolTable::from_iter(["h1", "h2"]);
+        let h1 = symbols.lookup("h1").unwrap();
         let syncs = vec![HostSync {
-            host: symbols.lookup_host("h2").unwrap(),
+            host: symbols.lookup("h2").unwrap(),
             samples: sends
                 .into_iter()
                 .map(|(d, s, r)| SyncSample {
