@@ -113,6 +113,7 @@ impl VirtualClock {
     ///
     /// Readings are non-negative (clamped at zero) and truncated to the
     /// clock's granularity.
+    #[inline]
     pub fn read(&self, physical_ns: u64) -> LocalNanos {
         let raw = self.params.offset_ns + self.params.drift * physical_ns as f64;
         let clamped = raw.max(0.0);

@@ -185,6 +185,7 @@ impl AlphaBetaBounds {
     ///
     /// evaluated over all `(α, β)` corners of the bound box. The true global
     /// time of the event always lies inside the returned interval.
+    #[inline]
     pub fn project(&self, local: LocalNanos) -> TimeBounds {
         let ci = local.as_f64();
         let mut lo = f64::INFINITY;

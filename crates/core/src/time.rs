@@ -181,6 +181,7 @@ impl TimeBounds {
     /// # Panics
     ///
     /// Panics if `lo > hi` or either bound is NaN.
+    #[inline]
     pub fn new(lo: GlobalNanos, hi: GlobalNanos) -> Self {
         assert!(!lo.0.is_nan() && !hi.0.is_nan(), "NaN time bound");
         assert!(lo.0 <= hi.0, "time bounds inverted: {lo} > {hi}");

@@ -38,6 +38,7 @@ impl LatencyModel {
     }
 
     /// Samples one latency.
+    #[inline]
     pub fn sample(&self, rng: &mut impl Rng) -> u64 {
         if self.jitter_ns == 0 {
             self.base_ns
@@ -118,6 +119,7 @@ impl HostConfig {
     }
 
     /// Samples a dispatch (scheduling) delay for this host.
+    #[inline]
     fn sched_delay(&self, rng: &mut impl Rng) -> u64 {
         if self.timeslice_ns == 0 {
             0
@@ -137,6 +139,7 @@ impl HostConfig {
 /// timeslice, far below the realism of the scheduling model itself.
 /// Timeslices that don't fit the lane trick (≥ `u32::MAX` ns ≈ 4.3 s) fall
 /// back to two exact full-width draws.
+#[inline]
 pub fn sched_delay_pair(from: &HostConfig, to: &HostConfig, rng: &mut impl Rng) -> (u64, u64) {
     let (a, b) = (from.timeslice_ns, to.timeslice_ns);
     if a == 0 && b == 0 {

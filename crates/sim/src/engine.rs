@@ -695,16 +695,19 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
     }
 
     /// Current simulation (physical) time in nanoseconds.
+    #[inline]
     pub fn now(&self) -> u64 {
         self.time
     }
 
     /// Reads `host`'s local clock at the current instant.
+    #[inline]
     pub fn local_clock(&self, host: HostId) -> LocalNanos {
         self.config.clocks[host.index()].read(self.time)
     }
 
     /// Whether `actor` is still alive.
+    #[inline]
     pub fn is_alive(&self, actor: ActorId) -> bool {
         self.alive.get(actor.0 as usize).copied().unwrap_or(false)
     }
@@ -714,6 +717,7 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
     /// # Panics
     ///
     /// Panics if `actor` was never spawned.
+    #[inline]
     fn host_of(&self, actor: ActorId) -> HostId {
         self.actor_hosts[actor.0 as usize]
     }
@@ -821,6 +825,7 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
 
     /// Processes one event. Returns `false` when the queue is empty or a
     /// containment budget has tripped (see [`Simulation::set_budget`]).
+    #[inline]
     pub fn step(&mut self) -> bool {
         if self.budget_armed && !self.budget_admit() {
             return false;
@@ -860,6 +865,7 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
         true
     }
 
+    #[inline]
     fn dispatch(&mut self, actor: ActorId, f: impl FnOnce(&mut A, &mut Ctx<'_, M, A>)) {
         if !self.is_alive(actor) {
             return;
@@ -908,6 +914,7 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
         }
     }
 
+    #[inline]
     fn push(&mut self, time: u64, event: Event<M>) {
         self.queue.push(time, event);
     }
@@ -959,17 +966,20 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
     }
 
     /// The current actor's id.
+    #[inline]
     pub fn me(&self) -> ActorId {
         self.me
     }
 
     /// The current actor's host.
+    #[inline]
     pub fn my_host(&self) -> HostId {
         self.sim.host_of(self.me)
     }
 
     /// Reads the *local clock* of this actor's host — the only notion of
     /// time a Loki runtime component may use.
+    #[inline]
     pub fn local_clock(&self) -> LocalNanos {
         self.sim.local_clock(self.my_host())
     }
@@ -977,6 +987,7 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
     /// Physical simulation time. Reserved for harness-level ground truth
     /// (e.g. computing a true injection-correctness oracle); runtime
     /// components must not consult it.
+    #[inline]
     pub fn physical_now(&self) -> u64 {
         self.sim.now()
     }
@@ -992,6 +1003,7 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
     /// faults, and gray-node slowdown; while the plane is inactive this
     /// path is byte-identical (including RNG consumption) to a plane-less
     /// engine. `M: Clone` supports duplicate delivery.
+    #[inline]
     pub fn send(&mut self, to: ActorId, msg: M)
     where
         M: Clone,
@@ -1098,6 +1110,7 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
         self.sim.clear_net_faults();
     }
 
+    #[inline]
     fn deliver_fifo(&mut self, to: ActorId, at: u64, msg: M) {
         // Per-sender horizons, sorted by receiver: the probe is a binary
         // search over this sender's few peers instead of a hash of the
@@ -1128,6 +1141,7 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
 
     /// Sets a timer firing after `delay_ns`; `tag` is returned to
     /// [`Actor::on_timer`].
+    #[inline]
     pub fn set_timer(&mut self, delay_ns: u64, tag: u64) -> TimerId {
         let id = TimerId(self.sim.timers.alloc().pack());
         let at = self.sim.time + delay_ns;
@@ -1143,6 +1157,7 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
     }
 
     /// Cancels a pending timer (firing already-queued timers is prevented).
+    #[inline]
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.sim.timers.cancel(TimerKey::unpack(id.0));
     }
@@ -1191,6 +1206,7 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
     }
 
     /// Whether `actor` is alive.
+    #[inline]
     pub fn is_alive(&self, actor: ActorId) -> bool {
         self.sim.is_alive(actor)
     }

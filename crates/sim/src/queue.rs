@@ -47,6 +47,7 @@ const NIL: u32 = u32::MAX;
 struct HeapKey(u128);
 
 impl HeapKey {
+    #[inline]
     fn new(time: u64, seq: u32, slot: u32) -> Self {
         HeapKey((u128::from(time) << 64) | (u128::from(seq) << 32) | u128::from(slot))
     }
@@ -111,6 +112,7 @@ impl<T> EventQueue<T> {
 
     /// Schedules `body` at `time`. Amortized allocation-free once the slab
     /// reaches the queue's high-water mark.
+    #[inline]
     pub fn push(&mut self, time: u64, body: T) {
         let slot = if self.free_head != NIL {
             let slot = self.free_head;
@@ -133,6 +135,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Pops the earliest entry as `(time, body)`.
+    #[inline]
     pub fn pop(&mut self) -> Option<(u64, T)> {
         let Reverse(key) = self.heap.pop()?;
         let slot = key.slot();
@@ -145,11 +148,13 @@ impl<T> EventQueue<T> {
     }
 
     /// The scheduled time of the earliest entry.
+    #[inline]
     pub fn peek_time(&self) -> Option<u64> {
         self.heap.peek().map(|k| k.0.time())
     }
 
     /// The earliest entry as `(time, &body)`, without removing it.
+    #[inline]
     pub fn peek(&self) -> Option<(u64, &T)> {
         let key = self.heap.peek()?.0;
         match &self.slab[key.slot() as usize] {
@@ -217,11 +222,13 @@ pub struct TimerKey {
 
 impl TimerKey {
     /// Packs the key into a `u64` (`generation << 32 | slot`).
+    #[inline]
     pub fn pack(self) -> u64 {
         (u64::from(self.gen) << 32) | u64::from(self.slot)
     }
 
     /// Unpacks a key produced by [`TimerKey::pack`].
+    #[inline]
     pub fn unpack(raw: u64) -> TimerKey {
         TimerKey {
             slot: raw as u32,
@@ -270,6 +277,7 @@ impl TimerSlab {
     }
 
     /// Registers a new timer, reusing a retired slot when one exists.
+    #[inline]
     pub fn alloc(&mut self) -> TimerKey {
         let slot = match self.free.pop() {
             Some(slot) => slot,
@@ -287,22 +295,26 @@ impl TimerSlab {
 
     /// Cancels `key`. Returns whether it was still live; a handle that
     /// already fired or was already cancelled is a no-op (`false`).
+    #[inline]
     pub fn cancel(&mut self, key: TimerKey) -> bool {
         self.retire(key)
     }
 
     /// Pop-side liveness check: returns `true` (and retires the slot) when
     /// `key` is still live, `false` when it was cancelled in the meantime.
+    #[inline]
     pub fn fire(&mut self, key: TimerKey) -> bool {
         self.retire(key)
     }
 
     /// Whether `key` is still live (armed, neither fired nor cancelled),
     /// without retiring it.
+    #[inline]
     pub fn pending(&self, key: TimerKey) -> bool {
         self.gens.get(key.slot as usize) == Some(&key.gen)
     }
 
+    #[inline]
     fn retire(&mut self, key: TimerKey) -> bool {
         let gen = &mut self.gens[key.slot as usize];
         if *gen != key.gen {
