@@ -7,9 +7,9 @@
 //! contain the true values: each message yields a hard one-sided constraint
 //! (a message cannot be received before it is sent), and the feasible set of
 //! `(β, α)` pairs is the intersection of those half-planes — a convex
-//! polygon. This module computes that polygon by half-plane clipping (the
-//! "convex hull" method of Duda et al. used by the thesis's `alphabeta`
-//! tool) and reports the polygon's extremes.
+//! polygon. This module reports that polygon's exact extremes, found on the
+//! two convex hulls of the samples (the "convex hull" method of Duda et al.
+//! used by the thesis's `alphabeta` tool).
 //!
 //! Writing `C_i = α + β·C_r` for the calibrated clock in terms of the
 //! reference clock:
@@ -18,13 +18,56 @@
 //!   received at machine reading `R_i` implies `R_i ≥ α + β·S_r`;
 //! * a message **machine → reference** sent at `S_i` and received at `R_r`
 //!   implies `S_i ≤ α + β·R_r`.
+//!
+//! # Algorithm
+//!
+//! Each sample is an integer point `(x, y)`: `x` is the reference reading,
+//! `y` the machine reading plus the slack for a reference → machine message
+//! (an *upper* constraint `α ≤ y − β·x`) and minus the slack for a
+//! machine → reference one (a *lower* constraint `α ≥ y − β·x`). At a given
+//! β the feasible offsets are
+//!
+//! ```text
+//! L(β) = max over lower points (y − β·x)  ≤  α  ≤  U(β) = min over upper points (y − β·x)
+//! ```
+//!
+//! U is attained on the lower convex hull of the upper points and L on the
+//! upper hull of the lower points. Both hulls are built by monotone chain
+//! in O(n): the samples arrive sorted by `x`, and a copy is sorted only when
+//! they do not. `U − L` is concave, so the feasible β form one interval
+//! `[b1, b2]` of the β box; walking the two hulls' breakpoints from each end
+//! of the box to the first zero of `U − L` finds `b1` and `b2` in O(n).
+//! Readings are never negative, so U and L are non-increasing in β, and the
+//! extreme offsets are `α⁺ = U(b1)` and `α⁻ = L(b2)`.
+//!
+//! # Exactness
+//!
+//! Every quantity above is a ratio of integers: the β box ends are read as
+//! the exact dyadic rationals their `f64`s are, hull slopes and zero
+//! crossings are ratios of reading differences, and an offset is
+//! `y − (p/q)·x`. While every reading plus the slack stays below
+//! [`MAX_READING_NS`] (2⁶² ns, about 146 years) and the β box lies within
+//! `[2⁻¹⁰, 2¹⁰]`, every product the walk forms fits in `i128`; a reading
+//! past the range is [`SyncError::OutOfRange`], a box past it
+//! [`SyncError::InvalidOptions`]. Each of the four extremes is then rounded
+//! outward to `f64` once, so the bounds enclose the exact polygon and do not
+//! depend on the algorithm that found it.
 
 use crate::params::ClockParams;
 use loki_core::campaign::SyncSample;
 use loki_core::time::{GlobalNanos, LocalNanos, TimeBounds};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
+
+/// Readings at or past this value, plus the slack, are outside the exact
+/// arithmetic's range (2⁶² ns, about 146 years): see the module docs.
+pub const MAX_READING_NS: u64 = 1 << 62;
+
+/// The β box the exact arithmetic covers: `[2⁻¹⁰, 2¹⁰]`.
+const BETA_MIN: f64 = 1.0 / 1024.0;
+const BETA_MAX: f64 = 1024.0;
 
 /// Options for the bound estimation.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -33,32 +76,29 @@ pub struct SyncOptions {
     /// Real clock drifts are within ±a few hundred ppm; the default box of
     /// `[0.9, 1.1]` is generous.
     pub beta_range: (f64, f64),
-    /// Slack added to each constraint, in nanoseconds, to absorb clock read
-    /// granularity (a quantized receive timestamp can appear to precede the
-    /// send timestamp by up to one granule).
-    pub slack_ns: f64,
+    /// Slack added to each constraint, in nanoseconds: at least one read
+    /// granule. [`VirtualClock::read`](crate::params::VirtualClock::read)
+    /// floors, so a receive reading can fall short of `α + β·S` by under
+    /// one granule of the receiving clock (under β granules of the
+    /// reference on the way back; the reference is the fastest clock, so
+    /// β ≤ 1). The bounds are otherwise exact, so a slack of 0 excludes
+    /// a true `(α, β)` that such a truncated reading touches.
+    pub slack_ns: u64,
 }
 
 impl SyncOptions {
-    /// Checks the options before any sample is read: a β box touching zero
-    /// would divide by zero in `AlphaBetaBounds::project` (`0/0` is NaN,
-    /// which trips the `TimeBounds` constructor), and a non-finite slack
-    /// poisons every constraint.
+    /// Checks the options before any sample is read.
     ///
     /// # Errors
     ///
     /// Returns [`SyncError::InvalidOptions`] unless
-    /// `0 < beta_lo ≤ beta_hi` with finite bounds and the slack is finite
-    /// and non-negative.
+    /// `2⁻¹⁰ ≤ beta_lo ≤ beta_hi ≤ 2¹⁰` (a β box touching zero would make
+    /// the projection `(C_i − α)/β` divide by zero, and the exact
+    /// arithmetic covers this box) and the slack is below
+    /// [`MAX_READING_NS`].
     pub fn validate(&self) -> Result<(), SyncError> {
         let (lo, hi) = self.beta_range;
-        if lo.is_finite()
-            && hi.is_finite()
-            && lo > 0.0
-            && lo <= hi
-            && self.slack_ns.is_finite()
-            && self.slack_ns >= 0.0
-        {
+        if BETA_MIN <= lo && lo <= hi && hi <= BETA_MAX && self.slack_ns < MAX_READING_NS {
             Ok(())
         } else {
             Err(SyncError::InvalidOptions {
@@ -73,7 +113,7 @@ impl Default for SyncOptions {
     fn default() -> Self {
         SyncOptions {
             beta_range: (0.9, 1.1),
-            slack_ns: 1.0,
+            slack_ns: 1,
         }
     }
 }
@@ -94,14 +134,20 @@ pub enum SyncError {
     /// mid-experiment).
     Infeasible,
     /// The [`SyncOptions`] are unusable: the β box must satisfy
-    /// `0 < beta_lo ≤ beta_hi` with finite bounds (a β interval touching
-    /// zero would make the timestamp projection `(C_i − α)/β` divide by
-    /// zero), and the slack must be finite and non-negative.
+    /// `2⁻¹⁰ ≤ beta_lo ≤ beta_hi ≤ 2¹⁰` (a β interval touching zero would
+    /// make the timestamp projection `(C_i − α)/β` divide by zero), and the
+    /// slack must be below [`MAX_READING_NS`].
     InvalidOptions {
         /// The offending β box.
         beta_range: (f64, f64),
         /// The offending slack.
-        slack_ns: f64,
+        slack_ns: u64,
+    },
+    /// A sample reading plus the slack reaches [`MAX_READING_NS`], past the
+    /// range the exact arithmetic covers.
+    OutOfRange {
+        /// The offending reading, in nanoseconds.
+        reading_ns: u64,
     },
 }
 
@@ -123,8 +169,12 @@ impl fmt::Display for SyncError {
                 slack_ns,
             } => write!(
                 f,
-                "invalid sync options: need finite 0 < beta_lo <= beta_hi and finite slack_ns >= 0 \
+                "invalid sync options: need 2^-10 <= beta_lo <= beta_hi <= 2^10 and slack_ns < 2^62 \
                  (got beta_range = [{lo}, {hi}], slack_ns = {slack_ns})"
+            ),
+            SyncError::OutOfRange { reading_ns } => write!(
+                f,
+                "sync reading {reading_ns} ns plus the slack is not below 2^62 ns"
             ),
         }
     }
@@ -188,6 +238,16 @@ impl AlphaBetaBounds {
     #[inline]
     pub fn project(&self, local: LocalNanos) -> TimeBounds {
         let ci = local.as_f64();
+        let above_hi = ci - self.alpha_hi;
+        if above_hi >= 0.0 {
+            // With `C − α⁺ ≥ 0` and β > 0, `(C − α)/β` falls in both α and
+            // β, and rounding keeps that order: the extremes are the
+            // diagonal corners, bit-equal to the four-corner scan below.
+            return TimeBounds::new(
+                GlobalNanos(above_hi / self.beta_hi),
+                GlobalNanos((ci - self.alpha_lo) / self.beta_lo),
+            );
+        }
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for alpha in [self.alpha_lo, self.alpha_hi] {
@@ -210,14 +270,17 @@ impl AlphaBetaBounds {
     }
 }
 
-/// Estimates `(α, β)` bounds for one machine from its sync samples.
+/// Estimates `(α, β)` bounds for one machine from its sync samples: the
+/// exact extremes of the feasible polygon, rounded outward (see the module
+/// docs). Two allocations per call, one per hull.
 ///
 /// # Errors
 ///
 /// Returns [`SyncError::InvalidOptions`] when [`SyncOptions::validate`]
-/// rejects `opts`, [`SyncError::NotEnoughSamples`] unless there is at
-/// least one sample in each direction, and [`SyncError::Infeasible`] when
-/// the constraint polygon is empty.
+/// rejects `opts`, [`SyncError::OutOfRange`] when a reading plus the slack
+/// reaches [`MAX_READING_NS`], [`SyncError::NotEnoughSamples`] unless
+/// there is at least one sample in each direction, and
+/// [`SyncError::Infeasible`] when the constraint polygon is empty.
 ///
 /// # Examples
 ///
@@ -254,117 +317,310 @@ pub fn estimate_alpha_beta(
     opts: &SyncOptions,
 ) -> Result<AlphaBetaBounds, SyncError> {
     opts.validate()?;
-    let n_from = samples.iter().filter(|s| s.from_reference).count();
-    let n_to = samples.len() - n_from;
-    if n_from == 0 || n_to == 0 {
-        return Err(SyncError::NotEnoughSamples {
-            from_reference: n_from,
-            to_reference: n_to,
-        });
-    }
-
-    // Each sample yields a constraint  y ≷ α + β·x  where x is the
-    // reference-clock reading and y the machine-clock reading:
-    //   reference→machine: x = send (ref),  y = recv (machine), y ≥ α + β·x
-    //   machine→reference: x = recv (ref),  y = send (machine), y ≤ α + β·x
-    //
-    // Returns `(x, y, s)` with `s = +1` for upper constraints
-    // (α + β·x ≤ y) and `−1` for lower ones. Computed on the fly — this
-    // runs once per host per experiment on the analysis hot path, and
-    // materializing the constraint list was a per-call allocation.
-    #[inline]
-    fn constraint(s: &SyncSample, slack: f64) -> (f64, f64, f64) {
+    let slack = opts.slack_ns;
+    // Upper points (reference → machine): α ≤ y − β·x with x the reference
+    // send and y the machine receive plus the slack. Lower points
+    // (machine → reference): α ≥ y − β·x with x the reference receive and
+    // y the machine send minus the slack. In range, x ∈ [0, 2⁶²) and
+    // y ∈ (−2⁶², 2⁶²), so every difference of two fits `i64` and every
+    // product of two differences, or of one with a β box end, stays below
+    // 2¹²⁵.
+    let mut upper: Vec<(i64, i64)> = Vec::with_capacity(samples.len());
+    let mut lower: Vec<(i64, i64)> = Vec::with_capacity(samples.len());
+    for s in samples {
+        let reading_ns = s.send.0.max(s.recv.0);
+        if reading_ns.saturating_add(slack) >= MAX_READING_NS {
+            return Err(SyncError::OutOfRange { reading_ns });
+        }
+        let (send, recv, slack) = (s.send.0 as i64, s.recv.0 as i64, slack as i64);
         if s.from_reference {
-            (s.send.as_f64(), s.recv.as_f64() + slack, 1.0)
+            upper.push((send, recv + slack));
         } else {
-            (s.recv.as_f64(), s.send.as_f64() - slack, -1.0)
+            lower.push((recv, send - slack));
         }
     }
-
-    // Center the data to keep the clipping well-conditioned: substitute
-    // α' = α + β·x̄ − ȳ so constraints become  y' ≷ α' + β·x'.
-    let (mut x_sum, mut y_sum) = (0.0f64, 0.0f64);
-    for s in samples {
-        let (x, y, _) = constraint(s, opts.slack_ns);
-        x_sum += x;
-        y_sum += y;
-    }
-    let x_bar = x_sum / samples.len() as f64;
-    let y_bar = y_sum / samples.len() as f64;
-
-    // Initial polygon: the (β, α') box.
-    let (beta_lo, beta_hi) = opts.beta_range;
-    let mut spread = 0.0f64;
-    for s in samples {
-        let (x, y, _) = constraint(s, opts.slack_ns);
-        spread = spread.max((y - y_bar).abs() + beta_hi * (x - x_bar).abs());
-    }
-    let a_box = 4.0 * (spread + opts.slack_ns.abs() + 1.0);
-    // Each clip adds at most one vertex to the 4-vertex box, so sizing both
-    // buffers to `samples + 5` keeps the whole clipping sweep at exactly
-    // two allocations (the ping-pong pair), down from one fresh vector per
-    // constraint.
-    let mut poly: Vec<(f64, f64)> = Vec::with_capacity(samples.len() + 5);
-    poly.extend([
-        (beta_lo, -a_box),
-        (beta_hi, -a_box),
-        (beta_hi, a_box),
-        (beta_lo, a_box),
-    ]);
-    let mut clipped: Vec<(f64, f64)> = Vec::with_capacity(samples.len() + 5);
-
-    // Clip by every constraint half-plane. In (β, α') coordinates a
-    // constraint  y' ≥ α' + β·x'  is  α' + β·x' − y' ≤ 0.
-    for sample in samples {
-        let (x, y, s) = constraint(sample, opts.slack_ns);
-        let (xp, yp) = (x - x_bar, y - y_bar);
-        // f(β, α') = s · (α' + β·xp − yp) ≤ 0 with s = +1 for upper
-        // constraints and −1 for lower ones.
-        clip_into(&poly, &mut clipped, |beta, alpha_p| {
-            s * (alpha_p + beta * xp - yp)
+    if upper.is_empty() || lower.is_empty() {
+        return Err(SyncError::NotEnoughSamples {
+            from_reference: upper.len(),
+            to_reference: lower.len(),
         });
-        std::mem::swap(&mut poly, &mut clipped);
-        if poly.is_empty() {
-            return Err(SyncError::Infeasible);
-        }
     }
+    hull::<true>(&mut upper);
+    hull::<false>(&mut lower);
 
-    // Extremes over the polygon, mapping α = α' − β·x̄ + ȳ.
-    let mut out = AlphaBetaBounds {
-        alpha_lo: f64::INFINITY,
-        alpha_hi: f64::NEG_INFINITY,
-        beta_lo: f64::INFINITY,
-        beta_hi: f64::NEG_INFINITY,
+    let (beta_lo, beta_hi) = opts.beta_range;
+    let (from, to) = (Ratio::of_f64(beta_lo), Ratio::of_f64(beta_hi));
+    let walk = |mirror, from, to| {
+        let chain = |pts| Chain { pts, mirror };
+        first_feasible(chain(&upper), chain(&lower), from, to).ok_or(SyncError::Infeasible)
     };
-    for &(beta, alpha_p) in &poly {
-        let alpha = alpha_p - beta * x_bar + y_bar;
-        out.alpha_lo = out.alpha_lo.min(alpha);
-        out.alpha_hi = out.alpha_hi.max(alpha);
-        out.beta_lo = out.beta_lo.min(beta);
-        out.beta_hi = out.beta_hi.max(beta);
-    }
-    Ok(out)
+    let (b1, i, _) = walk(false, from, to)?;
+    let (b2, _, j) = walk(true, to.neg(), from.neg())?;
+    let b2 = b2.neg();
+    Ok(AlphaBetaBounds {
+        alpha_lo: round(offset_at(lower[j], b2), b2.den, Round::Down),
+        alpha_hi: round(offset_at(upper[i], b1), b1.den, Round::Up),
+        beta_lo: round(b1.num.into(), b1.den, Round::Down),
+        beta_hi: round(b2.num.into(), b2.den, Round::Up),
+    })
 }
 
-/// Sutherland–Hodgman clip of a convex polygon by the half-plane
-/// `f(x, y) ≤ 0`, written into `out` (cleared first) so the caller can
-/// ping-pong two buffers instead of allocating per clip.
-fn clip_into(poly: &[(f64, f64)], out: &mut Vec<(f64, f64)>, f: impl Fn(f64, f64) -> f64) {
-    out.clear();
-    let n = poly.len();
-    for i in 0..n {
-        let p = poly[i];
-        let q = poly[(i + 1) % n];
-        let fp = f(p.0, p.1);
-        let fq = f(q.0, q.1);
-        if fp <= 0.0 {
-            out.push(p);
+/// The numerator over `beta.den` of `y − β·x`, the offset a constraint line
+/// takes at β: below 2¹²⁶ in magnitude.
+fn offset_at((x, y): (i64, i64), beta: Ratio) -> i128 {
+    wide(y, beta.den) - wide(beta.num, x)
+}
+
+/// The exact product of two `i64`s.
+fn wide(a: i64, b: i64) -> i128 {
+    i128::from(a) * i128::from(b)
+}
+
+/// Keeps in `pts` the vertices of its lower hull (`LOWER`: every point on
+/// or above each edge) or upper hull, in ascending `x` with one point per
+/// `x`: Andrew's monotone chain, run in place over the sorted points.
+fn hull<const LOWER: bool>(pts: &mut Vec<(i64, i64)>) {
+    if !pts.is_sorted_by_key(|p| p.0) {
+        pts.sort_unstable();
+    }
+    let mut n = 0;
+    for r in 0..pts.len() {
+        let p = pts[r];
+        if n > 0 && pts[n - 1].0 == p.0 {
+            // The same x: only the lowest (highest) y bounds α.
+            let top = pts[n - 1].1;
+            if (LOWER && p.1 < top) || (!LOWER && p.1 > top) {
+                n -= 1;
+            } else {
+                continue;
+            }
         }
-        if (fp < 0.0 && fq > 0.0) || (fp > 0.0 && fq < 0.0) {
-            let t = fp / (fp - fq);
-            out.push((p.0 + t * (q.0 - p.0), p.1 + t * (q.1 - p.1)));
+        while n >= 2 {
+            let turn = cross(pts[n - 2], pts[n - 1], p);
+            if (LOWER && turn > 0) || (!LOWER && turn < 0) {
+                break;
+            }
+            n -= 1;
+        }
+        pts[n] = p;
+        n += 1;
+    }
+    pts.truncate(n);
+}
+
+/// The z component of `(a − o) × (b − o)`: positive for a left turn.
+fn cross(o: (i64, i64), a: (i64, i64), b: (i64, i64)) -> i128 {
+    wide(a.0 - o.0, b.1 - o.1) - wide(a.1 - o.1, b.0 - o.0)
+}
+
+/// One hull as the walk reads it. `mirror` reads it right to left with `x`
+/// negated: `y − β·x = y − (−β)·(−x)`, so the walk down from β⁺ is the walk
+/// up from −β⁺ over the mirrored hulls.
+#[derive(Copy, Clone)]
+struct Chain<'a> {
+    pts: &'a [(i64, i64)],
+    mirror: bool,
+}
+
+impl Chain<'_> {
+    fn len(self) -> usize {
+        self.pts.len()
+    }
+
+    /// The index in `pts` of the walk's vertex `k`.
+    fn index(self, k: usize) -> usize {
+        if self.mirror {
+            self.pts.len() - 1 - k
+        } else {
+            k
         }
     }
+
+    fn at(self, k: usize) -> (i64, i64) {
+        let (x, y) = self.pts[self.index(k)];
+        (if self.mirror { -x } else { x }, y)
+    }
+
+    /// The slope of edge `k → k + 1` (its `x` step is positive).
+    fn slope(self, k: usize) -> Ratio {
+        let ((x0, y0), (x1, y1)) = (self.at(k), self.at(k + 1));
+        Ratio {
+            num: y1 - y0,
+            den: x1 - x0,
+        }
+    }
+}
+
+/// The smallest β in `[from, to]` where `U(β) ≥ L(β)`, U being the lower
+/// envelope of `upper`'s lines and L the upper envelope of `lower`'s, with
+/// the index in each hull of the vertex active there; `None` when
+/// `U < L` on the whole range. Each step passes one hull breakpoint.
+fn first_feasible(
+    upper: Chain<'_>,
+    lower: Chain<'_>,
+    from: Ratio,
+    to: Ratio,
+) -> Option<(Ratio, usize, usize)> {
+    // The vertices active just above `from`: U's is past every edge of
+    // slope ≤ β, L's past every edge of slope > β. Drifts lie well inside
+    // the box, so U's is found from the left end and L's from the right,
+    // each in a step or two.
+    let mut i = 0;
+    while i + 1 < upper.len() && upper.slope(i).cmp(from).is_le() {
+        i += 1;
+    }
+    let mut j = lower.len() - 1;
+    while j > 0 && lower.slope(j - 1).cmp(from).is_le() {
+        j -= 1;
+    }
+    // On the piece where vertices i and j are active,
+    // U − L = (yi − yj) − β·(xi − xj); its sign at `beta` decides.
+    let gap = |i: usize, j: usize, beta: Ratio| {
+        let ((xi, yi), (xj, yj)) = (upper.at(i), lower.at(j));
+        wide(yi - yj, beta.den) - wide(beta.num, xi - xj)
+    };
+    if gap(i, j, from) >= 0 {
+        return Some((from, upper.index(i), lower.index(j)));
+    }
+    loop {
+        // The next breakpoint: U's vertex moves right, L's moves left.
+        let mut next = to;
+        let mut step = None;
+        if i + 1 < upper.len() && upper.slope(i).cmp(next).is_lt() {
+            next = upper.slope(i);
+            step = Some(true);
+        }
+        if j > 0 && lower.slope(j - 1).cmp(next).is_lt() {
+            next = lower.slope(j - 1);
+            step = Some(false);
+        }
+        if gap(i, j, next) >= 0 {
+            // U − L rises from below zero to zero or above on this piece,
+            // so xi < xj and its zero is (yj − yi)/(xj − xi).
+            let ((xi, yi), (xj, yj)) = (upper.at(i), lower.at(j));
+            let zero = Ratio {
+                num: yj - yi,
+                den: xj - xi,
+            };
+            return Some((zero, upper.index(i), lower.index(j)));
+        }
+        match step {
+            None => return None,
+            Some(true) => i += 1,
+            Some(false) => j -= 1,
+        }
+    }
+}
+
+/// An exact rational `num / den` with `den > 0`: a β box end, hull slope
+/// or zero crossing, whose terms are below 2⁶³ in magnitude.
+#[derive(Copy, Clone, Debug)]
+struct Ratio {
+    num: i64,
+    den: i64,
+}
+
+impl Ratio {
+    /// The exact value of a β box end in `[2⁻¹⁰, 2¹⁰]`, as `p / 2^s` with
+    /// `p < 2⁵³` and `s ≤ 62`.
+    fn of_f64(v: f64) -> Ratio {
+        let (m, e) = decompose(v);
+        if e >= 0 {
+            return Ratio {
+                num: m << e,
+                den: 1,
+            };
+        }
+        let shift = (m.trailing_zeros() as i32).min(-e);
+        Ratio {
+            num: m >> shift,
+            den: 1 << (-e - shift),
+        }
+    }
+
+    fn neg(self) -> Ratio {
+        Ratio {
+            num: -self.num,
+            den: self.den,
+        }
+    }
+
+    fn cmp(self, other: Ratio) -> Ordering {
+        wide(self.num, other.den).cmp(&wide(other.num, self.den))
+    }
+}
+
+/// The direction [`round`] rounds in.
+#[derive(Copy, Clone)]
+enum Round {
+    Down,
+    Up,
+}
+
+/// The nearest `f64` at or below (`Down`) or at or above (`Up`) the exact
+/// `num / den`, for `den > 0` and `|num| < 2¹²⁶`.
+fn round(num: i128, den: i64, dir: Round) -> f64 {
+    // Within a few ulps; then step to the exact answer.
+    let mut f = num as f64 / den as f64;
+    let cmp = |f| cmp_f64(num, den, f);
+    match dir {
+        Round::Down => {
+            while cmp(f).is_lt() {
+                f = f.next_down();
+            }
+            while cmp(f.next_up()).is_ge() {
+                f = f.next_up();
+            }
+        }
+        Round::Up => {
+            while cmp(f).is_gt() {
+                f = f.next_up();
+            }
+            while cmp(f.next_down()).is_le() {
+                f = f.next_down();
+            }
+        }
+    }
+    f
+}
+
+/// Orders `num / den` against the finite `f` exactly.
+fn cmp_f64(num: i128, den: i64, f: f64) -> Ordering {
+    // f = m·2^e: compare num·2^(−e) with m·den, scaling whichever side
+    // needs it. Both sides start below 2¹²⁶ in magnitude.
+    let (m, e) = decompose(f);
+    let m_den = wide(m, den);
+    if e >= 0 {
+        cmp_shifted(m_den, e, num).reverse()
+    } else {
+        cmp_shifted(num, -e, m_den)
+    }
+}
+
+/// `f` as `m·2^e` with `|m| < 2⁵³`.
+fn decompose(f: f64) -> (i64, i32) {
+    let bits = f.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i32;
+    let frac = (bits & ((1 << 52) - 1)) as i64;
+    let (m, e) = if exp == 0 {
+        (frac, -1074)
+    } else {
+        (frac | 1 << 52, exp - 1075)
+    };
+    (if bits >> 63 == 1 { -m } else { m }, e)
+}
+
+/// Orders `a·2^k` against `b` for `k ≥ 0` and `|b| < 2¹²⁶`, without
+/// overflow: a shifted value at or past 2¹²⁶ outranks `b` by its sign.
+fn cmp_shifted(a: i128, k: i32, b: i128) -> Ordering {
+    if a == 0 {
+        return 0.cmp(&b);
+    }
+    let bits = 128 - a.unsigned_abs().leading_zeros() as i32;
+    if bits + k > 126 {
+        return a.cmp(&0);
+    }
+    (a << k).cmp(&b)
 }
 
 /// Ground-truth helper for tests and the simulator: the true `(α, β)` of
@@ -517,7 +773,7 @@ mod tests {
         let m = VirtualClock::new(ClockParams::with_drift_ppm(5e5, 30.0).granularity(1000));
         let samples = exchange(&r, &m, 15, 400_000, |_| 1_500, 0);
         let opts = SyncOptions {
-            slack_ns: 2_000.0,
+            slack_ns: 2_000,
             ..Default::default()
         };
         let b = estimate_alpha_beta(&samples, &opts).unwrap();
@@ -611,14 +867,9 @@ mod tests {
                 beta_range: (0.9, f64::INFINITY),
                 ..Default::default()
             },
-            // Negative slack silently tightens constraints past the truth.
+            // A slack past the exact arithmetic's range.
             SyncOptions {
-                slack_ns: -1.0,
-                ..Default::default()
-            },
-            // Non-finite slack poisons every constraint.
-            SyncOptions {
-                slack_ns: f64::NAN,
+                slack_ns: MAX_READING_NS,
                 ..Default::default()
             },
         ] {
@@ -646,5 +897,68 @@ mod tests {
         let bt = estimate_alpha_beta(&tight, &SyncOptions::default()).unwrap();
         let bl = estimate_alpha_beta(&loose, &SyncOptions::default()).unwrap();
         assert!(bt.alpha_width() < bl.alpha_width());
+    }
+
+    #[test]
+    fn default_slack_absorbs_read_truncation_and_zero_slack_does_not() {
+        // The machine runs 0.5 ns ahead of an ideal reference, so its
+        // floored readings equal the reference's, and zero-delay exchanges
+        // put every receive reading on its send reading: the true α = 0.5
+        // lies half a granule past the unslacked upper constraints.
+        let r = VirtualClock::new(ClockParams::ideal());
+        let m = VirtualClock::new(ClockParams::with_drift_ppm(0.5, 0.0));
+        let samples = exchange(&r, &m, 10, 500_000, |_| 0, 0);
+        let (alpha, beta) = true_alpha_beta(m.params(), r.params());
+        assert_eq!((alpha, beta), (0.5, 1.0));
+        let b = estimate_alpha_beta(&samples, &SyncOptions::default()).unwrap();
+        assert!(b.contains(alpha, beta), "{b:?}");
+        let unslacked = SyncOptions {
+            slack_ns: 0,
+            ..Default::default()
+        };
+        let b0 = estimate_alpha_beta(&samples, &unslacked).unwrap();
+        assert!(!b0.contains(alpha, beta), "{b0:?}");
+    }
+
+    #[test]
+    fn projection_before_the_offset_scans_all_four_corners() {
+        let b = AlphaBetaBounds {
+            alpha_lo: 10.0,
+            alpha_hi: 20.0,
+            beta_lo: 0.5,
+            beta_hi: 2.0,
+        };
+        // C − α⁺ < 0: a negative numerator is smallest over the smaller β,
+        // which the diagonal corners alone would miss.
+        let p = b.project(LocalNanos(15));
+        assert_eq!((p.lo.as_f64(), p.hi.as_f64()), (-10.0, 10.0));
+        // C − α⁺ ≥ 0: the diagonal corners are the extremes.
+        let p = b.project(LocalNanos(30));
+        assert_eq!((p.lo.as_f64(), p.hi.as_f64()), (5.0, 40.0));
+    }
+
+    #[test]
+    fn readings_past_the_exact_range_are_a_typed_error() {
+        let at = |from_reference, send, recv| SyncSample {
+            from_reference,
+            send: LocalNanos(send),
+            recv: LocalNanos(recv),
+        };
+        let samples = [at(true, 0, 100), at(false, MAX_READING_NS - 1, 300)];
+        assert_eq!(
+            estimate_alpha_beta(&samples, &SyncOptions::default()),
+            Err(SyncError::OutOfRange {
+                reading_ns: MAX_READING_NS - 1
+            })
+        );
+        // Without slack the same reading is the last one in range.
+        let unslacked = SyncOptions {
+            slack_ns: 0,
+            ..Default::default()
+        };
+        assert_eq!(
+            estimate_alpha_beta(&samples, &unslacked),
+            Err(SyncError::Infeasible)
+        );
     }
 }

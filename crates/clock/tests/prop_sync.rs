@@ -95,7 +95,7 @@ proptest! {
         );
         let samples = exchange(&r, &m, &delays, 500_000, 0);
         prop_assume!(samples.len() >= 4);
-        let opts = SyncOptions { slack_ns: 2.0 * gran as f64, ..Default::default() };
+        let opts = SyncOptions { slack_ns: 2 * gran, ..Default::default() };
         let bounds = estimate_alpha_beta(&samples, &opts).unwrap();
         let (alpha, beta) = m.params().relative_to(r.params());
         prop_assert!(bounds.contains(alpha, beta));
