@@ -56,14 +56,6 @@ pub enum CoreError {
         /// The offending notification name.
         name: String,
     },
-    /// A reserved name was used in a user-declared position where the thesis
-    /// forbids it.
-    ReservedName {
-        /// The reserved name.
-        name: String,
-        /// Where it was used.
-        context: &'static str,
-    },
     /// A state machine was asked to act before it was initialized.
     NotInitialized {
         /// The state machine.
@@ -95,9 +87,6 @@ impl fmt::Display for CoreError {
                 f,
                 "initial notification `{name}` names neither a state nor an event leaving BEGIN"
             ),
-            CoreError::ReservedName { name, context } => {
-                write!(f, "reserved name `{name}` may not be used as {context}")
-            }
             CoreError::NotInitialized { sm } => {
                 write!(f, "state machine `{sm}` has not been initialized")
             }

@@ -105,10 +105,6 @@ pub fn load_study(
 /// Returns a [`ParseError`] for unreadable files (wrapped with the path)
 /// or malformed contents.
 pub fn load_study_dir(name: &str, dir: &Path) -> Result<StudyDef, ParseError> {
-    let read = |path: &Path| -> Result<String, ParseError> {
-        std::fs::read_to_string(path)
-            .map_err(|e| ParseError::eof(format!("cannot read {}: {e}", path.display())))
-    };
     let node_file = read(&dir.join("nodes"))?;
     let placements = parse_node_file(&node_file)?;
     let mut machines = BTreeMap::new();
@@ -117,12 +113,7 @@ pub fn load_study_dir(name: &str, dir: &Path) -> Result<StudyDef, ParseError> {
             continue;
         }
         let sm_spec = read(&dir.join(format!("{}.sm", p.sm)))?;
-        let fault_path = dir.join(format!("{}.flt", p.sm));
-        let fault_spec = if fault_path.exists() {
-            read(&fault_path)?
-        } else {
-            String::new()
-        };
+        let fault_spec = read_optional(&dir.join(format!("{}.flt", p.sm)))?.unwrap_or_default();
         machines.insert(
             p.sm.clone(),
             MachineSources {
@@ -132,6 +123,27 @@ pub fn load_study_dir(name: &str, dir: &Path) -> Result<StudyDef, ParseError> {
         );
     }
     load_study(name, &node_file, &machines)
+}
+
+/// Reads a campaign file, naming it in the error.
+fn read(path: &Path) -> Result<String, ParseError> {
+    std::fs::read_to_string(path).map_err(|e| cannot_read(path, &e))
+}
+
+/// Reads an optional campaign file in one lookup: `None` when it does not
+/// exist, any other failure an error naming it. (Asking `exists()` first
+/// would be a second lookup, and a file removed in between would turn
+/// "optional" into an error.)
+fn read_optional(path: &Path) -> Result<Option<String>, ParseError> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(cannot_read(path, &e)),
+    }
+}
+
+fn cannot_read(path: &Path, e: &std::io::Error) -> ParseError {
+    ParseError::eof(format!("cannot read {}: {e}", path.display()))
 }
 
 /// [`load_study_dir`] plus the optional `<dir>/actions` probe table: what
@@ -148,13 +160,9 @@ pub fn load_study_dir_with_actions(
     dir: &Path,
 ) -> Result<(StudyDef, ActionProbe), ParseError> {
     let def = load_study_dir(name, dir)?;
-    let actions_path = dir.join("actions");
-    let probe = if actions_path.exists() {
-        let text = std::fs::read_to_string(&actions_path)
-            .map_err(|e| ParseError::eof(format!("cannot read {}: {e}", actions_path.display())))?;
-        parse_action_file(&text)?
-    } else {
-        ActionProbe::new()
+    let probe = match read_optional(&dir.join("actions"))? {
+        Some(text) => parse_action_file(&text)?,
+        None => ActionProbe::new(),
     };
     Ok((def, probe))
 }
@@ -167,13 +175,10 @@ pub fn load_study_dir_with_actions(
 ///
 /// Returns a [`ParseError`] for an unreadable or malformed budget file.
 pub fn load_budget_dir(dir: &Path) -> Result<BudgetSpec, ParseError> {
-    let path = dir.join("budget");
-    if !path.exists() {
-        return Ok(BudgetSpec::default());
+    match read_optional(&dir.join("budget"))? {
+        Some(text) => parse_budget_file(&text),
+        None => Ok(BudgetSpec::default()),
     }
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| ParseError::eof(format!("cannot read {}: {e}", path.display())))?;
-    parse_budget_file(&text)
 }
 
 /// Writes the `<dir>/budget` file (omitted when `spec` is all-default,
@@ -383,5 +388,31 @@ DONE EXIT
         let (_, probe) = load_study_dir_with_actions("s", &dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         assert!(probe.is_empty());
+    }
+
+    #[test]
+    fn optional_files_absent_load_as_defaults_and_unreadable_ones_are_errors() {
+        let (node_file, machines) = sample_sources();
+        let def = load_study("s", &node_file, &machines).unwrap();
+        let dir = std::env::temp_dir().join(format!("loki-spec-optional-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        // `a` has no faults, so no `a.flt`; no `actions`, no `budget`.
+        write_study_dir(&def, &dir).unwrap();
+        assert!(!dir.join("a.flt").exists());
+        let (reloaded, probe) = load_study_dir_with_actions("s", &dir).unwrap();
+        assert_eq!(reloaded.faults, def.faults);
+        assert!(probe.is_empty());
+        assert_eq!(load_budget_dir(&dir).unwrap(), BudgetSpec::default());
+        // A `budget` that exists but cannot be read as a file is an error
+        // naming it, not an absent file.
+        std::fs::create_dir(dir.join("budget")).unwrap();
+        let err = load_budget_dir(&dir).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            err.message
+                .contains(&dir.join("budget").display().to_string()),
+            "{}",
+            err.message
+        );
     }
 }
