@@ -549,14 +549,21 @@ proptest! {
             estimate_alpha_beta(&samples, &opts),
             Err(SyncError::OutOfRange { reading_ns })
         );
+        // One ns earlier the reading is in range.
+        samples[k].recv = LocalNanos(MAX_READING_NS - slack_ns - 1);
+        prop_assert!(!matches!(
+            estimate_alpha_beta(&samples, &opts),
+            Err(SyncError::OutOfRange { .. })
+        ));
     }
 
     #[test]
     fn projection_equals_the_four_corner_scan(
         alpha in -1e9f64..1e9,
-        alpha_width in 0.0f64..1e6,
+        // Negative widths make inverted boxes, which must not panic.
+        alpha_width in -1e6f64..1e6,
         beta in 0.9f64..1.1,
-        beta_width in 0.0f64..1e-3,
+        beta_width in -1e-3f64..1e-3,
         local in 0u64..3_000_000_000,
     ) {
         let bounds = AlphaBetaBounds {
