@@ -169,12 +169,9 @@ impl<'a> TimelineIndex<'a> {
                     _ => None,
                 })
                 .collect();
-            // The merge in `make_global` keeps a machine's events in record
-            // order unless its clock stepped backwards (its timeline then
-            // merges as several runs), and a hand-built timeline may not.
-            if !records.is_sorted_by_key(|&(r, _)| r) {
-                records.sort_by_key(|&(r, _)| r);
-            }
+            // `make_global` keeps a machine's events in record order unless
+            // its clock stepped backwards, and a hand-built timeline may not.
+            records.sort_by_key(|&(r, _)| r);
             records
         });
         let before = records.partition_point(|&(r, _)| r < record_index);
@@ -843,8 +840,7 @@ mod tests {
 
     /// A machine's own state is read off its record order even when its
     /// events sit out of that order on the global timeline (a clock that
-    /// stepped backwards splits its timeline into runs the merge
-    /// interleaves).
+    /// stepped backwards sorts its later records ahead of its earlier ones).
     #[test]
     fn own_state_follows_record_order_not_global_order() {
         let def = StudyDef::new("s")

@@ -15,14 +15,12 @@
 //! layout is what a campaign that keeps its results pays per experiment.
 
 use crate::error::AnalysisError;
-use crate::merge::{merge_sorted_runs, MergeScratch};
 use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, SyncOptions};
 use loki_core::campaign::ExperimentData;
 use loki_core::ids::{EventId, FaultId, HostId, SmId, StateId, SymbolTable};
 use loki_core::recorder::RecordKind;
 use loki_core::study::Study;
 use loki_core::time::{GlobalNanos, TimeBounds};
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -282,20 +280,11 @@ pub struct GlobalOptions {
     pub sync: SyncOptions,
 }
 
-thread_local! {
-    /// The calling thread's scratch for [`make_global`]: the sync-sample
-    /// gather buffer and the k-way merge's run table, permutation and heap.
-    /// A thread analyzes one experiment at a time, so the borrow lasts one
-    /// call; every call clears it before use, so what a previous call
-    /// (finished, failed or unwound) left behind is never read.
-    static SCRATCH: RefCell<MergeScratch> = RefCell::default();
-}
-
 /// Builds the global timeline of one experiment.
 ///
-/// The result is plain owned data. The only state kept between calls is a
-/// thread-local [`MergeScratch`] whose capacity is reused; it never shows
-/// in the output.
+/// The result is plain owned data, and no state is kept between calls.
+/// Events are ordered by the midpoint of their bounds with a stable sort,
+/// so events with equal midpoints keep timeline-then-record order.
 ///
 /// # Errors
 ///
@@ -308,21 +297,8 @@ pub fn make_global(
     data: &ExperimentData,
     opts: &GlobalOptions,
 ) -> Result<GlobalTimeline, AnalysisError> {
-    SCRATCH.with(|scratch| build_global(study, data, opts, &mut scratch.borrow_mut()))
-}
-
-/// Calibrates, projects and orders one experiment, working in `scratch`
-/// (cleared first).
-fn build_global(
-    study: &Study,
-    data: &ExperimentData,
-    opts: &GlobalOptions,
-    scratch: &mut MergeScratch,
-) -> Result<GlobalTimeline, AnalysisError> {
-    scratch.clear();
     // Event positions and record indexes are `u32`, and `StateInterval::OPEN`
-    // is no position: at most `OPEN` records keeps every position below it
-    // and every run bound of the merge's table in range.
+    // is no position: at most `OPEN` records keeps every position below it.
     let total_records: usize = data.timelines.iter().map(|t| t.records.len()).sum();
     check_record_count(total_records)?;
     // Every result is sized exactly: one interval per state-setting record
@@ -356,14 +332,14 @@ fn build_global(
         .max(data.reference_host.index() + 1)
         .max(data.hosts.iter().map(|h| h.index() + 1).max().unwrap_or(0));
     let mut alpha_beta = vec![AlphaBetaBounds::identity(); num_hosts];
-    let samples = &mut scratch.samples;
+    let mut samples = Vec::new();
     for &host in &data.hosts {
         if host == data.reference_host {
             continue;
         }
-        data.sync_samples_into(host, samples);
+        data.sync_samples_into(host, &mut samples);
         let bounds =
-            estimate_alpha_beta(samples, &opts.sync).map_err(|source| AnalysisError::Sync {
+            estimate_alpha_beta(&samples, &opts.sync).map_err(|source| AnalysisError::Sync {
                 host: host_label(host),
                 source,
             })?;
@@ -377,24 +353,17 @@ fn build_global(
     let is_calibrated = |host: HostId| host == data.reference_host || data.hosts.contains(&host);
 
     // --- makeglobal: project every record -----------------------------------
-    // Exact capacity up front — the loop below never reallocates, and each
-    // buffer becomes its boxed slice in place.
+    // Exact capacity up front — the loop below never reallocates, and
+    // `intervals` and `messages` become their boxed slices in place.
     let mut events = Vec::with_capacity(total_records);
     let mut intervals = Vec::with_capacity(state_setting);
     let mut messages = String::with_capacity(message_bytes);
-    // Each timeline appends its events as contiguous mid-monotonic runs, in
-    // input order: the affine projection is monotonic in local time, so a
-    // timeline is one run unless its clock steps backwards across a host
-    // change, which starts another. The global ordering below merges them.
-
     for timeline in &data.timelines {
         let mut current_state = StateId::BEGIN;
         // The open interval's state and entering event, by its position
         // before ordering (remapped below).
         let mut open: Option<(StateId, u32)> = None;
         let mut checked_host: Option<HostId> = None;
-        let mut run_start = events.len();
-        let mut prev_mid = f64::NEG_INFINITY;
 
         for (idx, host, record) in timeline.records_with_hosts() {
             if checked_host != Some(host) {
@@ -407,12 +376,6 @@ fn build_global(
                 checked_host = Some(host);
             }
             let bounds = alpha_beta[host.index()].project(record.time);
-            let mid = bounds.mid().as_f64();
-            if prev_mid.total_cmp(&mid) == std::cmp::Ordering::Greater {
-                scratch.runs.push((run_start as u32, events.len() as u32));
-                run_start = events.len();
-            }
-            prev_mid = mid;
             // Below `OPEN`: `check_record_count` bounds both.
             let position = events.len() as u32;
             let kind = match &record.kind {
@@ -479,30 +442,35 @@ fn build_global(
                 exit: StateInterval::OPEN,
             });
         }
-        if events.len() > run_start {
-            scratch.runs.push((run_start as u32, events.len() as u32));
-        }
     }
 
-    // Order by midpoint. The merge reproduces a stable sort's exact tie
-    // order — equal mids resolve by (timeline, record position), which is
-    // insertion order — in O(n log k). It yields one destination
-    // permutation, which first carries the intervals' event positions and
-    // then moves the events; both are allocation-free once the scratch has
-    // warmed up.
-    merge_sorted_runs(&events, scratch, |e| e.bounds.mid().as_f64());
-    let perm = scratch.permutation();
-    if !perm.is_empty() {
-        let moved = |position: u32| match position {
-            StateInterval::OPEN => StateInterval::OPEN,
-            _ => perm[position as usize],
-        };
-        for iv in &mut intervals {
-            iv.enter = moved(iv.enter);
-            iv.exit = moved(iv.exit);
-        }
+    // Order by midpoint. The sort is stable, so equal midpoints keep
+    // insertion order: (timeline, record position). Sorting (midpoint,
+    // position) pairs rather than the events yields the order, whose
+    // inverse `moved_to[before] == after` moves the intervals' event
+    // positions; the events are then gathered in order.
+    let mut order: Vec<(f64, u32)> = events
+        .iter()
+        .zip(0..)
+        .map(|(e, position)| (e.bounds.mid().as_f64(), position))
+        .collect();
+    order.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut moved_to = vec![0u32; order.len()];
+    for (after, &(_, before)) in (0..).zip(&order) {
+        moved_to[before as usize] = after;
     }
-    scratch.permute(&mut events);
+    let moved = |position: u32| match position {
+        StateInterval::OPEN => StateInterval::OPEN,
+        _ => moved_to[position as usize],
+    };
+    for iv in &mut intervals {
+        iv.enter = moved(iv.enter);
+        iv.exit = moved(iv.exit);
+    }
+    let events: Box<[GlobalEvent]> = order
+        .iter()
+        .map(|&(_, before)| events[before as usize].clone())
+        .collect();
     let start = events
         .iter()
         .map(|e| e.bounds.lo)
@@ -520,7 +488,7 @@ fn build_global(
     // Uncalibrated hosts were never referenced (the loop above would have
     // errored); their identity fillers keep `alpha_beta` dense.
     Ok(GlobalTimeline {
-        events: events.into_boxed_slice(),
+        events,
         messages: messages.into_boxed_str(),
         intervals: intervals.into_boxed_slice(),
         start,
@@ -744,8 +712,8 @@ mod tests {
                 pub hosts: &'a super::super::SymbolTable,
             }
         }
-        let (study, shapes) = scratch_shapes();
-        for data in &shapes[..3] {
+        let (study, shapes) = shapes();
+        for data in &shapes {
             let gt = make_global(&study, data, &GlobalOptions::default()).unwrap();
             let derived = stored::GlobalTimeline {
                 events: &gt.events,
@@ -944,130 +912,18 @@ mod tests {
         assert_eq!(e.bounds.hi.as_f64(), 10_000_000.0);
     }
 
-    /// Four shapes that leave the thread-local scratch in different states:
-    /// a single run (the merge returns at once), four interleaving runs,
-    /// a clock stepping backwards across a host change (its timeline split
-    /// into two runs), and an `UnknownHost` on the third of four timelines
-    /// (two runs already tabled).
-    fn scratch_shapes() -> (Study, Vec<ExperimentData>) {
+    /// Three shapes of experiment: one machine, four interleaving
+    /// machines, and the four with a clock stepping backwards across a host
+    /// change (a restart that sorts ahead of its own timeline's past).
+    fn shapes() -> (Study, Vec<ExperimentData>) {
         let study = study_of(&["a", "b", "c", "d"]);
         let hosts = ["h1", "h2", "h3", "h4"];
         let spread = [("a", "h2"), ("b", "h3"), ("c", "h4"), ("d", "h1")];
         let single = experiment_on(&study, &["h1", "h2"], &[("a", "h2")]);
-        let merged = experiment_on(&study, &hosts, &spread);
+        let interleaved = experiment_on(&study, &hosts, &spread);
         let mut backwards = experiment_on(&study, &hosts, &spread);
         let h4 = backwards.symbols.lookup("h4").unwrap();
         backwards.timelines[1].resume_on(LocalNanos::from_millis(1), h4);
-        let mut unknown = experiment_on(&study, &hosts, &spread);
-        unknown.hosts.retain(|&h| h != h4);
-        (study, vec![single, merged, backwards, unknown])
-    }
-
-    /// Every interval with its bounds resolved, and checked to point at
-    /// state-setting events of its own machine.
-    fn resolved_intervals(
-        gt: &GlobalTimeline,
-    ) -> Vec<(SmId, StateId, TimeBounds, Option<TimeBounds>)> {
-        let sets = |position: u32, sm: SmId| match &gt.events[position as usize] {
-            e if e.sm != sm => None,
-            GlobalEvent {
-                kind: GlobalEventKind::StateChange { new_state, .. },
-                ..
-            } => Some(*new_state),
-            GlobalEvent {
-                kind: GlobalEventKind::Restart { .. },
-                ..
-            } => Some(StateId::BEGIN),
-            _ => None,
-        };
-        gt.intervals
-            .iter()
-            .map(|iv| {
-                assert_eq!(sets(iv.enter, iv.sm), Some(iv.state), "{iv:?}");
-                if iv.exit != StateInterval::OPEN {
-                    assert!(sets(iv.exit, iv.sm).is_some(), "{iv:?}");
-                }
-                (iv.sm, iv.state, gt.enter_of(iv), gt.exit_of(iv))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn thread_local_scratch_is_unobservable() {
-        let (study, shapes) = scratch_shapes();
-        let opts = GlobalOptions::default();
-        let on_fresh_thread = |data: &ExperimentData| {
-            std::thread::scope(|scope| {
-                scope
-                    .spawn(|| make_global(&study, data, &opts))
-                    .join()
-                    .unwrap()
-            })
-        };
-        let fresh: Vec<_> = shapes.iter().map(on_fresh_thread).collect();
-        assert_eq!(fresh[0].as_ref().unwrap().events.len(), 3);
-        assert_eq!(fresh[1].as_ref().unwrap().events.len(), 12);
-        let sorted = fresh[2].as_ref().unwrap();
-        assert!(sorted
-            .events
-            .windows(2)
-            .all(|w| w[0].bounds.mid() <= w[1].bounds.mid()));
-        assert_eq!(
-            sorted.events[0].record_index, 3,
-            "the restart stamped 1 ms sorts ahead of its own timeline's past"
-        );
-        assert!(matches!(fresh[3], Err(AnalysisError::UnknownHost { .. })));
-
-        let resolved =
-            |gt: &Result<GlobalTimeline, AnalysisError>| gt.as_ref().map(resolved_intervals).ok();
-        let fresh_intervals: Vec<_> = fresh.iter().map(resolved).collect();
-        // The restart, last of its timeline's records, sorts first: the
-        // BEGIN interval it opens must follow it to position 0.
-        let reopened = sorted
-            .intervals
-            .iter()
-            .find(|iv| iv.state == StateId::BEGIN);
-        assert_eq!(
-            reopened.map(|iv| (iv.enter, iv.exit)),
-            Some((0, StateInterval::OPEN))
-        );
-
-        // On this one thread: every shape after every other, itself included.
-        for first in 0..shapes.len() {
-            for second in 0..shapes.len() {
-                let again = make_global(&study, &shapes[first], &opts);
-                assert_eq!(again, fresh[first], "shape {first}");
-                assert_eq!(resolved(&again), fresh_intervals[first], "shape {first}");
-                let again = make_global(&study, &shapes[second], &opts);
-                assert_eq!(again, fresh[second], "shape {second} after shape {first}");
-                assert_eq!(
-                    resolved(&again),
-                    fresh_intervals[second],
-                    "shape {second} after shape {first}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn a_panic_while_the_scratch_is_borrowed_leaves_the_thread_usable() {
-        // The pipeline contains a panicking analysis and carries on with
-        // the same worker thread: the unwind must release the borrow, and
-        // what it left in the scratch must not reach the next result.
-        let (study, shapes) = scratch_shapes();
-        let opts = GlobalOptions::default();
-        let before = make_global(&study, &shapes[1], &opts);
-        let unwound = std::panic::catch_unwind(|| {
-            SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                scratch.runs.extend([(0, 7), (7, 9)]);
-                scratch
-                    .samples
-                    .extend(ideal_sync(HostId::from_raw(1)).samples);
-                panic!("analysis panicked mid-fill");
-            })
-        });
-        assert!(unwound.is_err());
-        assert_eq!(make_global(&study, &shapes[1], &opts), before);
+        (study, vec![single, interleaved, backwards])
     }
 }

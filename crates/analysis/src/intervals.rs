@@ -21,19 +21,12 @@ impl IntervalSet {
     /// Builds a set from arbitrary (possibly overlapping, unsorted)
     /// intervals; empty or inverted inputs are dropped.
     ///
-    /// Merges in place: the input vector is reused as the backing store,
-    /// so the call allocates nothing beyond what the caller handed over.
-    /// Already-sorted input — the common case now that state intervals
-    /// come off merge-ordered timelines — is detected by a single
-    /// monotonicity scan and skips the sort entirely.
+    /// Merges in place: the input vector is reused as the backing store.
+    /// Already-sorted input, the common case, costs the sort one linear
+    /// pass.
     pub fn from_spans(mut spans: Vec<(f64, f64)>) -> Self {
         spans.retain(|(lo, hi)| lo <= hi);
-        let sorted = spans
-            .windows(2)
-            .all(|w| w[0].0.total_cmp(&w[1].0) != std::cmp::Ordering::Greater);
-        if !sorted {
-            spans.sort_by(|a, b| a.0.total_cmp(&b.0));
-        }
+        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut kept = 0;
         for i in 0..spans.len() {
             let (lo, hi) = spans[i];

@@ -38,8 +38,8 @@
 //!
 //! The phase is a pure function of one experiment's raw data, and what it
 //! returns — [`GlobalTimeline`], [`AnalyzedExperiment`] — is plain owned
-//! data: derived `Clone`/`PartialEq`, no destructor. The only state kept
-//! between calls is `make_global`'s thread-local merge scratch.
+//! data: derived `Clone`/`PartialEq`, no destructor, and no state is kept
+//! between calls.
 //!
 //! A campaign that keeps its results keeps one of these per experiment, so
 //! each time bound is stored once, on its [`GlobalEvent`] (40 bytes): a
@@ -64,7 +64,6 @@ pub mod checker;
 pub mod error;
 pub mod global;
 pub mod intervals;
-pub mod merge;
 
 pub use cascade::{detect_cascade, CascadeConfig, CascadeVerdict};
 pub use checker::{check_experiment, ExperimentVerdict, MissingPolicy, Verdict};

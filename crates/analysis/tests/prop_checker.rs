@@ -295,8 +295,8 @@ fn study_of(faults: &[FaultShape]) -> Study {
 /// Projects the record shapes the way `make_global` would: one event per
 /// record, one interval per state-setting record pointing at the events
 /// that opened and closed it, events ordered by midpoint with a stable
-/// sort (which `make_global`'s merge equals, a run split where a clock
-/// steps back included) and the intervals' positions moved with them.
+/// sort, as `make_global` orders them, and the intervals' positions moved
+/// with them.
 fn timeline_of(
     study: &Study,
     timelines: &[Vec<RecordShape>],

@@ -139,13 +139,11 @@ fn experiment(study: &Study) -> ExperimentData {
     }
 }
 
-/// Analyzes `data` once to warm the thread's merge scratch, then returns
-/// a second result with the heap bytes it keeps live.
+/// Analyzes `data` and returns the result with the heap bytes it keeps
+/// live.
 fn analyzed_with_live_bytes(study: &Study, data: &ExperimentData) -> (AnalyzedExperiment, usize) {
-    let opts = AnalysisOptions::default();
-    drop(analyze_one(study, data, &opts));
     let before = live();
-    let analyzed = analyze_one(study, data, &opts);
+    let analyzed = analyze_one(study, data, &AnalysisOptions::default());
     let kept = live() - before;
     (
         analyzed,

@@ -152,12 +152,9 @@ pub fn write_machines_file(hosts: &[String]) -> String {
     out
 }
 
-fn parse_f64(lineno: usize, field: &str, s: &str) -> Result<f64, ParseError> {
-    s.parse()
-        .map_err(|_| ParseError::at(lineno, format!("invalid {field} `{s}`")))
-}
-
-fn parse_u64(lineno: usize, field: &str, s: &str) -> Result<u64, ParseError> {
+/// Parses `s` as the number `field` holds; one out of its type's range is
+/// invalid too.
+fn parse_num<T: std::str::FromStr>(lineno: usize, field: &str, s: &str) -> Result<T, ParseError> {
     s.parse()
         .map_err(|_| ParseError::at(lineno, format!("invalid {field} `{s}`")))
 }
@@ -182,8 +179,9 @@ fn parse_u64(lineno: usize, field: &str, s: &str) -> Result<u64, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] for unknown action kinds, malformed numbers,
-/// empty partition groups, or duplicate fault names.
+/// Returns a [`ParseError`] for unknown action kinds, malformed or
+/// out-of-range numbers (an `activation` outside [0, 1] included), empty
+/// partition groups, or duplicate fault names.
 ///
 /// # Examples
 ///
@@ -219,21 +217,28 @@ pub fn parse_action_file(text: &str) -> Result<ActionProbe, ParseError> {
             }
             "crash_p" => {
                 arity(2, "<fault> crash_p <activation> <dormancy_ns>")?;
+                let activation: f64 = parse_num(lineno, "activation", rest[0])?;
+                if !(0.0..=1.0).contains(&activation) {
+                    return Err(ParseError::at(
+                        lineno,
+                        format!("activation `{}` is not a probability in [0, 1]", rest[0]),
+                    ));
+                }
                 FaultAction::CrashWithProbability {
-                    activation: parse_f64(lineno, "activation", rest[0])?,
-                    dormancy_ns: parse_u64(lineno, "dormancy_ns", rest[1])?,
+                    activation,
+                    dormancy_ns: parse_num(lineno, "dormancy_ns", rest[1])?,
                 }
             }
             "hang" => {
                 arity(1, "<fault> hang <duration_ns>")?;
                 FaultAction::HangNode {
-                    duration_ns: parse_u64(lineno, "duration_ns", rest[0])?,
+                    duration_ns: parse_num(lineno, "duration_ns", rest[0])?,
                 }
             }
             "drop" => {
                 arity(1, "<fault> drop <count>")?;
                 FaultAction::DropMessages {
-                    count: parse_u64(lineno, "count", rest[0])? as u32,
+                    count: parse_num(lineno, "count", rest[0])?,
                 }
             }
             "corrupt_state" => {
@@ -277,11 +282,11 @@ pub fn parse_action_file(text: &str) -> Result<ActionProbe, ParseError> {
                         ParseError::at(lineno, format!("expected `key=value`, found `{t}`"))
                     })?;
                     match k {
-                        "drop" => drop_prob = parse_f64(lineno, "drop", v)?,
-                        "dup" => dup_prob = parse_f64(lineno, "dup", v)?,
-                        "corrupt" => corrupt_prob = parse_f64(lineno, "corrupt", v)?,
-                        "reorder_ns" => reorder_ns = parse_u64(lineno, "reorder_ns", v)?,
-                        "latency_ns" => extra_latency_ns = parse_u64(lineno, "latency_ns", v)?,
+                        "drop" => drop_prob = parse_num(lineno, "drop", v)?,
+                        "dup" => dup_prob = parse_num(lineno, "dup", v)?,
+                        "corrupt" => corrupt_prob = parse_num(lineno, "corrupt", v)?,
+                        "reorder_ns" => reorder_ns = parse_num(lineno, "reorder_ns", v)?,
+                        "latency_ns" => extra_latency_ns = parse_num(lineno, "latency_ns", v)?,
                         other => {
                             return Err(ParseError::at(
                                 lineno,
@@ -307,7 +312,7 @@ pub fn parse_action_file(text: &str) -> Result<ActionProbe, ParseError> {
                 })?;
                 FaultAction::GrayNode {
                     host: rest[0].to_owned(),
-                    slowdown: parse_f64(lineno, "slowdown", slowdown)?,
+                    slowdown: parse_num(lineno, "slowdown", slowdown)?,
                 }
             }
             other => {
@@ -421,13 +426,13 @@ pub fn parse_budget_file(text: &str) -> Result<BudgetSpec, ParseError> {
                 if spec.max_virtual_time_ns.is_some() {
                     return Err(duplicate(lineno, key));
                 }
-                spec.max_virtual_time_ns = Some(parse_u64(lineno, key, value)?);
+                spec.max_virtual_time_ns = Some(parse_num(lineno, key, value)?);
             }
             "max_events" => {
                 if spec.max_events.is_some() {
                     return Err(duplicate(lineno, key));
                 }
-                spec.max_events = Some(parse_u64(lineno, key, value)?);
+                spec.max_events = Some(parse_num(lineno, key, value)?);
             }
             other => {
                 return Err(ParseError::at(
@@ -567,6 +572,17 @@ heal_net heal
         assert!(parse_action_file("f link h1 h2 drop\n").is_err()); // no `=`
         assert!(parse_action_file("f gray h1 8\n").is_err()); // no slowdown=
         assert!(parse_action_file("f crash\nf heal\n").is_err()); // duplicate
+
+        // A count past `u32` is an error naming the field, not a wrapped 0.
+        let err = parse_action_file("x drop 4294967296\n").unwrap_err();
+        assert!(err.message.contains("count"), "{err}");
+        assert!(parse_action_file("x drop 4294967295\n").is_ok());
+        // An activation is a probability.
+        for bad in ["NaN", "inf", "-0.5", "1.5"] {
+            let err = parse_action_file(&format!("x crash_p {bad} 5\n")).unwrap_err();
+            assert!(err.message.contains("activation"), "{bad}: {err}");
+        }
+        assert!(parse_action_file("x crash_p 0 5\nz crash_p 1 5\n").is_ok());
     }
 
     #[test]

@@ -4,10 +4,12 @@
 
 use loki_core::fault::{FaultExpr, Trigger};
 use loki_core::ids::SymbolTable;
+use loki_core::probe::{ActionProbe, FaultAction};
 use loki_core::recorder::Recorder;
 use loki_core::spec::{NodePlacement, StateMachineSpec, StudyDef};
 use loki_core::study::Study;
 use loki_core::time::LocalNanos;
+use loki_spec::files::BudgetSpec;
 use loki_spec::{expr, files, sm_spec, timeline_file, timestamps_file};
 use proptest::prelude::*;
 
@@ -30,6 +32,77 @@ fn fault_expr(depth: u32) -> BoxedStrategy<FaultExpr> {
         ]
         .boxed()
     }
+}
+
+/// The number of [`FaultAction`] variants [`action`] generates.
+const ACTION_VARIANTS: usize = 10;
+
+/// The index of `action`'s variant. The match has no wildcard arm, so a
+/// new variant fails to compile here until [`action`] generates it too.
+fn variant(action: &FaultAction) -> usize {
+    match action {
+        FaultAction::CrashNode => 0,
+        FaultAction::CrashWithProbability { .. } => 1,
+        FaultAction::HangNode { .. } => 2,
+        FaultAction::DropMessages { .. } => 3,
+        FaultAction::CorruptState { .. } => 4,
+        FaultAction::Partition { .. } => 5,
+        FaultAction::Heal => 6,
+        FaultAction::LinkFault { .. } => 7,
+        FaultAction::GrayNode { .. } => 8,
+        FaultAction::Custom(_) => 9,
+    }
+}
+
+/// A variant index and an action of that variant, with token-safe names,
+/// probabilities in [0, 1], finite slowdowns and non-empty partition
+/// groups.
+fn action() -> impl Strategy<Value = (usize, FaultAction)> {
+    let probabilities = (0.0..=1.0f64, 0.0..=1.0f64, 0.0..=1.0f64);
+    let numbers = (any::<u64>(), any::<u64>(), any::<u32>(), 1.0..1e6f64);
+    let groups = prop::collection::vec(prop::collection::vec(name(), 1..4), 1..4);
+    (
+        0..ACTION_VARIANTS,
+        (name(), name()),
+        probabilities,
+        numbers,
+        groups,
+    )
+        .prop_map(
+            |(kind, (a, b), (p, q, r), (m, n, count, slowdown), groups)| {
+                let action = match kind {
+                    0 => FaultAction::CrashNode,
+                    1 => FaultAction::CrashWithProbability {
+                        activation: p,
+                        dormancy_ns: m,
+                    },
+                    2 => FaultAction::HangNode { duration_ns: m },
+                    3 => FaultAction::DropMessages { count },
+                    4 => FaultAction::CorruptState { target: a },
+                    5 => FaultAction::Partition { groups },
+                    6 => FaultAction::Heal,
+                    7 => FaultAction::LinkFault {
+                        from: a,
+                        to: b,
+                        drop_prob: p,
+                        dup_prob: q,
+                        reorder_ns: m,
+                        corrupt_prob: r,
+                        extra_latency_ns: n,
+                    },
+                    8 => FaultAction::GrayNode { host: a, slowdown },
+                    _ => FaultAction::Custom(a),
+                };
+                (kind, action)
+            },
+        )
+}
+
+/// `probe`'s entries in name order.
+fn entries(probe: &ActionProbe) -> Vec<(&str, &FaultAction)> {
+    let mut entries: Vec<_> = probe.iter().collect();
+    entries.sort_by_key(|&(name, _)| name);
+    entries
 }
 
 /// The pieces arbitrary text is built from: separators (ASCII and Unicode
@@ -301,5 +374,32 @@ proptest! {
         let (reference, parsed) = timestamps_file::parse(&mut symbols, &text).unwrap();
         prop_assert_eq!(reference, h1);
         prop_assert_eq!(parsed, syncs);
+    }
+
+    #[test]
+    fn action_file_roundtrip(actions in prop::collection::vec((name(), action()), 0..16)) {
+        let mut probe = ActionProbe::new();
+        for (name, (kind, action)) in actions {
+            prop_assert_eq!(variant(&action), kind);
+            probe = probe.on(&name, action);
+        }
+        let parsed = files::parse_action_file(&files::write_action_file(&probe)).unwrap();
+        prop_assert_eq!(entries(&parsed), entries(&probe));
+    }
+
+    #[test]
+    fn budget_file_roundtrip(
+        max_virtual_time_ns in prop::option::of(any::<u64>()),
+        max_events in prop::option::of(any::<u64>()),
+    ) {
+        let budget = BudgetSpec { max_virtual_time_ns, max_events };
+        let parsed = files::parse_budget_file(&files::write_budget_file(&budget)).unwrap();
+        prop_assert_eq!(parsed, budget);
+    }
+
+    #[test]
+    fn machines_file_roundtrip(hosts in prop::collection::vec(name(), 0..8)) {
+        let text = files::write_machines_file(&hosts);
+        prop_assert_eq!(files::parse_machines_file(&text), hosts);
     }
 }
