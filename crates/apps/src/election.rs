@@ -309,8 +309,7 @@ impl App for Election {
                 activation,
                 dormancy_ns,
             } => {
-                let activates = activation >= 1.0 || ctx.rng().gen_bool(activation.clamp(0.0, 1.0));
-                if activates {
+                if crate::activates(ctx.rng(), activation) {
                     if dormancy_ns == 0 {
                         ctx.crash();
                     } else {

@@ -399,7 +399,7 @@ impl App for KvReplica {
         match ctx.probe_action(&self.probe, fault).cloned() {
             Some(FaultAction::CrashNode) | None => ctx.crash(),
             Some(FaultAction::CrashWithProbability { activation, .. }) => {
-                if activation >= 1.0 || ctx.rng().gen_bool(activation.clamp(0.0, 1.0)) {
+                if crate::activates(ctx.rng(), activation) {
                     ctx.crash();
                 }
             }

@@ -34,3 +34,33 @@ pub use chaos::{chaos_factory, chaos_sm_spec, chaos_study, ChaosConfig, ChaosNod
 pub use election::{election_factory, election_sm_spec, election_study, Election, ElectionConfig};
 pub use kvstore::{kv_factory, kv_sm_spec, kv_study, KvConfig, KvReplica};
 pub use token_ring::{ring_factory, ring_sm_spec, ring_study, RingConfig, RingMember};
+
+/// Whether an injected fault with probability `activation` of becoming an
+/// error does so: always at 1 or above, with no draw; otherwise one draw,
+/// which a negative or NaN activation never wins.
+pub(crate) fn activates(rng: &mut impl rand::Rng, activation: f64) -> bool {
+    activation >= 1.0 || rng.gen_bool(activation.max(0.0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// An activation in [0, 1) draws exactly as `gen_bool` did; at 1 or
+    /// above there is no draw; below 0 and NaN draw once and never win.
+    #[test]
+    fn activation_draws_as_a_clamped_probability() {
+        let cases = [(0.3, 0.3), (0.999, 0.999), (-0.5, 0.0), (f64::NAN, 0.0)];
+        for (activation, p) in cases {
+            let (mut rng, mut twin) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            let same = (0..64).all(|_| activates(&mut rng, activation) == twin.gen_bool(p));
+            assert!(same, "{activation}");
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        assert!(activates(&mut rng, 1.0) && activates(&mut rng, 7.0));
+        let untouched = StdRng::seed_from_u64(5).gen::<u64>();
+        assert_eq!(rng.gen::<u64>(), untouched, "a draw at 1 or above");
+    }
+}

@@ -17,7 +17,6 @@ use loki_core::probe::{ActionProbe, FaultAction};
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
 use loki_runtime::{App, AppFactory, NodeCtx, Payload};
-use rand::Rng;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -233,7 +232,7 @@ impl App for RingMember {
             Some(FaultAction::CrashNode) | None => ctx.crash(),
             Some(FaultAction::DropMessages { count }) => self.drop_next_pass += count,
             Some(FaultAction::CrashWithProbability { activation, .. }) => {
-                if activation >= 1.0 || ctx.rng().gen_bool(activation.clamp(0.0, 1.0)) {
+                if crate::activates(ctx.rng(), activation) {
                     ctx.crash();
                 }
             }

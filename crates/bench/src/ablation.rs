@@ -16,12 +16,11 @@
 use crate::accuracy::{accuracy_study, AccuracyConfig};
 use loki_clock::params::ClockParams;
 use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, SyncOptions};
-use loki_core::campaign::ExperimentData;
+use loki_core::campaign::{ExperimentData, HostSync};
 use loki_core::recorder::RecordKind;
 use loki_core::study::Study;
 use loki_runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use loki_runtime::messages::NotifyRouting;
-use loki_runtime::store::SyncCollector;
 use loki_sim::config::{HostConfig, LatencyModel, NetworkConfig};
 use loki_sim::engine::Simulation;
 use std::sync::Arc;
@@ -160,8 +159,8 @@ pub fn entry_connections(routing: NotifyRouting, n: usize) -> (usize, usize) {
 /// 120 ppm — on a 50 µs link, scheduling delays off (the mini-phases run
 /// on an idle system). The pre-phase plays at t = 0 and the post-phase
 /// 10 s later, both through [`Simulation::run_exchanges`], the mini-phase
-/// every simulated experiment is bracketed with, each round going to the
-/// runtime's [`SyncCollector`] as the harness's rounds do.
+/// every simulated experiment is bracketed with, each round filed through
+/// [`HostSync::push_round`] as the harness's rounds are.
 pub fn sync_bound_quality(rounds: u32, jitter_ns: u64) -> (AlphaBetaBounds, (f64, f64)) {
     const ROUND_INTERVAL_NS: u64 = 1_000_000;
     const POST_PHASE_AT_NS: u64 = 10_000_000_000;
@@ -180,15 +179,17 @@ pub fn sync_bound_quality(rounds: u32, jitter_ns: u64) -> (AlphaBetaBounds, (f64
     let reference = sim.add_host(HostConfig::new("reference").clock(reference_clock));
     let machine = sim.add_host(HostConfig::new("machine").clock(machine_clock));
 
-    let collector = SyncCollector::new();
+    let mut sync = HostSync {
+        host: machine,
+        samples: Vec::new(),
+    };
     for phase_at_ns in [0, POST_PHASE_AT_NS] {
         sim.run_until(phase_at_ns);
         sim.run_exchanges(reference, &[machine], rounds, ROUND_INTERVAL_NS, |round| {
-            collector.push_round(machine, round.ping_sent, round.echoed, round.echo_received)
+            sync.push_round(round.ping_sent, round.echoed, round.echo_received)
         });
     }
-    let samples = collector.drain().pop().expect("at least one round").samples;
-    let bounds = estimate_alpha_beta(&samples, &SyncOptions::default())
+    let bounds = estimate_alpha_beta(&sync.samples, &SyncOptions::default())
         .expect("both directions sampled in both phases");
     (bounds, machine_clock.relative_to(&reference_clock))
 }

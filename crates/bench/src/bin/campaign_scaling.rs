@@ -44,11 +44,13 @@ fn main() {
         Trigger::Once,
     );
     let study = Study::compile_arc(&def).expect("valid study");
-    let pipeline = CampaignPipeline::new(
-        study,
-        ring_factory(RingConfig::default()),
-        SimHarnessConfig::three_hosts(seed),
-    );
+    // Workers claim eight consecutive indices at a time: a driver that
+    // retained its whole chunk would break the memory bound asserted below.
+    let cfg = SimHarnessConfig {
+        batch: Some(8),
+        ..SimHarnessConfig::three_hosts(seed)
+    };
+    let pipeline = CampaignPipeline::new(study, ring_factory(RingConfig::default()), cfg);
 
     let max_workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -117,7 +119,8 @@ fn main() {
             summary.peak_reorder_depth
         );
         // The memory bound of the streaming design: one raw experiment
-        // per worker, whatever `LOKI_BATCH` says.
+        // per worker, whatever the claim chunk.
+        assert_eq!(summary.batch, 8, "claim chunk not applied");
         assert!(
             summary.peak_raw_retained <= workers,
             "{workers} workers held {} raw experiments at once",

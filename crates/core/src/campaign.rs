@@ -41,6 +41,32 @@ pub struct HostSync {
     pub samples: Vec<SyncSample>,
 }
 
+impl HostSync {
+    /// Appends the two samples of one ping/echo round: the host →
+    /// reference leg (`ping_sent` on the host's clock, `echoed` on the
+    /// reference's), then the reference → host leg (`echoed`,
+    /// `echo_received`) — the reference echoes in the instant it receives.
+    pub fn push_round(
+        &mut self,
+        ping_sent: LocalNanos,
+        echoed: LocalNanos,
+        echo_received: LocalNanos,
+    ) {
+        self.samples.extend([
+            SyncSample {
+                from_reference: false,
+                send: ping_sent,
+                recv: echoed,
+            },
+            SyncSample {
+                from_reference: true,
+                send: echoed,
+                recv: echo_received,
+            },
+        ]);
+    }
+}
+
 /// Why an experiment *failed* — a containment outcome of the injector
 /// itself, distinct from the study outcomes ([`ExperimentEnd::Completed`]
 /// / [`ExperimentEnd::TimedOut`] / [`ExperimentEnd::Aborted`]) that the
@@ -326,6 +352,22 @@ mod tests {
             end: ExperimentEnd::Completed,
             warnings: vec![],
         }
+    }
+
+    #[test]
+    fn a_round_yields_one_sample_per_direction() {
+        let mut sync = HostSync {
+            host: Id::from_raw(2),
+            samples: Vec::new(),
+        };
+        sync.push_round(LocalNanos(1), LocalNanos(2), LocalNanos(3));
+        sync.push_round(LocalNanos(7), LocalNanos(8), LocalNanos(9));
+        // Two samples a round, host → reference first, in round order.
+        let legs = sync
+            .samples
+            .iter()
+            .map(|s| (s.from_reference, s.send.0, s.recv.0));
+        assert!(legs.eq([(false, 1, 2), (true, 2, 3), (false, 7, 8), (true, 8, 9)]));
     }
 
     #[test]

@@ -15,15 +15,6 @@ use std::any::Any;
 /// `std::panic!` payloads are `&'static str` (literal message) or `String`
 /// (formatted message); anything else — `panic_any` with an arbitrary
 /// value — degrades to a fixed placeholder rather than being dropped.
-///
-/// # Examples
-///
-/// ```
-/// use loki_runtime::contain::panic_note;
-///
-/// let err = std::panic::catch_unwind(|| panic!("boom")).unwrap_err();
-/// assert_eq!(panic_note(err.as_ref()), "boom");
-/// ```
 pub fn panic_note(payload: &(dyn Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&'static str>() {
         (*message).to_owned()

@@ -26,9 +26,9 @@
 use crate::harness::CampaignError;
 use crate::messages::{NotifyRouting, RtMsg, SmTargets};
 use crate::node::{AppFactory, NodeActor};
-use crate::store::{ExperimentControl, NodeDirectory, SyncCollector, TimelineStore};
+use crate::store::{ExperimentControl, NodeDirectory, TimelineStore};
 use crate::wiring::Wiring;
-use loki_core::campaign::{Receiver, Warning};
+use loki_core::campaign::{ExperimentEnd, Receiver, Warning};
 use loki_core::ids::{EventId, HostId, SmId, StateId, SymbolTable};
 use loki_core::recorder::{RecordKind, TimelineRecord};
 use loki_core::study::Study;
@@ -55,11 +55,10 @@ pub(crate) struct ExpCtx {
     pub routing: NotifyRouting,
     /// The "NFS-mounted" timeline storage.
     pub store: TimelineStore,
-    /// Sync mini-phase sample collector.
-    pub collector: SyncCollector,
     /// Runtime warnings of the running experiment (see [`ExpCtx::warn`]).
     pub warnings: RefCell<Vec<Warning>>,
-    /// Control block between the central daemon and the harness.
+    /// How the experiment ended, as the central daemon, the nodes and
+    /// the harness mark it.
     pub control: ExperimentControl,
     /// The application's name service.
     pub directory: NodeDirectory,
@@ -68,10 +67,6 @@ pub(crate) struct ExpCtx {
     pub wiring: Arc<Wiring>,
     /// Finished experiments' actors, kept for reuse (see [`ActorPool`]).
     pub pool: ActorPool,
-    /// Simulation events processed by finished experiments on this
-    /// context (accumulated at assembly; feeds the all-in ns/event
-    /// diagnostics).
-    pub events: Cell<u64>,
 }
 
 impl ExpCtx {
@@ -88,14 +83,12 @@ impl ExpCtx {
             symbols,
             factory,
             routing,
-            store: TimelineStore::new(),
-            collector: SyncCollector::new(),
+            store: TimelineStore::default(),
             warnings: RefCell::default(),
-            control: ExperimentControl::new(),
-            directory: NodeDirectory::new(),
+            control: ExperimentControl::default(),
+            directory: NodeDirectory::default(),
             wiring,
             pool: ActorPool::default(),
-            events: Cell::new(0),
         }
     }
 
@@ -713,7 +706,7 @@ impl CentralDaemon {
                 }
                 if !self.done && self.ends.len() == self.ctx.wiring.unique().len() {
                     self.done = true;
-                    self.ctx.control.mark_completed();
+                    self.ctx.control.mark(ExperimentEnd::Completed);
                     self.shutdown(ctx);
                 }
             }
@@ -734,7 +727,7 @@ impl CentralDaemon {
                                       // experiment armed and never removed.
                 ctx.clear_net_faults();
                 self.done = true;
-                self.ctx.control.mark_timed_out();
+                self.ctx.control.mark(ExperimentEnd::TimedOut);
                 for &daemon in self.ctx.wiring.unique() {
                     ctx.send(daemon, RtMsg::KillAllNodes);
                 }
@@ -755,7 +748,7 @@ impl CentralDaemon {
             // sending kill instructions through the network.
             ctx.clear_net_faults();
             self.done = true;
-            self.ctx.control.mark_aborted();
+            self.ctx.control.mark(ExperimentEnd::Aborted);
             for &daemon in self.ctx.wiring.unique() {
                 if ctx.is_alive(daemon) {
                     ctx.send(daemon, RtMsg::KillAllNodes);

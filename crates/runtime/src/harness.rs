@@ -44,11 +44,11 @@ pub enum CampaignError {
     /// places a machine on a host the configuration does not have, or
     /// [`SimHarnessConfig::kill_daemon`] names a host index past the list.
     Hosts(String),
-    /// The worker-count configuration is invalid
-    /// ([`SimHarnessConfig::workers`] / `LOKI_WORKERS`).
+    /// The worker count is zero: [`SimHarnessConfig::workers`] is
+    /// `Some(0)`, or [`CampaignPipeline::run_tapped_with_workers`] was
+    /// asked for no workers.
     Workers(String),
-    /// The batch-size configuration is invalid
-    /// ([`SimHarnessConfig::batch`] / `LOKI_BATCH`).
+    /// The claim chunk is zero: [`SimHarnessConfig::batch`] is `Some(0)`.
     Batch(String),
     /// The pipeline's analysis options are invalid: an unusable sync β box
     /// or slack ([`loki_clock::sync::SyncOptions::validate`]).
@@ -102,19 +102,16 @@ pub struct SimHarnessConfig {
     /// ([`CampaignPipeline::run_tapped_with_workers`] takes its count as an
     /// argument instead): `Some(n)` forces `n` workers, the calling thread
     /// included (`Some(1)` runs sequentially on it); `None` uses the
-    /// `LOKI_WORKERS` environment variable if set, otherwise the machine's
-    /// available parallelism. `Some(0)` and unparseable `LOKI_WORKERS`
-    /// values are rejected as [`CampaignError::Workers`] — a silent
-    /// fallback would hide a misconfigured campaign. Simulation results
-    /// are identical for every worker count — each experiment is fully
-    /// determined by `(seed, experiment_index)`.
+    /// machine's available parallelism. Never more workers than
+    /// experiments. `Some(0)` is rejected as [`CampaignError::Workers`] — a
+    /// silent fallback would hide a misconfigured campaign. Simulation
+    /// results are identical for every worker count — each experiment is
+    /// fully determined by `(seed, experiment_index)`.
     pub workers: Option<usize>,
     /// Consecutive experiment indices a [`CampaignPipeline`] worker claims
     /// at a time; it runs them one after another on its one reset-reused
     /// world. `Some(k)` forces chunks of `k` (a chunk larger than the
-    /// campaign is the campaign); `None` uses the `LOKI_BATCH`
-    /// environment variable if set, otherwise 1. `Some(0)` and
-    /// unparseable `LOKI_BATCH` values are rejected as
+    /// campaign is the campaign); `None` means 1. `Some(0)` is rejected as
     /// [`CampaignError::Batch`], exactly like `workers`. Study results are
     /// byte-identical for every chunk size — it only changes which worker
     /// runs which index, and no workload measures a gain from it: the
@@ -229,20 +226,24 @@ struct SimStudy<'a> {
     wiring: Arc<Wiring>,
 }
 
-/// The per-experiment state riding alongside a world: the pre-sync
-/// samples, held until assembly, plus the single shared [`ExpCtx`] the
-/// runtime actors write into.
+/// The per-experiment state riding alongside a world: the samples of both
+/// sync mini-phases, which only the harness touches, plus the single
+/// shared [`ExpCtx`] the runtime actors write into.
 ///
-/// Every store drains (in deterministic order) into [`ExperimentData`] at
+/// Everything drains (in deterministic order) into [`ExperimentData`] at
 /// assembly, so a script's context is empty again when its experiment
 /// finishes — [`drive_chunked`] recycles the whole script for the next
 /// experiment, keeping the context's `Rc` block, its stores' capacities,
-/// and its pooled actors instead of reallocating them. Drain orders
-/// are index-determined and lookups are key-addressed, so recycling is
-/// unobservable in results.
+/// and its pooled actors instead of reallocating them; the finished
+/// data's timeline shells and sync runs come back to it after analysis.
+/// Drain orders are index-determined and lookups are key-addressed, so
+/// recycling is unobservable in results.
 struct ExpScript {
     experiment: u32,
+    /// Both mini-phases' runs, as [`SimStudy::sync_phase`] leaves them;
+    /// between experiments, the last experiment's runs awaiting reuse.
     pre_sync: Vec<HostSync>,
+    post_sync: Vec<HostSync>,
     ctx: Rc<ExpCtx>,
 }
 
@@ -331,7 +332,7 @@ impl<'a> SimStudy<'a> {
     /// Recycles a finished experiment's script when one is available: the
     /// context's `Rc` block, store capacities, and pooled actors
     /// survive, the *contents* are reset (an aborted experiment can leave
-    /// directory entries and control flags behind).
+    /// directory entries behind).
     fn begin_with(
         &self,
         sim: &mut World,
@@ -346,13 +347,13 @@ impl<'a> SimStudy<'a> {
         let mut script = match recycled {
             Some(mut script) => {
                 script.experiment = experiment;
-                script.ctx.control.reset();
                 script.ctx.directory.clear();
                 script
             }
             None => ExpScript {
                 experiment,
                 pre_sync: Vec::new(),
+                post_sync: Vec::new(),
                 ctx: Rc::new(ExpCtx::new(
                     self.study.clone(),
                     self.world.symbols().clone(),
@@ -362,8 +363,7 @@ impl<'a> SimStudy<'a> {
                 )),
             },
         };
-        self.sync_phase(sim, &script.ctx);
-        script.pre_sync = script.ctx.collector.drain();
+        self.sync_phase(sim, &mut script.pre_sync);
         if sim.budget_exceeded().is_none() {
             self.spawn_runtime(sim, &script);
         }
@@ -391,23 +391,24 @@ impl<'a> SimStudy<'a> {
             // armed. Belt to the central daemon's braces — it already
             // heals on every teardown path.
             sim.clear_net_faults();
-            self.sync_phase(sim, &script.ctx);
+            self.sync_phase(sim, &mut script.post_sync);
+        } else {
+            // No post-sync phase: drop the recycled runs' stale samples.
+            script.post_sync.clear();
         }
-        let ctx = &script.ctx;
-        let (events, now) = (sim.events_processed(), sim.now());
         if let Some(exceeded) = sim.budget_exceeded() {
             let failure = match exceeded {
                 BudgetExceeded::VirtualTime => ExperimentFailure::BudgetVirtualTime,
                 BudgetExceeded::Events => ExperimentFailure::BudgetEvents,
             };
-            ctx.control.mark_failed(failure);
+            let ctx = &script.ctx;
+            ctx.control.mark(ExperimentEnd::Failed(failure));
             ctx.warn(Warning::BudgetTrip {
                 failure,
-                events,
-                at_ns: now,
+                events: sim.events_processed(),
+                at_ns: sim.now(),
             });
         }
-        ctx.events.set(ctx.events.get() + events);
         self.assemble(script)
     }
 
@@ -426,13 +427,26 @@ impl<'a> SimStudy<'a> {
         self.on_drained(sim, script)
     }
 
-    /// Plays one sync mini-phase (§2.5/§5.7) on the drained world: every
-    /// calibrated host exchanges `sync_rounds` ping/echo rounds with the
-    /// reference host, each round's three timestamps going to the
-    /// collector as two samples. The phase runs on an otherwise idle
-    /// system (messages are exchanged before and after the experiment),
-    /// so endpoints are dispatched without scheduling delay.
-    fn sync_phase(&self, sim: &mut World, ctx: &ExpCtx) {
+    /// Plays one sync mini-phase (§2.5/§5.7) on the drained world into
+    /// `runs`: every calibrated host exchanges `sync_rounds` ping/echo
+    /// rounds with the reference host, each round's three timestamps going
+    /// to that host's run as two samples. The phase runs on an otherwise
+    /// idle system (messages are exchanged before and after the
+    /// experiment), so endpoints are dispatched without scheduling delay.
+    ///
+    /// `runs` comes in holding a finished experiment's runs (or nothing)
+    /// and leaves holding one run per initiator that got a round, in
+    /// host-id order.
+    fn sync_phase(&self, sim: &mut World, runs: &mut Vec<HostSync>) {
+        // The hosts are assigned right below; the placeholder never shows.
+        runs.resize_with(self.initiators.len(), || HostSync {
+            host: self.reference,
+            samples: Vec::new(),
+        });
+        for (run, &host) in runs.iter_mut().zip(&self.initiators) {
+            run.host = host;
+            run.samples.clear();
+        }
         sim.set_sched_enabled(false);
         sim.run_exchanges(
             self.reference,
@@ -440,15 +454,11 @@ impl<'a> SimStudy<'a> {
             self.cfg.sync_rounds,
             self.cfg.sync_interval_ns,
             |round| {
-                ctx.collector.push_round(
-                    self.initiators[round.initiator],
-                    round.ping_sent,
-                    round.echoed,
-                    round.echo_received,
-                );
+                runs[round.initiator].push_round(round.ping_sent, round.echoed, round.echo_received)
             },
         );
         sim.set_sched_enabled(true);
+        runs.retain(|run| !run.samples.is_empty());
     }
 
     /// Spawns the runtime phase: local daemons per the routing design,
@@ -489,21 +499,12 @@ impl<'a> SimStudy<'a> {
         }
     }
 
-    /// Packs a finished experiment's stores into [`ExperimentData`]. A
+    /// Packs a finished experiment's stores and sync runs into
+    /// [`ExperimentData`]. Its end is the one the control block took: a
     /// recorded containment failure trumps every other end — a run that
     /// panicked *and* "completed" during teardown is still a failed run.
     fn assemble(&self, script: &mut ExpScript) -> ExperimentData {
         let ctx = &script.ctx;
-        let post_sync = ctx.collector.drain();
-        let end = if let Some(failure) = ctx.control.failure() {
-            ExperimentEnd::Failed(failure)
-        } else if ctx.control.completed() {
-            ExperimentEnd::Completed
-        } else if ctx.control.timed_out() {
-            ExperimentEnd::TimedOut
-        } else {
-            ExperimentEnd::Aborted
-        };
         ExperimentData {
             experiment: script.experiment,
             timelines: ctx.store.drain(),
@@ -511,8 +512,8 @@ impl<'a> SimStudy<'a> {
             reference_host: self.reference,
             symbols: self.world.symbols().clone(),
             pre_sync: std::mem::take(&mut script.pre_sync),
-            post_sync,
-            end,
+            post_sync: std::mem::take(&mut script.post_sync),
+            end: ctx.control.take(),
             warnings: std::mem::take(&mut *ctx.warnings.borrow_mut()),
         }
     }
@@ -536,69 +537,33 @@ impl<'a> SimStudy<'a> {
     }
 }
 
-/// Resolves the worker count for a study: explicit config, then the
-/// `LOKI_WORKERS` environment variable, then the machine's available
-/// parallelism. Never more workers than experiments.
-///
-/// `Some(0)` and an unparseable `LOKI_WORKERS` resolve to
-/// [`CampaignError::Workers`] — a silent fallback would run a
-/// misconfigured campaign with a surprise worker count.
+/// Resolves the worker count for a study: the config's, otherwise the
+/// machine's available parallelism; never more workers than experiments.
+/// `Some(0)` is a [`CampaignError::Workers`].
 fn resolve_workers(cfg: &SimHarnessConfig, experiments: u32) -> Result<usize, CampaignError> {
-    let env = std::env::var("LOKI_WORKERS").ok();
-    worker_count(cfg.workers, env.as_deref(), experiments).map_err(CampaignError::Workers)
+    let workers = match cfg.workers {
+        Some(0) => return Err(CampaignError::Workers(zero_knob("worker count", "workers"))),
+        Some(n) => n,
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    Ok(workers.clamp(1, experiments.max(1) as usize))
 }
 
-/// The pure worker-count resolution; see [`resolve_workers`].
-fn worker_count(
-    explicit: Option<usize>,
-    env: Option<&str>,
-    experiments: u32,
-) -> Result<usize, String> {
-    let requested = pool_knob("worker count", "workers", "LOKI_WORKERS", explicit, env)?
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    Ok(requested.clamp(1, experiments.max(1) as usize))
-}
-
-/// Resolves the per-worker batch size of a simulated campaign: explicit
-/// config, then the `LOKI_BATCH` environment variable, then 1.
-///
-/// `Some(0)` and an unparseable `LOKI_BATCH` resolve to
-/// [`CampaignError::Batch`] — the same loud-failure policy as
-/// [`resolve_workers`].
+/// Resolves the claim chunk of a campaign: the config's, otherwise 1.
+/// `Some(0)` is a [`CampaignError::Batch`].
 fn resolve_batch(cfg: &SimHarnessConfig) -> Result<usize, CampaignError> {
-    let env = std::env::var("LOKI_BATCH").ok();
-    batch_size(cfg.batch, env.as_deref()).map_err(CampaignError::Batch)
-}
-
-/// The pure batch-size resolution; see [`resolve_batch`].
-fn batch_size(explicit: Option<usize>, env: Option<&str>) -> Result<usize, String> {
-    Ok(pool_knob("batch size", "batch", "LOKI_BATCH", explicit, env)?.unwrap_or(1))
-}
-
-/// What both pool-shape knobs have in common: the explicit config value
-/// wins, then the environment variable `var`; `None` leaves the default to
-/// the caller. A zero or an unparseable variable is an error.
-fn pool_knob(
-    what: &str,
-    field: &str,
-    var: &str,
-    explicit: Option<usize>,
-    env: Option<&str>,
-) -> Result<Option<usize>, String> {
-    match (explicit, env) {
-        (Some(0), _) => Err(format!(
-            "loki: {what} must be at least 1 (config has `{field}: Some(0)`); \
-             use `None` for the default"
-        )),
-        (Some(n), _) => Ok(Some(n)),
-        (None, Some(raw)) => match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(format!(
-                "loki: {var} must be a positive integer, got {raw:?}"
-            )),
-        },
-        (None, None) => Ok(None),
+    match cfg.batch {
+        Some(0) => Err(CampaignError::Batch(zero_knob("batch size", "batch"))),
+        batch => Ok(batch.unwrap_or(1)),
     }
+}
+
+/// The message for a pool-shape `field` configured as `Some(0)`.
+fn zero_knob(what: &str, field: &str) -> String {
+    format!(
+        "loki: {what} must be at least 1 (config has `{field}: Some(0)`); \
+         use `None` for the default"
+    )
 }
 
 /// Aggregate counters of one [`CampaignPipeline`] run.
@@ -730,10 +695,10 @@ impl RetentionGauge {
     }
 }
 
-/// Cross-worker accumulator for the recycling counters reported in
+/// Cross-worker accumulator for the counters reported in
 /// [`PipelineSummary`]. Workers absorb each experiment context's cheap
-/// `Cell` counters once, when the context retires at the end of
-/// [`drive_chunked`] — not per experiment.
+/// `Cell` counters once, when the context retires, and add their events
+/// once, when [`drive_chunked`] ends — not per experiment.
 #[derive(Default)]
 struct PoolStats {
     actor_reuses: AtomicU64,
@@ -750,15 +715,14 @@ impl PoolStats {
             .fetch_add(ctx.pool.reuses(), Ordering::Relaxed);
         self.timeline_reuses
             .fetch_add(ctx.store.shell_reuses(), Ordering::Relaxed);
-        self.events.fetch_add(ctx.events.get(), Ordering::Relaxed);
     }
 }
 
 /// One worker's experiment loop: claim a chunk
 /// of `chunk` consecutive experiment indices from the shared counter, run
 /// each through [`SimStudy::run_one`] on the worker's one reset-reused
-/// world, hand it to `process`, repeat until the claim counter passes
-/// `experiments`.
+/// world, hand it to `process` together with the script to reclaim its
+/// buffers into, repeat until the claim counter passes `experiments`.
 ///
 /// The world's slabs and the experiment script persist across
 /// experiments — after the first one a worker's steady state allocates
@@ -785,7 +749,7 @@ fn drive_chunked(
     next_claim: &AtomicU32,
     gauge: &RetentionGauge,
     stats: &PoolStats,
-    mut process: impl FnMut(u32, ExperimentData, Option<&ExpCtx>) -> bool,
+    mut process: impl FnMut(u32, ExperimentData, Option<&mut ExpScript>) -> bool,
 ) {
     let fresh_world = || Simulation::closed(sim_study.world.clone(), 0);
     let mut sim = fresh_world();
@@ -793,6 +757,7 @@ fn drive_chunked(
     // one: in steady state a worker reallocates none of the per-experiment
     // scaffolding.
     let mut script: Option<ExpScript> = None;
+    let mut events = 0;
     'run: loop {
         // Relaxed suffices: the claim is the only shared state, and the
         // result hand-off orders everything else.
@@ -805,14 +770,17 @@ fn drive_chunked(
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 sim_study.run_one(&mut sim, k, &mut script)
             }));
+            if outcome.is_ok() {
+                events += sim.events_processed();
+            }
             // An unwind leaves the experiment without data — hand on a
-            // typed stand-in — and without a context to reclaim into.
-            let ctx = script.as_ref().filter(|_| outcome.is_ok()).map(|s| &*s.ctx);
+            // typed stand-in — and without a script to reclaim into.
+            let reclaim = script.as_mut().filter(|_| outcome.is_ok());
             let data = outcome.unwrap_or_else(|payload| {
                 sim_study.failed_data(k, crate::contain::panic_note(payload.as_ref()))
             });
             let failed = matches!(data.end, ExperimentEnd::Failed(_));
-            let keep_going = process(k, data, ctx);
+            let keep_going = process(k, data, reclaim);
             if failed {
                 // An unwind out of `begin_with` leaves no script behind,
                 // only the half-loaded world.
@@ -832,6 +800,7 @@ fn drive_chunked(
     if let Some(script) = &script {
         stats.absorb(&script.ctx);
     }
+    stats.events.fetch_add(events, Ordering::Relaxed);
 }
 
 /// The streaming campaign pipeline: execution, global-timeline
@@ -997,12 +966,12 @@ impl CampaignPipeline {
 
         // The back half of the fused flow, on the worker that ran the
         // experiment: analyze → tap → reclaim the raw data's buffers into
-        // the worker's context (if the engine did not unwind) → drop; the
+        // the worker's script (if the engine did not unwind) → drop; the
         // retention gauge brackets it from claim to here. Analysis runs
         // contained: a panicking analysis (conceivable on a failed
         // experiment's partial timelines) downgrades that one result to a
         // harness failure instead of killing the campaign.
-        let finish = |mut data: ExperimentData, ctx: Option<&ExpCtx>| -> (AnalyzedExperiment, T) {
+        let finish = |mut data: ExperimentData, script: Option<&mut ExpScript>| {
             let analyzed = catch_unwind(AssertUnwindSafe(|| {
                 analyze_one(&self.study, &data, &self.analysis)
             }))
@@ -1015,10 +984,11 @@ impl CampaignPipeline {
                 error: None,
             });
             let tapped = tap(&data);
-            if let Some(ctx) = ctx {
-                ctx.store.reclaim(std::mem::take(&mut data.timelines));
-                ctx.collector.reclaim(std::mem::take(&mut data.pre_sync));
-                ctx.collector.reclaim(std::mem::take(&mut data.post_sync));
+            if let Some(script) = script {
+                let timelines = std::mem::take(&mut data.timelines);
+                script.ctx.store.reclaim(timelines);
+                script.pre_sync = std::mem::take(&mut data.pre_sync);
+                script.post_sync = std::mem::take(&mut data.post_sync);
             }
             gauge.dec();
             (analyzed, tapped)
@@ -1033,7 +1003,7 @@ impl CampaignPipeline {
                 &next_claim,
                 &gauge,
                 &stats,
-                |k, data, ctx| emit(k, finish(data, ctx)),
+                |k, data, script| emit(k, finish(data, script)),
             )
         };
 
@@ -1113,69 +1083,61 @@ impl CampaignPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loki_clock::sync::{estimate_alpha_beta, SyncOptions};
+    use loki_core::spec::{StateMachineSpec, StudyDef};
+
+    fn workers(workers: Option<usize>, experiments: u32) -> Result<usize, CampaignError> {
+        resolve_workers(
+            &SimHarnessConfig {
+                workers,
+                ..Default::default()
+            },
+            experiments,
+        )
+    }
+
+    fn batch(batch: Option<usize>) -> Result<usize, CampaignError> {
+        resolve_batch(&SimHarnessConfig {
+            batch,
+            ..Default::default()
+        })
+    }
 
     #[test]
     fn worker_count_prefers_explicit_config() {
-        assert_eq!(worker_count(Some(3), Some("7"), 100), Ok(3));
+        assert_eq!(workers(Some(3), 100), Ok(3));
         // Clamped to the experiment count.
-        assert_eq!(worker_count(Some(64), None, 4), Ok(4));
-        assert_eq!(worker_count(Some(2), None, 0), Ok(1));
+        assert_eq!(workers(Some(64), 4), Ok(4));
+        assert_eq!(workers(Some(2), 0), Ok(1));
     }
 
     #[test]
     fn worker_count_rejects_zero_config() {
-        let err = worker_count(Some(0), None, 8).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-    }
-
-    #[test]
-    fn worker_count_parses_env() {
-        assert_eq!(worker_count(None, Some("5"), 100), Ok(5));
-        assert_eq!(worker_count(None, Some(" 2 "), 100), Ok(2));
-    }
-
-    #[test]
-    fn worker_count_rejects_bad_env() {
-        for bad in ["0", "-1", "many", "", "3.5"] {
-            let err = worker_count(None, Some(bad), 8).unwrap_err();
-            assert!(err.contains("LOKI_WORKERS"), "{bad:?}: {err}");
-            assert!(err.contains(bad), "{bad:?}: {err}");
-        }
+        let err = workers(Some(0), 8).unwrap_err();
+        assert!(matches!(err, CampaignError::Workers(_)), "{err:?}");
+        assert!(err.to_string().contains("at least 1"), "{err}");
     }
 
     #[test]
     fn worker_count_defaults_to_available_parallelism() {
-        let n = worker_count(None, None, 1_000_000).unwrap();
-        assert!(n >= 1);
+        assert!(workers(None, 1_000_000).unwrap() >= 1);
     }
 
     #[test]
     fn batch_size_prefers_explicit_config() {
-        assert_eq!(batch_size(Some(4), Some("7")), Ok(4));
-        assert_eq!(batch_size(Some(1), None), Ok(1));
+        assert_eq!(batch(Some(4)), Ok(4));
+        assert_eq!(batch(Some(1)), Ok(1));
+        assert_eq!(batch(None), Ok(1));
     }
 
     #[test]
     fn batch_size_rejects_zero_config() {
-        let err = batch_size(Some(0), None).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        assert!(err.contains("batch"), "{err}");
-    }
-
-    #[test]
-    fn batch_size_parses_env_and_defaults_to_one() {
-        assert_eq!(batch_size(None, Some("8")), Ok(8));
-        assert_eq!(batch_size(None, Some(" 2 ")), Ok(2));
-        assert_eq!(batch_size(None, None), Ok(1));
-    }
-
-    #[test]
-    fn batch_size_rejects_bad_env() {
-        for bad in ["0", "-1", "many", "", "3.5"] {
-            let err = batch_size(None, Some(bad)).unwrap_err();
-            assert!(err.contains("LOKI_BATCH"), "{bad:?}: {err}");
-            assert!(err.contains(bad), "{bad:?}: {err}");
-        }
+        let err = batch(Some(0)).unwrap_err();
+        assert!(matches!(err, CampaignError::Batch(_)), "{err:?}");
+        assert!(
+            err.to_string().contains("batch size must be at least 1"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1185,5 +1147,65 @@ mod tests {
             SimHarnessConfig::three_hosts(0).reference_host(),
             Some("host1")
         );
+    }
+
+    /// Plays one sync mini-phase of `cfg`'s hosts into `runs`, on a fresh
+    /// world of a study whose one machine never starts.
+    fn play_sync(cfg: &SimHarnessConfig, runs: &mut Vec<HostSync>) {
+        let def =
+            StudyDef::new("sync").machine(StateMachineSpec::builder("m").states(&["UP"]).build());
+        let study = Study::compile_arc(&def).unwrap();
+        let factory: AppFactory = Arc::new(|_: &Study, _| -> Box<dyn crate::node::App> {
+            unreachable!("no node starts")
+        });
+        let sim_study = SimStudy::new(&study, &factory, cfg).unwrap();
+        let mut sim = Simulation::closed(sim_study.world.clone(), cfg.seed);
+        sim_study.sync_phase(&mut sim, runs);
+    }
+
+    /// A mini-phase files two samples a round, host → reference first, per
+    /// calibrated host in host-id order, and the bounds they give contain
+    /// the true clock relation.
+    #[test]
+    fn exchange_rounds_yield_sound_bounds() {
+        let cfg = SimHarnessConfig {
+            sync_rounds: 15,
+            ..SimHarnessConfig::three_hosts(11)
+        };
+        let mut runs = Vec::new();
+        play_sync(&cfg, &mut runs);
+        let hosts: Vec<u32> = runs.iter().map(|run| run.host.raw()).collect();
+        assert_eq!(hosts, [1, 2], "host1 is the reference");
+        for run in &runs {
+            assert_eq!(run.samples.len(), 30); // two per round
+            let legs = run.samples.iter().map(|sample| sample.from_reference);
+            assert!(legs.eq([false, true].into_iter().cycle().take(30)));
+            let bounds = estimate_alpha_beta(&run.samples, &SyncOptions::default()).unwrap();
+            let clock = &cfg.hosts[run.host.raw() as usize].clock;
+            let (alpha, beta) = clock.relative_to(&cfg.hosts[0].clock);
+            assert!(
+                bounds.contains(alpha, beta),
+                "{bounds:?} vs ({alpha},{beta})"
+            );
+        }
+    }
+
+    /// A phase on the runs a finished experiment handed back refills the
+    /// same buffers, and a phase in which no host gets a round files no
+    /// run at all, whatever it was handed.
+    #[test]
+    fn sync_runs_are_recycled_and_empty_hosts_skipped() {
+        let mut cfg = SimHarnessConfig::three_hosts(3);
+        let mut runs = Vec::new();
+        play_sync(&cfg, &mut runs);
+        let buffers: Vec<_> = runs.iter().map(|run| run.samples.as_ptr()).collect();
+        play_sync(&cfg, &mut runs);
+        let refilled = runs.iter().map(|run| run.samples.as_ptr());
+        assert!(refilled.eq(buffers), "runs not reused");
+        assert!(runs.iter().all(|run| run.samples.len() == 40));
+
+        cfg.sync_rounds = 0;
+        play_sync(&cfg, &mut runs);
+        assert!(runs.is_empty(), "{runs:?}");
     }
 }

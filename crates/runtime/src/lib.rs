@@ -26,21 +26,22 @@
 //! The synchronization mini-phases before and after each experiment have
 //! no module of their own: the harness plays them in closed form inside
 //! the engine ([`loki_sim::engine::Simulation::run_exchanges`]) and files
-//! each round's timestamps into [`store::SyncCollector`].
+//! each round's timestamps with
+//! [`HostSync::push_round`](loki_core::campaign::HostSync::push_round).
 //!
 //! The runtime communicates exclusively through simulated messages with
-//! realistic scheduling and link delays; the shared stores in [`store`]
+//! realistic scheduling and link delays; the experiment's shared stores
 //! model the thesis's NFS-mounted timeline files, not a covert channel.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod contain;
+mod contain;
 pub mod daemons;
 pub mod harness;
 pub mod messages;
 pub mod node;
-pub mod store;
+mod store;
 mod wiring;
 
 pub use daemons::{RestartPlacement, RestartPolicy};

@@ -8,10 +8,9 @@
 //! [`NodeCtx`], which pairs the simulator's actor context with that
 //! runtime: state notifications route through the configured §3.4.1
 //! design (local daemon, direct, or centralized), timelines live in the
-//! shared [`TimelineStore`](crate::store::TimelineStore) (the thesis's
-//! NFS-mounted files, so the local daemon can append crash records after
-//! the node dies), and timers, clocks and the RNG come from the
-//! deterministic simulation.
+//! experiment's shared timeline store (the thesis's NFS-mounted files, so
+//! the local daemon can append crash records after the node dies), and
+//! timers, clocks and the RNG come from the deterministic simulation.
 //!
 //! The probe interface mirrors the thesis exactly: the application calls
 //! [`NodeCtx::notify_event`] where the thesis's probe calls
@@ -20,7 +19,7 @@
 
 use crate::daemons::{ExpCtx, RtCtx};
 use crate::messages::{NotifyRouting, RtMsg, SmTargets};
-use loki_core::campaign::{ExperimentFailure, Receiver, Warning};
+use loki_core::campaign::{ExperimentEnd, ExperimentFailure, Receiver, Warning};
 use loki_core::error::CoreError;
 use loki_core::fault::FaultParser;
 use loki_core::ids::{FaultId, SmId, StateId};
@@ -186,7 +185,8 @@ impl NodeActor {
         }));
         if let Err(payload) = outcome {
             let note = crate::contain::panic_note(payload.as_ref());
-            self.rt.ctx.control.mark_failed(ExperimentFailure::AppPanic);
+            let failed = ExperimentEnd::Failed(ExperimentFailure::AppPanic);
+            self.rt.ctx.control.mark(failed);
             self.rt.ctx.warn(Warning::AppPanic {
                 sm: self.rt.me,
                 note,

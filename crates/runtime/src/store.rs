@@ -12,12 +12,11 @@
 //! `Rc<ExpCtx>`, so an actor clone is one refcount bump and a field
 //! access is one pointer chase. State machine and host ids are dense per
 //! study, so the stores index by raw id instead of hashing, and every
-//! drain emits ascending-id order without a sort. Recycled containers
-//! (timeline shells, sync-sample runs) keep their capacity across
-//! experiments — the campaign driver's steady state allocates nothing
-//! here.
+//! drain emits ascending-id order without a sort. Recycled timeline
+//! shells keep their capacity across experiments — the campaign driver's
+//! steady state allocates nothing here.
 
-use loki_core::campaign::{ExperimentFailure, HostSync, SyncSample};
+use loki_core::campaign::ExperimentEnd;
 use loki_core::ids::{HostId, SmId};
 use loki_core::recorder::LocalTimeline;
 use loki_core::time::LocalNanos;
@@ -33,20 +32,6 @@ use std::cell::{Cell, RefCell};
 /// before allocating a new one. A recycled shell is observationally
 /// identical to a fresh timeline — contents are fully reset, only
 /// capacity is retained.
-///
-/// # Examples
-///
-/// ```
-/// use loki_core::ids::Id;
-/// use loki_core::recorder::Recorder;
-/// use loki_runtime::store::TimelineStore;
-///
-/// let store = TimelineStore::new();
-/// let sm = Id::from_raw(0);
-/// store.put(sm, Recorder::new(sm, Id::from_raw(0)).finish());
-/// assert!(store.take(sm).is_some());
-/// assert!(store.take(sm).is_none());
-/// ```
 #[derive(Debug, Default)]
 pub struct TimelineStore {
     /// Live timelines, indexed by `SmId::raw()`.
@@ -62,11 +47,6 @@ pub struct TimelineStore {
 }
 
 impl TimelineStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        TimelineStore::default()
-    }
-
     fn slot_mut<R>(&self, sm: SmId, f: impl FnOnce(&mut Option<LocalTimeline>) -> R) -> R {
         let mut lives = self.lives.borrow_mut();
         let idx = sm.raw() as usize;
@@ -74,25 +54,6 @@ impl TimelineStore {
             lives.resize_with(idx + 1, || None);
         }
         f(&mut lives[idx])
-    }
-
-    /// Stores (replaces) the timeline for `sm`.
-    pub fn put(&self, sm: SmId, timeline: LocalTimeline) {
-        self.slot_mut(sm, |slot| *slot = Some(timeline));
-    }
-
-    /// Removes and returns the timeline for `sm` (used by a restarting node
-    /// to resume its timeline, and by the harness to collect results).
-    pub fn take(&self, sm: SmId) -> Option<LocalTimeline> {
-        self.slot_mut(sm, |slot| slot.take())
-    }
-
-    /// Whether a timeline exists for `sm` (restart detection, §3.6.3).
-    pub fn contains(&self, sm: SmId) -> bool {
-        self.lives
-            .borrow()
-            .get(sm.raw() as usize)
-            .is_some_and(|slot| slot.is_some())
     }
 
     /// Applies `f` to the stored timeline for `sm` (e.g. the daemon
@@ -159,164 +120,33 @@ impl TimelineStore {
     }
 }
 
-/// Collector for synchronization samples, dense by calibrated host.
-///
-/// Sample runs drained into [`HostSync`] records come back through
-/// [`SyncCollector::reclaim`], so in steady state a push reuses a
-/// previously-sized run instead of growing a fresh one.
-#[derive(Debug, Default)]
-pub struct SyncCollector {
-    /// Pending samples, indexed by `HostId::raw()`.
-    samples: RefCell<Vec<Vec<SyncSample>>>,
-    /// Recycled sample runs with retained capacity.
-    spare_runs: RefCell<Vec<Vec<SyncSample>>>,
-    /// Recycled outer vectors for [`SyncCollector::drain`].
-    spare_drain: RefCell<Vec<Vec<HostSync>>>,
-}
-
-impl SyncCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        SyncCollector::default()
-    }
-
-    /// Appends the two samples of one ping/echo round for `host`, under
-    /// one borrow: the machine → reference leg (`ping_sent` on the host's
-    /// clock, `echoed` on the reference's), then the reference → machine
-    /// leg (`echoed`, `echo_received`) — the reference echoes in the
-    /// instant it receives.
-    pub fn push_round(
-        &self,
-        host: HostId,
-        ping_sent: LocalNanos,
-        echoed: LocalNanos,
-        echo_received: LocalNanos,
-    ) {
-        let mut samples = self.samples.borrow_mut();
-        let idx = host.raw() as usize;
-        if idx >= samples.len() {
-            samples.resize_with(idx + 1, Vec::new);
-        }
-        let run = &mut samples[idx];
-        if run.capacity() == 0 {
-            // First round of this host's mini-phase: start on a recycled
-            // run so its capacity survives across experiments.
-            if let Some(recycled) = self.spare_runs.borrow_mut().pop() {
-                *run = recycled;
-            }
-        }
-        run.push(SyncSample {
-            from_reference: false,
-            send: ping_sent,
-            recv: echoed,
-        });
-        run.push(SyncSample {
-            from_reference: true,
-            send: echoed,
-            recv: echo_received,
-        });
-    }
-
-    /// Drains all samples into per-host records, in host-id order (the
-    /// deterministic configuration order of the hosts). Hosts without
-    /// samples are skipped, exactly like the keyed collector this
-    /// replaced.
-    pub fn drain(&self) -> Vec<HostSync> {
-        let mut out = self.spare_drain.borrow_mut().pop().unwrap_or_default();
-        for (idx, run) in self.samples.borrow_mut().iter_mut().enumerate() {
-            if !run.is_empty() {
-                out.push(HostSync {
-                    host: HostId::from_raw(idx as u32),
-                    samples: std::mem::take(run),
-                });
-            }
-        }
-        out
-    }
-
-    /// Returns drained [`HostSync`] records to the run pool: sample runs
-    /// are cleared (capacity retained) and the outer vector feeds future
-    /// [`SyncCollector::drain`] calls.
-    pub fn reclaim(&self, mut drained: Vec<HostSync>) {
-        let mut spare = self.spare_runs.borrow_mut();
-        for mut sync in drained.drain(..) {
-            sync.samples.clear();
-            spare.push(std::mem::take(&mut sync.samples));
-        }
-        self.spare_drain.borrow_mut().push(drained);
-    }
-}
-
-/// Shared control block between the central daemon and the harness.
+/// How the experiment ended, as far as anything has decided it: the one
+/// cell the central daemon, the node actors and the harness share.
 #[derive(Debug, Default)]
 pub struct ExperimentControl {
-    timed_out: Cell<bool>,
-    aborted: Cell<bool>,
-    completed: Cell<bool>,
-    /// Containment outcome: set when the experiment failed abnormally
-    /// (application panic, harness error, budget trip). First failure
-    /// wins — later marks never overwrite the original cause.
-    failed: Cell<Option<ExperimentFailure>>,
+    end: Cell<Option<ExperimentEnd>>,
 }
 
 impl ExperimentControl {
-    /// Creates a fresh control block.
-    pub fn new() -> Self {
-        ExperimentControl::default()
-    }
-
-    /// Marks the experiment as timed out.
-    pub fn mark_timed_out(&self) {
-        self.timed_out.set(true);
-    }
-
-    /// Marks the experiment as aborted (runtime abnormality).
-    pub fn mark_aborted(&self) {
-        self.aborted.set(true);
-    }
-
-    /// Marks normal completion.
-    pub fn mark_completed(&self) {
-        self.completed.set(true);
-    }
-
-    /// Whether the experiment timed out.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out.get()
-    }
-
-    /// Whether the experiment aborted abnormally.
-    pub fn aborted(&self) -> bool {
-        self.aborted.get()
-    }
-
-    /// Whether the experiment completed normally.
-    pub fn completed(&self) -> bool {
-        self.completed.get()
-    }
-
-    /// Marks the experiment as failed with a containment cause. The first
-    /// recorded failure wins: a budget trip followed by a teardown panic
+    /// Records `end`. The central daemon decides at most one end —
+    /// completion, timeout or abort (§3.5.1). A containment failure (an
+    /// application panic, a budget trip) beats it, whenever it comes, and
+    /// the first failure wins: a budget trip followed by a teardown panic
     /// still reports the budget, which is what actually ended the run.
-    pub fn mark_failed(&self, failure: ExperimentFailure) {
-        if self.failed.get().is_none() {
-            self.failed.set(Some(failure));
+    pub fn mark(&self, end: ExperimentEnd) {
+        let replaces = match self.end.get() {
+            None => true,
+            Some(marked) => marked.failure().is_none() && end.failure().is_some(),
+        };
+        if replaces {
+            self.end.set(Some(end));
         }
     }
 
-    /// The containment failure recorded for this experiment, if any.
-    pub fn failure(&self) -> Option<ExperimentFailure> {
-        self.failed.get()
-    }
-
-    /// Clears all flags so the block can serve the next experiment (the
-    /// campaign driver recycles experiment scaffolding instead of
-    /// reallocating it).
-    pub fn reset(&self) {
-        self.timed_out.set(false);
-        self.aborted.set(false);
-        self.completed.set(false);
-        self.failed.set(None);
+    /// Takes the recorded end, leaving the block unmarked for the next
+    /// experiment. An experiment nothing marked ended `Aborted`.
+    pub fn take(&self) -> ExperimentEnd {
+        self.end.take().unwrap_or(ExperimentEnd::Aborted)
     }
 }
 
@@ -330,11 +160,6 @@ pub struct NodeDirectory {
 }
 
 impl NodeDirectory {
-    /// Creates an empty directory.
-    pub fn new() -> Self {
-        NodeDirectory::default()
-    }
-
     /// Registers (or replaces) the actor embodying `sm`.
     pub fn insert(&self, sm: SmId, actor: ActorId) {
         let mut slots = self.inner.borrow_mut();
@@ -377,34 +202,33 @@ impl NodeDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loki_core::campaign::ExperimentFailure;
     use loki_core::ids::Id;
-    use loki_core::recorder::{RecordKind, Recorder};
-    use loki_core::time::LocalNanos;
+    use loki_core::recorder::{RecordKind, Recorder, TimelineRecord};
 
     #[test]
     fn timeline_store_roundtrip() {
-        let store = TimelineStore::new();
+        let store = TimelineStore::default();
         let sm = Id::from_raw(3);
-        assert!(!store.contains(sm));
-        store.put(sm, Recorder::new(sm, Id::from_raw(0)).finish());
-        assert!(store.contains(sm));
+        assert_eq!(store.with_mut(sm, |_| ()), None);
+        store.begin_life(sm, LocalNanos(0), Id::from_raw(0));
         store.with_mut(sm, |t| {
-            t.records.push(loki_core::recorder::TimelineRecord {
+            t.records.push(TimelineRecord {
                 time: LocalNanos(1),
                 kind: RecordKind::UserMessage("m".into()),
             });
         });
-        let t = store.take(sm).unwrap();
-        assert_eq!(t.records.len(), 1);
+        let drained = store.drain();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].records.len(), 1);
         assert!(store.drain().is_empty());
     }
 
     #[test]
     fn drain_is_in_machine_order() {
-        let store = TimelineStore::new();
+        let store = TimelineStore::default();
         for i in [2u32, 0, 1] {
-            let sm = Id::from_raw(i);
-            store.put(sm, Recorder::new(sm, Id::from_raw(0)).finish());
+            store.begin_life(Id::from_raw(i), LocalNanos(0), Id::from_raw(0));
         }
         let drained = store.drain();
         let ids: Vec<u32> = drained.iter().map(|t| t.sm.raw()).collect();
@@ -413,7 +237,7 @@ mod tests {
 
     #[test]
     fn begin_life_matches_recorder_roundtrip() {
-        let store = TimelineStore::new();
+        let store = TimelineStore::default();
         let sm = Id::from_raw(1);
         let h0 = Id::from_raw(0);
         let h1 = Id::from_raw(1);
@@ -426,18 +250,18 @@ mod tests {
         // Restart == Recorder::resume(prior, now, h1).finish().
         assert!(store.begin_life(sm, LocalNanos(9), h1));
         let expect = Recorder::resume(expect, LocalNanos(9), h1).finish();
-        assert_eq!(store.take(sm).unwrap(), expect);
+        assert_eq!(store.drain(), [expect]);
     }
 
     #[test]
     fn reclaimed_shells_are_reused_with_capacity() {
-        let store = TimelineStore::new();
+        let store = TimelineStore::default();
         let sm = Id::from_raw(0);
         let host = Id::from_raw(0);
         store.begin_life(sm, LocalNanos(0), host);
         store.with_mut(sm, |t| {
             for i in 0..100 {
-                t.records.push(loki_core::recorder::TimelineRecord {
+                t.records.push(TimelineRecord {
                     time: LocalNanos(i),
                     kind: RecordKind::UserMessage("x".into()),
                 });
@@ -450,95 +274,15 @@ mod tests {
         // fresh, record capacity survives.
         store.begin_life(sm, LocalNanos(1), host);
         assert_eq!(store.shell_reuses(), 1);
-        let t = store.take(sm).unwrap();
+        let t = store.drain().pop().unwrap();
         assert!(t.records.is_empty());
         assert_eq!(t.stints.len(), 1);
         assert!(t.records.capacity() >= 100, "capacity not retained");
     }
 
     #[test]
-    fn sync_collector_groups_by_host() {
-        let c = SyncCollector::new();
-        let h2: HostId = Id::from_raw(2);
-        let h3: HostId = Id::from_raw(3);
-        c.push_round(h2, LocalNanos(1), LocalNanos(2), LocalNanos(3));
-        c.push_round(h3, LocalNanos(4), LocalNanos(5), LocalNanos(6));
-        c.push_round(h2, LocalNanos(7), LocalNanos(8), LocalNanos(9));
-        let drained = c.drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].host, h2);
-        // Two samples a round, one per direction, in arrival order.
-        let legs: Vec<_> = drained[0]
-            .samples
-            .iter()
-            .map(|s| (s.from_reference, s.send.0, s.recv.0))
-            .collect();
-        assert_eq!(
-            legs,
-            [(false, 1, 2), (true, 2, 3), (false, 7, 8), (true, 8, 9)]
-        );
-        assert_eq!(drained[1].host, h3);
-    }
-
-    #[test]
-    fn sync_collector_reuses_reclaimed_runs() {
-        let c = SyncCollector::new();
-        let host: HostId = Id::from_raw(1);
-        for _ in 0..25 {
-            c.push_round(host, LocalNanos(1), LocalNanos(2), LocalNanos(3));
-        }
-        let drained = c.drain();
-        let capacity = drained[0].samples.capacity();
-        c.reclaim(drained);
-
-        c.push_round(host, LocalNanos(1), LocalNanos(2), LocalNanos(3));
-        let drained = c.drain();
-        assert_eq!(drained[0].samples.len(), 2);
-        assert_eq!(
-            drained[0].samples.capacity(),
-            capacity,
-            "run capacity not retained"
-        );
-    }
-
-    /// A whole mini-phase through the engine's exchange merge and into
-    /// the collector yields samples whose bounds contain the true clock
-    /// relation.
-    #[test]
-    fn exchange_rounds_yield_sound_bounds() {
-        use loki_clock::params::ClockParams;
-        use loki_clock::sync::{estimate_alpha_beta, SyncOptions};
-        use loki_sim::config::HostConfig;
-        use loki_sim::engine::Simulation;
-
-        let mut sim: Simulation<()> = Simulation::new(11);
-        let ref_clock = ClockParams::ideal();
-        let m_clock = ClockParams::with_drift_ppm(3e6, 140.0);
-        let h_ref = sim.add_host(HostConfig::new("ref").clock(ref_clock));
-        let h2 = sim.add_host(HostConfig::new("h2").clock(m_clock));
-        sim.set_sched_enabled(false);
-
-        let c = SyncCollector::new();
-        let host: HostId = Id::from_raw(1);
-        sim.run_exchanges(h_ref, &[h2], 15, 2_000_000, |r| {
-            c.push_round(host, r.ping_sent, r.echoed, r.echo_received)
-        });
-
-        let syncs = c.drain();
-        assert_eq!(syncs.len(), 1);
-        assert_eq!(syncs[0].samples.len(), 30); // two per round
-
-        let bounds = estimate_alpha_beta(&syncs[0].samples, &SyncOptions::default()).unwrap();
-        let (alpha, beta) = m_clock.relative_to(&ref_clock);
-        assert!(
-            bounds.contains(alpha, beta),
-            "{bounds:?} vs ({alpha},{beta})"
-        );
-    }
-
-    #[test]
     fn directory_stale_removal_is_ignored() {
-        let d = NodeDirectory::new();
+        let d = NodeDirectory::default();
         let sm = Id::from_raw(0);
         d.insert(sm, ActorId(1));
         d.insert(sm, ActorId(2)); // restart incarnation
@@ -549,26 +293,36 @@ mod tests {
     }
 
     #[test]
-    fn control_flags() {
-        let c = ExperimentControl::new();
-        assert!(!c.completed() && !c.timed_out() && !c.aborted());
-        assert_eq!(c.failure(), None);
-        c.mark_completed();
-        c.mark_timed_out();
-        c.mark_aborted();
-        c.mark_failed(ExperimentFailure::AppPanic);
-        assert!(c.completed() && c.timed_out() && c.aborted());
-        assert_eq!(c.failure(), Some(ExperimentFailure::AppPanic));
-        c.reset();
-        assert!(!c.completed() && !c.timed_out() && !c.aborted());
-        assert_eq!(c.failure(), None);
+    fn an_unmarked_experiment_reads_as_aborted() {
+        let c = ExperimentControl::default();
+        assert_eq!(c.take(), ExperimentEnd::Aborted);
+        // The central daemon's first end stands, and `take` unmarks.
+        c.mark(ExperimentEnd::TimedOut);
+        c.mark(ExperimentEnd::Completed);
+        assert_eq!(c.take(), ExperimentEnd::TimedOut);
+        assert_eq!(c.take(), ExperimentEnd::Aborted);
     }
 
     #[test]
     fn first_failure_wins() {
-        let c = ExperimentControl::new();
-        c.mark_failed(ExperimentFailure::BudgetEvents);
-        c.mark_failed(ExperimentFailure::AppPanic);
-        assert_eq!(c.failure(), Some(ExperimentFailure::BudgetEvents));
+        let c = ExperimentControl::default();
+        c.mark(ExperimentEnd::Failed(ExperimentFailure::BudgetEvents));
+        c.mark(ExperimentEnd::Failed(ExperimentFailure::AppPanic));
+        assert_eq!(
+            c.take(),
+            ExperimentEnd::Failed(ExperimentFailure::BudgetEvents)
+        );
+    }
+
+    #[test]
+    fn a_failure_beats_the_central_daemons_end() {
+        let c = ExperimentControl::default();
+        c.mark(ExperimentEnd::Failed(ExperimentFailure::AppPanic));
+        c.mark(ExperimentEnd::Completed);
+        assert_eq!(c.take(), ExperimentEnd::Failed(ExperimentFailure::AppPanic));
+        // Also when the failure comes after the central daemon's end.
+        c.mark(ExperimentEnd::Completed);
+        c.mark(ExperimentEnd::Failed(ExperimentFailure::AppPanic));
+        assert_eq!(c.take(), ExperimentEnd::Failed(ExperimentFailure::AppPanic));
     }
 }

@@ -18,7 +18,7 @@ use loki::analysis::{analyze_one, AnalysisOptions};
 use loki::apps::election::{election_factory, election_study, ElectionConfig};
 use loki::apps::kvstore::{kv_factory, kv_study, KvConfig};
 use loki::apps::token_ring::{ring_factory, ring_study, RingConfig};
-use loki::core::campaign::ExperimentData;
+use loki::core::campaign::{ExperimentData, ExperimentEnd};
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::probe::{ActionProbe, FaultAction};
 use loki::core::recorder::RecordKind;
@@ -346,6 +346,40 @@ fn the_factory_runs_once_per_node_life() {
             calls.load(Ordering::Relaxed),
             total,
             "restart {restart:?}: a ten-experiment campaign"
+        );
+    }
+}
+
+/// A crash probability outside [0, 1] can only be built in code: a NaN or
+/// negative one never activates, and a fault that fires with it must not
+/// end the experiment as an application panic.
+#[test]
+fn an_activation_outside_the_unit_interval_never_panics() {
+    let def = ring_study("odd-ring", 3).fault(
+        "tr2",
+        "maybe_crash",
+        FaultExpr::atom("tr2", "HAS_TOKEN"),
+        Trigger::Once,
+    );
+    let study = Study::compile_arc(&def).unwrap();
+    for activation in [f64::NAN, -0.5] {
+        let action = FaultAction::CrashWithProbability {
+            activation,
+            dormancy_ns: 0,
+        };
+        let probe = ActionProbe::new().on("maybe_crash", action);
+        let factory = ring_factory(RingConfig {
+            probe,
+            ..Default::default()
+        });
+        let cfg = SimHarnessConfig::three_hosts(7);
+        let data = run_experiment(&study, factory, &cfg, 0).expect("valid config");
+        assert!(data.total_injections() > 0, "{activation}: no injection");
+        assert_eq!(
+            data.end,
+            ExperimentEnd::Completed,
+            "{activation}: {:?}",
+            data.warnings
         );
     }
 }

@@ -46,8 +46,6 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
 
     for k in [1usize, 2, 4, 8] {
         for workers in [1usize, 2, 4] {
-            // Explicit batch: these tests must not read LOKI_BATCH (the
-            // env-validation test owns the environment variable).
             let mut cfg = cfg.clone();
             cfg.batch = Some(k);
             let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg);
@@ -159,8 +157,7 @@ fn oversized_batch_is_the_whole_campaign() {
     // it, so neither the channel bound (2 × workers × chunk slots,
     // allocated up front) nor the `u32` claim step sees the raw value.
     // Unclamped, these abort in the allocator, overflow the capacity, or
-    // truncate the step to 0 and claim nothing forever. Explicit
-    // `cfg.batch` only — LOKI_BATCH belongs to the env-owning test.
+    // truncate the step to 0 and claim nothing forever.
     let (study, factory) = ring_campaign();
     let cfg = SimHarnessConfig::three_hosts(0xB16);
     for experiments in [3u32, 13] {
@@ -337,54 +334,22 @@ fn results_are_plain_data_whatever_the_sink_does() {
 }
 
 #[test]
-fn batch_env_override_is_validated_and_applied() {
-    // All LOKI_BATCH manipulation lives in this one test; the other tests
-    // in this binary pass `cfg.batch` explicitly, so nothing races.
+fn batch_config_is_validated_and_defaults_to_one() {
+    // `None` is a chunk of one; `Some(0)` is a typed error before any
+    // experiment runs, never a silent fallback.
     let (study, factory) = ring_campaign();
-    let cfg = SimHarnessConfig::three_hosts(0xEB7);
-    let experiments = 4u32;
-
-    let mut forced_cfg = cfg.clone();
-    forced_cfg.batch = Some(1);
-    let forced_pipeline = CampaignPipeline::new(study.clone(), factory.clone(), forced_cfg);
-    let (forced, _) = run_collect(&forced_pipeline, experiments, 1);
-
-    std::env::set_var("LOKI_BATCH", "3");
-    let env_pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone());
-    let (via_env, summary) = run_collect(&env_pipeline, experiments, 1);
-    assert_eq!(summary.batch, 3, "LOKI_BATCH not picked up");
-    assert_eq!(via_env, forced, "batch size changed the results");
-
-    // Invalid batch sizes are rejected loudly — a silent fallback would
-    // run the campaign with a surprise claim chunk. Since the
-    // survivability work these come back as typed `CampaignError`s.
-    for bad in ["not-a-number", "0", "", "-2"] {
-        std::env::set_var("LOKI_BATCH", bad);
-        let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone());
-        let err = pipeline
-            .run(experiments, drop)
-            .expect_err(&format!("LOKI_BATCH={bad:?} must be rejected"));
-        assert!(err.to_string().contains("LOKI_BATCH"), "{err}");
-    }
-
-    // `batch: Some(0)` is rejected with the config-side message even when
-    // the environment variable is valid.
-    std::env::set_var("LOKI_BATCH", "2");
-    let mut zero_cfg = cfg.clone();
-    zero_cfg.batch = Some(0);
-    let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), zero_cfg);
-    let err = pipeline
-        .run(experiments, drop)
-        .expect_err("batch: Some(0) must be rejected");
-    assert!(
-        err.to_string().contains("batch size must be at least 1"),
-        "{err}"
-    );
-    assert!(matches!(err, CampaignError::Batch(_)), "{err:?}");
-
-    std::env::remove_var("LOKI_BATCH");
-    let default_pipeline = CampaignPipeline::new(study, factory, cfg);
-    let (auto, summary) = run_collect(&default_pipeline, experiments, 1);
+    let pipeline = |batch| {
+        let cfg = SimHarnessConfig {
+            batch,
+            ..SimHarnessConfig::three_hosts(0xEB7)
+        };
+        CampaignPipeline::new(study.clone(), factory.clone(), cfg)
+    };
+    let (auto, summary) = run_collect(&pipeline(None), 4, 1);
     assert_eq!(summary.batch, 1, "default batch must be 1");
-    assert_eq!(auto, forced);
+    assert_eq!(auto, run_collect(&pipeline(Some(1)), 4, 1).0);
+    let err = pipeline(Some(0))
+        .run(4, drop)
+        .expect_err("batch: Some(0) must be rejected");
+    assert!(matches!(err, CampaignError::Batch(_)), "{err:?}");
 }

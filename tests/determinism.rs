@@ -19,8 +19,7 @@ use std::sync::Arc;
 
 /// The campaign's raw data, taken through the pipeline's tap, with a
 /// forced pool shape: `workers` workers (the calling thread included)
-/// claiming `batch` consecutive indices at a time. Forcing both keeps
-/// these tests off the `LOKI_WORKERS` / `LOKI_BATCH` environment.
+/// claiming `batch` consecutive indices at a time.
 fn run_shaped(
     study: &Arc<Study>,
     factory: &AppFactory,
@@ -171,42 +170,24 @@ fn net_fault_campaign_is_byte_identical_across_workers() {
 }
 
 #[test]
-fn pipeline_defaults_respect_env_override() {
-    // `CampaignPipeline::run` resolves its worker count from the config
-    // (None here), then the LOKI_WORKERS environment variable, then
-    // available parallelism — whichever it picks, the result must match a
-    // single worker. The other tests in this file don't read the
-    // environment, so setting the variable here doesn't race them.
+fn pipeline_run_takes_its_worker_count_from_config() {
+    // `None` is the machine's available parallelism; whichever count
+    // `run` picks, the results match a single worker's, and `Some(0)` is a
+    // typed error, never a silent fallback.
     let (study, factory) = ring_campaign();
-    let cfg = SimHarnessConfig::three_hosts(7);
-    let run = |cfg: &SimHarnessConfig| -> Result<_, CampaignError> {
+    let run = |workers| {
+        let cfg = SimHarnessConfig {
+            workers,
+            ..SimHarnessConfig::three_hosts(7)
+        };
         let mut out = Vec::new();
-        let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone());
-        let summary = pipeline.run(4, |analyzed| out.push(analyzed))?;
-        Ok((out, summary.workers))
+        let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg);
+        let summary = pipeline.run(4, |analyzed| out.push(analyzed));
+        summary.map(|summary| (out, summary.workers))
     };
-    let forced_cfg = SimHarnessConfig {
-        workers: Some(1),
-        ..cfg.clone()
-    };
-    let (forced, _) = run(&forced_cfg).expect("valid campaign config");
-
-    std::env::set_var("LOKI_WORKERS", "3");
-    let (via_env, workers) = run(&cfg).expect("valid campaign config");
-    assert_eq!(workers, 3, "LOKI_WORKERS not picked up");
-
-    // Invalid worker counts are rejected loudly — a silent fallback would
-    // run the campaign with a surprise worker count. Since the survivability
-    // work these come back as typed `CampaignError`s, not panics.
-    for bad in ["not-a-number", "0"] {
-        std::env::set_var("LOKI_WORKERS", bad);
-        let err = run(&cfg).expect_err(&format!("LOKI_WORKERS={bad:?} must be rejected"));
-        assert!(err.to_string().contains("LOKI_WORKERS"), "{err}");
-    }
-
-    std::env::remove_var("LOKI_WORKERS");
-    let (auto, _) = run(&cfg).expect("valid campaign config");
-
-    assert_eq!(via_env, forced);
-    assert_eq!(auto, forced);
+    let (forced, _) = run(Some(1)).expect("valid campaign config");
+    assert_eq!(run(Some(3)), Ok((forced.clone(), 3)));
+    assert_eq!(run(None).expect("valid campaign config").0, forced);
+    let err = run(Some(0)).expect_err("workers: Some(0) must be rejected");
+    assert!(matches!(err, CampaignError::Workers(_)), "{err:?}");
 }

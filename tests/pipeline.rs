@@ -275,7 +275,7 @@ fn timelines_roundtrip_through_on_disk_format_and_reanalyze() {
 }
 
 /// A `CampaignPipeline` over the worker/observer study with an explicit
-/// batch (these tests must not read `LOKI_BATCH`).
+/// batch.
 fn wo_pipeline(seed: u64, batch: usize) -> CampaignPipeline {
     let (study, factory) = wo_study(40);
     let mut cfg = harness(seed);

@@ -144,6 +144,36 @@ fn survivors_are_byte_identical_to_the_disarmed_baseline() {
     }
 }
 
+/// A failed experiment's raw data is its fresh-world replay too, at every
+/// pool shape. A budget trip ends an experiment without a post-sync phase,
+/// so nothing a worker's recycled script held from the experiment before
+/// may show in it.
+#[test]
+fn failed_experiments_replay_byte_identically() {
+    quiet_chaos_panics();
+    let study = Study::compile_arc(&chaos_study("chaos-replay", 3)).unwrap();
+    let factory = chaos_factory(chaos_cfg(true));
+    let mut cfg = chaos_harness(0xC405);
+    let experiments = 24u32;
+    let fresh = common::fresh_world_raw(&study, &factory, &cfg, experiments);
+    let trips_after_a_completion = fresh.windows(2).any(|pair| {
+        pair[0].end == ExperimentEnd::Completed
+            && pair[1].end == ExperimentEnd::Failed(ExperimentFailure::BudgetVirtualTime)
+    });
+    assert!(
+        trips_after_a_completion,
+        "no budget trip follows a completion"
+    );
+    for workers in [1usize, 4] {
+        for k in [1usize, 8] {
+            cfg.batch = Some(k);
+            let raw = campaign_raw(&study, &factory, &cfg, experiments, workers)
+                .expect("valid campaign config");
+            assert!(raw == fresh, "workers={workers} K={k}: raw data diverged");
+        }
+    }
+}
+
 #[test]
 fn event_budget_trips_identically_across_pool_shapes() {
     // Every experiment hangs immediately (hang_p = 1.0): the event-count
