@@ -19,7 +19,7 @@
 //! or bounded retry tails (exponential backoff doing its job) therefore
 //! stay [`CascadeVerdict::Quiet`].
 
-use crate::global::GlobalTimeline;
+use crate::global::{GlobalEvent, GlobalTimeline};
 use loki_core::study::Study;
 
 /// Tunables for [`detect_cascade`].
@@ -87,21 +87,23 @@ impl CascadeVerdict {
 /// The detection window opens at the midpoint of the (last) injection of
 /// `cfg.heal_fault` and closes at the experiment end. Marker events are
 /// placed by the midpoint of their time bounds — the same convention the
-/// timeline itself is sorted by.
+/// timeline itself is sorted by. Midpoints are compared exactly, as the
+/// sums `lo + hi`.
 pub fn detect_cascade(study: &Study, gt: &GlobalTimeline, cfg: &CascadeConfig) -> CascadeVerdict {
     let Some(heal_id) = study.fault_names.lookup(&cfg.heal_fault) else {
         return CascadeVerdict::NoHealInjection;
     };
-    let heal = gt
+    // Twice each instant, so every midpoint is a whole number.
+    let twice_mid = |e: &GlobalEvent| i128::from(e.bounds.lo.0) + i128::from(e.bounds.hi.0);
+    let Some(heal) = gt
         .injections()
         .filter(|(_, fault)| *fault == heal_id)
-        .map(|(e, _)| e.bounds.mid().as_f64())
-        .fold(f64::NEG_INFINITY, f64::max);
-    if heal == f64::NEG_INFINITY {
+        .map(|(e, _)| twice_mid(e))
+        .max()
+    else {
         return CascadeVerdict::NoHealInjection;
-    }
-    let end = gt.end.as_f64().max(heal);
-    let mid = heal + (end - heal) / 2.0;
+    };
+    let end = (2 * i128::from(gt.end.0)).max(heal);
 
     let (mut early, mut late) = (0usize, 0usize);
     for e in &gt.events {
@@ -111,11 +113,12 @@ pub fn detect_cascade(study: &Study, gt: &GlobalTimeline, cfg: &CascadeConfig) -
         if !m.starts_with(&cfg.marker_prefix) {
             continue;
         }
-        let t = e.bounds.mid().as_f64();
+        let t = twice_mid(e);
         if t < heal {
             continue;
         }
-        if t < mid {
+        // Before the window's midpoint `(heal + end) / 2`.
+        if 2 * t < heal + end {
             early += 1;
         } else {
             late += 1;
@@ -132,7 +135,7 @@ pub fn detect_cascade(study: &Study, gt: &GlobalTimeline, cfg: &CascadeConfig) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::{GlobalEvent, GlobalEventKind};
+    use crate::global::GlobalEventKind;
     use loki_core::fault::{FaultExpr, Trigger};
     use loki_core::ids::{FaultId, HostId, SmId, SymbolTable};
     use loki_core::spec::{StateMachineSpec, StudyDef};
@@ -153,18 +156,18 @@ mod tests {
         Study::compile(&def).unwrap()
     }
 
-    fn event(kind: GlobalEventKind, at_ms: f64, idx: u32) -> GlobalEvent {
+    fn event(kind: GlobalEventKind, at_ms: i64, idx: u32) -> GlobalEvent {
         GlobalEvent {
             sm: SmId::from_raw(0),
             kind,
-            bounds: TimeBounds::point(GlobalNanos::from_millis(at_ms)),
+            bounds: TimeBounds::point(GlobalNanos(at_ms * 1_000_000)),
             record_index: idx,
         }
     }
 
     /// A synthetic timeline: a heal injection at `heal_ms`, then `retry `
     /// markers at the given times, ending at `end_ms`.
-    fn timeline(heal_ms: f64, marker_ms: &[f64], end_ms: f64) -> GlobalTimeline {
+    fn timeline(heal_ms: i64, marker_ms: &[i64], end_ms: i64) -> GlobalTimeline {
         let mut events = vec![event(
             GlobalEventKind::Injection {
                 fault: FaultId::from_raw(0),
@@ -187,8 +190,8 @@ mod tests {
             events: events.into(),
             messages: messages.into(),
             intervals: Vec::new().into(),
-            start: GlobalNanos::from_millis(0.0),
-            end: GlobalNanos::from_millis(end_ms),
+            start: GlobalNanos::ZERO,
+            end: GlobalNanos(end_ms * 1_000_000),
             alpha_beta: Vec::new().into(),
             reference_host: HostId::from_raw(0),
             symbols: Arc::new(SymbolTable::new()),
@@ -205,8 +208,8 @@ mod tests {
     #[test]
     fn growing_post_heal_marker_rate_is_a_storm() {
         // Window [100, 500]: 2 early markers, 6 late ones.
-        let markers = [150.0, 250.0, 320.0, 350.0, 390.0, 430.0, 460.0, 490.0];
-        let gt = timeline(100.0, &markers, 500.0);
+        let markers = [150, 250, 320, 350, 390, 430, 460, 490];
+        let gt = timeline(100, &markers, 500);
         let v = detect_cascade(&study(), &gt, &cfg(4));
         assert_eq!(
             v,
@@ -222,23 +225,23 @@ mod tests {
     #[test]
     fn decaying_retry_tail_is_quiet() {
         // Exponential backoff doing its job: the burst dies out early.
-        let markers = [120.0, 140.0, 180.0, 260.0, 290.0, 310.0];
-        let gt = timeline(100.0, &markers, 500.0);
+        let markers = [120, 140, 180, 260, 290, 310];
+        let gt = timeline(100, &markers, 500);
         let v = detect_cascade(&study(), &gt, &cfg(4));
         assert!(!v.is_storm(), "{v:?}");
     }
 
     #[test]
     fn sparse_markers_stay_below_the_storm_floor() {
-        let gt = timeline(100.0, &[400.0, 450.0], 500.0);
+        let gt = timeline(100, &[400, 450], 500);
         assert!(!detect_cascade(&study(), &gt, &cfg(4)).is_storm());
     }
 
     #[test]
     fn pre_heal_markers_are_ignored() {
         // All traffic predates the heal: the loop did not survive it.
-        let markers = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0];
-        let gt = timeline(100.0, &markers, 500.0);
+        let markers = [10, 20, 30, 40, 50, 60, 70, 80];
+        let gt = timeline(100, &markers, 500);
         assert_eq!(
             detect_cascade(&study(), &gt, &cfg(4)),
             CascadeVerdict::Quiet {
@@ -251,7 +254,7 @@ mod tests {
 
     #[test]
     fn missing_heal_injection_is_its_own_verdict() {
-        let gt = timeline(100.0, &[], 500.0);
+        let gt = timeline(100, &[], 500);
         let mut no_such = cfg(4);
         no_such.heal_fault = "no_such_fault".to_string();
         assert_eq!(
@@ -259,7 +262,7 @@ mod tests {
             CascadeVerdict::NoHealInjection
         );
         // The fault exists but was never injected.
-        let mut empty = timeline(0.0, &[], 0.0);
+        let mut empty = timeline(0, &[], 0);
         empty.events = Vec::new().into();
         assert_eq!(
             detect_cascade(&study(), &empty, &cfg(4)),

@@ -67,7 +67,7 @@ pub struct Truth {
 
 /// Computes the truth regions of an atom `(sm:state)` from the global
 /// timeline's occupancy intervals. A state never left holds to the end of
-/// the line.
+/// the line, `i64::MAX`.
 fn atom_truth(gt: &GlobalTimeline, sm: SmId, state: StateId) -> Truth {
     let mut definite = Vec::new();
     let mut possible = Vec::new();
@@ -76,12 +76,12 @@ fn atom_truth(gt: &GlobalTimeline, sm: SmId, state: StateId) -> Truth {
             continue;
         }
         let (exit_lo, exit_hi) = match gt.exit_of(iv) {
-            Some(exit) => (exit.lo.as_f64(), exit.hi.as_f64()),
-            None => (f64::INFINITY, f64::INFINITY),
+            Some(exit) => (exit.lo.0, exit.hi.0),
+            None => (i64::MAX, i64::MAX),
         };
         let enter = gt.enter_of(iv);
-        definite.push((enter.hi.as_f64(), exit_lo));
-        possible.push((enter.lo.as_f64(), exit_hi));
+        definite.push((enter.hi.0, exit_lo));
+        possible.push((enter.lo.0, exit_hi));
     }
     Truth {
         definite: IntervalSet::from_spans(definite),
@@ -141,8 +141,8 @@ impl<'a> TimelineIndex<'a> {
             CompiledExpr::Not(a) => {
                 let ta = self.expr_truth(a);
                 Rc::new(Truth {
-                    definite: ta.possible.complement(f64::NEG_INFINITY, f64::INFINITY),
-                    possible: ta.definite.complement(f64::NEG_INFINITY, f64::INFINITY),
+                    definite: ta.possible.complement(i64::MIN, i64::MAX),
+                    possible: ta.definite.complement(i64::MIN, i64::MAX),
                 })
             }
         }
@@ -204,7 +204,7 @@ impl<'a> TimelineIndex<'a> {
                     }
                 } else {
                     let truth = self.atom(*sm, *state);
-                    let (lo, hi) = (injection.bounds.lo.as_f64(), injection.bounds.hi.as_f64());
+                    let (lo, hi) = (injection.bounds.lo.0, injection.bounds.hi.0);
                     if truth.definite.contains_interval(lo, hi) {
                         Tri::True
                     } else if !truth.possible.overlaps(lo, hi) {
@@ -365,13 +365,13 @@ pub fn check_experiment(
     if policy == MissingPolicy::Fail {
         for (fault, &injected) in study.faults.iter().zip(&injected_counts) {
             let truth = index.expr_truth(&fault.expr);
-            let definitely_false = truth.possible.complement(f64::NEG_INFINITY, f64::INFINITY);
+            let definitely_false = truth.possible.complement(i64::MIN, i64::MAX);
             // A false→true edge provably occurred before a definite-true
             // span iff the expression was provably false at some point
             // since the previous definite-true span (clock-uncertainty
             // bands in between do not refute the edge).
             let mut provable_edges = 0usize;
-            let mut prev_hi = f64::NEG_INFINITY;
+            let mut prev_hi = i64::MIN;
             for &(lo, hi) in truth.definite.spans() {
                 if definitely_false.overlaps(prev_hi, lo) {
                     provable_edges += 1;
@@ -859,8 +859,8 @@ mod tests {
         let init = study.states.lookup("INIT").unwrap();
         let work = study.states.lookup("WORK").unwrap();
         let own = study.fault_names.lookup("own").unwrap();
-        let at = |t: f64| TimeBounds::point(GlobalNanos(t));
-        let change = |record_index: u32, t: f64, from_state, new_state| GlobalEvent {
+        let at = |t: i64| TimeBounds::point(GlobalNanos(t));
+        let change = |record_index: u32, t: i64, from_state, new_state| GlobalEvent {
             sm: a,
             kind: GlobalEventKind::StateChange {
                 event: go,
@@ -874,21 +874,21 @@ mod tests {
         // record 1), injection. By midpoint record 2 sorts ahead of record 1.
         let gt = GlobalTimeline {
             events: vec![
-                change(0, 1.0, StateId::BEGIN, init),
-                change(2, 10.0, work, init),
-                change(1, 20.0, init, work),
+                change(0, 1, StateId::BEGIN, init),
+                change(2, 10, work, init),
+                change(1, 20, init, work),
                 GlobalEvent {
                     sm: a,
                     kind: GlobalEventKind::Injection { fault: own },
-                    bounds: at(30.0),
+                    bounds: at(30),
                     record_index: 3,
                 },
             ]
             .into(),
             messages: "".into(),
             intervals: Vec::new().into(),
-            start: GlobalNanos(1.0),
-            end: GlobalNanos(30.0),
+            start: GlobalNanos(1),
+            end: GlobalNanos(30),
             alpha_beta: Vec::new().into(),
             reference_host: HostId::from_raw(0),
             symbols: Arc::new(SymbolTable::from_iter(["h1"])),

@@ -8,11 +8,13 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum AnalysisError {
-    /// A host's clock could not be calibrated against the reference.
+    /// A host's clock could not be calibrated against the reference, or a
+    /// record stamped on it could not be projected through the calibration
+    /// ([`SyncError::OutOfRange`], [`SyncError::ProjectionOutOfRange`]).
     Sync {
         /// The host.
         host: String,
-        /// The underlying estimation error.
+        /// The underlying estimation or projection error.
         source: SyncError,
     },
     /// A timeline record was stamped on a host with no calibration data.

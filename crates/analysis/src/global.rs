@@ -283,12 +283,16 @@ pub struct GlobalOptions {
 /// Builds the global timeline of one experiment.
 ///
 /// The result is plain owned data, and no state is kept between calls.
-/// Events are ordered by the midpoint of their bounds with a stable sort,
-/// so events with equal midpoints keep timeline-then-record order.
+/// Every bound is a whole nanosecond, rounded outward once from the exact
+/// projection ([`AlphaBetaBounds::project`]). Events are ordered by the
+/// midpoint of their bounds, compared exactly, with a stable sort, so events
+/// with equal midpoints keep timeline-then-record order.
 ///
 /// # Errors
 ///
-/// Returns [`AnalysisError::Sync`] when a host's clock cannot be calibrated,
+/// Returns [`AnalysisError::Sync`] when a host's clock cannot be calibrated
+/// or a record on it cannot be projected (a reading or a bound out of
+/// range: [`AlphaBetaBounds::project`]),
 /// [`AnalysisError::UnknownHost`] when a timeline references a host with
 /// no sync data, and [`AnalysisError::TooManyRecords`] when
 /// the experiment has more records than a `u32` event position can name.
@@ -375,7 +379,12 @@ pub fn make_global(
                 }
                 checked_host = Some(host);
             }
-            let bounds = alpha_beta[host.index()].project(record.time);
+            let bounds = alpha_beta[host.index()]
+                .project(record.time)
+                .map_err(|source| AnalysisError::Sync {
+                    host: host_label(host),
+                    source,
+                })?;
             // Below `OPEN`: `check_record_count` bounds both.
             let position = events.len() as u32;
             let kind = match &record.kind {
@@ -444,17 +453,18 @@ pub fn make_global(
         }
     }
 
-    // Order by midpoint. The sort is stable, so equal midpoints keep
-    // insertion order: (timeline, record position). Sorting (midpoint,
-    // position) pairs rather than the events yields the order, whose
+    // Order by midpoint, exactly: by `lo + hi`, which fits `i64` because
+    // projected bounds lie inside ±2⁶² ns. The sort is stable, so equal
+    // midpoints keep insertion order: (timeline, record position). Sorting
+    // (key, position) pairs rather than the events yields the order, whose
     // inverse `moved_to[before] == after` moves the intervals' event
     // positions; the events are then gathered in order.
-    let mut order: Vec<(f64, u32)> = events
+    let mut order: Vec<(i64, u32)> = events
         .iter()
         .zip(0..)
-        .map(|(e, position)| (e.bounds.mid().as_f64(), position))
+        .map(|(e, position)| (e.bounds.lo.0 + e.bounds.hi.0, position))
         .collect();
-    order.sort_by(|a, b| a.0.total_cmp(&b.0));
+    order.sort_by_key(|&(key, _)| key);
     let mut moved_to = vec![0u32; order.len()];
     for (after, &(_, before)) in (0..).zip(&order) {
         moved_to[before as usize] = after;
@@ -471,19 +481,8 @@ pub fn make_global(
         .iter()
         .map(|&(_, before)| events[before as usize].clone())
         .collect();
-    let start = events
-        .iter()
-        .map(|e| e.bounds.lo)
-        .fold(GlobalNanos(f64::INFINITY), GlobalNanos::min);
-    let end = events
-        .iter()
-        .map(|e| e.bounds.hi)
-        .fold(GlobalNanos(f64::NEG_INFINITY), GlobalNanos::max);
-    let (start, end) = if events.is_empty() {
-        (GlobalNanos::ZERO, GlobalNanos::ZERO)
-    } else {
-        (start, end)
-    };
+    let start = events.iter().map(|e| e.bounds.lo).min().unwrap_or_default();
+    let end = events.iter().map(|e| e.bounds.hi).max().unwrap_or_default();
 
     // Uncalibrated hosts were never referenced (the loop above would have
     // errored); their identity fillers keep `alpha_beta` dense.
@@ -628,9 +627,9 @@ mod tests {
         assert_eq!(gt.exit_of(ivs[0]), Some(gt.enter_of(ivs[1])));
         // Projection bounds contain the local times (clocks ideal & equal).
         let enter = gt.enter_of(ivs[0]);
-        assert!(enter.lo.as_f64() <= 10_000_000.0);
-        assert!(enter.hi.as_f64() >= 10_000_000.0 - 60_000.0);
-        assert!(gt.start.as_f64() < gt.end.as_f64());
+        assert!(enter.lo <= GlobalNanos(10_000_000));
+        assert!(enter.hi >= GlobalNanos(10_000_000 - 60_000));
+        assert!(gt.start < gt.end);
     }
 
     #[test]
@@ -742,11 +741,11 @@ mod tests {
     /// quote and a backslash, an interval entered before the first event
     /// and one held to the end.
     fn golden_timeline() -> GlobalTimeline {
-        let at = |ns: f64| TimeBounds {
-            lo: GlobalNanos(ns - 0.5),
-            hi: GlobalNanos(ns + 0.25),
+        let at = |ns: i64| TimeBounds {
+            lo: GlobalNanos(ns - 1),
+            hi: GlobalNanos(ns + 2),
         };
-        let event = |sm: u32, kind: GlobalEventKind, ns: f64, record_index: u32| GlobalEvent {
+        let event = |sm: u32, kind: GlobalEventKind, ns: i64, record_index: u32| GlobalEvent {
             sm: SmId::from_raw(sm),
             kind,
             bounds: at(ns),
@@ -760,7 +759,7 @@ mod tests {
                     from_state: StateId::from_raw(0),
                     new_state: StateId::from_raw(2),
                 },
-                10.0,
+                10,
                 0,
             ),
             event(
@@ -768,21 +767,16 @@ mod tests {
                 GlobalEventKind::Injection {
                     fault: FaultId::from_raw(3),
                 },
-                20.0,
+                20,
                 0,
             ),
-            event(
-                0,
-                GlobalEventKind::UserMessage { start: 2, len: 14 },
-                30.0,
-                1,
-            ),
+            event(0, GlobalEventKind::UserMessage { start: 2, len: 14 }, 30, 1),
             event(
                 1,
                 GlobalEventKind::Restart {
                     host: HostId::from_raw(1),
                 },
-                40.0,
+                40,
                 1,
             ),
         ];
@@ -804,8 +798,8 @@ mod tests {
                 },
             ]
             .into(),
-            start: GlobalNanos(9.5),
-            end: GlobalNanos(40.25),
+            start: GlobalNanos(9),
+            end: GlobalNanos(42),
             alpha_beta: vec![
                 AlphaBetaBounds::identity(),
                 AlphaBetaBounds {
@@ -826,13 +820,13 @@ mod tests {
     #[test]
     fn debug_text_is_golden() {
         let golden = concat!(
-            r#"GlobalTimeline { events: [GlobalEvent { sm: #0, kind: StateChange { event: #1, from_state: #0, new_state: #2 }, bounds: TimeBounds { lo: GlobalNanos(9.5), hi: GlobalNanos(10.25) }, record_index: 0 }"#,
-            r#", GlobalEvent { sm: #1, kind: Injection { fault: #3 }, bounds: TimeBounds { lo: GlobalNanos(19.5), hi: GlobalNanos(20.25) }, record_index: 0 }"#,
-            r#", GlobalEvent { sm: #0, kind: UserMessage("say \"hi\" \\ bye"), bounds: TimeBounds { lo: GlobalNanos(29.5), hi: GlobalNanos(30.25) }, record_index: 1 }"#,
-            r#", GlobalEvent { sm: #1, kind: Restart { host: #1 }, bounds: TimeBounds { lo: GlobalNanos(39.5), hi: GlobalNanos(40.25) }, record_index: 1 }"#,
-            r#"], intervals: [StateInterval { sm: #1, state: #4, enter: TimeBounds { lo: GlobalNanos(9.5), hi: GlobalNanos(9.5) }, exit: Some(TimeBounds { lo: GlobalNanos(39.5), hi: GlobalNanos(40.25) }) }"#,
-            r#", StateInterval { sm: #0, state: #2, enter: TimeBounds { lo: GlobalNanos(9.5), hi: GlobalNanos(10.25) }, exit: None }"#,
-            r#"], start: GlobalNanos(9.5), end: GlobalNanos(40.25), alpha_beta: [AlphaBetaBounds { alpha_lo: 0.0, alpha_hi: 0.0, beta_lo: 1.0, beta_hi: 1.0 }, AlphaBetaBounds { alpha_lo: -1.5, alpha_hi: 2.0, beta_lo: 0.999, beta_hi: 1.001 }], reference_host: #0"#,
+            r#"GlobalTimeline { events: [GlobalEvent { sm: #0, kind: StateChange { event: #1, from_state: #0, new_state: #2 }, bounds: TimeBounds { lo: GlobalNanos(9), hi: GlobalNanos(12) }, record_index: 0 }"#,
+            r#", GlobalEvent { sm: #1, kind: Injection { fault: #3 }, bounds: TimeBounds { lo: GlobalNanos(19), hi: GlobalNanos(22) }, record_index: 0 }"#,
+            r#", GlobalEvent { sm: #0, kind: UserMessage("say \"hi\" \\ bye"), bounds: TimeBounds { lo: GlobalNanos(29), hi: GlobalNanos(32) }, record_index: 1 }"#,
+            r#", GlobalEvent { sm: #1, kind: Restart { host: #1 }, bounds: TimeBounds { lo: GlobalNanos(39), hi: GlobalNanos(42) }, record_index: 1 }"#,
+            r#"], intervals: [StateInterval { sm: #1, state: #4, enter: TimeBounds { lo: GlobalNanos(9), hi: GlobalNanos(9) }, exit: Some(TimeBounds { lo: GlobalNanos(39), hi: GlobalNanos(42) }) }"#,
+            r#", StateInterval { sm: #0, state: #2, enter: TimeBounds { lo: GlobalNanos(9), hi: GlobalNanos(12) }, exit: None }"#,
+            r#"], start: GlobalNanos(9), end: GlobalNanos(42), alpha_beta: [AlphaBetaBounds { alpha_lo: 0.0, alpha_hi: 0.0, beta_lo: 1.0, beta_hi: 1.0 }, AlphaBetaBounds { alpha_lo: -1.5, alpha_hi: 2.0, beta_lo: 0.999, beta_hi: 1.001 }], reference_host: #0"#,
             r#", symbols: SymbolTable { hosts: NameTable { names: ["h1", "h2"], index: {"h2": 1, "h1": 0}, _tag: PhantomData<fn() -> loki_core::ids::HostTag> } } }"#,
         );
         assert_eq!(format!("{:?}", golden_timeline()), golden);
@@ -908,8 +902,28 @@ mod tests {
         data.timelines[0].stints[0].host = data.reference_host;
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         let e = &gt.events[0];
-        assert_eq!(e.bounds.lo.as_f64(), 10_000_000.0);
-        assert_eq!(e.bounds.hi.as_f64(), 10_000_000.0);
+        assert_eq!(e.bounds, TimeBounds::point(GlobalNanos(10_000_000)));
+    }
+
+    /// A record at or past `MAX_READING_NS` is a typed error naming its
+    /// host, on the reference's identity projection as on any other.
+    #[test]
+    fn record_reading_past_the_range_is_a_typed_error() {
+        use loki_clock::sync::{SyncError, MAX_READING_NS};
+        let (study, opts) = (study(), GlobalOptions::default());
+        let mut data = experiment(&study);
+        data.timelines[0].records[2].time = LocalNanos(MAX_READING_NS);
+        let source = SyncError::OutOfRange {
+            reading_ns: MAX_READING_NS,
+        };
+        for host in ["h2", "h1"] {
+            data.timelines[0].stints[0].host = data.symbols.lookup(host).unwrap();
+            let (host, source) = (host.into(), source.clone());
+            let err = Err(AnalysisError::Sync { host, source });
+            assert_eq!(make_global(&study, &data, &opts), err);
+        }
+        data.timelines[0].records[2].time = LocalNanos(MAX_READING_NS - 1);
+        assert!(make_global(&study, &data, &opts).is_ok());
     }
 
     /// Three shapes of experiment: one machine, four interleaving

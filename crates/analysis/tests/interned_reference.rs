@@ -257,7 +257,7 @@ fn make_global_strings(study: &Study, data: &ExperimentData) -> Result<RefOutput
             // map lookup.
             let host = data.host_name(timeline.host_of_record(idx));
             let ab = &alpha_beta[host];
-            let bounds = ab.project(record.time);
+            let bounds = ab.project(record.time).unwrap();
             let here = (bounds, idx as u32);
             let kind = match &record.kind {
                 RecordKind::StateChange { event, new_state } => {

@@ -17,12 +17,12 @@ struct Draft {
 }
 
 /// The timeline over `[0, end]` holding `draft`'s events and intervals.
-fn timeline(draft: Draft, end: f64) -> GlobalTimeline {
+fn timeline(draft: Draft, end: i64) -> GlobalTimeline {
     GlobalTimeline {
         events: draft.events.into(),
         messages: "".into(),
         intervals: draft.intervals.into(),
-        start: GlobalNanos(0.0),
+        start: GlobalNanos(0),
         end: GlobalNanos(end),
         alpha_beta: Vec::new().into(),
         reference_host: Id::from_raw(0),
@@ -64,13 +64,13 @@ fn push_interval(
 }
 
 /// Builds a synthetic global timeline: for each machine, a sequence of
-/// state intervals with bounded-uncertainty transition times.
+/// state intervals with bounded-uncertainty transition times (ns).
 fn timeline_strategy() -> impl Strategy<Value = GlobalTimeline> {
-    let machine_intervals = prop::collection::vec((0u32..4, 1.0f64..50.0, 0.0f64..2.0), 1..8);
+    let machine_intervals = prop::collection::vec((0u32..4, 1_000i64..50_000, 0i64..2_000), 1..8);
     prop::collection::vec(machine_intervals, 1..3).prop_map(|machines| {
         let mut draft = Draft::default();
         for (m, segs) in machines.iter().enumerate() {
-            let mut t = 0.0;
+            let mut t = 0;
             for (i, (state, len, width)) in segs.iter().enumerate() {
                 let enter = TimeBounds::new(GlobalNanos(t), GlobalNanos(t + width));
                 let t_end = t + width + len;
@@ -90,7 +90,7 @@ fn timeline_strategy() -> impl Strategy<Value = GlobalTimeline> {
                 t = t_end;
             }
         }
-        timeline(draft, 200.0)
+        timeline(draft, 200_000)
     })
 }
 
@@ -123,7 +123,7 @@ proptest! {
     fn definite_is_subset_of_possible(
         gt in timeline_strategy(),
         expr in expr_strategy(3),
-        probes in prop::collection::vec(0.0f64..200.0, 1..20),
+        probes in prop::collection::vec(0i64..200_000, 1..20),
     ) {
         let truth = expr_truth(&gt, &expr);
         for t in probes {
@@ -142,7 +142,7 @@ proptest! {
     fn negation_duality(
         gt in timeline_strategy(),
         expr in expr_strategy(2),
-        probes in prop::collection::vec(0.0f64..200.0, 1..20),
+        probes in prop::collection::vec(0i64..200_000, 1..20),
     ) {
         let e = expr_truth(&gt, &expr);
         let not_e = expr_truth(&gt, &CompiledExpr::Not(Box::new(expr.clone())));
@@ -157,22 +157,22 @@ proptest! {
     #[test]
     fn exact_bounds_collapse_the_gap(
         expr in expr_strategy(2),
-        probes in prop::collection::vec(0.0f64..200.0, 1..20),
+        probes in prop::collection::vec(0i64..200, 1..20),
     ) {
         // One machine cycling through states 0,1,2 with exact bounds.
         let mut draft = Draft::default();
-        let mut t = 0.0;
+        let mut t = 0;
         for i in 0..10u32 {
             let enter = TimeBounds::point(GlobalNanos(t));
-            let exit = TimeBounds::point(GlobalNanos(t + 10.0));
+            let exit = TimeBounds::point(GlobalNanos(t + 10));
             push_interval(&mut draft, Id::from_raw(0), Id::from_raw(i % 3), enter, Some(exit));
-            t += 10.0;
+            t += 10;
         }
-        let gt = timeline(draft, 100.0);
+        let gt = timeline(draft, 100);
         let truth = expr_truth(&gt, &expr);
         for t in probes {
             // Avoid the measure-zero transition instants.
-            if (t / 10.0).fract() < 1e-9 {
+            if t % 10 == 0 {
                 continue;
             }
             prop_assert_eq!(
@@ -188,15 +188,16 @@ proptest! {
 /// Span sets built every way the checker builds them — merged raw spans
 /// (inverted ones dropped, so the empty set comes up), unions,
 /// intersections, and complements, which leave spans touching end to end
-/// around a point span. Endpoints are whole numbers or ±∞, so that probes
-/// land on them exactly.
+/// around a point span. Endpoints are even numbers or the open ends
+/// `i64::MIN`/`i64::MAX`, so that probes land on them exactly and between
+/// them.
 fn span_set_strategy() -> impl Strategy<Value = IntervalSet> {
     let raw = || {
-        let span = (-5i32..40, -2i32..10, 0u32..24).prop_map(|(lo, len, edge)| {
-            let (lo, hi) = (f64::from(lo), f64::from(lo + len));
+        let span = (-5i64..40, -2i64..10, 0u32..24).prop_map(|(lo, len, edge)| {
+            let (lo, hi) = (2 * lo, 2 * (lo + len));
             match edge {
-                0 => (f64::NEG_INFINITY, hi),
-                1 => (lo, f64::INFINITY),
+                0 => (i64::MIN, hi),
+                1 => (lo, i64::MAX),
                 _ => (lo, hi),
             }
         });
@@ -206,20 +207,20 @@ fn span_set_strategy() -> impl Strategy<Value = IntervalSet> {
         0 => a,
         1 => a.union(&b),
         2 => a.intersect(&b),
-        3 => a.complement(0.0, 30.0),
-        _ => a.complement(f64::NEG_INFINITY, f64::INFINITY),
+        3 => a.complement(0, 60),
+        _ => a.complement(i64::MIN, i64::MAX),
     })
 }
 
-/// Probe coordinates: on the whole numbers the endpoints use, between
-/// them, and at ±∞.
-fn coordinate_strategy() -> impl Strategy<Value = f64> {
+/// Probe coordinates: on the even numbers the endpoints use, between
+/// them, and at the open ends.
+fn coordinate_strategy() -> impl Strategy<Value = i64> {
     prop_oneof![
-        (-7i32..50).prop_map(f64::from),
-        (-7i32..50).prop_map(f64::from),
-        (-7i32..50).prop_map(|n| f64::from(n) + 0.5),
-        Just(f64::NEG_INFINITY),
-        Just(f64::INFINITY),
+        (-7i64..50).prop_map(|n| 2 * n),
+        (-7i64..50).prop_map(|n| 2 * n),
+        (-7i64..50).prop_map(|n| 2 * n + 1),
+        Just(i64::MIN),
+        Just(i64::MAX),
     ]
 }
 
@@ -228,7 +229,7 @@ proptest! {
 
     /// The binary-search queries answer exactly what the linear scans they
     /// replaced answered — for probes on an endpoint, across a gap, inverted
-    /// (`lo > hi`), infinite, and against the empty set alike.
+    /// (`lo > hi`), at the open ends, and against the empty set alike.
     #[test]
     fn interval_queries_match_their_linear_definitions(
         set in span_set_strategy(),

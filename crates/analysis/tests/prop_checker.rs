@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 /// `(definite, possible)` regions of one atom, from every interval, each
 /// bound read straight off the event the interval names.
-fn ref_atom(gt: &GlobalTimeline, sm: SmId, state: StateId, end: f64) -> (IntervalSet, IntervalSet) {
+fn ref_atom(gt: &GlobalTimeline, sm: SmId, state: StateId, end: i64) -> (IntervalSet, IntervalSet) {
     let of_atom = || {
         gt.intervals
             .iter()
@@ -41,25 +41,17 @@ fn ref_atom(gt: &GlobalTimeline, sm: SmId, state: StateId, end: f64) -> (Interva
         StateInterval::OPEN => (end, end),
         at => {
             let x = gt.events[at as usize].bounds;
-            (x.lo.as_f64(), x.hi.as_f64())
+            (x.lo.0, x.hi.0)
         }
     };
     (
-        IntervalSet::from_spans(
-            of_atom()
-                .map(|iv| (enter(iv).hi.as_f64(), exit(iv).0))
-                .collect(),
-        ),
-        IntervalSet::from_spans(
-            of_atom()
-                .map(|iv| (enter(iv).lo.as_f64(), exit(iv).1))
-                .collect(),
-        ),
+        IntervalSet::from_spans(of_atom().map(|iv| (enter(iv).hi.0, exit(iv).0)).collect()),
+        IntervalSet::from_spans(of_atom().map(|iv| (enter(iv).lo.0, exit(iv).1)).collect()),
     )
 }
 
 /// `(definite, possible)` regions of an expression, every atom afresh.
-fn ref_expr(gt: &GlobalTimeline, expr: &CompiledExpr, w: (f64, f64)) -> (IntervalSet, IntervalSet) {
+fn ref_expr(gt: &GlobalTimeline, expr: &CompiledExpr, w: (i64, i64)) -> (IntervalSet, IntervalSet) {
     match expr {
         CompiledExpr::Atom(sm, state) => ref_atom(gt, *sm, *state, w.1),
         CompiledExpr::And(a, b) => {
@@ -104,7 +96,7 @@ fn ref_holds(
     gt: &GlobalTimeline,
     inj: &GlobalEvent,
     expr: &CompiledExpr,
-    w: (f64, f64),
+    w: (i64, i64),
 ) -> Option<bool> {
     match expr {
         CompiledExpr::Atom(sm, state) if *sm == inj.sm => {
@@ -112,7 +104,7 @@ fn ref_holds(
         }
         CompiledExpr::Atom(sm, state) => {
             let (definite, possible) = ref_atom(gt, *sm, *state, w.1);
-            let (lo, hi) = (inj.bounds.lo.as_f64(), inj.bounds.hi.as_f64());
+            let (lo, hi) = (inj.bounds.lo.0, inj.bounds.hi.0);
             if definite.spans().iter().any(|&(a, b)| a <= lo && hi <= b) {
                 Some(true)
             } else if !possible.spans().iter().any(|&(a, b)| a <= hi && lo <= b) {
@@ -141,9 +133,9 @@ fn ref_check(study: &Study, gt: &GlobalTimeline, policy: MissingPolicy) -> Exper
     // analysis window clamps. The checker takes the unbounded line instead:
     // the set algebra only compares endpoints, so the two decide alike.
     let bounds = || gt.events.iter().map(|e| e.bounds);
-    let lo = bounds().map(|b| b.lo.as_f64()).reduce(f64::min);
-    let hi = bounds().map(|b| b.hi.as_f64()).reduce(f64::max);
-    let w = (lo.unwrap_or(0.0) - 1.0, hi.unwrap_or(0.0) + 1.0);
+    let lo = bounds().map(|b| b.lo.0).min();
+    let hi = bounds().map(|b| b.hi.0).max();
+    let w = (lo.unwrap_or(0) - 1, hi.unwrap_or(0) + 1);
     let mut injected = vec![0usize; study.faults.len()];
     let mut checks = Vec::new();
     for (event, fault_id) in gt.injections() {
@@ -165,7 +157,7 @@ fn ref_check(study: &Study, gt: &GlobalTimeline, policy: MissingPolicy) -> Exper
         let (mut edges, mut prev_hi) = (0usize, w.0);
         for &(lo, hi) in definite.spans() {
             let probe = (prev_hi, lo);
-            let refuted = |&(a, b): &(f64, f64)| a <= probe.1 && probe.0 <= b;
+            let refuted = |&(a, b): &(i64, i64)| a <= probe.1 && probe.0 <= b;
             if probe.0 <= probe.1 && definitely_false.spans().iter().any(refuted) {
                 edges += 1;
             }
@@ -313,13 +305,13 @@ fn timeline_of(
     let mut injections = 0;
     for (m, records) in timelines.iter().enumerate() {
         let sm = study.sm_id(&format!("m{m}")).expect("declared");
-        let mut t = 10.0 * m as f64;
+        let mut t = 10 * m as i64;
         let mut current = StateId::BEGIN;
         let mut open: Option<(StateId, u32)> = None;
         for (record_index, &(kind, state, fault, step, width)) in (0..).zip(records) {
-            // Whole numbers, so that bounds often meet end to end exactly.
-            t += if backwards { step } else { step.abs() }.round();
-            let hi = t + (width * widest).round();
+            // Whole numbers of ns, so bounds often meet end to end exactly.
+            t += if backwards { step } else { step.abs() }.round() as i64;
+            let hi = t + (width * widest).round() as i64;
             let bounds = TimeBounds::new(GlobalNanos(t), GlobalNanos(hi));
             let injects = kind < density && injections < MAX_INJECTIONS;
             injections += usize::from(injects);
@@ -389,25 +381,14 @@ fn timeline_of(
         let mid = |iv: &StateInterval| events[iv.enter as usize].bounds.mid();
         intervals.sort_by(|a, b| mid(a).total_cmp(&mid(b)));
     }
-    let lo = events
-        .iter()
-        .map(|e| e.bounds.lo.as_f64())
-        .fold(f64::INFINITY, f64::min);
-    let hi = events
-        .iter()
-        .map(|e| e.bounds.hi.as_f64())
-        .fold(f64::NEG_INFINITY, f64::max);
-    let (lo, hi) = if events.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (lo, hi)
-    };
+    let lo = events.iter().map(|e| e.bounds.lo).min().unwrap_or_default();
+    let hi = events.iter().map(|e| e.bounds.hi).max().unwrap_or_default();
     GlobalTimeline {
         events: events.into(),
         messages: "".into(),
         intervals: intervals.into(),
-        start: GlobalNanos(lo),
-        end: GlobalNanos(hi),
+        start: lo,
+        end: hi,
         alpha_beta: Vec::new().into(),
         reference_host: HostId::from_raw(0),
         symbols: Arc::new(SymbolTable::from_iter(["ref"])),

@@ -52,6 +52,10 @@
 //! [`SyncError::InvalidOptions`]. Each of the four extremes is then rounded
 //! outward to `f64` once, so the bounds enclose the exact polygon and do not
 //! depend on the algorithm that found it.
+//!
+//! [`AlphaBetaBounds::project`] reads those `f64`s as the exact dyadic
+//! rationals they are and rounds `(C − α)/β` outward to whole nanoseconds
+//! once, so a projected interval encloses the exact projection over the box.
 
 use crate::params::ClockParams;
 use loki_core::campaign::SyncSample;
@@ -61,11 +65,13 @@ use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
 
-/// Readings at or past this value, plus the slack, are outside the exact
-/// arithmetic's range (2⁶² ns, about 146 years): see the module docs.
+/// Readings at or past this value, plus the slack for a sync sample, are
+/// outside the exact arithmetic's range (2⁶² ns, about 146 years): see the
+/// module docs.
 pub const MAX_READING_NS: u64 = 1 << 62;
 
-/// The β box the exact arithmetic covers: `[2⁻¹⁰, 2¹⁰]`.
+/// The β box the exact arithmetic covers, in the estimate and in the
+/// projection: `[2⁻¹⁰, 2¹⁰]`.
 const BETA_MIN: f64 = 1.0 / 1024.0;
 const BETA_MAX: f64 = 1024.0;
 
@@ -143,10 +149,21 @@ pub enum SyncError {
         /// The offending slack.
         slack_ns: u64,
     },
-    /// A sample reading plus the slack reaches [`MAX_READING_NS`], past the
-    /// range the exact arithmetic covers.
+    /// A sample reading plus the slack, or a reading to project, reaches
+    /// [`MAX_READING_NS`], past the range the exact arithmetic covers.
     OutOfRange {
         /// The offending reading, in nanoseconds.
+        reading_ns: u64,
+    },
+    /// [`AlphaBetaBounds::project`] was given a box with a corner it cannot
+    /// evaluate: an α bound that is not finite, or a β bound outside
+    /// `[2⁻¹⁰, 2¹⁰]` (the box [`SyncOptions::validate`] admits and the exact
+    /// arithmetic covers; a β of zero, say, has no finite corner).
+    InvalidBox,
+    /// The exact projection of a reading reaches `±`[`GlobalNanos::LIMIT`]
+    /// (2⁶² ns): a whole-ns bound would leave the range of global time.
+    ProjectionOutOfRange {
+        /// The projected reading, in nanoseconds.
         reading_ns: u64,
     },
 }
@@ -174,7 +191,15 @@ impl fmt::Display for SyncError {
             ),
             SyncError::OutOfRange { reading_ns } => write!(
                 f,
-                "sync reading {reading_ns} ns plus the slack is not below 2^62 ns"
+                "reading {reading_ns} ns (plus the slack, for a sync sample) is not below 2^62 ns"
+            ),
+            SyncError::InvalidBox => write!(
+                f,
+                "cannot project through an alpha/beta box unless alpha is finite and 2^-10 <= beta <= 2^10"
+            ),
+            SyncError::ProjectionOutOfRange { reading_ns } => write!(
+                f,
+                "reading {reading_ns} ns projects outside the +-2^62 ns of global time"
             ),
         }
     }
@@ -233,36 +258,66 @@ impl AlphaBetaBounds {
     /// C_r(T) = (C_i(T) − α) / β
     /// ```
     ///
-    /// evaluated over all `(α, β)` corners of the bound box. The true global
-    /// time of the event always lies inside the returned interval.
+    /// evaluated over all `(α, β)` corners of the bound box, exactly: the
+    /// result is `[⌊min⌋, ⌈max⌉]` of the four exact rational corner values,
+    /// each rounded outward to a whole nanosecond once, so the true global
+    /// time of the event always lies inside it. An inverted box is read as
+    /// the box of its four corners.
+    ///
+    /// The `f64` quotient is only a guess: one exact integer product
+    /// against `C − α` checks each floor (ceiling) candidate and its two
+    /// neighbours, and a guess further off (rare below 2⁵³ ns) is replaced
+    /// by one exact `i128` division.
+    ///
+    /// # Errors
+    ///
+    /// [`SyncError::OutOfRange`] for a reading at or past
+    /// [`MAX_READING_NS`], [`SyncError::InvalidBox`] for a box with an α
+    /// bound that is not finite or a β bound outside `[2⁻¹⁰, 2¹⁰]`, and
+    /// [`SyncError::ProjectionOutOfRange`] when a bound would reach
+    /// `±`[`GlobalNanos::LIMIT`].
     #[inline]
-    pub fn project(&self, local: LocalNanos) -> TimeBounds {
-        let ci = local.as_f64();
-        let above_hi = ci - self.alpha_hi;
-        if above_hi >= 0.0
-            && self.alpha_lo <= self.alpha_hi
-            && 0.0 < self.beta_lo
-            && self.beta_lo <= self.beta_hi
+    pub fn project(&self, local: LocalNanos) -> Result<TimeBounds, SyncError> {
+        let reading_ns = local.0;
+        if reading_ns >= MAX_READING_NS {
+            return Err(SyncError::OutOfRange { reading_ns });
+        }
+        let in_box = |beta: f64| (BETA_MIN..=BETA_MAX).contains(&beta);
+        if !(self.alpha_lo.is_finite()
+            && self.alpha_hi.is_finite()
+            && in_box(self.beta_lo)
+            && in_box(self.beta_hi))
         {
-            // With `C − α⁺ ≥ 0` over an ordered box of positive β,
-            // `(C − α)/β` falls in both α and β, and rounding keeps that
-            // order: the extremes are the diagonal corners, bit-equal to
-            // the four-corner scan below, which every other box takes.
-            return TimeBounds::new(
-                GlobalNanos(above_hi / self.beta_hi),
-                GlobalNanos((ci - self.alpha_lo) / self.beta_lo),
-            );
+            return Err(SyncError::InvalidBox);
         }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for alpha in [self.alpha_lo, self.alpha_hi] {
-            for beta in [self.beta_lo, self.beta_hi] {
-                let v = (ci - alpha) / beta;
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
+        let corner = |alpha, beta| Corner::new(reading_ns, alpha, beta);
+        let top = corner(self.alpha_hi, self.beta_hi)?;
+        // With `C − α⁺ ≥ 0` over an ordered box of positive β, `(C − α)/β`
+        // falls in both α and β: the extremes are the diagonal corners.
+        // Every other box takes the four-corner scan.
+        let diagonal =
+            top.floor_num >= 0 && self.alpha_lo <= self.alpha_hi && self.beta_lo <= self.beta_hi;
+        let (lo, hi) = if diagonal {
+            (top.floor(), corner(self.alpha_lo, self.beta_lo)?.ceil())
+        } else {
+            let corners = [
+                top,
+                corner(self.alpha_hi, self.beta_lo)?,
+                corner(self.alpha_lo, self.beta_hi)?,
+                corner(self.alpha_lo, self.beta_lo)?,
+            ];
+            let (floors, ceils) = (corners.map(Corner::floor), corners.map(Corner::ceil));
+            (
+                floors.into_iter().fold(i128::MAX, i128::min),
+                ceils.into_iter().fold(i128::MIN, i128::max),
+            )
+        };
+        let limit = i128::from(GlobalNanos::LIMIT);
+        let whole = |k: i128| (-limit < k && k < limit).then_some(GlobalNanos(k as i64));
+        match (whole(lo), whole(hi)) {
+            (Some(lo), Some(hi)) => Ok(TimeBounds { lo, hi }),
+            _ => Err(SyncError::ProjectionOutOfRange { reading_ns }),
         }
-        TimeBounds::new(GlobalNanos(lo), GlobalNanos(hi))
     }
 
     /// The midpoint estimate `(α, β)` (useful for reporting, not for
@@ -272,6 +327,88 @@ impl AlphaBetaBounds {
             (self.alpha_lo + self.alpha_hi) / 2.0,
             (self.beta_lo + self.beta_hi) / 2.0,
         )
+    }
+}
+
+/// One corner's exact `(C − α)/β`. The β range makes `β = den·2⁻ˢ` with
+/// `den` a 53-bit integer and `s ∈ [42, 62]`, so scaling by `2ˢ` turns the
+/// value into `(num − f)/den` for integers `num` (below 2¹²⁶ in magnitude)
+/// and `den`, and a fraction `f ∈ [0, 1)` from α's bits below `2⁻ˢ`.
+#[derive(Copy, Clone)]
+struct Corner {
+    /// `⌈(C − α)·2ˢ⌉`.
+    num: i128,
+    /// `⌊(C − α)·2ˢ⌋`: `num − 1` when `f > 0`, else `num`.
+    floor_num: i128,
+    den: i64,
+    /// The `f64` quotient, the guess at the floor and ceiling.
+    estimate: f64,
+}
+
+impl Corner {
+    /// The corner `(alpha, beta)` at `reading_ns`, for a reading below
+    /// [`MAX_READING_NS`], a finite `alpha` and a `beta` in `[2⁻¹⁰, 2¹⁰]`.
+    #[inline]
+    fn new(reading_ns: u64, alpha: f64, beta: f64) -> Result<Corner, SyncError> {
+        let (den, q) = decompose(beta);
+        let s = -q;
+        // α·2ˢ = a·2ᵗ, split into its floor `whole` and whether a fraction
+        // is left over.
+        let (a, t) = decompose(alpha);
+        let a = i128::from(a);
+        let (whole, frac) = if t + s >= 0 {
+            // α is normal here (`|a| ≥ 2⁵²`): past a shift of 72,
+            // `|α·2ˢ| ≥ 2¹²⁵` against `C·2ˢ < 2¹²⁴` leaves a quotient past
+            // 2⁷¹ in magnitude, out of range.
+            if t + s > 72 {
+                return Err(SyncError::ProjectionOutOfRange { reading_ns });
+            }
+            (a << (t + s), false)
+        } else {
+            // `|a| < 2⁵³`, so a shift of 64 leaves only its sign's floor.
+            let shift = (-(t + s)).min(64);
+            let whole = a >> shift;
+            (whole, whole << shift != a)
+        };
+        let num = (i128::from(reading_ns) << s) - whole;
+        Ok(Corner {
+            num,
+            floor_num: num - i128::from(frac),
+            den,
+            estimate: (reading_ns as f64 - alpha) / beta,
+        })
+    }
+
+    /// `⌊(C − α)/β⌋`: the largest `k` with `k·den ≤ floor_num`.
+    #[inline]
+    fn floor(self) -> i128 {
+        floor_div(self.floor_num, self.den, self.estimate)
+    }
+
+    /// `⌈(C − α)/β⌉`: the smallest `k` with `k·den ≥ num`.
+    #[inline]
+    fn ceil(self) -> i128 {
+        floor_div(self.num - 1, self.den, self.estimate) + 1
+    }
+}
+
+/// `⌊n / den⌋` for `den > 0`, from a `guess` at the quotient: one exact
+/// product checks the truncated guess and its two neighbours, and only a
+/// guess further off (rare below 2⁵³ ns) pays an exact division.
+#[inline]
+fn floor_div(n: i128, den: i64, guess: f64) -> i128 {
+    // Truncated and saturated, so the product stays below 2¹¹⁷.
+    let k = guess as i64;
+    let r = n - wide(k, den);
+    let (k, den) = (i128::from(k), i128::from(den));
+    if (0..den).contains(&r) {
+        k
+    } else if (den..2 * den).contains(&r) {
+        k + 1
+    } else if (-den..0).contains(&r) {
+        k - 1
+    } else {
+        n.div_euclid(den)
     }
 }
 
@@ -714,11 +851,11 @@ mod tests {
         // clock's reading at T.
         for t in [1_234_567u64, 2_500_000_000, 4_999_999_999] {
             let local = m.read(t);
-            let truth = r.read(t).as_f64();
-            let proj = b.project(local);
+            let truth = GlobalNanos(r.read(t).0 as i64);
+            let proj = b.project(local).unwrap();
             assert!(
-                proj.lo.as_f64() <= truth + 1.0 && truth - 1.0 <= proj.hi.as_f64(),
-                "t={t}: {proj:?} vs truth {truth}"
+                proj.lo.0 <= truth.0 + 1 && truth.0 - 1 <= proj.hi.0,
+                "t={t}: {proj:?} vs truth {truth:?}"
             );
         }
     }
@@ -727,9 +864,8 @@ mod tests {
     fn identity_bounds_are_exact() {
         let b = AlphaBetaBounds::identity();
         assert!(b.contains(0.0, 1.0));
-        let p = b.project(LocalNanos(42));
-        assert_eq!(p.lo.as_f64(), 42.0);
-        assert_eq!(p.hi.as_f64(), 42.0);
+        let p = b.project(LocalNanos(42)).unwrap();
+        assert_eq!(p, TimeBounds::point(GlobalNanos(42)));
     }
 
     #[test]
@@ -826,8 +962,8 @@ mod tests {
         assert!(b.alpha_lo <= 0.0 && 0.0 <= b.alpha_hi, "{b:?}");
         assert!(b.beta_lo <= b.beta_hi, "{b:?}");
         // Projection through those wide-but-valid bounds stays ordered.
-        let p = b.project(LocalNanos(2_000_000));
-        assert!(p.lo.as_f64() <= p.hi.as_f64());
+        let p = b.project(LocalNanos(2_000_000)).unwrap();
+        assert!(p.lo <= p.hi);
     }
 
     #[test]
@@ -891,6 +1027,89 @@ mod tests {
             );
         }
         assert_eq!(SyncOptions::default().validate(), Ok(()));
+    }
+
+    /// A box with a corner the projection cannot evaluate — an α or β that
+    /// is not finite, a β of zero or outside the exact range — is a typed
+    /// error, never a NaN or infinite bound.
+    #[test]
+    fn non_finite_corners_are_a_typed_error() {
+        let good = AlphaBetaBounds {
+            alpha_lo: -1.5,
+            alpha_hi: 2.0,
+            beta_lo: 0.999,
+            beta_hi: 1.001,
+        };
+        assert!(good.project(LocalNanos(1_000)).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for b in [
+                AlphaBetaBounds {
+                    alpha_lo: bad,
+                    ..good
+                },
+                AlphaBetaBounds {
+                    alpha_hi: bad,
+                    ..good
+                },
+            ] {
+                assert_eq!(b.project(LocalNanos(1_000)), Err(SyncError::InvalidBox));
+            }
+        }
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -0.0, -1.0, 1e-300, 2048.0] {
+            for b in [
+                AlphaBetaBounds {
+                    beta_lo: bad,
+                    ..good
+                },
+                AlphaBetaBounds {
+                    beta_hi: bad,
+                    ..good
+                },
+            ] {
+                assert_eq!(b.project(LocalNanos(1_000)), Err(SyncError::InvalidBox));
+            }
+        }
+        // A finite α past what `f64` can divide still projects to a typed
+        // error: its corner lies out of range.
+        let huge = AlphaBetaBounds {
+            alpha_lo: -f64::MAX,
+            ..good
+        };
+        assert_eq!(
+            huge.project(LocalNanos(1_000)),
+            Err(SyncError::ProjectionOutOfRange { reading_ns: 1_000 })
+        );
+    }
+
+    /// A reading in range can still project past `±GlobalNanos::LIMIT`
+    /// through a slow clock: a typed error, not an overflowed bound.
+    #[test]
+    fn projection_past_the_global_range_is_a_typed_error() {
+        // A clock at 2⁻¹⁰ of the reference's rate, α within ±1 ns: 2⁵² ns
+        // on it is 2⁶² ± 1 024 ns on the reference.
+        let slow = AlphaBetaBounds {
+            alpha_lo: -1.0,
+            alpha_hi: 1.0,
+            beta_lo: 1.0 / 1024.0,
+            beta_hi: 1.0 / 1024.0,
+        };
+        let reading_ns = 1 << 52;
+        assert_eq!(
+            slow.project(LocalNanos(reading_ns)),
+            Err(SyncError::ProjectionOutOfRange { reading_ns })
+        );
+        let inside = slow.project(LocalNanos(reading_ns - 2)).unwrap();
+        assert_eq!(inside.hi, GlobalNanos(GlobalNanos::LIMIT - 1024));
+        // Below zero as well: the projection is symmetric in range.
+        let ahead = AlphaBetaBounds {
+            alpha_lo: (1u64 << 53) as f64,
+            alpha_hi: (1u64 << 53) as f64,
+            ..slow
+        };
+        assert_eq!(
+            ahead.project(LocalNanos(0)),
+            Err(SyncError::ProjectionOutOfRange { reading_ns: 0 })
+        );
     }
 
     #[test]

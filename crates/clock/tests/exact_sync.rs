@@ -11,13 +11,18 @@
 //! readings, one sample per direction, unsorted input and infeasible input.
 //! Where the samples come from real clocks, the true `(α, β)` must lie
 //! inside the bounds as well.
+//!
+//! The projection has an oracle of its own in the same rationals: for any
+//! box and reading, `project` must return `[⌊min⌋, ⌈max⌉]` of the four
+//! exact corner values `(C − α)/β`, on generated boxes with readings near an
+//! integer, below α, past 2⁵³ ns and out of range.
 
 use loki_clock::params::{ClockParams, VirtualClock};
 use loki_clock::sync::{
     estimate_alpha_beta, true_alpha_beta, AlphaBetaBounds, SyncError, SyncOptions, MAX_READING_NS,
 };
 use loki_core::campaign::SyncSample;
-use loki_core::time::LocalNanos;
+use loki_core::time::{GlobalNanos, LocalNanos, TimeBounds};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
@@ -558,32 +563,166 @@ proptest! {
     }
 
     #[test]
-    fn projection_equals_the_four_corner_scan(
-        alpha in -1e9f64..1e9,
-        // Negative widths make inverted boxes, which must not panic.
-        alpha_width in -1e6f64..1e6,
-        beta in 0.9f64..1.1,
-        beta_width in -1e-3f64..1e-3,
-        local in 0u64..3_000_000_000,
-    ) {
-        let bounds = AlphaBetaBounds {
-            alpha_lo: alpha,
-            alpha_hi: alpha + alpha_width,
-            beta_lo: beta,
-            beta_hi: beta + beta_width,
-        };
-        let ci = local as f64;
-        let corners = [
-            (bounds.alpha_lo, bounds.beta_lo),
-            (bounds.alpha_lo, bounds.beta_hi),
-            (bounds.alpha_hi, bounds.beta_lo),
-            (bounds.alpha_hi, bounds.beta_hi),
-        ]
-        .map(|(a, b)| (ci - a) / b);
-        let lo = corners.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = corners.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let got = bounds.project(LocalNanos(local));
-        prop_assert_eq!(got.lo.as_f64().to_bits(), lo.to_bits());
-        prop_assert_eq!(got.hi.as_f64().to_bits(), hi.to_bits());
+    fn projection_is_the_outward_rounding_of_the_exact_corners(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        let (bounds, reading_ns) = projection_case(&mut g);
+        prop_assert_eq!(
+            bounds.project(LocalNanos(reading_ns)),
+            reference_projection(&bounds, reading_ns),
+            "{:?} at {}", bounds, reading_ns
+        );
     }
+}
+
+/// `[⌊min⌋, ⌈max⌉]` of the four exact corner values `(C − α)/β`, in big
+/// rationals, with the library's errors for a reading, a box or a bound out
+/// of range.
+fn reference_projection(
+    bounds: &AlphaBetaBounds,
+    reading_ns: u64,
+) -> Result<TimeBounds, SyncError> {
+    if reading_ns >= MAX_READING_NS {
+        return Err(SyncError::OutOfRange { reading_ns });
+    }
+    let alphas = [bounds.alpha_lo, bounds.alpha_hi];
+    let betas = [bounds.beta_lo, bounds.beta_hi];
+    let beta_ok = |b: f64| (1.0 / 1024.0..=1024.0).contains(&b);
+    if !alphas.iter().all(|a| a.is_finite()) || !betas.iter().all(|&b| beta_ok(b)) {
+        return Err(SyncError::InvalidBox);
+    }
+    let corners: Vec<Q> = alphas
+        .iter()
+        .flat_map(|&a| {
+            betas.iter().map(move |&b| {
+                Q::int(i128::from(reading_ns))
+                    .sub(&Q::of_f64(a))
+                    .div(&Q::of_f64(b))
+            })
+        })
+        .collect();
+    let lo = corners.iter().map(floor_int).min().unwrap();
+    let hi = corners
+        .iter()
+        .map(|q| -floor_int(&Q::int(0).sub(q)))
+        .max()
+        .unwrap();
+    let limit = 1i128 << 62;
+    if lo <= -limit || hi >= limit {
+        return Err(SyncError::ProjectionOutOfRange { reading_ns });
+    }
+    Ok(TimeBounds {
+        lo: GlobalNanos(lo as i64),
+        hi: GlobalNanos(hi as i64),
+    })
+}
+
+/// The largest integer at or below `q`, for `|q| < 2⁹⁰`, by bisection.
+fn floor_int(q: &Q) -> i128 {
+    let (mut lo, mut hi) = (-(1i128 << 90), 1i128 << 90);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if Q::int(mid).cmp(q) == Ordering::Greater {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    lo
+}
+
+/// A uniform draw from `[lo, hi)`.
+fn uniform(g: &mut Gen, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * (g.next() >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// An α and a β whose exact corner value at `reading_ns` lies within
+/// 10⁻⁶ ns of the integer `k`, on either side: α is `C − k·β` rounded to
+/// the `f64` below or above it.
+fn near_integer_corner(g: &mut Gen, reading_ns: u64, k: i128, beta: f64) -> f64 {
+    let alpha = Q::int(i128::from(reading_ns)).sub(&Q::int(k).mul(&Q::of_f64(beta)));
+    if g.below(2) == 0 {
+        alpha.floor_f64()
+    } else {
+        alpha.ceil_f64()
+    }
+}
+
+/// One projection case: a box, inverted or not, and a reading.
+///
+/// Readings run from below the box's α (so that `C − α⁺ < 0`) through
+/// 10⁹–10¹² ns to 2⁵³ ns and past it up to [`MAX_READING_NS`] and beyond.
+/// Offsets include ±0, `|α| < 1` and `|α|` up to 2¹⁰⁰; drifts are near 1
+/// or anywhere in the β range, where large readings project out of range.
+/// Half the boxes put two corners within 10⁻⁶ ns of an integer, where a
+/// plain floor or ceiling of the `f64` quotient goes wrong.
+fn projection_case(g: &mut Gen) -> (AlphaBetaBounds, u64) {
+    let reading_ns = match g.below(6) {
+        0 => g.below(2_000_000),
+        1 | 2 => 1_000_000_000 + g.below(999_000_000_000),
+        3 => (1u64 << 53) - 2 + g.below(5),
+        4 => (1u64 << 53) + g.below(MAX_READING_NS - (1 << 53)),
+        _ => MAX_READING_NS - 2 + g.below(4),
+    };
+    let beta = |g: &mut Gen| match g.below(4) {
+        0 => uniform(g, 1.0 / 1024.0, 1024.0),
+        _ => uniform(g, 0.999, 1.001),
+    };
+    let alpha = |g: &mut Gen| match g.below(7) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => uniform(g, -1.0, 1.0),
+        3 => uniform(g, -1e6, 1e6),
+        4 => reading_ns as f64 + uniform(g, -1e3, 1e3),
+        // Around the largest offsets the exact arithmetic takes.
+        5 => uniform(g, -2.0, 2.0) * 2f64.powi(60 + g.below(40) as i32),
+        _ => uniform(g, -1e12, 1e12),
+    };
+    let (mut a, mut b) = ([alpha(g), alpha(g)], [beta(g), beta(g)]);
+    if g.below(2) == 0 {
+        for c in 0..2 {
+            let estimate = (reading_ns as f64 - a[c]) / b[c];
+            let k = estimate as i128 + g.below(3) as i128 - 1;
+            a[c] = near_integer_corner(g, reading_ns, k, b[c]);
+        }
+    }
+    // Ordered, or inverted in α, β or both.
+    if g.below(2) == 0 {
+        a.sort_by(f64::total_cmp);
+    }
+    if g.below(2) == 0 {
+        b.sort_by(f64::total_cmp);
+    }
+    let bounds = AlphaBetaBounds {
+        alpha_lo: a[0],
+        alpha_hi: a[1],
+        beta_lo: b[0],
+        beta_hi: b[1],
+    };
+    (bounds, reading_ns)
+}
+
+/// The two cases that first showed the `f64` quotient on the wrong side of
+/// the exact value: a lower bound 4.5·10⁻⁵ ns above it, and an upper bound
+/// 2.8·10⁻⁵ ns below it.
+#[test]
+fn projection_rounds_outward_past_the_f64_quotient() {
+    let point = |alpha: f64, beta: f64| AlphaBetaBounds {
+        alpha_lo: alpha,
+        alpha_hi: alpha,
+        beta_lo: beta,
+        beta_hi: beta,
+    };
+    let reading = 810_979_125_308;
+    let bounds = point(293_339.0, 1.000179);
+    assert_eq!((reading as f64 - 293_339.0) / 1.000179, 810_833_692_738.0);
+    let got = bounds.project(LocalNanos(reading)).unwrap();
+    assert_eq!(got.lo, GlobalNanos(810_833_692_737));
+    assert_eq!(Ok(got), reference_projection(&bounds, reading));
+
+    let reading = 408_180_509_764;
+    let bounds = point(943_843.0, 0.999828);
+    assert_eq!((reading as f64 - 943_843.0) / 0.999828, 408_249_784_884.0);
+    let got = bounds.project(LocalNanos(reading)).unwrap();
+    assert_eq!(got.hi, GlobalNanos(408_249_784_885));
+    assert_eq!(Ok(got), reference_projection(&bounds, reading));
 }

@@ -76,7 +76,7 @@ proptest! {
         let bounds = estimate_alpha_beta(&samples, &SyncOptions::default()).unwrap();
         let local = m.read(event_t);
         let truth = r.read(event_t).as_f64();
-        let proj = bounds.project(local);
+        let proj = bounds.project(local).unwrap();
         prop_assert!(
             proj.lo.as_f64() <= truth + 2.0 && truth - 2.0 <= proj.hi.as_f64(),
             "projection {proj:?} misses truth {truth}"

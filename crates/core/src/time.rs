@@ -6,8 +6,9 @@
 //! reading with guaranteed-enclosing bounds).
 //!
 //! Local readings are exact integers (`u64` nanoseconds) because that is what
-//! a clock register yields; projected global times are fractional
-//! ([`GlobalNanos`]) because projection divides by a drift-rate estimate.
+//! a clock register yields. Projected global times are whole nanoseconds too
+//! ([`GlobalNanos`]): projection divides by a drift rate, and each bound of
+//! the exact quotient is rounded outward to an integer once.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -101,47 +102,36 @@ impl fmt::Display for LocalNanos {
     }
 }
 
-/// A point on the reference machine's (global) timeline, in nanoseconds.
+/// A point on the reference machine's (global) timeline, in whole
+/// nanoseconds.
 ///
-/// Global times come out of the off-line clock-synchronization projection
-/// and are therefore fractional. `GlobalNanos` intentionally implements only
-/// `PartialOrd` (it wraps an `f64`); the analysis code orders finite values
-/// with [`GlobalNanos::total_cmp`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, PartialOrd, Serialize, Deserialize)]
-pub struct GlobalNanos(pub f64);
+/// The projection `(C − α)/β` is rarely whole: each bound is rounded outward
+/// to the nanosecond once, exactly, so a [`TimeBounds`] still contains the
+/// true global time and widens by under 1 ns per side. Projected times lie
+/// strictly inside `±`[`GlobalNanos::LIMIT`] (2⁶² ns, about 146 years), so
+/// the sum of two fits an `i64`, and `i64::MIN`/`i64::MAX` never meet one:
+/// the analysis uses them as the open ends of the line.
+#[derive(
+    Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
+pub struct GlobalNanos(pub i64);
 
 impl GlobalNanos {
     /// The origin of the global timeline.
-    pub const ZERO: GlobalNanos = GlobalNanos(0.0);
+    pub const ZERO: GlobalNanos = GlobalNanos(0);
 
-    /// Constructs a global time from fractional milliseconds.
-    pub fn from_millis(ms: f64) -> Self {
-        GlobalNanos(ms * 1e6)
-    }
+    /// Projected times lie strictly between `-LIMIT` and `LIMIT` ns.
+    pub const LIMIT: i64 = 1 << 62;
 
     /// Returns the time as fractional milliseconds.
     pub fn as_millis(self) -> f64 {
-        self.0 / 1e6
+        self.as_f64() / 1e6
     }
 
-    /// Returns the raw fractional nanosecond value.
+    /// Returns the nanosecond count as an `f64`: exact below 2⁵³ ns in
+    /// magnitude, rounded to nearest past it.
     pub fn as_f64(self) -> f64 {
-        self.0
-    }
-
-    /// Total ordering over the underlying `f64` (IEEE `totalOrder`).
-    pub fn total_cmp(&self, other: &GlobalNanos) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-
-    /// Elementwise minimum.
-    pub fn min(self, other: GlobalNanos) -> GlobalNanos {
-        GlobalNanos(self.0.min(other.0))
-    }
-
-    /// Elementwise maximum.
-    pub fn max(self, other: GlobalNanos) -> GlobalNanos {
-        GlobalNanos(self.0.max(other.0))
+        self.0 as f64
     }
 }
 
@@ -156,18 +146,20 @@ impl fmt::Display for GlobalNanos {
 ///
 /// The off-line synchronization computes *bounds* (not estimates) on the
 /// clock offset and drift, so every projected occurrence time is an interval
-/// that provably contains the true global time (thesis §2.5).
+/// that provably contains the true global time (thesis §2.5). Both ends are
+/// whole nanoseconds, so every comparison of bounds is exact.
 ///
 /// # Examples
 ///
 /// ```
 /// use loki_core::time::{GlobalNanos, TimeBounds};
 ///
-/// let b = TimeBounds::new(GlobalNanos::from_millis(10.0), GlobalNanos::from_millis(11.0));
-/// assert!(b.contains(GlobalNanos::from_millis(10.5)));
-/// assert_eq!(b.mid().as_millis(), 10.5);
+/// let b = TimeBounds::new(GlobalNanos(10_000_000), GlobalNanos(11_000_001));
+/// assert!(b.contains(GlobalNanos(10_500_000)));
+/// assert_eq!(b.mid(), 10_500_000.5);
+/// assert_eq!(b.width(), 1_000_001);
 /// ```
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TimeBounds {
     /// Earliest possible true global time.
     pub lo: GlobalNanos,
@@ -180,11 +172,10 @@ impl TimeBounds {
     ///
     /// # Panics
     ///
-    /// Panics if `lo > hi` or either bound is NaN.
+    /// Panics if `lo > hi`.
     #[inline]
     pub fn new(lo: GlobalNanos, hi: GlobalNanos) -> Self {
-        assert!(!lo.0.is_nan() && !hi.0.is_nan(), "NaN time bound");
-        assert!(lo.0 <= hi.0, "time bounds inverted: {lo} > {hi}");
+        assert!(lo <= hi, "time bounds inverted: {lo} > {hi}");
         TimeBounds { lo, hi }
     }
 
@@ -193,26 +184,21 @@ impl TimeBounds {
         TimeBounds { lo: t, hi: t }
     }
 
-    /// Midpoint of the interval; the measure phase evaluates predicates at
-    /// the mean of the two bounds, as in the thesis's Figure 4.2 example.
-    pub fn mid(self) -> GlobalNanos {
-        GlobalNanos((self.lo.0 + self.hi.0) / 2.0)
+    /// Midpoint of the interval in nanoseconds, the exact `(lo + hi) / 2`
+    /// rounded to `f64` once; the measure phase evaluates predicates at the
+    /// mean of the two bounds, as in the thesis's Figure 4.2 example.
+    pub fn mid(self) -> f64 {
+        (i128::from(self.lo.0) + i128::from(self.hi.0)) as f64 / 2.0
     }
 
     /// Width of the interval in nanoseconds.
-    pub fn width(self) -> f64 {
-        self.hi.0 - self.lo.0
+    pub fn width(self) -> u64 {
+        self.hi.0.abs_diff(self.lo.0)
     }
 
     /// Whether the instant `t` lies inside the interval (inclusive).
     pub fn contains(self, t: GlobalNanos) -> bool {
-        self.lo.0 <= t.0 && t.0 <= self.hi.0
-    }
-
-    /// Whether `self` lies entirely inside `outer` (inclusive); this is the
-    /// conservative containment test used by the fault-correctness check.
-    pub fn within(self, outer: TimeBounds) -> bool {
-        outer.lo.0 <= self.lo.0 && self.hi.0 <= outer.hi.0
+        self.lo <= t && t <= self.hi
     }
 }
 
@@ -241,32 +227,33 @@ mod tests {
         assert_eq!(LocalNanos::from_micros(3).as_nanos(), 3_000);
         assert_eq!(LocalNanos::from_secs(2).as_nanos(), 2_000_000_000);
         assert!((LocalNanos::from_millis(5).as_millis_f64() - 5.0).abs() < 1e-12);
-        assert!((GlobalNanos::from_millis(5.0).as_millis() - 5.0).abs() < 1e-12);
+        assert_eq!(GlobalNanos(5_000_000).as_millis(), 5.0);
     }
 
     #[test]
     fn bounds_containment() {
-        let b = TimeBounds::new(GlobalNanos(10.0), GlobalNanos(20.0));
-        assert!(b.contains(GlobalNanos(10.0)));
-        assert!(b.contains(GlobalNanos(20.0)));
-        assert!(!b.contains(GlobalNanos(20.1)));
-        let inner = TimeBounds::new(GlobalNanos(12.0), GlobalNanos(18.0));
-        assert!(inner.within(b));
-        assert!(!b.within(inner));
-        assert_eq!(b.mid(), GlobalNanos(15.0));
-        assert_eq!(b.width(), 10.0);
+        let b = TimeBounds::new(GlobalNanos(10), GlobalNanos(20));
+        assert!(b.contains(GlobalNanos(10)));
+        assert!(b.contains(GlobalNanos(20)));
+        assert!(!b.contains(GlobalNanos(21)));
+        assert_eq!(b.mid(), 15.0);
+        assert_eq!(b.width(), 10);
+        // Exact to the half nanosecond, without overflow at the ends.
+        assert_eq!(TimeBounds::new(GlobalNanos(-3), GlobalNanos(4)).mid(), 0.5);
+        let wide = TimeBounds::new(GlobalNanos(i64::MIN), GlobalNanos(i64::MAX));
+        assert_eq!((wide.mid(), wide.width()), (-0.5, u64::MAX));
     }
 
     #[test]
     #[should_panic(expected = "inverted")]
     fn bounds_inverted_panics() {
-        let _ = TimeBounds::new(GlobalNanos(2.0), GlobalNanos(1.0));
+        let _ = TimeBounds::new(GlobalNanos(2), GlobalNanos(1));
     }
 
     #[test]
     fn point_bounds() {
-        let p = TimeBounds::point(GlobalNanos(7.0));
-        assert_eq!(p.width(), 0.0);
-        assert!(p.contains(GlobalNanos(7.0)));
+        let p = TimeBounds::point(GlobalNanos(7));
+        assert_eq!(p.width(), 0);
+        assert!(p.contains(GlobalNanos(7)));
     }
 }

@@ -21,10 +21,11 @@ use loki_core::study::Study;
 use loki_core::time::{GlobalNanos, TimeBounds};
 use std::sync::Arc;
 
-/// Milliseconds → point bounds (the figure evaluates at the mean of the
-/// two — very close — bounds; exact points reproduce that).
+/// Milliseconds (to the 0.1 ms the figure prints) → point bounds in whole
+/// nanoseconds (the figure evaluates at the mean of the two — very close —
+/// bounds; exact points reproduce that).
 fn at(ms: f64) -> TimeBounds {
-    TimeBounds::point(GlobalNanos::from_millis(ms))
+    TimeBounds::point(GlobalNanos((ms * 1e6).round() as i64))
 }
 
 /// Builds the study (machines SM1–SM6, states State0–State6, events
@@ -133,7 +134,7 @@ pub fn fig_4_2() -> (Study, GlobalTimeline) {
         messages: "".into(),
         intervals: intervals.into(),
         start: GlobalNanos::ZERO,
-        end: GlobalNanos::from_millis(50.0),
+        end: GlobalNanos(50_000_000),
         alpha_beta: vec![loki_clock::sync::AlphaBetaBounds::identity()].into(),
         reference_host,
         symbols,
@@ -178,7 +179,7 @@ mod tests {
         let (_, gt) = fig_4_2();
         assert_eq!(gt.events.len(), 16);
         for w in gt.events.windows(2) {
-            assert!(w[0].bounds.mid().as_f64() <= w[1].bounds.mid().as_f64());
+            assert!(w[0].bounds.mid() <= w[1].bounds.mid());
         }
         assert_eq!(gt.intervals.len(), 17);
         // Intervals held from the start open at the window start.

@@ -220,11 +220,8 @@ impl CompiledPredicate {
                     if iv.state != *state {
                         continue;
                     }
-                    let lo = gt.enter_of(iv).mid().as_f64();
-                    let hi = gt
-                        .exit_of(iv)
-                        .map(|b| b.mid().as_f64())
-                        .unwrap_or(exp_window.1);
+                    let lo = gt.enter_of(iv).mid();
+                    let hi = gt.exit_of(iv).map(|b| b.mid()).unwrap_or(exp_window.1);
                     let (lo, hi) = match restrict {
                         Some((rlo, rhi)) => (lo.max(rlo), hi.min(rhi)),
                         None => (lo, hi),
@@ -254,7 +251,7 @@ impl CompiledPredicate {
                     } = &e.kind
                     {
                         if ev == event && from_state == state {
-                            let t = e.bounds.mid().as_f64();
+                            let t = e.bounds.mid();
                             if restrict.map(|(lo, hi)| lo <= t && t <= hi).unwrap_or(true) {
                                 impulses.push(t);
                             }

@@ -51,7 +51,7 @@ pub struct PredicateTimeline {
     /// Evaluation window `(start, end)` in nanoseconds (the experiment
     /// window unless restricted).
     pub window: (f64, f64),
-    steps: IntervalSet,
+    steps: IntervalSet<f64>,
     impulses: Vec<f64>,
 }
 
@@ -67,7 +67,7 @@ impl PredicateTimeline {
 
     /// Builds a timeline from step spans and impulse instants. Impulses
     /// falling inside a true span are absorbed by it.
-    pub fn new(window: (f64, f64), steps: IntervalSet, mut impulses: Vec<f64>) -> Self {
+    pub fn new(window: (f64, f64), steps: IntervalSet<f64>, mut impulses: Vec<f64>) -> Self {
         impulses.retain(|&t| !steps.contains(t));
         impulses.sort_by(f64::total_cmp);
         impulses.dedup();
@@ -79,7 +79,7 @@ impl PredicateTimeline {
     }
 
     /// The step spans.
-    pub fn steps(&self) -> &IntervalSet {
+    pub fn steps(&self) -> &IntervalSet<f64> {
         &self.steps
     }
 
@@ -190,10 +190,14 @@ impl PredicateTimeline {
     /// Total time (ns) the value is true within `[lo, hi]` (impulses have
     /// measure zero).
     pub fn total_true(&self, lo: f64, hi: f64) -> f64 {
-        self.steps
-            .intersect(&IntervalSet::from_spans(vec![(lo, hi)]))
-            .total_length()
+        let window = IntervalSet::from_spans(vec![(lo, hi)]);
+        total_length(&self.steps.intersect(&window))
     }
+}
+
+/// Total measure of a span set (the sum of its span lengths).
+fn total_length(set: &IntervalSet<f64>) -> f64 {
+    set.spans().iter().map(|(lo, hi)| hi - lo).sum()
 }
 
 /// Lazy, allocation-free iterator over a timeline's transitions in time
@@ -376,6 +380,12 @@ mod tests {
         assert_eq!(t.false_run_after(30.0), 10.0); // until next span at 40
         assert_eq!(t.total_true(0.0, 100.0), 30.0);
         assert_eq!(t.total_true(15.0, 45.0), 10.0);
+    }
+
+    #[test]
+    fn total_length() {
+        let a = IntervalSet::from_spans(vec![(1.0, 3.0), (5.0, 8.5)]);
+        assert_eq!(super::total_length(&a), 5.5);
     }
 
     #[test]

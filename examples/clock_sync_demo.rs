@@ -91,14 +91,14 @@ fn main() {
     for t_physical in [1_000_000_000u64, 5_000_000_000, 9_000_000_000] {
         let local = machine.read(t_physical);
         let truth = reference.read(t_physical);
-        let projected = bounds.project(local);
+        let projected = bounds.project(local).unwrap();
         println!(
             "  local {:>14} -> global [{:.3}, {:.3}] ms (truth {:.3} ms, width {:.1} us)",
             local.as_nanos(),
             projected.lo.as_millis(),
             projected.hi.as_millis(),
             truth.as_millis_f64(),
-            projected.width() / 1e3,
+            projected.width() as f64 / 1e3,
         );
     }
 }
