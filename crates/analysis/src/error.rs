@@ -37,6 +37,14 @@ pub enum AnalysisError {
         /// Bytes of user-message text across all local timelines.
         bytes: usize,
     },
+    /// A user-message record names a span outside its timeline's text
+    /// (only a hand-built timeline can).
+    MessageSpan {
+        /// The state machine whose timeline holds the record.
+        sm: String,
+        /// The record's index in that timeline.
+        record: usize,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -59,6 +67,10 @@ impl fmt::Display for AnalysisError {
                 "{bytes} bytes of user messages exceed the {} a global timeline can address",
                 u32::MAX
             ),
+            AnalysisError::MessageSpan { sm, record } => write!(
+                f,
+                "user message {record} of `{sm}` names text outside its timeline"
+            ),
         }
     }
 }
@@ -70,6 +82,7 @@ impl AnalysisError {
         match self {
             AnalysisError::Sync { host, .. } => host.capacity(),
             AnalysisError::UnknownHost { host, sm } => host.capacity() + sm.capacity(),
+            AnalysisError::MessageSpan { sm, .. } => sm.capacity(),
             AnalysisError::TooManyRecords { .. } | AnalysisError::MessagesTooLong { .. } => 0,
         }
     }

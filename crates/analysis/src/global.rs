@@ -15,7 +15,7 @@
 //! layout is what a campaign that keeps its results pays per experiment.
 
 use crate::error::AnalysisError;
-use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, SyncOptions};
+use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, Projector, SyncOptions};
 use loki_core::campaign::ExperimentData;
 use loki_core::ids::{EventId, FaultId, HostId, SmId, StateId, SymbolTable};
 use loki_core::recorder::RecordKind;
@@ -310,9 +310,9 @@ pub fn make_global(
     // one buffer for the user-message text, whose spans are `u32`s.
     let (mut state_setting, mut message_bytes) = (0usize, 0usize);
     for record in data.timelines.iter().flat_map(|t| &t.records) {
-        match &record.kind {
+        match record.kind {
             RecordKind::StateChange { .. } | RecordKind::Restart { .. } => state_setting += 1,
-            RecordKind::UserMessage(m) => message_bytes += m.len(),
+            RecordKind::UserMessage { len, .. } => message_bytes += len as usize,
             RecordKind::FaultInjection { .. } => {}
         }
     }
@@ -367,19 +367,24 @@ pub fn make_global(
         // The open interval's state and entering event, by its position
         // before ordering (remapped below).
         let mut open: Option<(StateId, u32)> = None;
-        let mut checked_host: Option<HostId> = None;
+        // The host of the current stint and its box, validated and
+        // decomposed once per stint rather than once per record.
+        let mut stint: Option<(HostId, Projector)> = None;
 
         for (idx, host, record) in timeline.records_with_hosts() {
-            if checked_host != Some(host) {
-                if host.index() >= alpha_beta.len() || !is_calibrated(host) {
-                    return Err(AnalysisError::UnknownHost {
-                        host: host_label(host),
-                        sm: study.sms.name(timeline.sm).to_owned(),
-                    });
+            let projector = match &mut stint {
+                Some((checked, projector)) if *checked == host => &*projector,
+                stint => {
+                    if host.index() >= alpha_beta.len() || !is_calibrated(host) {
+                        return Err(AnalysisError::UnknownHost {
+                            host: host_label(host),
+                            sm: study.sms.name(timeline.sm).to_owned(),
+                        });
+                    }
+                    &stint.insert((host, alpha_beta[host.index()].projector())).1
                 }
-                checked_host = Some(host);
-            }
-            let bounds = alpha_beta[host.index()]
+            };
+            let bounds = projector
                 .project(record.time)
                 .map_err(|source| AnalysisError::Sync {
                     host: host_label(host),
@@ -387,7 +392,7 @@ pub fn make_global(
                 })?;
             // Below `OPEN`: `check_record_count` bounds both.
             let position = events.len() as u32;
-            let kind = match &record.kind {
+            let kind = match record.kind {
                 RecordKind::StateChange { event, new_state } => {
                     let from_state = current_state;
                     // Close the open interval and open the next one.
@@ -399,17 +404,15 @@ pub fn make_global(
                             exit: position,
                         });
                     }
-                    open = Some((*new_state, position));
-                    current_state = *new_state;
+                    open = Some((new_state, position));
+                    current_state = new_state;
                     GlobalEventKind::StateChange {
-                        event: *event,
+                        event,
                         from_state,
-                        new_state: *new_state,
+                        new_state,
                     }
                 }
-                RecordKind::FaultInjection { fault } => {
-                    GlobalEventKind::Injection { fault: *fault }
-                }
+                RecordKind::FaultInjection { fault } => GlobalEventKind::Injection { fault },
                 RecordKind::Restart { host } => {
                     // The machine is back in BEGIN until its first
                     // notification; close whatever was open (normally the
@@ -424,16 +427,19 @@ pub fn make_global(
                     }
                     open = Some((StateId::BEGIN, position));
                     current_state = StateId::BEGIN;
-                    GlobalEventKind::Restart { host: *host }
+                    GlobalEventKind::Restart { host }
                 }
-                RecordKind::UserMessage(m) => {
-                    // Below `u32::MAX`: `check_message_bytes` bounds both.
+                RecordKind::UserMessage { len, .. } => {
+                    let text = timeline.user_message(record.kind).ok_or_else(|| {
+                        AnalysisError::MessageSpan {
+                            sm: study.sms.name(timeline.sm).to_owned(),
+                            record: idx,
+                        }
+                    })?;
+                    // Below `u32::MAX`: `check_message_bytes` bounds it.
                     let start = messages.len() as u32;
-                    messages.push_str(m);
-                    GlobalEventKind::UserMessage {
-                        start,
-                        len: m.len() as u32,
-                    }
+                    messages.push_str(text);
+                    GlobalEventKind::UserMessage { start, len }
                 }
             };
             events.push(GlobalEvent {
@@ -520,7 +526,7 @@ fn check_message_bytes(bytes: usize) -> Result<(), AnalysisError> {
 mod tests {
     use super::*;
     use loki_core::campaign::{HostSync, SyncSample};
-    use loki_core::recorder::Recorder;
+    use loki_core::recorder::{LocalTimeline, Recorder};
     use loki_core::spec::{StateMachineSpec, StudyDef};
     use loki_core::time::LocalNanos;
 
@@ -652,9 +658,17 @@ mod tests {
     fn user_messages_share_one_buffer() {
         let study = study_of(&["a", "b"]);
         let mut data = experiment_on(&study, &["h1", "h2"], &[("a", "h2"), ("b", "h1")]);
-        data.timelines[0].records[1].kind = RecordKind::UserMessage("é \"a\"".into());
-        data.timelines[1].records[0].kind = RecordKind::UserMessage(String::new());
-        data.timelines[1].records[2].kind = RecordKind::UserMessage("b\\".into());
+        let set_message = |timeline: &mut LocalTimeline, record: usize, text: &str| {
+            let start = timeline.text.len() as u32;
+            timeline.text.push_str(text);
+            timeline.records[record].kind = RecordKind::UserMessage {
+                start,
+                len: text.len() as u32,
+            };
+        };
+        set_message(&mut data.timelines[0], 1, "é \"a\"");
+        set_message(&mut data.timelines[1], 0, "");
+        set_message(&mut data.timelines[1], 2, "b\\");
         let gt = make_global(&study, &data, &GlobalOptions::default()).unwrap();
         assert_eq!(&*gt.messages, "é \"a\"b\\");
         let texts: Vec<(u32, &str)> = gt
@@ -678,6 +692,15 @@ mod tests {
         assert_eq!(bad.user_message(&bad.events[0]), None);
         assert_eq!(bad.user_message(&bad.events[1]), None);
         assert_eq!(bad.user_message(&bad.events[2]), Some("é \"a\""));
+        // A record whose span misses its timeline's text is a typed error.
+        data.timelines[1].records[2].kind = RecordKind::UserMessage { start: 9, len: 1 };
+        assert_eq!(
+            make_global(&study, &data, &GlobalOptions::default()).unwrap_err(),
+            AnalysisError::MessageSpan {
+                sm: "b".into(),
+                record: 2
+            }
+        );
     }
 
     /// `GlobalTimeline`'s `Debug` prints what `#[derive(Debug)]` printed

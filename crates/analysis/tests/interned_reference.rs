@@ -296,7 +296,10 @@ fn make_global_strings(study: &Study, data: &ExperimentData) -> Result<RefOutput
                         host: data.host_name(*host).to_owned(),
                     }
                 }
-                RecordKind::UserMessage(m) => RefKind::UserMessage(m.clone()),
+                RecordKind::UserMessage { start, len } => {
+                    let start = *start as usize;
+                    RefKind::UserMessage(timeline.text[start..start + *len as usize].to_owned())
+                }
             };
             events.push(RefEvent {
                 sm: sm_name.clone(),

@@ -123,7 +123,7 @@ impl App for ChaosNode {
     }
 
     fn on_fault(&mut self, ctx: &mut NodeCtx<'_>, fault: &str) {
-        ctx.record_user_message(format!("chaos probe injected {fault}"));
+        ctx.record_user_message(format_args!("chaos probe injected {fault}"));
     }
 }
 

@@ -330,7 +330,7 @@ impl App for Election {
             _ => {
                 // CorruptState / Custom (and future actions) are left to
                 // campaign-specific applications; record visibility.
-                ctx.record_user_message(format!("fault {fault} injected (no-op action)"));
+                ctx.record_user_message(format_args!("fault {fault} injected (no-op action)"));
             }
         }
     }

@@ -31,13 +31,13 @@
 //! the fault plane and the application's own recovery machinery.
 
 use loki_core::fault::{FaultExpr, Trigger};
+use loki_core::hashing::FxHashMap;
 use loki_core::ids::SmId;
 use loki_core::probe::{ActionProbe, FaultAction};
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
 use loki_runtime::{App, AppFactory, NodeCtx, Payload};
 use rand::Rng;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -167,7 +167,7 @@ pub struct KvReplica {
     cfg: Arc<KvConfig>,
     role: Role,
     is_initial_primary: bool,
-    store: HashMap<u64, u64>,
+    store: FxHashMap<u64, u64>,
     seq: u64,
     last_seen_ns: u64,
     /// The machine this replica currently believes is primary. Backups
@@ -175,7 +175,7 @@ pub struct KvReplica {
     /// machine; a deposed primary's retries are ignored.
     believed_primary: Option<SmId>,
     /// Unacknowledged operations, by sequence number (retry mode only).
-    pending: HashMap<u64, PendingOp>,
+    pending: FxHashMap<u64, PendingOp>,
     probe: ActionProbe,
 }
 
@@ -188,11 +188,11 @@ impl KvReplica {
             cfg,
             role: Role::Init,
             is_initial_primary,
-            store: HashMap::new(),
+            store: FxHashMap::default(),
             seq: 0,
             last_seen_ns: 0,
             believed_primary: None,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             probe,
         }
     }
@@ -382,10 +382,12 @@ impl App for KvReplica {
                     self.pending.remove(&seq);
                     return;
                 }
+                // One payload per attempt: every amplified copy shares it.
+                let payload: Payload = Rc::new(Msg::Replicate { seq, key, value });
                 for _ in 0..retry.amplification.max(1) {
-                    ctx.broadcast(Rc::new(Msg::Replicate { seq, key, value }));
+                    ctx.broadcast(payload.clone());
                 }
-                ctx.record_user_message(format!("retry seq={seq} attempt={attempts}"));
+                ctx.record_user_message(format_args!("retry seq={seq} attempt={attempts}"));
                 let backoff = (retry.base_backoff_ns as f64
                     * retry.backoff_multiplier.powi(attempts as i32))
                     as u64;
@@ -405,10 +407,12 @@ impl App for KvReplica {
             }
             Some(action) if action.is_net() => {
                 let applied = ctx.apply_net_fault(&action);
-                ctx.record_user_message(format!("fault {fault}: net action applied={applied}"));
+                ctx.record_user_message(format_args!(
+                    "fault {fault}: net action applied={applied}"
+                ));
             }
             Some(_) => {
-                ctx.record_user_message(format!("fault {fault} injected (no-op action)"));
+                ctx.record_user_message(format_args!("fault {fault} injected (no-op action)"));
             }
         }
     }
@@ -636,11 +640,12 @@ mod tests {
     }
 
     fn retry_markers(study: &Study, data: &loki_core::campaign::ExperimentData, sm: &str) -> usize {
-        data.timeline_for(study.sm_id(sm).unwrap())
-            .unwrap()
+        let timeline = data.timeline_for(study.sm_id(sm).unwrap()).unwrap();
+        timeline
             .records
             .iter()
-            .filter(|r| matches!(&r.kind, RecordKind::UserMessage(m) if m.starts_with("retry ")))
+            .filter_map(|r| timeline.user_message(r.kind))
+            .filter(|m| m.starts_with("retry "))
             .count()
     }
 

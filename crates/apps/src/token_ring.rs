@@ -237,7 +237,7 @@ impl App for RingMember {
                 }
             }
             Some(_) => {
-                ctx.record_user_message(format!("fault {fault} injected (no-op action)"));
+                ctx.record_user_message(format_args!("fault {fault} injected (no-op action)"));
             }
         }
     }

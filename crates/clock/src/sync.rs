@@ -264,6 +264,89 @@ impl AlphaBetaBounds {
     /// time of the event always lies inside it. An inverted box is read as
     /// the box of its four corners.
     ///
+    /// One reading through [`AlphaBetaBounds::projector`]; many readings
+    /// through one box should hold on to the [`Projector`], which
+    /// validates and decomposes the box once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Projector::project`].
+    #[inline]
+    pub fn project(&self, local: LocalNanos) -> Result<TimeBounds, SyncError> {
+        self.projector().project(local)
+    }
+
+    /// The box prepared for [`Projector::project`]: validated, and each
+    /// corner's α and β decomposed into the integers the exact rounding
+    /// works with. An invalid box still gives a projector, whose every
+    /// in-range reading is [`SyncError::InvalidBox`].
+    pub fn projector(&self) -> Projector {
+        let in_box = |beta: f64| (BETA_MIN..=BETA_MAX).contains(&beta);
+        let valid = self.alpha_lo.is_finite()
+            && self.alpha_hi.is_finite()
+            && in_box(self.beta_lo)
+            && in_box(self.beta_hi);
+        Projector {
+            corners: valid.then(|| {
+                [
+                    (self.alpha_hi, self.beta_hi),
+                    (self.alpha_hi, self.beta_lo),
+                    (self.alpha_lo, self.beta_hi),
+                    (self.alpha_lo, self.beta_lo),
+                ]
+                .map(|(alpha, beta)| CornerForm::new(alpha, beta))
+            }),
+            ordered: self.alpha_lo <= self.alpha_hi && self.beta_lo <= self.beta_hi,
+        }
+    }
+
+    /// The midpoint estimate `(α, β)` (useful for reporting, not for
+    /// correctness checks).
+    pub fn midpoint(&self) -> (f64, f64) {
+        (
+            (self.alpha_lo + self.alpha_hi) / 2.0,
+            (self.beta_lo + self.beta_hi) / 2.0,
+        )
+    }
+}
+
+/// An [`AlphaBetaBounds`] box prepared for projecting many readings:
+/// [`AlphaBetaBounds::projector`] validates it and decomposes each
+/// corner's α and β once, and [`Projector::project`] then costs each
+/// reading only its own products. `make_global` holds one per host stint.
+///
+/// # Examples
+///
+/// ```
+/// use loki_clock::sync::AlphaBetaBounds;
+/// use loki_core::time::{GlobalNanos, LocalNanos};
+///
+/// let bounds = AlphaBetaBounds {
+///     alpha_lo: 1_000.0,
+///     alpha_hi: 1_000.5,
+///     beta_lo: 1.0,
+///     beta_hi: 1.0,
+/// };
+/// let projector = bounds.projector();
+/// let t = projector.project(LocalNanos(11_000))?;
+/// assert_eq!((t.lo, t.hi), (GlobalNanos(9_999), GlobalNanos(10_000)));
+/// assert_eq!(Ok(t), bounds.project(LocalNanos(11_000)));
+/// # Ok::<(), loki_clock::sync::SyncError>(())
+/// ```
+#[derive(Copy, Clone, Debug)]
+pub struct Projector {
+    /// The corners `(α⁺, β⁺)`, `(α⁺, β⁻)`, `(α⁻, β⁺)`, `(α⁻, β⁻)`; `None`
+    /// for an invalid box.
+    corners: Option<[CornerForm; 4]>,
+    /// `α⁻ ≤ α⁺` and `β⁻ ≤ β⁺`.
+    ordered: bool,
+}
+
+impl Projector {
+    /// Projects `local` through the box: exactly
+    /// [`AlphaBetaBounds::project`]'s `[⌊min⌋, ⌈max⌉]` of the exact corner
+    /// values, bit for bit.
+    ///
     /// The `f64` quotient is only a guess: one exact integer product
     /// against `C − α` checks each floor (ceiling) candidate and its two
     /// neighbours, and a guess further off (rare below 2⁵³ ns) is replaced
@@ -282,29 +365,21 @@ impl AlphaBetaBounds {
         if reading_ns >= MAX_READING_NS {
             return Err(SyncError::OutOfRange { reading_ns });
         }
-        let in_box = |beta: f64| (BETA_MIN..=BETA_MAX).contains(&beta);
-        if !(self.alpha_lo.is_finite()
-            && self.alpha_hi.is_finite()
-            && in_box(self.beta_lo)
-            && in_box(self.beta_hi))
-        {
+        let Some([hi_hi, hi_lo, lo_hi, lo_lo]) = self.corners else {
             return Err(SyncError::InvalidBox);
-        }
-        let corner = |alpha, beta| Corner::new(reading_ns, alpha, beta);
-        let top = corner(self.alpha_hi, self.beta_hi)?;
+        };
+        let top = hi_hi.at(reading_ns)?;
         // With `C − α⁺ ≥ 0` over an ordered box of positive β, `(C − α)/β`
         // falls in both α and β: the extremes are the diagonal corners.
         // Every other box takes the four-corner scan.
-        let diagonal =
-            top.floor_num >= 0 && self.alpha_lo <= self.alpha_hi && self.beta_lo <= self.beta_hi;
-        let (lo, hi) = if diagonal {
-            (top.floor(), corner(self.alpha_lo, self.beta_lo)?.ceil())
+        let (lo, hi) = if top.floor_num >= 0 && self.ordered {
+            (top.floor(), lo_lo.at(reading_ns)?.ceil())
         } else {
             let corners = [
                 top,
-                corner(self.alpha_hi, self.beta_lo)?,
-                corner(self.alpha_lo, self.beta_hi)?,
-                corner(self.alpha_lo, self.beta_lo)?,
+                hi_lo.at(reading_ns)?,
+                lo_hi.at(reading_ns)?,
+                lo_lo.at(reading_ns)?,
             ];
             let (floors, ceils) = (corners.map(Corner::floor), corners.map(Corner::ceil));
             (
@@ -319,21 +394,83 @@ impl AlphaBetaBounds {
             _ => Err(SyncError::ProjectionOutOfRange { reading_ns }),
         }
     }
+}
 
-    /// The midpoint estimate `(α, β)` (useful for reporting, not for
-    /// correctness checks).
-    pub fn midpoint(&self) -> (f64, f64) {
-        (
-            (self.alpha_lo + self.alpha_hi) / 2.0,
-            (self.beta_lo + self.beta_hi) / 2.0,
-        )
+/// One corner `(α, β)` of a valid box, decomposed for every reading. The β
+/// range makes `β = den·2⁻ˢ` with `den` a 53-bit integer and
+/// `s ∈ [42, 62]`, so scaling by `2ˢ` turns `(C − α)/β` into
+/// `(C·2ˢ − whole − f)/den` for the integer `whole = ⌊α·2ˢ⌋` and a
+/// fraction `f ∈ [0, 1)` from α's bits below `2⁻ˢ`.
+#[derive(Copy, Clone, Debug)]
+struct CornerForm {
+    /// `s`.
+    shift: u32,
+    /// `⌊α·2ˢ⌋`.
+    whole: i128,
+    /// `1` when `f > 0`, else `0`.
+    frac: i128,
+    den: i64,
+    alpha: f64,
+    beta: f64,
+    /// `|α·2ˢ|` is so large that every reading projects out of range.
+    too_far: bool,
+}
+
+impl CornerForm {
+    /// The corner `(alpha, beta)`, for a finite `alpha` and a `beta` in
+    /// `[2⁻¹⁰, 2¹⁰]`.
+    fn new(alpha: f64, beta: f64) -> CornerForm {
+        let (den, q) = decompose(beta);
+        let s = -q;
+        // α·2ˢ = a·2ᵗ, split into its floor `whole` and whether a fraction
+        // is left over.
+        let (a, t) = decompose(alpha);
+        let a = i128::from(a);
+        let (whole, frac, too_far) = if t + s >= 0 {
+            // α is normal here (`|a| ≥ 2⁵²`): past a shift of 72,
+            // `|α·2ˢ| ≥ 2¹²⁵` against `C·2ˢ < 2¹²⁴` leaves a quotient past
+            // 2⁷¹ in magnitude, out of range.
+            if t + s > 72 {
+                (0, false, true)
+            } else {
+                (a << (t + s), false, false)
+            }
+        } else {
+            // `|a| < 2⁵³`, so a shift of 64 leaves only its sign's floor.
+            let shift = (-(t + s)).min(64);
+            let whole = a >> shift;
+            (whole, whole << shift != a, false)
+        };
+        CornerForm {
+            shift: s as u32,
+            whole,
+            frac: i128::from(frac),
+            den,
+            alpha,
+            beta,
+            too_far,
+        }
+    }
+
+    /// The corner's exact `(C − α)/β` at `reading_ns`, a reading below
+    /// [`MAX_READING_NS`].
+    #[inline]
+    fn at(self, reading_ns: u64) -> Result<Corner, SyncError> {
+        if self.too_far {
+            return Err(SyncError::ProjectionOutOfRange { reading_ns });
+        }
+        let num = (i128::from(reading_ns) << self.shift) - self.whole;
+        Ok(Corner {
+            num,
+            floor_num: num - self.frac,
+            den: self.den,
+            estimate: (reading_ns as f64 - self.alpha) / self.beta,
+        })
     }
 }
 
-/// One corner's exact `(C − α)/β`. The β range makes `β = den·2⁻ˢ` with
-/// `den` a 53-bit integer and `s ∈ [42, 62]`, so scaling by `2ˢ` turns the
-/// value into `(num − f)/den` for integers `num` (below 2¹²⁶ in magnitude)
-/// and `den`, and a fraction `f ∈ [0, 1)` from α's bits below `2⁻ˢ`.
+/// One corner's exact `(C − α)/β`, as `(num − f)/den` (see
+/// [`CornerForm`]): the integer `num` is below 2¹²⁶ in magnitude.
 #[derive(Copy, Clone)]
 struct Corner {
     /// `⌈(C − α)·2ˢ⌉`.
@@ -346,39 +483,6 @@ struct Corner {
 }
 
 impl Corner {
-    /// The corner `(alpha, beta)` at `reading_ns`, for a reading below
-    /// [`MAX_READING_NS`], a finite `alpha` and a `beta` in `[2⁻¹⁰, 2¹⁰]`.
-    #[inline]
-    fn new(reading_ns: u64, alpha: f64, beta: f64) -> Result<Corner, SyncError> {
-        let (den, q) = decompose(beta);
-        let s = -q;
-        // α·2ˢ = a·2ᵗ, split into its floor `whole` and whether a fraction
-        // is left over.
-        let (a, t) = decompose(alpha);
-        let a = i128::from(a);
-        let (whole, frac) = if t + s >= 0 {
-            // α is normal here (`|a| ≥ 2⁵²`): past a shift of 72,
-            // `|α·2ˢ| ≥ 2¹²⁵` against `C·2ˢ < 2¹²⁴` leaves a quotient past
-            // 2⁷¹ in magnitude, out of range.
-            if t + s > 72 {
-                return Err(SyncError::ProjectionOutOfRange { reading_ns });
-            }
-            (a << (t + s), false)
-        } else {
-            // `|a| < 2⁵³`, so a shift of 64 leaves only its sign's floor.
-            let shift = (-(t + s)).min(64);
-            let whole = a >> shift;
-            (whole, whole << shift != a)
-        };
-        let num = (i128::from(reading_ns) << s) - whole;
-        Ok(Corner {
-            num,
-            floor_num: num - i128::from(frac),
-            den,
-            estimate: (reading_ns as f64 - alpha) / beta,
-        })
-    }
-
     /// `⌊(C − α)/β⌋`: the largest `k` with `k·den ≤ floor_num`.
     #[inline]
     fn floor(self) -> i128 {

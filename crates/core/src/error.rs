@@ -61,6 +61,12 @@ pub enum CoreError {
         /// The state machine.
         sm: String,
     },
+    /// A study declared more state machines than a
+    /// [`SmSet`](crate::small::SmSet) holds.
+    TooManyMachines {
+        /// The number of machines declared.
+        count: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -90,6 +96,11 @@ impl fmt::Display for CoreError {
             CoreError::NotInitialized { sm } => {
                 write!(f, "state machine `{sm}` has not been initialized")
             }
+            CoreError::TooManyMachines { count } => write!(
+                f,
+                "a study holds at most {} state machines, this one declares {count}",
+                crate::small::SmSet::CAPACITY
+            ),
         }
     }
 }

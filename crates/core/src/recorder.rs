@@ -9,17 +9,20 @@
 //! clock.
 //!
 //! Hosts appear as interned [`HostId`]s from the study's
-//! [`SymbolTable`](crate::ids::SymbolTable) — the timeline carries no owned
-//! strings except user messages, so cloning a record is a few machine words
-//! and the analysis hot path resolves hosts by array index, not by hashing
-//! names. Names reappear only at display/report boundaries.
+//! [`SymbolTable`](crate::ids::SymbolTable), and the text of user messages
+//! sits in one buffer per timeline ([`LocalTimeline::text`]) that the
+//! records name by span — a record owns nothing, so it is `Copy`, 24
+//! bytes, and the analysis hot path resolves hosts by array index, not by
+//! hashing names. Names reappear only at display/report boundaries.
 
 use crate::ids::{EventId, FaultId, HostId, SmId, StateId};
 use crate::time::LocalNanos;
 use serde::{Deserialize, Serialize};
+use std::fmt::{self, Write as _};
 
-/// The payload of one timeline record.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// The payload of one timeline record. Plain ids and spans, so `Copy`:
+/// appending, moving or clearing records never touches the heap.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RecordKind {
     /// A state transition: `event` occurred and the machine entered
     /// `new_state`. Crashes appear as the reserved `CRASH` event entering
@@ -41,12 +44,19 @@ pub enum RecordKind {
         /// Host the node restarted on.
         host: HostId,
     },
-    /// A free-form user message (§3.5.6 allows arbitrary messages).
-    UserMessage(String),
+    /// A free-form user message (§3.5.6 allows arbitrary messages): the
+    /// `len` bytes from `start` of its timeline's [`LocalTimeline::text`].
+    /// Read it with [`LocalTimeline::user_message`].
+    UserMessage {
+        /// Byte offset of the text in [`LocalTimeline::text`].
+        start: u32,
+        /// Byte length of the text.
+        len: u32,
+    },
 }
 
 /// One record of a local timeline: a payload and its local occurrence time.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimelineRecord {
     /// Local-clock reading when the record was made.
     pub time: LocalNanos,
@@ -76,6 +86,10 @@ pub struct LocalTimeline {
     /// Host stints covering `records`; always non-empty, and
     /// `stints[0].first_record == 0`.
     pub stints: Vec<HostStint>,
+    /// The text of the user messages, appended in record order across
+    /// every stint; each [`RecordKind::UserMessage`] names its span. A
+    /// recycled shell keeps the buffer's capacity and starts it empty.
+    pub text: String,
 }
 
 impl LocalTimeline {
@@ -116,6 +130,42 @@ impl LocalTimeline {
         })
     }
 
+    /// The text of a user message whose span lies in
+    /// [`LocalTimeline::text`]; `None` for any other record kind, and for a
+    /// span a hand-built timeline got wrong.
+    pub fn user_message(&self, kind: RecordKind) -> Option<&str> {
+        match kind {
+            RecordKind::UserMessage { start, len } => {
+                let start = start as usize;
+                self.text.get(start..start.checked_add(len as usize)?)
+            }
+            _ => None,
+        }
+    }
+
+    /// Appends a user message at `time`, writing `message` straight into
+    /// [`LocalTimeline::text`]: no string of its own is built, so a warm
+    /// buffer makes this allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the timeline's text would pass `u32::MAX` bytes, which a
+    /// span cannot address.
+    pub fn push_user_message(&mut self, time: LocalNanos, message: impl fmt::Display) {
+        let start = self.text.len();
+        // Writing to a `String` cannot fail; a `Display` that reports an
+        // error leaves what it wrote so far.
+        let _ = write!(self.text, "{message}");
+        let span = |n: usize| u32::try_from(n).expect("timeline text past u32::MAX bytes");
+        self.records.push(TimelineRecord {
+            time,
+            kind: RecordKind::UserMessage {
+                start: span(start),
+                len: span(self.text.len() - start),
+            },
+        });
+    }
+
     /// Number of fault injections recorded.
     pub fn injection_count(&self) -> usize {
         self.records
@@ -144,12 +194,20 @@ impl LocalTimeline {
     /// shell is observationally identical to [`Recorder::new`]'s output).
     pub fn reset_for(&mut self, sm: SmId, host: HostId) {
         self.sm = sm;
-        self.records.clear();
-        self.stints.clear();
+        self.clear();
         self.stints.push(HostStint {
             host,
             first_record: 0,
         });
+    }
+
+    /// Empties records, stints and text, keeping their capacity: what is
+    /// left is a shell for [`LocalTimeline::reset_for`]. Records own
+    /// nothing, so this is three length stores.
+    pub fn clear(&mut self) {
+        self.records.clear();
+        self.stints.clear();
+        self.text.clear();
     }
 
     /// An empty shell with no stints — only useful as recyclable storage
@@ -159,6 +217,7 @@ impl LocalTimeline {
             sm: SmId::from_raw(0),
             records: Vec::new(),
             stints: Vec::new(),
+            text: String::new(),
         }
     }
 }
@@ -197,6 +256,7 @@ impl Recorder {
                     host,
                     first_record: 0,
                 }],
+                text: String::new(),
             },
         }
     }
@@ -218,14 +278,17 @@ impl Recorder {
         self.push(time, RecordKind::FaultInjection { fault });
     }
 
-    /// Records a free-form user message. Accepts anything convertible into
-    /// a `String`, so callers holding an owned `String` move it instead of
-    /// re-allocating.
-    pub fn record_user_message(&mut self, time: LocalNanos, message: impl Into<String>) {
-        self.push(time, RecordKind::UserMessage(message.into()));
+    /// Records a free-form user message, written straight into the
+    /// timeline's text buffer ([`LocalTimeline::push_user_message`]): pass
+    /// a `&str`, or `format_args!(..)` to format without building a
+    /// `String`.
+    pub fn record_user_message(&mut self, time: LocalNanos, message: impl fmt::Display) {
+        self.timeline.push_user_message(time, message);
     }
 
-    /// Records an already-assembled [`RecordKind`].
+    /// Records an already-assembled [`RecordKind`]; a
+    /// [`RecordKind::UserMessage`] span must name text already in the
+    /// timeline's buffer.
     pub fn record(&mut self, time: LocalNanos, kind: RecordKind) {
         self.push(time, kind);
     }
@@ -272,8 +335,45 @@ mod tests {
         let t = r.finish();
         assert_eq!(t.records.len(), 3);
         assert_eq!(t.records[0].time, LocalNanos(10));
-        assert!(matches!(t.records[2].kind, RecordKind::UserMessage(ref m) if m == "note"));
+        assert_eq!(t.user_message(t.records[2].kind), Some("note"));
+        assert_eq!(t.user_message(t.records[0].kind), None);
         assert_eq!(t.injection_count(), 1);
+    }
+
+    #[test]
+    fn user_messages_share_one_buffer_across_stints() {
+        let mut r = Recorder::new(Id::from_raw(0), h(0));
+        r.record_user_message(LocalNanos(1), format_args!("retry seq={} attempt={}", 7, 2));
+        r.record_user_message(LocalNanos(2), "");
+        let mut r = Recorder::resume(r.finish(), LocalNanos(3), h(1));
+        r.record_user_message(LocalNanos(4), "say \"hi\" \\ bye");
+        let t = r.finish();
+        let texts: Vec<&str> = t
+            .records
+            .iter()
+            .filter_map(|rec| t.user_message(rec.kind))
+            .collect();
+        assert_eq!(
+            texts,
+            vec!["retry seq=7 attempt=2", "", "say \"hi\" \\ bye"]
+        );
+        assert_eq!(t.text, "retry seq=7 attempt=2say \"hi\" \\ bye");
+        assert_eq!(
+            t.user_message(RecordKind::UserMessage { start: 40, len: 1 }),
+            None,
+            "a span past the text"
+        );
+    }
+
+    #[test]
+    fn a_reset_shell_starts_with_empty_text_and_keeps_its_capacity() {
+        let mut r = Recorder::new(Id::from_raw(0), h(0));
+        r.record_user_message(LocalNanos(1), "x".repeat(100));
+        let mut t = r.finish();
+        t.clear();
+        t.reset_for(Id::from_raw(2), h(3));
+        assert_eq!(t, Recorder::new(Id::from_raw(2), h(3)).finish());
+        assert!(t.text.capacity() >= 100, "capacity not retained");
     }
 
     #[test]

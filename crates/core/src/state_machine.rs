@@ -12,15 +12,10 @@
 
 use crate::error::CoreError;
 use crate::ids::{EventId, SmId, StateId};
-use crate::small::InlineVec;
+use crate::small::SmSet;
 use crate::study::Study;
 use crate::view::PartialView;
 use std::sync::Arc;
-
-/// A transition's notify list. Notify lists are almost always one or two
-/// machines, so the list lives inline in the outcome and the steady-state
-/// transition path allocates nothing.
-pub type NotifySet = InlineVec<SmId, 4>;
 
 /// The result of applying a local event: the transition taken and the
 /// machines that must be notified of the new state.
@@ -34,7 +29,7 @@ pub struct TransitionOutcome {
     pub new_state: StateId,
     /// Machines to notify that we entered `new_state` (the `notify` list of
     /// the new state's block).
-    pub notify: NotifySet,
+    pub notify: SmSet,
 }
 
 /// A node's state machine: local state plus the partial view of global
@@ -200,13 +195,7 @@ impl StateMachine {
             event,
             old_state: old,
             new_state: next,
-            notify: self
-                .study
-                .machine(self.id)
-                .notify_list(next)
-                .iter()
-                .copied()
-                .collect(),
+            notify: self.study.machine(self.id).notify_list(next),
         }
     }
 
@@ -265,7 +254,7 @@ mod tests {
         let out = sm.initialize("INIT").unwrap();
         assert_eq!(s.states.name(out.new_state), "INIT");
         assert_eq!(out.old_state, StateId::BEGIN);
-        assert_eq!(out.notify, NotifySet::one(s.sm_id("b").unwrap()));
+        assert_eq!(out.notify, SmSet::one(s.sm_id("b").unwrap()));
         assert!(sm.is_initialized());
     }
 
@@ -318,7 +307,7 @@ mod tests {
         sm.initialize("INIT").unwrap();
         let out = sm.apply_event_name("GO").unwrap();
         assert_eq!(s.states.name(out.new_state), "RUN");
-        assert_eq!(out.notify, NotifySet::one(s.sm_id("b").unwrap()));
+        assert_eq!(out.notify, SmSet::one(s.sm_id("b").unwrap()));
         let out = sm.apply_event_name("STOP").unwrap();
         assert_eq!(s.states.name(out.new_state), "DONE");
         assert!(out.notify.is_empty()); // DONE has no block -> empty list
@@ -352,7 +341,7 @@ mod tests {
         sm.initialize("RUN").unwrap();
         let out = sm.apply_event_name("CRASH").unwrap();
         assert_eq!(out.new_state, StateId::CRASH);
-        assert_eq!(out.notify, NotifySet::one(s.sm_id("b").unwrap())); // CRASH block notify
+        assert_eq!(out.notify, SmSet::one(s.sm_id("b").unwrap())); // CRASH block notify
     }
 
     #[test]

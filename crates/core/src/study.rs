@@ -8,6 +8,7 @@
 use crate::error::CoreError;
 use crate::fault::{compile_expr, CompiledFault};
 use crate::ids::{EventId, EventTag, FaultId, FaultTag, NameTable, SmId, SmTag, StateId, StateTag};
+use crate::small::SmSet;
 use crate::spec::{StudyDef, DEFAULT_EVENT, RESERVED_EVENTS, RESERVED_STATES};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -28,7 +29,7 @@ pub struct CompiledSm {
     /// Per-state wildcard transitions (`default` event), by state index.
     defaults: Vec<Option<StateId>>,
     /// Per-state notify lists, by state index.
-    notify: Vec<Vec<SmId>>,
+    notify: Vec<SmSet>,
 }
 
 impl CompiledSm {
@@ -48,10 +49,12 @@ impl CompiledSm {
         self.transitions[self.slot(state, event)].or(self.defaults[state.index()])
     }
 
-    /// The machines to notify when this machine enters `state`.
+    /// The machines to notify when this machine enters `state` (never
+    /// the machine itself), as a set: notifications fan out in ascending
+    /// machine id.
     #[inline]
-    pub fn notify_list(&self, state: StateId) -> &[SmId] {
-        &self.notify[state.index()]
+    pub fn notify_list(&self, state: StateId) -> SmSet {
+        self.notify[state.index()]
     }
 }
 
@@ -123,8 +126,15 @@ impl Study {
     ///
     /// Returns a [`CoreError`] when names collide, transitions reference
     /// undeclared states/events, notify lists or fault expressions reference
-    /// unknown machines, or placements name unknown machines.
+    /// unknown machines, or placements name unknown machines, and
+    /// [`CoreError::TooManyMachines`] for a study of more machines than an
+    /// [`SmSet`] holds.
     pub fn compile(def: &StudyDef) -> Result<Study, CoreError> {
+        if def.machines.len() > SmSet::CAPACITY {
+            return Err(CoreError::TooManyMachines {
+                count: def.machines.len(),
+            });
+        }
         let mut sms = NameTable::new();
         let mut fault_names = NameTable::new();
 
@@ -176,7 +186,7 @@ impl Study {
             let id = SmId::from_raw(idx as u32);
             let mut transitions: Vec<Option<StateId>> = vec![None; num_states * num_events];
             let mut defaults: Vec<Option<StateId>> = vec![None; num_states];
-            let mut notify: Vec<Vec<SmId>> = vec![Vec::new(); num_states];
+            let mut notify = vec![SmSet::new(); num_states];
             // Implicit rule: in any declared state (and BEGIN), a CRASH
             // event without an explicit transition leads to the CRASH state.
             let mut crashable = vec![StateId::BEGIN];
@@ -190,18 +200,18 @@ impl Study {
                     })?;
                 crashable.push(state);
 
-                let mut list = Vec::new();
+                let mut set = SmSet::new();
                 for target in &block.notify {
                     let target_id =
                         sms.lookup(target)
                             .ok_or_else(|| CoreError::UnknownStateMachine {
                                 name: target.clone(),
                             })?;
-                    if target_id != id && !list.contains(&target_id) {
-                        list.push(target_id);
+                    if target_id != id {
+                        set.insert(target_id);
                     }
                 }
-                notify[state.index()] = list;
+                notify[state.index()] = set;
 
                 for t in &block.transitions {
                     let next =
@@ -382,8 +392,8 @@ mod tests {
         let busy = study.states.lookup("BUSY").unwrap();
         let go = study.events.lookup("GO").unwrap();
         assert_eq!(study.machine(a).next_state(idle, go), Some(busy));
-        assert_eq!(study.machine(a).notify_list(idle), &[b]);
-        assert_eq!(study.machine(b).notify_list(idle), &[] as &[SmId]);
+        assert_eq!(study.machine(a).notify_list(idle), SmSet::one(b));
+        assert!(study.machine(b).notify_list(idle).is_empty());
         assert_eq!(study.faults_owned_by(b).len(), 1);
         assert_eq!(study.faults_owned_by(a).len(), 0);
         assert_eq!(study.observers_of(a), vec![b]);
@@ -552,6 +562,55 @@ mod tests {
         let a = study.sm_id("a").unwrap();
         let idle = study.states.lookup("IDLE").unwrap();
         assert!(study.machine(a).notify_list(idle).is_empty());
+    }
+
+    /// A study of `n` machines, the first notifying every other one.
+    fn wide_def(n: usize) -> StudyDef {
+        let names: Vec<String> = (0..n).map(|i| format!("m{i}")).collect();
+        let all: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut def = StudyDef::new("wide");
+        for (i, name) in names.iter().enumerate() {
+            let notify: &[&str] = if i == 0 { &all } else { &[] };
+            def = def.machine(
+                StateMachineSpec::builder(name)
+                    .states(&["IDLE"])
+                    .state("IDLE", notify, &[])
+                    .build(),
+            );
+        }
+        def
+    }
+
+    #[test]
+    fn sixty_four_machines_compile_and_sixty_five_are_a_typed_error() {
+        let study = Study::compile(&wide_def(64)).unwrap();
+        let first = study.sm_id("m0").unwrap();
+        let idle = study.states.lookup("IDLE").unwrap();
+        let notify = study.machine(first).notify_list(idle);
+        assert_eq!(notify.len(), 63, "every machine but itself");
+        assert_eq!(notify.iter().last(), study.sm_id("m63"));
+        assert_eq!(
+            Study::compile(&wide_def(65)).unwrap_err(),
+            CoreError::TooManyMachines { count: 65 }
+        );
+    }
+
+    #[test]
+    fn notify_lists_name_each_machine_once() {
+        let def = StudyDef::new("s")
+            .machine(
+                StateMachineSpec::builder("a")
+                    .states(&["IDLE"])
+                    .state("IDLE", &["c", "b", "c", "a"], &[])
+                    .build(),
+            )
+            .machine(StateMachineSpec::builder("b").build())
+            .machine(StateMachineSpec::builder("c").build());
+        let study = Study::compile(&def).unwrap();
+        let idle = study.states.lookup("IDLE").unwrap();
+        let notify = study.machine(study.sm_id("a").unwrap()).notify_list(idle);
+        let names: Vec<&str> = notify.iter().map(|sm| study.sms.name(sm)).collect();
+        assert_eq!(names, vec!["b", "c"], "ascending, deduplicated, no self");
     }
 
     #[test]

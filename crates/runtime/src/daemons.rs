@@ -24,13 +24,14 @@
 //! raw id, not hash maps.
 
 use crate::harness::CampaignError;
-use crate::messages::{NotifyRouting, RtMsg, SmTargets};
+use crate::messages::{NotifyRouting, RtMsg};
 use crate::node::{AppFactory, NodeActor};
 use crate::store::{ExperimentControl, NodeDirectory, TimelineStore};
 use crate::wiring::Wiring;
 use loki_core::campaign::{ExperimentEnd, Receiver, Warning};
 use loki_core::ids::{EventId, HostId, SmId, StateId, SymbolTable};
 use loki_core::recorder::{RecordKind, TimelineRecord};
+use loki_core::small::SmSet;
 use loki_core::study::Study;
 use loki_sim::engine::{ActorId, Ctx, Dispatch, DownReason, TimerId};
 use rand::Rng;
@@ -115,6 +116,15 @@ pub(crate) enum RtActor {
 }
 
 const _: () = assert!(std::mem::size_of::<Option<RtActor>>() == 2 * std::mem::size_of::<usize>());
+// Every queued event carries an `RtMsg` and every recorded one a
+// `TimelineRecord`: neither may grow unnoticed, and a record stays `Copy`
+// (it owns no heap, so clearing a timeline walks nothing).
+const _: () = assert!(std::mem::size_of::<RtMsg>() == 24);
+const _: () = assert!(std::mem::size_of::<TimelineRecord>() == 24);
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<RecordKind>()
+};
 
 /// The context a runtime actor's callbacks receive.
 pub(crate) type RtCtx<'a> = Ctx<'a, RtMsg, RtActor>;
@@ -285,7 +295,7 @@ pub(crate) struct LocalDaemon {
     alive_count: usize,
     /// Scratch for the per-host notification fan-out, kept sorted by host
     /// (empty between messages; retained for its capacity).
-    route_buf: Vec<(HostId, SmTargets)>,
+    route_buf: Vec<(HostId, SmSet)>,
     /// Scratch for the kill-all sweep (empty between messages; retained
     /// for its capacity).
     kill_buf: Vec<ActorId>,
@@ -399,7 +409,9 @@ impl LocalDaemon {
     }
 
     /// Routes a notification to its target machines: local targets get a
-    /// direct delivery; remote hosts get one `ForwardNotify` each (§3.6.1).
+    /// direct delivery, in ascending machine id; remote hosts get one
+    /// `ForwardNotify` each (§3.6.1), whose target set ORs in the bits of
+    /// that host's machines.
     ///
     /// The per-host fan-out fills a host-sorted scratch vector so the
     /// forwarding order — and with it the simulation's event sequence and
@@ -414,7 +426,7 @@ impl LocalDaemon {
         ctx: &mut RtCtx<'_>,
         from_sm: SmId,
         state: loki_core::ids::StateId,
-        targets: SmTargets,
+        targets: SmSet,
     ) {
         let mut per_host = std::mem::take(&mut self.route_buf);
         for target in targets {
@@ -424,12 +436,10 @@ impl LocalDaemon {
                 match self.locations[target.raw() as usize] {
                     Some(host) if host != self.my_host => {
                         match per_host.binary_search_by_key(&host, |&(h, _)| h) {
-                            Ok(at) => per_host[at].1.push(target),
-                            Err(at) => {
-                                let mut targets = SmTargets::new();
-                                targets.push(target);
-                                per_host.insert(at, (host, targets));
+                            Ok(at) => {
+                                per_host[at].1.insert(target);
                             }
+                            Err(at) => per_host.insert(at, (host, SmSet::one(target))),
                         }
                     }
                     // Unknown, or known-local but no live actor: the
@@ -495,12 +505,7 @@ impl LocalDaemon {
             });
             // Deliver the CRASH state's notifications on the machine's
             // behalf (e.g. `state CRASH notify green yellow`, §5.3).
-            let targets: SmTargets = study
-                .machine(sm)
-                .notify_list(StateId::CRASH)
-                .iter()
-                .copied()
-                .collect();
+            let targets = study.machine(sm).notify_list(StateId::CRASH);
             if !targets.is_empty() {
                 self.route(ctx, sm, StateId::CRASH, targets);
             }

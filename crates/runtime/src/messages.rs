@@ -8,15 +8,14 @@
 
 use crate::node::Payload;
 use loki_core::ids::{HostId, SmId, StateId};
-use loki_core::small::InlineVec;
-
-/// A notification's recipient list. Fan-outs are almost always one or two
-/// machines (a state's notify list, the per-host slice of a route), so the
-/// list lives inline in the message and the steady-state notification path
-/// allocates nothing.
-pub type SmTargets = InlineVec<SmId, 4>;
+use loki_core::small::SmSet;
 
 /// All messages exchanged by runtime actors.
+///
+/// A message is 24 bytes (checked at compile time next to the runtime's
+/// actor type): the largest variants are an application payload (one
+/// fat `Rc`) and a notification with its target set, one [`SmSet`] word.
+/// Every queued event carries one, so the size is per-event cost.
 #[derive(Clone)]
 pub enum RtMsg {
     // ----- node ↔ local daemon ---------------------------------------------
@@ -34,7 +33,7 @@ pub enum RtMsg {
         /// Its new state.
         state: StateId,
         /// Recipient state machines (the new state's notify list).
-        targets: SmTargets,
+        targets: SmSet,
     },
     /// A state notification delivered to a node's state machine transport.
     DeliverNotify {
@@ -66,7 +65,7 @@ pub enum RtMsg {
         /// Its new state.
         state: StateId,
         /// Recipients on the destination host.
-        targets: SmTargets,
+        targets: SmSet,
     },
     /// A machine entered the system (register seen by its daemon).
     NodeUp {
@@ -181,7 +180,7 @@ mod tests {
         let m = RtMsg::Notify {
             from_sm: Id::from_raw(0),
             state: Id::from_raw(3),
-            targets: SmTargets::one(Id::from_raw(1)),
+            targets: SmSet::one(Id::from_raw(1)),
         };
         let s = format!("{m:?}");
         assert!(s.contains("Notify"));

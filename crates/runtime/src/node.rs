@@ -18,13 +18,14 @@
 //! thesis's fault parser calls the probe's `injectFault()`.
 
 use crate::daemons::{ExpCtx, RtCtx};
-use crate::messages::{NotifyRouting, RtMsg, SmTargets};
+use crate::messages::{NotifyRouting, RtMsg};
 use loki_core::campaign::{ExperimentEnd, ExperimentFailure, Receiver, Warning};
 use loki_core::error::CoreError;
 use loki_core::fault::FaultParser;
 use loki_core::ids::{FaultId, SmId, StateId};
 use loki_core::probe::{ActionProbe, FaultAction};
 use loki_core::recorder::{RecordKind, TimelineRecord};
+use loki_core::small::SmSet;
 use loki_core::state_machine::StateMachine;
 use loki_core::study::Study;
 use loki_core::time::LocalNanos;
@@ -32,6 +33,7 @@ use loki_sim::engine::{ActorId, DownReason, TimerId};
 use rand::rngs::StdRng;
 use std::any::Any;
 use std::collections::VecDeque;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -237,7 +239,7 @@ impl NodeActor {
                         sim: ctx.reborrow(),
                         rt: &mut self.rt,
                     }
-                    .notify(state, SmTargets::one(for_sm));
+                    .notify(state, SmSet::one(for_sm));
                 }
             }
             RtMsg::App { from_sm, payload } => {
@@ -272,9 +274,10 @@ impl NodeCtx<'_> {
     }
 
     /// Routes a notification of this node's `state` to `targets` through
-    /// the experiment's §3.4.1 design. The target list is inline
-    /// ([`SmTargets`]) so the steady-state path allocates nothing.
-    fn notify(&mut self, state: StateId, targets: SmTargets) {
+    /// the experiment's §3.4.1 design. The targets are one [`SmSet`] word,
+    /// so the path allocates nothing, and a direct fan-out runs in
+    /// ascending machine id.
+    fn notify(&mut self, state: StateId, targets: SmSet) {
         let from_sm = self.rt.me;
         match self.rt.ctx.routing {
             NotifyRouting::ThroughDaemons | NotifyRouting::Centralized => {
@@ -336,7 +339,7 @@ impl NodeCtx<'_> {
             });
         }
         let me = self.rt.me;
-        let targets: SmTargets = study.sms.ids().filter(|&sm| sm != me).collect();
+        let targets: SmSet = study.sms.ids().filter(|&sm| sm != me).collect();
         self.notify(StateId::EXIT, targets);
     }
 
@@ -453,11 +456,14 @@ impl NodeCtx<'_> {
         self.rt.ctx.symbols.name(self.sim.my_host())
     }
 
-    /// Appends a free-form message to the local timeline. Accepts anything
-    /// convertible into a `String`, so callers holding an owned `String`
-    /// move it instead of re-allocating.
-    pub fn record_user_message(&mut self, message: impl Into<String>) {
-        self.record(RecordKind::UserMessage(message.into()));
+    /// Appends a free-form message to the local timeline, written straight
+    /// into the timeline's text buffer: pass a `&str`, or
+    /// `format_args!(..)` to format without building a `String`.
+    pub fn record_user_message(&mut self, message: impl fmt::Display) {
+        let time = self.sim.local_clock();
+        self.rt.ctx.store.with_mut(self.rt.me, |t| {
+            t.push_user_message(time, message);
+        });
     }
 
     /// Applies a network fault action ([`FaultAction::Partition`],

@@ -27,7 +27,7 @@ use std::cell::{Cell, RefCell};
 /// dense by machine id.
 ///
 /// Drained timelines come back through [`TimelineStore::reclaim`] as empty
-/// *shells* whose `records`/`stints` capacity survives;
+/// *shells* whose `records`/`stints`/`text` capacity survives;
 /// [`TimelineStore::begin_life`] hands a fresh life a recycled shell
 /// before allocating a new one. A recycled shell is observationally
 /// identical to a fresh timeline — contents are fully reset, only
@@ -107,8 +107,7 @@ impl TimelineStore {
     pub fn reclaim(&self, mut drained: Vec<LocalTimeline>) {
         let mut spare = self.spare.borrow_mut();
         for mut timeline in drained.drain(..) {
-            timeline.records.clear();
-            timeline.stints.clear();
+            timeline.clear();
             spare.push(timeline);
         }
         self.spare_drain.borrow_mut().push(drained);
@@ -204,7 +203,7 @@ mod tests {
     use super::*;
     use loki_core::campaign::ExperimentFailure;
     use loki_core::ids::Id;
-    use loki_core::recorder::{RecordKind, Recorder, TimelineRecord};
+    use loki_core::recorder::Recorder;
 
     #[test]
     fn timeline_store_roundtrip() {
@@ -212,15 +211,14 @@ mod tests {
         let sm = Id::from_raw(3);
         assert_eq!(store.with_mut(sm, |_| ()), None);
         store.begin_life(sm, LocalNanos(0), Id::from_raw(0));
-        store.with_mut(sm, |t| {
-            t.records.push(TimelineRecord {
-                time: LocalNanos(1),
-                kind: RecordKind::UserMessage("m".into()),
-            });
-        });
+        store.with_mut(sm, |t| t.push_user_message(LocalNanos(1), "m"));
         let drained = store.drain();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].records.len(), 1);
+        assert_eq!(
+            drained[0].user_message(drained[0].records[0].kind),
+            Some("m")
+        );
         assert!(store.drain().is_empty());
     }
 
@@ -247,10 +245,24 @@ mod tests {
         let expect = Recorder::new(sm, h0).finish();
         assert_eq!(store.with_mut(sm, |t| t.clone()).unwrap(), expect);
 
-        // Restart == Recorder::resume(prior, now, h1).finish().
+        // Restart == Recorder::resume(prior, now, h1).finish(), and a
+        // message of the first life survives it.
+        store.with_mut(sm, |t| t.push_user_message(LocalNanos(7), "before"));
+        let mut expect = Recorder::new(sm, h0);
+        expect.record_user_message(LocalNanos(7), "before");
         assert!(store.begin_life(sm, LocalNanos(9), h1));
-        let expect = Recorder::resume(expect, LocalNanos(9), h1).finish();
-        assert_eq!(store.drain(), [expect]);
+        store.with_mut(sm, |t| t.push_user_message(LocalNanos(10), "after"));
+        let mut expect = Recorder::resume(expect.finish(), LocalNanos(9), h1);
+        expect.record_user_message(LocalNanos(10), "after");
+        let drained = store.drain();
+        assert_eq!(drained, [expect.finish()]);
+        let t = &drained[0];
+        let texts: Vec<&str> = t
+            .records
+            .iter()
+            .filter_map(|r| t.user_message(r.kind))
+            .collect();
+        assert_eq!(texts, ["before", "after"]);
     }
 
     #[test]
@@ -261,23 +273,21 @@ mod tests {
         store.begin_life(sm, LocalNanos(0), host);
         store.with_mut(sm, |t| {
             for i in 0..100 {
-                t.records.push(TimelineRecord {
-                    time: LocalNanos(i),
-                    kind: RecordKind::UserMessage("x".into()),
-                });
+                t.push_user_message(LocalNanos(i), "x");
             }
         });
         assert_eq!(store.shell_reuses(), 0);
         store.reclaim(store.drain());
 
         // The next first life starts on the recycled shell: contents are
-        // fresh, record capacity survives.
+        // fresh — no records, no text — and their capacity survives.
         store.begin_life(sm, LocalNanos(1), host);
         assert_eq!(store.shell_reuses(), 1);
         let t = store.drain().pop().unwrap();
-        assert!(t.records.is_empty());
+        assert!(t.records.is_empty() && t.text.is_empty());
         assert_eq!(t.stints.len(), 1);
         assert!(t.records.capacity() >= 100, "capacity not retained");
+        assert!(t.text.capacity() >= 100, "text capacity not retained");
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use loki_core::campaign::{ExperimentData, ExperimentEnd};
 use loki_core::ids::SmId;
-use loki_core::recorder::RecordKind;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
 use loki_runtime::harness::{run_experiment, SimHarnessConfig};
@@ -169,10 +168,11 @@ fn broadcast_reaches_live_peers_in_ascending_order_without_allocating() {
     // Every round reaches the live peers, not the sender itself nor the
     // machine that crashed before the first round.
     let heard = |name: &str| {
-        let records = &data.timeline_for(sm(name)).unwrap().records;
-        records
+        let timeline = data.timeline_for(sm(name)).unwrap();
+        timeline
+            .records
             .iter()
-            .filter(|r| matches!(&r.kind, RecordKind::UserMessage(from) if from == "n1"))
+            .filter(|r| timeline.user_message(r.kind) == Some("n1"))
             .count()
     };
     assert_eq!(

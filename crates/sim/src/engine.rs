@@ -14,9 +14,11 @@
 //! allocation:
 //!
 //! * the pending-event queue is an **index heap**
-//!   ([`crate::queue::EventQueue`]): the binary heap orders packed
+//!   ([`crate::queue::EventQueue`]): binary heaps order packed
 //!   `(time, seq, slot)` keys while event bodies park in a recycled slab,
-//!   so sifts never move message payloads;
+//!   so sifts never move message payloads; timers wait in a heap of their
+//!   own ([`Ctx::set_timer`] pushes there), so a message's push and pop
+//!   sift only past other messages, and both heaps share one `seq`;
 //! * timers are **generation-stamped slots**
 //!   ([`crate::queue::TimerSlab`]): cancel is one array write and the
 //!   pop-side liveness check one integer compare — no tombstone set that
@@ -525,7 +527,9 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
     /// would pass a ceiling, and refuses it. Deterministic for any
     /// driver because it reads only `events_processed`, the next event's
     /// scheduled time, and that event's target-liveness — all invariant
-    /// under burst shape.
+    /// under burst shape. Under both ceilings it reads only the head's
+    /// time; the body (and so its slab slot) is read once a ceiling is
+    /// passed.
     ///
     /// Garbage head events — a cancelled timer, or any event addressed
     /// to a dead actor — are discarded rather than tripped on: processing
@@ -541,11 +545,14 @@ impl<M: 'static, A: Dispatch<M>> Simulation<M, A> {
             return false;
         }
         loop {
-            let Some((time, event)) = self.queue.peek() else {
+            let Some(time) = self.queue.peek_time() else {
                 // Empty queue: admit; `step` observes the drain itself.
                 return true;
             };
             let Some(exceeded) = self.over_budget(time) else {
+                return true;
+            };
+            let Some((_, event)) = self.queue.peek() else {
                 return true;
             };
             let target = match event {
@@ -1145,7 +1152,7 @@ impl<M: 'static, A: Dispatch<M>> Ctx<'_, M, A> {
     pub fn set_timer(&mut self, delay_ns: u64, tag: u64) -> TimerId {
         let id = TimerId(self.sim.timers.alloc().pack());
         let at = self.sim.time + delay_ns;
-        self.sim.push(
+        self.sim.queue.push_timer(
             at,
             Event::Timer {
                 actor: self.me,

@@ -1,13 +1,14 @@
 //! The hash-free, allocation-lean event core: an index heap over a
-//! free-list slab, and a generation-stamped timer slab.
+//! free-list slab, split into a timer heap and a message heap, and a
+//! generation-stamped timer slab.
 //!
 //! Both structures exist to keep [`Simulation::step`](crate::engine::Simulation::step)
 //! free of hashing and per-event allocation in the steady state:
 //!
 //! * [`EventQueue`] — the priority queue keeps only packed
-//!   `(time, seq·slot)` keys (16 bytes) in std's binary heap while the
-//!   event bodies park in a slab recycled through an intrusive free list.
-//!   Heap sifts therefore move small fixed-size keys instead of full
+//!   `(time, seq·slot)` keys (16 bytes) in std's binary heaps while the
+//!   event bodies park in one slab recycled through an intrusive free
+//!   list. Heap sifts therefore move small fixed-size keys instead of full
 //!   message payloads. Once the slab has grown to the simulation's
 //!   high-water mark of in-flight events, pushing an event allocates
 //!   nothing. std's pop sifts the hole to the bottom picking the smaller
@@ -18,6 +19,16 @@
 //!   holds (`sim.queue_d64_ns_per_op` / `sim.queue_d4096_ns_per_op`,
 //!   medians of four runs on a 2-core Xeon: 4-ary 15.7 / 31.7 ns per op,
 //!   binary 11.6 / 19.7 ns).
+//! * **Two heaps, one `seq`.** Timers ([`EventQueue::push_timer`]) wait in
+//!   a heap of their own; deliveries, starts and peer-downs
+//!   ([`EventQueue::push`]) in the other. A retry storm keeps dozens of
+//!   timers pending (watchdogs, backoffs) while most pops are messages
+//!   that were pushed a link delay ago: in one heap every such push and
+//!   pop sifts past every pending timer, in two it sifts only past the
+//!   other messages. Pop takes the smaller `(time, seq)` of the two heads
+//!   — one extra key compare — and because both heaps draw `seq` from the
+//!   one counter, that is exactly the order one heap of all keys pops in.
+//!   An event's kind picks its heap; there is no knob.
 //! * [`TimerSlab`] — live timers occupy generation-stamped slots.
 //!   Cancelling is one array write (bump the generation); the pop-side
 //!   liveness check is one generation compare. Unlike a tombstone set,
@@ -70,12 +81,14 @@ enum Slot<T> {
     Occupied(T),
 }
 
-/// A time-ordered event queue: std's `BinaryHeap` of packed 16-byte keys
-/// over a free-list slab of bodies.
+/// A time-ordered event queue: two std `BinaryHeap`s of packed 16-byte
+/// keys — timers in one, everything else in the other — over one
+/// free-list slab of bodies.
 ///
-/// Entries pop in `(time, insertion order)` — ties on `time` resolve to
-/// the earlier push, matching a `BinaryHeap<(Reverse(time, seq), body)>`
-/// byte for byte while never moving the bodies during sifts.
+/// Entries pop in `(time, insertion order)` across both heaps — ties on
+/// `time` resolve to the earlier push, whichever method pushed it,
+/// matching a `BinaryHeap<(Reverse(time, seq), body)>` byte for byte while
+/// never moving the bodies during sifts.
 ///
 /// # Examples
 ///
@@ -84,8 +97,8 @@ enum Slot<T> {
 ///
 /// let mut q: EventQueue<&str> = EventQueue::new();
 /// q.push(20, "late");
-/// q.push(10, "first");
-/// q.push(10, "second"); // same time: pops after "first"
+/// q.push_timer(10, "first");
+/// q.push(10, "second"); // same time: pops after "first", a timer pushed earlier
 /// assert_eq!(q.peek_time(), Some(10));
 /// assert_eq!(q.pop(), Some((10, "first")));
 /// assert_eq!(q.pop(), Some((10, "second")));
@@ -93,9 +106,13 @@ enum Slot<T> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<HeapKey>>,
+    /// Keys of deliveries, starts and peer-downs.
+    events: BinaryHeap<Reverse<HeapKey>>,
+    /// Keys of timers.
+    timers: BinaryHeap<Reverse<HeapKey>>,
     slab: Vec<Slot<T>>,
     free_head: u32,
+    /// Shared by both heaps, so their keys order as one heap's would.
     seq: u32,
 }
 
@@ -103,7 +120,8 @@ impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            events: BinaryHeap::new(),
+            timers: BinaryHeap::new(),
             slab: Vec::new(),
             free_head: NIL,
             seq: 0,
@@ -114,6 +132,23 @@ impl<T> EventQueue<T> {
     /// reaches the queue's high-water mark.
     #[inline]
     pub fn push(&mut self, time: u64, body: T) {
+        let key = self.key_for(time, body);
+        self.events.push(Reverse(key));
+    }
+
+    /// Schedules the timer `body` at `time`, in the timer heap. Pops in
+    /// the same `(time, seq)` order as [`EventQueue::push`]; only the
+    /// heap it waits in differs.
+    #[inline]
+    pub fn push_timer(&mut self, time: u64, body: T) {
+        let key = self.key_for(time, body);
+        self.timers.push(Reverse(key));
+    }
+
+    /// Parks `body` in a slab slot and returns its key, drawing the next
+    /// `seq`.
+    #[inline]
+    fn key_for(&mut self, time: u64, body: T) -> HeapKey {
         let slot = if self.free_head != NIL {
             let slot = self.free_head;
             match std::mem::replace(&mut self.slab[slot as usize], Slot::Occupied(body)) {
@@ -131,13 +166,38 @@ impl<T> EventQueue<T> {
         // between resets is out of any real campaign's reach — reject it
         // loudly rather than let a wrapped sequence reorder ties.
         self.seq = self.seq.checked_add(1).expect("event sequence overflow");
-        self.heap.push(Reverse(HeapKey::new(time, seq, slot)));
+        HeapKey::new(time, seq, slot)
+    }
+
+    /// Whether the earliest entry is the timer heap's head.
+    #[inline]
+    fn timer_first(&self) -> bool {
+        match (self.events.peek(), self.timers.peek()) {
+            (Some(event), Some(timer)) => timer.0 < event.0,
+            (event, _) => event.is_none(),
+        }
+    }
+
+    /// The earliest key of either heap.
+    #[inline]
+    fn head(&self) -> Option<HeapKey> {
+        let heap = if self.timer_first() {
+            &self.timers
+        } else {
+            &self.events
+        };
+        heap.peek().map(|k| k.0)
     }
 
     /// Pops the earliest entry as `(time, body)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        let Reverse(key) = self.heap.pop()?;
+        let heap = if self.timer_first() {
+            &mut self.timers
+        } else {
+            &mut self.events
+        };
+        let Reverse(key) = heap.pop()?;
         let slot = key.slot();
         let next = self.free_head;
         self.free_head = slot;
@@ -150,27 +210,27 @@ impl<T> EventQueue<T> {
     /// The scheduled time of the earliest entry.
     #[inline]
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|k| k.0.time())
+        self.head().map(HeapKey::time)
     }
 
     /// The earliest entry as `(time, &body)`, without removing it.
     #[inline]
     pub fn peek(&self) -> Option<(u64, &T)> {
-        let key = self.heap.peek()?.0;
+        let key = self.head()?;
         match &self.slab[key.slot() as usize] {
             Slot::Occupied(body) => Some((key.time(), body)),
             Slot::Vacant { .. } => unreachable!("heap key pointed at a vacant slot"),
         }
     }
 
-    /// Number of pending entries.
+    /// Number of pending entries, in both heaps.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len() + self.timers.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty() && self.timers.is_empty()
     }
 
     /// Number of slab slots ever allocated — the high-water mark of
@@ -179,10 +239,10 @@ impl<T> EventQueue<T> {
         self.slab.len()
     }
 
-    /// Clears the queue while keeping every allocation: the heap's buffer
-    /// and the slab's slots survive for the next run, so a simulation
-    /// reused across experiments stops growing once the first experiment
-    /// has established the high-water mark.
+    /// Clears the queue while keeping every allocation: both heaps'
+    /// buffers and the slab's slots survive for the next run, so a
+    /// simulation reused across experiments stops growing once the first
+    /// experiment has established the high-water mark.
     ///
     /// Any still-queued bodies are dropped, the sequence counter rewinds
     /// to zero, and the free list is rebuilt in ascending slot order —
@@ -190,7 +250,8 @@ impl<T> EventQueue<T> {
     /// into a fresh queue, so a reset queue is observationally identical
     /// to a new one (pop order depends only on `(time, seq)`).
     pub fn reset(&mut self) {
-        self.heap.clear();
+        self.events.clear();
+        self.timers.clear();
         self.seq = 0;
         let len = self.slab.len() as u32;
         for (i, slot) in self.slab.iter_mut().enumerate() {
@@ -372,6 +433,26 @@ mod tests {
         q.push(1, 'd');
         let order: Vec<(u64, char)> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![(1, 'd'), (3, 'b'), (5, 'a'), (5, 'c')]);
+    }
+
+    #[test]
+    fn ties_across_the_two_heaps_pop_in_push_order() {
+        let mut q = EventQueue::new();
+        q.push_timer(5, 'a');
+        q.push(5, 'b');
+        q.push_timer(5, 'c');
+        q.push(3, 'd');
+        q.push_timer(3, 'e');
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek(), Some((3, &'d')));
+        let order: Vec<(u64, char)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![(3, 'd'), (3, 'e'), (5, 'a'), (5, 'b'), (5, 'c')]
+        );
+        assert!(q.is_empty());
+        // Both heaps share one slab.
+        assert_eq!(q.slab_slots(), 5);
     }
 
     #[test]

@@ -221,7 +221,7 @@ fn latency_strategy() -> impl Strategy<Value = LatencyModel> {
 enum QOp {
     /// Schedule a message `dt % 4` ns ahead (small range forces time ties).
     Push(u8),
-    /// Arm a timer `dt % 4` ns ahead.
+    /// Arm a timer `dt % 4` ns ahead (`push_timer`: the timer heap).
     Timer(u8),
     /// Cancel the n-th currently live timer (mod the live count).
     Cancel(u8),
@@ -257,11 +257,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The index-heap queue plus the generation-stamped timer slab pop in
-    /// exactly the order of the engine's previous core — a full-payload
+    /// exactly the order of the engine's previous core — one full-payload
     /// `BinaryHeap` ordered by `(time, seq)` with a `HashSet` of cancelled
-    /// timer ids — under arbitrary interleavings of push, timer arm,
-    /// cancel, pop and reset, including time ties, cancels of queued timers
-    /// and queue depths past a hundred.
+    /// timer ids — under arbitrary interleavings of `push`, timer arm
+    /// (`push_timer`, the queue's second heap), cancel, pop and reset,
+    /// including time ties within and across the two heaps, cancels of
+    /// queued timers and queue depths past a hundred. Before every op the
+    /// queue's head time, length and emptiness equal the reference heap's.
     #[test]
     fn event_core_matches_reference_heap_model(
         ops in prop::collection::vec(qop_strategy(), 1..1500),
@@ -290,9 +292,13 @@ proptest! {
                         fresh: &mut Option<EventQueue<Item>>,
                         t: u64,
                         item: Item| {
-            queue.push(t, item);
+            let push = match item {
+                Item::Msg(_) => EventQueue::push,
+                Item::Timer(..) => EventQueue::push_timer,
+            };
+            push(queue, t, item);
             if let Some(fresh) = fresh {
-                fresh.push(t, item);
+                push(fresh, t, item);
             }
         };
         let pop_new = |queue: &mut EventQueue<Item>,
@@ -335,6 +341,9 @@ proptest! {
         };
 
         for op in ops {
+            prop_assert_eq!(queue.peek_time(), ref_heap.peek().map(|r| r.0 .0));
+            prop_assert_eq!(queue.len(), ref_heap.len());
+            prop_assert_eq!(queue.is_empty(), ref_heap.is_empty());
             now += 1;
             match op {
                 QOp::Push(dt) => {

@@ -33,6 +33,12 @@
 //! 0 and 1. Record kinds 2 and 3 are extensions: the thesis stores restart
 //! host information "in the local timeline" without specifying an encoding,
 //! and permits arbitrary user messages.
+//!
+//! A user message runs from the one space after `<Time.Lo>` to the end of
+//! the line, verbatim — spaces, quotes and all — except that a backslash,
+//! a line feed and a carriage return are written `\\`, `\n` and `\r`, so
+//! every message reads back exactly, the empty one included (written as
+//! `3 <Time.Hi> <Time.Lo>`).
 
 use crate::error::ParseError;
 use crate::files::split_head;
@@ -107,13 +113,63 @@ pub fn write(study: &Study, symbols: &SymbolTable, timeline: &LocalTimeline) -> 
             RecordKind::Restart { host } => {
                 out.push_str(&format!("2 {} {} {}\n", symbols.name(*host), hi, lo));
             }
-            RecordKind::UserMessage(msg) => {
-                out.push_str(&format!("3 {} {} {}\n", hi, lo, msg));
+            RecordKind::UserMessage { .. } => {
+                out.push_str(&format!("3 {hi} {lo}"));
+                let message = timeline.user_message(record.kind).unwrap_or_default();
+                if !message.is_empty() {
+                    out.push(' ');
+                    escape_into(&mut out, message);
+                }
+                out.push('\n');
             }
         }
     }
     out.push_str("end_local_timeline\n");
     out
+}
+
+/// Appends `message` with its backslashes and line breaks escaped.
+fn escape_into(out: &mut String, message: &str) {
+    for c in message.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            c => out.push(c),
+        }
+    }
+}
+
+/// Appends the message `escaped` as [`escape_into`] wrote it. Total: an
+/// escape it does not know, or a lone trailing backslash, stays as
+/// written.
+fn unescape_into(out: &mut String, escaped: &str) {
+    let mut chars = escaped.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.clone().next() {
+            Some('\\') => out.push('\\'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            _ => {
+                out.push('\\');
+                continue;
+            }
+        }
+        chars.next();
+    }
+}
+
+/// Splits the first whitespace-separated word off `text`: the word (if
+/// any) and everything after it, its separating whitespace included.
+fn split_word(text: &str) -> (Option<&str>, &str) {
+    let text = text.trim_start();
+    let end = text.find(char::is_whitespace).unwrap_or(text.len());
+    let (word, rest) = text.split_at(end);
+    ((!word.is_empty()).then_some(word), rest)
 }
 
 /// `expr` with `study`'s names, in [`FaultExpr`]'s `Display` syntax: the
@@ -169,6 +225,7 @@ pub fn parse(
     let mut event_table: HashMap<u32, String> = HashMap::new();
     let mut fault_table: HashMap<u32, String> = HashMap::new();
     let mut records: Vec<TimelineRecord> = Vec::new();
+    let mut messages = String::new();
     let mut restart_stints: Vec<(loki_core::ids::HostId, usize)> = Vec::new();
     let mut mode = Mode::Header;
 
@@ -310,11 +367,26 @@ pub fn parse(
                         });
                     }
                     "3" => {
-                        let time = parse_time(tokens.next(), tokens.next(), lineno)?;
-                        let rest: Vec<&str> = tokens.collect();
+                        // The message is the raw line's rest, not the
+                        // trimmed line's tokens: its spaces are its own.
+                        let (_, after_tag) = split_word(raw);
+                        let (hi, after_hi) = split_word(after_tag);
+                        let (lo, after_lo) = split_word(after_hi);
+                        let time = parse_time(hi, lo, lineno)?;
+                        let start = messages.len();
+                        let escaped = after_lo.strip_prefix(' ').unwrap_or(after_lo);
+                        unescape_into(&mut messages, escaped);
+                        let span = |n: usize| {
+                            u32::try_from(n).map_err(|_| {
+                                ParseError::at(lineno, "user messages past u32::MAX bytes")
+                            })
+                        };
                         records.push(TimelineRecord {
                             time,
-                            kind: RecordKind::UserMessage(rest.join(" ")),
+                            kind: RecordKind::UserMessage {
+                                start: span(start)?,
+                                len: span(messages.len() - start)?,
+                            },
                         });
                     }
                     other => {
@@ -356,6 +428,7 @@ pub fn parse(
         sm,
         records,
         stints,
+        text: messages,
     })
 }
 
@@ -463,6 +536,52 @@ mod tests {
         let text = write(&study, &symbols, &timeline);
         let parsed = parse(&study, &mut symbols, &text).unwrap();
         assert_eq!(parsed, timeline);
+    }
+
+    #[test]
+    fn user_messages_roundtrip_verbatim_across_a_restart() {
+        let study = study();
+        let mut symbols = symbols();
+        let black = study.sm_id("black").unwrap();
+        let messages = [
+            "two  spaces and a trailing one ",
+            " leading",
+            "",
+            "say \"hi\" to 'them'",
+            "back\\slash \\n not a newline \\",
+            "line\nbreak\r\nand\ttab",
+        ];
+        let mut rec = Recorder::new(black, symbols.lookup("host1").unwrap());
+        for (ms, m) in (1..).zip(&messages[..3]) {
+            rec.record_user_message(LocalNanos::from_millis(ms), m);
+        }
+        let host2 = symbols.lookup("host2").unwrap();
+        let mut rec = Recorder::resume(rec.finish(), LocalNanos::from_millis(9), host2);
+        for (ms, m) in (10..).zip(&messages[3..]) {
+            rec.record_user_message(LocalNanos::from_millis(ms), m);
+        }
+        let timeline = rec.finish();
+        let text = write(&study, &symbols, &timeline);
+        assert!(
+            text.contains("\n3 0 3000000\n"),
+            "the empty message: {text}"
+        );
+        assert!(text.contains(" back\\\\slash \\\\n not a newline \\\\\n"));
+        let parsed = parse(&study, &mut symbols, &text).unwrap();
+        assert_eq!(parsed, timeline);
+        let read: Vec<&str> = parsed
+            .records
+            .iter()
+            .filter_map(|r| parsed.user_message(r.kind))
+            .collect();
+        assert_eq!(read, messages);
+    }
+
+    #[test]
+    fn unknown_escapes_and_a_lone_backslash_read_as_written() {
+        let mut out = String::new();
+        unescape_into(&mut out, "a\\q b\\");
+        assert_eq!(out, "a\\q b\\");
     }
 
     #[test]

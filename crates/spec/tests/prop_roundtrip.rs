@@ -187,6 +187,19 @@ fn fragments() -> impl Strategy<Value = String> {
         .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
 }
 
+/// Characters a user message is drawn from: spaces (twice, so runs of
+/// them are common) and a tab, quotes, the backslash and the letters of
+/// its escapes, line breaks and a non-ASCII letter.
+const MESSAGE_CHARS: &[char] = &[
+    'a', 'Z', '3', ' ', ' ', '\t', '"', '\'', '\\', 'n', 'r', '\n', '\r', 'é',
+];
+
+/// A user message of up to a dozen characters, the empty one included.
+fn message() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..MESSAGE_CHARS.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| MESSAGE_CHARS[i]).collect())
+}
+
 /// The study the timeline reader resolves names against.
 fn timeline_study() -> Study {
     let def = StudyDef::new("s")
@@ -213,6 +226,7 @@ fn valid_files(study: &Study) -> Vec<String> {
         study.states.lookup("B").unwrap(),
     );
     rec.record_injection(LocalNanos(1 << 40), study.fault_names.lookup("f").unwrap());
+    rec.record_user_message(LocalNanos(6), "say \"hi\" \\ bye\n");
     vec![
         "gfault2 ((black:CRASH) & ((green:FOLLOW) | (green:ELECT))) once\nf (m:B) always\n".into(),
         "((black:CRASH) & ~((green:FOLLOW) | (green:ELECT)))".into(),
@@ -316,10 +330,14 @@ proptest! {
         prop_assert_eq!(files::parse_node_file(&text).unwrap(), placements);
     }
 
+    /// Every record kind, user messages of any text among them, and a
+    /// restart stint at any position read back exactly.
     #[test]
     fn timeline_roundtrip(
         times in prop::collection::vec(0u64..u64::MAX / 2, 1..20),
-        inject_at in prop::collection::vec(any::<bool>(), 1..20),
+        kinds in prop::collection::vec(0u8..3, 1..20),
+        messages in prop::collection::vec(message(), 1..8),
+        restart_at in 0usize..20,
     ) {
         let def = StudyDef::new("s")
             .machine(
@@ -337,13 +355,17 @@ proptest! {
         let b = study.states.lookup("B").unwrap();
         let f = study.fault_names.lookup("f").unwrap();
 
-        let mut symbols = SymbolTable::from_iter(["host1"]);
+        let mut symbols = SymbolTable::from_iter(["host1", "host2"]);
         let mut rec = Recorder::new(m, symbols.lookup("host1").unwrap());
         for (i, t) in times.iter().enumerate() {
-            if *inject_at.get(i % inject_at.len()).unwrap_or(&false) {
-                rec.record_injection(LocalNanos(*t), f);
-            } else {
-                rec.record_state_change(LocalNanos(*t), go, b);
+            if i == restart_at {
+                let host2 = symbols.lookup("host2").unwrap();
+                rec = Recorder::resume(rec.finish(), LocalNanos(*t), host2);
+            }
+            match kinds[i % kinds.len()] {
+                0 => rec.record_state_change(LocalNanos(*t), go, b),
+                1 => rec.record_injection(LocalNanos(*t), f),
+                _ => rec.record_user_message(LocalNanos(*t), &messages[i % messages.len()]),
             }
         }
         let timeline = rec.finish();
