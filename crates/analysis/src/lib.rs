@@ -64,6 +64,7 @@ pub mod checker;
 pub mod error;
 pub mod global;
 pub mod intervals;
+mod timeline;
 
 pub use cascade::{detect_cascade, CascadeConfig, CascadeVerdict};
 pub use checker::{check_experiment, ExperimentVerdict, MissingPolicy, Verdict};

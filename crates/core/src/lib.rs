@@ -23,8 +23,7 @@
 //! * [`probe`] — fault actions and the table mapping fault names to them.
 //! * [`campaign`] — experiment data containers and sync-sample records.
 //! * [`small`] — allocation-free storage for the runtime's hot-path
-//!   fan-out lists: the one-word machine set [`small::SmSet`] and the
-//!   small-vector [`small::InlineVec`].
+//!   fan-out lists: the one-word machine set [`small::SmSet`].
 //! * [`time`] — local clock readings and global-time interval bounds.
 //!
 //! The runtime (daemons, transports, node lifecycle) lives in
@@ -87,7 +86,7 @@ pub use fault::{CompiledExpr, CompiledFault, FaultExpr, FaultParser, Trigger};
 pub use ids::{EventId, FaultId, NameTable, SmId, StateId};
 pub use probe::{ActionProbe, FaultAction};
 pub use recorder::{LocalTimeline, RecordKind, Recorder, TimelineRecord};
-pub use small::{InlineVec, SmSet};
+pub use small::SmSet;
 pub use spec::{FaultSpec, NodePlacement, StateMachineSpec, StudyDef};
 pub use state_machine::{StateMachine, TransitionOutcome};
 pub use study::{CompiledSm, Study};

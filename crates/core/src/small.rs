@@ -1,23 +1,13 @@
 //! Allocation-free storage for hot-path fan-out lists.
 //!
 //! The runtime's steady state is dominated by tiny lists: a state's notify
-//! list (usually one or two machines), the per-host fan-out a daemon
-//! builds while routing, an actor's watcher list. Carrying those as `Vec`
-//! means one heap allocation per message — per event, at campaign scale.
+//! list (usually one or two machines) and the per-host fan-out a daemon
+//! builds while routing. Carrying those as `Vec` means one heap allocation
+//! per message — per event, at campaign scale.
 //!
 //! * [`SmSet`] — a set of a study's state machines as one 64-bit word:
 //!   notify lists, per-host routing targets and the machines a
 //!   notification message names. Copying one is copying a `u64`.
-//! * [`InlineVec`] — keeps up to `N` elements inline in the containing
-//!   value and spills to a heap `Vec` only beyond that, so the common case
-//!   allocates nothing (the engine's watcher lists, whose ids are not
-//!   bounded by a study).
-//!
-//! `InlineVec` is `unsafe`-free (this crate forbids `unsafe`): the
-//! inline buffer is `[Option<T>; N]`, filled front to back, so no
-//! uninitialized storage is ever observed. That costs the niche-less types
-//! a word of padding per slot, which is irrelevant next to the allocation
-//! it saves; id-like types (`Option<u32>` newtypes) pay 4 bytes.
 
 use crate::ids::SmId;
 use serde::{Deserialize, Serialize};
@@ -189,169 +179,6 @@ impl fmt::Debug for SmSet {
     }
 }
 
-/// A vector storing its first `N` elements inline, spilling to the heap
-/// beyond that. Push-only (plus [`clear`](InlineVec::clear)): exactly the
-/// shape of the runtime's fan-out lists, which are built once and then
-/// iterated or consumed.
-///
-/// # Examples
-///
-/// ```
-/// use loki_core::small::InlineVec;
-///
-/// let mut v: InlineVec<u32, 4> = InlineVec::new();
-/// for i in 0..3 {
-///     v.push(i); // inline, no allocation
-/// }
-/// assert_eq!(v.len(), 3);
-/// assert!(!v.spilled());
-/// v.extend([3, 4, 5]); // 5th and 6th elements spill to the heap
-/// assert!(v.spilled());
-/// assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4, 5]);
-/// ```
-pub struct InlineVec<T, const N: usize> {
-    /// Inline slots, occupied front to back; `None` past `inline_len`.
-    inline: [Option<T>; N],
-    /// Number of occupied inline slots (`<= N`).
-    inline_len: u32,
-    /// Overflow storage for elements past the first `N`.
-    spill: Vec<T>,
-}
-
-impl<T, const N: usize> InlineVec<T, N> {
-    /// Creates an empty vector. Allocation-free.
-    pub fn new() -> Self {
-        InlineVec {
-            inline: std::array::from_fn(|_| None),
-            inline_len: 0,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Creates an empty vector holding exactly one element. Allocation-free
-    /// when `N >= 1`.
-    pub fn one(value: T) -> Self {
-        let mut v = Self::new();
-        v.push(value);
-        v
-    }
-
-    /// Appends `value`; allocates only once the inline capacity `N` is
-    /// exhausted.
-    pub fn push(&mut self, value: T) {
-        let i = self.inline_len as usize;
-        if i < N {
-            self.inline[i] = Some(value);
-            self.inline_len += 1;
-        } else {
-            self.spill.push(value);
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.inline_len as usize + self.spill.len()
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inline_len == 0 && self.spill.is_empty()
-    }
-
-    /// Whether elements have overflowed to the heap.
-    pub fn spilled(&self) -> bool {
-        !self.spill.is_empty()
-    }
-
-    /// Removes all elements, keeping any spill capacity.
-    pub fn clear(&mut self) {
-        for slot in &mut self.inline[..self.inline_len as usize] {
-            *slot = None;
-        }
-        self.inline_len = 0;
-        self.spill.clear();
-    }
-
-    /// Iterates over the elements in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.inline.iter().flatten().chain(self.spill.iter())
-    }
-}
-
-impl<T, const N: usize> Default for InlineVec<T, N> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Clone, const N: usize> Clone for InlineVec<T, N> {
-    fn clone(&self) -> Self {
-        InlineVec {
-            inline: self.inline.clone(),
-            inline_len: self.inline_len,
-            spill: self.spill.clone(),
-        }
-    }
-}
-
-impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// Equality is element-wise in insertion order; the inline/spill split is
-/// an implementation detail (vectors of different `N` still compare by
-/// content within the same `N`).
-impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
-
-impl<T, const N: usize> FromIterator<T> for InlineVec<T, N> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut v = Self::new();
-        v.extend(iter);
-        v
-    }
-}
-
-impl<T, const N: usize> Extend<T> for InlineVec<T, N> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for value in iter {
-            self.push(value);
-        }
-    }
-}
-
-impl<T, const N: usize> IntoIterator for InlineVec<T, N> {
-    type Item = T;
-    type IntoIter = std::iter::Chain<
-        std::iter::Flatten<std::array::IntoIter<Option<T>, N>>,
-        std::vec::IntoIter<T>,
-    >;
-
-    fn into_iter(self) -> Self::IntoIter {
-        // Occupied inline slots are a prefix, so `flatten` yields exactly
-        // the first `inline_len` elements in order.
-        self.inline.into_iter().flatten().chain(self.spill)
-    }
-}
-
-impl<'a, T, const N: usize> IntoIterator for &'a InlineVec<T, N> {
-    type Item = &'a T;
-    type IntoIter = std::iter::Chain<
-        std::iter::Flatten<std::slice::Iter<'a, Option<T>>>,
-        std::slice::Iter<'a, T>,
-    >;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.inline.iter().flatten().chain(self.spill.iter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,67 +237,5 @@ mod tests {
     #[should_panic(expected = "does not fit an SmSet")]
     fn sm_set_refuses_an_id_past_its_capacity() {
         SmSet::new().insert(sm(64));
-    }
-
-    #[test]
-    fn inline_until_capacity_then_spills() {
-        let mut v: InlineVec<u8, 2> = InlineVec::new();
-        assert!(v.is_empty());
-        v.push(1);
-        v.push(2);
-        assert!(!v.spilled());
-        v.push(3);
-        assert!(v.spilled());
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(v.into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn one_and_from_iterator() {
-        let v: InlineVec<u32, 4> = InlineVec::one(9);
-        assert_eq!(v.len(), 1);
-        assert!(!v.spilled());
-        let w: InlineVec<u32, 4> = (0..6).collect();
-        assert_eq!(w.len(), 6);
-        assert_eq!(
-            w.iter().copied().collect::<Vec<_>>(),
-            (0..6).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn equality_ignores_storage_split() {
-        let a: InlineVec<u32, 2> = (0..5).collect();
-        let b: InlineVec<u32, 2> = (0..5).collect();
-        let c: InlineVec<u32, 2> = (0..4).collect();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn clear_resets_and_reuses() {
-        let mut v: InlineVec<u32, 2> = (0..4).collect();
-        v.clear();
-        assert!(v.is_empty());
-        assert!(!v.spilled());
-        v.push(7);
-        assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![7]);
-    }
-
-    #[test]
-    fn debug_and_clone() {
-        let v: InlineVec<u32, 2> = (0..3).collect();
-        assert_eq!(format!("{v:?}"), "[0, 1, 2]");
-        assert_eq!(v.clone(), v);
-    }
-
-    #[test]
-    fn works_with_non_copy_types() {
-        let mut v: InlineVec<String, 1> = InlineVec::new();
-        v.push("a".to_owned());
-        v.push("b".to_owned());
-        let owned: Vec<String> = v.into_iter().collect();
-        assert_eq!(owned, vec!["a".to_owned(), "b".to_owned()]);
     }
 }

@@ -148,7 +148,7 @@ struct Session {
 impl Session {
     /// A world at the session's start instant, budgets armed as given.
     fn world(&self, budget: (Option<u64>, Option<u64>)) -> Simulation<SyncMsg> {
-        let mut sim = Simulation::with_config(self.config.clone(), self.seed);
+        let mut sim = Simulation::closed(self.config.clone(), self.seed);
         sim.run_until(self.start_ns);
         sim.set_sched_enabled(self.sched_enabled);
         sim.set_budget(budget.0, budget.1);
@@ -490,10 +490,10 @@ proptest! {
             (sim.now(), sim.events_processed(), delivered, sim.rng().next_u64())
         };
 
-        let mut reused: Simulation<u32> = Simulation::with_config(config.clone(), 0);
+        let mut reused: Simulation<u32> = Simulation::closed(config.clone(), 0);
         for (i, &(seed, count, _, _)) in schedules.iter().enumerate() {
             reused.reset(seed);
-            let mut fresh = Simulation::with_config(config.clone(), seed);
+            let mut fresh = Simulation::closed(config.clone(), seed);
             prop_assert_eq!(
                 drive(&mut reused, count),
                 drive(&mut fresh, count),
